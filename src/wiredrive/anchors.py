@@ -17,6 +17,7 @@ import numpy as np
 from .errors import AmbiguousWinding, NoClearance, TrackingTimeout
 
 DEFAULT_CAPTURE_RADIUS = 0.05  # m
+DEFAULT_DRONE_DT = 0.02  # s
 DEFAULT_WAYPOINT_SPACING = 0.15  # m
 WINDING_TOLERANCE = 0.1  # fraction of a full turn
 
@@ -26,15 +27,14 @@ class Pillar:
     """Axis-aligned rectangular pillar footprint in the horizontal plane."""
 
     center: np.ndarray  # (2,)
-    half_extents: np.ndarray = None  # (2,), defaults to a 0.35 x 0.70 m pillar
+    half_extents: np.ndarray = (0.175, 0.35)  # (2,), a 0.35 x 0.70 m pillar
     z_range: tuple[float, float] = (0.0, 2.5)
 
     def __post_init__(self):
         center = np.asarray(self.center, dtype=float).reshape(2).copy()
         center.setflags(write=False)
         object.__setattr__(self, "center", center)
-        he = self.half_extents
-        he = np.array([0.175, 0.35]) if he is None else np.asarray(he, dtype=float).reshape(2).copy()
+        he = np.asarray(self.half_extents, dtype=float).reshape(2).copy()
         if np.any(he <= 0):
             raise ValueError("pillar half extents must be positive")
         he.setflags(write=False)
@@ -166,7 +166,7 @@ def track_path(
     sensor: RelativePoseSensor,
     pillar: Pillar,
     gains: TrackerGains = TrackerGains(),
-    dt: float = 0.02,
+    dt: float = DEFAULT_DRONE_DT,
     capture_radius: float = DEFAULT_CAPTURE_RADIUS,
     timeout: float | None = None,
     seed: int = 0,

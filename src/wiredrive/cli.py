@@ -7,7 +7,7 @@ Exit codes: 0 on success, 2 when a scenario fails to parse or validate,
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import copy
 import json
 import sys
 from pathlib import Path
@@ -18,7 +18,14 @@ from .anchors import plan_wrap_path, winding_number
 from .errors import WireDriveError
 from .feasibility import controllability
 from .runner import run_scenario
-from .scenario import ParseError, Scenario, ValidationError, dump_scenario, load_scenario
+from .scenario import (
+    ParseError,
+    Scenario,
+    ValidationError,
+    build_scenario,
+    dump_scenario,
+    load_scenario,
+)
 from .spatial import Pose
 from .wires import wire_jacobian
 
@@ -27,31 +34,20 @@ EXIT_VALIDATION = 2
 EXIT_RUNTIME = 3
 
 
-def _load(path: str) -> Scenario:
-    return load_scenario(path)
-
-
 def _apply_overrides(scenario: Scenario, args) -> Scenario:
-    changes = {}
-    if args.seed is not None:
-        changes["seed"] = args.seed
-    if args.dt is not None:
-        changes["dt"] = args.dt
-    if not changes:
+    """Patch --seed and --dt into the resolved document and rebuild from it."""
+    if args.seed is None and args.dt is None:
         return scenario
-    updated = dataclasses.replace(scenario, **changes)
-    if updated.substeps < 1 or abs(
-        1.0 / (updated.control_rate * updated.dt) - updated.substeps
-    ) > 1e-9:
-        raise ValidationError("sim.dt", "--dt must divide the control period evenly")
-    from .scenario import resolve_dict
-
-    updated.resolved = resolve_dict(updated)
-    return updated
+    doc = copy.deepcopy(scenario.resolved)
+    if args.seed is not None:
+        doc["seed"] = args.seed
+    if args.dt is not None:
+        doc["sim"]["dt"] = {"value": args.dt, "unit": "s"}
+    return build_scenario(doc)
 
 
 def cmd_run(args) -> int:
-    scenario = _apply_overrides(_load(args.scenario), args)
+    scenario = _apply_overrides(load_scenario(args.scenario), args)
     out_dir = Path(args.out or f"runs/{scenario.name}")
     summary = run_scenario(scenario, out_dir, seed=args.seed)
     print(json.dumps(summary, indent=2))
@@ -60,7 +56,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    scenario = _apply_overrides(_load(args.scenario), args)
+    scenario = _apply_overrides(load_scenario(args.scenario), args)
     pose = scenario.start_pose
     if args.pose is not None:
         pose = Pose.from_translation(np.asarray(args.pose, dtype=float))
@@ -98,7 +94,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_plan_anchor(args) -> int:
-    scenario = _apply_overrides(_load(args.scenario), args)
+    scenario = _apply_overrides(load_scenario(args.scenario), args)
     if not scenario.anchors:
         print("scenario declares no anchor tasks", file=sys.stderr)
         return EXIT_VALIDATION
@@ -138,7 +134,7 @@ def cmd_plan_anchor(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    scenario = _apply_overrides(_load(args.scenario), args)
+    scenario = _apply_overrides(load_scenario(args.scenario), args)
     sys.stdout.write(dump_scenario(scenario))
     print(f"scenario {scenario.name!r} is valid", file=sys.stderr)
     return EXIT_OK

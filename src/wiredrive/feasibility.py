@@ -36,7 +36,7 @@ class FeasibilityReport:
     fully_constrained: bool
     margin: float  # weighted-norm radius of the achievable wrench ball
     saturating_wires: tuple[int, ...]  # wires at a bound in the worst direction
-    directions_checked: int
+    directions_checked: int  # LPs solved; the scan stops at the first unreachable direction
     worst_direction: np.ndarray
 
 
@@ -96,7 +96,7 @@ def controllability(
     margin = np.inf
     worst = unit_dirs[0]
     worst_tensions = None
-    for direction in unit_dirs:
+    for checked, direction in enumerate(unit_dirs, start=1):
         scale, tensions = _max_scale_along(matrix, direction, bounds)
         if scale < margin:
             margin = scale
@@ -114,7 +114,7 @@ def controllability(
         fully_constrained=fully,
         margin=float(margin if np.isfinite(margin) else 0.0),
         saturating_wires=saturating,
-        directions_checked=directions,
+        directions_checked=checked,
         worst_direction=worst,
     )
 

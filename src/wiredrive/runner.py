@@ -31,7 +31,7 @@ from .spatial import (
     transform_odometry,
 )
 from .telemetry import TelemetryWriter
-from .trajectory import ControlTick, PoseController, chain_segments, sample_schedule
+from .trajectory import ControlTick, PoseController, active_segment, chain_segments, sample_schedule
 from .wires import WireAttachment, wire_jacobian, wire_lengths_and_rates
 
 # fixed offsets carve independent, reproducible streams out of one seed
@@ -39,7 +39,7 @@ _SENSOR_SEED_OFFSET = 1_000
 _ANCHOR_SEED_OFFSET = 2_000
 
 
-def _schedule_from_specs(scenario: Scenario, wires):
+def _schedule_from_specs(scenario: Scenario):
     points = [(scenario.start_pose, Twist.zero(), 0.0)]
     for spec in scenario.segments:
         points.append((spec.goal_pose, Twist.from_array(spec.goal_velocity), spec.duration))
@@ -147,7 +147,7 @@ def run_scenario(
     if scenario.anchors:
         wires, anchor_reports = deploy_anchors(scenario, seed, out_dir)
 
-    segments, seg_starts = _schedule_from_specs(scenario, wires)
+    segments, seg_starts = _schedule_from_specs(scenario)
     controller = PoseController(
         scenario.body,
         wires,
@@ -197,7 +197,7 @@ def run_scenario(
                 fault = False
                 try:
                     if scenario.mode == POSE_CONTROL:
-                        seg, local_t = _active_segment(segments, seg_starts, t)
+                        seg, local_t = active_segment(segments, seg_starts, t)
                         tick = controller.step(meas_pose, meas_twist, seg, local_t)
                     else:
                         tick = _schedule_tick(
@@ -268,13 +268,6 @@ def run_scenario(
     }
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     return summary
-
-
-def _active_segment(segments, starts, t: float):
-    for idx in range(len(starts) - 1, -1, -1):
-        if t >= starts[idx]:
-            return segments[idx], t - starts[idx]
-    return segments[0], t - starts[0]
 
 
 def _schedule_tick(

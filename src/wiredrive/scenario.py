@@ -6,10 +6,17 @@ quantity is written as a ``{value, unit}`` pair and the loader refuses a
 file whose units do not match the schema, naming the offending field.
 Loading fills in every default and keeps the fully resolved document
 around so a run can be reproduced from its dump alone.
+
+`SCHEMA` is the one description of the document: every key with its
+kind, unit, shape and default.  One reader walks it to parse a file and
+one writer walks it to dump the resolved document; the checks that tie
+several fields together, and the defaults derived from other fields,
+follow the table pass as explicit code in `build_scenario`.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import importlib.resources
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -18,9 +25,23 @@ from typing import Any
 import numpy as np
 import yaml
 
-from .allocation import AllocationWeights, TensionBounds, WinchParams
-from .anchors import Pillar, RelativePoseSensor, TrackerGains
-from .simulator import BodyModel, SensorModel
+from .allocation import (
+    DEFAULT_MAX_TENSION,
+    DEFAULT_PRETENSION,
+    DEFAULT_WEIGHT_SCALE,
+    AllocationWeights,
+    TensionBounds,
+    WinchParams,
+)
+from .anchors import (
+    DEFAULT_CAPTURE_RADIUS,
+    DEFAULT_DRONE_DT,
+    DEFAULT_WAYPOINT_SPACING,
+    Pillar,
+    RelativePoseSensor,
+    TrackerGains,
+)
+from .simulator import DEFAULT_SPEED_LIMIT, STANDARD_GRAVITY, BodyModel, SensorModel
 from .spatial import PidGains, Pose
 from .wires import WireAttachment
 
@@ -42,99 +63,278 @@ class ValidationError(Exception):
         super().__init__(f"{field_path}: {message}")
 
 
-# canonical unit spellings accepted per dimension
+# other accepted spellings of the units the schema names
 _UNIT_ALIASES = {
-    "m": {"m"},
-    "m/s": {"m/s"},
-    "m/s^2": {"m/s^2", "m/s2"},
-    "kg": {"kg"},
-    "kg m^2": {"kg m^2", "kg*m^2", "kg m2"},
-    "N": {"N"},
-    "N m": {"N m", "Nm", "N*m"},
-    "N m/A": {"N m/A", "Nm/A"},
-    "N m s/rad": {"N m s/rad", "Nm s/rad"},
-    "s": {"s"},
-    "Hz": {"Hz"},
-    "rad": {"rad"},
-    "rad/s": {"rad/s"},
-    "m/s, rad/s": {"m/s, rad/s"},
-    "N/m, N m/rad": {"N/m, N m/rad"},
-    "N s/m, N m s/rad": {"N s/m, N m s/rad"},
-    "N/(m s), N m/(rad s)": {"N/(m s), N m/(rad s)"},
-    "m s, rad s": {"m s, rad s"},
-    "1/s": {"1/s"},
+    "m/s2": "m/s^2",
+    "kg*m^2": "kg m^2",
+    "kg m2": "kg m^2",
+    "Nm": "N m",
+    "N*m": "N m",
+    "Nm/A": "N m/A",
+    "Nm s/rad": "N m s/rad",
 }
 
+QUANTITY = "quantity"  # a {value, unit} pair
+NUMBER = "number"  # a bare float
+INTEGER = "integer"
+STRING = "string"
 
-_REQUIRED = object()
+REQUIRED = object()
 
 # wires waiting on a flying anchor get a far-away placeholder anchor; the
 # deployment phase must replace it before any dynamics run
 DEPLOYMENT_PLACEHOLDER = np.array([1e6, 1e6, 1e6])
 
 
-def _require_mapping(node: Any, path: str) -> dict:
-    if not isinstance(node, dict):
-        raise ValidationError(path, f"expected a mapping, got {type(node).__name__}")
-    return node
+@dataclass(frozen=True)
+class Field:
+    """One leaf of the scenario document.
+
+    `default` is REQUIRED, the value used when the key is absent, or None
+    when the table has none: the field is then optional, or derived from
+    other fields after the table pass.  A quantity must be finite unless
+    its default is infinite.  `shape` is None for a scalar; a None entry
+    in it accepts any length.
+    """
+
+    kind: str
+    default: Any = REQUIRED
+    unit: str | None = None
+    shape: tuple | None = None
 
 
-def _get(node: dict, path: str, key: str, default=_REQUIRED):
-    if key in node:
-        return node[key]
-    if default is _REQUIRED:
-        raise ValidationError(f"{path}.{key}" if path else key, "required field is missing")
-    return default
+@dataclass(frozen=True)
+class Rows:
+    """A list of records, each laid out by the section `fields`.
+
+    `default` is REQUIRED (a non-empty list must be given), the empty
+    tuple (an optional list that may be empty), or the one string that may
+    stand in place of a non-empty list.
+    """
+
+    fields: dict
+    default: Any = REQUIRED
 
 
-def _quantity(node: dict, path: str, key: str, unit: str, default=None, shape=None):
-    """Read a {value, unit} pair, enforcing the expected unit."""
-    full = f"{path}.{key}" if path else key
-    if key not in node:
-        if default is None:
-            raise ValidationError(full, "required field is missing")
-        return np.asarray(default, dtype=float) if shape else float(default)
-    raw = node[key]
-    if not isinstance(raw, dict) or "value" not in raw or "unit" not in raw:
-        raise ValidationError(full, "physical quantities need a {value, unit} pair")
-    if str(raw["unit"]) not in _UNIT_ALIASES[unit]:
-        raise ValidationError(full, f"unit {raw['unit']!r} does not match expected {unit!r}")
-    value = raw["value"]
+def _q(unit: str, default=REQUIRED, shape=None) -> Field:
+    return Field(QUANTITY, default, unit, shape)
+
+
+def _class_defaults(cls, section: dict) -> dict:
+    """`section` with each REQUIRED field that `cls` gives a default taking it."""
+    defaults = {
+        f.name: f.default for f in dataclasses.fields(cls) if f.default is not dataclasses.MISSING
+    }
+    return {
+        key: dataclasses.replace(spec, default=defaults[key])
+        if spec.default is REQUIRED and key in defaults else spec
+        for key, spec in section.items()
+    }
+
+
+_ZEROS3 = (0.0,) * 3
+_ZEROS6 = (0.0,) * 6
+
+SCHEMA = {
+    "format_version": Field(INTEGER, FORMAT_VERSION),
+    "name": Field(STRING),
+    "seed": Field(INTEGER, 0),
+    "gravity": _q("m/s^2", STANDARD_GRAVITY),
+    "body": _class_defaults(BodyModel, {
+        "mass": _q("kg"),
+        "radius": _q("m"),
+        # exactly one of the two is needed; the dump keeps the diagonal
+        "inertia_diagonal": _q("kg m^2", None, (3,)),
+        "inertia_cube_side": _q("m", None),
+    }),
+    "wires": Rows({
+        "exit_body": _q("m", shape=(3,)),
+        "anchor_world": _q("m", None, (3,)),  # absent on wires a flying anchor claims
+    }),
+    "tension_bounds": {
+        "lower": _q("N", DEFAULT_PRETENSION),
+        "upper": _q("N", DEFAULT_MAX_TENSION),
+    },
+    "allocation_weights": {
+        "scale": Field(NUMBER, DEFAULT_WEIGHT_SCALE),
+        "torque_lever": _q("m", None),  # defaults to the body radius
+    },
+    "winch": _class_defaults(WinchParams, {
+        "pulley_radius": _q("m"),
+        "gear_ratio": Field(NUMBER),
+        "torque_constant": _q("N m/A"),
+        "eff_pulley": Field(NUMBER),
+        "eff_gear": Field(NUMBER),
+        "rotor_inertia": _q("kg m^2"),
+        "coulomb_friction": _q("N m"),
+        "viscous_friction": _q("N m s/rad"),
+        "max_tension": _q("N", None),  # defaults to the upper tension bound
+        "max_line_speed": _q("m/s"),
+        "winding_capacity": _q("m"),
+    }),
+    "control": {
+        "mode": Field(STRING, POSE_CONTROL),
+        "rate": _q("Hz", 200.0),
+        "pid": {
+            "kp": _q("N/m, N m/rad", _ZEROS6, (6,)),
+            "ki": _q("N/(m s), N m/(rad s)", _ZEROS6, (6,)),
+            "kd": _q("N s/m, N m s/rad", _ZEROS6, (6,)),
+            "integral_limit": _q("m s, rad s", _ZEROS6, (6,)),
+        },
+        # read in tension_schedule mode only; one tension per wire
+        "schedule": Rows({"t": _q("s"), "tensions": _q("N", shape=(None,))}, "quasistatic"),
+    },
+    "trajectory": {
+        "start": {
+            "position": _q("m", shape=(3,)),
+            "orientation_rotvec": _q("rad", _ZEROS3, (3,)),
+        },
+        "segments": Rows({
+            "goal_position": _q("m", shape=(3,)),
+            "goal_orientation_rotvec": _q("rad", _ZEROS3, (3,)),
+            "goal_velocity": _q("m/s, rad/s", _ZEROS6, (6,)),
+            "duration": _q("s"),
+        }),
+    },
+    "sim": {
+        "dt": _q("s", 1e-3),
+        "duration": _q("s", None),  # defaults to the segment time plus 2 s
+        "speed_limit": Field(NUMBER, DEFAULT_SPEED_LIMIT),
+        # latency counts control ticks
+        "sensor": _class_defaults(SensorModel, {
+            "position_noise": _q("m"),
+            "rotation_noise": _q("rad"),
+            "velocity_noise": _q("m/s"),
+            "angular_velocity_noise": _q("rad/s"),
+            "latency": Field(INTEGER),
+        }),
+    },
+    "pillars": Rows(_class_defaults(Pillar, {
+        "center": _q("m", shape=(2,)),
+        "half_extents": _q("m", shape=(2,)),
+        "z_range": _q("m", shape=(2,)),
+    }), ()),
+    "anchors": Rows({
+        "wire_id": Field(INTEGER),
+        "pillar": Field(INTEGER),
+        "approach": _q("m", shape=(3,)),
+        "clearance": _q("m", 0.3),
+        "wrap_altitude": _q("m", None),  # defaults to the middle of the pillar's z range
+    }, ()),
+    # read only when there are anchor tasks
+    "deployment": {
+        "tracker": _class_defaults(TrackerGains, {
+            "kp": _q("1/s"),
+            "speed_cap": _q("m/s"),
+        }),
+        "sensor": _class_defaults(RelativePoseSensor, {
+            "noise_std": _q("m"),
+            "detection_range": _q("m"),
+        }),
+        "capture_radius": _q("m", DEFAULT_CAPTURE_RADIUS),
+        "waypoint_spacing": _q("m", DEFAULT_WAYPOINT_SPACING),
+        "drone_dt": _q("s", DEFAULT_DRONE_DT),
+    },
+}
+
+
+def _convert(spec: Field, value, path: str):
+    if spec.kind == STRING:
+        return str(value)
+    if spec.kind == INTEGER:
+        if isinstance(value, int) or (isinstance(value, float) and value.is_integer()):
+            return int(value)
+        raise ValidationError(path, f"expected an integer, got {value!r}")
+    # float() also takes strings: PyYAML reads exponent floats such as 1.0e8 as text
     try:
-        if shape is None:
-            out = float(value)
-        else:
-            out = np.asarray(value, dtype=float)
-            if out.shape != shape:
-                raise ValidationError(full, f"expected shape {shape}, got {out.shape}")
+        out = float(value) if spec.shape is None else np.array(value, dtype=float)
     except (TypeError, ValueError) as exc:
-        if isinstance(exc, ValidationError):
-            raise
-        raise ValidationError(full, f"value is not numeric: {value!r}") from exc
-    if shape is None and not np.isfinite(out):
-        raise ValidationError(full, "value must be finite")
-    if shape is not None and not np.all(np.isfinite(out)):
-        raise ValidationError(full, "values must be finite")
+        raise ValidationError(path, f"expected a number, got {value!r}") from exc
+    if spec.shape is not None and (
+        out.ndim != len(spec.shape)
+        or any(want not in (None, got) for want, got in zip(spec.shape, out.shape))
+    ):
+        raise ValidationError(path, f"expected shape {spec.shape}, got {out.shape}")
+    unbounded = isinstance(spec.default, float) and spec.default == np.inf
+    if spec.kind == QUANTITY and not np.all(np.isfinite(out) | (unbounded & (out == np.inf))):
+        raise ValidationError(path, "value must be finite")
     return out
 
 
-def _plain_number(node: dict, path: str, key: str, default=None):
-    full = f"{path}.{key}" if path else key
-    value = _get(node, path, key, default)
+def _required(spec) -> bool:
+    if isinstance(spec, dict):
+        return any(_required(s) for s in spec.values())
+    return spec.default is REQUIRED
+
+
+def _read(section: dict, node, path: str) -> dict:
+    """Parse one mapping of the document against a table section; a null
+    value counts as absent."""
+    if not isinstance(node, dict):
+        raise ValidationError(path, f"expected a mapping, got {type(node).__name__}")
+    values = {}
+    for key, spec in section.items():
+        full = f"{path}.{key}" if path else key
+        raw = node.get(key)
+        if raw is None and _required(spec):
+            raise ValidationError(full, "required field is missing")
+        if isinstance(spec, dict):
+            values[key] = _read(spec, {} if raw is None else raw, full)
+        elif isinstance(spec, Rows):
+            values[key] = _read_rows(spec, spec.default if raw is None else raw, full)
+        elif raw is not None:
+            if spec.kind == QUANTITY:
+                if not isinstance(raw, dict) or "value" not in raw or "unit" not in raw:
+                    raise ValidationError(full, "physical quantities need a {value, unit} pair")
+                if _UNIT_ALIASES.get(str(raw["unit"]), str(raw["unit"])) != spec.unit:
+                    raise ValidationError(
+                        full, f"unit {raw['unit']!r} does not match expected {spec.unit!r}"
+                    )
+                raw = raw["value"]
+            values[key] = _convert(spec, raw, full)
+        elif spec.default is not None:
+            values[key] = _convert(spec, spec.default, full)
+    return values
+
+
+def _read_rows(spec: Rows, raw, path: str):
+    if isinstance(spec.default, str) and raw == spec.default:
+        return raw
+    if not isinstance(raw, (list, tuple)) or (not raw and spec.default != ()):
+        expected = "a list" if spec.default == () else "a non-empty list"
+        if isinstance(spec.default, str):
+            expected = f"{spec.default!r} or {expected}"
+        raise ValidationError(path, f"expected {expected}")
+    return [_read(spec.fields, row, f"{path}[{k}]") for k, row in enumerate(raw)]
+
+
+def _write(section: dict, values: dict) -> dict:
+    """The document form of parsed values: the inverse of `_read`."""
+    doc: dict[str, Any] = {}
+    for key, spec in section.items():
+        if key not in values:
+            continue
+        value = values[key]
+        if isinstance(spec, dict):
+            doc[key] = _write(spec, value)
+        elif isinstance(spec, Rows):
+            if isinstance(value, str):
+                doc[key] = value
+            elif value:
+                doc[key] = [_write(spec.fields, row) for row in value]
+        elif spec.kind == QUANTITY:
+            doc[key] = {"value": np.asarray(value, dtype=float).tolist(), "unit": spec.unit}
+        else:
+            doc[key] = value
+    return doc
+
+
+def _make(path: str, cls, /, *args, **kwargs):
+    """`cls(*args, **kwargs)`, reporting its ValueError as a ValidationError at `path`."""
     try:
-        return float(value)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(full, f"expected a number, got {value!r}") from exc
-
-
-def _qdump(value, unit: str):
-    if isinstance(value, np.ndarray):
-        value = [float(v) for v in value.ravel()] if value.ndim == 1 else [
-            [float(v) for v in row] for row in value
-        ]
-    else:
-        value = float(value)
-    return {"value": value, "unit": unit}
+        return cls(*args, **kwargs)
+    except ValueError as exc:
+        raise ValidationError(path, str(exc)) from exc
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,282 +419,142 @@ def load_scenario(path) -> Scenario:
         raise ParseError(f"malformed YAML in {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ParseError(f"scenario root must be a mapping, got {type(raw).__name__}")
-    return _build_scenario(raw)
+    return build_scenario(raw)
 
 
-def _build_scenario(raw: dict) -> Scenario:
-    version = int(_get(raw, "", "format_version", FORMAT_VERSION))
-    if version != FORMAT_VERSION:
-        raise ValidationError("format_version", f"unsupported version {version}")
-    name = str(_get(raw, "", "name"))
-    seed = int(_get(raw, "", "seed", 0))
-    gravity = _quantity(raw, "", "gravity", "m/s^2", default=9.80665)
+def build_scenario(document: dict) -> Scenario:
+    """Validate and resolve a scenario document (the parsed YAML mapping)."""
+    doc = _read(SCHEMA, document, "")
+    if doc["format_version"] != FORMAT_VERSION:
+        raise ValidationError("format_version", f"unsupported version {doc['format_version']}")
 
-    body_node = _require_mapping(_get(raw, "", "body"), "body")
-    mass = _quantity(body_node, "body", "mass", "kg")
+    body_doc = doc["body"]
+    mass = body_doc["mass"]
     if mass <= 0:
         raise ValidationError("body.mass", "must be strictly positive")
-    radius = _quantity(body_node, "body", "radius", "m", default=0.2)
-    if "inertia_diagonal" in body_node:
-        diag = _quantity(body_node, "body", "inertia_diagonal", "kg m^2", shape=(3,))
-        inertia = np.diag(diag)
-    elif "inertia_cube_side" in body_node:
-        side = _quantity(body_node, "body", "inertia_cube_side", "m")
-        inertia = np.eye(3) * mass * side**2 / 6.0
-    else:
-        raise ValidationError(
-            "body.inertia_diagonal", "body needs inertia_diagonal or inertia_cube_side"
-        )
-    try:
-        body = BodyModel(mass, inertia, radius=radius)
-    except ValueError as exc:
-        raise ValidationError("body", str(exc)) from exc
+    side = body_doc.pop("inertia_cube_side", None)
+    if "inertia_diagonal" not in body_doc:
+        if side is None:
+            raise ValidationError(
+                "body.inertia_diagonal", "body needs inertia_diagonal or inertia_cube_side"
+            )
+        body_doc["inertia_diagonal"] = np.full(3, mass * side**2 / 6.0)
+    body = _make("body", BodyModel, mass, np.diag(body_doc["inertia_diagonal"]), body_doc["radius"])
 
-    wires_node = _get(raw, "", "wires")
-    if not isinstance(wires_node, list) or not wires_node:
-        raise ValidationError("wires", "need a non-empty list of wires")
-    anchors_node = raw.get("anchors", []) or []
-    deployed_ids = set()
-    for j, a in enumerate(anchors_node):
-        deployed_ids.add(int(_get(_require_mapping(a, f"anchors[{j}]"), f"anchors[{j}]", "wire_id")))
+    deployed_ids = {task["wire_id"] for task in doc["anchors"]}
     wires = []
-    for i, w in enumerate(wires_node):
-        wpath = f"wires[{i}]"
-        wnode = _require_mapping(w, wpath)
-        exit_body = _quantity(wnode, wpath, "exit_body", "m", shape=(3,))
+    for i, wire in enumerate(doc["wires"]):
+        exit_body = wire["exit_body"]
         if np.linalg.norm(exit_body) > body.radius + 1e-9:
             raise ValidationError(
-                f"{wpath}.exit_body",
+                f"wires[{i}].exit_body",
                 f"exit point magnitude {np.linalg.norm(exit_body):.3f} m "
                 f"exceeds the body radius {body.radius:.3f} m",
             )
-        if "anchor_world" in wnode:
-            anchor = _quantity(wnode, wpath, "anchor_world", "m", shape=(3,))
-        elif i in deployed_ids:
-            anchor = DEPLOYMENT_PLACEHOLDER
-        else:
-            raise ValidationError(
-                f"{wpath}.anchor_world",
-                "wire needs an anchor_world or a deployment anchor task",
-            )
-        wires.append(WireAttachment(exit_body, anchor, wire_id=i))
+        if "anchor_world" not in wire:
+            if i not in deployed_ids:
+                raise ValidationError(
+                    f"wires[{i}].anchor_world",
+                    "wire needs an anchor_world or a deployment anchor task",
+                )
+            wire["anchor_world"] = DEPLOYMENT_PLACEHOLDER
+        wires.append(WireAttachment(exit_body, wire["anchor_world"], wire_id=i))
     m = len(wires)
 
-    bounds_node = _require_mapping(_get(raw, "", "tension_bounds", {}), "tension_bounds")
-    lower = _quantity(bounds_node, "tension_bounds", "lower", "N", default=2.0)
-    upper = _quantity(bounds_node, "tension_bounds", "upper", "N", default=180.0)
-    try:
-        bounds = TensionBounds(np.full(m, lower), np.full(m, upper))
-    except ValueError as exc:
-        raise ValidationError("tension_bounds", str(exc)) from exc
-
-    weights_node = _require_mapping(_get(raw, "", "allocation_weights", {}), "allocation_weights")
-    weight_scale = _plain_number(weights_node, "allocation_weights", "scale", default=1e4)
-    torque_lever = _quantity(
-        weights_node, "allocation_weights", "torque_lever", "m", default=body.radius
+    tension = doc["tension_bounds"]
+    bounds = _make(
+        "tension_bounds", TensionBounds, np.full(m, tension["lower"]), np.full(m, tension["upper"])
     )
-    if weight_scale <= 0 or torque_lever <= 0:
+
+    weights_doc = doc["allocation_weights"]
+    weights_doc.setdefault("torque_lever", body.radius)
+    if weights_doc["scale"] <= 0 or weights_doc["torque_lever"] <= 0:
         raise ValidationError("allocation_weights", "scale and torque_lever must be positive")
-    weights = AllocationWeights.diagonal(scale=weight_scale, torque_lever=torque_lever)
+    weights = AllocationWeights.diagonal(**weights_doc)
 
-    winch_node = _require_mapping(_get(raw, "", "winch", {}), "winch")
-    try:
-        winch = WinchParams(
-            pulley_radius=_quantity(winch_node, "winch", "pulley_radius", "m", default=0.008),
-            gear_ratio=_plain_number(winch_node, "winch", "gear_ratio", default=53.0),
-            torque_constant=_quantity(
-                winch_node, "winch", "torque_constant", "N m/A", default=0.014
-            ),
-            eff_pulley=_plain_number(winch_node, "winch", "eff_pulley", default=1.0),
-            eff_gear=_plain_number(winch_node, "winch", "eff_gear", default=1.0),
-            rotor_inertia=_quantity(winch_node, "winch", "rotor_inertia", "kg m^2", default=1e-6),
-            coulomb_friction=_quantity(
-                winch_node, "winch", "coulomb_friction", "N m", default=0.002
-            ),
-            viscous_friction=_quantity(
-                winch_node, "winch", "viscous_friction", "N m s/rad", default=1e-4
-            ),
-            max_tension=_quantity(winch_node, "winch", "max_tension", "N", default=float(upper)),
-            max_line_speed=_quantity(
-                winch_node, "winch", "max_line_speed", "m/s", default=0.242
-            ),
-            winding_capacity=_quantity(
-                winch_node, "winch", "winding_capacity", "m", default=5.3
-            ),
-        )
-    except ValueError as exc:
-        raise ValidationError("winch", str(exc)) from exc
+    doc["winch"].setdefault("max_tension", tension["upper"])
+    winch = _make("winch", WinchParams, **doc["winch"])
 
-    control_node = _require_mapping(_get(raw, "", "control", {}), "control")
-    mode = str(_get(control_node, "control", "mode", POSE_CONTROL))
+    control = doc["control"]
+    mode = control["mode"]
     if mode not in (POSE_CONTROL, TENSION_SCHEDULE):
         raise ValidationError("control.mode", f"unknown mode {mode!r}")
-    control_rate = _quantity(control_node, "control", "rate", "Hz", default=200.0)
-    pid_node = _require_mapping(_get(control_node, "control", "pid", {}), "control.pid")
-    try:
-        gains = PidGains(
-            kp=_quantity(pid_node, "control.pid", "kp", "N/m, N m/rad",
-                         default=np.zeros(6), shape=(6,)),
-            ki=_quantity(pid_node, "control.pid", "ki", "N/(m s), N m/(rad s)",
-                         default=np.zeros(6), shape=(6,)),
-            kd=_quantity(pid_node, "control.pid", "kd", "N s/m, N m s/rad",
-                         default=np.zeros(6), shape=(6,)),
-            integral_limit=_quantity(pid_node, "control.pid", "integral_limit", "m s, rad s",
-                                     default=np.zeros(6), shape=(6,)),
-        )
-    except ValueError as exc:
-        raise ValidationError("control.pid", str(exc)) from exc
-
+    if control["rate"] <= 0:
+        raise ValidationError("control.rate", "must be positive")
+    gains = _make("control.pid", PidGains, **control["pid"])
     schedule_table = None
-    if mode == TENSION_SCHEDULE:
-        schedule = _get(control_node, "control", "schedule", "quasistatic")
-        if isinstance(schedule, list):
-            schedule_table = []
-            last_t = -np.inf
-            for k, row in enumerate(schedule):
-                rpath = f"control.schedule[{k}]"
-                rnode = _require_mapping(row, rpath)
-                t_k = _quantity(rnode, rpath, "t", "s")
-                tensions_k = _quantity(rnode, rpath, "tensions", "N", shape=(m,))
-                if t_k <= last_t:
-                    raise ValidationError(rpath + ".t", "schedule times must increase")
-                if np.any(tensions_k < 0):
-                    raise ValidationError(rpath + ".tensions", "tensions must be non-negative")
-                last_t = t_k
-                schedule_table.append((t_k, tensions_k))
-            if not schedule_table:
-                raise ValidationError("control.schedule", "schedule table is empty")
-        elif schedule != "quasistatic":
-            raise ValidationError(
-                "control.schedule", "must be 'quasistatic' or a list of {t, tensions} rows"
-            )
+    if mode == POSE_CONTROL:
+        del control["schedule"]
+    elif control["schedule"] != "quasistatic":
+        schedule_table = []
+        for k, row in enumerate(control["schedule"]):
+            rpath = f"control.schedule[{k}]"
+            if row["tensions"].shape != (m,):
+                raise ValidationError(
+                    rpath + ".tensions", f"expected shape {(m,)}, got {row['tensions'].shape}"
+                )
+            if schedule_table and row["t"] <= schedule_table[-1][0]:
+                raise ValidationError(rpath + ".t", "schedule times must increase")
+            if np.any(row["tensions"] < 0):
+                raise ValidationError(rpath + ".tensions", "tensions must be non-negative")
+            schedule_table.append((row["t"], row["tensions"]))
 
-    traj_node = _require_mapping(_get(raw, "", "trajectory"), "trajectory")
-    start_node = _require_mapping(_get(traj_node, "trajectory", "start"), "trajectory.start")
-    start_pose = Pose.from_rotvec(
-        _quantity(start_node, "trajectory.start", "position", "m", shape=(3,)),
-        _quantity(start_node, "trajectory.start", "orientation_rotvec", "rad",
-                  default=np.zeros(3), shape=(3,)),
-    )
-    seg_nodes = _get(traj_node, "trajectory", "segments")
-    if not isinstance(seg_nodes, list) or not seg_nodes:
-        raise ValidationError("trajectory.segments", "need at least one segment")
+    start = doc["trajectory"]["start"]
+    start_pose = Pose.from_rotvec(start["position"], start["orientation_rotvec"])
     segments = []
-    for k, seg in enumerate(seg_nodes):
-        spath = f"trajectory.segments[{k}]"
-        snode = _require_mapping(seg, spath)
-        duration = _quantity(snode, spath, "duration", "s")
-        if duration <= 0:
-            raise ValidationError(f"{spath}.duration", "must be positive")
-        goal = Pose.from_rotvec(
-            _quantity(snode, spath, "goal_position", "m", shape=(3,)),
-            _quantity(snode, spath, "goal_orientation_rotvec", "rad",
-                      default=np.zeros(3), shape=(3,)),
-        )
-        velocity = _quantity(snode, spath, "goal_velocity", "m/s, rad/s",
-                             default=np.zeros(6), shape=(6,))
-        segments.append(SegmentSpec(goal, velocity, duration))
+    for k, seg in enumerate(doc["trajectory"]["segments"]):
+        if seg["duration"] <= 0:
+            raise ValidationError(f"trajectory.segments[{k}].duration", "must be positive")
+        goal = Pose.from_rotvec(seg["goal_position"], seg["goal_orientation_rotvec"])
+        segments.append(SegmentSpec(goal, seg["goal_velocity"], seg["duration"]))
 
-    sim_node = _require_mapping(_get(raw, "", "sim", {}), "sim")
-    dt = _quantity(sim_node, "sim", "dt", "s", default=1e-3)
+    sim = doc["sim"]
+    dt = sim["dt"]
     if not 0 < dt <= 0.01:
         raise ValidationError("sim.dt", "dt must lie in (0, 0.01] seconds")
-    total_segments = sum(s.duration for s in segments)
-    duration = _quantity(sim_node, "sim", "duration", "s", default=total_segments + 2.0)
-    if duration <= 0:
+    sim.setdefault("duration", sum(s.duration for s in segments) + 2.0)
+    if sim["duration"] <= 0:
         raise ValidationError("sim.duration", "must be positive")
-    speed_limit = _plain_number(sim_node, "sim", "speed_limit", default=1e3)
-    substeps = 1.0 / (control_rate * dt)
+    substeps = 1.0 / (control["rate"] * dt)
     if abs(substeps - round(substeps)) > 1e-9 or round(substeps) < 1:
         raise ValidationError(
             "control.rate", f"control period must be a whole multiple of sim.dt (got {substeps})"
         )
-    sensor_node = _require_mapping(_get(sim_node, "sim", "sensor", {}), "sim.sensor")
-    try:
-        sensor = SensorModel(
-            position_noise=_quantity(sensor_node, "sim.sensor", "position_noise", "m", default=0.0),
-            rotation_noise=_quantity(sensor_node, "sim.sensor", "rotation_noise", "rad", default=0.0),
-            velocity_noise=_quantity(sensor_node, "sim.sensor", "velocity_noise", "m/s", default=0.0),
-            angular_velocity_noise=_quantity(
-                sensor_node, "sim.sensor", "angular_velocity_noise", "rad/s", default=0.0
-            ),
-            latency=int(_get(sensor_node, "sim.sensor", "latency", 0)),
-        )
-    except ValueError as exc:
-        raise ValidationError("sim.sensor", str(exc)) from exc
+    sensor = _make("sim.sensor", SensorModel, **sim["sensor"])
 
-    pillars = []
-    for k, p in enumerate(raw.get("pillars", []) or []):
-        ppath = f"pillars[{k}]"
-        pnode = _require_mapping(p, ppath)
-        z_range = _quantity(pnode, ppath, "z_range", "m", default=np.array([0.0, 2.5]), shape=(2,))
-        try:
-            pillars.append(
-                Pillar(
-                    center=_quantity(pnode, ppath, "center", "m", shape=(2,)),
-                    half_extents=_quantity(pnode, ppath, "half_extents", "m",
-                                           default=np.array([0.175, 0.35]), shape=(2,)),
-                    z_range=(float(z_range[0]), float(z_range[1])),
-                )
-            )
-        except ValueError as exc:
-            raise ValidationError(ppath, str(exc)) from exc
+    pillars = [
+        _make(f"pillars[{k}]", Pillar, p["center"], p["half_extents"], tuple(p["z_range"].tolist()))
+        for k, p in enumerate(doc["pillars"])
+    ]
 
     anchors = []
-    for k, a in enumerate(anchors_node):
-        apath = f"anchors[{k}]"
-        anode = _require_mapping(a, apath)
-        wire_id = int(_get(anode, apath, "wire_id"))
-        pillar_index = int(_get(anode, apath, "pillar"))
-        if wire_id < 0 or wire_id >= m:
-            raise ValidationError(f"{apath}.wire_id", f"no wire with id {wire_id}")
-        if pillar_index < 0 or pillar_index >= len(pillars):
-            raise ValidationError(f"{apath}.pillar", f"no pillar with index {pillar_index}")
-        pillar = pillars[pillar_index]
-        anchors.append(
-            AnchorTask(
-                wire_id=wire_id,
-                pillar_index=pillar_index,
-                approach=_quantity(anode, apath, "approach", "m", shape=(3,)),
-                clearance=_quantity(anode, apath, "clearance", "m", default=0.3),
-                wrap_altitude=_quantity(
-                    anode, apath, "wrap_altitude", "m",
-                    default=0.5 * (pillar.z_range[0] + pillar.z_range[1]),
-                ),
-            )
-        )
+    for k, task in enumerate(doc["anchors"]):
+        if not 0 <= task["wire_id"] < m:
+            raise ValidationError(f"anchors[{k}].wire_id", f"no wire with id {task['wire_id']}")
+        if not 0 <= task["pillar"] < len(pillars):
+            raise ValidationError(f"anchors[{k}].pillar", f"no pillar with index {task['pillar']}")
+        z_range = pillars[task["pillar"]].z_range
+        task.setdefault("wrap_altitude", 0.5 * (z_range[0] + z_range[1]))
+        anchors.append(AnchorTask(
+            task["wire_id"], task["pillar"], task["approach"], task["clearance"],
+            task["wrap_altitude"],
+        ))
 
     deployment = None
     if anchors:
-        dep_node = _require_mapping(_get(raw, "", "deployment", {}), "deployment")
-        tr_node = _require_mapping(_get(dep_node, "deployment", "tracker", {}), "deployment.tracker")
-        sn_node = _require_mapping(_get(dep_node, "deployment", "sensor", {}), "deployment.sensor")
-        try:
-            deployment = DeploymentConfig(
-                tracker=TrackerGains(
-                    kp=_quantity(tr_node, "deployment.tracker", "kp", "1/s", default=1.5),
-                    speed_cap=_quantity(tr_node, "deployment.tracker", "speed_cap", "m/s",
-                                        default=0.5),
-                ),
-                sensor=RelativePoseSensor(
-                    noise_std=_quantity(sn_node, "deployment.sensor", "noise_std", "m",
-                                        default=0.0),
-                    detection_range=_quantity(sn_node, "deployment.sensor", "detection_range",
-                                              "m", default=np.inf),
-                ),
-                capture_radius=_quantity(dep_node, "deployment", "capture_radius", "m",
-                                         default=0.05),
-                waypoint_spacing=_quantity(dep_node, "deployment", "waypoint_spacing", "m",
-                                           default=0.15),
-                drone_dt=_quantity(dep_node, "deployment", "drone_dt", "s", default=0.02),
-            )
-        except ValueError as exc:
-            raise ValidationError("deployment", str(exc)) from exc
+        dep = doc["deployment"]
+        deployment = DeploymentConfig(**{
+            **dep,
+            "tracker": _make("deployment.tracker", TrackerGains, **dep["tracker"]),
+            "sensor": _make("deployment.sensor", RelativePoseSensor, **dep["sensor"]),
+        })
+    else:
+        del doc["deployment"]
 
-    scenario = Scenario(
-        name=name,
-        seed=seed,
-        gravity=gravity,
+    return Scenario(
+        name=doc["name"],
+        seed=doc["seed"],
+        gravity=doc["gravity"],
         body=body,
         wires=wires,
         bounds=bounds,
@@ -506,149 +566,15 @@ def _build_scenario(raw: dict) -> Scenario:
         start_pose=start_pose,
         segments=segments,
         dt=dt,
-        duration=duration,
-        control_rate=control_rate,
-        speed_limit=speed_limit,
+        duration=sim["duration"],
+        control_rate=control["rate"],
+        speed_limit=sim["speed_limit"],
         sensor=sensor,
         pillars=pillars,
         anchors=anchors,
         deployment=deployment,
+        resolved=_write(SCHEMA, doc),
     )
-    scenario.resolved = resolve_dict(scenario)
-    return scenario
-
-
-def resolve_dict(s: Scenario) -> dict:
-    """Fully resolved scenario as a plain document (defaults included)."""
-    doc: dict[str, Any] = {
-        "format_version": FORMAT_VERSION,
-        "name": s.name,
-        "seed": s.seed,
-        "gravity": _qdump(s.gravity, "m/s^2"),
-        "body": {
-            "mass": _qdump(s.body.mass, "kg"),
-            "inertia_diagonal": _qdump(np.diag(s.body.inertia), "kg m^2"),
-            "radius": _qdump(s.body.radius, "m"),
-        },
-        "wires": [
-            {
-                "exit_body": _qdump(w.exit_body, "m"),
-                "anchor_world": _qdump(w.anchor_world, "m"),
-            }
-            for w in s.wires
-        ],
-        "tension_bounds": {
-            "lower": _qdump(float(s.bounds.lower[0]), "N"),
-            "upper": _qdump(float(s.bounds.upper[0]), "N"),
-        },
-        "allocation_weights": {
-            "scale": float(s.weights.matrix[0, 0]),
-            "torque_lever": _qdump(
-                float(np.sqrt(s.weights.matrix[0, 0] / s.weights.matrix[3, 3])), "m"
-            ),
-        },
-        "winch": {
-            "pulley_radius": _qdump(s.winch.pulley_radius, "m"),
-            "gear_ratio": s.winch.gear_ratio,
-            "torque_constant": _qdump(s.winch.torque_constant, "N m/A"),
-            "eff_pulley": s.winch.eff_pulley,
-            "eff_gear": s.winch.eff_gear,
-            "rotor_inertia": _qdump(s.winch.rotor_inertia, "kg m^2"),
-            "coulomb_friction": _qdump(s.winch.coulomb_friction, "N m"),
-            "viscous_friction": _qdump(s.winch.viscous_friction, "N m s/rad"),
-            "max_tension": _qdump(s.winch.max_tension, "N"),
-            "max_line_speed": _qdump(s.winch.max_line_speed, "m/s"),
-            "winding_capacity": _qdump(s.winch.winding_capacity, "m"),
-        },
-        "control": {
-            "mode": s.mode,
-            "rate": _qdump(s.control_rate, "Hz"),
-            "pid": {
-                "kp": _qdump(s.gains.kp, "N/m, N m/rad"),
-                "ki": _qdump(s.gains.ki, "N/(m s), N m/(rad s)"),
-                "kd": _qdump(s.gains.kd, "N s/m, N m s/rad"),
-                "integral_limit": _qdump(s.gains.integral_limit, "m s, rad s"),
-            },
-        },
-        "trajectory": {
-            "start": {
-                "position": _qdump(s.start_pose.position, "m"),
-                "orientation_rotvec": _qdump(_pose_rotvec(s.start_pose), "rad"),
-            },
-            "segments": [
-                {
-                    "goal_position": _qdump(seg.goal_pose.position, "m"),
-                    "goal_orientation_rotvec": _qdump(
-                        _pose_rotvec(seg.goal_pose), "rad"
-                    ),
-                    "goal_velocity": _qdump(seg.goal_velocity, "m/s, rad/s"),
-                    "duration": _qdump(seg.duration, "s"),
-                }
-                for seg in s.segments
-            ],
-        },
-        "sim": {
-            "dt": _qdump(s.dt, "s"),
-            "duration": _qdump(s.duration, "s"),
-            "speed_limit": s.speed_limit,
-            "sensor": {
-                "position_noise": _qdump(s.sensor.position_noise, "m"),
-                "rotation_noise": _qdump(s.sensor.rotation_noise, "rad"),
-                "velocity_noise": _qdump(s.sensor.velocity_noise, "m/s"),
-                "angular_velocity_noise": _qdump(s.sensor.angular_velocity_noise, "rad/s"),
-                "latency": s.sensor.latency,
-            },
-        },
-    }
-    if s.mode == TENSION_SCHEDULE:
-        if s.schedule_table is None:
-            doc["control"]["schedule"] = "quasistatic"
-        else:
-            doc["control"]["schedule"] = [
-                {"t": _qdump(t, "s"), "tensions": _qdump(f, "N")} for t, f in s.schedule_table
-            ]
-    if s.pillars:
-        doc["pillars"] = [
-            {
-                "center": _qdump(p.center, "m"),
-                "half_extents": _qdump(p.half_extents, "m"),
-                "z_range": _qdump(np.array(p.z_range), "m"),
-            }
-            for p in s.pillars
-        ]
-    if s.anchors:
-        doc["anchors"] = [
-            {
-                "wire_id": a.wire_id,
-                "pillar": a.pillar_index,
-                "approach": _qdump(a.approach, "m"),
-                "clearance": _qdump(a.clearance, "m"),
-                "wrap_altitude": _qdump(a.wrap_altitude, "m"),
-            }
-            for a in s.anchors
-        ]
-    if s.deployment is not None:
-        d = s.deployment
-        doc["deployment"] = {
-            "tracker": {
-                "kp": _qdump(d.tracker.kp, "1/s"),
-                "speed_cap": _qdump(d.tracker.speed_cap, "m/s"),
-            },
-            "sensor": {
-                "noise_std": _qdump(d.sensor.noise_std, "m"),
-                "detection_range": _qdump(d.sensor.detection_range, "m"),
-            },
-            "capture_radius": _qdump(d.capture_radius, "m"),
-            "waypoint_spacing": _qdump(d.waypoint_spacing, "m"),
-            "drone_dt": _qdump(d.drone_dt, "s"),
-        }
-    return doc
-
-
-def _pose_rotvec(pose: Pose) -> np.ndarray:
-    from .spatial import rotvec_from_quat
-
-    return rotvec_from_quat(pose.orientation)
 
 
 def dump_scenario(scenario: Scenario) -> str:

@@ -145,13 +145,13 @@ def step(
 
 @dataclass(frozen=True)
 class SensorModel:
-    """Synthetic odometry: Gaussian noise plus a fixed delay in sim steps."""
+    """Synthetic odometry: Gaussian noise plus a fixed delay in control ticks."""
 
     position_noise: float = 0.0  # m, per axis
     rotation_noise: float = 0.0  # rad, per axis of the perturbation rotvec
     velocity_noise: float = 0.0  # m/s
     angular_velocity_noise: float = 0.0  # rad/s
-    latency: int = 0  # whole simulation steps
+    latency: int = 0  # whole control ticks: OdometrySensor.measure runs once per tick
 
     def __post_init__(self):
         for name in ("position_noise", "rotation_noise", "velocity_noise",

@@ -260,11 +260,18 @@ def chain_segments(poses_twists_durations):
     return segments, starts
 
 
-def sample_schedule(segments, starts, t: float):
-    """Sample a chained schedule at absolute time t (clamping at the ends)."""
-    if t <= starts[0]:
-        return sample(segments[0], t - starts[0])
+def active_segment(segments, starts, t: float):
+    """The segment running at absolute time t and the time since its start.
+
+    Before the first start this is the first segment (at negative local
+    time); past the end it is the last one.
+    """
     for seg, start in zip(reversed(segments), reversed(starts)):
         if t >= start:
-            return sample(seg, t - start)
-    return sample(segments[0], t - starts[0])
+            return seg, t - start
+    return segments[0], t - starts[0]
+
+
+def sample_schedule(segments, starts, t: float):
+    """Sample a chained schedule at absolute time t (clamping at the ends)."""
+    return sample(*active_segment(segments, starts, t))

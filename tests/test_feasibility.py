@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from wiredrive import feasibility
 from wiredrive.allocation import TensionBounds
 from wiredrive.feasibility import (
     controllability,
@@ -8,6 +9,7 @@ from wiredrive.feasibility import (
     saturated_wires,
     wrench_achievable,
 )
+from wiredrive.scenario import bundled_scenario_path, load_scenario
 from wiredrive.spatial import Pose, Wrench
 from wiredrive.wires import WireAttachment, wire_jacobian
 
@@ -165,3 +167,20 @@ def test_margin_zero_when_no_tension_budget():
 def test_saturated_wires_helper():
     bounds = TensionBounds(np.zeros(3), np.array([10.0, 20.0, 30.0]))
     assert saturated_wires(np.array([10.0, 5.0, 30.0]), bounds) == (0, 2)
+
+
+@pytest.mark.parametrize("name, lps", [("outdoor4", 1), ("cube8", 1000)])
+def test_directions_checked_counts_lps_solved(name, lps, monkeypatch):
+    calls = []
+
+    def counting_linprog(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    original = feasibility.linprog
+    monkeypatch.setattr(feasibility, "linprog", counting_linprog)
+    scenario = load_scenario(bundled_scenario_path(name))
+    report = controllability(jac_for(scenario.wires, scenario.start_pose), scenario.bounds)
+    # outdoor4 cannot pull along the first direction, which ends the scan
+    assert len(calls) == lps
+    assert report.directions_checked == lps

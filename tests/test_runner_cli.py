@@ -1,6 +1,9 @@
+import csv
 import json
 
+import numpy as np
 import pytest
+import yaml
 
 from wiredrive import cli
 from wiredrive.errors import SolverFailure
@@ -188,3 +191,43 @@ def test_cli_plan_anchor(capsys, tmp_path):
 def test_cli_dt_override_must_divide(small_scenario):
     assert cli.main(["validate", str(small_scenario), "--dt", "0.003"]) == 2
     assert cli.main(["validate", str(small_scenario), "--dt", "0.0025"]) == 0
+
+
+@pytest.mark.parametrize("latency", [0, 1])
+def test_sensor_latency_counts_control_ticks(latency, tmp_path):
+    # a row's sim_* columns hold the state after the tick's substeps, so a
+    # noiseless zero-latency measurement already trails them by one row
+    doc = yaml.safe_load(SMALL)
+    doc["sim"]["sensor"] = {"latency": latency}
+    path = tmp_path / "latency.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    run_scenario(load_scenario(path), tmp_path / "out")
+    with (tmp_path / "out" / "telemetry.csv").open() as fh:
+        rows = list(csv.DictReader(fh))
+    keys = ["x", "y", "z", "qw", "qx", "qy", "qz"]
+    sim = np.array([[float(row[f"sim_{k}"]) for k in keys] for row in rows])
+    meas = np.array([[float(row[f"meas_{k}"]) for k in keys] for row in rows])
+    lag = 1 + latency
+    assert np.allclose(meas[lag:], sim[:-lag], rtol=0.0, atol=1e-12)
+    assert not np.allclose(meas[lag + 1:], sim[:-lag - 1], rtol=0.0, atol=1e-12)
+
+
+def test_cli_non_integer_seed_exits_2(tmp_path, capsys):
+    path = tmp_path / "seed.yaml"
+    path.write_text(SMALL.replace("seed: 11", "seed: abc"))
+    assert cli.main(["validate", str(path)]) == 2
+    assert "seed" in capsys.readouterr().err
+
+
+def test_cli_bad_dt_override_exits_2(small_scenario, tmp_path, capsys):
+    assert cli.main(["validate", str(small_scenario), "--dt", "0"]) == 2
+    assert "sim.dt" in capsys.readouterr().err
+    # at 50 Hz a 0.02 s step divides the control period but is too coarse
+    slow = tmp_path / "slow.yaml"
+    slow.write_text(SMALL.replace("{value: 200.0, unit: Hz}", "{value: 50.0, unit: Hz}"))
+    assert cli.main(["validate", str(slow)]) == 0
+    capsys.readouterr()
+    for command in ("validate", "run"):
+        argv = [command, str(slow), "--dt", "0.02", "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 2
+        assert "sim.dt" in capsys.readouterr().err

@@ -1,10 +1,24 @@
+import re
+import string
+
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wiredrive.scenario import (
+    _UNIT_ALIASES,
+    INTEGER,
+    POSE_CONTROL,
+    QUANTITY,
+    REQUIRED,
+    SCHEMA,
+    TENSION_SCHEDULE,
     ParseError,
+    Rows,
     ValidationError,
+    build_scenario,
     bundled_scenario_path,
     dump_scenario,
     load_scenario,
@@ -187,3 +201,183 @@ def test_round_trip_bundled_scenarios(tmp_path):
         dumped = dump_scenario(first)
         second = load_scenario(write(tmp_path, dumped, name=f"{name}_resolved.yaml"))
         assert dump_scenario(second) == dumped
+
+
+@pytest.mark.parametrize("path, value", [("seed", "abc"), ("seed", 2.5),
+                                         ("sim.sensor.latency", 1.7)])
+def test_integer_fields_reject_non_integers(tmp_path, path, value):
+    def bad(d):
+        *sections, key = path.split(".")
+        for section in sections:
+            d = d.setdefault(section, {})
+        d[key] = value
+    with pytest.raises(ValidationError) as info:
+        load_scenario(write(tmp_path, edit(MINIMAL, bad)))
+    assert info.value.field == path
+
+
+# --- property tests over the field table -----------------------------------
+
+# strategies for fields whose valid values the table alone does not pin down
+_SPECIAL = {
+    "format_version": st.just(1),
+    "name": st.text(string.ascii_letters + string.digits + "_- ", min_size=1, max_size=12),
+    "seed": st.integers(0, 2**32),
+    "body.mass": st.floats(0.5, 20.0),
+    "body.inertia_diagonal": st.lists(st.floats(0.01, 1.0), min_size=3, max_size=3),
+    "body.inertia_cube_side": st.floats(0.05, 0.5),
+    "wires[].exit_body": st.lists(st.floats(-0.05, 0.05), min_size=3, max_size=3),
+    "allocation_weights.torque_lever": st.floats(0.05, 0.5),
+    "winch.max_tension": st.floats(10.0, 200.0),
+    "trajectory.segments[].duration": st.floats(0.1, 5.0),
+    "sim.duration": st.floats(0.5, 10.0),
+    "sim.sensor.latency": st.integers(0, 3),
+    "pillars[].z_range": st.tuples(st.floats(0.0, 1.0), st.floats(0.5, 2.0)).map(
+        lambda z: [z[0], z[0] + z[1]]
+    ),
+    "anchors[].wrap_altitude": st.floats(0.5, 3.0),
+    "deployment.sensor.detection_range": st.floats(1.0, 10.0),
+}
+
+
+def _aliases(unit):
+    return [unit] + [alias for alias, canonical in _UNIT_ALIASES.items() if canonical == unit]
+
+
+def _generic(spec):
+    """Values near the field's default keep every single-field check satisfied."""
+    default = spec.default
+    if spec.kind == INTEGER:
+        return st.integers(0, 3)
+    if default is REQUIRED or default is None:
+        element = st.floats(-2.0, 2.0)
+    elif np.all(np.asarray(default) == 0):
+        element = st.floats(0.0, 1.0)
+    else:
+        scale = float(np.max(np.asarray(default)))
+        element = st.floats(0.5, 1.0).map(lambda f: f * scale)
+    if spec.shape is None:
+        return element
+    return st.lists(element, min_size=spec.shape[0], max_size=spec.shape[0])
+
+
+@st.composite
+def documents(draw):
+    """A valid scenario document and, per leaf path, (table field, written value).
+
+    The value is None where the field was left out.
+    """
+    m = draw(st.integers(2, 4))
+    mode = draw(st.sampled_from([POSE_CONTROL, TENSION_SCHEDULE]))
+    n_pillars = draw(st.integers(0, 2))
+    claimed = draw(st.sets(st.integers(0, m - 1), max_size=2)) if n_pillars else set()
+    rate = draw(st.sampled_from([None, 100.0, 200.0, 250.0, 500.0]))
+    substeps = draw(st.sampled_from([None, 1, 2, 5, 10]))
+    rows = {"wires": m, "trajectory.segments": draw(st.integers(1, 3)),
+            "pillars": n_pillars, "anchors": len(claimed),
+            "control.schedule": draw(st.integers(1, 3))}
+    leaves = {}
+
+    def leaf(spec, pattern, index):
+        if pattern == "control.mode":
+            return None if mode == POSE_CONTROL and draw(st.booleans()) else mode
+        if pattern == "control.rate":
+            return rate
+        if pattern == "sim.dt":
+            return None if substeps is None else 1.0 / ((rate or 200.0) * substeps)
+        if pattern == "anchors[].wire_id":
+            return sorted(claimed)[index]
+        if pattern == "anchors[].pillar":
+            return draw(st.integers(0, n_pillars - 1))
+        if pattern == "control.schedule[].t":
+            return float(index)
+        if pattern == "control.schedule[].tensions":
+            return draw(st.lists(st.floats(0.0, 50.0), min_size=m, max_size=m))
+        keep = (spec.default is REQUIRED or draw(st.booleans())
+                or (pattern == "wires[].anchor_world" and index not in claimed))
+        if not keep:
+            return None
+        return draw(_SPECIAL.get(pattern, _generic(spec)))
+
+    def section(fields, path, pattern, index=None):
+        node = {}
+        for key, spec in fields.items():
+            full = f"{path}.{key}" if path else key
+            full_pattern = f"{pattern}.{key}" if pattern else key
+            if isinstance(spec, dict):
+                if full == "deployment" and not claimed:
+                    continue
+                node[key] = section(spec, full, full_pattern)
+            elif isinstance(spec, Rows):
+                if full == "control.schedule":
+                    if mode == POSE_CONTROL or draw(st.booleans()):
+                        continue
+                    if draw(st.booleans()):
+                        node[key] = "quasistatic"
+                        continue
+                node[key] = [section(spec.fields, f"{full}[{k}]", full_pattern + "[]", k)
+                             for k in range(rows[full])]
+            else:
+                value = leaf(spec, full_pattern, index)
+                leaves[full] = (spec, value)
+                if value is None:
+                    continue
+                if spec.kind == QUANTITY:
+                    value = {"value": value, "unit": draw(st.sampled_from(_aliases(spec.unit)))}
+                node[key] = value
+        return node
+
+    doc = section(SCHEMA, "", "")
+    if "inertia_diagonal" not in doc["body"] and "inertia_cube_side" not in doc["body"]:
+        doc["body"]["inertia_cube_side"] = {"value": 0.3, "unit": "m"}
+    return doc, leaves
+
+
+def _at(doc, path):
+    for key, index in re.findall(r"(\w+)(?:\[(\d+)\])?", path):
+        doc = doc[key] if not index else doc[key][int(index)]
+    return doc
+
+
+def _load_text(text):
+    return build_scenario(yaml.safe_load(text))
+
+
+_PROPERTY = settings(max_examples=150, derandomize=True, database=None, deadline=None)
+
+
+@_PROPERTY
+@given(documents())
+def test_round_trip_is_a_fixed_point_of_the_table(generated):
+    doc, leaves = generated
+    first = _load_text(yaml.safe_dump(doc))
+    dumped = dump_scenario(first)
+    assert dump_scenario(_load_text(dumped)) == dumped
+    for path, (spec, value) in leaves.items():
+        if value is None:
+            if spec.default in (REQUIRED, None):
+                continue  # derived from other fields
+            value = np.asarray(spec.default).tolist()
+        if path == "body.inertia_cube_side":
+            continue  # resolved into inertia_diagonal
+        got = _at(first.resolved, path)
+        if spec.kind == QUANTITY:
+            assert got["unit"] == spec.unit
+            got = got["value"]
+        assert got == value, path
+
+
+@_PROPERTY
+@given(documents(), st.data())
+def test_wrong_unit_names_the_field(generated, data):
+    doc, leaves = generated
+    quantities = sorted(path for path, (spec, value) in leaves.items()
+                        if spec.kind == QUANTITY and value is not None)
+    path = data.draw(st.sampled_from(quantities))
+    unit = leaves[path][0].unit
+    wrong = sorted({spec.unit for spec, _ in leaves.values() if spec.kind == QUANTITY}
+                   - {unit} | {"furlong"})
+    _at(doc, path)["unit"] = data.draw(st.sampled_from(wrong))
+    with pytest.raises(ValidationError) as info:
+        _load_text(yaml.safe_dump(doc))
+    assert info.value.field == path

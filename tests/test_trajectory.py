@@ -15,6 +15,7 @@ from wiredrive.spatial import (
 )
 from wiredrive.trajectory import (
     PoseController,
+    active_segment,
     chain_segments,
     gravity_feedforward,
     plan_spline,
@@ -128,6 +129,12 @@ def test_chain_segments_and_schedule_sampling():
     assert np.allclose(q.position, [1, 0, 0], atol=1e-9)
     q, _, _ = sample_schedule(segments, starts, 99.0)
     assert np.allclose(q.position, [1, 1, 0], atol=1e-9)
+    # the segment lookup: last start at or before t, the first one before the schedule
+    for t, index, local_t in [(-1.0, 0, -1.0), (0.0, 0, 0.0), (1.5, 0, 1.5),
+                              (2.0, 1, 0.0), (99.0, 1, 97.0)]:
+        seg, local = active_segment(segments, starts, t)
+        assert seg is segments[index]
+        assert local == local_t
 
 
 def hover_controller(dt=0.005, gains=None):
