@@ -6,13 +6,12 @@ a strictly convex QP solved by the dense active-set method in `qp`.  The
 tracking is weighted against that regularizer, so its scale is a tuning
 surface exposed to scenarios.  Winch-side compensation then adds tension
 for reflected rotor inertia and shaft friction, and the current map is a
-single constant per winch.
+single constant.  One drivetrain model (`WinchParams`) serves every wire.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
 
 import numpy as np
 
@@ -54,6 +53,10 @@ class TensionBounds:
     ) -> "TensionBounds":
         return cls(np.full(wire_count, lower), np.full(wire_count, upper))
 
+    def saturated(self, tensions: np.ndarray) -> np.ndarray:
+        """Per wire: tension within 1e-6 of its upper bound."""
+        return np.asarray(tensions) >= self.upper - 1e-6
+
 
 @dataclass(frozen=True, eq=False)
 class AllocationWeights:
@@ -86,7 +89,8 @@ class AllocationWeights:
 class WinchParams:
     """Winch drivetrain constants for the tension/current maps.
 
-    The current map is i = pulley_radius / (eff_pulley * eff_gear *
+    One model serves every wire: all winches share these constants.  The
+    current map is i = pulley_radius / (eff_pulley * eff_gear *
     gear_ratio * torque_constant) * tension.  Compensation terms use the
     reflected rotor inertia and a Coulomb + viscous shaft friction model;
     those are placeholders to be overridden per scenario.
@@ -122,17 +126,6 @@ class WinchParams:
         )
 
 
-WinchSet = Union[WinchParams, Sequence[WinchParams]]
-
-
-def _winch_arrays(winches: WinchSet, wire_count: int):
-    if isinstance(winches, WinchParams):
-        winches = [winches] * wire_count
-    if len(winches) != wire_count:
-        raise ValueError(f"expected {wire_count} winch parameter sets, got {len(winches)}")
-    return winches
-
-
 @dataclass(frozen=True, eq=False)
 class TensionCommand:
     """Full output of one allocation pass."""
@@ -142,7 +135,7 @@ class TensionCommand:
     currents: np.ndarray
     achieved_wrench: Wrench
     residual_norm: float
-    saturated: np.ndarray  # per wire: tension within 1e-6 of its upper bound
+    saturated: np.ndarray  # TensionBounds.saturated of the QP tensions
 
 
 def allocate(
@@ -176,7 +169,7 @@ def compensate(
     accel_ref: np.ndarray,
     wire_state: WireState,
     jacobian: WireJacobian,
-    winches: WinchSet,
+    winch: WinchParams,
 ) -> np.ndarray:
     """Add winch inertia and friction compensation to commanded tensions.
 
@@ -188,38 +181,29 @@ def compensate(
     """
     tensions = np.asarray(tensions, dtype=float)
     accel_ref = np.asarray(accel_ref, dtype=float).reshape(6)
-    winch_list = _winch_arrays(winches, tensions.shape[0])
     length_accel = -(jacobian.matrix.T @ accel_ref)  # d^2(length)/dt^2, projected
-    out = tensions.copy()
-    for i, winch in enumerate(winch_list):
-        r = winch.pulley_radius
-        drum_speed = -wire_state.rates[i] / r
-        drum_accel = -length_accel[i] / r
-        inertia_torque = winch.rotor_inertia * drum_accel
-        friction_torque = (
-            np.sign(drum_speed) * winch.coulomb_friction
-            + winch.viscous_friction * drum_speed
-        )
-        out[i] += (inertia_torque + friction_torque) / r
-    return np.maximum(out, 0.0)
+    r = winch.pulley_radius
+    drum_speed = -wire_state.rates / r
+    drum_accel = -length_accel / r
+    inertia_torque = winch.rotor_inertia * drum_accel
+    friction_torque = (
+        np.sign(drum_speed) * winch.coulomb_friction
+        + winch.viscous_friction * drum_speed
+    )
+    return np.maximum(tensions + (inertia_torque + friction_torque) / r, 0.0)
 
 
-def to_currents(tensions: np.ndarray, winches: WinchSet) -> np.ndarray:
-    """Exactly linear tension-to-current map, one constant per winch."""
+def to_currents(tensions: np.ndarray, winch: WinchParams) -> np.ndarray:
+    """Exactly linear tension-to-current map, one constant for every wire."""
     tensions = np.asarray(tensions, dtype=float)
     if np.any(tensions < 0):
         raise ValueError("tensions must be non-negative")
-    winch_list = _winch_arrays(winches, tensions.shape[0])
-    factors = np.array([w.current_per_newton for w in winch_list])
-    return factors * tensions
+    return winch.current_per_newton * tensions
 
 
-def tensions_from_currents(currents: np.ndarray, winches: WinchSet) -> np.ndarray:
+def tensions_from_currents(currents: np.ndarray, winch: WinchParams) -> np.ndarray:
     """Inverse of the current map, used by the plant model."""
-    currents = np.asarray(currents, dtype=float)
-    winch_list = _winch_arrays(winches, currents.shape[0])
-    factors = np.array([w.current_per_newton for w in winch_list])
-    return currents / factors
+    return np.asarray(currents, dtype=float) / winch.current_per_newton
 
 
 def solve_tension_command(
@@ -229,20 +213,19 @@ def solve_tension_command(
     weights: AllocationWeights,
     accel_ref: np.ndarray,
     wire_state: WireState,
-    winches: WinchSet,
+    winch: WinchParams,
     start: np.ndarray | None = None,
 ) -> TensionCommand:
     """Allocation, compensation and current conversion in one pass."""
     tensions, residual = allocate(jacobian, wrench, bounds, weights, start=start)
-    final = compensate(tensions, accel_ref, wire_state, jacobian, winches)
-    currents = to_currents(final, winches)
+    final = compensate(tensions, accel_ref, wire_state, jacobian, winch)
+    currents = to_currents(final, winch)
     achieved = Wrench.from_array(jacobian.matrix @ tensions)
-    saturated = tensions >= bounds.upper - 1e-6
     return TensionCommand(
         tensions=tensions,
         tensions_final=final,
         currents=currents,
         achieved_wrench=achieved,
         residual_norm=float(np.linalg.norm(residual.as_array())),
-        saturated=saturated,
+        saturated=bounds.saturated(tensions),
     )

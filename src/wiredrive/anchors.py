@@ -75,7 +75,6 @@ class RelativePoseSensor:
 
     noise_std: float = 0.0
     detection_range: float = np.inf
-    fov_half_angle: float = np.pi
     odometry_noise_std: float | None = None
 
     def __post_init__(self):

@@ -14,10 +14,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .anchors import plan_wrap_path, winding_number
+from .anchors import winding_number
 from .errors import WireDriveError
 from .feasibility import controllability
-from .runner import run_scenario
+from .runner import plan_anchor, run_scenario
 from .scenario import (
     ParseError,
     Scenario,
@@ -56,14 +56,17 @@ def cmd_run(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    if args.directions < 1:
+        raise ValidationError("--directions", f"must be at least 1, got {args.directions}")
+    if args.pose is not None and not np.all(np.isfinite(args.pose)):
+        raise ValidationError("--pose", f"coordinates must be finite, got {args.pose}")
     scenario = _apply_overrides(load_scenario(args.scenario), args)
     pose = scenario.start_pose
     if args.pose is not None:
         pose = Pose.from_translation(np.asarray(args.pose, dtype=float))
     jacobian = wire_jacobian(pose, scenario.wires)
-    lever = float(np.sqrt(scenario.weights.matrix[0, 0] / scenario.weights.matrix[3, 3]))
     report = controllability(
-        jacobian, scenario.bounds, directions=args.directions, torque_scale=lever
+        jacobian, scenario.bounds, directions=args.directions, torque_scale=scenario.torque_lever
     )
     doc = {
         "scenario": scenario.name,
@@ -103,18 +106,8 @@ def cmd_plan_anchor(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
     results = []
     for k, task in enumerate(scenario.anchors):
-        pillar = scenario.pillars[task.pillar_index]
-        wire = scenario.wires[task.wire_id]
-        origin = scenario.start_pose.transform_point(wire.exit_body)
-        path = plan_wrap_path(
-            pillar,
-            task.approach,
-            task.clearance,
-            spacing=scenario.deployment.waypoint_spacing,
-            altitude=task.wrap_altitude,
-            wire_origin=origin,
-        )
-        turns = winding_number(path.waypoints, pillar.center)
+        path = plan_anchor(scenario, task)
+        turns = winding_number(path.waypoints, scenario.pillars[task.pillar_index].center)
         results.append(
             {
                 "anchor": k,

@@ -107,8 +107,7 @@ def controllability(
     fully = margin > ACHIEVABLE_SCALE
     saturating: tuple[int, ...] = ()
     if worst_tensions is not None:
-        at_upper = np.flatnonzero(worst_tensions >= bounds.upper - 1e-6)
-        saturating = tuple(int(i) for i in at_upper)
+        saturating = saturated_wires(worst_tensions, bounds)
     return FeasibilityReport(
         rank=rank,
         fully_constrained=fully,
@@ -142,6 +141,6 @@ def wrench_achievable(
     return achievable, tensions, residual
 
 
-def saturated_wires(tensions: np.ndarray, bounds: TensionBounds, tol: float = 1e-6):
-    """Indices of wires pinned at their upper bound."""
-    return tuple(int(i) for i in np.flatnonzero(tensions >= bounds.upper - tol))
+def saturated_wires(tensions: np.ndarray, bounds: TensionBounds) -> tuple[int, ...]:
+    """Indices of the wires that `bounds.saturated` flags."""
+    return tuple(int(i) for i in np.flatnonzero(bounds.saturated(tensions)))

@@ -17,9 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from .allocation import allocate, to_currents
-from .anchors import plan_wrap_path, track_path, winding_number, wrap_succeeded
+from .anchors import AnchorPath, plan_wrap_path, track_path, winding_number, wrap_succeeded
 from .errors import WireDriveError
-from .scenario import POSE_CONTROL, Scenario, dump_scenario
+from .scenario import POSE_CONTROL, AnchorTask, Scenario, dump_scenario
 from .simulator import OdometrySensor, SimState, step
 from .spatial import (
     Extrinsic,
@@ -58,6 +58,19 @@ def _interp_schedule(table, t: float) -> np.ndarray:
     return (1.0 - w) * table[lo][1] + w * table[hi][1]
 
 
+def plan_anchor(scenario: Scenario, task: AnchorTask) -> AnchorPath:
+    """Wrap path for one anchor task, starting at its wire's exit point."""
+    origin = scenario.start_pose.transform_point(scenario.wires[task.wire_id].exit_body)
+    return plan_wrap_path(
+        scenario.pillars[task.pillar_index],
+        task.approach,
+        task.clearance,
+        spacing=scenario.deployment.waypoint_spacing,
+        altitude=task.wrap_altitude,
+        wire_origin=origin,
+    )
+
+
 def deploy_anchors(scenario: Scenario, seed: int, out_dir: Path | None = None):
     """Fly every anchor task; returns (updated wires, per-anchor reports).
 
@@ -70,17 +83,8 @@ def deploy_anchors(scenario: Scenario, seed: int, out_dir: Path | None = None):
     for k, task in enumerate(scenario.anchors):
         pillar = scenario.pillars[task.pillar_index]
         wire = wires[task.wire_id]
-        origin = scenario.start_pose.transform_point(wire.exit_body)
-        path = plan_wrap_path(
-            pillar,
-            task.approach,
-            task.clearance,
-            spacing=dep.waypoint_spacing,
-            altitude=task.wrap_altitude,
-            wire_origin=origin,
-        )
         trajectory = track_path(
-            path,
+            plan_anchor(scenario, task),
             dep.sensor,
             pillar,
             gains=dep.tracker,
@@ -318,5 +322,5 @@ def _schedule_tick(
         tensions_final=tensions,
         currents=currents,
         residual_norm=residual_norm,
-        saturated=tensions >= scenario.bounds.upper - 1e-6,
+        saturated=scenario.bounds.saturated(tensions),
     )

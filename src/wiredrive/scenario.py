@@ -373,6 +373,7 @@ class Scenario:
     wires: list[WireAttachment]
     bounds: TensionBounds
     weights: AllocationWeights
+    torque_lever: float  # m; also scales torques in the feasibility analysis
     winch: WinchParams
     gains: PidGains
     mode: str
@@ -559,6 +560,7 @@ def build_scenario(document: dict) -> Scenario:
         wires=wires,
         bounds=bounds,
         weights=weights,
+        torque_lever=weights_doc["torque_lever"],
         winch=winch,
         gains=gains,
         mode=mode,

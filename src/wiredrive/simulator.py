@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .allocation import WinchSet, _winch_arrays, tensions_from_currents
+from .allocation import WinchParams, tensions_from_currents
 from .errors import NumericalBlowup
 from .spatial import Pose, Twist, quat_from_rotvec, quat_multiply
 from .wires import WireAttachment, wire_jacobian, wire_lengths_and_rates
@@ -88,7 +88,7 @@ def step(
     dt: float,
     body: BodyModel,
     attachments: Sequence[WireAttachment],
-    winches: WinchSet,
+    winch: WinchParams,
     gravity: float = STANDARD_GRAVITY,
     speed_limit: float = DEFAULT_SPEED_LIMIT,
 ) -> SimState:
@@ -96,16 +96,13 @@ def step(
     if not 0.0 < dt <= 0.01:
         raise ValueError("dt must lie in (0, 0.01] seconds")
     currents = np.asarray(currents, dtype=float)
-    winch_list = _winch_arrays(winches, len(attachments))
-
-    tensions = tensions_from_currents(np.maximum(currents, 0.0), winch_list)
-    tensions = np.minimum(tensions, np.array([w.max_tension for w in winch_list]))
+    tensions = tensions_from_currents(np.maximum(currents, 0.0), winch)
+    tensions = np.minimum(tensions, winch.max_tension)
 
     wire_state = wire_lengths_and_rates(state.pose, state.twist, attachments)
-    speed_caps = np.array([w.max_line_speed for w in winch_list])
     # a drum that cannot match the geometric length rate cannot hold the
     # wire taut; the wire goes slack and exerts nothing this step
-    tensions = np.where(np.abs(wire_state.rates) > speed_caps, 0.0, tensions)
+    tensions = np.where(np.abs(wire_state.rates) > winch.max_line_speed, 0.0, tensions)
 
     jac = wire_jacobian(state.pose, attachments).matrix
     wrench = jac @ tensions

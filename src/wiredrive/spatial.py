@@ -378,9 +378,6 @@ class PidState:
 
     integral: np.ndarray = field(default_factory=lambda: np.zeros(6))
 
-    def reset(self) -> None:
-        self.integral[:] = 0.0
-
 
 def wrench_error_pid(
     pose: Pose,

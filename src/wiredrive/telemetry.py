@@ -50,7 +50,6 @@ class TelemetryWriter:
         self.stream = stream
         self.wire_count = wire_count
         self.columns = column_names(wire_count)
-        self.rows_written = 0
         stream.write(",".join(self.columns) + "\n")
 
     def write_tick(
@@ -79,7 +78,6 @@ class TelemetryWriter:
                 f"telemetry row has {len(values)} values for {len(self.columns)} columns"
             )
         self.stream.write(",".join(_fmt(v) for v in values) + "\n")
-        self.rows_written += 1
 
     def flush(self) -> None:
         self.stream.flush()

@@ -18,12 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .allocation import (
-    AllocationWeights,
-    TensionBounds,
-    WinchSet,
-    solve_tension_command,
-)
+from .allocation import AllocationWeights, TensionBounds, WinchParams, solve_tension_command
 from .errors import RotationTooLarge
 from .simulator import STANDARD_GRAVITY, BodyModel
 from .spatial import (
@@ -176,7 +171,7 @@ class PoseController:
         attachments,
         bounds: TensionBounds,
         weights: AllocationWeights,
-        winches: WinchSet,
+        winch: WinchParams,
         gains: PidGains,
         dt: float,
         gravity: float = STANDARD_GRAVITY,
@@ -187,16 +182,12 @@ class PoseController:
         self.attachments = list(attachments)
         self.bounds = bounds
         self.weights = weights
-        self.winches = winches
+        self.winch = winch
         self.gains = gains
         self.dt = dt
         self.gravity = gravity
         self.pid_state = PidState()
         self._warm_start: np.ndarray | None = None
-
-    def reset(self) -> None:
-        self.pid_state.reset()
-        self._warm_start = None
 
     def step(
         self, pose: Pose, twist: Twist, segment: SplineSegment, t: float
@@ -218,7 +209,7 @@ class PoseController:
             self.weights,
             accel_ref,
             wire_state,
-            self.winches,
+            self.winch,
             start=self._warm_start,
         )
         self._warm_start = command.tensions

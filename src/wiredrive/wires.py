@@ -75,10 +75,25 @@ class WireState:
         object.__setattr__(self, "rates", rates)
 
 
-def _stacked(attachments: Sequence[WireAttachment]) -> tuple[np.ndarray, np.ndarray]:
-    exits = np.stack([a.exit_body for a in attachments])
+def _geometry(pose: Pose, attachments: Sequence[WireAttachment]):
+    """One pass over the wires at a pose.
+
+    Returns (directions, lengths, levers, exits_world): unit vectors from
+    the world exit points toward the anchors, the span lengths, the body
+    exit offsets rotated into the world frame, and the world exit points.
+    Raises DegenerateWire if any anchor sits within the degeneracy
+    threshold of its exit point.
+    """
+    exits_body = np.stack([a.exit_body for a in attachments])
     anchors = np.stack([a.anchor_world for a in attachments])
-    return exits, anchors
+    levers = exits_body @ pose.rotation_matrix().T
+    exits_world = pose.position + levers
+    spans = anchors - exits_world
+    lengths = np.linalg.norm(spans, axis=1)
+    for i, n in enumerate(lengths):
+        if n <= DEGENERACY_THRESHOLD:
+            raise DegenerateWire(attachments[i].wire_id, float(n))
+    return spans / lengths[:, None], lengths, levers, exits_world
 
 
 def wire_directions(pose: Pose, attachments: Sequence[WireAttachment]):
@@ -88,23 +103,14 @@ def wire_directions(pose: Pose, attachments: Sequence[WireAttachment]):
     DegenerateWire if any anchor sits within the degeneracy threshold of
     its exit point.
     """
-    exits_body, anchors = _stacked(attachments)
-    rot = pose.rotation_matrix()
-    exits_world = pose.position + exits_body @ rot.T
-    spans = anchors - exits_world
-    norms = np.linalg.norm(spans, axis=1)
-    for i, n in enumerate(norms):
-        if n <= DEGENERACY_THRESHOLD:
-            raise DegenerateWire(attachments[i].wire_id, float(n))
-    return spans / norms[:, None], exits_world
+    directions, _, _, exits_world = _geometry(pose, attachments)
+    return directions, exits_world
 
 
 def wire_jacobian(pose: Pose, attachments: Sequence[WireAttachment]) -> WireJacobian:
     """Assemble the 6 x m wire matrix at the given pose."""
-    directions, _ = wire_directions(pose, attachments)
-    exits_body, _ = _stacked(attachments)
-    levers_world = exits_body @ pose.rotation_matrix().T
-    torque_rows = np.cross(levers_world, directions)
+    directions, _, levers, _ = _geometry(pose, attachments)
+    torque_rows = np.cross(levers, directions)
     return WireJacobian(np.hstack([directions, torque_rows]).T)
 
 
@@ -116,9 +122,10 @@ def wire_lengths_and_rates(
     The rate is the time derivative of the straight-line length: negative
     when the body closes on the anchor (the winch is taking wire in).
     """
-    directions, exits_world = wire_directions(pose, attachments)
-    anchors = _stacked(attachments)[1]
-    lengths = np.linalg.norm(anchors - exits_world, axis=1)
+    directions, lengths, _, exits_world = _geometry(pose, attachments)
+    # the rate lever is recovered from the world exit point; the rotated
+    # `levers` can differ from it in the last bit, which recorded
+    # telemetry would show
     lever_world = exits_world - pose.position
     exit_velocities = twist.linear + np.cross(twist.angular, lever_world)
     rates = -np.einsum("ij,ij->i", directions, exit_velocities)

@@ -119,3 +119,45 @@ def allocation_qp_terms(wire_matrix, wrench, weights):
     hessian = 2.0 * (np.eye(w.shape[1]) + w.T @ lam @ w)
     gradient = -2.0 * (w.T @ lam @ np.asarray(wrench, dtype=float))
     return hessian, gradient
+
+
+def _sign(x: float) -> float:
+    return float((x > 0) - (x < 0))
+
+
+def compensate_per_wire(tensions, accel_ref, rates, wire_matrix, winch):
+    """Winch compensation one wire at a time, in plain Python floats.
+
+    Wire i's length accelerates at -(column_i . accel_ref); the drum turns
+    at -rate/r, and the compensation tension is
+    (J alpha + sign(w) tau_c + b w) / r, clamped at zero.
+    """
+    out = []
+    for i, tension in enumerate(tensions):
+        length_accel = -sum(float(wire_matrix[k][i]) * float(accel_ref[k]) for k in range(6))
+        r = winch.pulley_radius
+        drum_speed = -float(rates[i]) / r
+        drum_accel = -length_accel / r
+        friction = _sign(drum_speed) * winch.coulomb_friction + winch.viscous_friction * drum_speed
+        torque = winch.rotor_inertia * drum_accel + friction
+        out.append(max(float(tension) + torque / r, 0.0))
+    return out
+
+
+def _hamilton(a, b):
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
+    return (
+        aw * bw - ax * bx - ay * by - az * bz,
+        aw * bx + ax * bw + ay * bz - az * by,
+        aw * by - ax * bz + ay * bw + az * bx,
+        aw * bz + ax * by - ay * bx + az * bw,
+    )
+
+
+def wire_length(anchor, position, orientation, exit_body):
+    """norm(anchor - (p + R e)), rotating e by the quaternion sandwich q e q*."""
+    w, x, y, z = (float(v) for v in orientation)
+    rotated = _hamilton(_hamilton((w, x, y, z), (0.0, *map(float, exit_body))), (w, -x, -y, -z))
+    span = [float(anchor[k]) - (float(position[k]) + rotated[k + 1]) for k in range(3)]
+    return sum(s * s for s in span) ** 0.5

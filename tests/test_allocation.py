@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from oracles import (
     allocation_qp_terms,
     box_qp_objective,
+    compensate_per_wire,
     grid_search_box_qp,
     random_wire_matrix,
 )
@@ -213,3 +217,54 @@ def test_weights_validation():
     asym[0, 1] = 1e-6
     with pytest.raises(ValueError):
         AllocationWeights(asym)
+
+
+_PROPERTY = settings(max_examples=150, derandomize=True, database=None, deadline=None)
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False, allow_subnormal=False)
+
+
+winch_params = st.builds(
+    WinchParams,
+    pulley_radius=_floats(0.004, 0.05),
+    gear_ratio=_floats(1.0, 100.0),
+    torque_constant=_floats(0.005, 0.1),
+    eff_pulley=_floats(0.5, 1.0),
+    eff_gear=_floats(0.5, 1.0),
+    rotor_inertia=_floats(0.0, 1e-3),
+    coulomb_friction=_floats(0.0, 0.05),
+    viscous_friction=_floats(0.0, 1e-2),
+)
+
+
+@st.composite
+def drivetrain_cases(draw):
+    m = draw(st.integers(1, 8))
+    return (
+        draw(winch_params),
+        # tensions below a micronewton would push currents into subnormals
+        draw(arrays(float, m, elements=st.one_of(st.just(0.0), _floats(1e-6, 200.0)))),
+        draw(arrays(float, 6, elements=_floats(-20.0, 20.0))),
+        draw(arrays(float, m, elements=_floats(-1.0, 1.0))),
+        draw(arrays(float, (6, m), elements=_floats(-2.0, 2.0))),
+    )
+
+
+@_PROPERTY
+@given(drivetrain_cases())
+def test_compensate_matches_per_wire_oracle(case):
+    winch, tensions, accel, rates, matrix = case
+    state = WireState(np.ones(len(tensions)), rates)
+    out = compensate(tensions, accel, state, WireJacobian(matrix), winch)
+    expected = compensate_per_wire(tensions, accel, rates, matrix, winch)
+    assert np.allclose(out, expected, rtol=1e-12, atol=1e-12)
+
+
+@_PROPERTY
+@given(drivetrain_cases())
+def test_current_map_round_trip(case):
+    winch, tensions, _, _, _ = case
+    back = tensions_from_currents(to_currents(tensions, winch), winch)
+    assert np.allclose(back, tensions, rtol=1e-15, atol=0.0)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wiredrive import feasibility
 from wiredrive.allocation import TensionBounds
@@ -167,6 +169,26 @@ def test_margin_zero_when_no_tension_budget():
 def test_saturated_wires_helper():
     bounds = TensionBounds(np.zeros(3), np.array([10.0, 20.0, 30.0]))
     assert saturated_wires(np.array([10.0, 5.0, 30.0]), bounds) == (0, 2)
+
+
+@st.composite
+def tensions_near_bounds(draw):
+    """Per-wire upper bounds and tensions, many within a few 1e-6 of the bound."""
+    m = draw(st.integers(1, 8))
+    upper = np.array(draw(st.lists(st.floats(1.0, 200.0), min_size=m, max_size=m)))
+    gaps = st.one_of(st.sampled_from([0.0, 5e-7, 1e-6, 2e-6]), st.floats(-1e-5, 1.0))
+    tensions = upper - np.array(draw(st.lists(gaps, min_size=m, max_size=m)))
+    return TensionBounds(np.zeros(m), upper), tensions
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(tensions_near_bounds())
+def test_saturated_wires_lists_the_flagged_wires(case):
+    bounds, tensions = case
+    flags = bounds.saturated(tensions)
+    assert saturated_wires(tensions, bounds) == tuple(i for i, flag in enumerate(flags) if flag)
+    # the rule itself: at or within 1e-6 of the upper bound
+    assert list(flags) == [t >= u - 1e-6 for t, u in zip(tensions, bounds.upper)]
 
 
 @pytest.mark.parametrize("name, lps", [("outdoor4", 1), ("cube8", 1000)])

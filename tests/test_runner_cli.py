@@ -176,6 +176,19 @@ def test_cli_analyze_cube8_vs_outdoor4(capsys, tmp_path):
     assert outdoor["fully_constrained"] is False
 
 
+@pytest.mark.parametrize("flags, name", [
+    (["--directions", "0"], "--directions"),
+    (["--directions", "-3"], "--directions"),
+    (["--pose", "nan", "0", "0"], "--pose"),
+])
+def test_cli_analyze_bad_flags_exit_2(flags, name, capsys, tmp_path):
+    argv = ["analyze", str(bundled_scenario_path("outdoor4")), "--out", str(tmp_path)]
+    assert cli.main(argv + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {name}:")
+    assert captured.out == ""
+
+
 def test_cli_plan_anchor(capsys, tmp_path):
     code = cli.main([
         "plan-anchor", str(bundled_scenario_path("anchors2")),

@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from oracles import wire_length
 from wiredrive.errors import DegenerateWire
 from wiredrive.spatial import Pose, Twist, quat_from_rotvec, quat_multiply
 from wiredrive.wires import (
@@ -189,3 +193,38 @@ def test_rank_of_eight_wire_cube_layout():
     jac = wire_jacobian(Pose.identity(), eight_wire_cube_layout())
     svals = np.linalg.svd(jac.matrix, compute_uv=False)
     assert np.sum(svals > 1e-9 * svals[0]) == 6
+
+
+def _vectors(shape, bound):
+    elements = st.floats(-bound, bound, allow_nan=False, allow_subnormal=False)
+    return arrays(float, shape, elements=elements)
+
+
+@st.composite
+def body_states(draw):
+    """A random wire layout with a pose and twist of the body it holds."""
+    m = draw(st.integers(1, 8))
+    anchors = draw(_vectors((m, 3), 2.0))
+    anchors += np.where(anchors < 0, -0.8, 0.8)  # keep anchors well away from the body
+    wires = [
+        WireAttachment(exit_body, anchor, wire_id=i)
+        for i, (exit_body, anchor) in enumerate(zip(draw(_vectors((m, 3), 0.3)), anchors))
+    ]
+    pose = Pose.from_rotvec(draw(_vectors(3, 0.3)), draw(_vectors(3, 1.5)))
+    twist = Twist(draw(_vectors(3, 2.0)), draw(_vectors(3, 2.0)))
+    return wires, pose, twist
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(body_states())
+def test_geometry_agrees_across_entry_points(case):
+    wires, pose, twist = case
+    jac = wire_jacobian(pose, wires).matrix
+    directions, _ = wire_directions(pose, wires)
+    assert np.allclose(jac[:3].T, directions, rtol=0.0, atol=1e-12)
+    state = wire_lengths_and_rates(pose, twist, wires)
+    expected = [
+        wire_length(w.anchor_world, pose.position, pose.orientation, w.exit_body) for w in wires
+    ]
+    assert np.allclose(state.lengths, expected, rtol=0.0, atol=1e-12)
+    assert np.allclose(state.rates, -(jac.T @ twist.as_array()), rtol=0.0, atol=1e-12)
