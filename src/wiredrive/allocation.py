@@ -133,7 +133,6 @@ class TensionCommand:
     tensions: np.ndarray  # QP solution inside the bounds
     tensions_final: np.ndarray  # after winch compensation, >= 0
     currents: np.ndarray
-    achieved_wrench: Wrench
     residual_norm: float
     saturated: np.ndarray  # TensionBounds.saturated of the QP tensions
 
@@ -220,12 +219,10 @@ def solve_tension_command(
     tensions, residual = allocate(jacobian, wrench, bounds, weights, start=start)
     final = compensate(tensions, accel_ref, wire_state, jacobian, winch)
     currents = to_currents(final, winch)
-    achieved = Wrench.from_array(jacobian.matrix @ tensions)
     return TensionCommand(
         tensions=tensions,
         tensions_final=final,
         currents=currents,
-        achieved_wrench=achieved,
         residual_norm=float(np.linalg.norm(residual.as_array())),
         saturated=bounds.saturated(tensions),
     )

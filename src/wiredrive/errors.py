@@ -31,8 +31,9 @@ class RotationTooLarge(WireDriveError):
 
 
 class NumericalBlowup(WireDriveError):
-    """Simulated body speed exceeded the configured sanity bound; the
-    integration has gone unstable (gains or dt too aggressive)."""
+    """Simulated body speed exceeded the configured sanity bound or is not
+    finite; the integration has gone unstable (gains or dt too aggressive)
+    or was fed a non-finite command."""
 
 
 class NoClearance(WireDriveError):

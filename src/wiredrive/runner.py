@@ -2,9 +2,12 @@
 
 A run is reproducible from (scenario file, seed) alone: every random
 stream is derived from the run seed with fixed offsets, and telemetry is
-written with byte-stable formatting.  On a module fault inside the loop
-the previous currents are held, the tick is flagged, and whatever
-telemetry exists is flushed before the summary records the damage.
+written with byte-stable formatting.  On a controller fault inside the
+loop the previous currents are held and the tick is flagged.  Any other
+exception (a plant fault, a failed deployment, a controller fault on the
+first tick) ends the run: the telemetry written so far is kept, and
+summary.json records `status` "fault" and its `fault_cause` before the
+exception propagates.
 """
 
 from __future__ import annotations
@@ -26,12 +29,18 @@ from .spatial import (
     Pose,
     Twist,
     Wrench,
-    compose,
     orientation_error,
     transform_odometry,
 )
 from .telemetry import TelemetryWriter
-from .trajectory import ControlTick, PoseController, active_segment, chain_segments, sample_schedule
+from .trajectory import (
+    ControlTick,
+    PoseController,
+    active_segment,
+    chain_segments,
+    gravity_feedforward,
+    sample_schedule,
+)
 from .wires import WireAttachment, wire_jacobian, wire_lengths_and_rates
 
 # fixed offsets carve independent, reproducible streams out of one seed
@@ -136,7 +145,11 @@ def run_scenario(
 
     Writes resolved.yaml, telemetry.csv, summary.json and (with anchor
     tasks) one anchor_<k>.csv per deployed wire into `out_dir`.  Returns
-    the summary dictionary.
+    the summary dictionary.  An exception out of the deployment or the
+    tick loop (a plant fault, or a controller fault on the first tick)
+    still writes summary.json, with `status` "fault", its `fault_cause`
+    and the statistics of the ticks completed before it, and is then
+    re-raised.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -146,30 +159,7 @@ def run_scenario(
 
     (out_dir / "resolved.yaml").write_text(dump_scenario(scenario))
 
-    anchor_reports = []
-    wires = list(scenario.wires)
-    if scenario.anchors:
-        wires, anchor_reports = deploy_anchors(scenario, seed, out_dir)
-
-    segments, seg_starts = _schedule_from_specs(scenario)
-    controller = PoseController(
-        scenario.body,
-        wires,
-        scenario.bounds,
-        scenario.weights,
-        scenario.winch,
-        scenario.gains,
-        dt=1.0 / scenario.control_rate,
-        gravity=scenario.gravity,
-    )
-    sensor = OdometrySensor(scenario.sensor, seed=seed + _SENSOR_SEED_OFFSET)
-    cam_in_body = ext.body_in_camera.inverse()
-
-    state = SimState.at_rest(scenario.start_pose, scenario.wire_count)
-    substeps = scenario.substeps
     ticks = int(round(scenario.duration * scenario.control_rate))
-    weight = np.array([0.0, 0.0, scenario.body.mass * scenario.gravity, 0.0, 0.0, 0.0])
-
     pos_errors = np.empty(ticks)
     rot_errors = np.empty(ticks)
     max_tension = 0.0
@@ -178,25 +168,39 @@ def run_scenario(
     max_simultaneous_sat = 0
     fault_ticks = 0
     capacity_violations = 0
-    last_tick: ControlTick | None = None
-    final_ref = scenario.segments[-1].goal_pose
+    anchor_reports = []
+    rows, end_pose = 0, scenario.start_pose
+    fault_cause = None
+    try:
+        wires = list(scenario.wires)
+        if scenario.anchors:
+            wires, anchor_reports = deploy_anchors(scenario, seed, out_dir)
 
-    telemetry_path = out_dir / "telemetry.csv"
-    with telemetry_path.open("w", newline="") as stream:
-        writer = TelemetryWriter(stream, scenario.wire_count)
-        try:
+        segments, seg_starts = _schedule_from_specs(scenario)
+        controller = PoseController(
+            scenario.body,
+            wires,
+            scenario.bounds,
+            scenario.weights,
+            scenario.winch,
+            scenario.gains,
+            dt=1.0 / scenario.control_rate,
+            gravity=scenario.gravity,
+        )
+        sensor = OdometrySensor(scenario.sensor, seed=seed + _SENSOR_SEED_OFFSET)
+        cam_in_body = Extrinsic(ext.body_in_camera.inverse())
+        gravity = gravity_feedforward(scenario.body, scenario.gravity)
+        state = SimState.at_rest(scenario.start_pose, scenario.wire_count)
+        last_tick: ControlTick | None = None
+
+        with (out_dir / "telemetry.csv").open("w", newline="") as stream:
+            writer = TelemetryWriter(stream, scenario.wire_count)
             for k in range(ticks):
                 t = k / scenario.control_rate
                 # odometry: camera-frame measurement pushed to the body center
-                cam_pose_true = compose(state.pose, cam_in_body)
-                lever = state.pose.rotate(cam_in_body.position)
-                cam_twist_true = Twist(
-                    state.twist.linear + np.cross(state.twist.angular, lever),
-                    state.twist.angular,
-                )
-                cam_state = SimState(cam_pose_true, cam_twist_true, state.tensions, state.time)
-                meas_cam_pose, meas_cam_twist = sensor.measure(cam_state)
-                meas_pose, meas_twist = transform_odometry(meas_cam_pose, meas_cam_twist, ext)
+                cam_pose, cam_twist = transform_odometry(state.pose, state.twist, cam_in_body)
+                cam_state = SimState(cam_pose, cam_twist, state.tensions, state.time)
+                meas_pose, meas_twist = transform_odometry(*sensor.measure(cam_state), ext)
 
                 fault = False
                 try:
@@ -205,8 +209,8 @@ def run_scenario(
                         tick = controller.step(meas_pose, meas_twist, seg, local_t)
                     else:
                         tick = _schedule_tick(
-                            scenario, segments, seg_starts, wires, weight, t,
-                            meas_pose, meas_twist,
+                            scenario, segments, seg_starts, wires, gravity,
+                            t, meas_pose, meas_twist,
                         )
                 except WireDriveError:
                     if last_tick is None:
@@ -216,7 +220,7 @@ def run_scenario(
                     tick = _held_tick(last_tick, t, meas_pose, meas_twist)
                 last_tick = tick
 
-                for _ in range(substeps):
+                for _ in range(scenario.substeps):
                     state = step(
                         state,
                         tick.currents,
@@ -241,36 +245,41 @@ def run_scenario(
                     saturation_ticks += 1
                 max_simultaneous_sat = max(max_simultaneous_sat, n_sat)
                 writer.write_tick(k, state, tick, fault)
-        finally:
-            writer.flush()
-
-    terminal_error = state.pose.position - final_ref.position
-    displacement = state.pose.position - scenario.start_pose.position
-    summary = {
-        "scenario": scenario.name,
-        "mode": scenario.mode,
-        "seed": seed,
-        "ticks": ticks,
-        "sim_duration_s": scenario.duration,
-        "control_rate_hz": scenario.control_rate,
-        "dt_s": scenario.dt,
-        "rms_position_error_m": float(np.sqrt(np.mean(pos_errors**2))) if ticks else 0.0,
-        "rms_rotation_error_rad": float(np.sqrt(np.mean(rot_errors**2))) if ticks else 0.0,
-        "max_position_error_m": float(np.max(pos_errors)) if ticks else 0.0,
-        "terminal_position_error_m": float(np.linalg.norm(terminal_error)),
-        "terminal_position_error_axes_m": [float(v) for v in terminal_error],
-        "displacement_axes_m": [float(v) for v in displacement],
-        "max_tension_n": max_tension,
-        "max_residual_norm": max_residual,
-        "saturation_ticks": saturation_ticks,
-        "max_simultaneous_saturated": max_simultaneous_sat,
-        "fault_ticks": fault_ticks,
-        "capacity_violations": capacity_violations,
-        "anchors": anchor_reports,
-        "telemetry_rows": ticks,
-        "wall_time_s": time.perf_counter() - wall_start,
-    }
-    (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+                rows, end_pose = k + 1, state.pose
+    except BaseException as exc:
+        fault_cause = f"{type(exc).__name__}: {exc}"
+        raise
+    finally:
+        pos_errors, rot_errors = pos_errors[:rows], rot_errors[:rows]
+        terminal_error = end_pose.position - scenario.segments[-1].goal_pose.position
+        displacement = end_pose.position - scenario.start_pose.position
+        summary = {
+            "scenario": scenario.name,
+            "mode": scenario.mode,
+            "seed": seed,
+            "ticks": ticks,
+            "status": "ok" if fault_cause is None else "fault",
+            "fault_cause": fault_cause,
+            "sim_duration_s": scenario.duration,
+            "control_rate_hz": scenario.control_rate,
+            "dt_s": scenario.dt,
+            "rms_position_error_m": float(np.sqrt(np.mean(pos_errors**2))) if rows else 0.0,
+            "rms_rotation_error_rad": float(np.sqrt(np.mean(rot_errors**2))) if rows else 0.0,
+            "max_position_error_m": float(np.max(pos_errors)) if rows else 0.0,
+            "terminal_position_error_m": float(np.linalg.norm(terminal_error)),
+            "terminal_position_error_axes_m": [float(v) for v in terminal_error],
+            "displacement_axes_m": [float(v) for v in displacement],
+            "max_tension_n": max_tension,
+            "max_residual_norm": max_residual,
+            "saturation_ticks": saturation_ticks,
+            "max_simultaneous_saturated": max_simultaneous_sat,
+            "fault_ticks": fault_ticks,
+            "capacity_violations": capacity_violations,
+            "anchors": anchor_reports,
+            "telemetry_rows": rows,
+            "wall_time_s": time.perf_counter() - wall_start,
+        }
+        (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     return summary
 
 
@@ -279,7 +288,7 @@ def _schedule_tick(
     segments,
     seg_starts,
     wires,
-    weight: np.ndarray,
+    gravity: Wrench,
     t: float,
     meas_pose: Pose,
     meas_twist: Twist,
@@ -301,7 +310,7 @@ def _schedule_tick(
         desired = Wrench.zero()
     else:
         jacobian = wire_jacobian(pose_ref, wires)
-        need = weight + np.concatenate(
+        need = gravity.as_array() + np.concatenate(
             [scenario.body.mass * accel_ref[:3], np.zeros(3)]
         )
         desired = Wrench.from_array(need)
@@ -316,7 +325,7 @@ def _schedule_tick(
         twist_ref=twist_ref,
         accel_ref=accel_ref,
         feedback_wrench=Wrench.zero(),
-        gravity_wrench=Wrench.from_array(weight),
+        gravity_wrench=gravity,
         desired_wrench=desired,
         tensions=tensions,
         tensions_final=tensions,

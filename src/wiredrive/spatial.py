@@ -3,9 +3,12 @@
 A pose is a world-frame position plus a unit quaternion (world-from-body,
 scalar first, canonicalized to a non-negative scalar part).  Twists and
 wrenches are world-frame 6-vectors split into linear/angular and
-force/torque halves, with torques referenced to the body center.  All
-types are immutable; the PID integral accumulator is the one mutable
-object and is owned by whoever runs the control loop.
+force/torque halves, with torques referenced to the body center.  The
+records are frozen but neither copy nor check their arrays (a pose only
+normalizes its quaternion): values are checked where they enter the
+program, and the simulator catches non-finite state.  The PID integral
+accumulator is the one mutable object and is owned by whoever runs the
+control loop.
 """
 
 from __future__ import annotations
@@ -17,12 +20,8 @@ import numpy as np
 _QUAT_EPS = 1e-12
 
 
-def _vec3(v, name: str) -> np.ndarray:
-    arr = np.asarray(v, dtype=float).reshape(3).copy()
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must be finite, got {arr}")
-    arr.setflags(write=False)
-    return arr
+def _vec3(v) -> np.ndarray:
+    return np.asarray(v, dtype=float).reshape(3)
 
 
 def quat_normalize(q) -> np.ndarray:
@@ -175,10 +174,8 @@ class Pose:
     orientation: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "position", _vec3(self.position, "position"))
-        quat = quat_normalize(self.orientation)
-        quat.setflags(write=False)
-        object.__setattr__(self, "orientation", quat)
+        object.__setattr__(self, "position", _vec3(self.position))
+        object.__setattr__(self, "orientation", quat_normalize(self.orientation))
 
     @classmethod
     def identity(cls) -> "Pose":
@@ -233,8 +230,8 @@ class Twist:
     angular: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "linear", _vec3(self.linear, "linear velocity"))
-        object.__setattr__(self, "angular", _vec3(self.angular, "angular velocity"))
+        object.__setattr__(self, "linear", _vec3(self.linear))
+        object.__setattr__(self, "angular", _vec3(self.angular))
 
     @classmethod
     def zero(cls) -> "Twist":
@@ -257,8 +254,8 @@ class Wrench:
     torque: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "force", _vec3(self.force, "force"))
-        object.__setattr__(self, "torque", _vec3(self.torque, "torque"))
+        object.__setattr__(self, "force", _vec3(self.force))
+        object.__setattr__(self, "torque", _vec3(self.torque))
 
     @classmethod
     def zero(cls) -> "Wrench":
@@ -295,6 +292,8 @@ class Extrinsic:
     @classmethod
     def from_matrix(cls, rotation, translation) -> "Extrinsic":
         rot = np.asarray(rotation, dtype=float).reshape(3, 3)
+        if not (np.all(np.isfinite(rot)) and np.all(np.isfinite(translation))):
+            raise ValueError("extrinsic rotation and translation must be finite")
         if np.linalg.norm(rot.T @ rot - np.eye(3)) > 1e-9:
             raise ValueError("extrinsic rotation is not orthonormal")
         if abs(np.linalg.det(rot) - 1.0) > 1e-9:

@@ -44,7 +44,7 @@ def _fmt(value) -> str:
 
 
 class TelemetryWriter:
-    """Streams rows to an open text file, flushing on demand."""
+    """Streams rows to an open text file."""
 
     def __init__(self, stream: IO[str], wire_count: int):
         self.stream = stream
@@ -78,6 +78,3 @@ class TelemetryWriter:
                 f"telemetry row has {len(values)} values for {len(self.columns)} columns"
             )
         self.stream.write(",".join(_fmt(v) for v in values) + "\n")
-
-    def flush(self) -> None:
-        self.stream.flush()

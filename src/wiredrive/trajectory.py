@@ -178,14 +178,13 @@ class PoseController:
     ):
         if dt <= 0:
             raise ValueError("controller period must be positive")
-        self.body = body
         self.attachments = list(attachments)
         self.bounds = bounds
         self.weights = weights
         self.winch = winch
         self.gains = gains
         self.dt = dt
-        self.gravity = gravity
+        self.gravity_ff = gravity_feedforward(body, gravity)
         self.pid_state = PidState()
         self._warm_start: np.ndarray | None = None
 
@@ -198,8 +197,7 @@ class PoseController:
         feedback = wrench_error_pid(
             pose, twist, pose_ref, twist_ref, self.gains, self.pid_state, self.dt
         )
-        gravity_ff = gravity_feedforward(self.body, self.gravity)
-        desired = feedback + gravity_ff
+        desired = feedback + self.gravity_ff
         jacobian = wire_jacobian(pose, self.attachments)
         wire_state = wire_lengths_and_rates(pose, twist, self.attachments)
         command = solve_tension_command(
@@ -221,7 +219,7 @@ class PoseController:
             twist_ref=twist_ref,
             accel_ref=accel_ref,
             feedback_wrench=feedback,
-            gravity_wrench=gravity_ff,
+            gravity_wrench=self.gravity_ff,
             desired_wrench=desired,
             tensions=command.tensions,
             tensions_final=command.tensions_final,

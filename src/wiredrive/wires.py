@@ -48,6 +48,8 @@ class WireJacobian:
         arr = np.asarray(self.matrix, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != 6:
             raise ValueError("wire matrix must be 6 x m")
+        # the copy also makes the transposed stack from `wire_jacobian`
+        # C-contiguous; later matmul results depend on that layout
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "matrix", arr)
@@ -59,20 +61,13 @@ class WireJacobian:
 
 @dataclass(frozen=True, eq=False)
 class WireState:
-    """Current wire lengths and their rates (positive = paying out)."""
+    """Current wire lengths and their rates (positive = paying out).
+
+    `wire_lengths_and_rates` is the producer; its geometry pass already
+    rejects lengths below the degeneracy threshold."""
 
     lengths: np.ndarray
     rates: np.ndarray
-
-    def __post_init__(self):
-        lengths = np.asarray(self.lengths, dtype=float).copy()
-        rates = np.asarray(self.rates, dtype=float).copy()
-        if np.any(lengths <= 0):
-            raise ValueError("wire lengths must be strictly positive")
-        lengths.setflags(write=False)
-        rates.setflags(write=False)
-        object.__setattr__(self, "lengths", lengths)
-        object.__setattr__(self, "rates", rates)
 
 
 def _geometry(pose: Pose, attachments: Sequence[WireAttachment]):

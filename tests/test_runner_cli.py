@@ -1,12 +1,13 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 import yaml
 
-from wiredrive import cli
-from wiredrive.errors import SolverFailure
+from wiredrive import cli, runner
+from wiredrive.errors import NumericalBlowup, SolverFailure
 from wiredrive.runner import run_scenario
 from wiredrive.scenario import bundled_scenario_path, load_scenario
 from wiredrive.telemetry import column_names
@@ -78,6 +79,9 @@ def test_run_writes_all_artifacts(small_scenario, tmp_path):
     assert ticks == sorted(ticks)
     saved = json.loads((out / "summary.json").read_text())
     assert saved["scenario"] == "small"
+    assert saved["status"] == "ok"
+    assert saved["fault_cause"] is None
+    assert saved["telemetry_rows"] == 160
 
 
 def test_rerun_is_byte_identical(small_scenario, tmp_path):
@@ -131,6 +135,40 @@ def test_fault_on_first_tick_is_fatal(small_scenario, tmp_path, monkeypatch):
         run_scenario(scenario, tmp_path / "out")
     # partial telemetry (the header) was still flushed
     assert (tmp_path / "out" / "telemetry.csv").is_file()
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["status"] == "fault"
+    assert summary["fault_cause"] == "SolverFailure: always"
+    assert summary["telemetry_rows"] == 0
+    assert summary["rms_position_error_m"] == 0.0
+
+
+def test_plant_fault_still_writes_summary(small_scenario, tmp_path, monkeypatch):
+    scenario = load_scenario(small_scenario)
+    # the statistics of a faulted run cover its completed ticks only, so
+    # they match a clean run that stops after those ticks
+    clean = run_scenario(dataclasses.replace(scenario, duration=0.05), tmp_path / "clean")
+    original = runner.step
+    calls = {"n": 0}
+
+    def blowing_up(*args, **kwargs):
+        calls["n"] += 1
+        if calls["n"] == 51:
+            raise NumericalBlowup("injected blowup")
+        return original(*args, **kwargs)
+
+    # five substeps per tick: call 51 is the first substep of tick 10
+    monkeypatch.setattr(runner, "step", blowing_up)
+    out = tmp_path / "out"
+    with pytest.raises(NumericalBlowup):
+        run_scenario(scenario, out)
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["status"] == "fault"
+    assert "NumericalBlowup" in summary["fault_cause"]
+    assert summary["telemetry_rows"] == 10
+    assert len((out / "telemetry.csv").read_text().splitlines()) == 1 + 10
+    for key in ("rms_position_error_m", "max_position_error_m", "terminal_position_error_m",
+                "max_tension_n", "displacement_axes_m"):
+        assert summary[key] == clean[key], key
 
 
 def test_cli_validate_ok_and_exit_codes(small_scenario, capsys):

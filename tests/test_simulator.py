@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from wiredrive.allocation import (
     AllocationWeights,
@@ -100,18 +103,35 @@ def test_static_equilibrium_holds_position():
     assert np.linalg.norm(state.pose.position - pose.position) < 1e-3
 
 
-def test_tensions_never_negative_and_clamped():
-    body = BodyModel.solid_cube(5.0, 0.3)
-    wires = slack_layout()
+def _vectors(shape, bound):
+    return arrays(float, shape, elements=st.floats(-bound, bound, allow_nan=False))
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(
+    _vectors(3, 0.2),
+    _vectors(3, 1.0),
+    _vectors(3, 2.0),
+    _vectors(3, 2.0),
+    # about 2 A already asks for the winch's max tension
+    _vectors(8, 1e6),
+)
+@example(np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(3), np.array([-3.0] * 4 + [1000.0] * 4))
+def test_tensions_never_negative_and_clamped(position, rotvec, linear, angular, currents):
+    # the exerted tensions are the plant's promise that wires only pull
+    # and never beyond the winch rating: negative currents, huge currents
+    # and line speeds the drum cannot match included
     winch = WinchParams()
-    state = SimState.at_rest(Pose.identity(), 1)
-    # a negative current cannot make the wire push
-    new = step(state, np.array([-3.0]), 1e-3, body, wires, winch)
-    assert new.tensions[0] == 0.0
-    # a huge current saturates at the winch's max tension
-    huge = np.array([1000.0])
-    new = step(state, huge, 1e-3, body, wires, winch)
-    assert new.tensions[0] == winch.max_tension
+    state = SimState(Pose.from_rotvec(position, rotvec), Twist(linear, angular), np.zeros(8))
+    body = BodyModel.solid_cube(10.0, 0.4)
+    tensions = step(state, currents, 1e-3, body, eight_wire_cube_layout(), winch).tensions
+    assert np.all(tensions >= 0.0)
+    assert np.all(tensions <= winch.max_tension)
+    assert np.all(tensions[currents <= 0.0] == 0.0)
+    if not (np.any(linear) or np.any(angular)):
+        # at rest no wire outruns its drum, so every command is exerted
+        commanded = np.clip(currents / winch.current_per_newton, 0.0, winch.max_tension)
+        assert np.array_equal(tensions, commanded)
 
 
 def test_wire_goes_slack_beyond_line_speed():
@@ -137,9 +157,15 @@ def test_wire_goes_slack_beyond_line_speed():
 def test_blowup_detection():
     body = BodyModel.solid_cube(1.0, 0.2)
     wires = slack_layout()
-    state = SimState(Pose.identity(), Twist([1001.0, 0, 0], [0, 0, 0]), np.zeros(1))
-    with pytest.raises(NumericalBlowup):
-        step(state, np.zeros(1), 1e-2, body, wires, WinchParams(), speed_limit=1000.0)
+    cases = [
+        ([1001.0, 0, 0], [0, 0, 0], 0.0),  # over the speed limit
+        ([0, 0, 0], [0, 0, 0], np.nan),  # a NaN current command
+        ([0, 0, 0], [np.nan, 0, 0], 0.0),  # a NaN angular velocity
+    ]
+    for linear, angular, current in cases:
+        state = SimState(Pose.identity(), Twist(linear, angular), np.zeros(1))
+        with pytest.raises(NumericalBlowup):
+            step(state, np.array([current]), 1e-2, body, wires, WinchParams(), speed_limit=1000.0)
 
 
 def test_dt_validation():
