@@ -41,7 +41,7 @@ from .trajectory import (
     gravity_feedforward,
     sample_schedule,
 )
-from .wires import WireAttachment, wire_jacobian, wire_lengths_and_rates
+from .wires import WireAttachment, WireSet, wire_jacobian, wire_lengths_and_rates
 
 # fixed offsets carve independent, reproducible streams out of one seed
 _SENSOR_SEED_OFFSET = 1_000
@@ -145,15 +145,18 @@ def run_scenario(
 
     Writes resolved.yaml, telemetry.csv, summary.json and (with anchor
     tasks) one anchor_<k>.csv per deployed wire into `out_dir`.  Returns
-    the summary dictionary.  An exception out of the deployment or the
+    the summary dictionary.  A negative `seed` is a ValueError, raised
+    before anything is written.  An exception out of the deployment or the
     tick loop (a plant fault, or a controller fault on the first tick)
     still writes summary.json, with `status` "fault", its `fault_cause`
     and the statistics of the ticks completed before it, and is then
     re-raised.
     """
+    seed = scenario.seed if seed is None else int(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    seed = scenario.seed if seed is None else int(seed)
     ext = extrinsic or Extrinsic.identity()
     wall_start = time.perf_counter()
 
@@ -172,9 +175,10 @@ def run_scenario(
     rows, end_pose = 0, scenario.start_pose
     fault_cause = None
     try:
-        wires = list(scenario.wires)
+        wires = scenario.wires
         if scenario.anchors:
             wires, anchor_reports = deploy_anchors(scenario, seed, out_dir)
+        wires = WireSet(wires)
 
         segments, seg_starts = _schedule_from_specs(scenario)
         controller = PoseController(

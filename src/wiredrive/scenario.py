@@ -428,6 +428,9 @@ def build_scenario(document: dict) -> Scenario:
     doc = _read(SCHEMA, document, "")
     if doc["format_version"] != FORMAT_VERSION:
         raise ValidationError("format_version", f"unsupported version {doc['format_version']}")
+    if doc["seed"] < 0:
+        # the random streams are seeded with offsets added to it
+        raise ValidationError("seed", f"must be non-negative, got {doc['seed']}")
 
     body_doc = doc["body"]
     mass = body_doc["mass"]

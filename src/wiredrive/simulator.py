@@ -21,7 +21,7 @@ import numpy as np
 
 from .allocation import WinchParams, tensions_from_currents
 from .errors import NumericalBlowup
-from .spatial import Pose, Twist, quat_from_rotvec, quat_multiply
+from .spatial import Pose, Twist, cross, quat_from_rotvec, quat_multiply
 from .wires import WireAttachment, wire_jacobian, wire_lengths_and_rates
 
 STANDARD_GRAVITY = 9.80665  # m/s^2
@@ -110,7 +110,7 @@ def step(
     omega_body = rot.T @ state.twist.angular
     torque_body = rot.T @ torque_world
     omega_dot = np.linalg.solve(
-        body.inertia, torque_body - np.cross(omega_body, body.inertia @ omega_body)
+        body.inertia, torque_body - cross(omega_body, body.inertia @ omega_body)
     )
     omega_new = rot @ (omega_body + dt * omega_dot)
     # written so that a NaN speed fails the check too

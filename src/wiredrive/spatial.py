@@ -24,6 +24,22 @@ def _vec3(v) -> np.ndarray:
     return np.asarray(v, dtype=float).reshape(3)
 
 
+def cross(a, b) -> np.ndarray:
+    """Cross product over the last axis; (3,) broadcasts against (m, 3).
+
+    Same operation order as `np.cross` (`a1*b2 - a2*b1`, each product
+    rounded, then one subtraction), so bit-identical to it, without
+    numpy's axis bookkeeping."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    c0 = a1 * b2 - a2 * b1
+    out = np.empty(np.shape(c0) + (3,))
+    out[..., 0] = c0
+    out[..., 1] = a2 * b0 - a0 * b2
+    out[..., 2] = a0 * b1 - a1 * b0
+    return out
+
+
 def quat_normalize(q) -> np.ndarray:
     """Unit-normalize a (w, x, y, z) quaternion and force w >= 0."""
     arr = np.asarray(q, dtype=float).reshape(4)
@@ -59,7 +75,7 @@ def quat_rotate(q, v) -> np.ndarray:
     u = np.asarray(q[1:], dtype=float)
     v = np.asarray(v, dtype=float)
     # Rodrigues form of q v q*
-    return v + 2.0 * np.cross(u, np.cross(u, v) + w * v)
+    return v + 2.0 * cross(u, cross(u, v) + w * v)
 
 
 def quat_to_matrix(q) -> np.ndarray:
@@ -342,7 +358,7 @@ def transform_odometry(cam_pose: Pose, cam_twist: Twist, ext: Extrinsic) -> tupl
     """
     body_pose = compose(cam_pose, ext.body_in_camera)
     lever_world = cam_pose.rotate(ext.body_in_camera.position)
-    linear = cam_twist.linear + np.cross(cam_twist.angular, lever_world)
+    linear = cam_twist.linear + cross(cam_twist.angular, lever_world)
     return body_pose, Twist(linear, cam_twist.angular)
 
 

@@ -1,15 +1,15 @@
 """Run telemetry: one CSV row per control tick, schema fixed per wire count.
 
 The column set is versioned and frozen for a given format version and
-wire count, so downstream plotting can rely on names.  Floats are written
-with repr-shortest formatting, which makes reruns byte-identical.
+wire count, so downstream plotting can rely on names.  A row is built
+from plain Python floats (`tolist` on the arrays, `float` on the scalars)
+written with `repr`, the shortest text that reads back to the same
+double, which makes reruns byte-identical; flags are written as 1/0.
 """
 
 from __future__ import annotations
 
 from typing import IO
-
-import numpy as np
 
 from .simulator import SimState
 from .trajectory import ControlTick
@@ -35,14 +35,6 @@ def column_names(wire_count: int) -> list[str]:
     return cols
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
-
-
 class TelemetryWriter:
     """Streams rows to an open text file."""
 
@@ -55,26 +47,25 @@ class TelemetryWriter:
     def write_tick(
         self, tick_index: int, state: SimState, tick: ControlTick, fault: bool
     ) -> None:
-        values: list = [FORMAT_VERSION, tick_index, tick.timestamp]
+        floats = [float(tick.timestamp)]
         for pose, twist in (
             (state.pose, state.twist),
             (tick.pose, tick.twist),
             (tick.pose_ref, tick.twist_ref),
         ):
-            values += list(pose.position) + list(pose.orientation)
-            values += list(twist.linear) + list(twist.angular)
-        values += list(tick.accel_ref)
-        values += list(tick.feedback_wrench.as_array())
-        values += list(tick.gravity_wrench.as_array())
-        values += list(tick.desired_wrench.as_array())
-        values += list(tick.tensions)
-        values += list(tick.tensions_final)
-        values += list(tick.currents)
-        values += list(state.tensions)
-        values += [bool(v) for v in tick.saturated]
-        values += [tick.residual_norm, fault]
+            floats += pose.position.tolist() + pose.orientation.tolist()
+            floats += twist.linear.tolist() + twist.angular.tolist()
+        floats += tick.accel_ref.tolist()
+        for wrench in (tick.feedback_wrench, tick.gravity_wrench, tick.desired_wrench):
+            floats += wrench.force.tolist() + wrench.torque.tolist()
+        for arr in (tick.tensions, tick.tensions_final, tick.currents, state.tensions):
+            floats += arr.tolist()
+        values = [str(FORMAT_VERSION), str(tick_index)]
+        values += map(repr, floats)
+        values += ["1" if s else "0" for s in tick.saturated.tolist()]
+        values += [repr(float(tick.residual_norm)), "1" if fault else "0"]
         if len(values) != len(self.columns):
             raise RuntimeError(
                 f"telemetry row has {len(values)} values for {len(self.columns)} columns"
             )
-        self.stream.write(",".join(_fmt(v) for v in values) + "\n")
+        self.stream.write(",".join(values) + "\n")

@@ -36,7 +36,7 @@ from .spatial import (
     so3_left_jacobian_inv,
     wrench_error_pid,
 )
-from .wires import wire_jacobian, wire_lengths_and_rates
+from .wires import WireSet, wire_jacobian, wire_lengths_and_rates
 
 ROTATION_CHART_LIMIT = np.pi - 0.1  # rad; reject segments near the chart edge
 
@@ -178,7 +178,7 @@ class PoseController:
     ):
         if dt <= 0:
             raise ValueError("controller period must be positive")
-        self.attachments = list(attachments)
+        self.attachments = WireSet(attachments)
         self.bounds = bounds
         self.weights = weights
         self.winch = winch

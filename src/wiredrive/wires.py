@@ -6,6 +6,10 @@ exit point to a fixed world anchor.  Column i of the wire matrix is
 the anchor and r_i the body exit offset rotated (not translated) into the
 world frame, so tensions map to a wrench about the body center:
 wrench = matrix @ tensions.
+
+The functions take any sequence of attachments.  A run passes a `WireSet`,
+whose stacked arrays every geometry pass reuses; a plain list is stacked
+on each call.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateWire
-from .spatial import Pose, Twist, Wrench
+from .spatial import Pose, Twist, Wrench, cross
 
 DEGENERACY_THRESHOLD = 1e-6  # m; far below any physical scenario scale
 
@@ -36,6 +40,27 @@ class WireAttachment:
                 raise ValueError(f"{name} must be finite")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+
+
+class WireSet(tuple):
+    """A run's wire attachments, with exit points and anchors stacked once.
+
+    `exits_body` and `anchors` are read-only (m, 3) arrays.  Wrapping a
+    WireSet returns it unchanged, so the geometry passes of a run reuse
+    one set; given a plain list, they stack it on each call."""
+
+    exits_body: np.ndarray
+    anchors: np.ndarray
+
+    def __new__(cls, attachments: Sequence[WireAttachment]):
+        if isinstance(attachments, WireSet):
+            return attachments
+        self = super().__new__(cls, attachments)
+        self.exits_body = np.array([a.exit_body for a in self])
+        self.anchors = np.array([a.anchor_world for a in self])
+        self.exits_body.setflags(write=False)
+        self.anchors.setflags(write=False)
+        return self
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,15 +104,14 @@ def _geometry(pose: Pose, attachments: Sequence[WireAttachment]):
     Raises DegenerateWire if any anchor sits within the degeneracy
     threshold of its exit point.
     """
-    exits_body = np.stack([a.exit_body for a in attachments])
-    anchors = np.stack([a.anchor_world for a in attachments])
-    levers = exits_body @ pose.rotation_matrix().T
+    wires = WireSet(attachments)
+    levers = wires.exits_body @ pose.rotation_matrix().T
     exits_world = pose.position + levers
-    spans = anchors - exits_world
+    spans = wires.anchors - exits_world
     lengths = np.linalg.norm(spans, axis=1)
     for i, n in enumerate(lengths):
         if n <= DEGENERACY_THRESHOLD:
-            raise DegenerateWire(attachments[i].wire_id, float(n))
+            raise DegenerateWire(wires[i].wire_id, float(n))
     return spans / lengths[:, None], lengths, levers, exits_world
 
 
@@ -105,7 +129,7 @@ def wire_directions(pose: Pose, attachments: Sequence[WireAttachment]):
 def wire_jacobian(pose: Pose, attachments: Sequence[WireAttachment]) -> WireJacobian:
     """Assemble the 6 x m wire matrix at the given pose."""
     directions, _, levers, _ = _geometry(pose, attachments)
-    torque_rows = np.cross(levers, directions)
+    torque_rows = cross(levers, directions)
     return WireJacobian(np.hstack([directions, torque_rows]).T)
 
 
@@ -122,7 +146,7 @@ def wire_lengths_and_rates(
     # `levers` can differ from it in the last bit, which recorded
     # telemetry would show
     lever_world = exits_world - pose.position
-    exit_velocities = twist.linear + np.cross(twist.angular, lever_world)
+    exit_velocities = twist.linear + cross(twist.angular, lever_world)
     rates = -np.einsum("ij,ij->i", directions, exit_velocities)
     return WireState(lengths, rates)
 

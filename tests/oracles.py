@@ -161,3 +161,38 @@ def wire_length(anchor, position, orientation, exit_body):
     rotated = _hamilton(_hamilton((w, x, y, z), (0.0, *map(float, exit_body))), (w, -x, -y, -z))
     span = [float(anchor[k]) - (float(position[k]) + rotated[k + 1]) for k in range(3)]
     return sum(s * s for s in span) ** 0.5
+
+
+def _telemetry_field(value) -> str:
+    if isinstance(value, (bool, np.bool_)):
+        return "1" if value else "0"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return repr(float(value))
+
+
+def telemetry_row(tick_index, state, tick, fault) -> str:
+    """One format-1 telemetry line, built one value at a time.
+
+    Each value is formatted by its type: flags as 1/0, integers with
+    `str`, everything else as `repr(float(value))`.
+    """
+    values = [1, tick_index, tick.timestamp]
+    for pose, twist in (
+        (state.pose, state.twist),
+        (tick.pose, tick.twist),
+        (tick.pose_ref, tick.twist_ref),
+    ):
+        values += list(pose.position) + list(pose.orientation)
+        values += list(twist.linear) + list(twist.angular)
+    values += list(tick.accel_ref)
+    values += list(tick.feedback_wrench.as_array())
+    values += list(tick.gravity_wrench.as_array())
+    values += list(tick.desired_wrench.as_array())
+    values += list(tick.tensions)
+    values += list(tick.tensions_final)
+    values += list(tick.currents)
+    values += list(state.tensions)
+    values += [bool(v) for v in tick.saturated]
+    values += [tick.residual_norm, fault]
+    return ",".join(_telemetry_field(v) for v in values) + "\n"

@@ -282,3 +282,25 @@ def test_cli_bad_dt_override_exits_2(small_scenario, tmp_path, capsys):
         argv = [command, str(slow), "--dt", "0.02", "--out", str(tmp_path / "out")]
         assert cli.main(argv) == 2
         assert "sim.dt" in capsys.readouterr().err
+
+
+def test_negative_seed_exits_2(small_scenario, tmp_path, capsys):
+    # the sensor stream is seeded with seed + 1000, so -1001 used to reach
+    # numpy's generator and die there with a traceback
+    out = tmp_path / "out"
+    assert cli.main(["run", str(small_scenario), "--seed", "-1001", "--out", str(out)]) == 2
+    assert "seed" in capsys.readouterr().err
+    assert not out.exists()
+    assert cli.main(["validate", str(small_scenario), "--seed", "-1"]) == 2
+    assert "seed" in capsys.readouterr().err
+    path = tmp_path / "seed.yaml"
+    path.write_text(SMALL.replace("seed: 11", "seed: -5"))
+    assert cli.main(["validate", str(path)]) == 2
+    assert "seed" in capsys.readouterr().err
+
+
+def test_run_scenario_rejects_negative_seed_before_writing(small_scenario, tmp_path):
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="seed"):
+        run_scenario(load_scenario(small_scenario), out, seed=-1)
+    assert not out.exists()

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from wiredrive.spatial import (
     Extrinsic,
@@ -8,6 +11,7 @@ from wiredrive.spatial import (
     Pose,
     Twist,
     compose,
+    cross,
     orientation_error,
     quat_from_rotvec,
     quat_multiply,
@@ -244,3 +248,29 @@ def test_pid_output_linear_in_error_for_p_only():
             gains, PidState(), dt=0.01,
         )
         assert np.allclose(2 * out1.as_array(), out2.as_array(), atol=1e-12)
+
+
+# finite magnitudes from 1e-300 (products underflow) to 1e150 (products
+# near the top of the range), either sign, plus both zeros
+_CROSS_ELEMENTS = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.floats(1e-300, 1e150),
+    st.floats(-1e150, -1e-300),
+)
+
+
+@st.composite
+def cross_operands(draw):
+    m = draw(st.integers(1, 8))
+    shapes = draw(st.sampled_from([((3,), (3,)), ((3,), (m, 3)), ((m, 3), (3,)), ((m, 3), (m, 3))]))
+    return tuple(draw(arrays(float, shape, elements=_CROSS_ELEMENTS)) for shape in shapes)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(cross_operands())
+def test_cross_is_bit_identical_to_numpy(operands):
+    a, b = operands
+    expected = np.cross(a, b)
+    got = cross(a, b)
+    assert got.shape == expected.shape
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))

@@ -9,6 +9,7 @@ from wiredrive.errors import DegenerateWire
 from wiredrive.spatial import Pose, Twist, quat_from_rotvec, quat_multiply
 from wiredrive.wires import (
     WireAttachment,
+    WireSet,
     wire_directions,
     wire_jacobian,
     wire_lengths_and_rates,
@@ -58,9 +59,10 @@ def test_degenerate_wire_raises_with_id():
         WireAttachment([0, 0, 0], [1.0, 0.0, 0.0], wire_id=0),
         WireAttachment([0.1, 0.0, 0.0], [0.1, 0.0, 0.0], wire_id=7),
     ]
-    with pytest.raises(DegenerateWire) as info:
-        wire_directions(Pose.identity(), wires)
-    assert info.value.wire_id == 7
+    for attachments in (wires, WireSet(wires)):
+        with pytest.raises(DegenerateWire) as info:
+            wire_directions(Pose.identity(), attachments)
+        assert info.value.wire_id == 7
 
 
 def test_jacobian_zero_lever_column():
@@ -228,3 +230,34 @@ def test_geometry_agrees_across_entry_points(case):
     ]
     assert np.allclose(state.lengths, expected, rtol=0.0, atol=1e-12)
     assert np.allclose(state.rates, -(jac.T @ twist.as_array()), rtol=0.0, atol=1e-12)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(body_states())
+def test_wire_set_gives_the_plain_list_results_bit_for_bit(case):
+    wires, pose, twist = case
+    wire_set = WireSet(wires)
+    assert list(wire_set) == wires
+    assert _same_bits(wire_jacobian(pose, wire_set).matrix, wire_jacobian(pose, wires).matrix)
+    for got, expected in zip(wire_directions(pose, wire_set), wire_directions(pose, wires)):
+        assert _same_bits(got, expected)
+    got = wire_lengths_and_rates(pose, twist, wire_set)
+    expected = wire_lengths_and_rates(pose, twist, wires)
+    assert _same_bits(got.lengths, expected.lengths)
+    assert _same_bits(got.rates, expected.rates)
+
+
+def test_wire_set_stacks_once_and_is_read_only():
+    wires = random_layout(np.random.default_rng(4), 5)
+    wire_set = WireSet(wires)
+    assert WireSet(wire_set) is wire_set
+    assert np.array_equal(wire_set.exits_body, [w.exit_body for w in wires])
+    assert np.array_equal(wire_set.anchors, [w.anchor_world for w in wires])
+    with pytest.raises(ValueError):
+        wire_set.exits_body[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        wire_set.anchors[0, 0] = 1.0
