@@ -56,8 +56,6 @@ def cmd_run(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    if args.directions < 1:
-        raise ValidationError("--directions", f"must be at least 1, got {args.directions}")
     if args.pose is not None and not np.all(np.isfinite(args.pose)):
         raise ValidationError("--pose", f"coordinates must be finite, got {args.pose}")
     scenario = _apply_overrides(load_scenario(args.scenario), args)
@@ -65,9 +63,7 @@ def cmd_analyze(args) -> int:
     if args.pose is not None:
         pose = Pose.from_translation(np.asarray(args.pose, dtype=float))
     jacobian = wire_jacobian(pose, scenario.wires)
-    report = controllability(
-        jacobian, scenario.bounds, directions=args.directions, torque_scale=scenario.torque_lever
-    )
+    report = controllability(jacobian, scenario.bounds, torque_scale=scenario.torque_lever)
     doc = {
         "scenario": scenario.name,
         "pose_position": [float(v) for v in pose.position],
@@ -76,6 +72,7 @@ def cmd_analyze(args) -> int:
         "fully_constrained": report.fully_constrained,
         "margin": report.margin,
         "saturating_wires": list(report.saturating_wires),
+        "binding_wires": list(report.binding_wires),
         "directions_checked": report.directions_checked,
         "worst_direction": [float(v) for v in report.worst_direction],
     }
@@ -152,8 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
     an_p = sub.add_parser("analyze", parents=[common], help="wrench feasibility at a pose")
     an_p.add_argument("--pose", type=float, nargs=3, metavar=("X", "Y", "Z"),
                       help="body position to analyze (defaults to the start pose)")
-    an_p.add_argument("--directions", type=int, default=1000,
-                      help="sampled wrench directions")
     an_p.set_defaults(func=cmd_analyze)
 
     pa_p = sub.add_parser("plan-anchor", parents=[common],

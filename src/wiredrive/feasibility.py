@@ -2,63 +2,52 @@
 
 Wires only pull, so expressing an arbitrary wrench takes more than rank:
 the columns of the wire matrix must positively span the wrench space,
-which needs at least seven wires for six degrees of freedom.  The
-analysis here samples the unit sphere of wrench directions with a
-deterministic low-discrepancy sequence and, for each direction, finds the
-largest achievable wrench magnitude inside the tension box via a linear
-program.  Torques are expressed in a weighted norm (scaled by a lever
-length) so force and torque magnitudes are commensurable.
+which needs at least seven wires for six degrees of freedom.  Torques
+are expressed in a weighted norm (divided by a lever length) so force
+and torque magnitudes are commensurable.  In those units the wrenches
+the tension box can produce form a zonotope, and the analysis computes
+its inradius about the origin exactly: every facet normal is orthogonal
+to five linearly independent wire columns, the distance to a facet is
+the box's support value along its normal, and the margin is the smallest
+such distance (hyperplane shifting; Gouttefarde & Gosselin 2006,
+Bouchard, Gosselin & Moore 2010).  One linear program along the binding
+facet's normal then finds tensions that realise the margin.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
-from scipy.special import ndtri
-from scipy.stats import qmc
 
 from .allocation import AllocationWeights, TensionBounds, allocate
 from .spatial import Wrench
 from .wires import WireJacobian
 
 RANK_TOLERANCE = 1e-9  # relative to the largest singular value
-ACHIEVABLE_SCALE = 1e-6  # N; a direction counts only above this magnitude
-_SCALE_CAP = 1e6  # keeps the per-direction LP bounded
+ACHIEVABLE_SCALE = 1e-6  # N; a margin counts only above this magnitude
+_SCALE_CAP = 1e6  # keeps the witness LP bounded
 
 
 @dataclass(frozen=True, eq=False)
 class FeasibilityReport:
-    """Summary of what a wire layout can do at one pose."""
+    """Summary of what a wire layout can do at one pose.
+
+    `margin` is the exact radius, in the weighted norm, of the largest
+    wrench ball about the origin that the tension box can produce.
+    `worst_direction` has unit weighted norm, so `margin * worst_direction`
+    is a wrench in N and N m on the boundary of what the wires can do.
+    """
 
     rank: int
     fully_constrained: bool
     margin: float  # weighted-norm radius of the achievable wrench ball
-    saturating_wires: tuple[int, ...]  # wires at a bound in the worst direction
-    directions_checked: int  # LPs solved; the scan stops at the first unreachable direction
-    worst_direction: np.ndarray
-
-
-def sample_wrench_directions(count: int, torque_scale: float = 1.0) -> np.ndarray:
-    """Deterministic low-discrepancy unit wrench directions.
-
-    A Halton sequence is pushed through the inverse normal CDF and
-    normalized, giving well-spread points on the 5-sphere; torque
-    components are then scaled by the lever length so the directions have
-    unit weighted norm.
-    """
-    if count < 1:
-        raise ValueError("need at least one direction")
-    sampler = qmc.Halton(d=6, scramble=False)
-    sampler.fast_forward(1)  # the first Halton point is the origin corner
-    u = sampler.random(count)
-    z = ndtri(np.clip(u, 1e-12, 1 - 1e-12))
-    norms = np.linalg.norm(z, axis=1, keepdims=True)
-    norms[norms == 0] = 1.0
-    directions = z / norms
-    directions[:, 3:] *= torque_scale
-    return directions
+    saturating_wires: tuple[int, ...]  # wires at their upper bound in the witness tensions
+    directions_checked: int  # facet normals whose support was evaluated, both signs
+    worst_direction: np.ndarray  # binding facet normal, or a wrench the wires cannot produce
+    binding_wires: tuple[int, ...]  # the five wires spanning the binding facet; () below rank 6
 
 
 def _max_scale_along(matrix: np.ndarray, direction: np.ndarray, bounds: TensionBounds):
@@ -75,46 +64,70 @@ def _max_scale_along(matrix: np.ndarray, direction: np.ndarray, bounds: TensionB
     return float(result.x[m]), result.x[:m]
 
 
+def _facet_normals(scaled: np.ndarray):
+    """Unit normals of the hyperplanes spanned by five independent columns.
+
+    Returns (subsets, normals): the column 5-subsets whose block has rank
+    5, and one unit normal per subset as the rows of a (k, 6) array.
+    """
+    subsets = np.array(list(itertools.combinations(range(scaled.shape[1]), 5)))
+    u, svals, _ = np.linalg.svd(scaled[:, subsets].transpose(1, 0, 2))
+    spanning = svals[:, 4] > RANK_TOLERANCE * svals[:, 0]
+    return subsets[spanning], u[spanning, :, 5]
+
+
 def controllability(
     jacobian: WireJacobian,
     bounds: TensionBounds,
-    directions: int = 1000,
     torque_scale: float = 1.0,
 ) -> FeasibilityReport:
-    """Rank plus positive-spanning check over sampled wrench directions.
+    """Rank, positive spanning and the exact wrench margin at one pose.
 
-    `fully_constrained` is true when every sampled direction is achievable
-    at some positive magnitude with tensions inside the bounds; `margin`
-    is the smallest such magnitude over the samples, i.e. the radius of a
-    guaranteed wrench ball in the weighted norm.
+    With `A` the wire matrix with its torque rows divided by
+    `torque_scale`, the margin is the smallest support value
+    `sum_j max(lo_j n.a_j, hi_j n.a_j)` over both signs of every facet
+    normal `n`, floored at 0.  One LP along the binding normal is the
+    witness: it supplies `saturating_wires`, and its scale caps the
+    margin, so a solver disagreement can only lower the reported value.
+    `fully_constrained` is true when the margin exceeds
+    `ACHIEVABLE_SCALE`.  Below rank 6 the margin is 0, no LP runs, and
+    `worst_direction` is a wrench direction the wires cannot produce.
     """
     matrix = jacobian.matrix
     svals = np.linalg.svd(matrix, compute_uv=False)
     rank = int(np.sum(svals > RANK_TOLERANCE * svals[0])) if svals.size else 0
+    weighting = np.array([1.0, 1.0, 1.0, torque_scale, torque_scale, torque_scale])
+    scaled = matrix / weighting[:, None]
 
-    unit_dirs = sample_wrench_directions(directions, torque_scale)
-    margin = np.inf
-    worst = unit_dirs[0]
-    worst_tensions = None
-    for checked, direction in enumerate(unit_dirs, start=1):
-        scale, tensions = _max_scale_along(matrix, direction, bounds)
-        if scale < margin:
-            margin = scale
-            worst = direction
-            worst_tensions = tensions
-        if margin <= 0.0:
-            break
-    fully = margin > ACHIEVABLE_SCALE
-    saturating: tuple[int, ...] = ()
-    if worst_tensions is not None:
-        saturating = saturated_wires(worst_tensions, bounds)
+    if rank < 6:
+        u, _, _ = np.linalg.svd(scaled)
+        return FeasibilityReport(
+            rank=rank,
+            fully_constrained=False,
+            margin=0.0,
+            saturating_wires=(),
+            directions_checked=0,
+            worst_direction=u[:, 5] * weighting,
+            binding_wires=(),
+        )
+
+    subsets, normals = _facet_normals(scaled)
+    normals = np.concatenate([normals, -normals])
+    projections = normals @ scaled
+    support = np.maximum(bounds.lower * projections, bounds.upper * projections).sum(axis=1)
+    binding = int(np.argmin(support))
+    worst = normals[binding] * weighting
+
+    scale, tensions = _max_scale_along(matrix, worst, bounds)
+    margin = max(0.0, min(float(support[binding]), scale))  # a failed LP reports scale 0
     return FeasibilityReport(
         rank=rank,
-        fully_constrained=fully,
-        margin=float(margin if np.isfinite(margin) else 0.0),
-        saturating_wires=saturating,
-        directions_checked=checked,
+        fully_constrained=margin > ACHIEVABLE_SCALE,
+        margin=margin,
+        saturating_wires=() if tensions is None else saturated_wires(tensions, bounds),
+        directions_checked=len(normals),
         worst_direction=worst,
+        binding_wires=tuple(int(i) for i in subsets[binding % len(subsets)]),
     )
 
 

@@ -10,6 +10,9 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+from scipy.optimize import linprog
+from scipy.special import ndtri
+from scipy.stats import qmc
 
 
 def box_qp_objective(hessian, gradient, x):
@@ -96,6 +99,44 @@ def grid_search_box_qp(hessian, gradient, lower, upper, step=0.01, points=None):
             break
         axes = _axis_grids(best_x, 2.0 * spacing, lower, upper, points)
     return best_x, float(box_qp_objective(hessian, gradient, best_x))
+
+
+def sample_wrench_directions(count: int, torque_scale: float = 1.0) -> np.ndarray:
+    """Deterministic low-discrepancy unit wrench directions.
+
+    A Halton sequence is pushed through the inverse normal CDF and
+    normalized, giving well-spread points on the 5-sphere; torque
+    components are then scaled by the lever length so the directions have
+    unit weighted norm.
+    """
+    sampler = qmc.Halton(d=6, scramble=False)
+    sampler.fast_forward(1)  # the first Halton point is the origin corner
+    z = ndtri(np.clip(sampler.random(count), 1e-12, 1 - 1e-12))
+    directions = z / np.linalg.norm(z, axis=1, keepdims=True)
+    directions[:, 3:] *= torque_scale
+    return directions
+
+
+def reach(wire_matrix, lower, upper, direction) -> float:
+    """Largest alpha with W f = alpha * direction and lower <= f <= upper.
+
+    One LP; 0 where no alpha >= 0 is reachable.
+    """
+    m = wire_matrix.shape[1]
+    cost = np.zeros(m + 1)
+    cost[m] = -1.0
+    eq = np.hstack([wire_matrix, -np.asarray(direction)[:, None]])
+    box = list(zip(lower, upper)) + [(0.0, None)]
+    result = linprog(cost, A_eq=eq, b_eq=np.zeros(6), bounds=box, method="highs")
+    return float(result.x[m]) if result.success else 0.0
+
+
+def sampled_margin(wire_matrix, lower, upper, count: int, torque_scale: float = 1.0) -> float:
+    """Smallest reach over sampled unit wrench directions: an upper bound on the margin."""
+    return min(
+        reach(wire_matrix, lower, upper, direction)
+        for direction in sample_wrench_directions(count, torque_scale)
+    )
 
 
 def random_spd(rng, n, scale=1.0):

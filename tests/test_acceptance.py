@@ -228,7 +228,7 @@ def test_criterion_7_controllability_rule(anchors2_run):
         cube8 = load_scenario(bundled_scenario_path("cube8"))
         report = controllability(
             wire_jacobian(cube8.start_pose, cube8.wires), cube8.bounds,
-            directions=1000, torque_scale=0.2,
+            torque_scale=0.2,
         )
         assert report.rank == 6
         assert report.fully_constrained
@@ -236,7 +236,7 @@ def test_criterion_7_controllability_rule(anchors2_run):
         outdoor4 = load_scenario(bundled_scenario_path("outdoor4"))
         report4 = controllability(
             wire_jacobian(outdoor4.start_pose, outdoor4.wires), outdoor4.bounds,
-            directions=1000, torque_scale=0.2,
+            torque_scale=0.2,
         )
         assert not report4.fully_constrained
 
@@ -244,7 +244,7 @@ def test_criterion_7_controllability_rule(anchors2_run):
         deployed, _ = deploy_anchors(anchors2_scenario, seed=0)
         report2 = controllability(
             wire_jacobian(anchors2_scenario.start_pose, deployed), anchors2_scenario.bounds,
-            directions=1000, torque_scale=0.2,
+            torque_scale=0.2,
         )
         assert not report2.fully_constrained
 

@@ -5,16 +5,12 @@ from hypothesis import strategies as st
 
 from wiredrive import feasibility
 from wiredrive.allocation import TensionBounds
-from wiredrive.feasibility import (
-    controllability,
-    sample_wrench_directions,
-    saturated_wires,
-    wrench_achievable,
-)
+from wiredrive.feasibility import controllability, saturated_wires, wrench_achievable
 from wiredrive.scenario import bundled_scenario_path, load_scenario
 from wiredrive.spatial import Pose, Wrench
 from wiredrive.wires import WireAttachment, wire_jacobian
 
+from oracles import reach, sample_wrench_directions, sampled_margin
 from test_wires import eight_wire_cube_layout
 
 
@@ -45,8 +41,7 @@ def test_direction_sampler_is_deterministic_and_weighted():
 
 def test_eight_wire_cube_is_fully_constrained():
     report = controllability(
-        jac_for(eight_wire_cube_layout()), TensionBounds.uniform(8),
-        directions=500, torque_scale=0.2,
+        jac_for(eight_wire_cube_layout()), TensionBounds.uniform(8), torque_scale=0.2
     )
     assert report.rank == 6
     assert report.fully_constrained
@@ -55,7 +50,7 @@ def test_eight_wire_cube_is_fully_constrained():
 
 def test_single_wire_rank_one_not_constrained():
     wires = [WireAttachment([0, 0, 0], [2.0, 0, 0], wire_id=0)]
-    report = controllability(jac_for(wires), TensionBounds.uniform(1), directions=100)
+    report = controllability(jac_for(wires), TensionBounds.uniform(1))
     assert report.rank == 1
     assert not report.fully_constrained
     assert report.margin == pytest.approx(0.0, abs=1e-9)
@@ -64,7 +59,7 @@ def test_single_wire_rank_one_not_constrained():
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
 def test_six_or_fewer_wires_never_fully_constrained(m):
     bounds = TensionBounds(np.zeros(m), np.full(m, 180.0))
-    report = controllability(jac_for(spread_wires(m)), bounds, directions=300)
+    report = controllability(jac_for(spread_wires(m)), bounds)
     assert not report.fully_constrained
 
 
@@ -76,9 +71,7 @@ def test_four_wire_underactuated_layout_not_constrained():
         WireAttachment([-0.12, 0.12, 0.12], [-0.4, 2.5, 1.8], wire_id=2),
         WireAttachment([0.12, 0.12, 0.12], [0.4, 2.5, 1.8], wire_id=3),
     ]
-    report = controllability(
-        jac_for(wires), TensionBounds.uniform(4), directions=300, torque_scale=0.2
-    )
+    report = controllability(jac_for(wires), TensionBounds.uniform(4), torque_scale=0.2)
     assert not report.fully_constrained
 
 
@@ -162,7 +155,7 @@ def test_margin_zero_when_no_tension_budget():
     # upper bound barely above lower: almost no wrench authority
     jac = jac_for(eight_wire_cube_layout())
     bounds = TensionBounds(np.zeros(8), np.full(8, 1e-6))
-    report = controllability(jac, bounds, directions=100, torque_scale=0.2)
+    report = controllability(jac, bounds, torque_scale=0.2)
     assert report.margin < 1e-4
 
 
@@ -191,8 +184,8 @@ def test_saturated_wires_lists_the_flagged_wires(case):
     assert list(flags) == [t >= u - 1e-6 for t, u in zip(tensions, bounds.upper)]
 
 
-@pytest.mark.parametrize("name, lps", [("outdoor4", 1), ("cube8", 1000)])
-def test_directions_checked_counts_lps_solved(name, lps, monkeypatch):
+@pytest.mark.parametrize("name, lps, normals", [("outdoor4", 0, 0), ("cube8", 1, 112)])
+def test_one_witness_lp_and_every_facet_normal(name, lps, normals, monkeypatch):
     calls = []
 
     def counting_linprog(*args, **kwargs):
@@ -203,6 +196,78 @@ def test_directions_checked_counts_lps_solved(name, lps, monkeypatch):
     monkeypatch.setattr(feasibility, "linprog", counting_linprog)
     scenario = load_scenario(bundled_scenario_path(name))
     report = controllability(jac_for(scenario.wires, scenario.start_pose), scenario.bounds)
-    # outdoor4 cannot pull along the first direction, which ends the scan
+    # rank-deficient outdoor4 needs no LP; cube8 checks both signs of C(8, 5) normals
     assert len(calls) == lps
-    assert report.directions_checked == lps
+    assert report.directions_checked == normals
+
+
+@pytest.mark.parametrize("name", ["cube8", "cube8_saturated"])
+def test_margin_is_realised_and_names_the_binding_facet(name):
+    scenario = load_scenario(bundled_scenario_path(name))
+    jac = jac_for(scenario.wires, scenario.start_pose)
+    report = controllability(jac, scenario.bounds, torque_scale=scenario.torque_lever)
+    assert len(set(report.binding_wires)) == 5
+    assert not set(report.binding_wires) & set(report.saturating_wires)
+    target = report.margin * report.worst_direction
+    assert wrench_achievable(jac, Wrench.from_array(target), scenario.bounds)[0]
+    assert not wrench_achievable(jac, Wrench.from_array(1.001 * target), scenario.bounds)[0]
+
+
+def test_rank_deficient_worst_direction_is_unreachable():
+    scenario = load_scenario(bundled_scenario_path("outdoor4"))
+    jac = jac_for(scenario.wires, scenario.start_pose)
+    report = controllability(jac, scenario.bounds, torque_scale=0.2)
+    assert report.rank < 6 and report.binding_wires == ()
+    weighting = np.array([1.0, 1.0, 1.0, 0.2, 0.2, 0.2])
+    unit = report.worst_direction / weighting
+    assert np.linalg.norm(unit) == pytest.approx(1.0)
+    # orthogonal, in the weighted norm, to every wrench the wires can pull
+    assert np.allclose(unit @ (jac.matrix / weighting[:, None]), 0.0, atol=1e-9)
+
+
+@st.composite
+def perturbed_layouts(draw):
+    """6 to 10 wires around the cube8 geometry, jittered, with random tension boxes.
+
+    Starting from the eight-wire cube keeps many layouts of 8 or more
+    wires positively spanning, so the margin checks see nonzero margins;
+    fewer wires drop cube wires, more add wires to random anchors.
+    """
+    m = draw(st.integers(6, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    wires = []
+    for k, wire in enumerate(eight_wire_cube_layout()[:m]):
+        exit_body = wire.exit_body + rng.uniform(-0.03, 0.03, 3)
+        anchor = wire.anchor_world + rng.uniform(-0.2, 0.2, 3)
+        wires.append(WireAttachment(exit_body, anchor, wire_id=k))
+    for k in range(len(wires), m):
+        direction = rng.normal(size=3)
+        exit_body = rng.uniform(-0.15, 0.15, 3)
+        anchor = exit_body + 1.5 * direction / np.linalg.norm(direction)
+        wires.append(WireAttachment(exit_body, anchor, wire_id=k))
+    lower = rng.uniform(0.0, 10.0, m)
+    bounds = TensionBounds(lower, lower + rng.uniform(20.0, 200.0, m))
+    return jac_for(wires), bounds, draw(st.floats(0.2, 1.0))
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(perturbed_layouts())
+def test_exact_margin_against_sampled_oracle(case):
+    jac, bounds, torque_scale = case
+    report = controllability(jac, bounds, torque_scale=torque_scale)
+    assert report.rank == 6
+    # sampling only ever overestimates the inradius
+    sampled = sampled_margin(jac.matrix, bounds.lower, bounds.upper, 64, torque_scale)
+    assert report.margin <= sampled + 1e-9
+    # the witness LP along the binding normal reaches the facet distance
+    scale, _ = feasibility._max_scale_along(jac.matrix, report.worst_direction, bounds)
+    assert scale == pytest.approx(report.margin, rel=1e-9, abs=1e-9)
+    if report.margin > 1e-3:
+        # realised along the normal by an independent LP, and nothing 0.1% further
+        along = reach(jac.matrix, bounds.lower, bounds.upper, report.worst_direction)
+        assert report.margin * (1 - 1e-9) <= along < 1.001 * report.margin
+        # witness tensions: the wires off the binding facet that push along its normal
+        weighting = np.array([1.0, 1.0, 1.0, torque_scale, torque_scale, torque_scale])
+        projections = report.worst_direction / weighting**2 @ jac.matrix
+        off_facet = np.setdiff1d(np.arange(jac.wire_count), report.binding_wires)
+        assert report.saturating_wires == tuple(int(j) for j in off_facet if projections[j] > 0)

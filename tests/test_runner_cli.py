@@ -197,7 +197,7 @@ def test_cli_run_and_seed_override(small_scenario, tmp_path, capsys):
 def test_cli_analyze_cube8_vs_outdoor4(capsys, tmp_path):
     code = cli.main([
         "analyze", str(bundled_scenario_path("cube8")),
-        "--directions", "200", "--out", str(tmp_path / "cube8"),
+        "--out", str(tmp_path / "cube8"),
     ])
     assert code == 0
     cube = json.loads(capsys.readouterr().out)
@@ -207,7 +207,7 @@ def test_cli_analyze_cube8_vs_outdoor4(capsys, tmp_path):
 
     code = cli.main([
         "analyze", str(bundled_scenario_path("outdoor4")),
-        "--directions", "200", "--out", str(tmp_path / "outdoor4"),
+        "--out", str(tmp_path / "outdoor4"),
     ])
     assert code == 0
     outdoor = json.loads(capsys.readouterr().out)
@@ -215,8 +215,6 @@ def test_cli_analyze_cube8_vs_outdoor4(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("flags, name", [
-    (["--directions", "0"], "--directions"),
-    (["--directions", "-3"], "--directions"),
     (["--pose", "nan", "0", "0"], "--pose"),
 ])
 def test_cli_analyze_bad_flags_exit_2(flags, name, capsys, tmp_path):
