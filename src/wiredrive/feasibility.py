@@ -12,6 +12,10 @@ the box's support value along its normal, and the margin is the smallest
 such distance (hyperplane shifting; Gouttefarde & Gosselin 2006,
 Bouchard, Gosselin & Moore 2010).  One linear program along the binding
 facet's normal then finds tensions that realise the margin.
+
+`wrench_achievable` decides one target wrench exactly with a feasibility
+LP; the allocation QP only supplies best-effort tensions when the LP
+finds none.  scipy solves the LPs and is imported on the first one.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .allocation import AllocationWeights, TensionBounds, allocate
 from .spatial import Wrench
@@ -48,6 +51,18 @@ class FeasibilityReport:
     directions_checked: int  # facet normals whose support was evaluated, both signs
     worst_direction: np.ndarray  # binding facet normal, or a wrench the wires cannot produce
     binding_wires: tuple[int, ...]  # the five wires spanning the binding facet; () below rank 6
+
+
+def linprog(*args, **kwargs):
+    """`scipy.optimize.linprog`, imported on the first call.
+
+    Only these LPs need scipy, and importing `scipy.optimize` takes longer
+    than importing the rest of the package, so `run`, `validate` and
+    `plan-anchor` never load it.
+    """
+    from scipy.optimize import linprog as scipy_linprog
+
+    return scipy_linprog(*args, **kwargs)
 
 
 def _max_scale_along(matrix: np.ndarray, direction: np.ndarray, bounds: TensionBounds):
@@ -138,17 +153,28 @@ def wrench_achievable(
     force_tol: float = 1e-4,
     torque_tol: float = 1e-4,
 ) -> tuple[bool, np.ndarray, Wrench]:
-    """Best-effort realization of one target wrench.
+    """Whether the tension box can produce one target wrench, and how.
 
-    Runs the allocation QP with the residual weight pushed to 1e8 so the
-    answer is as close to the target as the tension box permits, then
-    calls the target achievable when the force and torque residuals are
-    below their tolerances.
+    One feasibility LP, `A f = w` with `lower <= f <= upper`, decides it
+    exactly.  When it finds tensions they come back with the residual
+    `w - A f`, and the target counts as achievable if that residual's
+    force and torque parts are below their tolerances.  When it finds
+    none, the target is not achievable, and the allocation QP with the
+    residual weight pushed to 1e8 supplies the best-effort tensions and
+    the residual they leave.
     """
-    weights = AllocationWeights(np.eye(6) * 1e8)
-    tensions, residual = allocate(jacobian, wrench, bounds, weights)
+    matrix = jacobian.matrix
+    target = wrench.as_array()
+    box = list(zip(bounds.lower, bounds.upper))
+    result = linprog(np.zeros(matrix.shape[1]), A_eq=matrix, b_eq=target, bounds=box, method="highs")
+    if result.success:
+        tensions = result.x
+    else:
+        tensions, _ = allocate(jacobian, wrench, bounds, AllocationWeights(np.eye(6) * 1e8))
+    residual = Wrench.from_array(target - matrix @ tensions)
     achievable = (
-        float(np.linalg.norm(residual.force)) < force_tol
+        bool(result.success)
+        and float(np.linalg.norm(residual.force)) < force_tol
         and float(np.linalg.norm(residual.torque)) < torque_tol
     )
     return achievable, tensions, residual

@@ -131,6 +131,14 @@ def reach(wire_matrix, lower, upper, direction) -> float:
     return float(result.x[m]) if result.success else 0.0
 
 
+def balanced_tensions(wire_matrix, floor: float):
+    """Tensions of at least `floor` with W f = 0 and the least sum; None if there are none."""
+    m = wire_matrix.shape[1]
+    result = linprog(np.ones(m), A_eq=wire_matrix, b_eq=np.zeros(6), bounds=[(floor, None)] * m,
+                     method="highs")
+    return result.x if result.success else None
+
+
 def sampled_margin(wire_matrix, lower, upper, count: int, torque_scale: float = 1.0) -> float:
     """Smallest reach over sampled unit wrench directions: an upper bound on the margin."""
     return min(

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wiredrive import feasibility
@@ -10,7 +10,7 @@ from wiredrive.scenario import bundled_scenario_path, load_scenario
 from wiredrive.spatial import Pose, Wrench
 from wiredrive.wires import WireAttachment, wire_jacobian
 
-from oracles import reach, sample_wrench_directions, sampled_margin
+from oracles import balanced_tensions, reach, sample_wrench_directions, sampled_margin
 from test_wires import eight_wire_cube_layout
 
 
@@ -225,16 +225,8 @@ def test_rank_deficient_worst_direction_is_unreachable():
     assert np.allclose(unit @ (jac.matrix / weighting[:, None]), 0.0, atol=1e-9)
 
 
-@st.composite
-def perturbed_layouts(draw):
-    """6 to 10 wires around the cube8 geometry, jittered, with random tension boxes.
-
-    Starting from the eight-wire cube keeps many layouts of 8 or more
-    wires positively spanning, so the margin checks see nonzero margins;
-    fewer wires drop cube wires, more add wires to random anchors.
-    """
-    m = draw(st.integers(6, 10))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+def jittered_cube_wires(rng, m):
+    """m wires around the cube8 geometry: cube wires jittered, extra wires to random anchors."""
     wires = []
     for k, wire in enumerate(eight_wire_cube_layout()[:m]):
         exit_body = wire.exit_body + rng.uniform(-0.03, 0.03, 3)
@@ -245,9 +237,31 @@ def perturbed_layouts(draw):
         exit_body = rng.uniform(-0.15, 0.15, 3)
         anchor = exit_body + 1.5 * direction / np.linalg.norm(direction)
         wires.append(WireAttachment(exit_body, anchor, wire_id=k))
+    return wires
+
+
+@st.composite
+def perturbed_layouts(draw):
+    """6 to 10 wires around the cube8 geometry, jittered, with random tension boxes.
+
+    Starting from the eight-wire cube keeps many layouts of 8 or more
+    wires positively spanning, so the margin checks see nonzero margins;
+    fewer wires drop cube wires, more add wires to random anchors.
+    """
+    m = draw(st.integers(6, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    wires = jittered_cube_wires(rng, m)
     lower = rng.uniform(0.0, 10.0, m)
     bounds = TensionBounds(lower, lower + rng.uniform(20.0, 200.0, m))
     return jac_for(wires), bounds, draw(st.floats(0.2, 1.0))
+
+
+def assert_achievable_up_to_the_margin(jac, report, bounds):
+    """The zero wrench and 0.99 x the margin are achievable; 1.001 x the margin is not."""
+    target = report.margin * report.worst_direction
+    assert wrench_achievable(jac, Wrench.zero(), bounds)[0]
+    assert wrench_achievable(jac, Wrench.from_array(0.99 * target), bounds)[0]
+    assert not wrench_achievable(jac, Wrench.from_array(1.001 * target), bounds)[0]
 
 
 @settings(max_examples=40, derandomize=True, database=None, deadline=None)
@@ -266,8 +280,38 @@ def test_exact_margin_against_sampled_oracle(case):
         # realised along the normal by an independent LP, and nothing 0.1% further
         along = reach(jac.matrix, bounds.lower, bounds.upper, report.worst_direction)
         assert report.margin * (1 - 1e-9) <= along < 1.001 * report.margin
+        assert_achievable_up_to_the_margin(jac, report, bounds)
         # witness tensions: the wires off the binding facet that push along its normal
         weighting = np.array([1.0, 1.0, 1.0, torque_scale, torque_scale, torque_scale])
         projections = report.worst_direction / weighting**2 @ jac.matrix
         off_facet = np.setdiff1d(np.arange(jac.wire_count), report.binding_wires)
         assert report.saturating_wires == tuple(int(j) for j in off_facet if projections[j] > 0)
+
+
+@st.composite
+def tight_box_layouts(draw):
+    """8 to 10 jittered cube wires whose boxes are 0.1 to 5 N wide around a balanced tension set.
+
+    Lower bounds of a few newtons force large tensions through a narrow
+    box, the regime where a weighted least-squares allocation leaves a
+    residual; the balanced tensions `W f0 = 0` inside every box keep the
+    margin positive.  About one jittered layout in twenty no longer spans
+    positively and is skipped.
+    """
+    m = draw(st.integers(8, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    jac = jac_for(jittered_cube_wires(rng, m))
+    balanced = balanced_tensions(jac.matrix, floor=1.0)
+    assume(balanced is not None)
+    lower = np.maximum(0.0, balanced - rng.uniform(0.05, 2.5, m))
+    bounds = TensionBounds(lower, balanced + rng.uniform(0.05, 2.5, m))
+    return jac, bounds, draw(st.floats(0.2, 1.0))
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(tight_box_layouts())
+def test_achievable_exactly_up_to_the_margin_in_tight_boxes(case):
+    jac, bounds, torque_scale = case
+    report = controllability(jac, bounds, torque_scale=torque_scale)
+    assert report.margin > 1e-3
+    assert_achievable_up_to_the_margin(jac, report, bounds)

@@ -1,0 +1,84 @@
+"""Which modules the package loads.
+
+Each check runs in a fresh interpreter, because the test oracles import
+scipy into this process.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from wiredrive.feasibility import controllability
+from wiredrive.scenario import bundled_scenario_path, load_scenario
+from wiredrive.wires import wire_jacobian
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+NO_LP = """
+import dataclasses, io, json, sys
+from contextlib import redirect_stdout
+import wiredrive, wiredrive.cli
+from wiredrive.runner import run_scenario
+from wiredrive.scenario import bundled_scenario_path, load_scenario
+
+out = sys.argv[1]
+scenario = load_scenario(bundled_scenario_path("cube8"))
+summary = run_scenario(dataclasses.replace(scenario, duration=0.05), out + "/run")
+with redirect_stdout(io.StringIO()):
+    codes = [
+        wiredrive.cli.main(["validate", str(bundled_scenario_path("cube8"))]),
+        wiredrive.cli.main(["plan-anchor", str(bundled_scenario_path("anchors2"))]),
+    ]
+print(json.dumps({
+    "status": summary["status"],
+    "codes": codes,
+    "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+}))
+"""
+
+ONE_LP = """
+import json, sys
+from wiredrive import feasibility
+from wiredrive.scenario import bundled_scenario_path, load_scenario
+from wiredrive.wires import wire_jacobian
+
+before = callable(feasibility.linprog), "scipy.optimize" in sys.modules
+scenario = load_scenario(bundled_scenario_path("cube8"))
+jacobian = wire_jacobian(scenario.start_pose, scenario.wires)
+report = feasibility.controllability(jacobian, scenario.bounds, torque_scale=scenario.torque_lever)
+print(json.dumps({
+    "before": before,
+    "after": "scipy.optimize" in sys.modules,
+    "margin": report.margin.hex(),
+}))
+"""
+
+
+def fresh_python(script, *args):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_run_validate_and_plan_anchor_never_import_scipy(tmp_path):
+    result = fresh_python(NO_LP, str(tmp_path))
+    assert result["status"] == "ok"
+    assert result["codes"] == [0, 0]
+    assert (tmp_path / "run" / "telemetry.csv").is_file()
+    assert result["scipy"] == []
+
+
+def test_first_lp_imports_scipy_and_gives_the_same_margin():
+    result = fresh_python(ONE_LP)
+    # the LP entry point is there before any LP runs, scipy.optimize is not
+    assert result["before"] == [True, False]
+    assert result["after"]
+    scenario = load_scenario(bundled_scenario_path("cube8"))
+    jacobian = wire_jacobian(scenario.start_pose, scenario.wires)
+    report = controllability(jacobian, scenario.bounds, torque_scale=scenario.torque_lever)
+    assert float.fromhex(result["margin"]) == report.margin
