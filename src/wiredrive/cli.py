@@ -7,7 +7,6 @@ Exit codes: 0 on success, 2 when a scenario fails to parse or validate,
 from __future__ import annotations
 
 import argparse
-import copy
 import json
 import sys
 from pathlib import Path
@@ -25,6 +24,7 @@ from .scenario import (
     build_scenario,
     dump_scenario,
     load_scenario,
+    scenario_document,
 )
 from .spatial import Pose
 from .wires import wire_jacobian
@@ -35,10 +35,10 @@ EXIT_RUNTIME = 3
 
 
 def _apply_overrides(scenario: Scenario, args) -> Scenario:
-    """Patch --seed and --dt into the resolved document and rebuild from it."""
+    """Patch --seed and --dt into the scenario's document and rebuild from it."""
     if args.seed is None and args.dt is None:
         return scenario
-    doc = copy.deepcopy(scenario.resolved)
+    doc = scenario_document(scenario)
     if args.seed is not None:
         doc["seed"] = args.seed
     if args.dt is not None:
@@ -49,7 +49,7 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
 def cmd_run(args) -> int:
     scenario = _apply_overrides(load_scenario(args.scenario), args)
     out_dir = Path(args.out or f"runs/{scenario.name}")
-    summary = run_scenario(scenario, out_dir, seed=args.seed)
+    summary = run_scenario(scenario, out_dir)
     print(json.dumps(summary, indent=2))
     print(f"artifacts written to {out_dir}", file=sys.stderr)
     return EXIT_RUNTIME if summary["fault_ticks"] else EXIT_OK

@@ -145,16 +145,17 @@ def run_scenario(
 
     Writes resolved.yaml, telemetry.csv, summary.json and (with anchor
     tasks) one anchor_<k>.csv per deployed wire into `out_dir`.  Returns
-    the summary dictionary.  A negative `seed` is a ValueError, raised
-    before anything is written.  An exception out of the deployment or the
-    tick loop (a plant fault, or a controller fault on the first tick)
-    still writes summary.json, with `status` "fault", its `fault_cause`
-    and the statistics of the ticks completed before it, and is then
-    re-raised.
+    the summary dictionary.  A given `seed` replaces the scenario's, for
+    the random streams, summary.json and resolved.yaml alike; a negative
+    one is a ValueError, raised before anything is written.  An exception
+    out of the deployment or the tick loop (a plant fault, or a controller
+    fault on the first tick) still writes summary.json, with `status`
+    "fault", its `fault_cause` and the statistics of the ticks completed
+    before it, and is then re-raised.
     """
-    seed = scenario.seed if seed is None else int(seed)
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+    scenario = scenario if seed is None else dataclasses.replace(scenario, seed=int(seed))
+    if scenario.seed < 0:
+        raise ValueError(f"seed must be non-negative, got {scenario.seed}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     ext = extrinsic or Extrinsic.identity()
@@ -177,7 +178,7 @@ def run_scenario(
     try:
         wires = scenario.wires
         if scenario.anchors:
-            wires, anchor_reports = deploy_anchors(scenario, seed, out_dir)
+            wires, anchor_reports = deploy_anchors(scenario, scenario.seed, out_dir)
         wires = WireSet(wires)
 
         segments, seg_starts = _schedule_from_specs(scenario)
@@ -191,7 +192,7 @@ def run_scenario(
             dt=1.0 / scenario.control_rate,
             gravity=scenario.gravity,
         )
-        sensor = OdometrySensor(scenario.sensor, seed=seed + _SENSOR_SEED_OFFSET)
+        sensor = OdometrySensor(scenario.sensor, seed=scenario.seed + _SENSOR_SEED_OFFSET)
         cam_in_body = Extrinsic(ext.body_in_camera.inverse())
         gravity = gravity_feedforward(scenario.body, scenario.gravity)
         state = SimState.at_rest(scenario.start_pose, scenario.wire_count)
@@ -260,7 +261,7 @@ def run_scenario(
         summary = {
             "scenario": scenario.name,
             "mode": scenario.mode,
-            "seed": seed,
+            "seed": scenario.seed,
             "ticks": ticks,
             "status": "ok" if fault_cause is None else "fault",
             "fault_cause": fault_cause,

@@ -4,14 +4,15 @@ A scenario is one YAML document describing the body, the wire routing,
 controller settings and the experiment timeline.  Every dimensional
 quantity is written as a ``{value, unit}`` pair and the loader refuses a
 file whose units do not match the schema, naming the offending field.
-Loading fills in every default and keeps the fully resolved document
-around so a run can be reproduced from its dump alone.
+Loading fills in every default.  The dump is read back from the
+`Scenario` object alone, so it describes the scenario that runs, even
+one changed after loading, and a run can be reproduced from its dump.
 
 `SCHEMA` is the one description of the document: every key with its
 kind, unit, shape and default.  One reader walks it to parse a file and
-one writer walks it to dump the resolved document; the checks that tie
-several fields together, and the defaults derived from other fields,
-follow the table pass as explicit code in `build_scenario`.
+one writer walks it to dump a scenario; the checks that tie several
+fields together, and the defaults derived from other fields, follow the
+table pass as explicit code in `build_scenario`.
 """
 
 from __future__ import annotations
@@ -339,9 +340,14 @@ def _make(path: str, cls, /, *args, **kwargs):
 
 @dataclass(frozen=True, eq=False)
 class SegmentSpec:
-    goal_pose: Pose
+    goal_position: np.ndarray  # (3,)
+    goal_rotvec: np.ndarray  # (3,) as written: a quaternion does not give it back bit for bit
     goal_velocity: np.ndarray  # (6,)
     duration: float
+
+    @property
+    def goal_pose(self) -> Pose:
+        return Pose.from_rotvec(self.goal_position, self.goal_rotvec)
 
 
 @dataclass(frozen=True, eq=False)
@@ -364,7 +370,7 @@ class DeploymentConfig:
 
 @dataclass(eq=False)
 class Scenario:
-    """A fully resolved experiment description."""
+    """A fully resolved experiment description; `scenario_document` reads it back."""
 
     name: str
     seed: int
@@ -378,7 +384,8 @@ class Scenario:
     gains: PidGains
     mode: str
     schedule_table: list[tuple[float, np.ndarray]] | None
-    start_pose: Pose
+    start_position: np.ndarray  # (3,)
+    start_rotvec: np.ndarray  # (3,) as written, like SegmentSpec.goal_rotvec
     segments: list[SegmentSpec]
     dt: float
     duration: float
@@ -388,7 +395,10 @@ class Scenario:
     pillars: list[Pillar] = field(default_factory=list)
     anchors: list[AnchorTask] = field(default_factory=list)
     deployment: DeploymentConfig | None = None
-    resolved: dict = field(default_factory=dict)
+
+    @property
+    def start_pose(self) -> Pose:
+        return Pose.from_rotvec(self.start_position, self.start_rotvec)
 
     @property
     def wire_count(self) -> int:
@@ -487,9 +497,7 @@ def build_scenario(document: dict) -> Scenario:
         raise ValidationError("control.rate", "must be positive")
     gains = _make("control.pid", PidGains, **control["pid"])
     schedule_table = None
-    if mode == POSE_CONTROL:
-        del control["schedule"]
-    elif control["schedule"] != "quasistatic":
+    if mode == TENSION_SCHEDULE and control["schedule"] != "quasistatic":
         schedule_table = []
         for k, row in enumerate(control["schedule"]):
             rpath = f"control.schedule[{k}]"
@@ -503,14 +511,12 @@ def build_scenario(document: dict) -> Scenario:
                 raise ValidationError(rpath + ".tensions", "tensions must be non-negative")
             schedule_table.append((row["t"], row["tensions"]))
 
-    start = doc["trajectory"]["start"]
-    start_pose = Pose.from_rotvec(start["position"], start["orientation_rotvec"])
     segments = []
     for k, seg in enumerate(doc["trajectory"]["segments"]):
         if seg["duration"] <= 0:
             raise ValidationError(f"trajectory.segments[{k}].duration", "must be positive")
-        goal = Pose.from_rotvec(seg["goal_position"], seg["goal_orientation_rotvec"])
-        segments.append(SegmentSpec(goal, seg["goal_velocity"], seg["duration"]))
+        segments.append(SegmentSpec(seg["goal_position"], seg["goal_orientation_rotvec"],
+                                    seg["goal_velocity"], seg["duration"]))
 
     sim = doc["sim"]
     dt = sim["dt"]
@@ -552,8 +558,6 @@ def build_scenario(document: dict) -> Scenario:
             "tracker": _make("deployment.tracker", TrackerGains, **dep["tracker"]),
             "sensor": _make("deployment.sensor", RelativePoseSensor, **dep["sensor"]),
         })
-    else:
-        del doc["deployment"]
 
     return Scenario(
         name=doc["name"],
@@ -568,7 +572,8 @@ def build_scenario(document: dict) -> Scenario:
         gains=gains,
         mode=mode,
         schedule_table=schedule_table,
-        start_pose=start_pose,
+        start_position=doc["trajectory"]["start"]["position"],
+        start_rotvec=doc["trajectory"]["start"]["orientation_rotvec"],
         segments=segments,
         dt=dt,
         duration=sim["duration"],
@@ -578,10 +583,50 @@ def build_scenario(document: dict) -> Scenario:
         pillars=pillars,
         anchors=anchors,
         deployment=deployment,
-        resolved=_write(SCHEMA, doc),
     )
 
 
+def _attrs(obj, section: dict) -> dict:
+    """A table section's values, read from the attributes of the same names."""
+    return {key: _attrs(getattr(obj, key), spec) if isinstance(spec, dict) else getattr(obj, key)
+            for key, spec in section.items()}
+
+
+def scenario_document(scenario: Scenario) -> dict:
+    """`build_scenario`'s inverse: the document of `scenario` as it stands."""
+    s = scenario
+    values = {
+        "format_version": FORMAT_VERSION, "name": s.name, "seed": s.seed, "gravity": s.gravity,
+        "body": {"mass": s.body.mass, "radius": s.body.radius,
+                 "inertia_diagonal": np.diag(s.body.inertia)},
+        "wires": [{"exit_body": w.exit_body, "anchor_world": w.anchor_world} for w in s.wires],
+        "tension_bounds": {"lower": s.bounds.lower[0], "upper": s.bounds.upper[0]},
+        "allocation_weights": {"scale": float(s.weights.matrix[0, 0]),
+                               "torque_lever": s.torque_lever},
+        "winch": _attrs(s.winch, SCHEMA["winch"]),
+        "control": {"mode": s.mode, "rate": s.control_rate,
+                    "pid": _attrs(s.gains, SCHEMA["control"]["pid"])},
+        "trajectory": {
+            "start": {"position": s.start_position, "orientation_rotvec": s.start_rotvec},
+            "segments": [{"goal_position": g.goal_position, "goal_velocity": g.goal_velocity,
+                          "goal_orientation_rotvec": g.goal_rotvec, "duration": g.duration}
+                         for g in s.segments],
+        },
+        "sim": {"dt": s.dt, "duration": s.duration, "speed_limit": s.speed_limit,
+                "sensor": _attrs(s.sensor, SCHEMA["sim"]["sensor"])},
+        "pillars": [_attrs(p, SCHEMA["pillars"].fields) for p in s.pillars],
+        "anchors": [{"wire_id": a.wire_id, "pillar": a.pillar_index, "approach": a.approach,
+                     "clearance": a.clearance, "wrap_altitude": a.wrap_altitude}
+                    for a in s.anchors],
+    }
+    if s.mode == TENSION_SCHEDULE:
+        values["control"]["schedule"] = "quasistatic" if s.schedule_table is None else [
+            {"t": t, "tensions": tensions} for t, tensions in s.schedule_table]
+    if s.anchors:
+        values["deployment"] = _attrs(s.deployment, SCHEMA["deployment"])
+    return _write(SCHEMA, values)
+
+
 def dump_scenario(scenario: Scenario) -> str:
-    """Stable YAML text of the resolved scenario."""
-    return yaml.safe_dump(scenario.resolved, sort_keys=True, default_flow_style=None)
+    """Stable YAML text of `scenario_document(scenario)`."""
+    return yaml.safe_dump(scenario_document(scenario), sort_keys=True, default_flow_style=None)

@@ -27,7 +27,6 @@ from .spatial import (
     Pose,
     Twist,
     Wrench,
-    compose,
     quat_conjugate,
     quat_multiply,
     rotvec_from_quat,

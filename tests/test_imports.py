@@ -1,9 +1,10 @@
-"""Which modules the package loads.
+"""Which modules the package loads, and that each module reads what it imports.
 
-Each check runs in a fresh interpreter, because the test oracles import
-scipy into this process.
+Each load check runs in a fresh interpreter, because the test oracles
+import scipy into this process.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -82,3 +83,44 @@ def test_first_lp_imports_scipy_and_gives_the_same_margin():
     jacobian = wire_jacobian(scenario.start_pose, scenario.wires)
     report = controllability(jacobian, scenario.bounds, torque_scale=scenario.torque_lever)
     assert float.fromhex(result["margin"]) == report.margin
+
+
+def imported_but_unread(source: str) -> list[str]:
+    """Names a module imports and never reads, quoted annotations included."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        future = isinstance(node, ast.ImportFrom) and node.module == "__future__"
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and not future:
+            imported |= {alias.asname or alias.name.split(".")[0]
+                         for alias in node.names if alias.name != "*"}
+    annotations = [
+        node.annotation if isinstance(node, (ast.arg, ast.AnnAssign)) else node.returns
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.arg, ast.AnnAssign, ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    trees = [tree] + [
+        ast.parse(a.value, mode="eval") for a in annotations
+        if isinstance(a, ast.Constant) and isinstance(a.value, str)
+    ]
+    read = {n.id for t in trees for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return sorted(imported - read)
+
+
+def test_every_import_is_read():
+    modules = sorted((SRC / "wiredrive").rglob("*.py"))
+    unread = {
+        str(path.relative_to(SRC)): imported_but_unread(path.read_text())
+        for path in modules if path.name != "__init__.py"
+    }
+    assert len(unread) > 10
+    assert {path: names for path, names in unread.items() if names} == {}
+
+
+def test_unread_import_is_caught():
+    source = (
+        "from __future__ import annotations\n"
+        "import numpy as np\nimport os.path\nfrom typing import Any, Sequence\n"
+        "def f(x: 'Sequence[int]') -> None:\n    return np.zeros(3)\n"
+    )
+    assert imported_but_unread(source) == ["Any", "os"]

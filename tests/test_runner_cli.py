@@ -97,6 +97,20 @@ def test_rerun_is_byte_identical(small_scenario, tmp_path):
     assert telem_a != telem_c
 
 
+def test_resolved_dump_reproduces_a_replaced_run(tmp_path):
+    # the dump describes the scenario that ran: its duration and its seed
+    cube8 = load_scenario(bundled_scenario_path("cube8"))
+    first = run_scenario(dataclasses.replace(cube8, duration=0.05), tmp_path / "a", seed=7)
+    again = run_scenario(load_scenario(tmp_path / "a" / "resolved.yaml"), tmp_path / "b")
+    assert first["ticks"] == again["ticks"] == 10
+    assert first["seed"] == again["seed"] == 7
+    telemetry = (tmp_path / "a" / "telemetry.csv").read_bytes()
+    assert (tmp_path / "b" / "telemetry.csv").read_bytes() == telemetry
+    default_seed = run_scenario(dataclasses.replace(cube8, duration=0.05), tmp_path / "c")
+    assert default_seed["seed"] == 42
+    assert (tmp_path / "c" / "telemetry.csv").read_bytes() != telemetry
+
+
 def test_fault_holds_currents_and_flags(small_scenario, tmp_path, monkeypatch):
     scenario = load_scenario(small_scenario)
     original = PoseController.step

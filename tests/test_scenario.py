@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import string
 
@@ -22,6 +23,7 @@ from wiredrive.scenario import (
     bundled_scenario_path,
     dump_scenario,
     load_scenario,
+    scenario_document,
 )
 
 MINIMAL = """
@@ -192,7 +194,7 @@ def test_round_trip_resolved_dump(tmp_path):
     dumped = dump_scenario(first)
     second = load_scenario(write(tmp_path, dumped, name="resolved.yaml"))
     assert dump_scenario(second) == dumped
-    assert first.resolved == second.resolved
+    assert scenario_document(first) == scenario_document(second) == yaml.safe_load(dumped)
 
 
 def test_round_trip_bundled_scenarios(tmp_path):
@@ -353,6 +355,7 @@ def test_round_trip_is_a_fixed_point_of_the_table(generated):
     first = _load_text(yaml.safe_dump(doc))
     dumped = dump_scenario(first)
     assert dump_scenario(_load_text(dumped)) == dumped
+    document = yaml.safe_load(dumped)
     for path, (spec, value) in leaves.items():
         if value is None:
             if spec.default in (REQUIRED, None):
@@ -360,11 +363,26 @@ def test_round_trip_is_a_fixed_point_of_the_table(generated):
             value = np.asarray(spec.default).tolist()
         if path == "body.inertia_cube_side":
             continue  # resolved into inertia_diagonal
-        got = _at(first.resolved, path)
+        got = _at(document, path)
         if spec.kind == QUANTITY:
             assert got["unit"] == spec.unit
             got = got["value"]
         assert got == value, path
+
+
+@_PROPERTY
+@given(documents(), st.floats(0.05, 10.0), st.integers(0, 2**32))
+def test_dump_of_a_replaced_scenario_reloads_as_replaced(generated, duration, seed):
+    first = _load_text(yaml.safe_dump(generated[0]))
+    replaced = dataclasses.replace(first, duration=duration, seed=seed)
+    dumped = dump_scenario(replaced)
+    second = _load_text(dumped)
+    assert (second.duration, second.seed) == (duration, seed)
+    expected = yaml.safe_load(dump_scenario(first))
+    expected["sim"]["duration"]["value"] = duration
+    expected["seed"] = seed
+    assert yaml.safe_load(dumped) == expected  # every other leaf as before
+    assert dump_scenario(second) == dumped
 
 
 @_PROPERTY
