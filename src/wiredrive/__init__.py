@@ -50,7 +50,6 @@ from .simulator import (
     step,
 )
 from .spatial import (
-    Extrinsic,
     PidGains,
     PidState,
     Pose,
@@ -95,7 +94,7 @@ __all__ = [
     "bundled_scenario_path", "dump_scenario", "load_scenario",
     "STANDARD_GRAVITY", "BodyModel", "OdometrySensor", "SensorModel",
     "SimState", "step",
-    "Extrinsic", "PidGains", "PidState", "Pose", "Twist", "Wrench",
+    "PidGains", "PidState", "Pose", "Twist", "Wrench",
     "compose", "orientation_error", "transform_odometry", "wrench_error_pid",
     "ControlTick", "PoseController", "SplineSegment", "chain_segments",
     "plan_spline", "sample",

@@ -16,7 +16,7 @@ import numpy as np
 from .anchors import winding_number
 from .errors import WireDriveError
 from .feasibility import controllability
-from .runner import plan_anchor, run_scenario
+from .runner import plan_anchor, run_scenario, wrap_anchor
 from .scenario import (
     ParseError,
     Scenario,
@@ -27,7 +27,7 @@ from .scenario import (
     scenario_document,
 )
 from .spatial import Pose
-from .wires import wire_jacobian
+from .wires import WireAttachment, wire_jacobian
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -62,7 +62,13 @@ def cmd_analyze(args) -> int:
     pose = scenario.start_pose
     if args.pose is not None:
         pose = Pose.from_translation(np.asarray(args.pose, dtype=float))
-    jacobian = wire_jacobian(pose, scenario.wires)
+    # a flying anchor's wire is analyzed at the anchor its wrap gives it
+    wires = list(scenario.wires)
+    for task in scenario.anchors:
+        wire = wires[task.wire_id]
+        wires[task.wire_id] = WireAttachment(wire.exit_body, wrap_anchor(scenario, task),
+                                             wire_id=wire.wire_id)
+    jacobian = wire_jacobian(pose, wires)
     report = controllability(jacobian, scenario.bounds, torque_scale=scenario.torque_lever)
     doc = {
         "scenario": scenario.name,

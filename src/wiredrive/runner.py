@@ -1,5 +1,9 @@
 """Experiment orchestration: deployment phase, closed loop, outputs.
 
+Each control tick, the odometry sensor measures the plant's own
+body-center state (delayed and noisy as the scenario's sensor model
+says), and the controller acts on that measurement.
+
 A run is reproducible from (scenario file, seed) alone: every random
 stream is derived from the run seed with fixed offsets, and telemetry is
 written with byte-stable formatting.  On a controller fault inside the
@@ -24,14 +28,7 @@ from .anchors import AnchorPath, plan_wrap_path, track_path, winding_number, wra
 from .errors import WireDriveError
 from .scenario import POSE_CONTROL, AnchorTask, Scenario, dump_scenario
 from .simulator import OdometrySensor, SimState, step
-from .spatial import (
-    Extrinsic,
-    Pose,
-    Twist,
-    Wrench,
-    orientation_error,
-    transform_odometry,
-)
+from .spatial import Pose, Twist, Wrench, orientation_error
 from .telemetry import TelemetryWriter
 from .trajectory import (
     ControlTick,
@@ -80,11 +77,17 @@ def plan_anchor(scenario: Scenario, task: AnchorTask) -> AnchorPath:
     )
 
 
+def wrap_anchor(scenario: Scenario, task: AnchorTask) -> np.ndarray:
+    """World anchor of a wire wrapped by `task`: its pillar's center at the wrap altitude."""
+    pillar = scenario.pillars[task.pillar_index]
+    return np.array([pillar.center[0], pillar.center[1], task.wrap_altitude])
+
+
 def deploy_anchors(scenario: Scenario, seed: int, out_dir: Path | None = None):
     """Fly every anchor task; returns (updated wires, per-anchor reports).
 
-    Each wrapped wire's anchor becomes the pillar center at the wrap
-    altitude.  Raises WireDriveError if any wrap fails outright.
+    Each wrapped wire's anchor becomes its `wrap_anchor`.  Raises
+    WireDriveError if any wrap fails outright.
     """
     wires = list(scenario.wires)
     reports = []
@@ -108,8 +111,8 @@ def deploy_anchors(scenario: Scenario, seed: int, out_dir: Path | None = None):
                 f"anchor {k} failed to wrap pillar {task.pillar_index} "
                 f"(winding number {turns})"
             )
-        new_anchor = np.array([pillar.center[0], pillar.center[1], task.wrap_altitude])
-        wires[task.wire_id] = WireAttachment(wire.exit_body, new_anchor, wire_id=wire.wire_id)
+        anchor = wrap_anchor(scenario, task)
+        wires[task.wire_id] = WireAttachment(wire.exit_body, anchor, wire_id=wire.wire_id)
         traj_file = None
         if out_dir is not None:
             traj_file = out_dir / f"anchor_{k}.csv"
@@ -135,12 +138,7 @@ def _held_tick(last: ControlTick, t: float, pose: Pose, twist: Twist) -> Control
     return dataclasses.replace(last, timestamp=t, pose=pose, twist=twist)
 
 
-def run_scenario(
-    scenario: Scenario,
-    out_dir,
-    seed: int | None = None,
-    extrinsic: Extrinsic | None = None,
-) -> dict:
+def run_scenario(scenario: Scenario, out_dir, seed: int | None = None) -> dict:
     """Execute a scenario end to end and persist its artifacts.
 
     Writes resolved.yaml, telemetry.csv, summary.json and (with anchor
@@ -158,7 +156,6 @@ def run_scenario(
         raise ValueError(f"seed must be non-negative, got {scenario.seed}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    ext = extrinsic or Extrinsic.identity()
     wall_start = time.perf_counter()
 
     (out_dir / "resolved.yaml").write_text(dump_scenario(scenario))
@@ -193,7 +190,6 @@ def run_scenario(
             gravity=scenario.gravity,
         )
         sensor = OdometrySensor(scenario.sensor, seed=scenario.seed + _SENSOR_SEED_OFFSET)
-        cam_in_body = Extrinsic(ext.body_in_camera.inverse())
         gravity = gravity_feedforward(scenario.body, scenario.gravity)
         state = SimState.at_rest(scenario.start_pose, scenario.wire_count)
         last_tick: ControlTick | None = None
@@ -202,10 +198,7 @@ def run_scenario(
             writer = TelemetryWriter(stream, scenario.wire_count)
             for k in range(ticks):
                 t = k / scenario.control_rate
-                # odometry: camera-frame measurement pushed to the body center
-                cam_pose, cam_twist = transform_odometry(state.pose, state.twist, cam_in_body)
-                cam_state = SimState(cam_pose, cam_twist, state.tensions, state.time)
-                meas_pose, meas_twist = transform_odometry(*sensor.measure(cam_state), ext)
+                meas_pose, meas_twist = sensor.measure(state)
 
                 fault = False
                 try:

@@ -624,6 +624,10 @@ def scenario_document(scenario: Scenario) -> dict:
             {"t": t, "tensions": tensions} for t, tensions in s.schedule_table]
     if s.anchors:
         values["deployment"] = _attrs(s.deployment, SCHEMA["deployment"])
+    for i in {a.wire_id for a in s.anchors}:
+        # a claimed wire given no anchor holds the placeholder, which is not written
+        if np.array_equal(values["wires"][i]["anchor_world"], DEPLOYMENT_PLACEHOLDER):
+            del values["wires"][i]["anchor_world"]
     return _write(SCHEMA, values)
 
 

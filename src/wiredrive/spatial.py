@@ -289,75 +289,20 @@ class Wrench:
         return Wrench(self.force + other.force, self.torque + other.torque)
 
 
-@dataclass(frozen=True, eq=False)
-class Extrinsic:
-    """Fixed mounting transform: pose of the body center in the camera frame.
-
-    Odometry reported in the camera frame is pushed through this to get
-    body-center estimates.  The transform must be rigid; the quaternion
-    representation guarantees that by construction, and `from_matrix`
-    checks it for matrix input.
-    """
-
-    body_in_camera: Pose
-
-    @classmethod
-    def identity(cls) -> "Extrinsic":
-        return cls(Pose.identity())
-
-    @classmethod
-    def from_matrix(cls, rotation, translation) -> "Extrinsic":
-        rot = np.asarray(rotation, dtype=float).reshape(3, 3)
-        if not (np.all(np.isfinite(rot)) and np.all(np.isfinite(translation))):
-            raise ValueError("extrinsic rotation and translation must be finite")
-        if np.linalg.norm(rot.T @ rot - np.eye(3)) > 1e-9:
-            raise ValueError("extrinsic rotation is not orthonormal")
-        if abs(np.linalg.det(rot) - 1.0) > 1e-9:
-            raise ValueError("extrinsic rotation must have determinant +1")
-        w = 0.5 * np.sqrt(max(0.0, 1.0 + rot[0, 0] + rot[1, 1] + rot[2, 2]))
-        if w > 1e-6:
-            quat = np.array(
-                [
-                    w,
-                    (rot[2, 1] - rot[1, 2]) / (4 * w),
-                    (rot[0, 2] - rot[2, 0]) / (4 * w),
-                    (rot[1, 0] - rot[0, 1]) / (4 * w),
-                ]
-            )
-        else:
-            # fall back through the rotation vector for 180-degree cases
-            angle_axis = _rotvec_from_matrix(rot)
-            quat = quat_from_rotvec(angle_axis)
-        return cls(Pose(translation, quat))
-
-
-def _rotvec_from_matrix(rot: np.ndarray) -> np.ndarray:
-    trace = float(np.trace(rot))
-    angle = np.arccos(np.clip(0.5 * (trace - 1.0), -1.0, 1.0))
-    if angle < 1e-8:
-        return 0.5 * np.array([rot[2, 1] - rot[1, 2], rot[0, 2] - rot[2, 0], rot[1, 0] - rot[0, 1]])
-    if np.pi - angle < 1e-6:
-        diag = np.diag(rot)
-        i = int(np.argmax(diag))
-        axis = np.zeros(3)
-        axis[i] = np.sqrt(max(0.0, (diag[i] + 1.0) * 0.5))
-        for j in range(3):
-            if j != i:
-                axis[j] = rot[min(i, j), max(i, j)] / (2.0 * axis[i])
-        return axis / np.linalg.norm(axis) * angle
-    scale = angle / (2.0 * np.sin(angle))
-    return scale * np.array([rot[2, 1] - rot[1, 2], rot[0, 2] - rot[2, 0], rot[1, 0] - rot[0, 1]])
-
-
-def transform_odometry(cam_pose: Pose, cam_twist: Twist, ext: Extrinsic) -> tuple[Pose, Twist]:
+def transform_odometry(
+    cam_pose: Pose, cam_twist: Twist, body_in_camera: Pose
+) -> tuple[Pose, Twist]:
     """Convert camera-frame odometry to body-center pose and twist.
 
-    The angular velocity is shared by every point of the rigid body; the
-    linear velocity picks up the w x lever-arm term for the offset between
-    the camera and the body center.
+    `body_in_camera` is the pose of the body center in the camera frame
+    (the camera's mounting transform).  The angular velocity is shared by
+    every point of the rigid body; the linear velocity picks up the w x
+    lever-arm term for the offset between the camera and the body center.
+    The control loop does not call this: its sensor measures the
+    body-center state directly.
     """
-    body_pose = compose(cam_pose, ext.body_in_camera)
-    lever_world = cam_pose.rotate(ext.body_in_camera.position)
+    body_pose = compose(cam_pose, body_in_camera)
+    lever_world = cam_pose.rotate(body_in_camera.position)
     linear = cam_twist.linear + cross(cam_twist.angular, lever_world)
     return body_pose, Twist(linear, cam_twist.angular)
 

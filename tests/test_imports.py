@@ -9,8 +9,10 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
+import wiredrive
 from wiredrive.feasibility import controllability
 from wiredrive.scenario import bundled_scenario_path, load_scenario
 from wiredrive.wires import wire_jacobian
@@ -124,3 +126,14 @@ def test_unread_import_is_caught():
         "def f(x: 'Sequence[int]') -> None:\n    return np.zeros(3)\n"
     )
     assert imported_but_unread(source) == ["Any", "os"]
+
+
+def test_all_lists_exactly_what_the_package_imports():
+    exported = wiredrive.__all__
+    assert [name for name in exported if not hasattr(wiredrive, name)] == []
+    imported = {name for name, value in vars(wiredrive).items()
+                if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert sorted(exported) == sorted(imported)
+    namespace = {}
+    exec("from wiredrive import *", namespace)
+    assert set(exported) <= set(namespace)

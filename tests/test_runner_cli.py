@@ -8,10 +8,13 @@ import yaml
 
 from wiredrive import cli, runner
 from wiredrive.errors import NumericalBlowup, SolverFailure
-from wiredrive.runner import run_scenario
+from wiredrive.feasibility import controllability
+from wiredrive.runner import deploy_anchors, run_scenario
 from wiredrive.scenario import bundled_scenario_path, load_scenario
+from wiredrive.simulator import OdometrySensor, SimState
 from wiredrive.telemetry import column_names
 from wiredrive.trajectory import PoseController
+from wiredrive.wires import wire_jacobian
 
 SMALL = """
 format_version: 1
@@ -228,6 +231,17 @@ def test_cli_analyze_cube8_vs_outdoor4(capsys, tmp_path):
     assert outdoor["fully_constrained"] is False
 
 
+def test_cli_analyze_uses_the_anchors_deployment_gives(capsys, tmp_path):
+    path = bundled_scenario_path("anchors2")
+    assert cli.main(["analyze", str(path), "--out", str(tmp_path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    scenario = load_scenario(path)
+    wires, _ = deploy_anchors(scenario, scenario.seed)
+    deployed = controllability(wire_jacobian(scenario.start_pose, wires), scenario.bounds,
+                               torque_scale=scenario.torque_lever)
+    assert report["rank"] == deployed.rank == 2
+
+
 @pytest.mark.parametrize("flags, name", [
     (["--pose", "nan", "0", "0"], "--pose"),
 ])
@@ -273,6 +287,35 @@ def test_sensor_latency_counts_control_ticks(latency, tmp_path):
     lag = 1 + latency
     assert np.allclose(meas[lag:], sim[:-lag], rtol=0.0, atol=1e-12)
     assert not np.allclose(meas[lag + 1:], sim[:-lag - 1], rtol=0.0, atol=1e-12)
+
+
+def test_sensor_measures_the_plants_own_state(tmp_path, monkeypatch):
+    # each tick's measurement is taken of the state object the plant holds:
+    # the start state, then whatever the previous tick's last substep returned
+    made, measured = [], []
+    at_rest, step, measure = SimState.at_rest.__func__, runner.step, OdometrySensor.measure
+
+    def record_at_rest(cls, *args):
+        made.append(at_rest(cls, *args))
+        return made[-1]
+
+    def record_step(*args, **kwargs):
+        made.append(step(*args, **kwargs))
+        return made[-1]
+
+    def record_measure(self, state):
+        measured.append((state, made[-1], len(made)))
+        return measure(self, state)
+
+    monkeypatch.setattr(SimState, "at_rest", classmethod(record_at_rest))
+    monkeypatch.setattr(runner, "step", record_step)
+    monkeypatch.setattr(OdometrySensor, "measure", record_measure)
+    scenario = load_scenario(bundled_scenario_path("cube8"))
+    summary = run_scenario(dataclasses.replace(scenario, duration=0.05), tmp_path)
+    assert summary["ticks"] == len(measured) == 10
+    for k, (state, latest, count) in enumerate(measured):
+        assert count == 1 + k * scenario.substeps  # the start state, then k ticks of substeps
+        assert state is latest
 
 
 def test_cli_non_integer_seed_exits_2(tmp_path, capsys):

@@ -205,6 +205,17 @@ def test_round_trip_bundled_scenarios(tmp_path):
         assert dump_scenario(second) == dumped
 
 
+def test_dump_writes_no_anchor_for_a_wire_waiting_on_its_anchor_task():
+    # the dump without its anchor tasks must not load with both wires anchored
+    # at the deployment placeholder
+    doc = scenario_document(load_scenario(bundled_scenario_path("anchors2")))
+    for section in ("anchors", "pillars", "deployment"):
+        del doc[section]
+    with pytest.raises(ValidationError) as info:
+        build_scenario(doc)
+    assert info.value.field == "wires[0].anchor_world"
+
+
 @pytest.mark.parametrize("path, value", [("seed", "abc"), ("seed", 2.5),
                                          ("sim.sensor.latency", 1.7)])
 def test_integer_fields_reject_non_integers(tmp_path, path, value):

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from wiredrive.spatial import (
-    Extrinsic,
     PidGains,
     PidState,
     Pose,
@@ -97,40 +96,25 @@ def test_transform_odometry_identity_extrinsic_passthrough():
     rng = np.random.default_rng(7)
     cam_pose = random_pose(rng)
     cam_twist = Twist(rng.normal(size=3), rng.normal(size=3))
-    pose, twist = transform_odometry(cam_pose, cam_twist, Extrinsic.identity())
+    pose, twist = transform_odometry(cam_pose, cam_twist, Pose.identity())
     assert pose.almost_equal(cam_pose, tol=1e-12)
     assert np.allclose(twist.as_array(), cam_twist.as_array())
 
 
 def test_transform_odometry_lever_arm_velocity():
-    ext = Extrinsic(Pose.from_translation([0.1, 0.0, 0.0]))
+    body_in_camera = Pose.from_translation([0.1, 0.0, 0.0])
     omega = np.array([0.0, 0.0, 2.0])
-    pose, twist = transform_odometry(Pose.identity(), Twist(np.zeros(3), omega), ext)
+    pose, twist = transform_odometry(Pose.identity(), Twist(np.zeros(3), omega), body_in_camera)
     assert np.allclose(pose.position, [0.1, 0.0, 0.0])
     assert np.allclose(twist.linear, np.cross(omega, [0.1, 0.0, 0.0]))
     assert np.allclose(twist.angular, omega)
 
 
 def test_transform_odometry_translation_only():
-    ext = Extrinsic(Pose.from_translation([0.0, 0.2, -0.1]))
-    pose, twist = transform_odometry(Pose.identity(), Twist.zero(), ext)
+    body_in_camera = Pose.from_translation([0.0, 0.2, -0.1])
+    pose, twist = transform_odometry(Pose.identity(), Twist.zero(), body_in_camera)
     assert np.allclose(pose.position, [0.0, 0.2, -0.1])
     assert np.allclose(twist.as_array(), np.zeros(6))
-
-
-def test_extrinsic_from_matrix_rejects_non_rigid():
-    with pytest.raises(ValueError):
-        Extrinsic.from_matrix(np.diag([1.0, 1.0, 1.1]), np.zeros(3))
-    with pytest.raises(ValueError):
-        Extrinsic.from_matrix(np.diag([1.0, 1.0, -1.0]), np.zeros(3))
-
-
-def test_extrinsic_from_matrix_round_trip():
-    rng = np.random.default_rng(8)
-    for _ in range(20):
-        p = random_pose(rng)
-        ext = Extrinsic.from_matrix(p.rotation_matrix(), p.position)
-        assert ext.body_in_camera.almost_equal(p, tol=1e-7)
 
 
 def test_left_jacobian_inverse_pair():
