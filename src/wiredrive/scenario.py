@@ -465,13 +465,14 @@ def build_scenario(document: dict) -> Scenario:
                 f"exit point magnitude {np.linalg.norm(exit_body):.3f} m "
                 f"exceeds the body radius {body.radius:.3f} m",
             )
-        if "anchor_world" not in wire:
-            if i not in deployed_ids:
-                raise ValidationError(
-                    f"wires[{i}].anchor_world",
-                    "wire needs an anchor_world or a deployment anchor task",
-                )
-            wire["anchor_world"] = DEPLOYMENT_PLACEHOLDER
+        claimed = i in deployed_ids
+        if ("anchor_world" in wire) == claimed:
+            raise ValidationError(
+                f"wires[{i}].anchor_world",
+                "an anchor task claims this wire, so its anchor comes from the deployment"
+                if claimed else "wire needs an anchor_world or a deployment anchor task",
+            )
+        wire.setdefault("anchor_world", DEPLOYMENT_PLACEHOLDER)
         wires.append(WireAttachment(exit_body, wire["anchor_world"], wire_id=i))
     m = len(wires)
 
@@ -595,11 +596,14 @@ def _attrs(obj, section: dict) -> dict:
 def scenario_document(scenario: Scenario) -> dict:
     """`build_scenario`'s inverse: the document of `scenario` as it stands."""
     s = scenario
+    claimed = {a.wire_id for a in s.anchors}  # these hold the deployment placeholder
     values = {
         "format_version": FORMAT_VERSION, "name": s.name, "seed": s.seed, "gravity": s.gravity,
         "body": {"mass": s.body.mass, "radius": s.body.radius,
                  "inertia_diagonal": np.diag(s.body.inertia)},
-        "wires": [{"exit_body": w.exit_body, "anchor_world": w.anchor_world} for w in s.wires],
+        "wires": [{"exit_body": w.exit_body} if i in claimed else
+                  {"exit_body": w.exit_body, "anchor_world": w.anchor_world}
+                  for i, w in enumerate(s.wires)],
         "tension_bounds": {"lower": s.bounds.lower[0], "upper": s.bounds.upper[0]},
         "allocation_weights": {"scale": float(s.weights.matrix[0, 0]),
                                "torque_lever": s.torque_lever},
@@ -624,10 +628,6 @@ def scenario_document(scenario: Scenario) -> dict:
             {"t": t, "tensions": tensions} for t, tensions in s.schedule_table]
     if s.anchors:
         values["deployment"] = _attrs(s.deployment, SCHEMA["deployment"])
-    for i in {a.wire_id for a in s.anchors}:
-        # a claimed wire given no anchor holds the placeholder, which is not written
-        if np.array_equal(values["wires"][i]["anchor_world"], DEPLOYMENT_PLACEHOLDER):
-            del values["wires"][i]["anchor_world"]
     return _write(SCHEMA, values)
 
 

@@ -108,10 +108,13 @@ def _geometry(pose: Pose, attachments: Sequence[WireAttachment]):
     levers = wires.exits_body @ pose.rotation_matrix().T
     exits_world = pose.position + levers
     spans = wires.anchors - exits_world
-    lengths = np.linalg.norm(spans, axis=1)
-    for i, n in enumerate(lengths):
-        if n <= DEGENERACY_THRESHOLD:
-            raise DegenerateWire(wires[i].wire_id, float(n))
+    # the same reduction as `np.linalg.norm(spans, axis=1)`, without its
+    # argument checks
+    lengths = np.sqrt(np.add.reduce(spans * spans, axis=1))
+    if lengths.min() <= DEGENERACY_THRESHOLD:
+        for i, n in enumerate(lengths):
+            if n <= DEGENERACY_THRESHOLD:
+                raise DegenerateWire(wires[i].wire_id, float(n))
     return spans / lengths[:, None], lengths, levers, exits_world
 
 

@@ -3,16 +3,25 @@
 Nothing in here may call into the solver code it is checking: the QP
 oracles work by exhaustive enumeration / grid search, and the wrench
 oracle accumulates per-wire forces one wire at a time.
+
+The `reference_*` kernels are the plain numpy formulations of the
+library's hot-path kernels.  The library computes the same values with
+less per-call overhead; the tests hold it to these bit for bit, one
+kernel at a time and end to end through a whole run.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 from scipy.optimize import linprog
 from scipy.special import ndtri
 from scipy.stats import qmc
+
+from wiredrive.errors import DegenerateWire, SolverFailure
+from wiredrive.wires import DEGENERACY_THRESHOLD, WireSet
 
 
 def box_qp_objective(hessian, gradient, x):
@@ -245,3 +254,166 @@ def telemetry_row(tick_index, state, tick, fault) -> str:
     values += [bool(v) for v in tick.saturated]
     values += [tick.residual_norm, fault]
     return ",".join(_telemetry_field(v) for v in values) + "\n"
+
+
+def reference_cross(a, b):
+    return np.cross(a, b)
+
+
+def reference_quat_multiply(a, b):
+    """Hamilton product evaluated on numpy float64 scalars."""
+    aw, ax, ay, az = np.asarray(a, dtype=float)
+    bw, bx, by, bz = np.asarray(b, dtype=float)
+    return np.array(
+        [
+            aw * bw - ax * bx - ay * by - az * bz,
+            aw * bx + ax * bw + ay * bz - az * by,
+            aw * by - ax * bz + ay * bw + az * bx,
+            aw * bz + ax * by - ay * bx + az * bw,
+        ]
+    )
+
+
+def reference_quat_to_matrix(q):
+    """Rotation matrix of a unit quaternion, evaluated on numpy float64 scalars."""
+    w, x, y, z = np.asarray(q, dtype=float)
+    return np.array(
+        [
+            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+        ]
+    )
+
+
+def reference_quat_normalize(q):
+    arr = np.asarray(q, dtype=float).reshape(4)
+    norm = float(np.linalg.norm(arr))
+    if not np.isfinite(norm) or norm < 1e-12:
+        raise ValueError(f"quaternion norm {norm} is not usable")
+    arr = arr / norm
+    if arr[0] < 0.0:
+        arr = -arr
+    return arr
+
+
+def reference_geometry(pose, attachments):
+    """`wires._geometry` with `np.linalg.norm` lengths and a scan of every wire."""
+    wires = WireSet(attachments)
+    levers = wires.exits_body @ pose.rotation_matrix().T
+    exits_world = pose.position + levers
+    spans = wires.anchors - exits_world
+    lengths = np.linalg.norm(spans, axis=1)
+    for i, n in enumerate(lengths):
+        if n <= DEGENERACY_THRESHOLD:
+            raise DegenerateWire(wires[i].wire_id, float(n))
+    return spans / lengths[:, None], lengths, levers, exits_world
+
+
+def _nan_or_max(values):
+    values = list(values)
+    return math.nan if any(math.isnan(v) for v in values) else max(values)
+
+
+def reference_kkt_residual(hessian, gradient, x, lower, upper, tol=1e-9):
+    """Relative KKT residual, one entry at a time in Python floats.
+
+    Entry i contributes its stationarity violation over 1 + |g|_inf: |g_i|
+    if free or within `tol` of both bounds, -g_i if at the lower bound
+    only, g_i if at the upper bound only; and its distance outside the box.
+    The residual is the largest contribution, at least 0, and NaN if any
+    contribution is.
+    """
+    grad = (hessian @ x + gradient).tolist()  # the BLAS product the solver uses
+    scale = 1.0 + _nan_or_max([0.0] + [abs(g) for g in np.asarray(gradient).tolist()])
+    terms = [0.0]
+    for g, xi, lo, hi in zip(grad, np.asarray(x).tolist(), lower.tolist(), upper.tolist()):
+        at_lower = xi <= lo + tol * max(1.0, abs(lo))
+        at_upper = xi >= hi - tol * max(1.0, abs(hi))
+        if at_lower == at_upper:
+            stationarity = abs(g)
+        else:
+            stationarity = -g if at_lower else g
+        terms += [stationarity / scale, lo - xi, xi - hi]
+    return _nan_or_max(terms)
+
+
+def reference_solve_box_qp(hessian, gradient, lower, upper, start=None, max_iter=None, tol=1e-8):
+    """`qp.solve_box_qp` with `np.ix_` blocks, a ratio test on numpy
+    scalars and the release tolerance recomputed at every check."""
+    hessian = np.asarray(hessian, dtype=float)
+    gradient = np.asarray(gradient, dtype=float)
+    lower = np.asarray(lower, dtype=float)
+    upper = np.asarray(upper, dtype=float)
+    n = gradient.shape[0]
+    if np.any(lower > upper):
+        raise ValueError("lower bound exceeds upper bound")
+    if max_iter is None:
+        max_iter = max(10 * n, 30)
+    if start is None:
+        start = np.linalg.solve(hessian, -gradient)
+    x = np.clip(np.asarray(start, dtype=float).copy(), lower, upper)
+    at_lower = x <= lower
+    at_upper = (x >= upper) & ~at_lower
+    for iterations in range(1, max_iter + 1):
+        free = ~(at_lower | at_upper)
+        stepped = False
+        if free.any():
+            rhs = -(gradient[free] + hessian[np.ix_(free, ~free)] @ x[~free])
+            delta = np.linalg.solve(hessian[np.ix_(free, free)], rhs) - x[free]
+            if np.max(np.abs(delta)) > 1e-14:
+                idx = np.flatnonzero(free)
+                alpha, blocker, blocker_upper = 1.0, -1, False
+                for k, j in enumerate(idx):
+                    if delta[k] > 0 and upper[j] < np.inf:
+                        a = (upper[j] - x[j]) / delta[k]
+                        if a < alpha - 1e-15:
+                            alpha, blocker, blocker_upper = a, j, True
+                    elif delta[k] < 0 and lower[j] > -np.inf:
+                        a = (lower[j] - x[j]) / delta[k]
+                        if a < alpha - 1e-15:
+                            alpha, blocker, blocker_upper = a, j, False
+                alpha = max(alpha, 0.0)
+                x[idx] += alpha * delta
+                if blocker >= 0:
+                    if blocker_upper:
+                        x[blocker] = upper[blocker]
+                        at_upper[blocker] = True
+                    else:
+                        x[blocker] = lower[blocker]
+                        at_lower[blocker] = True
+                    stepped = True
+        if stepped:
+            continue
+        grad = hessian @ x + gradient
+        lam = np.where(at_lower, grad, np.where(at_upper, -grad, np.inf))
+        worst = int(np.argmin(lam))
+        if lam[worst] < -1e-11 * (1.0 + np.max(np.abs(gradient))):
+            at_lower[worst] = False
+            at_upper[worst] = False
+            continue
+        break
+    else:
+        raise SolverFailure(f"active set did not converge in {max_iter} iterations")
+    free = ~(at_lower | at_upper)
+    if free.any():
+        h_ff = hessian[np.ix_(free, free)]
+        for _ in range(2):
+            grad = hessian @ x + gradient
+            x[free] -= np.linalg.solve(h_ff, grad[free])
+        x = np.clip(x, lower, upper)
+    residual = reference_kkt_residual(hessian, gradient, x, lower, upper)
+    if not residual <= tol:
+        raise SolverFailure(f"KKT residual {residual:.3e} above tolerance {tol:.1e}")
+    return x, iterations, residual
+
+
+# library kernel -> its reference formulation, by "module.name"
+REFERENCE_KERNELS = {
+    "spatial.cross": reference_cross,
+    "spatial.quat_multiply": reference_quat_multiply,
+    "spatial.quat_to_matrix": reference_quat_to_matrix,
+    "spatial.quat_normalize": reference_quat_normalize,
+    "wires._geometry": reference_geometry,
+    "qp.solve_box_qp": reference_solve_box_qp,  # with its own reference_kkt_residual
+}

@@ -21,6 +21,7 @@ from wiredrive.allocation import (
     tensions_from_currents,
     to_currents,
 )
+from wiredrive.errors import SolverFailure
 from wiredrive.spatial import Wrench
 from wiredrive.wires import WireJacobian, WireState
 
@@ -101,6 +102,14 @@ def test_saturating_instance_reports_residual_and_clamped_wires():
     direct = wrench.as_array() - mat @ f
     assert np.allclose(residual.as_array(), direct, atol=1e-9)
     assert np.linalg.norm(residual.as_array()) > 1.0
+
+
+def test_nan_wrench_raises_instead_of_returning_nan_tensions():
+    mat = random_wire_matrix(np.random.default_rng(2), 8)
+    bounds = TensionBounds(np.zeros(8), np.full(8, 180.0))
+    wrench = Wrench.from_array([np.nan, 0.0, 30.0, 0.0, 0.0, 0.0])
+    with pytest.raises(SolverFailure):
+        allocate(WireJacobian(mat), wrench, bounds, AllocationWeights.diagonal(scale=1e8))
 
 
 def test_raising_upper_bound_never_worsens_objective():

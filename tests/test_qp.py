@@ -1,11 +1,19 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
+    allocation_qp_terms,
     box_qp_objective,
     enumerate_box_qp,
     grid_search_box_qp,
     random_spd,
+    random_wire_matrix,
+    reference_kkt_residual,
+    reference_solve_box_qp,
 )
 from wiredrive.errors import SolverFailure
 from wiredrive.qp import kkt_residual, solve_box_qp
@@ -126,3 +134,96 @@ def test_warm_start_returns_same_solution():
     cold, _, _ = solve_box_qp(hessian, gradient, lower, upper)
     warm, _, _ = solve_box_qp(hessian, gradient, lower, upper, start=cold + 0.01)
     assert np.allclose(cold, warm, atol=1e-9)
+
+
+def test_nan_gradient_raises():
+    with pytest.raises(SolverFailure, match="nan"):
+        solve_box_qp(np.diag([2.0, 2.0]), np.array([np.nan, 1.0]), np.zeros(2), np.ones(2))
+
+
+def test_nan_warm_start_raises():
+    with pytest.raises(SolverFailure, match="nan"):
+        solve_box_qp(np.diag([2.0, 2.0]), np.array([-1.0, -1.0]), np.zeros(2), np.ones(2),
+                     start=np.array([np.nan, 0.5]))
+
+
+def _same_float(a, b):
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return np.float64(a).view(np.int64) == np.float64(b).view(np.int64)
+
+
+@st.composite
+def kkt_points(draw):
+    """A box QP and a candidate point whose entries sit free, at a bound,
+    within the tolerance of one, at both bounds of a degenerate box, or NaN."""
+    n = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    hessian = random_spd(rng, n)
+    gradient = rng.normal(scale=draw(st.sampled_from([1e-3, 1.0, 1e4])), size=n)
+    lower = rng.uniform(-3.0, 0.0, size=n)
+    upper = lower + rng.uniform(0.5, 4.0, size=n)
+    x = rng.uniform(lower, upper)
+    for i in range(n):
+        kind = draw(st.sampled_from(["free", "lower", "upper", "near lower", "near upper",
+                                     "both", "outside", "nan x", "nan g"]))
+        if kind == "lower":
+            x[i] = lower[i]
+        elif kind == "upper":
+            x[i] = upper[i]
+        elif kind == "near lower":
+            x[i] = lower[i] + 0.5e-9
+        elif kind == "near upper":
+            x[i] = upper[i] - 0.5e-9
+        elif kind == "both":
+            upper[i] = lower[i] + draw(st.sampled_from([0.0, 1e-10]))
+            x[i] = draw(st.sampled_from([lower[i], upper[i]]))
+        elif kind == "outside":
+            x[i] = draw(st.sampled_from([lower[i] - 0.1, upper[i] + 0.1]))
+        elif kind == "nan x":
+            x[i] = np.nan
+        elif kind == "nan g":
+            gradient[i] = np.nan
+    return hessian, gradient, x, lower, upper
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(kkt_points())
+def test_kkt_residual_is_bit_identical_to_the_per_entry_oracle(case):
+    got = kkt_residual(*case)
+    assert isinstance(got, float)
+    assert _same_float(got, reference_kkt_residual(*case))
+
+
+@st.composite
+def allocation_qps(draw):
+    """Tension-allocation QPs like the control loop's: m wires, heavy wrench
+    weights, boxes tight enough that some wires sit at a bound, and a warm
+    start or none."""
+    m = draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weights = np.diag(np.full(6, draw(st.sampled_from([1.0, 1e4, 1e8]))))
+    hessian, gradient = allocation_qp_terms(
+        random_wire_matrix(rng, m), rng.normal(scale=draw(st.sampled_from([1.0, 50.0])), size=6),
+        weights,
+    )
+    lower = np.full(m, draw(st.sampled_from([0.0, 1.0])))
+    upper = lower + draw(st.sampled_from([2.0, 20.0, 180.0]))
+    start = draw(st.one_of(st.none(), st.just(rng.uniform(lower, upper))))
+    return hessian, gradient, lower, upper, start
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(allocation_qps())
+def test_solver_is_bit_identical_to_the_reference_formulation(case):
+    hessian, gradient, lower, upper, start = case
+    try:
+        expected = reference_solve_box_qp(hessian, gradient, lower, upper, start=start)
+    except SolverFailure:
+        with pytest.raises(SolverFailure):
+            solve_box_qp(hessian, gradient, lower, upper, start=start)
+        return
+    x, iterations, residual = solve_box_qp(hessian, gradient, lower, upper, start=start)
+    assert np.array_equal(x.view(np.int64), expected[0].view(np.int64))
+    assert iterations == expected[1]
+    assert _same_float(residual, expected[2])

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 import yaml
 
-from wiredrive import cli, runner
+from wiredrive import cli, runner, trajectory
 from wiredrive.errors import NumericalBlowup, SolverFailure
 from wiredrive.feasibility import controllability
 from wiredrive.runner import deploy_anchors, run_scenario
 from wiredrive.scenario import bundled_scenario_path, load_scenario
 from wiredrive.simulator import OdometrySensor, SimState
+from wiredrive.spatial import Wrench
 from wiredrive.telemetry import column_names
 from wiredrive.trajectory import PoseController
 from wiredrive.wires import wire_jacobian
@@ -139,6 +140,32 @@ def test_fault_holds_currents_and_flags(small_scenario, tmp_path, monkeypatch):
     # held currents repeat the last good command
     last_good = rows[48]
     assert faulted[0][current_idx] == last_good[current_idx]
+
+
+def test_nan_desired_wrench_is_a_held_tick(small_scenario, tmp_path, monkeypatch):
+    # a NaN wrench must fail the QP and hold the last currents, not reach
+    # the plant as NaN currents
+    original = trajectory.wrench_error_pid
+    calls = {"n": 0}
+
+    def nan_feedback(*args):
+        calls["n"] += 1
+        wrench = original(*args)
+        if 50 <= calls["n"] < 53:
+            return Wrench(np.full(3, np.nan), wrench.torque)
+        return wrench
+
+    monkeypatch.setattr(trajectory, "wrench_error_pid", nan_feedback)
+    out = tmp_path / "out"
+    summary = run_scenario(load_scenario(small_scenario), out)
+    assert summary["status"] == "ok"
+    assert summary["fault_ticks"] == 3
+    with (out / "telemetry.csv").open() as stream:
+        rows = list(csv.DictReader(stream))
+    faulted = [k for k, row in enumerate(rows) if row["fault"] == "1"]
+    assert faulted == [49, 50, 51]
+    for row in rows:
+        assert all(np.isfinite(float(row[f"current_{i}"])) for i in range(4))
 
 
 def test_fault_on_first_tick_is_fatal(small_scenario, tmp_path, monkeypatch):

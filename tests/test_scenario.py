@@ -216,6 +216,14 @@ def test_dump_writes_no_anchor_for_a_wire_waiting_on_its_anchor_task():
     assert info.value.field == "wires[0].anchor_world"
 
 
+def test_anchor_on_a_claimed_wire_is_rejected():
+    doc = scenario_document(load_scenario(bundled_scenario_path("anchors2")))
+    doc["wires"][0]["anchor_world"] = {"value": [0.0, 0.0, 5.0], "unit": "m"}
+    with pytest.raises(ValidationError) as info:
+        build_scenario(doc)
+    assert info.value.field == "wires[0].anchor_world"
+
+
 @pytest.mark.parametrize("path, value", [("seed", "abc"), ("seed", 2.5),
                                          ("sim.sensor.latency", 1.7)])
 def test_integer_fields_reject_non_integers(tmp_path, path, value):
@@ -306,9 +314,10 @@ def documents(draw):
             return float(index)
         if pattern == "control.schedule[].tensions":
             return draw(st.lists(st.floats(0.0, 50.0), min_size=m, max_size=m))
-        keep = (spec.default is REQUIRED or draw(st.booleans())
-                or (pattern == "wires[].anchor_world" and index not in claimed))
-        if not keep:
+        if pattern == "wires[].anchor_world":
+            # required on an unclaimed wire, rejected on a claimed one
+            return None if index in claimed else draw(_generic(spec))
+        if not (spec.default is REQUIRED or draw(st.booleans())):
             return None
         return draw(_SPECIAL.get(pattern, _generic(spec)))
 

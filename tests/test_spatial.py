@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from oracles import reference_quat_multiply, reference_quat_to_matrix
 from wiredrive.spatial import (
     PidGains,
     PidState,
@@ -14,6 +15,7 @@ from wiredrive.spatial import (
     orientation_error,
     quat_from_rotvec,
     quat_multiply,
+    quat_to_matrix,
     rotvec_from_quat,
     so3_left_jacobian,
     so3_left_jacobian_dot,
@@ -234,12 +236,13 @@ def test_pid_output_linear_in_error_for_p_only():
         assert np.allclose(2 * out1.as_array(), out2.as_array(), atol=1e-12)
 
 
-# finite magnitudes from 1e-300 (products underflow) to 1e150 (products
-# near the top of the range), either sign, plus both zeros
+# finite magnitudes from subnormal through 1e-300 (products underflow) to
+# 1e150 (products near the top of the range), either sign, plus both zeros
 _CROSS_ELEMENTS = st.one_of(
     st.sampled_from([0.0, -0.0]),
     st.floats(1e-300, 1e150),
     st.floats(-1e150, -1e-300),
+    st.floats(-2.2e-308, 2.2e-308, allow_subnormal=True),
 )
 
 
@@ -250,11 +253,31 @@ def cross_operands(draw):
     return tuple(draw(arrays(float, shape, elements=_CROSS_ELEMENTS)) for shape in shapes)
 
 
+def _same_bits(got, expected):
+    """Equal bits and equal memory layout: a later einsum or matmul can sum
+    in another order over another layout."""
+    return got.strides == expected.strides and np.array_equal(
+        got.view(np.int64), expected.view(np.int64)
+    )
+
+
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
 @given(cross_operands())
 def test_cross_is_bit_identical_to_numpy(operands):
     a, b = operands
-    expected = np.cross(a, b)
-    got = cross(a, b)
-    assert got.shape == expected.shape
-    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+    assert _same_bits(cross(a, b), np.cross(a, b))
+
+
+_QUATERNIONS = arrays(float, 4, elements=_CROSS_ELEMENTS)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(_QUATERNIONS, _QUATERNIONS)
+def test_quat_multiply_is_bit_identical_to_numpy_scalars(a, b):
+    assert _same_bits(quat_multiply(a, b), reference_quat_multiply(a, b))
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(_QUATERNIONS)
+def test_quat_to_matrix_is_bit_identical_to_numpy_scalars(q):
+    assert _same_bits(quat_to_matrix(q), reference_quat_to_matrix(q))

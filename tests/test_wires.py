@@ -4,12 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracles import wire_length
+from oracles import reference_geometry, wire_length
 from wiredrive.errors import DegenerateWire
 from wiredrive.spatial import Pose, Twist, quat_from_rotvec, quat_multiply
 from wiredrive.wires import (
+    DEGENERACY_THRESHOLD,
     WireAttachment,
     WireSet,
+    _geometry,
     wire_directions,
     wire_jacobian,
     wire_lengths_and_rates,
@@ -233,7 +235,9 @@ def test_geometry_agrees_across_entry_points(case):
 
 
 def _same_bits(a, b):
-    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    # the layout counts too: a later einsum or matmul can sum in another order over another one
+    return (a.shape == b.shape and a.dtype == b.dtype and a.strides == b.strides
+            and a.tobytes() == b.tobytes())
 
 
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
@@ -261,3 +265,30 @@ def test_wire_set_stacks_once_and_is_read_only():
         wire_set.exits_body[0, 0] = 1.0
     with pytest.raises(ValueError):
         wire_set.anchors[0, 0] = 1.0
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(body_states())
+def test_geometry_is_bit_identical_to_the_norm_formulation(case):
+    wires, pose, _ = case
+    for got, expected in zip(_geometry(pose, wires), reference_geometry(pose, wires)):
+        assert _same_bits(got, expected)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(body_states(), st.data())
+def test_degenerate_scan_names_the_first_wire_at_the_threshold(case, data):
+    wires, pose, _ = case
+    m = len(wires)
+    close = sorted(data.draw(st.sets(st.integers(0, m - 1), min_size=1)))
+    for i in close:
+        # an anchor sitting on (or just off) its world exit point
+        exit_world = pose.transform_point(wires[i].exit_body)
+        offset = data.draw(st.sampled_from([0.0, 0.5 * DEGENERACY_THRESHOLD]))
+        wires[i] = WireAttachment(wires[i].exit_body, exit_world + [offset, 0.0, 0.0], wire_id=i)
+    with pytest.raises(DegenerateWire) as got:
+        _geometry(pose, wires)
+    with pytest.raises(DegenerateWire) as expected:
+        reference_geometry(pose, wires)
+    assert got.value.wire_id == expected.value.wire_id == close[0]
+    assert got.value.separation == expected.value.separation
