@@ -72,10 +72,8 @@ from .wires import (
     WireAttachment,
     WireJacobian,
     WireState,
-    wire_directions,
     wire_jacobian,
     wire_lengths_and_rates,
-    wrench_from_tensions,
 )
 
 __version__ = "0.1.0"
@@ -98,6 +96,6 @@ __all__ = [
     "compose", "orientation_error", "transform_odometry", "wrench_error_pid",
     "ControlTick", "PoseController", "SplineSegment", "chain_segments",
     "plan_spline", "sample",
-    "WireAttachment", "WireJacobian", "WireState", "wire_directions",
-    "wire_jacobian", "wire_lengths_and_rates", "wrench_from_tensions",
+    "WireAttachment", "WireJacobian", "WireState", "wire_jacobian",
+    "wire_lengths_and_rates",
 ]

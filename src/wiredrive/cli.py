@@ -16,7 +16,7 @@ import numpy as np
 from .anchors import winding_number
 from .errors import WireDriveError
 from .feasibility import controllability
-from .runner import plan_anchor, run_scenario, wrap_anchor
+from .runner import plan_anchor, run_scenario, wrap_anchor, write_points_csv
 from .scenario import (
     ParseError,
     Scenario,
@@ -121,10 +121,7 @@ def cmd_plan_anchor(args) -> int:
             }
         )
         if out_dir:
-            with (out_dir / f"anchor_plan_{k}.csv").open("w") as fh:
-                fh.write("x,y,z\n")
-                for p in path.waypoints:
-                    fh.write(f"{p[0]!r},{p[1]!r},{p[2]!r}\n")
+            write_points_csv(out_dir / f"anchor_plan_{k}.csv", path.waypoints)
     print(json.dumps(results, indent=2))
     return EXIT_OK
 

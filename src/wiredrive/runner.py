@@ -2,7 +2,10 @@
 
 Each control tick, the odometry sensor measures the plant's own
 body-center state (delayed and noisy as the scenario's sensor model
-says), and the controller acts on that measurement.
+says), and the controller acts on that measurement.  The scenario's mode
+picks the controller once: `PoseController` closes the loop, schedule
+mode's controller runs open loop.  Both sample the run's schedule at run
+time and return a `ControlTick` carrying its `TensionCommand`.
 
 A run is reproducible from (scenario file, seed) alone: every random
 stream is derived from the run seed with fixed offsets, and telemetry is
@@ -23,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .allocation import allocate, to_currents
+from .allocation import TensionCommand, allocate, to_currents
 from .anchors import AnchorPath, plan_wrap_path, track_path, winding_number, wrap_succeeded
 from .errors import WireDriveError
 from .scenario import POSE_CONTROL, AnchorTask, Scenario, dump_scenario
@@ -33,7 +36,6 @@ from .telemetry import TelemetryWriter
 from .trajectory import (
     ControlTick,
     PoseController,
-    active_segment,
     chain_segments,
     gravity_feedforward,
     sample_schedule,
@@ -52,16 +54,75 @@ def _schedule_from_specs(scenario: Scenario):
     return chain_segments(points)
 
 
-def _interp_schedule(table, t: float) -> np.ndarray:
-    times = [row[0] for row in table]
-    if t <= times[0]:
-        return table[0][1]
-    if t >= times[-1]:
-        return table[-1][1]
-    hi = int(np.searchsorted(times, t))
-    lo = hi - 1
-    w = (t - times[lo]) / (times[hi] - times[lo])
-    return (1.0 - w) * table[lo][1] + w * table[hi][1]
+class _ScheduleController:
+    """Schedule mode's open-loop controller, stepped like `PoseController`.
+
+    Quasistatic mode allocates the gravity-plus-feedforward wrench at the
+    reference pose (measurements are never consulted, which is what makes
+    it open loop); table mode interpolates the scheduled tensions.  No
+    winch compensation follows: the final tensions are the allocated ones.
+    """
+
+    def __init__(self, scenario: Scenario, wires: WireSet, schedule):
+        self.scenario = scenario
+        self.wires = wires
+        self.segments, self.starts = schedule
+        self.gravity = gravity_feedforward(scenario.body, scenario.gravity)
+
+    def _interp_table(self, t: float) -> np.ndarray:
+        table = self.scenario.schedule_table
+        times = [row[0] for row in table]
+        if t <= times[0]:
+            return table[0][1]
+        if t >= times[-1]:
+            return table[-1][1]
+        hi = int(np.searchsorted(times, t))
+        lo = hi - 1
+        w = (t - times[lo]) / (times[hi] - times[lo])
+        return (1.0 - w) * table[lo][1] + w * table[hi][1]
+
+    def step(self, pose: Pose, twist: Twist, t: float) -> ControlTick:
+        scenario = self.scenario
+        pose_ref, twist_ref, accel_ref = sample_schedule(self.segments, self.starts, t)
+        if scenario.schedule_table is not None:
+            tensions = np.clip(self._interp_table(t), 0.0, scenario.bounds.upper)
+            residual_norm = 0.0
+            desired = Wrench.zero()
+        else:
+            jacobian = wire_jacobian(pose_ref, self.wires)
+            need = self.gravity.as_array() + np.concatenate(
+                [scenario.body.mass * accel_ref[:3], np.zeros(3)]
+            )
+            desired = Wrench.from_array(need)
+            tensions, residual = allocate(jacobian, desired, scenario.bounds, scenario.weights)
+            residual_norm = float(np.linalg.norm(residual.as_array()))
+        command = TensionCommand(
+            tensions=tensions,
+            tensions_final=tensions,
+            currents=to_currents(tensions, scenario.winch),
+            residual_norm=residual_norm,
+            saturated=scenario.bounds.saturated(tensions),
+        )
+        return ControlTick(
+            timestamp=t,
+            pose=pose,
+            twist=twist,
+            pose_ref=pose_ref,
+            twist_ref=twist_ref,
+            accel_ref=accel_ref,
+            feedback_wrench=Wrench.zero(),
+            gravity_wrench=self.gravity,
+            desired_wrench=desired,
+            command=command,
+        )
+
+
+def write_points_csv(path: Path, points) -> None:
+    """Write (n, 3) points under an `x,y,z` header, one repr row each."""
+    with path.open("w") as fh:
+        fh.write("x,y,z\n")
+        for p in points:
+            fh.write(f"{p[0]!r},{p[1]!r},{p[2]!r}\n")
 
 
 def plan_anchor(scenario: Scenario, task: AnchorTask) -> AnchorPath:
@@ -116,10 +177,7 @@ def deploy_anchors(scenario: Scenario, seed: int, out_dir: Path | None = None):
         traj_file = None
         if out_dir is not None:
             traj_file = out_dir / f"anchor_{k}.csv"
-            with traj_file.open("w") as fh:
-                fh.write("x,y,z\n")
-                for p in trajectory:
-                    fh.write(f"{p[0]!r},{p[1]!r},{p[2]!r}\n")
+            write_points_csv(traj_file, trajectory)
         reports.append(
             {
                 "anchor": k,
@@ -132,10 +190,6 @@ def deploy_anchors(scenario: Scenario, seed: int, out_dir: Path | None = None):
             }
         )
     return wires, reports
-
-
-def _held_tick(last: ControlTick, t: float, pose: Pose, twist: Twist) -> ControlTick:
-    return dataclasses.replace(last, timestamp=t, pose=pose, twist=twist)
 
 
 def run_scenario(scenario: Scenario, out_dir, seed: int | None = None) -> dict:
@@ -178,19 +232,15 @@ def run_scenario(scenario: Scenario, out_dir, seed: int | None = None) -> dict:
             wires, anchor_reports = deploy_anchors(scenario, scenario.seed, out_dir)
         wires = WireSet(wires)
 
-        segments, seg_starts = _schedule_from_specs(scenario)
-        controller = PoseController(
-            scenario.body,
-            wires,
-            scenario.bounds,
-            scenario.weights,
-            scenario.winch,
-            scenario.gains,
-            dt=1.0 / scenario.control_rate,
-            gravity=scenario.gravity,
-        )
+        schedule = _schedule_from_specs(scenario)
+        if scenario.mode == POSE_CONTROL:
+            controller = PoseController(
+                scenario.body, wires, scenario.bounds, scenario.weights, scenario.winch,
+                scenario.gains, schedule, dt=1.0 / scenario.control_rate, gravity=scenario.gravity,
+            )
+        else:
+            controller = _ScheduleController(scenario, wires, schedule)
         sensor = OdometrySensor(scenario.sensor, seed=scenario.seed + _SENSOR_SEED_OFFSET)
-        gravity = gravity_feedforward(scenario.body, scenario.gravity)
         state = SimState.at_rest(scenario.start_pose, scenario.wire_count)
         last_tick: ControlTick | None = None
 
@@ -202,26 +252,22 @@ def run_scenario(scenario: Scenario, out_dir, seed: int | None = None) -> dict:
 
                 fault = False
                 try:
-                    if scenario.mode == POSE_CONTROL:
-                        seg, local_t = active_segment(segments, seg_starts, t)
-                        tick = controller.step(meas_pose, meas_twist, seg, local_t)
-                    else:
-                        tick = _schedule_tick(
-                            scenario, segments, seg_starts, wires, gravity,
-                            t, meas_pose, meas_twist,
-                        )
+                    tick = controller.step(meas_pose, meas_twist, t)
                 except WireDriveError:
                     if last_tick is None:
                         raise
                     fault = True
                     fault_ticks += 1
-                    tick = _held_tick(last_tick, t, meas_pose, meas_twist)
+                    tick = dataclasses.replace(  # hold the last command
+                        last_tick, timestamp=t, pose=meas_pose, twist=meas_twist
+                    )
                 last_tick = tick
+                command = tick.command
 
                 for _ in range(scenario.substeps):
                     state = step(
                         state,
-                        tick.currents,
+                        command.currents,
                         scenario.dt,
                         scenario.body,
                         wires,
@@ -236,9 +282,9 @@ def run_scenario(scenario: Scenario, out_dir, seed: int | None = None) -> dict:
 
                 pos_errors[k] = np.linalg.norm(state.pose.position - tick.pose_ref.position)
                 rot_errors[k] = np.linalg.norm(orientation_error(tick.pose_ref, state.pose))
-                max_tension = max(max_tension, float(np.max(tick.tensions_final, initial=0.0)))
-                max_residual = max(max_residual, tick.residual_norm)
-                n_sat = int(np.sum(tick.saturated))
+                max_tension = max(max_tension, float(np.max(command.tensions_final, initial=0.0)))
+                max_residual = max(max_residual, command.residual_norm)
+                n_sat = int(np.sum(command.saturated))
                 if n_sat:
                     saturation_ticks += 1
                 max_simultaneous_sat = max(max_simultaneous_sat, n_sat)
@@ -280,54 +326,3 @@ def run_scenario(scenario: Scenario, out_dir, seed: int | None = None) -> dict:
         (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     return summary
 
-
-def _schedule_tick(
-    scenario: Scenario,
-    segments,
-    seg_starts,
-    wires,
-    gravity: Wrench,
-    t: float,
-    meas_pose: Pose,
-    meas_twist: Twist,
-) -> ControlTick:
-    """Open-loop tension command for one tick of schedule mode.
-
-    Quasistatic mode allocates the gravity-plus-feedforward wrench at the
-    reference pose (measurements are never consulted, which is what makes
-    it open loop); table mode interpolates the scheduled tensions.
-    """
-    pose_ref, twist_ref, accel_ref = sample_schedule(segments, seg_starts, t)
-    if scenario.schedule_table is not None:
-        tensions = np.clip(
-            _interp_schedule(scenario.schedule_table, t),
-            0.0,
-            scenario.bounds.upper,
-        )
-        residual_norm = 0.0
-        desired = Wrench.zero()
-    else:
-        jacobian = wire_jacobian(pose_ref, wires)
-        need = gravity.as_array() + np.concatenate(
-            [scenario.body.mass * accel_ref[:3], np.zeros(3)]
-        )
-        desired = Wrench.from_array(need)
-        tensions, residual = allocate(jacobian, desired, scenario.bounds, scenario.weights)
-        residual_norm = float(np.linalg.norm(residual.as_array()))
-    currents = to_currents(tensions, scenario.winch)
-    return ControlTick(
-        timestamp=t,
-        pose=meas_pose,
-        twist=meas_twist,
-        pose_ref=pose_ref,
-        twist_ref=twist_ref,
-        accel_ref=accel_ref,
-        feedback_wrench=Wrench.zero(),
-        gravity_wrench=gravity,
-        desired_wrench=desired,
-        tensions=tensions,
-        tensions_final=tensions,
-        currents=currents,
-        residual_norm=residual_norm,
-        saturated=scenario.bounds.saturated(tensions),
-    )

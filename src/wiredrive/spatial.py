@@ -227,15 +227,6 @@ class Pose:
     def transform_point(self, p_body) -> np.ndarray:
         return self.position + self.rotate(p_body)
 
-    def inverse(self) -> "Pose":
-        q_inv = quat_conjugate(self.orientation)
-        return Pose(-quat_rotate(q_inv, self.position), q_inv)
-
-    def almost_equal(self, other: "Pose", tol: float = 1e-9) -> bool:
-        if np.linalg.norm(self.position - other.position) > tol:
-            return False
-        return np.linalg.norm(orientation_error(self, other)) <= tol
-
 
 def compose(a: Pose, b: Pose) -> Pose:
     """Rigid composition: the pose of b's frame expressed through a."""

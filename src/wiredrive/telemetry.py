@@ -58,12 +58,13 @@ class TelemetryWriter:
         floats += tick.accel_ref.tolist()
         for wrench in (tick.feedback_wrench, tick.gravity_wrench, tick.desired_wrench):
             floats += wrench.force.tolist() + wrench.torque.tolist()
-        for arr in (tick.tensions, tick.tensions_final, tick.currents, state.tensions):
+        command = tick.command
+        for arr in (command.tensions, command.tensions_final, command.currents, state.tensions):
             floats += arr.tolist()
         values = [str(FORMAT_VERSION), str(tick_index)]
         values += map(repr, floats)
-        values += ["1" if s else "0" for s in tick.saturated.tolist()]
-        values += [repr(float(tick.residual_norm)), "1" if fault else "0"]
+        values += ["1" if s else "0" for s in command.saturated.tolist()]
+        values += [repr(float(command.residual_norm)), "1" if fault else "0"]
         if len(values) != len(self.columns):
             raise RuntimeError(
                 f"telemetry row has {len(values)} values for {len(self.columns)} columns"

@@ -7,9 +7,10 @@ angular velocities are pulled into the chart through the inverse left
 Jacobian, and sampling pushes chart rates back out analytically, second
 derivatives included.
 
-The controller runs the classic cascade: sampled reference -> PID feedback
-wrench + gravity feedforward -> bounded tension allocation -> winch
-compensation -> motor currents.
+`PoseController` samples its chained schedule at run time and runs the
+classic cascade: sampled reference -> PID feedback wrench + gravity
+feedforward -> bounded tension allocation -> winch compensation -> motor
+currents.
 """
 
 from __future__ import annotations
@@ -18,7 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .allocation import AllocationWeights, TensionBounds, WinchParams, solve_tension_command
+from .allocation import (
+    AllocationWeights, TensionBounds, TensionCommand, WinchParams, solve_tension_command
+)
 from .errors import RotationTooLarge
 from .simulator import STANDARD_GRAVITY, BodyModel
 from .spatial import (
@@ -135,7 +138,7 @@ def sample(segment: SplineSegment, t: float) -> tuple[Pose, Twist, np.ndarray]:
 class ControlTick:
     """Everything one pass of the control loop produced."""
 
-    timestamp: float
+    timestamp: float  # run time, s
     pose: Pose
     twist: Twist
     pose_ref: Pose
@@ -144,11 +147,7 @@ class ControlTick:
     feedback_wrench: Wrench
     gravity_wrench: Wrench
     desired_wrench: Wrench
-    tensions: np.ndarray
-    tensions_final: np.ndarray
-    currents: np.ndarray
-    residual_norm: float
-    saturated: np.ndarray
+    command: TensionCommand
 
 
 def gravity_feedforward(body: BodyModel, gravity: float = STANDARD_GRAVITY) -> Wrench:
@@ -157,11 +156,13 @@ def gravity_feedforward(body: BodyModel, gravity: float = STANDARD_GRAVITY) -> W
 
 
 class PoseController:
-    """Full pose-control loop for one wire-driven body.
+    """Full pose-control loop for one wire-driven body along one schedule.
 
-    Owns the PID integral state and the previous tension solution (used
-    to warm-start the allocator).  One instance drives one loop; it is
-    not meant to be shared across threads.
+    `schedule` is the (segments, starts) pair that `chain_segments`
+    returns; `step` samples it at absolute run time.  Owns the PID
+    integral state and the previous tension solution (used to warm-start
+    the allocator).  One instance drives one loop; it is not meant to be
+    shared across threads.
     """
 
     def __init__(
@@ -172,6 +173,7 @@ class PoseController:
         weights: AllocationWeights,
         winch: WinchParams,
         gains: PidGains,
+        schedule,
         dt: float,
         gravity: float = STANDARD_GRAVITY,
     ):
@@ -182,17 +184,17 @@ class PoseController:
         self.weights = weights
         self.winch = winch
         self.gains = gains
+        self.segments, self.starts = schedule
         self.dt = dt
         self.gravity_ff = gravity_feedforward(body, gravity)
         self.pid_state = PidState()
         self._warm_start: np.ndarray | None = None
 
-    def step(
-        self, pose: Pose, twist: Twist, segment: SplineSegment, t: float
-    ) -> ControlTick:
-        """One control tick: may raise DegenerateWire or SolverFailure;
-        the loop policy on those is the caller's (hold last currents)."""
-        pose_ref, twist_ref, accel_ref = sample(segment, t)
+    def step(self, pose: Pose, twist: Twist, t: float) -> ControlTick:
+        """One control tick at run time t: may raise DegenerateWire or
+        SolverFailure; the loop policy on those is the caller's (hold last
+        currents)."""
+        pose_ref, twist_ref, accel_ref = sample_schedule(self.segments, self.starts, t)
         feedback = wrench_error_pid(
             pose, twist, pose_ref, twist_ref, self.gains, self.pid_state, self.dt
         )
@@ -220,11 +222,7 @@ class PoseController:
             feedback_wrench=feedback,
             gravity_wrench=self.gravity_ff,
             desired_wrench=desired,
-            tensions=command.tensions,
-            tensions_final=command.tensions_final,
-            currents=command.currents,
-            residual_norm=command.residual_norm,
-            saturated=command.saturated,
+            command=command,
         )
 
 
@@ -248,18 +246,11 @@ def chain_segments(poses_twists_durations):
     return segments, starts
 
 
-def active_segment(segments, starts, t: float):
-    """The segment running at absolute time t and the time since its start.
-
-    Before the first start this is the first segment (at negative local
-    time); past the end it is the last one.
-    """
-    for seg, start in zip(reversed(segments), reversed(starts)):
-        if t >= start:
-            return seg, t - start
-    return segments[0], t - starts[0]
-
-
 def sample_schedule(segments, starts, t: float):
-    """Sample a chained schedule at absolute time t (clamping at the ends)."""
-    return sample(*active_segment(segments, starts, t))
+    """Sample a chained schedule at absolute time t: the last segment
+    started at or before t (the first one before any has), at the time
+    since its start.  `sample` clamps past either end of the schedule."""
+    for segment, start in zip(reversed(segments), reversed(starts)):
+        if t >= start:
+            return sample(segment, t - start)
+    return sample(segments[0], t - starts[0])

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateWire
-from .spatial import Pose, Twist, Wrench, cross
+from .spatial import Pose, Twist, cross
 
 DEGENERACY_THRESHOLD = 1e-6  # m; far below any physical scenario scale
 
@@ -118,17 +118,6 @@ def _geometry(pose: Pose, attachments: Sequence[WireAttachment]):
     return spans / lengths[:, None], lengths, levers, exits_world
 
 
-def wire_directions(pose: Pose, attachments: Sequence[WireAttachment]):
-    """Unit directions from world exit points toward anchors.
-
-    Returns (directions, exit_points) as (m, 3) arrays.  Raises
-    DegenerateWire if any anchor sits within the degeneracy threshold of
-    its exit point.
-    """
-    directions, _, _, exits_world = _geometry(pose, attachments)
-    return directions, exits_world
-
-
 def wire_jacobian(pose: Pose, attachments: Sequence[WireAttachment]) -> WireJacobian:
     """Assemble the 6 x m wire matrix at the given pose."""
     directions, _, levers, _ = _geometry(pose, attachments)
@@ -153,10 +142,3 @@ def wire_lengths_and_rates(
     rates = -np.einsum("ij,ij->i", directions, exit_velocities)
     return WireState(lengths, rates)
 
-
-def wrench_from_tensions(
-    pose: Pose, attachments: Sequence[WireAttachment], tensions
-) -> Wrench:
-    """Net wrench on the body center for the given per-wire tensions."""
-    jac = wire_jacobian(pose, attachments).matrix
-    return Wrench.from_array(jac @ np.asarray(tensions, dtype=float))

@@ -21,6 +21,7 @@ from scipy.special import ndtri
 from scipy.stats import qmc
 
 from wiredrive.errors import DegenerateWire, SolverFailure
+from wiredrive.spatial import Pose
 from wiredrive.wires import DEGENERACY_THRESHOLD, WireSet
 
 
@@ -213,6 +214,26 @@ def _hamilton(a, b):
     )
 
 
+def _conjugate(q):
+    w, x, y, z = (float(v) for v in q)
+    return (w, -x, -y, -z)
+
+
+def pose_inverse(pose):
+    """(-R'p, q*), rotating p by the quaternion sandwich q* p q."""
+    q_inv = _conjugate(pose.orientation)
+    rotated = _hamilton(_hamilton(q_inv, (0.0, *map(float, pose.position))), _conjugate(q_inv))
+    return Pose([-v for v in rotated[1:]], q_inv)
+
+
+def poses_almost_equal(a, b, tol: float = 1e-9) -> bool:
+    """Positions within tol of each other, and orientations within tol rad."""
+    if np.linalg.norm(a.position - b.position) > tol:
+        return False
+    w, x, y, z = _hamilton(a.orientation, _conjugate(b.orientation))
+    return 2.0 * math.atan2(math.sqrt(x * x + y * y + z * z), abs(w)) <= tol
+
+
 def wire_length(anchor, position, orientation, exit_body):
     """norm(anchor - (p + R e)), rotating e by the quaternion sandwich q e q*."""
     w, x, y, z = (float(v) for v in orientation)
@@ -247,12 +268,12 @@ def telemetry_row(tick_index, state, tick, fault) -> str:
     values += list(tick.feedback_wrench.as_array())
     values += list(tick.gravity_wrench.as_array())
     values += list(tick.desired_wrench.as_array())
-    values += list(tick.tensions)
-    values += list(tick.tensions_final)
-    values += list(tick.currents)
+    values += list(tick.command.tensions)
+    values += list(tick.command.tensions_final)
+    values += list(tick.command.currents)
     values += list(state.tensions)
-    values += [bool(v) for v in tick.saturated]
-    values += [tick.residual_norm, fault]
+    values += [bool(v) for v in tick.command.saturated]
+    values += [tick.command.residual_norm, fault]
     return ",".join(_telemetry_field(v) for v in values) + "\n"
 
 

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 import yaml
 
-from wiredrive import cli, runner, trajectory
+from wiredrive import allocation, cli, runner, trajectory
 from wiredrive.errors import NumericalBlowup, SolverFailure
 from wiredrive.feasibility import controllability
 from wiredrive.runner import deploy_anchors, run_scenario
-from wiredrive.scenario import bundled_scenario_path, load_scenario
+from wiredrive.scenario import build_scenario, bundled_scenario_path, load_scenario
 from wiredrive.simulator import OdometrySensor, SimState
 from wiredrive.spatial import Wrench
 from wiredrive.telemetry import column_names
@@ -115,18 +115,24 @@ def test_resolved_dump_reproduces_a_replaced_run(tmp_path):
     assert (tmp_path / "c" / "telemetry.csv").read_bytes() != telemetry
 
 
-def test_fault_holds_currents_and_flags(small_scenario, tmp_path, monkeypatch):
-    scenario = load_scenario(small_scenario)
-    original = PoseController.step
+@pytest.mark.parametrize("mode", ["pose_control", "quasistatic_schedule"])
+def test_fault_holds_currents_and_flags(mode, small_scenario, tmp_path, monkeypatch):
+    if mode == "pose_control":
+        scenario = load_scenario(small_scenario)
+    else:
+        outdoor4 = load_scenario(bundled_scenario_path("outdoor4"))
+        scenario = dataclasses.replace(outdoor4, duration=0.4)
+    # both modes solve one allocation QP per tick
+    original = allocation.solve_box_qp
     calls = {"n": 0}
 
-    def flaky(self, pose, twist, segment, t):
+    def flaky(*args, **kwargs):
         calls["n"] += 1
         if 50 <= calls["n"] < 55:
             raise SolverFailure("injected failure")
-        return original(self, pose, twist, segment, t)
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(PoseController, "step", flaky)
+    monkeypatch.setattr(allocation, "solve_box_qp", flaky)
     out = tmp_path / "out"
     summary = run_scenario(scenario, out)
     assert summary["fault_ticks"] == 5
@@ -171,7 +177,7 @@ def test_nan_desired_wrench_is_a_held_tick(small_scenario, tmp_path, monkeypatch
 def test_fault_on_first_tick_is_fatal(small_scenario, tmp_path, monkeypatch):
     scenario = load_scenario(small_scenario)
 
-    def broken(self, pose, twist, segment, t):
+    def broken(self, pose, twist, t):
         raise SolverFailure("always")
 
     monkeypatch.setattr(PoseController, "step", broken)
@@ -213,6 +219,51 @@ def test_plant_fault_still_writes_summary(small_scenario, tmp_path, monkeypatch)
     for key in ("rms_position_error_m", "max_position_error_m", "terminal_position_error_m",
                 "max_tension_n", "displacement_axes_m"):
         assert summary[key] == clean[key], key
+
+
+def test_telemetry_t_is_run_time_in_every_segment(tmp_path):
+    # the second segment starts at 0.5 s; its rows still write run time
+    doc = yaml.safe_load(SMALL)
+    doc["trajectory"]["segments"].append({
+        "goal_position": {"value": [0.0, 0.0, 0.0], "unit": "m"},
+        "duration": {"value": 0.3, "unit": "s"},
+    })
+    scenario = build_scenario(doc)
+    run_scenario(scenario, tmp_path / "out")
+    with (tmp_path / "out" / "telemetry.csv").open() as stream:
+        times = [row["t"] for row in csv.DictReader(stream)]
+    assert len(times) == 160
+    assert times == [repr(k / scenario.control_rate) for k in range(160)]
+
+
+def test_tension_table_interpolates_and_clamps_to_the_cap(tmp_path):
+    doc = yaml.safe_load(bundled_scenario_path("outdoor4").read_text())
+    times = [0.1, 0.4]
+    table = np.array([[50.0, 60.0, 70.0, 80.0], [100.0, 200.0, 90.0, 40.0]])
+    doc["control"]["schedule"] = [
+        {"t": {"value": t, "unit": "s"}, "tensions": {"value": row.tolist(), "unit": "N"}}
+        for t, row in zip(times, table)
+    ]
+    doc["sim"]["duration"] = {"value": 0.5, "unit": "s"}
+    scenario = build_scenario(doc)
+    upper = scenario.bounds.upper
+    assert table.max() > upper.max()
+    summary = run_scenario(scenario, tmp_path / "out")
+    assert summary["max_residual_norm"] == 0.0
+    with (tmp_path / "out" / "telemetry.csv").open() as stream:
+        rows = list(csv.DictReader(stream))
+    assert len(rows) == 100
+    for row in rows:
+        t = float(row["t"])
+        for i in range(4):
+            expected = min(np.interp(t, times, table[:, i]), upper[i])
+            got = float(row[f"tension_ref_{i}"])
+            assert abs(got - expected) <= 1e-12 * expected
+            assert row[f"tension_cmd_{i}"] == row[f"tension_ref_{i}"]
+            assert row[f"sat_{i}"] == ("1" if expected >= upper[i] - 1e-6 else "0")
+        assert float(row["residual_norm"]) == 0.0
+        assert all(float(row[f"wdes_{f}"]) == 0.0 for f in ("fx", "fy", "fz", "tx", "ty", "tz"))
+    assert any(row["sat_1"] == "1" for row in rows)
 
 
 def test_cli_validate_ok_and_exit_codes(small_scenario, capsys):

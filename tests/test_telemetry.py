@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from oracles import telemetry_row
+from wiredrive.allocation import TensionCommand
 from wiredrive.simulator import SimState
 from wiredrive.spatial import Pose, Twist, Wrench
 from wiredrive.telemetry import TelemetryWriter, column_names
@@ -44,11 +45,13 @@ def telemetry_ticks(draw):
         feedback_wrench=Wrench(vec(3), vec(3)),
         gravity_wrench=Wrench(vec(3), vec(3)),
         desired_wrench=Wrench(vec(3), vec(3)),
-        tensions=vec(m),
-        tensions_final=vec(m),
-        currents=vec(m),
-        residual_norm=scalar(draw(_VALUES)),
-        saturated=draw(arrays(bool, m)),
+        command=TensionCommand(
+            tensions=vec(m),
+            tensions_final=vec(m),
+            currents=vec(m),
+            residual_norm=scalar(draw(_VALUES)),
+            saturated=draw(arrays(bool, m)),
+        ),
     )
     return m, draw(st.integers(0, 10**6)), state, tick, draw(st.booleans())
 

@@ -15,7 +15,6 @@ from wiredrive.spatial import (
 )
 from wiredrive.trajectory import (
     PoseController,
-    active_segment,
     chain_segments,
     gravity_feedforward,
     plan_spline,
@@ -23,6 +22,7 @@ from wiredrive.trajectory import (
     sample_schedule,
 )
 
+from oracles import poses_almost_equal
 from test_wires import eight_wire_cube_layout
 
 
@@ -39,7 +39,7 @@ def test_degenerate_segment_is_constant():
     seg = plan_spline(pose, Twist.zero(), pose, Twist.zero(), duration=2.0)
     for t in (0.0, 0.7, 1.3, 2.0):
         q, qd, qdd = sample(seg, t)
-        assert q.almost_equal(pose, tol=1e-12)
+        assert poses_almost_equal(q, pose, tol=1e-12)
         assert np.allclose(qd.as_array(), np.zeros(6), atol=1e-12)
         assert np.allclose(qdd, np.zeros(6), atol=1e-12)
 
@@ -101,11 +101,11 @@ def test_clamp_outside_segment():
     end = Pose.from_rotvec([1.0, 2.0, 3.0], [0.0, 0.0, 0.4])
     seg = plan_spline(start, Twist([1, 0, 0], [0, 0, 0.2]), end, Twist.zero(), 1.5)
     q, qd, qdd = sample(seg, 3.0)
-    assert q.almost_equal(end, tol=1e-12)
+    assert poses_almost_equal(q, end, tol=1e-12)
     assert np.allclose(qd.as_array(), np.zeros(6))
     assert np.allclose(qdd, np.zeros(6))
     q, qd, qdd = sample(seg, -1.0)
-    assert q.almost_equal(start, tol=1e-12)
+    assert poses_almost_equal(q, start, tol=1e-12)
     assert np.allclose(qd.as_array(), np.zeros(6))
 
 
@@ -131,50 +131,54 @@ def test_chain_segments_and_schedule_sampling():
     assert np.allclose(q.position, [1, 1, 0], atol=1e-9)
     # the segment lookup: last start at or before t, the first one before the schedule
     for t, index, local_t in [(-1.0, 0, -1.0), (0.0, 0, 0.0), (1.5, 0, 1.5),
-                              (2.0, 1, 0.0), (99.0, 1, 97.0)]:
-        seg, local = active_segment(segments, starts, t)
-        assert seg is segments[index]
-        assert local == local_t
+                              (2.0, 1, 0.0), (3.5, 1, 1.5), (99.0, 1, 97.0)]:
+        got = sample_schedule(segments, starts, t)
+        expected = sample(segments[index], local_t)
+        assert np.array_equal(got[0].position, expected[0].position)
+        assert np.array_equal(got[0].orientation, expected[0].orientation)
+        assert np.array_equal(got[1].as_array(), expected[1].as_array())
+        assert np.array_equal(got[2], expected[2])
 
 
-def hover_controller(dt=0.005, gains=None):
+def hover_controller(segment, dt=0.005, gains=None):
+    """A controller on the one-segment schedule ([segment], [0.0])."""
     body = BodyModel.solid_cube(11.0, 0.4)
     wires = eight_wire_cube_layout()
     bounds = TensionBounds.uniform(8)
     weights = AllocationWeights.diagonal(scale=1e8, torque_lever=0.2)
     controller = PoseController(
         body, wires, bounds, weights, WinchParams(),
-        gains or PidGains.zero(), dt=dt,
+        gains or PidGains.zero(), ([segment], [0.0]), dt=dt,
     )
     return body, controller
 
 
 def test_hover_gravity_feedforward_statics():
-    body, controller = hover_controller()
     pose = Pose.identity()
     seg = plan_spline(pose, Twist.zero(), pose, Twist.zero(), 1.0)
-    tick = controller.step(pose, Twist.zero(), seg, 0.5)
+    body, controller = hover_controller(seg)
+    tick = controller.step(pose, Twist.zero(), 0.5)
     expected = np.array([0, 0, body.mass * 9.80665, 0, 0, 0])
     assert np.allclose(tick.desired_wrench.as_array(), expected, atol=1e-12)
     assert np.allclose(tick.feedback_wrench.as_array(), np.zeros(6), atol=1e-12)
     # allocation realizes the support wrench with tiny residual
-    assert tick.residual_norm < 1e-6
-    assert not tick.saturated.any()
-    assert np.all(tick.tensions >= controller.bounds.lower - 1e-10)
-    assert np.all(tick.tensions <= controller.bounds.upper + 1e-10)
+    assert tick.command.residual_norm < 1e-6
+    assert not tick.command.saturated.any()
+    assert np.all(tick.command.tensions >= controller.bounds.lower - 1e-10)
+    assert np.all(tick.command.tensions <= controller.bounds.upper + 1e-10)
 
 
 def test_control_step_deterministic():
-    _, c1 = hover_controller()
-    _, c2 = hover_controller()
     pose = Pose.from_translation([0.02, -0.01, 0.05])
     twist = Twist([0.01, 0, 0], [0, 0, 0.02])
     seg = plan_spline(Pose.identity(), Twist.zero(), Pose.from_translation([0, 0, 0.1]), Twist.zero(), 2.0)
-    t1 = c1.step(pose, twist, seg, 0.3)
-    t2 = c2.step(pose, twist, seg, 0.3)
-    assert np.array_equal(t1.currents, t2.currents)
-    assert np.array_equal(t1.tensions, t2.tensions)
-    assert t1.residual_norm == t2.residual_norm
+    _, c1 = hover_controller(seg)
+    _, c2 = hover_controller(seg)
+    t1 = c1.step(pose, twist, 0.3)
+    t2 = c2.step(pose, twist, 0.3)
+    assert np.array_equal(t1.command.currents, t2.command.currents)
+    assert np.array_equal(t1.command.tensions, t2.command.tensions)
+    assert t1.command.residual_norm == t2.command.residual_norm
 
 
 def test_saturated_wrench_flags_at_least_two_wires():
@@ -186,14 +190,16 @@ def test_saturated_wrench_flags_at_least_two_wires():
     kp = np.full(6, 0.0)
     kp[:3] = 2000.0
     gains = PidGains(kp, np.zeros(6), np.zeros(6), np.zeros(6))
-    controller = PoseController(body, wires, bounds, weights, WinchParams(), gains, dt=0.005)
     seg = plan_spline(
         Pose.from_translation([0.3, 0.0, 0.0]), Twist.zero(),
         Pose.from_translation([0.3, 0.0, 0.0]), Twist.zero(), 1.0,
     )
-    tick = controller.step(Pose.identity(), Twist.zero(), seg, 0.5)
-    assert int(np.sum(tick.saturated)) >= 2
-    assert tick.residual_norm > 1.0
+    controller = PoseController(
+        body, wires, bounds, weights, WinchParams(), gains, ([seg], [0.0]), dt=0.005
+    )
+    tick = controller.step(Pose.identity(), Twist.zero(), 0.5)
+    assert int(np.sum(tick.command.saturated)) >= 2
+    assert tick.command.residual_norm > 1.0
 
 
 def test_gravity_feedforward_value():

@@ -12,10 +12,8 @@ from wiredrive.wires import (
     WireAttachment,
     WireSet,
     _geometry,
-    wire_directions,
     wire_jacobian,
     wire_lengths_and_rates,
-    wrench_from_tensions,
 )
 
 
@@ -35,23 +33,32 @@ def random_pose(rng, scale=0.3):
     return Pose.from_rotvec(rng.normal(scale=scale, size=3), rv)
 
 
+def directions_and_exits(pose, wires):
+    """Direction rows of the wire matrix, and the world exit points they imply:
+    each anchor minus its wire's length along its direction."""
+    dirs = wire_jacobian(pose, wires).matrix[:3].T
+    lengths = wire_lengths_and_rates(pose, Twist.zero(), wires).lengths
+    anchors = np.array([w.anchor_world for w in wires])
+    return dirs, anchors - lengths[:, None] * dirs
+
+
 def test_axis_aligned_direction():
     wires = [WireAttachment([0, 0, 0], [2.0, 0.0, 0.0])]
-    dirs, exits = wire_directions(Pose.identity(), wires)
+    dirs, exits = directions_and_exits(Pose.identity(), wires)
     assert np.allclose(dirs[0], [1.0, 0.0, 0.0])
     assert np.allclose(exits[0], [0.0, 0.0, 0.0])
 
 
 def test_direction_normalization():
     wires = [WireAttachment([0, 0, 0], [1.0, 1.0, 0.0])]
-    dirs, _ = wire_directions(Pose.identity(), wires)
+    dirs, _ = directions_and_exits(Pose.identity(), wires)
     assert np.allclose(dirs[0], [np.sqrt(2) / 2, np.sqrt(2) / 2, 0.0])
 
 
 def test_direction_in_rotated_frame():
     pose = Pose.from_rotvec(np.zeros(3), [0.0, 0.0, np.pi / 2])
     wires = [WireAttachment([0.1, 0.0, 0.0], [0.0, 2.0, 0.0])]
-    dirs, exits = wire_directions(pose, wires)
+    dirs, exits = directions_and_exits(pose, wires)
     assert np.allclose(exits[0], [0.0, 0.1, 0.0], atol=1e-12)
     assert np.allclose(dirs[0], [0.0, 1.0, 0.0], atol=1e-12)
 
@@ -63,7 +70,7 @@ def test_degenerate_wire_raises_with_id():
     ]
     for attachments in (wires, WireSet(wires)):
         with pytest.raises(DegenerateWire) as info:
-            wire_directions(Pose.identity(), attachments)
+            wire_jacobian(Pose.identity(), attachments)
         assert info.value.wire_id == 7
 
 
@@ -96,7 +103,7 @@ def test_wrench_matches_per_wire_accumulation():
         wires = random_layout(rng, m)
         pose = random_pose(rng)
         tensions = rng.uniform(0.0, 150.0, size=m)
-        total = wrench_from_tensions(pose, wires, tensions).as_array()
+        total = wire_jacobian(pose, wires).matrix @ tensions
         rot = pose.rotation_matrix()
         expected = np.zeros(6)
         for wire, tension in zip(wires, tensions):
@@ -224,9 +231,10 @@ def body_states(draw):
 def test_geometry_agrees_across_entry_points(case):
     wires, pose, twist = case
     jac = wire_jacobian(pose, wires).matrix
-    directions, _ = wire_directions(pose, wires)
-    assert np.allclose(jac[:3].T, directions, rtol=0.0, atol=1e-12)
     state = wire_lengths_and_rates(pose, twist, wires)
+    # direction rows times lengths rebuild the spans from world exit to anchor
+    spans = [w.anchor_world - pose.transform_point(w.exit_body) for w in wires]
+    assert np.allclose(jac[:3].T * state.lengths[:, None], spans, rtol=0.0, atol=1e-12)
     expected = [
         wire_length(w.anchor_world, pose.position, pose.orientation, w.exit_body) for w in wires
     ]
@@ -247,7 +255,7 @@ def test_wire_set_gives_the_plain_list_results_bit_for_bit(case):
     wire_set = WireSet(wires)
     assert list(wire_set) == wires
     assert _same_bits(wire_jacobian(pose, wire_set).matrix, wire_jacobian(pose, wires).matrix)
-    for got, expected in zip(wire_directions(pose, wire_set), wire_directions(pose, wires)):
+    for got, expected in zip(_geometry(pose, wire_set), _geometry(pose, wires)):
         assert _same_bits(got, expected)
     got = wire_lengths_and_rates(pose, twist, wire_set)
     expected = wire_lengths_and_rates(pose, twist, wires)
