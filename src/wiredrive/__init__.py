@@ -11,7 +11,6 @@ from .allocation import (
     to_currents,
 )
 from .anchors import (
-    AnchorPath,
     Pillar,
     RelativePoseSensor,
     TrackerGains,
@@ -70,8 +69,6 @@ from .trajectory import (
 )
 from .wires import (
     WireAttachment,
-    WireJacobian,
-    WireState,
     wire_jacobian,
     wire_lengths_and_rates,
 )
@@ -81,7 +78,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AllocationWeights", "TensionBounds", "TensionCommand", "WinchParams",
     "allocate", "compensate", "solve_tension_command", "to_currents",
-    "AnchorPath", "Pillar", "RelativePoseSensor", "TrackerGains",
+    "Pillar", "RelativePoseSensor", "TrackerGains",
     "plan_wrap_path", "track_path", "winding_number", "wrap_succeeded",
     "AmbiguousWinding", "DegenerateWire", "NoClearance", "NumericalBlowup",
     "RotationTooLarge", "SolverFailure", "TrackingTimeout", "WireDriveError",
@@ -96,6 +93,5 @@ __all__ = [
     "compose", "orientation_error", "transform_odometry", "wrench_error_pid",
     "ControlTick", "PoseController", "SplineSegment", "chain_segments",
     "plan_spline", "sample",
-    "WireAttachment", "WireJacobian", "WireState", "wire_jacobian",
-    "wire_lengths_and_rates",
+    "WireAttachment", "wire_jacobian", "wire_lengths_and_rates",
 ]

@@ -7,6 +7,8 @@ tracking is weighted against that regularizer, so its scale is a tuning
 surface exposed to scenarios.  Winch-side compensation then adds tension
 for reflected rotor inertia and shaft friction, and the current map is a
 single constant.  One drivetrain model (`WinchParams`) serves every wire.
+The wire matrix W and the wire rates come in as the plain arrays that
+`wire_jacobian` and `wire_lengths_and_rates` return.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import numpy as np
 
 from .qp import solve_box_qp
 from .spatial import Wrench
-from .wires import WireJacobian, WireState
 
 DEFAULT_MAX_TENSION = 180.0  # N, continuous rating of one winch
 DEFAULT_PRETENSION = 2.0  # N, keeps wires taut; they cannot push
@@ -138,51 +139,51 @@ class TensionCommand:
 
 
 def allocate(
-    jacobian: WireJacobian,
+    matrix: np.ndarray,
     wrench: Wrench,
     bounds: TensionBounds,
     weights: AllocationWeights,
     start: np.ndarray | None = None,
 ) -> tuple[np.ndarray, Wrench]:
-    """Solve the tension-distribution QP.
+    """Solve the tension-distribution QP for the 6 x m wire matrix.
 
     Returns the optimal tensions and the wrench residual (desired minus
     achieved).  The residual is nonzero whenever the desired wrench lies
     outside what the bounded wires can express; callers treat that as the
     saturation diagnostic, not as an error.
     """
-    mat = jacobian.matrix
-    if not np.all(np.isfinite(mat)):
+    if not np.all(np.isfinite(matrix)):
         raise ValueError("wire matrix contains non-finite entries")
     target = wrench.as_array()
-    weighted = weights.matrix @ mat
-    hessian = 2.0 * (np.eye(mat.shape[1]) + mat.T @ weighted)
+    weighted = weights.matrix @ matrix
+    hessian = 2.0 * (np.eye(matrix.shape[1]) + matrix.T @ weighted)
     gradient = -2.0 * (weighted.T @ target)
     tensions, _, _ = solve_box_qp(hessian, gradient, bounds.lower, bounds.upper, start=start)
-    residual = Wrench.from_array(target - mat @ tensions)
+    residual = Wrench.from_array(target - matrix @ tensions)
     return tensions, residual
 
 
 def compensate(
     tensions: np.ndarray,
     accel_ref: np.ndarray,
-    wire_state: WireState,
-    jacobian: WireJacobian,
+    rates: np.ndarray,
+    matrix: np.ndarray,
     winch: WinchParams,
 ) -> np.ndarray:
     """Add winch inertia and friction compensation to commanded tensions.
 
     The drum spins at -rate/r; its angular acceleration is taken from the
     commanded body acceleration projected along each wire (the wire-matrix
-    column gives exactly that projection).  Compensation tension is
-    (J * alpha + sign(w) * tau_c + b * w) / r per wire, clamped so the
+    column gives exactly that projection).  `rates` are the wires' length
+    rates, as `wire_lengths_and_rates` returns them.  Compensation tension
+    is (J * alpha + sign(w) * tau_c + b * w) / r per wire, clamped so the
     final command never asks a wire to push.
     """
     tensions = np.asarray(tensions, dtype=float)
     accel_ref = np.asarray(accel_ref, dtype=float).reshape(6)
-    length_accel = -(jacobian.matrix.T @ accel_ref)  # d^2(length)/dt^2, projected
+    length_accel = -(matrix.T @ accel_ref)  # d^2(length)/dt^2, projected
     r = winch.pulley_radius
-    drum_speed = -wire_state.rates / r
+    drum_speed = -rates / r
     drum_accel = -length_accel / r
     inertia_torque = winch.rotor_inertia * drum_accel
     friction_torque = (
@@ -206,18 +207,18 @@ def tensions_from_currents(currents: np.ndarray, winch: WinchParams) -> np.ndarr
 
 
 def solve_tension_command(
-    jacobian: WireJacobian,
+    matrix: np.ndarray,
     wrench: Wrench,
     bounds: TensionBounds,
     weights: AllocationWeights,
     accel_ref: np.ndarray,
-    wire_state: WireState,
+    rates: np.ndarray,
     winch: WinchParams,
     start: np.ndarray | None = None,
 ) -> TensionCommand:
     """Allocation, compensation and current conversion in one pass."""
-    tensions, residual = allocate(jacobian, wrench, bounds, weights, start=start)
-    final = compensate(tensions, accel_ref, wire_state, jacobian, winch)
+    tensions, residual = allocate(matrix, wrench, bounds, weights, start=start)
+    final = compensate(tensions, accel_ref, rates, matrix, winch)
     currents = to_currents(final, winch)
     return TensionCommand(
         tensions=tensions,

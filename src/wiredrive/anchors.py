@@ -2,10 +2,12 @@
 
 A drone carrying the loose end of a wire flies a rectangular circuit
 around a pillar so the wire loops it once, then heads back out past its
-entry point so the loop closes on itself.  The drone is a kinematic
-velocity integrator steered by a proportional law on a noisy relative
-position estimate; whether the wrap succeeded is decided afterwards from
-the signed winding number of the flown trajectory about the pillar axis.
+entry point so the loop closes on itself.  The planner returns the
+circuit as an (n, 3) waypoint array, and the tracker flies that array.
+The drone is a kinematic velocity integrator steered by a proportional
+law on a noisy relative position estimate; whether the wrap succeeded is
+decided afterwards from the signed winding number of the flown
+trajectory about the pillar axis.
 """
 
 from __future__ import annotations
@@ -46,22 +48,6 @@ class Pillar:
         """Strict interior test against the footprint grown by `inflation`."""
         d = np.abs(np.asarray(point_xy, dtype=float)[:2] - self.center)
         return bool(np.all(d < self.half_extents + inflation - 1e-12))
-
-
-@dataclass(frozen=True, eq=False)
-class AnchorPath:
-    """Planned wrap path: dense waypoints plus the wire's fixed end."""
-
-    waypoints: np.ndarray  # (n, 3)
-    wire_origin: np.ndarray  # (3,) where the wire leaves the robot body
-
-    def __post_init__(self):
-        wp = np.asarray(self.waypoints, dtype=float).reshape(-1, 3).copy()
-        wp.setflags(write=False)
-        object.__setattr__(self, "waypoints", wp)
-        origin = np.asarray(self.wire_origin, dtype=float).reshape(3).copy()
-        origin.setflags(write=False)
-        object.__setattr__(self, "wire_origin", origin)
 
 
 @dataclass(frozen=True)
@@ -120,14 +106,14 @@ def plan_wrap_path(
     clearance: float,
     spacing: float = DEFAULT_WAYPOINT_SPACING,
     altitude: float | None = None,
-    wire_origin=None,
-) -> AnchorPath:
+) -> np.ndarray:
     """Plan a counterclockwise circuit around the pillar at `clearance`.
 
-    The path runs from the approach point to the nearest circuit corner,
-    once around the footprint, back through that corner and out to the
-    approach point again, so the flown loop winds the pillar exactly once
-    and the wire crosses itself on the way out.
+    Returns the path as (n, 3) waypoints at most `spacing` apart.  It runs
+    from the approach point to the nearest circuit corner, once around
+    the footprint, back through that corner and out to the approach point
+    again, so the flown loop winds the pillar exactly once and the wire
+    crosses itself on the way out.
     """
     if clearance <= 0:
         raise ValueError("clearance must be positive")
@@ -156,12 +142,11 @@ def plan_wrap_path(
     for point in waypoints:
         if pillar.contains(point, inflation=clearance * (1.0 - 1e-9)):
             raise NoClearance("planned circuit clips the inflated pillar footprint")
-    origin = np.zeros(3) if wire_origin is None else wire_origin
-    return AnchorPath(waypoints, origin)
+    return waypoints
 
 
 def track_path(
-    path: AnchorPath,
+    waypoints,
     sensor: RelativePoseSensor,
     pillar: Pillar,
     gains: TrackerGains = TrackerGains(),
@@ -170,20 +155,22 @@ def track_path(
     timeout: float | None = None,
     seed: int = 0,
 ) -> np.ndarray:
-    """Fly the path with a kinematic point drone; returns the trajectory.
+    """Fly (n, 3) waypoints with a kinematic point drone; returns the trajectory.
 
-    The drone integrates a capped proportional velocity toward the active
-    waypoint, advancing when its (noisy) position estimate comes within
-    the capture radius.  Raises TrackingTimeout if the budget runs out.
+    The drone starts on the first waypoint and integrates a capped
+    proportional velocity toward the active one, advancing when its
+    (noisy) position estimate comes within the capture radius.  Raises
+    TrackingTimeout if the budget runs out.
     """
+    waypoints = np.asarray(waypoints, dtype=float).reshape(-1, 3)
     if timeout is None:
-        legs = np.linalg.norm(np.diff(path.waypoints, axis=0), axis=1)
+        legs = np.linalg.norm(np.diff(waypoints, axis=0), axis=1)
         timeout = 5.0 * (float(np.sum(legs)) / gains.speed_cap + 1.0)
     rng = np.random.default_rng(seed)
-    position = path.waypoints[0].copy()
+    position = waypoints[0].copy()
     trajectory = [position.copy()]
     t = 0.0
-    for waypoint in path.waypoints[1:]:
+    for waypoint in waypoints[1:]:
         while True:
             estimate = sensor.measure(position, pillar, rng)
             error = waypoint - estimate

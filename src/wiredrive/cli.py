@@ -16,7 +16,7 @@ import numpy as np
 from .anchors import winding_number
 from .errors import WireDriveError
 from .feasibility import controllability
-from .runner import plan_anchor, run_scenario, wrap_anchor, write_points_csv
+from .runner import plan_anchor, run_scenario, wrapped_wires, write_points_csv
 from .scenario import (
     ParseError,
     Scenario,
@@ -27,7 +27,7 @@ from .scenario import (
     scenario_document,
 )
 from .spatial import Pose
-from .wires import WireAttachment, wire_jacobian
+from .wires import wire_jacobian
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -63,13 +63,8 @@ def cmd_analyze(args) -> int:
     if args.pose is not None:
         pose = Pose.from_translation(np.asarray(args.pose, dtype=float))
     # a flying anchor's wire is analyzed at the anchor its wrap gives it
-    wires = list(scenario.wires)
-    for task in scenario.anchors:
-        wire = wires[task.wire_id]
-        wires[task.wire_id] = WireAttachment(wire.exit_body, wrap_anchor(scenario, task),
-                                             wire_id=wire.wire_id)
-    jacobian = wire_jacobian(pose, wires)
-    report = controllability(jacobian, scenario.bounds, torque_scale=scenario.torque_lever)
+    matrix = wire_jacobian(pose, wrapped_wires(scenario))
+    report = controllability(matrix, scenario.bounds, torque_scale=scenario.torque_lever)
     doc = {
         "scenario": scenario.name,
         "pose_position": [float(v) for v in pose.position],
@@ -109,19 +104,19 @@ def cmd_plan_anchor(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
     results = []
     for k, task in enumerate(scenario.anchors):
-        path = plan_anchor(scenario, task)
-        turns = winding_number(path.waypoints, scenario.pillars[task.pillar_index].center)
+        waypoints = plan_anchor(scenario, task)
+        turns = winding_number(waypoints, scenario.pillars[task.pillar_index].center)
         results.append(
             {
                 "anchor": k,
                 "wire_id": task.wire_id,
                 "pillar": task.pillar_index,
-                "waypoints": int(len(path.waypoints)),
+                "waypoints": int(len(waypoints)),
                 "planned_winding_number": turns,
             }
         )
         if out_dir:
-            write_points_csv(out_dir / f"anchor_plan_{k}.csv", path.waypoints)
+            write_points_csv(out_dir / f"anchor_plan_{k}.csv", waypoints)
     print(json.dumps(results, indent=2))
     return EXIT_OK
 

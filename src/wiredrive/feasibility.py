@@ -27,7 +27,6 @@ import numpy as np
 
 from .allocation import AllocationWeights, TensionBounds, allocate
 from .spatial import Wrench
-from .wires import WireJacobian
 
 RANK_TOLERANCE = 1e-9  # relative to the largest singular value
 ACHIEVABLE_SCALE = 1e-6  # N; a margin counts only above this magnitude
@@ -92,23 +91,22 @@ def _facet_normals(scaled: np.ndarray):
 
 
 def controllability(
-    jacobian: WireJacobian,
+    matrix: np.ndarray,
     bounds: TensionBounds,
     torque_scale: float = 1.0,
 ) -> FeasibilityReport:
     """Rank, positive spanning and the exact wrench margin at one pose.
 
-    With `A` the wire matrix with its torque rows divided by
-    `torque_scale`, the margin is the smallest support value
-    `sum_j max(lo_j n.a_j, hi_j n.a_j)` over both signs of every facet
-    normal `n`, floored at 0.  One LP along the binding normal is the
+    `matrix` is the 6 x m wire matrix at that pose.  With `A` that matrix
+    with its torque rows divided by `torque_scale`, the margin is the
+    smallest support value `sum_j max(lo_j n.a_j, hi_j n.a_j)` over both
+    signs of every facet normal `n`, floored at 0.  One LP along the binding normal is the
     witness: it supplies `saturating_wires`, and its scale caps the
     margin, so a solver disagreement can only lower the reported value.
     `fully_constrained` is true when the margin exceeds
     `ACHIEVABLE_SCALE`.  Below rank 6 the margin is 0, no LP runs, and
     `worst_direction` is a wrench direction the wires cannot produce.
     """
-    matrix = jacobian.matrix
     svals = np.linalg.svd(matrix, compute_uv=False)
     rank = int(np.sum(svals > RANK_TOLERANCE * svals[0])) if svals.size else 0
     weighting = np.array([1.0, 1.0, 1.0, torque_scale, torque_scale, torque_scale])
@@ -147,7 +145,7 @@ def controllability(
 
 
 def wrench_achievable(
-    jacobian: WireJacobian,
+    matrix: np.ndarray,
     wrench: Wrench,
     bounds: TensionBounds,
     force_tol: float = 1e-4,
@@ -155,22 +153,21 @@ def wrench_achievable(
 ) -> tuple[bool, np.ndarray, Wrench]:
     """Whether the tension box can produce one target wrench, and how.
 
-    One feasibility LP, `A f = w` with `lower <= f <= upper`, decides it
-    exactly.  When it finds tensions they come back with the residual
-    `w - A f`, and the target counts as achievable if that residual's
-    force and torque parts are below their tolerances.  When it finds
-    none, the target is not achievable, and the allocation QP with the
-    residual weight pushed to 1e8 supplies the best-effort tensions and
-    the residual they leave.
+    With `A` the 6 x m wire `matrix`, one feasibility LP, `A f = w` with
+    `lower <= f <= upper`, decides it exactly.  When it finds tensions
+    they come back with the residual `w - A f`, and the target counts as
+    achievable if that residual's force and torque parts are below their
+    tolerances.  When it finds none, the target is not achievable, and
+    the allocation QP with the residual weight pushed to 1e8 supplies the
+    best-effort tensions and the residual they leave.
     """
-    matrix = jacobian.matrix
     target = wrench.as_array()
     box = list(zip(bounds.lower, bounds.upper))
     result = linprog(np.zeros(matrix.shape[1]), A_eq=matrix, b_eq=target, bounds=box, method="highs")
     if result.success:
         tensions = result.x
     else:
-        tensions, _ = allocate(jacobian, wrench, bounds, AllocationWeights(np.eye(6) * 1e8))
+        tensions, _ = allocate(matrix, wrench, bounds, AllocationWeights(np.eye(6) * 1e8))
     residual = Wrench.from_array(target - matrix @ tensions)
     achievable = (
         bool(result.success)

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .allocation import TensionCommand, allocate, to_currents
-from .anchors import AnchorPath, plan_wrap_path, track_path, winding_number, wrap_succeeded
+from .anchors import plan_wrap_path, track_path, winding_number, wrap_succeeded
 from .errors import WireDriveError
 from .scenario import POSE_CONTROL, AnchorTask, Scenario, dump_scenario
 from .simulator import OdometrySensor, SimState, step
@@ -59,8 +59,10 @@ class _ScheduleController:
 
     Quasistatic mode allocates the gravity-plus-feedforward wrench at the
     reference pose (measurements are never consulted, which is what makes
-    it open loop); table mode interpolates the scheduled tensions.  No
-    winch compensation follows: the final tensions are the allocated ones.
+    it open loop); table mode interpolates the scheduled tensions and
+    clips them to the tension box, which also holds the QP's solution.
+    No winch compensation follows: the final tensions are the allocated
+    ones.
     """
 
     def __init__(self, scenario: Scenario, wires: WireSet, schedule):
@@ -85,7 +87,7 @@ class _ScheduleController:
         scenario = self.scenario
         pose_ref, twist_ref, accel_ref = sample_schedule(self.segments, self.starts, t)
         if scenario.schedule_table is not None:
-            tensions = np.clip(self._interp_table(t), 0.0, scenario.bounds.upper)
+            tensions = np.clip(self._interp_table(t), scenario.bounds.lower, scenario.bounds.upper)
             residual_norm = 0.0
             desired = Wrench.zero()
         else:
@@ -118,44 +120,45 @@ class _ScheduleController:
 
 
 def write_points_csv(path: Path, points) -> None:
-    """Write (n, 3) points under an `x,y,z` header, one repr row each."""
+    """Write (n, 3) points under an `x,y,z` header, one row of float reprs each."""
     with path.open("w") as fh:
         fh.write("x,y,z\n")
-        for p in points:
-            fh.write(f"{p[0]!r},{p[1]!r},{p[2]!r}\n")
+        for x, y, z in np.asarray(points).tolist():
+            fh.write(f"{x!r},{y!r},{z!r}\n")
 
 
-def plan_anchor(scenario: Scenario, task: AnchorTask) -> AnchorPath:
-    """Wrap path for one anchor task, starting at its wire's exit point."""
-    origin = scenario.start_pose.transform_point(scenario.wires[task.wire_id].exit_body)
+def plan_anchor(scenario: Scenario, task: AnchorTask) -> np.ndarray:
+    """Wrap path waypoints, (n, 3), for one anchor task."""
     return plan_wrap_path(
         scenario.pillars[task.pillar_index],
         task.approach,
         task.clearance,
         spacing=scenario.deployment.waypoint_spacing,
         altitude=task.wrap_altitude,
-        wire_origin=origin,
     )
 
 
-def wrap_anchor(scenario: Scenario, task: AnchorTask) -> np.ndarray:
-    """World anchor of a wire wrapped by `task`: its pillar's center at the wrap altitude."""
-    pillar = scenario.pillars[task.pillar_index]
-    return np.array([pillar.center[0], pillar.center[1], task.wrap_altitude])
+def wrapped_wires(scenario: Scenario) -> list[WireAttachment]:
+    """The scenario's wires, each one an anchor task claims anchored where
+    its wrap puts it: the task's pillar center at the wrap altitude."""
+    wires = list(scenario.wires)
+    for task in scenario.anchors:
+        wire = wires[task.wire_id]
+        center = scenario.pillars[task.pillar_index].center
+        anchor = np.array([center[0], center[1], task.wrap_altitude])
+        wires[task.wire_id] = WireAttachment(wire.exit_body, anchor, wire_id=wire.wire_id)
+    return wires
 
 
 def deploy_anchors(scenario: Scenario, seed: int, out_dir: Path | None = None):
-    """Fly every anchor task; returns (updated wires, per-anchor reports).
+    """Fly every anchor task; returns (`wrapped_wires`, per-anchor reports).
 
-    Each wrapped wire's anchor becomes its `wrap_anchor`.  Raises
-    WireDriveError if any wrap fails outright.
+    Raises WireDriveError if any wrap fails outright.
     """
-    wires = list(scenario.wires)
     reports = []
     dep = scenario.deployment
     for k, task in enumerate(scenario.anchors):
         pillar = scenario.pillars[task.pillar_index]
-        wire = wires[task.wire_id]
         trajectory = track_path(
             plan_anchor(scenario, task),
             dep.sensor,
@@ -172,8 +175,6 @@ def deploy_anchors(scenario: Scenario, seed: int, out_dir: Path | None = None):
                 f"anchor {k} failed to wrap pillar {task.pillar_index} "
                 f"(winding number {turns})"
             )
-        anchor = wrap_anchor(scenario, task)
-        wires[task.wire_id] = WireAttachment(wire.exit_body, anchor, wire_id=wire.wire_id)
         traj_file = None
         if out_dir is not None:
             traj_file = out_dir / f"anchor_{k}.csv"
@@ -189,7 +190,7 @@ def deploy_anchors(scenario: Scenario, seed: int, out_dir: Path | None = None):
                 "trajectory_file": str(traj_file) if traj_file else None,
             }
         )
-    return wires, reports
+    return wrapped_wires(scenario), reports
 
 
 def run_scenario(scenario: Scenario, out_dir, seed: int | None = None) -> dict:
@@ -276,7 +277,7 @@ def run_scenario(scenario: Scenario, out_dir, seed: int | None = None) -> dict:
                         speed_limit=scenario.speed_limit,
                     )
 
-                lengths = wire_lengths_and_rates(state.pose, state.twist, wires).lengths
+                lengths, _ = wire_lengths_and_rates(state.pose, state.twist, wires)
                 if np.any(lengths > scenario.winch.winding_capacity):
                     capacity_violations += 1
 

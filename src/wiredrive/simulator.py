@@ -93,13 +93,12 @@ def step(
     tensions = tensions_from_currents(np.maximum(currents, 0.0), winch)
     tensions = np.minimum(tensions, winch.max_tension)
 
-    wire_state = wire_lengths_and_rates(state.pose, state.twist, attachments)
+    _, rates = wire_lengths_and_rates(state.pose, state.twist, attachments)
     # a drum that cannot match the geometric length rate cannot hold the
     # wire taut; the wire goes slack and exerts nothing this step
-    tensions = np.where(np.abs(wire_state.rates) > winch.max_line_speed, 0.0, tensions)
+    tensions = np.where(np.abs(rates) > winch.max_line_speed, 0.0, tensions)
 
-    jac = wire_jacobian(state.pose, attachments).matrix
-    wrench = jac @ tensions
+    wrench = wire_jacobian(state.pose, attachments) @ tensions
     force = wrench[:3] + np.array([0.0, 0.0, -body.mass * gravity])
     torque_world = wrench[3:]
 

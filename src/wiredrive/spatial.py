@@ -224,9 +224,6 @@ class Pose:
     def rotate(self, v) -> np.ndarray:
         return quat_rotate(self.orientation, v)
 
-    def transform_point(self, p_body) -> np.ndarray:
-        return self.position + self.rotate(p_body)
-
 
 def compose(a: Pose, b: Pose) -> Pose:
     """Rigid composition: the pose of b's frame expressed through a."""

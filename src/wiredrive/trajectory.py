@@ -199,15 +199,15 @@ class PoseController:
             pose, twist, pose_ref, twist_ref, self.gains, self.pid_state, self.dt
         )
         desired = feedback + self.gravity_ff
-        jacobian = wire_jacobian(pose, self.attachments)
-        wire_state = wire_lengths_and_rates(pose, twist, self.attachments)
+        matrix = wire_jacobian(pose, self.attachments)
+        _, rates = wire_lengths_and_rates(pose, twist, self.attachments)
         command = solve_tension_command(
-            jacobian,
+            matrix,
             desired,
             self.bounds,
             self.weights,
             accel_ref,
-            wire_state,
+            rates,
             self.winch,
             start=self._warm_start,
         )

@@ -1,4 +1,4 @@
-"""Wire routing geometry: directions, the 6 x m wire matrix, lengths and rates.
+"""Wire routing geometry: the 6 x m wire matrix, lengths and rates.
 
 Each wire runs as a taut, massless, inextensible segment from a body-frame
 exit point to a fixed world anchor.  Column i of the wire matrix is
@@ -7,9 +7,10 @@ the anchor and r_i the body exit offset rotated (not translated) into the
 world frame, so tensions map to a wrench about the body center:
 wrench = matrix @ tensions.
 
-The functions take any sequence of attachments.  A run passes a `WireSet`,
-whose stacked arrays every geometry pass reuses; a plain list is stacked
-on each call.
+`wire_jacobian` returns that matrix and `wire_lengths_and_rates` the
+(lengths, rates) pair, as plain float arrays.  Both take any sequence of
+attachments.  A run passes a `WireSet`, whose stacked arrays every
+geometry pass reuses; a plain list is stacked on each call.
 """
 
 from __future__ import annotations
@@ -63,38 +64,6 @@ class WireSet(tuple):
         return self
 
 
-@dataclass(frozen=True, eq=False)
-class WireJacobian:
-    """6 x m tension-to-wrench map, columns ordered by wire id."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.matrix, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != 6:
-            raise ValueError("wire matrix must be 6 x m")
-        # the copy also makes the transposed stack from `wire_jacobian`
-        # C-contiguous; later matmul results depend on that layout
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "matrix", arr)
-
-    @property
-    def wire_count(self) -> int:
-        return self.matrix.shape[1]
-
-
-@dataclass(frozen=True, eq=False)
-class WireState:
-    """Current wire lengths and their rates (positive = paying out).
-
-    `wire_lengths_and_rates` is the producer; its geometry pass already
-    rejects lengths below the degeneracy threshold."""
-
-    lengths: np.ndarray
-    rates: np.ndarray
-
-
 def _geometry(pose: Pose, attachments: Sequence[WireAttachment]):
     """One pass over the wires at a pose.
 
@@ -118,17 +87,20 @@ def _geometry(pose: Pose, attachments: Sequence[WireAttachment]):
     return spans / lengths[:, None], lengths, levers, exits_world
 
 
-def wire_jacobian(pose: Pose, attachments: Sequence[WireAttachment]) -> WireJacobian:
-    """Assemble the 6 x m wire matrix at the given pose."""
+def wire_jacobian(pose: Pose, attachments: Sequence[WireAttachment]) -> np.ndarray:
+    """The 6 x m wire matrix at the given pose, as a C-ordered array.
+
+    Later matmul results depend on that layout, so the transposed stack
+    is copied into C order rather than returned as a view.
+    """
     directions, _, levers, _ = _geometry(pose, attachments)
-    torque_rows = cross(levers, directions)
-    return WireJacobian(np.hstack([directions, torque_rows]).T)
+    return np.hstack([directions, cross(levers, directions)]).T.copy()
 
 
 def wire_lengths_and_rates(
     pose: Pose, twist: Twist, attachments: Sequence[WireAttachment]
-) -> WireState:
-    """Lengths and pay-out rates for every wire at the given body state.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(lengths, rates) of every wire at the given body state.
 
     The rate is the time derivative of the straight-line length: negative
     when the body closes on the anchor (the winch is taking wire in).
@@ -140,5 +112,5 @@ def wire_lengths_and_rates(
     lever_world = exits_world - pose.position
     exit_velocities = twist.linear + cross(twist.angular, lever_world)
     rates = -np.einsum("ij,ij->i", directions, exit_velocities)
-    return WireState(lengths, rates)
+    return lengths, rates
 

@@ -226,6 +226,11 @@ def pose_inverse(pose):
     return Pose([-v for v in rotated[1:]], q_inv)
 
 
+def transform_point(pose, p_body):
+    """A body-frame point in the world frame: p + R p_body."""
+    return pose.position + pose.rotate(p_body)
+
+
 def poses_almost_equal(a, b, tol: float = 1e-9) -> bool:
     """Positions within tol of each other, and orientations within tol rad."""
     if np.linalg.norm(a.position - b.position) > tol:

@@ -23,7 +23,6 @@ from wiredrive.allocation import (
 )
 from wiredrive.errors import SolverFailure
 from wiredrive.spatial import Wrench
-from wiredrive.wires import WireJacobian, WireState
 
 
 def tension_objective(matrix, wrench, weights, f):
@@ -36,7 +35,7 @@ def test_zero_wrench_zero_pretension_gives_zero():
     mat = random_wire_matrix(rng, 4)
     bounds = TensionBounds.uniform(4, lower=0.0)
     weights = AllocationWeights.diagonal(scale=100.0)
-    f, residual = allocate(WireJacobian(mat), Wrench.zero(), bounds, weights)
+    f, residual = allocate(mat, Wrench.zero(), bounds, weights)
     assert np.allclose(f, np.zeros(4), atol=1e-9)
     assert np.allclose(residual.as_array(), np.zeros(6), atol=1e-9)
 
@@ -50,7 +49,7 @@ def test_two_opposing_collinear_wires():
     bounds = TensionBounds(np.zeros(2), np.full(2, 180.0))
     weights = AllocationWeights(np.diag([1e6] * 6))
     wrench = Wrench.from_array([10.0, 0, 0, 0, 0, 0])
-    f, residual = allocate(WireJacobian(mat), wrench, bounds, weights)
+    f, residual = allocate(mat, wrench, bounds, weights)
     assert f[0] == pytest.approx(10.0, abs=1e-3)
     assert f[1] == pytest.approx(0.0, abs=1e-6)
     assert np.linalg.norm(residual.as_array()) < 1e-3
@@ -65,7 +64,7 @@ def test_bounds_always_satisfied():
         bounds = TensionBounds(np.full(m, lower), np.full(m, rng.uniform(20.0, 180.0)))
         weights = AllocationWeights.diagonal(scale=rng.uniform(1.0, 1e5))
         wrench = Wrench.from_array(rng.normal(scale=80.0, size=6))
-        f, _ = allocate(WireJacobian(mat), wrench, bounds, weights)
+        f, _ = allocate(mat, wrench, bounds, weights)
         assert np.all(f >= bounds.lower - 1e-10)
         assert np.all(f <= bounds.upper + 1e-10)
 
@@ -81,7 +80,7 @@ def test_matches_grid_oracle_small_instances():
         weights = AllocationWeights(np.diag(weights_diag))
         wrench_vec = rng.normal(scale=8.0, size=6)
         bounds = TensionBounds(np.zeros(m), np.full(m, 180.0))
-        f, _ = allocate(WireJacobian(mat), Wrench.from_array(wrench_vec), bounds, weights)
+        f, _ = allocate(mat, Wrench.from_array(wrench_vec), bounds, weights)
         hessian, gradient = allocation_qp_terms(mat, wrench_vec, weights.matrix)
         _, grid_obj = grid_search_box_qp(hessian, gradient, bounds.lower, bounds.upper, step=0.01)
         solver_obj = box_qp_objective(hessian, gradient, f)
@@ -97,7 +96,7 @@ def test_saturating_instance_reports_residual_and_clamped_wires():
     bounds = TensionBounds(np.zeros(2), np.full(2, 180.0))
     weights = AllocationWeights(np.diag([1e6] * 6))
     wrench = Wrench.from_array([500.0, 0.0, 0.0, 0.0, 0.0, 0.0])
-    f, residual = allocate(WireJacobian(mat), wrench, bounds, weights)
+    f, residual = allocate(mat, wrench, bounds, weights)
     assert np.sum(f >= 180.0 - 1e-6) >= 1
     direct = wrench.as_array() - mat @ f
     assert np.allclose(residual.as_array(), direct, atol=1e-9)
@@ -109,7 +108,7 @@ def test_nan_wrench_raises_instead_of_returning_nan_tensions():
     bounds = TensionBounds(np.zeros(8), np.full(8, 180.0))
     wrench = Wrench.from_array([np.nan, 0.0, 30.0, 0.0, 0.0, 0.0])
     with pytest.raises(SolverFailure):
-        allocate(WireJacobian(mat), wrench, bounds, AllocationWeights.diagonal(scale=1e8))
+        allocate(mat, wrench, bounds, AllocationWeights.diagonal(scale=1e8))
 
 
 def test_raising_upper_bound_never_worsens_objective():
@@ -121,8 +120,8 @@ def test_raising_upper_bound_never_worsens_objective():
         wrench_vec = rng.normal(scale=60.0, size=6)
         tight = TensionBounds(np.zeros(m), np.full(m, 40.0))
         loose = TensionBounds(np.zeros(m), np.full(m, 80.0))
-        f_tight, _ = allocate(WireJacobian(mat), Wrench.from_array(wrench_vec), tight, weights)
-        f_loose, _ = allocate(WireJacobian(mat), Wrench.from_array(wrench_vec), loose, weights)
+        f_tight, _ = allocate(mat, Wrench.from_array(wrench_vec), tight, weights)
+        f_loose, _ = allocate(mat, Wrench.from_array(wrench_vec), loose, weights)
         obj_tight = tension_objective(mat, wrench_vec, weights.matrix, f_tight)
         obj_loose = tension_objective(mat, wrench_vec, weights.matrix, f_loose)
         assert obj_loose <= obj_tight + 1e-8
@@ -130,20 +129,16 @@ def test_raising_upper_bound_never_worsens_objective():
 
 def test_compensate_identity_when_static_and_frictionless():
     winch = WinchParams(rotor_inertia=0.0, coulomb_friction=0.0, viscous_friction=0.0)
-    jac = WireJacobian(np.zeros((6, 3)))
-    state = WireState(np.ones(3), np.zeros(3))
     f = np.array([5.0, 10.0, 0.0])
-    out = compensate(f, np.zeros(6), state, jac, winch)
+    out = compensate(f, np.zeros(6), np.zeros(3), np.zeros((6, 3)), winch)
     assert np.allclose(out, f)
 
 
 def test_compensate_viscous_term():
     # drum speed 10 rad/s with b = 0.001 and r = 0.008 adds 1.25 N
     winch = WinchParams(rotor_inertia=0.0, coulomb_friction=0.0, viscous_friction=0.001)
-    jac = WireJacobian(np.zeros((6, 1)))
     rate = -10.0 * winch.pulley_radius  # winding in at 10 rad/s
-    state = WireState(np.ones(1), np.array([rate]))
-    out = compensate(np.array([1.0]), np.zeros(6), state, jac, winch)
+    out = compensate(np.array([1.0]), np.zeros(6), np.array([rate]), np.zeros((6, 1)), winch)
     assert out[0] == pytest.approx(1.0 + 1.25)
 
 
@@ -152,13 +147,11 @@ def test_compensate_inertia_term():
     winch = WinchParams(rotor_inertia=1e-5, coulomb_friction=0.0, viscous_friction=0.0)
     mat = np.zeros((6, 1))
     mat[0, 0] = 1.0  # wire along +x
-    jac = WireJacobian(mat)
-    state = WireState(np.ones(1), np.zeros(1))
     # body accel +x of r*100 makes the projected length accel -r*100,
     # i.e. the drum must spin up at +100 rad/s^2
     accel = np.zeros(6)
     accel[0] = winch.pulley_radius * 100.0
-    out = compensate(np.array([1.0]), accel, state, jac, winch)
+    out = compensate(np.array([1.0]), accel, np.zeros(1), mat, winch)
     assert out[0] == pytest.approx(1.0 + 0.125)
 
 
@@ -166,10 +159,9 @@ def test_compensate_never_negative():
     winch = WinchParams(rotor_inertia=1e-3, coulomb_friction=0.0, viscous_friction=0.0)
     mat = np.zeros((6, 1))
     mat[0, 0] = 1.0
-    state = WireState(np.ones(1), np.zeros(1))
     accel = np.zeros(6)
     accel[0] = -1000.0
-    out = compensate(np.array([0.5]), accel, state, WireJacobian(mat), winch)
+    out = compensate(np.array([0.5]), accel, np.zeros(1), mat, winch)
     assert out[0] == 0.0
 
 
@@ -196,13 +188,11 @@ def test_current_map_rejects_negative_tension():
 def test_solve_tension_command_populates_all_fields():
     rng = np.random.default_rng(4)
     mat = random_wire_matrix(rng, 4)
-    jac = WireJacobian(mat)
     bounds = TensionBounds.uniform(4)
     weights = AllocationWeights.diagonal(scale=1e4)
-    state = WireState(np.full(4, 2.0), np.zeros(4))
     cmd = solve_tension_command(
-        jac, Wrench.from_array([0, 0, 50.0, 0, 0, 0]), bounds, weights,
-        np.zeros(6), state, WinchParams(),
+        mat, Wrench.from_array([0, 0, 50.0, 0, 0, 0]), bounds, weights,
+        np.zeros(6), np.zeros(4), WinchParams(),
     )
     assert np.all(cmd.tensions >= bounds.lower - 1e-10)
     assert np.all(cmd.tensions_final >= 0.0)
@@ -264,8 +254,7 @@ def drivetrain_cases(draw):
 @given(drivetrain_cases())
 def test_compensate_matches_per_wire_oracle(case):
     winch, tensions, accel, rates, matrix = case
-    state = WireState(np.ones(len(tensions)), rates)
-    out = compensate(tensions, accel, state, WireJacobian(matrix), winch)
+    out = compensate(tensions, accel, rates, matrix, winch)
     expected = compensate_per_wire(tensions, accel, rates, matrix, winch)
     assert np.allclose(out, expected, rtol=1e-12, atol=1e-12)
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from wiredrive.anchors import (
-    AnchorPath,
     Pillar,
     RelativePoseSensor,
     TrackerGains,
@@ -65,23 +64,23 @@ def test_winding_number_ambiguous_cases():
 
 def test_plan_wrap_path_corners_outside_inflated_box():
     pillar = Pillar(center=[0.0, 0.0])
-    path = plan_wrap_path(pillar, [1.5, 0.0, 1.2], clearance=0.3)
+    waypoints = plan_wrap_path(pillar, [1.5, 0.0, 1.2], clearance=0.3)
     # footprint 0.175 x 0.35 inflated by 0.3 -> 0.475 x 0.65 half extents
-    d = np.abs(path.waypoints[:, :2])
+    d = np.abs(waypoints[:, :2])
     outside = (d[:, 0] >= 0.475 - 1e-9) | (d[:, 1] >= 0.65 - 1e-9)
     assert outside.all()
 
 
 def test_plan_wrap_path_winds_once():
     pillar = Pillar(center=[0.4, -0.2])
-    path = plan_wrap_path(pillar, [2.0, 1.0, 1.0], clearance=0.25)
-    assert winding_number(path.waypoints, pillar.center) == 1
+    waypoints = plan_wrap_path(pillar, [2.0, 1.0, 1.0], clearance=0.25)
+    assert winding_number(waypoints, pillar.center) == 1
 
 
 def test_plan_wrap_path_spacing_respected():
     pillar = Pillar(center=[0.0, 0.0])
-    path = plan_wrap_path(pillar, [1.5, 0.3, 1.0], clearance=0.3, spacing=0.1)
-    gaps = np.linalg.norm(np.diff(path.waypoints, axis=0), axis=1)
+    waypoints = plan_wrap_path(pillar, [1.5, 0.3, 1.0], clearance=0.3, spacing=0.1)
+    gaps = np.linalg.norm(np.diff(waypoints, axis=0), axis=1)
     assert np.max(gaps) <= 0.1 + 1e-9
 
 
@@ -93,18 +92,18 @@ def test_plan_wrap_path_rejects_approach_inside_footprint():
 
 def test_track_path_noiseless_captures_all_waypoints():
     pillar = Pillar(center=[0.0, 0.0])
-    path = plan_wrap_path(pillar, [1.2, 0.0, 1.2], clearance=0.3)
-    traj = track_path(path, RelativePoseSensor(), pillar, seed=1)
-    assert np.linalg.norm(traj[-1] - path.waypoints[-1]) < 0.05
+    waypoints = plan_wrap_path(pillar, [1.2, 0.0, 1.2], clearance=0.3)
+    traj = track_path(waypoints, RelativePoseSensor(), pillar, seed=1)
+    assert np.linalg.norm(traj[-1] - waypoints[-1]) < 0.05
     assert wrap_succeeded(traj, pillar)
 
 
 def test_track_path_noisy_monte_carlo():
     pillar = Pillar(center=[0.0, 0.0])
-    path = plan_wrap_path(pillar, [1.2, 0.4, 1.2], clearance=0.3)
+    waypoints = plan_wrap_path(pillar, [1.2, 0.4, 1.2], clearance=0.3)
     sensor = RelativePoseSensor(noise_std=0.02)
     for seed in range(20):
-        traj = track_path(path, sensor, pillar, seed=seed)
+        traj = track_path(waypoints, sensor, pillar, seed=seed)
         assert wrap_succeeded(traj, pillar)
         assert winding_number(traj, pillar.center) == 1
 
@@ -112,17 +111,16 @@ def test_track_path_noisy_monte_carlo():
 def test_track_path_timeout_on_unreachable_waypoint():
     pillar = Pillar(center=[0.0, 0.0])
     waypoints = np.array([[1.0, 0.0, 1.0], [500.0, 0.0, 1.0]])
-    path = AnchorPath(waypoints, np.zeros(3))
     with pytest.raises(TrackingTimeout):
-        track_path(path, RelativePoseSensor(), pillar, timeout=1.0, seed=0)
+        track_path(waypoints, RelativePoseSensor(), pillar, timeout=1.0, seed=0)
 
 
 def test_track_path_deterministic_per_seed():
     pillar = Pillar(center=[0.0, 0.0])
-    path = plan_wrap_path(pillar, [1.0, 1.0, 1.0], clearance=0.3)
+    waypoints = plan_wrap_path(pillar, [1.0, 1.0, 1.0], clearance=0.3)
     sensor = RelativePoseSensor(noise_std=0.01)
-    a = track_path(path, sensor, pillar, seed=7)
-    b = track_path(path, sensor, pillar, seed=7)
+    a = track_path(waypoints, sensor, pillar, seed=7)
+    b = track_path(waypoints, sensor, pillar, seed=7)
     assert np.array_equal(a, b)
 
 
@@ -151,9 +149,8 @@ def test_sensor_range_fallback_noise():
 def test_tracker_speed_cap_enforced():
     pillar = Pillar(center=[0.0, 0.0])
     waypoints = np.array([[2.0, 0.0, 1.0], [4.0, 0.0, 1.0]])
-    path = AnchorPath(waypoints, np.zeros(3))
     dt = 0.02
-    traj = track_path(path, RelativePoseSensor(), pillar,
+    traj = track_path(waypoints, RelativePoseSensor(), pillar,
                       gains=TrackerGains(kp=50.0, speed_cap=0.5), dt=dt, seed=0)
     speeds = np.linalg.norm(np.diff(traj, axis=0), axis=1) / dt
     assert np.max(speeds) <= 0.5 + 1e-9

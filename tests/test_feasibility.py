@@ -222,7 +222,29 @@ def test_rank_deficient_worst_direction_is_unreachable():
     unit = report.worst_direction / weighting
     assert np.linalg.norm(unit) == pytest.approx(1.0)
     # orthogonal, in the weighted norm, to every wrench the wires can pull
-    assert np.allclose(unit @ (jac.matrix / weighting[:, None]), 0.0, atol=1e-9)
+    assert np.allclose(unit @ (jac / weighting[:, None]), 0.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("duplicate", range(8))
+def test_margin_is_exact_with_a_parallel_wire(duplicate):
+    # a ninth wire duplicating one of cube8's: every 5-subset holding both
+    # copies is rank-deficient and spans no facet, yet the margin stays exact
+    scenario = load_scenario(bundled_scenario_path("cube8"))
+    wires = list(scenario.wires)
+    twin = wires[duplicate]
+    wires.append(WireAttachment(twin.exit_body, twin.anchor_world, wire_id=8))
+    bounds = TensionBounds(np.append(scenario.bounds.lower, scenario.bounds.lower[duplicate]),
+                           np.append(scenario.bounds.upper, scenario.bounds.upper[duplicate]))
+    rng = np.random.default_rng(duplicate)
+    for _ in range(5):
+        # along cube8's lift stroke, widened by 5 cm in x and y
+        pose = Pose.from_translation(rng.uniform([-0.05, -0.05, -0.225], [0.05, 0.05, 0.225]))
+        jac = jac_for(wires, pose)
+        report = controllability(jac, bounds, torque_scale=scenario.torque_lever)
+        assert report.rank == 6 and report.margin > 1.0
+        target = report.margin * report.worst_direction
+        assert wrench_achievable(jac, Wrench.from_array(target), bounds)[0]
+        assert not wrench_achievable(jac, Wrench.from_array(1.001 * target), bounds)[0]
 
 
 def jittered_cube_wires(rng, m):
@@ -271,20 +293,20 @@ def test_exact_margin_against_sampled_oracle(case):
     report = controllability(jac, bounds, torque_scale=torque_scale)
     assert report.rank == 6
     # sampling only ever overestimates the inradius
-    sampled = sampled_margin(jac.matrix, bounds.lower, bounds.upper, 64, torque_scale)
+    sampled = sampled_margin(jac, bounds.lower, bounds.upper, 64, torque_scale)
     assert report.margin <= sampled + 1e-9
     # the witness LP along the binding normal reaches the facet distance
-    scale, _ = feasibility._max_scale_along(jac.matrix, report.worst_direction, bounds)
+    scale, _ = feasibility._max_scale_along(jac, report.worst_direction, bounds)
     assert scale == pytest.approx(report.margin, rel=1e-9, abs=1e-9)
     if report.margin > 1e-3:
         # realised along the normal by an independent LP, and nothing 0.1% further
-        along = reach(jac.matrix, bounds.lower, bounds.upper, report.worst_direction)
+        along = reach(jac, bounds.lower, bounds.upper, report.worst_direction)
         assert report.margin * (1 - 1e-9) <= along < 1.001 * report.margin
         assert_achievable_up_to_the_margin(jac, report, bounds)
         # witness tensions: the wires off the binding facet that push along its normal
         weighting = np.array([1.0, 1.0, 1.0, torque_scale, torque_scale, torque_scale])
-        projections = report.worst_direction / weighting**2 @ jac.matrix
-        off_facet = np.setdiff1d(np.arange(jac.wire_count), report.binding_wires)
+        projections = report.worst_direction / weighting**2 @ jac
+        off_facet = np.setdiff1d(np.arange(jac.shape[1]), report.binding_wires)
         assert report.saturating_wires == tuple(int(j) for j in off_facet if projections[j] > 0)
 
 
@@ -301,7 +323,7 @@ def tight_box_layouts(draw):
     m = draw(st.integers(8, 10))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     jac = jac_for(jittered_cube_wires(rng, m))
-    balanced = balanced_tensions(jac.matrix, floor=1.0)
+    balanced = balanced_tensions(jac, floor=1.0)
     assume(balanced is not None)
     lower = np.maximum(0.0, balanced - rng.uniform(0.05, 2.5, m))
     bounds = TensionBounds(lower, balanced + rng.uniform(0.05, 2.5, m))

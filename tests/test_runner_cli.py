@@ -266,6 +266,47 @@ def test_tension_table_interpolates_and_clamps_to_the_cap(tmp_path):
     assert any(row["sat_1"] == "1" for row in rows)
 
 
+def test_tension_table_clamps_to_the_lower_bound(tmp_path):
+    # quasistatic mode's QP keeps every wire at or above `lower`; so does the table
+    doc = yaml.safe_load(bundled_scenario_path("outdoor4").read_text())
+    doc["control"]["schedule"] = [
+        {"t": {"value": 0.0, "unit": "s"},
+         "tensions": {"value": [1.0, 50.0, 50.0, 50.0], "unit": "N"}}
+    ]
+    doc["sim"]["duration"] = {"value": 0.05, "unit": "s"}
+    scenario = build_scenario(doc)
+    assert scenario.bounds.lower[0] == 2.0
+    run_scenario(scenario, tmp_path / "out")
+    with (tmp_path / "out" / "telemetry.csv").open() as stream:
+        rows = list(csv.DictReader(stream))
+    assert rows
+    for row in rows:
+        assert row["tension_ref_0"] == row["tension_cmd_0"] == "2.0"
+
+
+def test_anchor_point_files_are_numeric_csv(tmp_path, capsys, monkeypatch):
+    flown = []
+
+    def recording_track_path(*args, **kwargs):
+        flown.append(track_path(*args, **kwargs))
+        return flown[-1]
+
+    track_path = runner.track_path
+    monkeypatch.setattr(runner, "track_path", recording_track_path)
+    scenario = load_scenario(bundled_scenario_path("anchors2"))
+    run_scenario(dataclasses.replace(scenario, duration=0.05), tmp_path / "run")
+    assert cli.main(["plan-anchor", str(bundled_scenario_path("anchors2")),
+                     "--out", str(tmp_path / "plans")]) == 0
+    capsys.readouterr()
+    for k, task in enumerate(scenario.anchors):
+        header = (tmp_path / "run" / f"anchor_{k}.csv").read_text().splitlines()[0]
+        assert header == "x,y,z"
+        got = np.loadtxt(tmp_path / "run" / f"anchor_{k}.csv", delimiter=",", skiprows=1)
+        assert np.array_equal(got, flown[k])
+        got = np.loadtxt(tmp_path / "plans" / f"anchor_plan_{k}.csv", delimiter=",", skiprows=1)
+        assert np.array_equal(got, runner.plan_anchor(scenario, task))
+
+
 def test_cli_validate_ok_and_exit_codes(small_scenario, capsys):
     assert cli.main(["validate", str(small_scenario)]) == 0
     out = capsys.readouterr().out

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracles import reference_geometry, wire_length
+from oracles import reference_geometry, transform_point, wire_length
 from wiredrive.errors import DegenerateWire
 from wiredrive.spatial import Pose, Twist, quat_from_rotvec, quat_multiply
 from wiredrive.wires import (
@@ -36,8 +36,8 @@ def random_pose(rng, scale=0.3):
 def directions_and_exits(pose, wires):
     """Direction rows of the wire matrix, and the world exit points they imply:
     each anchor minus its wire's length along its direction."""
-    dirs = wire_jacobian(pose, wires).matrix[:3].T
-    lengths = wire_lengths_and_rates(pose, Twist.zero(), wires).lengths
+    dirs = wire_jacobian(pose, wires)[:3].T
+    lengths, _ = wire_lengths_and_rates(pose, Twist.zero(), wires)
     anchors = np.array([w.anchor_world for w in wires])
     return dirs, anchors - lengths[:, None] * dirs
 
@@ -77,21 +77,21 @@ def test_degenerate_wire_raises_with_id():
 def test_jacobian_zero_lever_column():
     wires = [WireAttachment([0, 0, 0], [3.0, 0.0, 0.0])]
     jac = wire_jacobian(Pose.identity(), wires)
-    assert np.allclose(jac.matrix[:, 0], [1, 0, 0, 0, 0, 0])
+    assert np.allclose(jac[:, 0], [1, 0, 0, 0, 0, 0])
 
 
 def test_jacobian_hand_cross_product():
     # lever (0, 0.1, 0) with direction +x gives torque (0, 0, -0.1)
     wires = [WireAttachment([0.0, 0.1, 0.0], [5.0, 0.1, 0.0])]
     jac = wire_jacobian(Pose.identity(), wires)
-    assert np.allclose(jac.matrix[:, 0], [1, 0, 0, 0, 0, -0.1], atol=1e-12)
+    assert np.allclose(jac[:, 0], [1, 0, 0, 0, 0, -0.1], atol=1e-12)
 
 
 def test_jacobian_lever_uses_rotation_not_translation():
     # translating the body must not change the lever arm term
     wires = [WireAttachment([0.0, 0.1, 0.0], [5.0, 0.1, 0.0])]
-    near = wire_jacobian(Pose.identity(), wires).matrix
-    far = wire_jacobian(Pose.from_translation([1.0, 0.0, 0.0]), wires).matrix
+    near = wire_jacobian(Pose.identity(), wires)
+    far = wire_jacobian(Pose.from_translation([1.0, 0.0, 0.0]), wires)
     assert np.allclose(near[3:, 0], far[3:, 0], atol=1e-12)
 
 
@@ -103,7 +103,7 @@ def test_wrench_matches_per_wire_accumulation():
         wires = random_layout(rng, m)
         pose = random_pose(rng)
         tensions = rng.uniform(0.0, 150.0, size=m)
-        total = wire_jacobian(pose, wires).matrix @ tensions
+        total = wire_jacobian(pose, wires) @ tensions
         rot = pose.rotation_matrix()
         expected = np.zeros(6)
         for wire, tension in zip(wires, tensions):
@@ -122,30 +122,28 @@ def test_jacobian_invariant_to_anchor_distance_along_ray():
     for _ in range(20):
         pose = random_pose(rng)
         exit_body = rng.uniform(-0.2, 0.2, size=3)
-        exit_world = pose.transform_point(exit_body)
+        exit_world = transform_point(pose, exit_body)
         ray = rng.normal(size=3)
         ray /= np.linalg.norm(ray)
         near = [WireAttachment(exit_body, exit_world + 1.0 * ray)]
         far = [WireAttachment(exit_body, exit_world + 7.3 * ray)]
-        assert np.allclose(
-            wire_jacobian(pose, near).matrix, wire_jacobian(pose, far).matrix, atol=1e-12
-        )
+        assert np.allclose(wire_jacobian(pose, near), wire_jacobian(pose, far), atol=1e-12)
 
 
 def test_static_body_has_zero_rates():
     rng = np.random.default_rng(2)
     wires = random_layout(rng, 6)
-    state = wire_lengths_and_rates(random_pose(rng), Twist.zero(), wires)
-    assert np.allclose(state.rates, np.zeros(6))
-    assert np.all(state.lengths > 0)
+    lengths, rates = wire_lengths_and_rates(random_pose(rng), Twist.zero(), wires)
+    assert np.allclose(rates, np.zeros(6))
+    assert np.all(lengths > 0)
 
 
 def test_collinear_motion_rate():
     wires = [WireAttachment([0, 0, 0], [4.0, 0.0, 0.0])]
     twist = Twist([1.0, 0.0, 0.0], [0.0, 0.0, 0.0])
-    state = wire_lengths_and_rates(Pose.identity(), twist, wires)
-    assert state.rates[0] == pytest.approx(-1.0)
-    assert state.lengths[0] == pytest.approx(4.0)
+    lengths, rates = wire_lengths_and_rates(Pose.identity(), twist, wires)
+    assert rates[0] == pytest.approx(-1.0)
+    assert lengths[0] == pytest.approx(4.0)
 
 
 def test_rates_match_central_difference():
@@ -156,16 +154,16 @@ def test_rates_match_central_difference():
         wires = random_layout(rng, m)
         pose = random_pose(rng)
         twist = Twist(rng.normal(size=3), rng.normal(size=3))
-        state = wire_lengths_and_rates(pose, twist, wires)
+        _, rates = wire_lengths_and_rates(pose, twist, wires)
 
         def lengths_at(offset):
             pos = pose.position + offset * twist.linear
             quat = quat_multiply(quat_from_rotvec(offset * twist.angular), pose.orientation)
             shifted = Pose(pos, quat)
-            return wire_lengths_and_rates(shifted, Twist.zero(), wires).lengths
+            return wire_lengths_and_rates(shifted, Twist.zero(), wires)[0]
 
         fd = (lengths_at(h) - lengths_at(-h)) / (2 * h)
-        assert np.allclose(state.rates, fd, atol=1e-6)
+        assert np.allclose(rates, fd, atol=1e-6)
 
 
 def eight_wire_cube_layout(frame_half=0.5, exit_radius=0.15, exit_height=0.1, twist=0.6):
@@ -202,7 +200,7 @@ def eight_wire_cube_layout(frame_half=0.5, exit_radius=0.15, exit_height=0.1, tw
 
 def test_rank_of_eight_wire_cube_layout():
     jac = wire_jacobian(Pose.identity(), eight_wire_cube_layout())
-    svals = np.linalg.svd(jac.matrix, compute_uv=False)
+    svals = np.linalg.svd(jac, compute_uv=False)
     assert np.sum(svals > 1e-9 * svals[0]) == 6
 
 
@@ -230,16 +228,16 @@ def body_states(draw):
 @given(body_states())
 def test_geometry_agrees_across_entry_points(case):
     wires, pose, twist = case
-    jac = wire_jacobian(pose, wires).matrix
-    state = wire_lengths_and_rates(pose, twist, wires)
+    jac = wire_jacobian(pose, wires)
+    lengths, rates = wire_lengths_and_rates(pose, twist, wires)
     # direction rows times lengths rebuild the spans from world exit to anchor
-    spans = [w.anchor_world - pose.transform_point(w.exit_body) for w in wires]
-    assert np.allclose(jac[:3].T * state.lengths[:, None], spans, rtol=0.0, atol=1e-12)
+    spans = [w.anchor_world - transform_point(pose, w.exit_body) for w in wires]
+    assert np.allclose(jac[:3].T * lengths[:, None], spans, rtol=0.0, atol=1e-12)
     expected = [
         wire_length(w.anchor_world, pose.position, pose.orientation, w.exit_body) for w in wires
     ]
-    assert np.allclose(state.lengths, expected, rtol=0.0, atol=1e-12)
-    assert np.allclose(state.rates, -(jac.T @ twist.as_array()), rtol=0.0, atol=1e-12)
+    assert np.allclose(lengths, expected, rtol=0.0, atol=1e-12)
+    assert np.allclose(rates, -(jac.T @ twist.as_array()), rtol=0.0, atol=1e-12)
 
 
 def _same_bits(a, b):
@@ -254,13 +252,26 @@ def test_wire_set_gives_the_plain_list_results_bit_for_bit(case):
     wires, pose, twist = case
     wire_set = WireSet(wires)
     assert list(wire_set) == wires
-    assert _same_bits(wire_jacobian(pose, wire_set).matrix, wire_jacobian(pose, wires).matrix)
+    assert _same_bits(wire_jacobian(pose, wire_set), wire_jacobian(pose, wires))
     for got, expected in zip(_geometry(pose, wire_set), _geometry(pose, wires)):
         assert _same_bits(got, expected)
     got = wire_lengths_and_rates(pose, twist, wire_set)
     expected = wire_lengths_and_rates(pose, twist, wires)
-    assert _same_bits(got.lengths, expected.lengths)
-    assert _same_bits(got.rates, expected.rates)
+    assert _same_bits(got[0], expected[0])
+    assert _same_bits(got[1], expected[1])
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(body_states())
+def test_wire_jacobian_is_a_c_ordered_6_by_m_array(case):
+    # C order fixes the summation order of the matmuls that consume it
+    wires, pose, _ = case
+    jac = wire_jacobian(pose, wires)
+    assert type(jac) is np.ndarray and jac.dtype == np.float64
+    assert jac.shape == (6, len(wires))
+    assert jac.flags.c_contiguous
+    directions, _, levers, _ = _geometry(pose, wires)
+    assert np.array_equal(jac, np.hstack([directions, np.cross(levers, directions)]).T)
 
 
 def test_wire_set_stacks_once_and_is_read_only():
@@ -291,7 +302,7 @@ def test_degenerate_scan_names_the_first_wire_at_the_threshold(case, data):
     close = sorted(data.draw(st.sets(st.integers(0, m - 1), min_size=1)))
     for i in close:
         # an anchor sitting on (or just off) its world exit point
-        exit_world = pose.transform_point(wires[i].exit_body)
+        exit_world = transform_point(pose, wires[i].exit_body)
         offset = data.draw(st.sampled_from([0.0, 0.5 * DEGENERACY_THRESHOLD]))
         wires[i] = WireAttachment(wires[i].exit_body, exit_world + [offset, 0.0, 0.0], wire_id=i)
     with pytest.raises(DegenerateWire) as got:
