@@ -65,6 +65,7 @@ def cmd_analyze(args) -> int:
     # a flying anchor's wire is analyzed at the anchor its wrap gives it
     matrix = wire_jacobian(pose, wrapped_wires(scenario))
     report = controllability(matrix, scenario.bounds, torque_scale=scenario.torque_lever)
+    witness = report.witness_tensions
     doc = {
         "scenario": scenario.name,
         "pose_position": [float(v) for v in pose.position],
@@ -76,6 +77,7 @@ def cmd_analyze(args) -> int:
         "binding_wires": list(report.binding_wires),
         "directions_checked": report.directions_checked,
         "worst_direction": [float(v) for v in report.worst_direction],
+        "witness_tensions": None if witness is None else witness.tolist(),
     }
     print(json.dumps(doc, indent=2))
     out_dir = Path(args.out or f"runs/{scenario.name}")

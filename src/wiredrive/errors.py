@@ -22,7 +22,8 @@ class DegenerateWire(WireDriveError):
 
 class SolverFailure(WireDriveError):
     """The tension QP did not reach its optimality tolerance within the
-    iteration cap; usually a sign of pathological geometry or weights."""
+    iteration cap, or the feasibility witness tensions missed the margin
+    wrench; usually a sign of pathological geometry or weights."""
 
 
 class RotationTooLarge(WireDriveError):

@@ -10,12 +10,16 @@ its inradius about the origin exactly: every facet normal is orthogonal
 to five linearly independent wire columns, the distance to a facet is
 the box's support value along its normal, and the margin is the smallest
 such distance (hyperplane shifting; Gouttefarde & Gosselin 2006,
-Bouchard, Gosselin & Moore 2010).  One linear program along the binding
-facet's normal then finds tensions that realise the margin.
+Bouchard, Gosselin & Moore 2010).  Tensions that realise the margin
+follow in closed form from the binding facet: the wires off its plane
+sit at the bound their side of it picks, and one least-squares solve
+splits the rest among the wires in its plane.  They are verified before
+they are reported.
 
 `wrench_achievable` decides one target wrench exactly with a feasibility
 LP; the allocation QP only supplies best-effort tensions when the LP
-finds none.  scipy solves the LPs and is imported on the first one.
+finds none.  scipy solves that LP and is imported on the first one, so
+`controllability` never loads it.
 """
 
 from __future__ import annotations
@@ -26,11 +30,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .allocation import AllocationWeights, TensionBounds, allocate
+from .errors import SolverFailure
+from .qp import solve_box_qp
 from .spatial import Wrench
 
 RANK_TOLERANCE = 1e-9  # relative to the largest singular value
 ACHIEVABLE_SCALE = 1e-6  # N; a margin counts only above this magnitude
-_SCALE_CAP = 1e6  # keeps the witness LP bounded
+PLANE_TOLERANCE = 1e-9  # |n.a_j| / |a_j| at or below which wire j lies in a facet's plane
+WITNESS_TOLERANCE = 1e-9  # witness residual |A f - margin n| allowed, per 1 + margin
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,7 +47,8 @@ class FeasibilityReport:
     `margin` is the exact radius, in the weighted norm, of the largest
     wrench ball about the origin that the tension box can produce.
     `worst_direction` has unit weighted norm, so `margin * worst_direction`
-    is a wrench in N and N m on the boundary of what the wires can do.
+    is a wrench in N and N m on the boundary of what the wires can do,
+    and `witness_tensions` are verified tensions that produce it.
     """
 
     rank: int
@@ -50,32 +58,19 @@ class FeasibilityReport:
     directions_checked: int  # facet normals whose support was evaluated, both signs
     worst_direction: np.ndarray  # binding facet normal, or a wrench the wires cannot produce
     binding_wires: tuple[int, ...]  # the five wires spanning the binding facet; () below rank 6
+    witness_tensions: np.ndarray | None  # realise margin * worst_direction; None at margin 0
 
 
 def linprog(*args, **kwargs):
     """`scipy.optimize.linprog`, imported on the first call.
 
-    Only these LPs need scipy, and importing `scipy.optimize` takes longer
-    than importing the rest of the package, so `run`, `validate` and
-    `plan-anchor` never load it.
+    Only `wrench_achievable`'s LP needs scipy, and importing
+    `scipy.optimize` takes longer than importing the rest of the package,
+    so `run`, `analyze`, `validate` and `plan-anchor` never load it.
     """
     from scipy.optimize import linprog as scipy_linprog
 
     return scipy_linprog(*args, **kwargs)
-
-
-def _max_scale_along(matrix: np.ndarray, direction: np.ndarray, bounds: TensionBounds):
-    """Largest alpha with W f = alpha * direction inside the tension box."""
-    m = matrix.shape[1]
-    cost = np.zeros(m + 1)
-    cost[m] = -1.0
-    eq = np.hstack([matrix, -direction[:, None]])
-    box = [(lo, hi) for lo, hi in zip(bounds.lower, bounds.upper)]
-    box.append((0.0, _SCALE_CAP))
-    result = linprog(cost, A_eq=eq, b_eq=np.zeros(6), bounds=box, method="highs")
-    if not result.success:
-        return 0.0, None
-    return float(result.x[m]), result.x[:m]
 
 
 def _facet_normals(scaled: np.ndarray):
@@ -90,6 +85,37 @@ def _facet_normals(scaled: np.ndarray):
     return subsets[spanning], u[spanning, :, 5]
 
 
+def _witness(scaled, normal, projections, binding_wires, margin, bounds):
+    """Tensions in the box with `scaled @ f = margin * normal`, verified.
+
+    Wires whose column leaves the binding plane sit at the bound the sign
+    of their projection picks, as in the support value.  The wires in the
+    plane share the rest in a minimum-norm least-squares split.  Only when
+    more than five lie there can it leave the box; a box QP then places
+    them, its Tikhonov term (1e-14 of the Gram trace) making repeated
+    columns definite.  Raises SolverFailure unless the result, clipped to
+    the box against rounding at a bound, realises the wrench.
+    """
+    in_plane = np.abs(projections) <= PLANE_TOLERANCE * np.linalg.norm(scaled, axis=0)
+    in_plane[list(binding_wires)] = True
+    tensions = np.where(projections > 0, bounds.upper, bounds.lower)
+    target = margin * normal
+    columns = scaled[:, in_plane]
+    rest = target - scaled[:, ~in_plane] @ tensions[~in_plane]
+    split = np.linalg.lstsq(columns, rest, rcond=None)[0]
+    lower, upper = bounds.lower[in_plane], bounds.upper[in_plane]
+    if len(split) > 5 and not np.all((lower <= split) & (split <= upper)):
+        gram = columns.T @ columns
+        tikhonov = 1e-14 * np.trace(gram) * np.eye(len(split))
+        split, _, _ = solve_box_qp(gram + tikhonov, -columns.T @ rest, lower, upper)
+    tensions[in_plane] = split
+    tensions = np.clip(tensions, bounds.lower, bounds.upper)
+    residual = float(np.linalg.norm(scaled @ tensions - target))
+    if not residual <= WITNESS_TOLERANCE * (1.0 + margin):
+        raise SolverFailure(f"witness tensions miss the margin wrench by {residual:.3e}")
+    return tensions
+
+
 def controllability(
     matrix: np.ndarray,
     bounds: TensionBounds,
@@ -100,11 +126,12 @@ def controllability(
     `matrix` is the 6 x m wire matrix at that pose.  With `A` that matrix
     with its torque rows divided by `torque_scale`, the margin is the
     smallest support value `sum_j max(lo_j n.a_j, hi_j n.a_j)` over both
-    signs of every facet normal `n`, floored at 0.  One LP along the binding normal is the
-    witness: it supplies `saturating_wires`, and its scale caps the
-    margin, so a solver disagreement can only lower the reported value.
-    `fully_constrained` is true when the margin exceeds
-    `ACHIEVABLE_SCALE`.  Below rank 6 the margin is 0, no LP runs, and
+    signs of every facet normal `n`, floored at 0.  No LP runs: the
+    binding facet gives witness tensions in closed form, verified to
+    realise `margin * worst_direction` inside the box (SolverFailure
+    otherwise), and `saturating_wires` are its wires at their upper bound.
+    At margin 0 there is neither.  `fully_constrained` is true when the
+    margin exceeds `ACHIEVABLE_SCALE`.  Below rank 6 the margin is 0 and
     `worst_direction` is a wrench direction the wires cannot produce.
     """
     svals = np.linalg.svd(matrix, compute_uv=False)
@@ -122,6 +149,7 @@ def controllability(
             directions_checked=0,
             worst_direction=u[:, 5] * weighting,
             binding_wires=(),
+            witness_tensions=None,
         )
 
     subsets, normals = _facet_normals(scaled)
@@ -129,18 +157,19 @@ def controllability(
     projections = normals @ scaled
     support = np.maximum(bounds.lower * projections, bounds.upper * projections).sum(axis=1)
     binding = int(np.argmin(support))
-    worst = normals[binding] * weighting
-
-    scale, tensions = _max_scale_along(matrix, worst, bounds)
-    margin = max(0.0, min(float(support[binding]), scale))  # a failed LP reports scale 0
+    binding_wires = tuple(int(i) for i in subsets[binding % len(subsets)])
+    margin = max(0.0, float(support[binding]))
+    tensions = None if margin == 0.0 else _witness(
+        scaled, normals[binding], projections[binding], binding_wires, margin, bounds)
     return FeasibilityReport(
         rank=rank,
         fully_constrained=margin > ACHIEVABLE_SCALE,
         margin=margin,
         saturating_wires=() if tensions is None else saturated_wires(tensions, bounds),
         directions_checked=len(normals),
-        worst_direction=worst,
-        binding_wires=tuple(int(i) for i in subsets[binding % len(subsets)]),
+        worst_direction=normals[binding] * weighting,
+        binding_wires=binding_wires,
+        witness_tensions=tensions,
     )
 
 

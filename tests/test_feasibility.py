@@ -3,8 +3,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from wiredrive import feasibility
+from wiredrive import cli, feasibility
 from wiredrive.allocation import TensionBounds
+from wiredrive.errors import SolverFailure
 from wiredrive.feasibility import controllability, saturated_wires, wrench_achievable
 from wiredrive.scenario import bundled_scenario_path, load_scenario
 from wiredrive.spatial import Pose, Wrench
@@ -184,20 +185,26 @@ def test_saturated_wires_lists_the_flagged_wires(case):
     assert list(flags) == [t >= u - 1e-6 for t, u in zip(tensions, bounds.upper)]
 
 
-@pytest.mark.parametrize("name, lps, normals", [("outdoor4", 0, 0), ("cube8", 1, 112)])
-def test_one_witness_lp_and_every_facet_normal(name, lps, normals, monkeypatch):
+def counting(monkeypatch, name):
+    """Replace `feasibility.<name>` by a wrapper that counts its calls; returns the count list."""
     calls = []
+    original = getattr(feasibility, name)
 
-    def counting_linprog(*args, **kwargs):
+    def counted(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    original = feasibility.linprog
-    monkeypatch.setattr(feasibility, "linprog", counting_linprog)
+    monkeypatch.setattr(feasibility, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("name, normals", [("outdoor4", 0), ("cube8", 112)])
+def test_no_lp_and_every_facet_normal(name, normals, monkeypatch):
+    calls = counting(monkeypatch, "linprog")
     scenario = load_scenario(bundled_scenario_path(name))
     report = controllability(jac_for(scenario.wires, scenario.start_pose), scenario.bounds)
-    # rank-deficient outdoor4 needs no LP; cube8 checks both signs of C(8, 5) normals
-    assert len(calls) == lps
+    # no LP at any rank; cube8 checks both signs of C(8, 5) normals
+    assert len(calls) == 0
     assert report.directions_checked == normals
 
 
@@ -245,6 +252,55 @@ def test_margin_is_exact_with_a_parallel_wire(duplicate):
         target = report.margin * report.worst_direction
         assert wrench_achievable(jac, Wrench.from_array(target), bounds)[0]
         assert not wrench_achievable(jac, Wrench.from_array(1.001 * target), bounds)[0]
+
+
+def test_witness_box_qp_keeps_an_unequal_twin_inside_its_box(monkeypatch):
+    # a ninth wire duplicating wire 0 with a box only 0.5 N wide: splitting
+    # the pair's tension evenly leaves that box, so the box QP places them
+    scenario = load_scenario(bundled_scenario_path("cube8"))
+    wires = list(scenario.wires)
+    wires.append(WireAttachment(wires[0].exit_body, wires[0].anchor_world, wire_id=8))
+    lower = np.append(scenario.bounds.lower, scenario.bounds.lower[0])
+    bounds = TensionBounds(lower, np.append(scenario.bounds.upper, lower[0] + 0.5))
+    calls = counting(monkeypatch, "solve_box_qp")
+    jac = jac_for(wires)
+    report = controllability(jac, bounds, torque_scale=scenario.torque_lever)
+    assert len(calls) == 1
+    assert report.margin > 1.0
+    witness = report.witness_tensions
+    assert np.all((bounds.lower <= witness) & (witness <= bounds.upper))
+    target = report.margin * report.worst_direction
+    assert wrench_achievable(jac, Wrench.from_array(target), bounds)[0]
+    assert not wrench_achievable(jac, Wrench.from_array(1.001 * target), bounds)[0]
+
+
+def test_rank_six_layout_that_does_not_span_positively_has_no_witness():
+    # six wires reach rank 6 but cannot hold the zero wrench above 2 N pretension
+    report = controllability(jac_for(spread_wires(6)), TensionBounds.uniform(6, lower=2.0))
+    assert report.rank == 6
+    assert report.margin == 0.0
+    assert report.saturating_wires == ()
+    assert report.witness_tensions is None
+    assert len(report.binding_wires) == 5
+
+
+def test_a_witness_that_misses_the_margin_raises(monkeypatch, capsys, tmp_path):
+    solve = np.linalg.lstsq
+
+    def off_by_a_newton(a, b, rcond=None):
+        x, *rest = solve(a, b, rcond=rcond)
+        return (x - 1.0, *rest)
+
+    monkeypatch.setattr(np.linalg, "lstsq", off_by_a_newton)
+    path = bundled_scenario_path("cube8")
+    scenario = load_scenario(path)
+    with pytest.raises(SolverFailure, match="witness"):
+        controllability(jac_for(scenario.wires, scenario.start_pose), scenario.bounds)
+    assert cli.main(["analyze", str(path), "--out", str(tmp_path)]) == cli.EXIT_RUNTIME
+    captured = capsys.readouterr()
+    assert captured.err.startswith("runtime fault: witness tensions miss")
+    assert captured.out == ""
+    assert not (tmp_path / "feasibility.json").exists()
 
 
 def jittered_cube_wires(rng, m):
@@ -295,9 +351,6 @@ def test_exact_margin_against_sampled_oracle(case):
     # sampling only ever overestimates the inradius
     sampled = sampled_margin(jac, bounds.lower, bounds.upper, 64, torque_scale)
     assert report.margin <= sampled + 1e-9
-    # the witness LP along the binding normal reaches the facet distance
-    scale, _ = feasibility._max_scale_along(jac, report.worst_direction, bounds)
-    assert scale == pytest.approx(report.margin, rel=1e-9, abs=1e-9)
     if report.margin > 1e-3:
         # realised along the normal by an independent LP, and nothing 0.1% further
         along = reach(jac, bounds.lower, bounds.upper, report.worst_direction)
@@ -308,6 +361,21 @@ def test_exact_margin_against_sampled_oracle(case):
         projections = report.worst_direction / weighting**2 @ jac
         off_facet = np.setdiff1d(np.arange(jac.shape[1]), report.binding_wires)
         assert report.saturating_wires == tuple(int(j) for j in off_facet if projections[j] > 0)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(perturbed_layouts())
+def test_witness_realises_the_margin_inside_the_box(case):
+    jac, bounds, torque_scale = case
+    report = controllability(jac, bounds, torque_scale=torque_scale)
+    witness = report.witness_tensions
+    if report.margin == 0.0:
+        assert witness is None and report.saturating_wires == ()
+        return
+    assert np.all((bounds.lower <= witness) & (witness <= bounds.upper))
+    target = report.margin * report.worst_direction
+    assert np.linalg.norm(jac @ witness - target) <= 1e-9 * np.linalg.norm(target)
+    assert report.saturating_wires == saturated_wires(witness, bounds)
 
 
 @st.composite

@@ -41,19 +41,25 @@ print(json.dumps({
 }))
 """
 
-ONE_LP = """
-import json, sys
-from wiredrive import feasibility
+NO_LP_IN_ANALYZE = """
+import io, json, sys
+from contextlib import redirect_stdout
+import wiredrive, wiredrive.cli
 from wiredrive.scenario import bundled_scenario_path, load_scenario
-from wiredrive.wires import wire_jacobian
 
-before = callable(feasibility.linprog), "scipy.optimize" in sys.modules
-scenario = load_scenario(bundled_scenario_path("cube8"))
-jacobian = wire_jacobian(scenario.start_pose, scenario.wires)
-report = feasibility.controllability(jacobian, scenario.bounds, torque_scale=scenario.torque_lever)
+out = sys.argv[1]
+path = bundled_scenario_path("cube8")
+scenario = load_scenario(path)
+jacobian = wiredrive.wire_jacobian(scenario.start_pose, scenario.wires)
+report = wiredrive.controllability(jacobian, scenario.bounds, torque_scale=scenario.torque_lever)
+with redirect_stdout(io.StringIO()):
+    code = wiredrive.cli.main(["analyze", str(path), "--out", out])
+scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+wiredrive.wrench_achievable(jacobian, wiredrive.Wrench.zero(), scenario.bounds)
 print(json.dumps({
-    "before": before,
-    "after": "scipy.optimize" in sys.modules,
+    "code": code,
+    "scipy": scipy,
+    "after_lp": "scipy.optimize" in sys.modules,
     "margin": report.margin.hex(),
 }))
 """
@@ -76,11 +82,13 @@ def test_run_validate_and_plan_anchor_never_import_scipy(tmp_path):
     assert result["scipy"] == []
 
 
-def test_first_lp_imports_scipy_and_gives_the_same_margin():
-    result = fresh_python(ONE_LP)
-    # the LP entry point is there before any LP runs, scipy.optimize is not
-    assert result["before"] == [True, False]
-    assert result["after"]
+def test_controllability_and_analyze_load_no_scipy(tmp_path):
+    result = fresh_python(NO_LP_IN_ANALYZE, str(tmp_path))
+    assert result["code"] == 0
+    assert (tmp_path / "feasibility.json").is_file()
+    assert result["scipy"] == []
+    # the first LP, in wrench_achievable, still loads scipy.optimize
+    assert result["after_lp"]
     scenario = load_scenario(bundled_scenario_path("cube8"))
     jacobian = wire_jacobian(scenario.start_pose, scenario.wires)
     report = controllability(jacobian, scenario.bounds, torque_scale=scenario.torque_lever)

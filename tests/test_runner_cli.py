@@ -361,6 +361,22 @@ def test_cli_analyze_uses_the_anchors_deployment_gives(capsys, tmp_path):
     assert report["rank"] == deployed.rank == 2
 
 
+@pytest.mark.parametrize("name", ["cube8", "outdoor4"])
+def test_cli_analyze_writes_the_witness_tensions(name, capsys, tmp_path):
+    path = bundled_scenario_path(name)
+    assert cli.main(["analyze", str(path), "--out", str(tmp_path)]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    assert json.loads((tmp_path / "feasibility.json").read_text()) == printed
+    scenario = load_scenario(path)
+    report = controllability(wire_jacobian(scenario.start_pose, scenario.wires), scenario.bounds,
+                             torque_scale=scenario.torque_lever)
+    if name == "cube8":
+        assert printed["witness_tensions"] == report.witness_tensions.tolist()
+        assert len(printed["witness_tensions"]) == 8
+    else:  # rank-deficient outdoor4 has no witness
+        assert printed["witness_tensions"] is None
+
+
 @pytest.mark.parametrize("flags, name", [
     (["--pose", "nan", "0", "0"], "--pose"),
 ])
