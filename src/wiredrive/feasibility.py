@@ -10,11 +10,13 @@ its inradius about the origin exactly: every facet normal is orthogonal
 to five linearly independent wire columns, the distance to a facet is
 the box's support value along its normal, and the margin is the smallest
 such distance (hyperplane shifting; Gouttefarde & Gosselin 2006,
-Bouchard, Gosselin & Moore 2010).  Tensions that realise the margin
-follow in closed form from the binding facet: the wires off its plane
-sit at the bound their side of it picks, and one least-squares solve
-splits the rest among the wires in its plane.  They are verified before
-they are reported.
+Bouchard, Gosselin & Moore 2010).  One batched Householder QR of all
+6 x 5 column blocks gives every normal, the last column of a block's
+complete Q, and its rank test, from the diagonal of its R.  Tensions
+that realise the margin follow in closed form from the binding facet:
+the wires off its plane sit at the bound their side of it picks, and one
+least-squares solve splits the rest among the wires in its plane.  They
+are verified before they are reported.
 
 `wrench_achievable` decides one target wrench exactly with a feasibility
 LP; the allocation QP only supplies best-effort tensions when the LP
@@ -24,7 +26,9 @@ finds none.  scipy solves that LP and is imported on the first one, so
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,10 +38,14 @@ from .errors import SolverFailure
 from .qp import solve_box_qp
 from .spatial import Wrench
 
-RANK_TOLERANCE = 1e-9  # relative to the largest singular value
+# relative to the largest singular value, and for a 6 x 5 block to R's
+# largest diagonal entry: sigma_5 <= min|r_ii| and max|r_ii| <= sigma_1, so
+# R keeps every block the singular values would
+RANK_TOLERANCE = 1e-9
 ACHIEVABLE_SCALE = 1e-6  # N; a margin counts only above this magnitude
 PLANE_TOLERANCE = 1e-9  # |n.a_j| / |a_j| at or below which wire j lies in a facet's plane
 WITNESS_TOLERANCE = 1e-9  # witness residual |A f - margin n| allowed, per 1 + margin
+TIE_TOLERANCE = 1e-12  # support above the minimum, per 1 + |minimum|, that still ties
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,16 +81,28 @@ def linprog(*args, **kwargs):
     return scipy_linprog(*args, **kwargs)
 
 
+@functools.cache
+def _five_subsets(wire_count: int) -> np.ndarray:
+    """The column 5-subsets of `wire_count` wires, as a read-only (k, 5) table."""
+    subsets = np.array(list(itertools.combinations(range(wire_count), 5)), dtype=np.intp)
+    subsets.setflags(write=False)
+    return subsets
+
+
 def _facet_normals(scaled: np.ndarray):
     """Unit normals of the hyperplanes spanned by five independent columns.
 
     Returns (subsets, normals): the column 5-subsets whose block has rank
-    5, and one unit normal per subset as the rows of a (k, 6) array.
+    5, and one unit normal per subset as the rows of a (k, 6) array.  One
+    batched complete QR factors every 6 x 5 block: the last column of Q is
+    orthogonal to the block's columns, and a block counts as rank 5 when
+    its smallest |r_ii| exceeds RANK_TOLERANCE times its largest.
     """
-    subsets = np.array(list(itertools.combinations(range(scaled.shape[1]), 5)))
-    u, svals, _ = np.linalg.svd(scaled[:, subsets].transpose(1, 0, 2))
-    spanning = svals[:, 4] > RANK_TOLERANCE * svals[:, 0]
-    return subsets[spanning], u[spanning, :, 5]
+    subsets = _five_subsets(scaled.shape[1])
+    q, r = np.linalg.qr(scaled[:, subsets].transpose(1, 0, 2), mode="complete")
+    diagonal = np.abs(np.diagonal(r, axis1=1, axis2=2))
+    spanning = diagonal.min(axis=1) > RANK_TOLERANCE * diagonal.max(axis=1)
+    return subsets[spanning], q[spanning, :, 5]
 
 
 def _witness(scaled, normal, projections, binding_wires, margin, bounds):
@@ -126,14 +146,27 @@ def controllability(
     `matrix` is the 6 x m wire matrix at that pose.  With `A` that matrix
     with its torque rows divided by `torque_scale`, the margin is the
     smallest support value `sum_j max(lo_j n.a_j, hi_j n.a_j)` over both
-    signs of every facet normal `n`, floored at 0.  No LP runs: the
-    binding facet gives witness tensions in closed form, verified to
-    realise `margin * worst_direction` inside the box (SolverFailure
-    otherwise), and `saturating_wires` are its wires at their upper bound.
+    signs of every facet normal `n`, floored at 0.  Of the facets within
+    `TIE_TOLERANCE` of that smallest value, the last 5-subset binds.  No
+    LP runs: the binding facet gives witness tensions in closed form,
+    verified to realise `margin * worst_direction` inside the box
+    (SolverFailure otherwise), and `saturating_wires` are its wires at
+    their upper bound.
     At margin 0 there is neither.  `fully_constrained` is true when the
     margin exceeds `ACHIEVABLE_SCALE`.  Below rank 6 the margin is 0 and
     `worst_direction` is a wrench direction the wires cannot produce.
+    A ValueError names the argument when `matrix` is not a finite 6 x m
+    array, `bounds` does not hold m wires or `torque_scale` is not finite
+    and positive.
     """
+    matrix = np.asarray(matrix, dtype=float)
+    if matrix.ndim != 2 or matrix.shape[0] != 6 or not np.all(np.isfinite(matrix)):
+        raise ValueError(f"matrix must be a finite 6 x m array, got shape {matrix.shape}")
+    if len(bounds.lower) != matrix.shape[1]:
+        raise ValueError(f"bounds must hold {matrix.shape[1]} wires, one per matrix column, "
+                         f"got {len(bounds.lower)}")
+    if not (math.isfinite(torque_scale) and torque_scale > 0):
+        raise ValueError(f"torque_scale must be finite and positive, got {torque_scale}")
     svals = np.linalg.svd(matrix, compute_uv=False)
     rank = int(np.sum(svals > RANK_TOLERANCE * svals[0])) if svals.size else 0
     weighting = np.array([1.0, 1.0, 1.0, torque_scale, torque_scale, torque_scale])
@@ -156,9 +189,13 @@ def controllability(
     normals = np.concatenate([normals, -normals])
     projections = normals @ scaled
     support = np.maximum(bounds.lower * projections, bounds.upper * projections).sum(axis=1)
-    binding = int(np.argmin(support))
+    least = float(support.min())
+    margin = max(0.0, least)
+    # a mirror-symmetric pose ties several facets up to rounding; the last
+    # 5-subset among them binds, so the choice does not rest on the last bits
+    tied = np.flatnonzero(support - least <= TIE_TOLERANCE * (1.0 + abs(least)))
+    binding = int(tied[np.argmax(tied % len(subsets))])
     binding_wires = tuple(int(i) for i in subsets[binding % len(subsets)])
-    margin = max(0.0, float(support[binding]))
     tensions = None if margin == 0.0 else _witness(
         scaled, normals[binding], projections[binding], binding_wires, margin, bounds)
     return FeasibilityReport(

@@ -7,7 +7,9 @@ oracle accumulates per-wire forces one wire at a time.
 The `reference_*` kernels are the plain numpy formulations of the
 library's hot-path kernels.  The library computes the same values with
 less per-call overhead; the tests hold it to these bit for bit, one
-kernel at a time and end to end through a whole run.
+kernel at a time and end to end through a whole run.  The exception is
+`reference_facet_normals`, an SVD where the library factors by QR: the
+tests hold the library to it to 1e-12.
 """
 
 from __future__ import annotations
@@ -155,6 +157,27 @@ def sampled_margin(wire_matrix, lower, upper, count: int, torque_scale: float = 
         reach(wire_matrix, lower, upper, direction)
         for direction in sample_wrench_directions(count, torque_scale)
     )
+
+
+def reference_facet_normals(scaled):
+    """(subsets, normals) of the facet scan by one SVD per 5-column block.
+
+    A block counts as rank 5 when sigma_5 > 1e-9 sigma_1, and its last
+    left singular vector is its unit normal.  The library's batched QR
+    agrees with this to rounding, not bit for bit, and may flip a sign.
+    """
+    subsets = np.array(list(itertools.combinations(range(scaled.shape[1]), 5)))
+    u, svals, _ = np.linalg.svd(scaled[:, subsets].transpose(1, 0, 2))
+    spanning = svals[:, 4] > 1e-9 * svals[:, 0]
+    return subsets[spanning], u[spanning, :, 5]
+
+
+def reference_supports(scaled, lower, upper):
+    """(subsets, supports): the box's support value along both signs of each reference normal."""
+    subsets, normals = reference_facet_normals(scaled)
+    projections = np.concatenate([normals, -normals]) @ scaled
+    supports = np.maximum(lower * projections, upper * projections).sum(axis=1)
+    return np.concatenate([subsets, subsets]), supports
 
 
 def random_spd(rng, n, scale=1.0):

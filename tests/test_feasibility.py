@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -11,7 +13,8 @@ from wiredrive.scenario import bundled_scenario_path, load_scenario
 from wiredrive.spatial import Pose, Wrench
 from wiredrive.wires import WireAttachment, wire_jacobian
 
-from oracles import balanced_tensions, reach, sample_wrench_directions, sampled_margin
+from oracles import (balanced_tensions, reach, reference_facet_normals, reference_supports,
+                     sample_wrench_directions, sampled_margin)
 from test_wires import eight_wire_cube_layout
 
 
@@ -232,16 +235,30 @@ def test_rank_deficient_worst_direction_is_unreachable():
     assert np.allclose(unit @ (jac / weighting[:, None]), 0.0, atol=1e-9)
 
 
-@pytest.mark.parametrize("duplicate", range(8))
-def test_margin_is_exact_with_a_parallel_wire(duplicate):
-    # a ninth wire duplicating one of cube8's: every 5-subset holding both
-    # copies is rank-deficient and spans no facet, yet the margin stays exact
+def cube8_with_twin(duplicate):
+    """cube8's scenario, and its wires and bounds with a ninth wire duplicating wire `duplicate`."""
     scenario = load_scenario(bundled_scenario_path("cube8"))
     wires = list(scenario.wires)
     twin = wires[duplicate]
     wires.append(WireAttachment(twin.exit_body, twin.anchor_world, wire_id=8))
     bounds = TensionBounds(np.append(scenario.bounds.lower, scenario.bounds.lower[duplicate]),
                            np.append(scenario.bounds.upper, scenario.bounds.upper[duplicate]))
+    return scenario, wires, bounds
+
+
+def rank_five_blocks(jac, twins=None):
+    """5-subsets of `jac`'s columns, not holding both `twins`, that np.linalg.matrix_rank finds rank 5."""
+    return sum(
+        not (twins and set(twins) <= set(subset)) and np.linalg.matrix_rank(jac[:, subset]) == 5
+        for subset in itertools.combinations(range(jac.shape[1]), 5)
+    )
+
+
+@pytest.mark.parametrize("duplicate", range(8))
+def test_margin_is_exact_with_a_parallel_wire(duplicate):
+    # a ninth wire duplicating one of cube8's: every 5-subset holding both
+    # copies is rank-deficient and spans no facet, yet the margin stays exact
+    scenario, wires, bounds = cube8_with_twin(duplicate)
     rng = np.random.default_rng(duplicate)
     for _ in range(5):
         # along cube8's lift stroke, widened by 5 cm in x and y
@@ -249,9 +266,63 @@ def test_margin_is_exact_with_a_parallel_wire(duplicate):
         jac = jac_for(wires, pose)
         report = controllability(jac, bounds, torque_scale=scenario.torque_lever)
         assert report.rank == 6 and report.margin > 1.0
+        # the rank filter drops exactly the blocks holding both twins
+        assert report.directions_checked == 2 * rank_five_blocks(jac, (duplicate, 8))
         target = report.margin * report.worst_direction
         assert wrench_achievable(jac, Wrench.from_array(target), bounds)[0]
         assert not wrench_achievable(jac, Wrench.from_array(1.001 * target), bounds)[0]
+
+
+@pytest.mark.parametrize("duplicate", [None, *range(8)])
+def test_rank_filter_drops_the_rank_four_blocks_at_the_identity(duplicate):
+    # at the identity the cube's symmetry leaves 8 of its 56 blocks at rank 4
+    if duplicate is None:
+        scenario = load_scenario(bundled_scenario_path("cube8"))
+        wires, bounds, twins, expected = scenario.wires, scenario.bounds, None, 96
+    else:
+        scenario, wires, bounds = cube8_with_twin(duplicate)
+        twins, expected = (duplicate, 8), 156
+    jac = jac_for(wires)
+    report = controllability(jac, bounds, torque_scale=scenario.torque_lever)
+    assert report.directions_checked == 2 * rank_five_blocks(jac, twins) == expected
+
+
+@pytest.mark.parametrize("name", ["cube8", "cube8_saturated"])
+def test_mirror_symmetric_ties_bind_the_last_subset(name):
+    # at the start pose, x = y = 0, the cube's mirror symmetry ties four
+    # facets; which one rounding favours must not decide the binding wires
+    scenario = load_scenario(bundled_scenario_path(name))
+    jac = jac_for(scenario.wires, scenario.start_pose)
+    lever = scenario.torque_lever
+    report = controllability(jac, scenario.bounds, torque_scale=lever)
+    scaled = jac / np.array([1.0, 1.0, 1.0, lever, lever, lever])[:, None]
+    subsets, supports = reference_supports(scaled, scenario.bounds.lower, scenario.bounds.upper)
+    least = supports.min()
+    tied = sorted(tuple(int(i) for i in subsets[k])
+                  for k in np.flatnonzero(supports - least <= 1e-12 * (1 + least)))
+    assert len(tied) == 4
+    assert report.binding_wires == tied[-1]
+    assert report.margin == pytest.approx(least, rel=1e-14)
+
+
+CUBE8_JAC = jac_for(eight_wire_cube_layout())
+
+
+@pytest.mark.parametrize("matrix, bounds, torque_scale, argument", [
+    (CUBE8_JAC[:5], TensionBounds.uniform(8), 0.2, "matrix"),
+    (CUBE8_JAC[:, 0], TensionBounds.uniform(8), 0.2, "matrix"),
+    (np.where(np.eye(6, 8, dtype=bool), np.nan, CUBE8_JAC), TensionBounds.uniform(8), 0.2, "matrix"),
+    (np.where(np.eye(6, 8, dtype=bool), np.inf, CUBE8_JAC), TensionBounds.uniform(8), 0.2, "matrix"),
+    (CUBE8_JAC[:, :7], TensionBounds.uniform(8), 0.2, "bounds"),
+    (CUBE8_JAC, TensionBounds.uniform(9), 0.2, "bounds"),
+    (CUBE8_JAC, TensionBounds.uniform(8), 0.0, "torque_scale"),
+    (CUBE8_JAC, TensionBounds.uniform(8), -0.2, "torque_scale"),
+    (CUBE8_JAC, TensionBounds.uniform(8), float("nan"), "torque_scale"),
+    (CUBE8_JAC, TensionBounds.uniform(8), float("inf"), "torque_scale"),
+])
+def test_controllability_names_the_bad_argument(matrix, bounds, torque_scale, argument):
+    with pytest.raises(ValueError, match=f"^{argument} "):
+        controllability(matrix, bounds, torque_scale=torque_scale)
 
 
 def test_witness_box_qp_keeps_an_unequal_twin_inside_its_box(monkeypatch):
@@ -320,13 +391,16 @@ def jittered_cube_wires(rng, m):
 
 @st.composite
 def perturbed_layouts(draw):
-    """6 to 10 wires around the cube8 geometry, jittered, with random tension boxes.
+    """8 to 10 wires around the cube8 geometry, jittered, with random tension boxes.
 
-    Starting from the eight-wire cube keeps many layouts of 8 or more
-    wires positively spanning, so the margin checks see nonzero margins;
-    fewer wires drop cube wires, more add wires to random anchors.
+    Starting from the eight-wire cube keeps most of these layouts
+    positively spanning, so the margin checks see nonzero margins; more
+    than eight add wires to random anchors.  Six wires never span
+    positively and jittered sevens seldom do, so they would only repeat
+    the margin-0 case, which pretension still gives about one layout in
+    ten here.
     """
-    m = draw(st.integers(6, 10))
+    m = draw(st.integers(8, 10))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     wires = jittered_cube_wires(rng, m)
     lower = rng.uniform(0.0, 10.0, m)
@@ -376,6 +450,37 @@ def test_witness_realises_the_margin_inside_the_box(case):
     target = report.margin * report.worst_direction
     assert np.linalg.norm(jac @ witness - target) <= 1e-9 * np.linalg.norm(target)
     assert report.saturating_wires == saturated_wires(witness, bounds)
+
+
+@st.composite
+def twinned_layouts(draw):
+    """6 to 10 jittered cube wires, up to two of them doubled by an exact twin, with random boxes."""
+    m = draw(st.integers(6, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    wires = jittered_cube_wires(rng, m)
+    for k in draw(st.lists(st.integers(0, m - 1), max_size=2)):
+        wires.append(WireAttachment(wires[k].exit_body, wires[k].anchor_world, wire_id=len(wires)))
+    lower = rng.uniform(0.0, 10.0, len(wires))
+    bounds = TensionBounds(lower, lower + rng.uniform(20.0, 200.0, len(wires)))
+    return jac_for(wires), bounds, draw(st.floats(0.2, 1.0))
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(twinned_layouts())
+def test_facet_normals_and_margin_match_the_svd_reference(case):
+    jac, bounds, torque_scale = case
+    scaled = jac / np.array([1.0, 1.0, 1.0, torque_scale, torque_scale, torque_scale])[:, None]
+    subsets, normals = feasibility._facet_normals(scaled)
+    reference_subsets, reference_normals = reference_facet_normals(scaled)
+    assert np.array_equal(subsets, reference_subsets)
+    # the same unit normal, up to its sign
+    apart = np.minimum(np.abs(normals - reference_normals).max(axis=1),
+                       np.abs(normals + reference_normals).max(axis=1))
+    assert np.all(apart <= 1e-12)
+    report = controllability(jac, bounds, torque_scale=torque_scale)
+    _, supports = reference_supports(scaled, bounds.lower, bounds.upper)
+    assert report.rank == 6
+    assert abs(report.margin - max(0.0, supports.min())) <= 1e-12 * (1 + report.margin)
 
 
 @st.composite
