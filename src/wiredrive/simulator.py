@@ -9,10 +9,17 @@ symplectic-Euler in velocity with a trapezoidal position/attitude update,
 which keeps constant-gravity trajectories exact and static equilibria
 drift-free.  Non-finite state is a NumericalBlowup: a step whose new
 speed is over the speed limit or not finite raises it.
+
+A step makes two wire-kinematics calls (the rates for the slack rule,
+then the wire matrix for the wrench).  Everything after the wrench runs
+on Python floats through the float cores in `spatial`: one rotation
+matrix, the inverse inertia that `BodyModel` computes once, and one
+normalization of the new attitude, by `Pose`.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
@@ -21,7 +28,19 @@ import numpy as np
 
 from .allocation import WinchParams, tensions_from_currents
 from .errors import NumericalBlowup
-from .spatial import Pose, Twist, cross, quat_from_rotvec, quat_multiply
+from .spatial import (
+    Pose,
+    Twist,
+    cross3,
+    hamilton,
+    mat_t_vec,
+    mat_vec,
+    norm3,
+    quat_from_rotvec,
+    quat_multiply,
+    rotation_rows,
+    rotvec_exp,
+)
 from .wires import WireAttachment, wire_jacobian, wire_lengths_and_rates
 
 STANDARD_GRAVITY = 9.80665  # m/s^2
@@ -34,7 +53,9 @@ class BodyModel:
 
     The torque reference point, the wire-matrix origin and the center of
     mass are all the same configurable body center; the inertia tensor is
-    taken about that point in body axes.
+    taken about that point in body axes.  `inertia_inverse` is computed
+    once, read-only, from the validated inertia; it is not a field, so
+    `dataclasses.replace` computes it again.
     """
 
     mass: float
@@ -42,19 +63,25 @@ class BodyModel:
     radius: float = 0.2  # bounding radius; wire exits must stay inside
 
     def __post_init__(self):
-        if self.mass <= 0:
-            raise ValueError("mass must be strictly positive")
-        if self.radius <= 0:
-            raise ValueError("radius must be strictly positive")
+        for name in ("mass", "radius"):
+            value = float(getattr(self, name))
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and strictly positive, got {value}")
+            object.__setattr__(self, name, value)
         inertia = np.asarray(self.inertia, dtype=float).reshape(3, 3).copy()
+        if not np.all(np.isfinite(inertia)):
+            raise ValueError("inertia must be finite")
         if np.max(np.abs(inertia - inertia.T)) > 1e-12:
             raise ValueError("inertia tensor must be symmetric")
         try:
             np.linalg.cholesky(inertia)
         except np.linalg.LinAlgError as exc:
             raise ValueError("inertia tensor must be positive definite") from exc
+        inverse = np.linalg.inv(inertia)
         inertia.setflags(write=False)
+        inverse.setflags(write=False)
         object.__setattr__(self, "inertia", inertia)
+        object.__setattr__(self, "inertia_inverse", inverse)
 
     @classmethod
     def solid_cube(cls, mass: float, side: float) -> "BodyModel":
@@ -98,33 +125,37 @@ def step(
     # wire taut; the wire goes slack and exerts nothing this step
     tensions = np.where(np.abs(rates) > winch.max_line_speed, 0.0, tensions)
 
-    wrench = wire_jacobian(state.pose, attachments) @ tensions
-    force = wrench[:3] + np.array([0.0, 0.0, -body.mass * gravity])
-    torque_world = wrench[3:]
+    fx, fy, fz, *torque_world = (wire_jacobian(state.pose, attachments) @ tensions).tolist()
+    mass = body.mass
+    accel = (fx / mass, fy / mass, (fz - mass * gravity) / mass)
+    linear = state.twist.linear.tolist()
+    velocity_new = [v + dt * a for v, a in zip(linear, accel)]
 
-    accel = force / body.mass
-    velocity_new = state.twist.linear + dt * accel
-
-    rot = state.pose.rotation_matrix()
-    omega_body = rot.T @ state.twist.angular
-    torque_body = rot.T @ torque_world
-    omega_dot = np.linalg.solve(
-        body.inertia, torque_body - cross(omega_body, body.inertia @ omega_body)
+    orientation = state.pose.orientation.tolist()
+    rot = rotation_rows(orientation)
+    angular = state.twist.angular.tolist()
+    omega_body = mat_t_vec(rot, angular)
+    torque_body = mat_t_vec(rot, torque_world)
+    gyro = cross3(omega_body, mat_vec(body.inertia.tolist(), omega_body))
+    omega_dot = mat_vec(
+        body.inertia_inverse.tolist(), [t - g for t, g in zip(torque_body, gyro)]
     )
-    omega_new = rot @ (omega_body + dt * omega_dot)
+    omega_new = mat_vec(rot, [w + dt * a for w, a in zip(omega_body, omega_dot)])
     # written so that a NaN speed fails the check too
-    if not (
-        np.linalg.norm(velocity_new) <= speed_limit
-        and np.linalg.norm(omega_new) <= speed_limit
-    ):
+    if not (norm3(velocity_new) <= speed_limit and norm3(omega_new) <= speed_limit):
         raise NumericalBlowup(
             f"body speed exceeded {speed_limit} or is not finite "
             f"at t={state.time + dt:.4f} s"
         )
 
-    position_new = state.pose.position + 0.5 * dt * (state.twist.linear + velocity_new)
-    rotvec_step = 0.5 * dt * (state.twist.angular + omega_new)
-    orientation_new = quat_multiply(quat_from_rotvec(rotvec_step), state.pose.orientation)
+    half = 0.5 * dt
+    position_new = [
+        p + half * (v0 + v1)
+        for p, v0, v1 in zip(state.pose.position.tolist(), linear, velocity_new)
+    ]
+    rotvec_step = [half * (w0 + w1) for w0, w1 in zip(angular, omega_new)]
+    # Pose normalizes the product once
+    orientation_new = hamilton(rotvec_exp(rotvec_step), orientation)
 
     return SimState(
         Pose(position_new, orientation_new),

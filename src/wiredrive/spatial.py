@@ -30,6 +30,73 @@ def _floats(v) -> list:
     return np.asarray(v, dtype=float).tolist()
 
 
+# Float cores: the formulas on Python floats, taking and returning tuples
+# (or any sequence).  Python floats round exactly as float64 arrays do, and
+# on 3- and 4-vectors they skip numpy's per-call setup.  The array-returning
+# functions below are built on them, and `simulator.step` calls them
+# directly.
+
+
+def norm3(v) -> float:
+    """Euclidean length of a 3-vector: sqrt of the sum of squares in order."""
+    x, y, z = v
+    return math.sqrt(x * x + y * y + z * z)
+
+
+def cross3(a, b) -> tuple:
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+
+
+def mat_vec(rows, v) -> tuple:
+    """M v for a 3 x 3 matrix given by its rows."""
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    x, y, z = v
+    return (a * x + b * y + c * z, d * x + e * y + f * z, g * x + h * y + i * z)
+
+
+def mat_t_vec(rows, v) -> tuple:
+    """M^T v for a 3 x 3 matrix given by its rows."""
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    x, y, z = v
+    return (a * x + d * y + g * z, b * x + e * y + h * z, c * x + f * y + i * z)
+
+
+def hamilton(a, b) -> tuple:
+    """Hamilton product of two (w, x, y, z) quaternions."""
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
+    return (
+        aw * bw - ax * bx - ay * by - az * bz,
+        aw * bx + ax * bw + ay * bz - az * by,
+        aw * by - ax * bz + ay * bw + az * bx,
+        aw * bz + ax * by - ay * bx + az * bw,
+    )
+
+
+def rotation_rows(q) -> tuple:
+    """Rows of the rotation matrix of a unit (w, x, y, z) quaternion."""
+    w, x, y, z = q
+    return (
+        (1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)),
+        (2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)),
+        (2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)),
+    )
+
+
+def rotvec_exp(rv) -> tuple:
+    """Exponential map of a rotation vector (axis * angle) to a quaternion,
+    not normalized: its norm is 1 to rounding."""
+    x, y, z = rv
+    angle = norm3(rv)
+    if angle < 1e-10:
+        # second-order series keeps the map smooth through zero
+        return (1.0 - angle * angle / 8.0, 0.5 * x, 0.5 * y, 0.5 * z)
+    s = math.sin(0.5 * angle) / angle
+    return (math.cos(0.5 * angle), s * x, s * y, s * z)
+
+
 def cross(a, b) -> np.ndarray:
     """Cross product over the last axis of two arrays; (3,) broadcasts
     against (m, 3).
@@ -40,9 +107,7 @@ def cross(a, b) -> np.ndarray:
     Python floats, which round exactly as float64 arrays do, at a fraction
     of the cost of numpy's per-call setup on 3 elements."""
     if a.ndim == 1 and b.ndim == 1:
-        a0, a1, a2 = a.tolist()
-        b0, b1, b2 = b.tolist()
-        return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+        return np.array(cross3(a.tolist(), b.tolist()))
     a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
     b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
     c0 = a1 * b2 - a2 * b1
@@ -66,16 +131,7 @@ def quat_normalize(q) -> np.ndarray:
 
 
 def quat_multiply(a, b) -> np.ndarray:
-    aw, ax, ay, az = _floats(a)
-    bw, bx, by, bz = _floats(b)
-    return np.array(
-        [
-            aw * bw - ax * bx - ay * by - az * bz,
-            aw * bx + ax * bw + ay * bz - az * by,
-            aw * by - ax * bz + ay * bw + az * bx,
-            aw * bz + ax * by - ay * bx + az * bw,
-        ]
-    )
+    return np.array(hamilton(_floats(a), _floats(b)))
 
 
 def quat_conjugate(q) -> np.ndarray:
@@ -92,28 +148,12 @@ def quat_rotate(q, v) -> np.ndarray:
 
 
 def quat_to_matrix(q) -> np.ndarray:
-    w, x, y, z = _floats(q)
-    return np.array(
-        [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ]
-    )
+    return np.array(rotation_rows(_floats(q)))
 
 
 def quat_from_rotvec(rv) -> np.ndarray:
-    """Exponential map: rotation vector (axis * angle) to quaternion."""
-    rv = np.asarray(rv, dtype=float)
-    angle = float(np.linalg.norm(rv))
-    if angle < 1e-10:
-        # second-order series keeps the map smooth through zero
-        q = np.concatenate(([1.0 - angle * angle / 8.0], 0.5 * rv))
-    else:
-        q = np.concatenate(
-            ([np.cos(0.5 * angle)], np.sin(0.5 * angle) / angle * rv)
-        )
-    return quat_normalize(q)
+    """Exponential map: rotation vector (axis * angle) to unit quaternion."""
+    return quat_normalize(rotvec_exp(_floats(rv)))
 
 
 def rotvec_from_quat(q) -> np.ndarray:

@@ -110,7 +110,10 @@ def wire_lengths_and_rates(
     # `levers` can differ from it in the last bit, which recorded
     # telemetry would show
     lever_world = exits_world - pose.position
-    exit_velocities = twist.linear + cross(twist.angular, lever_world)
-    rates = -np.einsum("ij,ij->i", directions, exit_velocities)
+    v = twist.linear + cross(twist.angular, lever_world)
+    d = directions
+    # summed in a fixed order per row, so the bits do not depend on the
+    # operands' memory layout (as einsum's summation order does)
+    rates = -(d[:, 0] * v[:, 0] + d[:, 1] * v[:, 1] + d[:, 2] * v[:, 2])
     return lengths, rates
 

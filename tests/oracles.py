@@ -7,9 +7,12 @@ oracle accumulates per-wire forces one wire at a time.
 The `reference_*` kernels are the plain numpy formulations of the
 library's hot-path kernels.  The library computes the same values with
 less per-call overhead; the tests hold it to these bit for bit, one
-kernel at a time and end to end through a whole run.  The exception is
-`reference_facet_normals`, an SVD where the library factors by QR: the
-tests hold the library to it to 1e-12.
+kernel at a time and end to end through a whole run.  Two exceptions
+agree to rounding only: `reference_facet_normals`, an SVD where the
+library factors by QR (held to 1e-12), and `reference_step`, the plant
+step on numpy arrays with `np.linalg.solve` on the inertia, where the
+library runs Python floats and a precomputed inverse (held to 1e-12
+relative).
 """
 
 from __future__ import annotations
@@ -22,9 +25,11 @@ from scipy.optimize import linprog
 from scipy.special import ndtri
 from scipy.stats import qmc
 
-from wiredrive.errors import DegenerateWire, SolverFailure
-from wiredrive.spatial import Pose
-from wiredrive.wires import DEGENERACY_THRESHOLD, WireSet
+from wiredrive.allocation import tensions_from_currents
+from wiredrive.errors import DegenerateWire, NumericalBlowup, SolverFailure
+from wiredrive.simulator import DEFAULT_SPEED_LIMIT, STANDARD_GRAVITY, SimState
+from wiredrive.spatial import Pose, Twist
+from wiredrive.wires import DEGENERACY_THRESHOLD, WireSet, wire_jacobian, wire_lengths_and_rates
 
 
 def box_qp_objective(hessian, gradient, x):
@@ -344,6 +349,54 @@ def reference_quat_normalize(q):
     if arr[0] < 0.0:
         arr = -arr
     return arr
+
+
+def reference_quat_from_rotvec(rv):
+    """Exponential map on numpy arrays: `np.linalg.norm` angle, numpy sin and cos."""
+    rv = np.asarray(rv, dtype=float)
+    angle = float(np.linalg.norm(rv))
+    if angle < 1e-10:
+        q = np.concatenate(([1.0 - angle * angle / 8.0], 0.5 * rv))
+    else:
+        q = np.concatenate(([np.cos(0.5 * angle)], np.sin(0.5 * angle) / angle * rv))
+    return reference_quat_normalize(q)
+
+
+def reference_step(state, currents, dt, body, attachments, winch,
+                   gravity=STANDARD_GRAVITY, speed_limit=DEFAULT_SPEED_LIMIT):
+    """`simulator.step` on numpy arrays, solving with the inertia each call.
+
+    The same tensions, slack rule and wire kinematics calls as the library;
+    after the wrench, numpy 3-vectors, `np.linalg.norm` speed checks, and
+    the new attitude normalized twice (by `reference_quat_from_rotvec`,
+    then by `Pose`).
+    """
+    if not 0.0 < dt <= 0.01:
+        raise ValueError("dt must lie in (0, 0.01] seconds")
+    currents = np.asarray(currents, dtype=float)
+    tensions = tensions_from_currents(np.maximum(currents, 0.0), winch)
+    tensions = np.minimum(tensions, winch.max_tension)
+    _, rates = wire_lengths_and_rates(state.pose, state.twist, attachments)
+    tensions = np.where(np.abs(rates) > winch.max_line_speed, 0.0, tensions)
+
+    wrench = wire_jacobian(state.pose, attachments) @ tensions
+    force = wrench[:3] + np.array([0.0, 0.0, -body.mass * gravity])
+    velocity_new = state.twist.linear + dt * (force / body.mass)
+    rot = reference_quat_to_matrix(state.pose.orientation)
+    omega_body = rot.T @ state.twist.angular
+    omega_dot = np.linalg.solve(
+        body.inertia, rot.T @ wrench[3:] - np.cross(omega_body, body.inertia @ omega_body)
+    )
+    omega_new = rot @ (omega_body + dt * omega_dot)
+    if not (np.linalg.norm(velocity_new) <= speed_limit
+            and np.linalg.norm(omega_new) <= speed_limit):
+        raise NumericalBlowup(f"body speed exceeded {speed_limit} or is not finite")
+    position_new = state.pose.position + 0.5 * dt * (state.twist.linear + velocity_new)
+    rotvec_step = 0.5 * dt * (state.twist.angular + omega_new)
+    orientation_new = reference_quat_multiply(
+        reference_quat_from_rotvec(rotvec_step), state.pose.orientation)
+    return SimState(Pose(position_new, orientation_new), Twist(velocity_new, omega_new),
+                    tensions, state.time + dt)
 
 
 def reference_geometry(pose, attachments):

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import re
 import string
@@ -8,6 +9,8 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wiredrive import cli
+from wiredrive import scenario as scenario_module
 from wiredrive.scenario import (
     _UNIT_ALIASES,
     INTEGER,
@@ -134,6 +137,37 @@ def test_exit_point_outside_body_radius_rejected(tmp_path):
     with pytest.raises(ValidationError) as info:
         load_scenario(write(tmp_path, edit(MINIMAL, bad)))
     assert "exit_body" in info.value.field
+
+
+@contextlib.contextmanager
+def pure_python_yaml():
+    """Scenario I/O through PyYAML's pure-Python loader and dumper."""
+    saved = scenario_module._YAML_LOADER, scenario_module._YAML_DUMPER
+    scenario_module._YAML_LOADER, scenario_module._YAML_DUMPER = yaml.SafeLoader, yaml.SafeDumper
+    try:
+        yield
+    finally:
+        scenario_module._YAML_LOADER, scenario_module._YAML_DUMPER = saved
+
+
+@pytest.mark.parametrize("name", ["cube8", "cube8_saturated", "outdoor4", "anchors2"])
+def test_both_yaml_classes_read_and_write_the_same_bundled_scenario(name):
+    path = bundled_scenario_path(name)
+    document = scenario_document(load_scenario(path))
+    dumped = dump_scenario(load_scenario(path))
+    with pure_python_yaml():
+        assert scenario_document(load_scenario(path)) == document
+        assert dump_scenario(load_scenario(path)) == dumped
+
+
+@pytest.mark.parametrize("io", [contextlib.nullcontext, pure_python_yaml])
+def test_malformed_file_exits_2_naming_it_under_both_yaml_classes(io, tmp_path, capsys):
+    bad = write(tmp_path, "body: {mass: [unclosed\n", name="broken_scenario.yaml")
+    with io():
+        with pytest.raises(ParseError, match="broken_scenario.yaml"):
+            load_scenario(bad)
+        assert cli.main(["validate", str(bad)]) == 2
+    assert "broken_scenario.yaml" in capsys.readouterr().err
 
 
 def test_malformed_yaml_is_parse_error(tmp_path):
@@ -362,7 +396,7 @@ def _at(doc, path):
 
 
 def _load_text(text):
-    return build_scenario(yaml.safe_load(text))
+    return build_scenario(yaml.load(text, Loader=scenario_module._YAML_LOADER))
 
 
 _PROPERTY = settings(max_examples=150, derandomize=True, database=None, deadline=None)
@@ -371,6 +405,24 @@ _PROPERTY = settings(max_examples=150, derandomize=True, database=None, deadline
 @_PROPERTY
 @given(documents())
 def test_round_trip_is_a_fixed_point_of_the_table(generated):
+    _check_fixed_point(generated)
+
+
+@_PROPERTY
+@given(documents(), st.floats(0.05, 10.0), st.integers(0, 2**32))
+def test_dump_of_a_replaced_scenario_reloads_as_replaced(generated, duration, seed):
+    _check_replaced(generated, duration, seed)
+
+
+@_PROPERTY
+@given(documents(), st.floats(0.05, 10.0), st.integers(0, 2**32))
+def test_round_trip_properties_hold_under_pure_python_yaml(generated, duration, seed):
+    with pure_python_yaml():
+        _check_fixed_point(generated)
+        _check_replaced(generated, duration, seed)
+
+
+def _check_fixed_point(generated):
     doc, leaves = generated
     first = _load_text(yaml.safe_dump(doc))
     dumped = dump_scenario(first)
@@ -390,9 +442,7 @@ def test_round_trip_is_a_fixed_point_of_the_table(generated):
         assert got == value, path
 
 
-@_PROPERTY
-@given(documents(), st.floats(0.05, 10.0), st.integers(0, 2**32))
-def test_dump_of_a_replaced_scenario_reloads_as_replaced(generated, duration, seed):
+def _check_replaced(generated, duration, seed):
     first = _load_text(yaml.safe_dump(generated[0]))
     replaced = dataclasses.replace(first, duration=duration, seed=seed)
     dumped = dump_scenario(replaced)

@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -21,8 +24,9 @@ from wiredrive.simulator import (
     step,
 )
 from wiredrive.spatial import Pose, Twist, Wrench
-from wiredrive.wires import WireAttachment, wire_jacobian
+from wiredrive.wires import WireAttachment, wire_jacobian, wire_lengths_and_rates
 
+from oracles import reference_step
 from test_wires import eight_wire_cube_layout
 
 
@@ -238,3 +242,98 @@ def test_body_model_validation():
         BodyModel(1.0, -np.eye(3))
     cube = BodyModel.solid_cube(12.0, 0.4)
     assert cube.inertia[0, 0] == pytest.approx(12.0 * 0.16 / 6.0)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("mass", math.nan),
+        ("mass", math.inf),
+        ("mass", -1.0),
+        ("radius", math.nan),
+        ("radius", math.inf),
+        ("inertia", np.diag([1.0, math.nan, 1.0])),
+        ("inertia", np.array([[1.0, math.nan, 0.0], [math.nan, 1.0, 0.0], [0.0, 0.0, 1.0]])),
+        ("inertia", np.diag([1.0, 1.0, math.inf])),
+    ],
+)
+def test_body_model_names_the_field_it_rejects(field, value):
+    values = {"mass": 2.0, "inertia": np.eye(3), "radius": 0.2, field: value}
+    with pytest.raises(ValueError, match=field):
+        BodyModel(**values)
+
+
+def test_inverse_inertia_is_read_only_and_follows_replace():
+    inertia = np.array([[0.4, 0.05, -0.02], [0.05, 0.3, 0.01], [-0.02, 0.01, 0.5]])
+    body = BodyModel(3.0, inertia)
+    assert np.allclose(body.inertia_inverse @ body.inertia, np.eye(3), rtol=0.0, atol=1e-14)
+    assert not body.inertia_inverse.flags.writeable
+    heavier = dataclasses.replace(body, inertia=2.0 * inertia)
+    assert np.allclose(heavier.inertia_inverse, 0.5 * body.inertia_inverse, rtol=1e-14, atol=0.0)
+
+
+@st.composite
+def spd_inertias(draw):
+    # A A' + 0.05 I over a dense A: the off-diagonal terms of the inverse
+    # are exercised, which no bundled (diagonal) body does
+    a = draw(arrays(float, (3, 3), elements=st.floats(-1.0, 1.0)))
+    inertia = a @ a.T + 0.05 * np.eye(3)
+    return 0.5 * (inertia + inertia.T)
+
+
+def _close(got, want, rel=1e-12):
+    return np.linalg.norm(got - want) <= rel * np.linalg.norm(want)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(
+    _vectors(3, 0.2),
+    _vectors(3, 1.0),
+    _vectors(3, 2.0),
+    _vectors(3, 3.0),
+    arrays(float, 8, elements=st.floats(-1.0, 3.0)),
+    spd_inertias(),
+    st.floats(1.0, 20.0),
+    st.floats(1e-4, 1e-2),
+    st.integers(0, 7),
+)
+@example(
+    np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(3), np.full(8, 0.5),
+    np.array([[0.3, 0.1, 0.0], [0.1, 0.2, -0.05], [0.0, -0.05, 0.4]]), 10.0, 1e-3, 0,
+)
+def test_step_agrees_with_the_numpy_reference(
+    position, rotvec, linear, angular, currents, inertia, mass, dt, index
+):
+    body = BodyModel(mass, inertia)
+    wires = eight_wire_cube_layout()
+    winch = WinchParams()
+    state = SimState(Pose.from_rotvec(position, rotvec), Twist(linear, angular), np.zeros(8))
+    got = step(state, currents, dt, body, wires, winch)
+    want = reference_step(state, currents, dt, body, wires, winch)
+    assert np.array_equal(got.tensions, want.tensions)  # the same tensions and slack rule
+    assert _close(got.pose.position, want.pose.position)
+    assert _close(got.pose.orientation, want.pose.orientation)
+    assert _close(got.twist.linear, want.twist.linear)
+    assert _close(got.twist.angular, want.twist.angular)
+    assert got.time == want.time
+
+    # a NaN current on a taut wire (a slack wire exerts nothing, whatever
+    # its command), a NaN angular velocity, and a speed over the limit are
+    # a NumericalBlowup in both
+    spinning = angular.copy()
+    spinning[index % 3] = math.nan
+    speed = max(np.linalg.norm(want.twist.linear), np.linalg.norm(want.twist.angular))
+    cases = [
+        (SimState(state.pose, Twist(linear, spinning), state.tensions), currents, {}),
+        (state, currents, {"speed_limit": 0.5 * speed}),
+    ]
+    _, rates = wire_lengths_and_rates(state.pose, state.twist, wires)
+    taut = np.flatnonzero(np.abs(rates) <= winch.max_line_speed)
+    if taut.size:
+        nan_currents = currents.copy()
+        nan_currents[taut[index % taut.size]] = math.nan
+        cases.append((state, nan_currents, {}))
+    for case_state, case_currents, kwargs in cases:
+        for plant in (step, reference_step):
+            with pytest.raises(NumericalBlowup):
+                plant(case_state, case_currents, dt, body, wires, winch, **kwargs)

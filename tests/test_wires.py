@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,8 +7,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from oracles import reference_geometry, transform_point, wire_length
+from wiredrive import wires as wires_module
 from wiredrive.errors import DegenerateWire
-from wiredrive.spatial import Pose, Twist, quat_from_rotvec, quat_multiply
+from wiredrive.spatial import Pose, Twist, cross, quat_from_rotvec, quat_multiply
 from wiredrive.wires import (
     DEGENERACY_THRESHOLD,
     WireAttachment,
@@ -259,6 +262,27 @@ def test_wire_set_gives_the_plain_list_results_bit_for_bit(case):
     expected = wire_lengths_and_rates(pose, twist, wires)
     assert _same_bits(got[0], expected[0])
     assert _same_bits(got[1], expected[1])
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(body_states())
+def test_rates_do_not_depend_on_the_operands_memory_layout(case):
+    # each row's rate is summed in a fixed order; an einsum over the same
+    # values in Fortran order summed differently and changed the last bits
+    wires, pose, twist = case
+    expected = wire_lengths_and_rates(pose, twist, wires)
+
+    def fortran_geometry(pose, attachments):
+        return tuple(np.asfortranarray(a) for a in _geometry(pose, attachments))
+
+    def fortran_cross(a, b):
+        return np.asfortranarray(cross(a, b))
+
+    with mock.patch.object(wires_module, "_geometry", fortran_geometry), \
+            mock.patch.object(wires_module, "cross", fortran_cross):
+        got = wire_lengths_and_rates(pose, twist, wires)
+    assert got[0].tobytes() == expected[0].tobytes()
+    assert got[1].tobytes() == expected[1].tobytes()
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
