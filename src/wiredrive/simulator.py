@@ -7,14 +7,17 @@ a wire exceeds what the drum can wind or pay out, the wire cannot be kept
 taut and its tension collapses to zero for that step.  Integration is
 symplectic-Euler in velocity with a trapezoidal position/attitude update,
 which keeps constant-gravity trajectories exact and static equilibria
-drift-free.  Non-finite state is a NumericalBlowup: a step whose new
-speed is over the speed limit or not finite raises it.
+drift-free.  Non-finite state is a NumericalBlowup: a step raises it
+for a NaN current on any wire, slack or taut (checked once, on entry,
+and naming the wire), and for a new speed over the speed limit or not
+finite.
 
 A step makes two wire-kinematics calls (the rates for the slack rule,
-then the wire matrix for the wrench).  Everything after the wrench runs
-on Python floats through the float cores in `spatial`: one rotation
-matrix, the inverse inertia that `BodyModel` computes once, and one
-normalization of the new attitude, by `Pose`.
+then the wire matrix for the wrench), each one pass over the wires on
+Python floats after a single numpy product (see `wires`).  Everything
+after the wrench runs on Python floats too, through the float cores in
+`spatial`: one rotation matrix, the inverse inertia that `BodyModel`
+computes once, and one normalization of the new attitude, by `Pose`.
 """
 
 from __future__ import annotations
@@ -117,6 +120,12 @@ def step(
     if not 0.0 < dt <= 0.01:
         raise ValueError("dt must lie in (0, 0.01] seconds")
     currents = np.asarray(currents, dtype=float)
+    nan = np.isnan(currents)
+    if nan.any():
+        # checked here because the slack rule below would overwrite a NaN
+        # tension on a slack wire with 0
+        wire = attachments[int(nan.argmax())]
+        raise NumericalBlowup(f"wire {wire.wire_id}: current is NaN at t={state.time:.4f} s")
     tensions = tensions_from_currents(np.maximum(currents, 0.0), winch)
     tensions = np.minimum(tensions, winch.max_tension)
 

@@ -98,24 +98,13 @@ def rotvec_exp(rv) -> tuple:
 
 
 def cross(a, b) -> np.ndarray:
-    """Cross product over the last axis of two arrays; (3,) broadcasts
-    against (m, 3).
+    """Cross product of two 3-vectors, as an array.
 
-    Same operation order as `np.cross` (`a1*b2 - a2*b1`, each product
-    rounded, then one subtraction), so bit-identical to it, without
-    numpy's axis bookkeeping.  Two 1-D operands are multiplied out in
-    Python floats, which round exactly as float64 arrays do, at a fraction
-    of the cost of numpy's per-call setup on 3 elements."""
-    if a.ndim == 1 and b.ndim == 1:
-        return np.array(cross3(a.tolist(), b.tolist()))
-    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
-    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    c0 = a1 * b2 - a2 * b1
-    out = np.empty(np.shape(c0) + (3,))
-    out[..., 0] = c0
-    out[..., 1] = a2 * b0 - a0 * b2
-    out[..., 2] = a0 * b1 - a1 * b0
-    return out
+    Multiplied out in Python floats in the operation order of `np.cross`
+    (`a1*b2 - a2*b1`, each product rounded, then one subtraction), so
+    bit-identical to it, at a fraction of the cost of numpy's per-call
+    setup on 3 elements."""
+    return np.array(cross3(a.tolist(), b.tolist()))
 
 
 def quat_normalize(q) -> np.ndarray:

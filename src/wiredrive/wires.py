@@ -11,17 +11,35 @@ wrench = matrix @ tensions.
 (lengths, rates) pair, as plain float arrays.  Both take any sequence of
 attachments.  A run passes a `WireSet`, whose stacked arrays every
 geometry pass reuses; a plain list is stacked on each call.
+
+Both read one pass over the wires, `_geometry`.  Its one numpy operation
+is the BLAS product that rotates the body exit offsets into the world
+frame: a Python `a*x + b*y + c*z` differs from that product in the last
+bit on most rows, and recorded telemetry would show it.  Everything after
+it (exit points, spans, lengths, directions, the matrix columns and the
+rates) runs wire by wire on Python floats, which round exactly as float64
+arrays do, in the operation order of the array formulation
+(`tests/oracles.py` holds those formulations and the tests hold these
+functions to them bit for bit).  That skips numpy's per-call setup, which
+dominates on a few wires, but costs about 1 us per wire where numpy's
+cost barely grows.  Both functions together, best of 15 timeit repeats
+on a shared 2-vCPU VM, array formulation -> float pass: 2 wires
+47 -> 19 us, 8 wires 48 -> 33 us, 16 wires 48 -> 51 us, 64 wires
+56 -> 158 us.  The float pass is meant for the 2 to 8 wires of the
+bundled scenarios and of the robot the model follows; the two break
+even between 12 and 16 wires.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DegenerateWire
-from .spatial import Pose, Twist, cross
+from .spatial import Pose, Twist
 
 DEGENERACY_THRESHOLD = 1e-6  # m; far below any physical scenario scale
 
@@ -65,36 +83,40 @@ class WireSet(tuple):
 
 
 def _geometry(pose: Pose, attachments: Sequence[WireAttachment]):
-    """One pass over the wires at a pose.
+    """One pass over the wires at a pose, on Python floats.
 
-    Returns (directions, lengths, levers, exits_world): unit vectors from
-    the world exit points toward the anchors, the span lengths, the body
-    exit offsets rotated into the world frame, and the world exit points.
-    Raises DegenerateWire if any anchor sits within the degeneracy
-    threshold of its exit point.
+    Returns (lengths, columns, arms), one entry per wire: the span length,
+    the wire matrix column (s, r x s) as a 6-tuple, and the world exit
+    point minus the body center.  Raises DegenerateWire for the first wire
+    whose anchor sits within the degeneracy threshold of its exit point.
     """
     wires = WireSet(attachments)
-    levers = wires.exits_body @ pose.rotation_matrix().T
-    exits_world = pose.position + levers
-    spans = wires.anchors - exits_world
-    # the same reduction as `np.linalg.norm(spans, axis=1)`, without its
-    # argument checks
-    lengths = np.sqrt(np.add.reduce(spans * spans, axis=1))
-    if lengths.min() <= DEGENERACY_THRESHOLD:
-        for i, n in enumerate(lengths):
-            if n <= DEGENERACY_THRESHOLD:
-                raise DegenerateWire(wires[i].wire_id, float(n))
-    return spans / lengths[:, None], lengths, levers, exits_world
+    # the BLAS product stays: recorded telemetry holds its bits
+    levers = (wires.exits_body @ pose.rotation_matrix().T).tolist()
+    px, py, pz = pose.position.tolist()
+    lengths, columns, arms = [], [], []
+    for wire, (rx, ry, rz), (ax, ay, az) in zip(wires, levers, wires.anchors.tolist()):
+        ex, ey, ez = px + rx, py + ry, pz + rz
+        sx, sy, sz = ax - ex, ay - ey, az - ez
+        length = math.sqrt(sx * sx + sy * sy + sz * sz)
+        if length <= DEGENERACY_THRESHOLD:
+            raise DegenerateWire(wire.wire_id, length)
+        dx, dy, dz = sx / length, sy / length, sz / length
+        lengths.append(length)
+        columns.append((dx, dy, dz, ry * dz - rz * dy, rz * dx - rx * dz, rx * dy - ry * dx))
+        # the rate lever is recovered from the world exit point; the
+        # rotated lever can differ from it in the last bit
+        arms.append((ex - px, ey - py, ez - pz))
+    return lengths, columns, arms
 
 
 def wire_jacobian(pose: Pose, attachments: Sequence[WireAttachment]) -> np.ndarray:
     """The 6 x m wire matrix at the given pose, as a C-ordered array.
 
-    Later matmul results depend on that layout, so the transposed stack
-    is copied into C order rather than returned as a view.
+    Later matmul results depend on that layout.
     """
-    directions, _, levers, _ = _geometry(pose, attachments)
-    return np.hstack([directions, cross(levers, directions)]).T.copy()
+    _, columns, _ = _geometry(pose, attachments)
+    return np.array([*zip(*columns)])  # built row by row, so C-ordered
 
 
 def wire_lengths_and_rates(
@@ -105,15 +127,13 @@ def wire_lengths_and_rates(
     The rate is the time derivative of the straight-line length: negative
     when the body closes on the anchor (the winch is taking wire in).
     """
-    directions, lengths, _, exits_world = _geometry(pose, attachments)
-    # the rate lever is recovered from the world exit point; the rotated
-    # `levers` can differ from it in the last bit, which recorded
-    # telemetry would show
-    lever_world = exits_world - pose.position
-    v = twist.linear + cross(twist.angular, lever_world)
-    d = directions
-    # summed in a fixed order per row, so the bits do not depend on the
-    # operands' memory layout (as einsum's summation order does)
-    rates = -(d[:, 0] * v[:, 0] + d[:, 1] * v[:, 1] + d[:, 2] * v[:, 2])
-    return lengths, rates
-
+    lengths, columns, arms = _geometry(pose, attachments)
+    vx, vy, vz = twist.linear.tolist()
+    wx, wy, wz = twist.angular.tolist()
+    # -(d . v) with the exit velocity v = linear + angular x arm
+    rates = [
+        -(dx * (vx + (wy * az - wz * ay)) + dy * (vy + (wz * ax - wx * az))
+          + dz * (vz + (wx * ay - wy * ax)))
+        for (dx, dy, dz, _, _, _), (ax, ay, az) in zip(columns, arms)
+    ]
+    return np.array(lengths), np.array(rates)

@@ -310,10 +310,6 @@ def telemetry_row(tick_index, state, tick, fault) -> str:
     return ",".join(_telemetry_field(v) for v in values) + "\n"
 
 
-def reference_cross(a, b):
-    return np.cross(a, b)
-
-
 def reference_quat_multiply(a, b):
     """Hamilton product evaluated on numpy float64 scalars."""
     aw, ax, ay, az = np.asarray(a, dtype=float)
@@ -400,7 +396,8 @@ def reference_step(state, currents, dt, body, attachments, winch,
 
 
 def reference_geometry(pose, attachments):
-    """`wires._geometry` with `np.linalg.norm` lengths and a scan of every wire."""
+    """The wire geometry on (m, 3) arrays: (directions, lengths, levers,
+    exits_world), with `np.linalg.norm` lengths and a scan of every wire."""
     wires = WireSet(attachments)
     levers = wires.exits_body @ pose.rotation_matrix().T
     exits_world = pose.position + levers
@@ -410,6 +407,23 @@ def reference_geometry(pose, attachments):
         if n <= DEGENERACY_THRESHOLD:
             raise DegenerateWire(wires[i].wire_id, float(n))
     return spans / lengths[:, None], lengths, levers, exits_world
+
+
+def reference_wire_jacobian(pose, attachments):
+    """`wires.wire_jacobian` as a stack of arrays, copied into C order."""
+    directions, _, levers, _ = reference_geometry(pose, attachments)
+    return np.hstack([directions, np.cross(levers, directions)]).T.copy()
+
+
+def reference_wire_lengths_and_rates(pose, twist, attachments):
+    """`wires.wire_lengths_and_rates` on arrays.  The rate lever is the
+    world exit point minus the body center, not the rotated lever (they
+    can differ in the last bit), and each rate is summed in a fixed
+    order, unlike `np.einsum`, whose order follows the memory layout."""
+    directions, lengths, _, exits_world = reference_geometry(pose, attachments)
+    v = twist.linear + np.cross(twist.angular, exits_world - pose.position)
+    d = directions
+    return lengths, -(d[:, 0] * v[:, 0] + d[:, 1] * v[:, 1] + d[:, 2] * v[:, 2])
 
 
 def _nan_or_max(values):
@@ -512,10 +526,10 @@ def reference_solve_box_qp(hessian, gradient, lower, upper, start=None, max_iter
 
 # library kernel -> its reference formulation, by "module.name"
 REFERENCE_KERNELS = {
-    "spatial.cross": reference_cross,
     "spatial.quat_multiply": reference_quat_multiply,
     "spatial.quat_to_matrix": reference_quat_to_matrix,
     "spatial.quat_normalize": reference_quat_normalize,
-    "wires._geometry": reference_geometry,
+    "wires.wire_jacobian": reference_wire_jacobian,
+    "wires.wire_lengths_and_rates": reference_wire_lengths_and_rates,
     "qp.solve_box_qp": reference_solve_box_qp,  # with its own reference_kkt_residual
 }

@@ -4,8 +4,8 @@ write the same telemetry bytes.
 Each bundled scenario runs for 0.2 s twice: once as shipped, and once with
 every kernel in `oracles.REFERENCE_KERNELS` swapped for its reference in
 each `wiredrive` module that holds it.  The library imports its kernels
-by name (`from .spatial import cross`), so a swap counts only where the
-calling module looks the name up.
+by name (`from .wires import wire_jacobian`), so a swap counts only where
+the calling module looks the name up.
 """
 
 import contextlib

@@ -172,6 +172,24 @@ def test_blowup_detection():
             step(state, np.array([current]), 1e-2, body, wires, WinchParams(), speed_limit=1000.0)
 
 
+def test_nan_current_is_a_blowup_naming_the_wire_slack_or_taut():
+    # the slack rule would overwrite a slack wire's NaN tension with 0
+    body = BodyModel.solid_cube(5.0, 0.3)
+    wires = [
+        WireAttachment([0, 0, 0], [5.0, 0.0, 0.0], wire_id=3),
+        WireAttachment([0, 0, 0], [0.0, 0.0, 5.0], wire_id=8),
+    ]
+    winch = WinchParams()
+    state = SimState(Pose.identity(), Twist([-1.0, 0, 0], [0, 0, 0]), np.zeros(2))
+    _, rates = wire_lengths_and_rates(state.pose, state.twist, wires)
+    assert abs(rates[0]) > winch.max_line_speed >= abs(rates[1])  # wire 3 slack, 8 taut
+    for index, wire_id in ((0, 3), (1, 8)):
+        currents = to_currents(np.array([50.0, 50.0]), winch)
+        currents[index] = math.nan
+        with pytest.raises(NumericalBlowup, match=f"wire {wire_id}: current is NaN"):
+            step(state, currents, 1e-3, body, wires, winch)
+
+
 def test_dt_validation():
     body = BodyModel.solid_cube(1.0, 0.2)
     state = SimState.at_rest(Pose.identity(), 1)

@@ -1,20 +1,22 @@
-from unittest import mock
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracles import reference_geometry, transform_point, wire_length
-from wiredrive import wires as wires_module
+from oracles import (
+    reference_geometry,
+    reference_wire_jacobian,
+    reference_wire_lengths_and_rates,
+    transform_point,
+    wire_length,
+)
 from wiredrive.errors import DegenerateWire
-from wiredrive.spatial import Pose, Twist, cross, quat_from_rotvec, quat_multiply
+from wiredrive.spatial import Pose, Twist, quat_from_rotvec, quat_multiply
 from wiredrive.wires import (
     DEGENERACY_THRESHOLD,
     WireAttachment,
     WireSet,
-    _geometry,
     wire_jacobian,
     wire_lengths_and_rates,
 )
@@ -75,6 +77,20 @@ def test_degenerate_wire_raises_with_id():
         with pytest.raises(DegenerateWire) as info:
             wire_jacobian(Pose.identity(), attachments)
         assert info.value.wire_id == 7
+
+
+def test_degeneracy_threshold_is_inclusive():
+    # sqrt of the rounded square gives the threshold back exactly
+    at = [WireAttachment([0, 0, 0], [DEGENERACY_THRESHOLD, 0.0, 0.0], wire_id=2)]
+    beyond = [WireAttachment([0, 0, 0], [np.nextafter(DEGENERACY_THRESHOLD, 1.0), 0.0, 0.0])]
+    pose = Pose.identity()
+    for call in (lambda wires: reference_geometry(pose, wires),
+                 lambda wires: wire_jacobian(pose, wires),
+                 lambda wires: wire_lengths_and_rates(pose, Twist.zero(), wires)):
+        with pytest.raises(DegenerateWire) as info:
+            call(at)
+        assert (info.value.wire_id, info.value.separation) == (2, DEGENERACY_THRESHOLD)
+        call(beyond)
 
 
 def test_jacobian_zero_lever_column():
@@ -213,9 +229,9 @@ def _vectors(shape, bound):
 
 
 @st.composite
-def body_states(draw):
+def body_states(draw, max_wires=8):
     """A random wire layout with a pose and twist of the body it holds."""
-    m = draw(st.integers(1, 8))
+    m = draw(st.integers(1, max_wires))
     anchors = draw(_vectors((m, 3), 2.0))
     anchors += np.where(anchors < 0, -0.8, 0.8)  # keep anchors well away from the body
     wires = [
@@ -255,32 +271,40 @@ def test_wire_set_gives_the_plain_list_results_bit_for_bit(case):
     wires, pose, twist = case
     wire_set = WireSet(wires)
     assert list(wire_set) == wires
-    assert _same_bits(wire_jacobian(pose, wire_set), wire_jacobian(pose, wires))
-    for got, expected in zip(_geometry(pose, wire_set), _geometry(pose, wires)):
-        assert _same_bits(got, expected)
+    jac = wire_jacobian(pose, wires)
+    assert _same_bits(wire_jacobian(pose, wire_set), jac)
+    assert _same_bits(jac, reference_wire_jacobian(pose, wires))
     got = wire_lengths_and_rates(pose, twist, wire_set)
     expected = wire_lengths_and_rates(pose, twist, wires)
-    assert _same_bits(got[0], expected[0])
-    assert _same_bits(got[1], expected[1])
+    reference = reference_wire_lengths_and_rates(pose, twist, wires)
+    for got_array, expected_array, reference_array in zip(got, expected, reference):
+        assert _same_bits(got_array, expected_array)
+        assert _same_bits(expected_array, reference_array)
 
 
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
 @given(body_states())
 def test_rates_do_not_depend_on_the_operands_memory_layout(case):
-    # each row's rate is summed in a fixed order; an einsum over the same
-    # values in Fortran order summed differently and changed the last bits
+    # each rate is summed in a fixed order; an einsum over the same values
+    # in Fortran order summed differently and changed the last bits.  Here
+    # the position, the twist and the stacked anchors come as strided and
+    # Fortran-ordered views of the same values.
     wires, pose, twist = case
-    expected = wire_lengths_and_rates(pose, twist, wires)
 
-    def fortran_geometry(pose, attachments):
-        return tuple(np.asfortranarray(a) for a in _geometry(pose, attachments))
+    def strided(v):
+        return np.asfortranarray(np.stack([v, np.zeros_like(v)]))[0]
 
-    def fortran_cross(a, b):
-        return np.asfortranarray(cross(a, b))
-
-    with mock.patch.object(wires_module, "_geometry", fortran_geometry), \
-            mock.patch.object(wires_module, "cross", fortran_cross):
-        got = wire_lengths_and_rates(pose, twist, wires)
+    # both poses normalize the same quaternion again
+    expected = reference_wire_lengths_and_rates(
+        Pose(pose.position, pose.orientation), twist, wires)
+    wire_set = WireSet(wires)
+    wire_set.anchors = np.asfortranarray(wire_set.anchors)
+    got = wire_lengths_and_rates(
+        Pose(strided(pose.position), pose.orientation),
+        Twist(strided(twist.linear), strided(twist.angular)),
+        wire_set,
+    )
+    assert got[0].strides == expected[0].strides == got[1].strides == expected[1].strides
     assert got[0].tobytes() == expected[0].tobytes()
     assert got[1].tobytes() == expected[1].tobytes()
 
@@ -294,8 +318,7 @@ def test_wire_jacobian_is_a_c_ordered_6_by_m_array(case):
     assert type(jac) is np.ndarray and jac.dtype == np.float64
     assert jac.shape == (6, len(wires))
     assert jac.flags.c_contiguous
-    directions, _, levers, _ = _geometry(pose, wires)
-    assert np.array_equal(jac, np.hstack([directions, np.cross(levers, directions)]).T)
+    assert _same_bits(jac, reference_wire_jacobian(pose, wires))
 
 
 def test_wire_set_stacks_once_and_is_read_only():
@@ -313,9 +336,11 @@ def test_wire_set_stacks_once_and_is_read_only():
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
 @given(body_states())
 def test_geometry_is_bit_identical_to_the_norm_formulation(case):
-    wires, pose, _ = case
-    for got, expected in zip(_geometry(pose, wires), reference_geometry(pose, wires)):
-        assert _same_bits(got, expected)
+    wires, pose, twist = case
+    assert _same_bits(wire_jacobian(pose, wires), reference_wire_jacobian(pose, wires))
+    got = wire_lengths_and_rates(pose, twist, wires)
+    for got_array, expected in zip(got, reference_wire_lengths_and_rates(pose, twist, wires)):
+        assert _same_bits(got_array, expected)
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
@@ -329,9 +354,58 @@ def test_degenerate_scan_names_the_first_wire_at_the_threshold(case, data):
         exit_world = transform_point(pose, wires[i].exit_body)
         offset = data.draw(st.sampled_from([0.0, 0.5 * DEGENERACY_THRESHOLD]))
         wires[i] = WireAttachment(wires[i].exit_body, exit_world + [offset, 0.0, 0.0], wire_id=i)
-    with pytest.raises(DegenerateWire) as got:
-        _geometry(pose, wires)
     with pytest.raises(DegenerateWire) as expected:
         reference_geometry(pose, wires)
-    assert got.value.wire_id == expected.value.wire_id == close[0]
-    assert got.value.separation == expected.value.separation
+    assert expected.value.wire_id == close[0]
+    for call in (lambda: wire_jacobian(pose, wires),
+                 lambda: wire_lengths_and_rates(pose, Twist.zero(), wires)):
+        with pytest.raises(DegenerateWire) as got:
+            call()
+        assert got.value.wire_id == expected.value.wire_id
+        assert got.value.separation == expected.value.separation
+
+
+@st.composite
+def layouts_with_near_degenerate_wires(draw):
+    """Up to 12 wires, their ids in reverse order, with up to two anchors
+    moved onto, or within a few thresholds of, their world exit points."""
+    wires, pose, twist = draw(body_states(max_wires=12))
+    m = len(wires)
+    close = draw(st.sets(st.integers(0, m - 1), max_size=2))
+    offsets = [0.0, 0.5, 1.0, 2.0]  # in units of the threshold
+    for i in range(m):
+        anchor = wires[i].anchor_world
+        if i in close:
+            exit_world = transform_point(pose, wires[i].exit_body)
+            offset = draw(st.sampled_from(offsets)) * DEGENERACY_THRESHOLD
+            anchor = exit_world + [offset, 0.0, 0.0]
+        wires[i] = WireAttachment(wires[i].exit_body, anchor, wire_id=m - 1 - i)
+    return wires, pose, twist
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(layouts_with_near_degenerate_wires())
+def test_kernels_match_the_references_bit_for_bit(case):
+    # a plain list and a WireSet, strides included; a degenerate layout
+    # raises for the same wire with the same separation as the reference
+    wires, pose, twist = case
+    try:
+        reference_geometry(pose, wires)
+    except DegenerateWire as exc:
+        expected = (exc.wire_id, exc.separation)
+    else:
+        expected = None
+    for attachments in (wires, WireSet(wires)):
+        if expected is None:
+            assert _same_bits(wire_jacobian(pose, attachments),
+                              reference_wire_jacobian(pose, wires))
+            got = wire_lengths_and_rates(pose, twist, attachments)
+            for got_array, reference in zip(
+                    got, reference_wire_lengths_and_rates(pose, twist, wires)):
+                assert _same_bits(got_array, reference)
+            continue
+        for call in (lambda: wire_jacobian(pose, attachments),
+                     lambda: wire_lengths_and_rates(pose, twist, attachments)):
+            with pytest.raises(DegenerateWire) as got:
+                call()
+            assert (got.value.wire_id, got.value.separation) == expected
