@@ -17,7 +17,6 @@ from .anchors import (
     plan_wrap_path,
     track_path,
     winding_number,
-    wrap_succeeded,
 )
 from .errors import (
     AmbiguousWinding,
@@ -79,7 +78,7 @@ __all__ = [
     "AllocationWeights", "TensionBounds", "TensionCommand", "WinchParams",
     "allocate", "compensate", "solve_tension_command", "to_currents",
     "Pillar", "RelativePoseSensor", "TrackerGains",
-    "plan_wrap_path", "track_path", "winding_number", "wrap_succeeded",
+    "plan_wrap_path", "track_path", "winding_number",
     "AmbiguousWinding", "DegenerateWire", "NoClearance", "NumericalBlowup",
     "RotationTooLarge", "SolverFailure", "TrackingTimeout", "WireDriveError",
     "FeasibilityReport", "controllability", "wrench_achievable",

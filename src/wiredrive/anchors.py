@@ -5,9 +5,11 @@ around a pillar so the wire loops it once, then heads back out past its
 entry point so the loop closes on itself.  The planner returns the
 circuit as an (n, 3) waypoint array, and the tracker flies that array.
 The drone is a kinematic velocity integrator steered by a proportional
-law on a noisy relative position estimate; whether the wrap succeeded is
-decided afterwards from the signed winding number of the flown
-trajectory about the pillar axis.
+law on a noisy relative position estimate.  A wrap succeeds when the
+signed winding number of the flown trajectory about the pillar axis is
+at least one turn.  The anchor it gives its wire (the pillar's center at
+the wrap altitude) depends on the scenario alone, so the scenario loader
+sets it; flying only checks that the wrap holds.
 """
 
 from __future__ import annotations
@@ -52,30 +54,17 @@ class Pillar:
 
 @dataclass(frozen=True)
 class RelativePoseSensor:
-    """Synthetic stand-in for tag-based relative pose estimation.
-
-    Inside detection range the drone gets a tag fix with `noise_std`
-    position noise; outside it falls back to odometry with its own (by
-    default identical) noise level.
-    """
+    """Synthetic stand-in for tag-based relative pose estimation: the
+    drone's true position with Gaussian noise of `noise_std` per axis."""
 
     noise_std: float = 0.0
-    detection_range: float = np.inf
-    odometry_noise_std: float | None = None
 
     def __post_init__(self):
         if self.noise_std < 0:
             raise ValueError("noise_std must be non-negative")
-        if self.odometry_noise_std is not None and self.odometry_noise_std < 0:
-            raise ValueError("odometry_noise_std must be non-negative")
 
-    def measure(self, true_position, pillar: Pillar, rng) -> np.ndarray:
-        pos = np.asarray(true_position, dtype=float)
-        in_range = np.linalg.norm(pos[:2] - pillar.center) <= self.detection_range
-        std = self.noise_std if in_range else (
-            self.odometry_noise_std if self.odometry_noise_std is not None else self.noise_std
-        )
-        return pos + std * rng.normal(size=3)
+    def measure(self, true_position, rng) -> np.ndarray:
+        return np.asarray(true_position, dtype=float) + self.noise_std * rng.normal(size=3)
 
 
 @dataclass(frozen=True)
@@ -148,7 +137,6 @@ def plan_wrap_path(
 def track_path(
     waypoints,
     sensor: RelativePoseSensor,
-    pillar: Pillar,
     gains: TrackerGains = TrackerGains(),
     dt: float = DEFAULT_DRONE_DT,
     capture_radius: float = DEFAULT_CAPTURE_RADIUS,
@@ -172,7 +160,7 @@ def track_path(
     t = 0.0
     for waypoint in waypoints[1:]:
         while True:
-            estimate = sensor.measure(position, pillar, rng)
+            estimate = sensor.measure(position, rng)
             error = waypoint - estimate
             if np.linalg.norm(error) <= capture_radius:
                 break
@@ -215,8 +203,3 @@ def winding_number(trajectory, center) -> int:
             f"summed angle is {turns:.3f} turns, not close to an integer"
         )
     return int(nearest)
-
-
-def wrap_succeeded(trajectory, pillar: Pillar) -> bool:
-    """True when the flown loop encircles the pillar at least once."""
-    return abs(winding_number(trajectory, pillar.center)) >= 1

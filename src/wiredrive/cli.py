@@ -16,7 +16,7 @@ import numpy as np
 from .anchors import winding_number
 from .errors import WireDriveError
 from .feasibility import controllability
-from .runner import plan_anchor, run_scenario, wrapped_wires, write_points_csv
+from .runner import plan_anchor, run_scenario, write_points_csv
 from .scenario import (
     ParseError,
     Scenario,
@@ -62,8 +62,7 @@ def cmd_analyze(args) -> int:
     pose = scenario.start_pose
     if args.pose is not None:
         pose = Pose.from_translation(np.asarray(args.pose, dtype=float))
-    # a flying anchor's wire is analyzed at the anchor its wrap gives it
-    matrix = wire_jacobian(pose, wrapped_wires(scenario))
+    matrix = wire_jacobian(pose, scenario.wires)
     report = controllability(matrix, scenario.bounds, torque_scale=scenario.torque_lever)
     witness = report.witness_tensions
     doc = {

@@ -9,7 +9,7 @@ class WireDriveError(Exception):
 
 class DegenerateWire(WireDriveError):
     """A wire's anchor and exit point (nearly) coincide, so its direction
-    is undefined."""
+    is undefined; `wire_id` is the wire's position in the list given."""
 
     def __init__(self, wire_id: int, separation: float):
         self.wire_id = wire_id

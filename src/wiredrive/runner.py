@@ -1,5 +1,9 @@
 """Experiment orchestration: deployment phase, closed loop, outputs.
 
+The scenario's wires already hold their anchors, those of wrapped wires
+included, so the deployment phase only flies each wrap and checks that
+it winds its pillar; a wrap that does not ends the run.
+
 Each control tick, the odometry sensor measures the plant's own
 body-center state (delayed and noisy as the scenario's sensor model
 says), and the controller acts on that measurement.  The scenario's mode
@@ -27,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .allocation import TensionCommand, allocate, to_currents
-from .anchors import plan_wrap_path, track_path, winding_number, wrap_succeeded
+from .anchors import plan_wrap_path, track_path, winding_number
 from .errors import WireDriveError
 from .scenario import POSE_CONTROL, AnchorTask, Scenario, dump_scenario
 from .simulator import OdometrySensor, SimState, step
@@ -40,7 +44,7 @@ from .trajectory import (
     gravity_feedforward,
     sample_schedule,
 )
-from .wires import WireAttachment, WireSet, wire_jacobian, wire_lengths_and_rates
+from .wires import WireSet, wire_jacobian, wire_lengths_and_rates
 
 # fixed offsets carve independent, reproducible streams out of one seed
 _SENSOR_SEED_OFFSET = 1_000
@@ -138,22 +142,10 @@ def plan_anchor(scenario: Scenario, task: AnchorTask) -> np.ndarray:
     )
 
 
-def wrapped_wires(scenario: Scenario) -> list[WireAttachment]:
-    """The scenario's wires, each one an anchor task claims anchored where
-    its wrap puts it: the task's pillar center at the wrap altitude."""
-    wires = list(scenario.wires)
-    for task in scenario.anchors:
-        wire = wires[task.wire_id]
-        center = scenario.pillars[task.pillar_index].center
-        anchor = np.array([center[0], center[1], task.wrap_altitude])
-        wires[task.wire_id] = WireAttachment(wire.exit_body, anchor, wire_id=wire.wire_id)
-    return wires
+def deploy_anchors(scenario: Scenario, seed: int, out_dir: Path | None = None) -> list[dict]:
+    """Fly every anchor task; returns one report per task.
 
-
-def deploy_anchors(scenario: Scenario, seed: int, out_dir: Path | None = None):
-    """Fly every anchor task; returns (`wrapped_wires`, per-anchor reports).
-
-    Raises WireDriveError if any wrap fails outright.
+    Raises WireDriveError if a flown wrap does not wind its pillar.
     """
     reports = []
     dep = scenario.deployment
@@ -162,14 +154,13 @@ def deploy_anchors(scenario: Scenario, seed: int, out_dir: Path | None = None):
         trajectory = track_path(
             plan_anchor(scenario, task),
             dep.sensor,
-            pillar,
             gains=dep.tracker,
             dt=dep.drone_dt,
             capture_radius=dep.capture_radius,
             seed=seed + _ANCHOR_SEED_OFFSET + k,
         )
         turns = winding_number(trajectory, pillar.center)
-        succeeded = wrap_succeeded(trajectory, pillar)
+        succeeded = abs(turns) >= 1
         if not succeeded:
             raise WireDriveError(
                 f"anchor {k} failed to wrap pillar {task.pillar_index} "
@@ -190,7 +181,7 @@ def deploy_anchors(scenario: Scenario, seed: int, out_dir: Path | None = None):
                 "trajectory_file": str(traj_file) if traj_file else None,
             }
         )
-    return wrapped_wires(scenario), reports
+    return reports
 
 
 def run_scenario(scenario: Scenario, out_dir, seed: int | None = None) -> dict:
@@ -228,10 +219,9 @@ def run_scenario(scenario: Scenario, out_dir, seed: int | None = None) -> dict:
     rows, end_pose = 0, scenario.start_pose
     fault_cause = None
     try:
-        wires = scenario.wires
         if scenario.anchors:
-            wires, anchor_reports = deploy_anchors(scenario, scenario.seed, out_dir)
-        wires = WireSet(wires)
+            anchor_reports = deploy_anchors(scenario, scenario.seed, out_dir)
+        wires = WireSet(scenario.wires)
 
         schedule = _schedule_from_specs(scenario)
         if scenario.mode == POSE_CONTROL:

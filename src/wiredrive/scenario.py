@@ -3,8 +3,10 @@
 A scenario is one YAML document describing the body, the wire routing,
 controller settings and the experiment timeline.  Every dimensional
 quantity is written as a ``{value, unit}`` pair and the loader refuses a
-file whose units do not match the schema, naming the offending field.
-Loading fills in every default.  The dump is read back from the
+file whose units do not match the schema, or that holds a key the schema
+does not name, naming the offending field.  Loading fills in every
+default, and anchors each wire a flying-anchor task claims at the pillar
+its wrap goes round.  The dump is read back from the
 `Scenario` object alone, so it describes the scenario that runs, even
 one changed after loading, and a run can be reproduced from its dump.
 
@@ -87,11 +89,6 @@ STRING = "string"
 
 REQUIRED = object()
 
-# wires waiting on a flying anchor get a far-away placeholder anchor; the
-# deployment phase must replace it before any dynamics run
-DEPLOYMENT_PLACEHOLDER = np.array([1e6, 1e6, 1e6])
-
-
 @dataclass(frozen=True)
 class Field:
     """One leaf of the scenario document.
@@ -155,7 +152,8 @@ SCHEMA = {
     }),
     "wires": Rows({
         "exit_body": _q("m", shape=(3,)),
-        "anchor_world": _q("m", None, (3,)),  # absent on wires a flying anchor claims
+        # absent on wires a flying anchor claims: their wrap sets the anchor
+        "anchor_world": _q("m", None, (3,)),
     }),
     "tension_bounds": {
         "lower": _q("N", DEFAULT_PRETENSION),
@@ -235,7 +233,6 @@ SCHEMA = {
         }),
         "sensor": _class_defaults(RelativePoseSensor, {
             "noise_std": _q("m"),
-            "detection_range": _q("m"),
         }),
         "capture_radius": _q("m", DEFAULT_CAPTURE_RADIUS),
         "waypoint_spacing": _q("m", DEFAULT_WAYPOINT_SPACING),
@@ -248,7 +245,8 @@ def _convert(spec: Field, value, path: str):
     if spec.kind == STRING:
         return str(value)
     if spec.kind == INTEGER:
-        if isinstance(value, int) or (isinstance(value, float) and value.is_integer()):
+        # not isinstance: YAML's true and false load as bools, which are ints
+        if type(value) is int or (isinstance(value, float) and value.is_integer()):
             return int(value)
         raise ValidationError(path, f"expected an integer, got {value!r}")
     # float() also takes strings: PyYAML reads exponent floats such as 1.0e8 as text
@@ -275,9 +273,12 @@ def _required(spec) -> bool:
 
 def _read(section: dict, node, path: str) -> dict:
     """Parse one mapping of the document against a table section; a null
-    value counts as absent."""
+    value counts as absent, and a key the section does not name is refused."""
     if not isinstance(node, dict):
         raise ValidationError(path, f"expected a mapping, got {type(node).__name__}")
+    for key in node:
+        if key not in section:
+            raise ValidationError(f"{path}.{key}" if path else str(key), "unknown field")
     values = {}
     for key, spec in section.items():
         full = f"{path}.{key}" if path else key
@@ -290,7 +291,7 @@ def _read(section: dict, node, path: str) -> dict:
             values[key] = _read_rows(spec, spec.default if raw is None else raw, full)
         elif raw is not None:
             if spec.kind == QUANTITY:
-                if not isinstance(raw, dict) or "value" not in raw or "unit" not in raw:
+                if not isinstance(raw, dict) or raw.keys() != {"value", "unit"}:
                     raise ValidationError(full, "physical quantities need a {value, unit} pair")
                 if _UNIT_ALIASES.get(str(raw["unit"]), str(raw["unit"])) != spec.unit:
                     raise ValidationError(
@@ -375,7 +376,10 @@ class DeploymentConfig:
 
 @dataclass(eq=False)
 class Scenario:
-    """A fully resolved experiment description; `scenario_document` reads it back."""
+    """A fully resolved experiment description; `scenario_document` reads it back.
+
+    A wire an anchor task claims holds the anchor its wrap gives it: the
+    pillar's center at the task's wrap altitude."""
 
     name: str
     seed: int
@@ -460,7 +464,29 @@ def build_scenario(document: dict) -> Scenario:
         body_doc["inertia_diagonal"] = np.full(3, mass * side**2 / 6.0)
     body = _make("body", BodyModel, mass, np.diag(body_doc["inertia_diagonal"]), body_doc["radius"])
 
-    deployed_ids = {task["wire_id"] for task in doc["anchors"]}
+    m = len(doc["wires"])
+    pillars = [
+        _make(f"pillars[{k}]", Pillar, p["center"], p["half_extents"], tuple(p["z_range"].tolist()))
+        for k, p in enumerate(doc["pillars"])
+    ]
+    anchors = []
+    claimed_by = {}  # wire id -> index of the anchor task that claims it
+    for k, task in enumerate(doc["anchors"]):
+        wire_id = task["wire_id"]
+        if not 0 <= wire_id < m:
+            raise ValidationError(f"anchors[{k}].wire_id", f"no wire with id {wire_id}")
+        if wire_id in claimed_by:
+            raise ValidationError(f"anchors[{k}].wire_id",
+                                  f"anchors[{claimed_by[wire_id]}] already claims wire {wire_id}")
+        claimed_by[wire_id] = k
+        if not 0 <= task["pillar"] < len(pillars):
+            raise ValidationError(f"anchors[{k}].pillar", f"no pillar with index {task['pillar']}")
+        z_range = pillars[task["pillar"]].z_range
+        task.setdefault("wrap_altitude", 0.5 * (z_range[0] + z_range[1]))
+        anchors.append(AnchorTask(
+            wire_id, task["pillar"], task["approach"], task["clearance"], task["wrap_altitude"],
+        ))
+
     wires = []
     for i, wire in enumerate(doc["wires"]):
         exit_body = wire["exit_body"]
@@ -470,16 +496,20 @@ def build_scenario(document: dict) -> Scenario:
                 f"exit point magnitude {np.linalg.norm(exit_body):.3f} m "
                 f"exceeds the body radius {body.radius:.3f} m",
             )
-        claimed = i in deployed_ids
+        claimed = i in claimed_by
         if ("anchor_world" in wire) == claimed:
             raise ValidationError(
                 f"wires[{i}].anchor_world",
-                "an anchor task claims this wire, so its anchor comes from the deployment"
+                "an anchor task claims this wire, so its anchor is the pillar it wraps"
                 if claimed else "wire needs an anchor_world or a deployment anchor task",
             )
-        wire.setdefault("anchor_world", DEPLOYMENT_PLACEHOLDER)
-        wires.append(WireAttachment(exit_body, wire["anchor_world"], wire_id=i))
-    m = len(wires)
+        anchor = wire.get("anchor_world")
+        if claimed:
+            # the wrap anchors the wire at the pillar's center, at the wrap altitude
+            task = anchors[claimed_by[i]]
+            center = pillars[task.pillar_index].center
+            anchor = np.array([center[0], center[1], task.wrap_altitude])
+        wires.append(WireAttachment(exit_body, anchor))
 
     tension = doc["tension_bounds"]
     bounds = _make(
@@ -538,24 +568,6 @@ def build_scenario(document: dict) -> Scenario:
         )
     sensor = _make("sim.sensor", SensorModel, **sim["sensor"])
 
-    pillars = [
-        _make(f"pillars[{k}]", Pillar, p["center"], p["half_extents"], tuple(p["z_range"].tolist()))
-        for k, p in enumerate(doc["pillars"])
-    ]
-
-    anchors = []
-    for k, task in enumerate(doc["anchors"]):
-        if not 0 <= task["wire_id"] < m:
-            raise ValidationError(f"anchors[{k}].wire_id", f"no wire with id {task['wire_id']}")
-        if not 0 <= task["pillar"] < len(pillars):
-            raise ValidationError(f"anchors[{k}].pillar", f"no pillar with index {task['pillar']}")
-        z_range = pillars[task["pillar"]].z_range
-        task.setdefault("wrap_altitude", 0.5 * (z_range[0] + z_range[1]))
-        anchors.append(AnchorTask(
-            task["wire_id"], task["pillar"], task["approach"], task["clearance"],
-            task["wrap_altitude"],
-        ))
-
     deployment = None
     if anchors:
         dep = doc["deployment"]
@@ -601,7 +613,7 @@ def _attrs(obj, section: dict) -> dict:
 def scenario_document(scenario: Scenario) -> dict:
     """`build_scenario`'s inverse: the document of `scenario` as it stands."""
     s = scenario
-    claimed = {a.wire_id for a in s.anchors}  # these hold the deployment placeholder
+    claimed = {a.wire_id for a in s.anchors}  # the loader sets these wires' anchors
     values = {
         "format_version": FORMAT_VERSION, "name": s.name, "seed": s.seed, "gravity": s.gravity,
         "body": {"mass": s.body.mass, "radius": s.body.radius,

@@ -124,8 +124,7 @@ def step(
     if nan.any():
         # checked here because the slack rule below would overwrite a NaN
         # tension on a slack wire with 0
-        wire = attachments[int(nan.argmax())]
-        raise NumericalBlowup(f"wire {wire.wire_id}: current is NaN at t={state.time:.4f} s")
+        raise NumericalBlowup(f"wire {int(nan.argmax())}: current is NaN at t={state.time:.4f} s")
     tensions = tensions_from_currents(np.maximum(currents, 0.0), winch)
     tensions = np.minimum(tensions, winch.max_tension)
 

@@ -46,11 +46,12 @@ DEGENERACY_THRESHOLD = 1e-6  # m; far below any physical scenario scale
 
 @dataclass(frozen=True, eq=False)
 class WireAttachment:
-    """One wire: body-frame exit point paired with a world-frame anchor."""
+    """One wire: body-frame exit point paired with a world-frame anchor.
+
+    A wire carries no id: errors name it by its position in the list."""
 
     exit_body: np.ndarray
     anchor_world: np.ndarray
-    wire_id: int = 0
 
     def __post_init__(self):
         for name in ("exit_body", "anchor_world"):
@@ -87,20 +88,21 @@ def _geometry(pose: Pose, attachments: Sequence[WireAttachment]):
 
     Returns (lengths, columns, arms), one entry per wire: the span length,
     the wire matrix column (s, r x s) as a 6-tuple, and the world exit
-    point minus the body center.  Raises DegenerateWire for the first wire
-    whose anchor sits within the degeneracy threshold of its exit point.
+    point minus the body center.  Raises DegenerateWire, naming the wire's
+    position in `attachments`, for the first wire whose anchor sits within
+    the degeneracy threshold of its exit point.
     """
     wires = WireSet(attachments)
     # the BLAS product stays: recorded telemetry holds its bits
     levers = (wires.exits_body @ pose.rotation_matrix().T).tolist()
     px, py, pz = pose.position.tolist()
     lengths, columns, arms = [], [], []
-    for wire, (rx, ry, rz), (ax, ay, az) in zip(wires, levers, wires.anchors.tolist()):
+    for i, ((rx, ry, rz), (ax, ay, az)) in enumerate(zip(levers, wires.anchors.tolist())):
         ex, ey, ez = px + rx, py + ry, pz + rz
         sx, sy, sz = ax - ex, ay - ey, az - ez
         length = math.sqrt(sx * sx + sy * sy + sz * sz)
         if length <= DEGENERACY_THRESHOLD:
-            raise DegenerateWire(wire.wire_id, length)
+            raise DegenerateWire(i, length)
         dx, dy, dz = sx / length, sy / length, sz / length
         lengths.append(length)
         columns.append((dx, dy, dz, ry * dz - rz * dy, rz * dx - rx * dz, rx * dy - ry * dx))

@@ -405,7 +405,7 @@ def reference_geometry(pose, attachments):
     lengths = np.linalg.norm(spans, axis=1)
     for i, n in enumerate(lengths):
         if n <= DEGENERACY_THRESHOLD:
-            raise DegenerateWire(wires[i].wire_id, float(n))
+            raise DegenerateWire(i, float(n))
     return spans / lengths[:, None], lengths, levers, exits_world
 
 

@@ -165,7 +165,7 @@ def test_criterion_4_jacobian_and_rates():
                 exit_body = rng.uniform(-0.2, 0.2, size=3)
                 anchor = rng.uniform(-2.0, 2.0, size=3)
                 anchor += np.sign(anchor) * 0.8
-                wires.append(WireAttachment(exit_body, anchor, wire_id=i))
+                wires.append(WireAttachment(exit_body, anchor))
             rv = rng.normal(size=3) * 0.8
             pose = Pose.from_rotvec(rng.normal(scale=0.3, size=3), rv)
             tensions = rng.uniform(0.0, 180.0, size=m)
@@ -234,9 +234,9 @@ def test_criterion_7_controllability_rule(anchors2_run):
         assert not report4.fully_constrained
 
         anchors2_scenario, _, _ = anchors2_run
-        deployed, _ = deploy_anchors(anchors2_scenario, seed=0)
         report2 = controllability(
-            wire_jacobian(anchors2_scenario.start_pose, deployed), anchors2_scenario.bounds,
+            wire_jacobian(anchors2_scenario.start_pose, anchors2_scenario.wires),
+            anchors2_scenario.bounds,
             torque_scale=0.2,
         )
         assert not report2.fully_constrained
@@ -256,7 +256,7 @@ def test_criterion_9_anchor_wrap_and_drive(anchors2_run):
     with criterion(9, "20/20 noisy wraps wind +1; drive moves >= 0.2 m up and sideways"):
         scenario, _, summary = anchors2_run
         for seed in range(20):
-            _, reports = deploy_anchors(scenario, seed=seed)
+            reports = deploy_anchors(scenario, seed=seed)
             assert [r["winding_number"] for r in reports] == [1, 1]
             assert all(r["wrap_succeeded"] for r in reports)
         displacement = summary["displacement_axes_m"]
@@ -268,7 +268,7 @@ def test_criterion_9_anchor_wrap_and_drive(anchors2_run):
 def test_criterion_10_simulator_physics(cube8_run, tmp_path):
     with criterion(10, "free fall 0.1%; momentum 1e-9; bit-reproducible runs"):
         body = BodyModel.solid_cube(10.0, 0.4)
-        wires = [WireAttachment([0, 0, 0], [50.0, 0.0, 0.0], wire_id=0)]
+        wires = [WireAttachment([0, 0, 0], [50.0, 0.0, 0.0])]
         winch = WinchParams()
 
         state = SimState(Pose.from_translation([0, 0, 2.0]), Twist.zero(), np.zeros(1))

@@ -30,7 +30,7 @@ def spread_wires(m, radius=2.0):
         direction = rng.normal(size=3)
         direction /= np.linalg.norm(direction)
         exit_body = 0.1 * rng.normal(size=3)
-        wires.append(WireAttachment(exit_body, exit_body + radius * direction, wire_id=i))
+        wires.append(WireAttachment(exit_body, exit_body + radius * direction))
     return wires
 
 
@@ -53,7 +53,7 @@ def test_eight_wire_cube_is_fully_constrained():
 
 
 def test_single_wire_rank_one_not_constrained():
-    wires = [WireAttachment([0, 0, 0], [2.0, 0, 0], wire_id=0)]
+    wires = [WireAttachment([0, 0, 0], [2.0, 0, 0])]
     report = controllability(jac_for(wires), TensionBounds.uniform(1))
     assert report.rank == 1
     assert not report.fully_constrained
@@ -70,10 +70,10 @@ def test_six_or_fewer_wires_never_fully_constrained(m):
 def test_four_wire_underactuated_layout_not_constrained():
     # two wires to each of two overhead anchor clusters
     wires = [
-        WireAttachment([-0.12, -0.12, 0.12], [-0.4, -2.5, 1.8], wire_id=0),
-        WireAttachment([0.12, -0.12, 0.12], [0.4, -2.5, 1.8], wire_id=1),
-        WireAttachment([-0.12, 0.12, 0.12], [-0.4, 2.5, 1.8], wire_id=2),
-        WireAttachment([0.12, 0.12, 0.12], [0.4, 2.5, 1.8], wire_id=3),
+        WireAttachment([-0.12, -0.12, 0.12], [-0.4, -2.5, 1.8]),
+        WireAttachment([0.12, -0.12, 0.12], [0.4, -2.5, 1.8]),
+        WireAttachment([-0.12, 0.12, 0.12], [-0.4, 2.5, 1.8]),
+        WireAttachment([0.12, 0.12, 0.12], [0.4, 2.5, 1.8]),
     ]
     report = controllability(jac_for(wires), TensionBounds.uniform(4), torque_scale=0.2)
     assert not report.fully_constrained
@@ -91,7 +91,7 @@ def test_zero_wrench_achievable_with_pretension_nullspace():
 def test_one_sided_anchors_cannot_pull_away():
     # all anchors on the +x side: a -x force is unachievable
     wires = [
-        WireAttachment([0, 0, 0], [2.0, 0.45 * sy, 0.4 * sz], wire_id=k)
+        WireAttachment([0, 0, 0], [2.0, 0.45 * sy, 0.4 * sz])
         for k, (sy, sz) in enumerate([(-1, -1), (-1, 1), (1, -1), (1, 1)])
     ]
     jac = jac_for(wires)
@@ -141,7 +141,7 @@ def test_achievable_set_convex_midpoints():
 def test_adding_a_wire_never_shrinks_feasible_set():
     rng = np.random.default_rng(6)
     base = spread_wires(5)
-    extra = base + [WireAttachment([0.05, 0, 0], [1.0, 1.0, 1.0], wire_id=99)]
+    extra = base + [WireAttachment([0.05, 0, 0], [1.0, 1.0, 1.0])]
     jac_small = jac_for(base)
     jac_big = jac_for(extra)
     bounds_small = TensionBounds(np.zeros(5), np.full(5, 180.0))
@@ -240,7 +240,7 @@ def cube8_with_twin(duplicate):
     scenario = load_scenario(bundled_scenario_path("cube8"))
     wires = list(scenario.wires)
     twin = wires[duplicate]
-    wires.append(WireAttachment(twin.exit_body, twin.anchor_world, wire_id=8))
+    wires.append(WireAttachment(twin.exit_body, twin.anchor_world))
     bounds = TensionBounds(np.append(scenario.bounds.lower, scenario.bounds.lower[duplicate]),
                            np.append(scenario.bounds.upper, scenario.bounds.upper[duplicate]))
     return scenario, wires, bounds
@@ -330,7 +330,7 @@ def test_witness_box_qp_keeps_an_unequal_twin_inside_its_box(monkeypatch):
     # the pair's tension evenly leaves that box, so the box QP places them
     scenario = load_scenario(bundled_scenario_path("cube8"))
     wires = list(scenario.wires)
-    wires.append(WireAttachment(wires[0].exit_body, wires[0].anchor_world, wire_id=8))
+    wires.append(WireAttachment(wires[0].exit_body, wires[0].anchor_world))
     lower = np.append(scenario.bounds.lower, scenario.bounds.lower[0])
     bounds = TensionBounds(lower, np.append(scenario.bounds.upper, lower[0] + 0.5))
     calls = counting(monkeypatch, "solve_box_qp")
@@ -380,12 +380,12 @@ def jittered_cube_wires(rng, m):
     for k, wire in enumerate(eight_wire_cube_layout()[:m]):
         exit_body = wire.exit_body + rng.uniform(-0.03, 0.03, 3)
         anchor = wire.anchor_world + rng.uniform(-0.2, 0.2, 3)
-        wires.append(WireAttachment(exit_body, anchor, wire_id=k))
+        wires.append(WireAttachment(exit_body, anchor))
     for k in range(len(wires), m):
         direction = rng.normal(size=3)
         exit_body = rng.uniform(-0.15, 0.15, 3)
         anchor = exit_body + 1.5 * direction / np.linalg.norm(direction)
-        wires.append(WireAttachment(exit_body, anchor, wire_id=k))
+        wires.append(WireAttachment(exit_body, anchor))
     return wires
 
 
@@ -459,7 +459,7 @@ def twinned_layouts(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     wires = jittered_cube_wires(rng, m)
     for k in draw(st.lists(st.integers(0, m - 1), max_size=2)):
-        wires.append(WireAttachment(wires[k].exit_body, wires[k].anchor_world, wire_id=len(wires)))
+        wires.append(WireAttachment(wires[k].exit_body, wires[k].anchor_world))
     lower = rng.uniform(0.0, 10.0, len(wires))
     bounds = TensionBounds(lower, lower + rng.uniform(20.0, 200.0, len(wires)))
     return jac_for(wires), bounds, draw(st.floats(0.2, 1.0))

@@ -9,7 +9,7 @@ import yaml
 from wiredrive import allocation, cli, runner, trajectory
 from wiredrive.errors import NumericalBlowup, SolverFailure
 from wiredrive.feasibility import controllability
-from wiredrive.runner import deploy_anchors, run_scenario
+from wiredrive.runner import run_scenario
 from wiredrive.scenario import build_scenario, bundled_scenario_path, load_scenario
 from wiredrive.simulator import OdometrySensor, SimState
 from wiredrive.spatial import Wrench
@@ -355,10 +355,10 @@ def test_cli_analyze_uses_the_anchors_deployment_gives(capsys, tmp_path):
     assert cli.main(["analyze", str(path), "--out", str(tmp_path)]) == 0
     report = json.loads(capsys.readouterr().out)
     scenario = load_scenario(path)
-    wires, _ = deploy_anchors(scenario, scenario.seed)
-    deployed = controllability(wire_jacobian(scenario.start_pose, wires), scenario.bounds,
-                               torque_scale=scenario.torque_lever)
+    deployed = controllability(wire_jacobian(scenario.start_pose, scenario.wires),
+                               scenario.bounds, torque_scale=scenario.torque_lever)
     assert report["rank"] == deployed.rank == 2
+    assert report["margin"] == deployed.margin
 
 
 @pytest.mark.parametrize("name", ["cube8", "outdoor4"])

@@ -240,8 +240,7 @@ def test_round_trip_bundled_scenarios(tmp_path):
 
 
 def test_dump_writes_no_anchor_for_a_wire_waiting_on_its_anchor_task():
-    # the dump without its anchor tasks must not load with both wires anchored
-    # at the deployment placeholder
+    # without its anchor tasks, nothing anchors the wires the dump leaves bare
     doc = scenario_document(load_scenario(bundled_scenario_path("anchors2")))
     for section in ("anchors", "pillars", "deployment"):
         del doc[section]
@@ -258,8 +257,52 @@ def test_anchor_on_a_claimed_wire_is_rejected():
     assert info.value.field == "wires[0].anchor_world"
 
 
+def test_two_anchor_tasks_cannot_claim_one_wire():
+    doc = yaml.safe_load(bundled_scenario_path("anchors2").read_text())
+    doc["anchors"][1]["wire_id"] = 0
+    doc["wires"][1]["anchor_world"] = {"value": [0.0, 0.0, 5.0], "unit": "m"}
+    with pytest.raises(ValidationError, match=r"anchors\[0\] already claims wire 0") as info:
+        build_scenario(doc)
+    assert info.value.field == "anchors[1].wire_id"
+
+
+@pytest.mark.parametrize("name, path, value", [
+    ("cube8", "winch.max_tensoin", {"value": 90.0, "unit": "N"}),
+    ("cube8", "wires[0].anchr_world", {"value": [0.5, 0.5, 0.5], "unit": "m"}),
+    ("cube8", "controll", {"mode": "pose_control"}),
+    ("cube8", "trajectory.segments[0].duraton", {"value": 1.0, "unit": "s"}),
+    # what a resolved.yaml dumped before the sensor lost its range holds
+    ("anchors2", "deployment.sensor.detection_range", {"value": 5.0, "unit": "m"}),
+])
+def test_unknown_keys_are_refused_by_path(name, path, value):
+    doc = yaml.safe_load(bundled_scenario_path(name).read_text())
+    *parents, key = path.split(".")
+    _at(doc, ".".join(parents))[key] = value
+    with pytest.raises(ValidationError, match="unknown field") as info:
+        build_scenario(doc)
+    assert info.value.field == path
+
+
+def test_a_quantity_with_a_third_key_is_refused():
+    doc = yaml.safe_load(bundled_scenario_path("cube8").read_text())
+    doc["body"]["mass"]["note"] = "with payload"
+    with pytest.raises(ValidationError) as info:
+        build_scenario(doc)
+    assert info.value.field == "body.mass"
+
+
+@pytest.mark.parametrize("name", ["cube8", "cube8_saturated", "outdoor4", "anchors2"])
+def test_validate_output_loads_and_dumps_to_the_same_text(name, tmp_path, capsys):
+    # the dumper writes only keys the strict reader accepts
+    assert cli.main(["validate", str(bundled_scenario_path(name))]) == 0
+    text = capsys.readouterr().out
+    resolved = write(tmp_path, text, name="resolved.yaml")
+    assert dump_scenario(load_scenario(resolved)) == text
+
+
 @pytest.mark.parametrize("path, value", [("seed", "abc"), ("seed", 2.5),
-                                         ("sim.sensor.latency", 1.7)])
+                                         ("sim.sensor.latency", 1.7), ("seed", True),
+                                         ("sim.sensor.latency", False)])
 def test_integer_fields_reject_non_integers(tmp_path, path, value):
     def bad(d):
         *sections, key = path.split(".")
@@ -291,7 +334,6 @@ _SPECIAL = {
         lambda z: [z[0], z[0] + z[1]]
     ),
     "anchors[].wrap_altitude": st.floats(0.5, 3.0),
-    "deployment.sensor.detection_range": st.floats(1.0, 10.0),
 }
 
 
@@ -469,3 +511,59 @@ def test_wrong_unit_names_the_field(generated, data):
     with pytest.raises(ValidationError) as info:
         _load_text(yaml.safe_dump(doc))
     assert info.value.field == path
+
+
+@st.composite
+def anchor_documents(draw):
+    """A scenario document with 1-3 pillars and 1-3 anchor tasks, and per
+    claimed wire the anchor its wrap should give it, as (cx, cy, altitude)."""
+    doc = yaml.safe_load(MINIMAL)
+    n_pillars = draw(st.integers(1, 3))
+    n_tasks = draw(st.integers(1, 3))
+    m = draw(st.integers(n_tasks, 4))
+    coordinate = st.floats(-5.0, 5.0, allow_subnormal=False)
+    pillars = []
+    for _ in range(n_pillars):
+        center = [draw(coordinate), draw(coordinate)]
+        low = draw(st.floats(0.0, 2.0))
+        pillars.append((center, [low, low + draw(st.floats(0.1, 2.0))]))
+    doc["pillars"] = [{"center": {"value": c, "unit": "m"}, "z_range": {"value": z, "unit": "m"}}
+                      for c, z in pillars]
+    claimed = draw(st.lists(st.integers(0, m - 1), min_size=n_tasks, max_size=n_tasks,
+                            unique=True))
+    doc["anchors"], expected = [], {}
+    for wire_id in claimed:
+        pillar = draw(st.integers(0, n_pillars - 1))
+        task = {"wire_id": wire_id, "pillar": pillar,
+                "approach": {"value": [draw(coordinate) for _ in range(3)], "unit": "m"}}
+        altitude = draw(st.none() | st.floats(0.0, 4.0))
+        (cx, cy), (z0, z1) = pillars[pillar]
+        if altitude is None:
+            altitude = 0.5 * (z0 + z1)
+        else:
+            task["wrap_altitude"] = {"value": altitude, "unit": "m"}
+        doc["anchors"].append(task)
+        expected[wire_id] = np.array([cx, cy, altitude])
+    exit_body = {"value": [0.0, 0.0, 0.1], "unit": "m"}
+    doc["wires"] = [{"exit_body": exit_body} if i in expected else
+                    {"exit_body": exit_body,
+                     "anchor_world": {"value": [float(i + 1), 0.0, 1.0], "unit": "m"}}
+                    for i in range(m)]
+    return doc, expected
+
+
+@_PROPERTY
+@given(anchor_documents())
+def test_claimed_wires_are_anchored_at_load_where_their_wraps_put_them(generated):
+    doc, expected = generated
+    text = yaml.safe_dump(doc)
+    scenario = _load_text(text)
+    for wire_id, anchor in expected.items():
+        assert scenario.wires[wire_id].anchor_world.tobytes() == anchor.tobytes()
+    old_placeholder = np.full(3, 1e6)
+    assert not any(np.array_equal(w.anchor_world, old_placeholder) for w in scenario.wires)
+    dumped = dump_scenario(scenario)
+    reloaded = _load_text(dumped)
+    assert dump_scenario(reloaded) == dumped
+    for first, second in zip(scenario.wires, reloaded.wires):
+        assert first.anchor_world.tobytes() == second.anchor_world.tobytes()

@@ -14,7 +14,7 @@ from wiredrive.allocation import (
     allocate,
     to_currents,
 )
-from wiredrive.errors import NumericalBlowup
+from wiredrive.errors import DegenerateWire, NumericalBlowup
 from wiredrive.simulator import (
     STANDARD_GRAVITY,
     BodyModel,
@@ -31,7 +31,7 @@ from test_wires import eight_wire_cube_layout
 
 
 def slack_layout():
-    return [WireAttachment([0, 0, 0], [5.0, 0.0, 0.0], wire_id=0)]
+    return [WireAttachment([0, 0, 0], [5.0, 0.0, 0.0])]
 
 
 def test_free_body_conserves_momentum():
@@ -176,18 +176,35 @@ def test_nan_current_is_a_blowup_naming_the_wire_slack_or_taut():
     # the slack rule would overwrite a slack wire's NaN tension with 0
     body = BodyModel.solid_cube(5.0, 0.3)
     wires = [
-        WireAttachment([0, 0, 0], [5.0, 0.0, 0.0], wire_id=3),
-        WireAttachment([0, 0, 0], [0.0, 0.0, 5.0], wire_id=8),
+        WireAttachment([0, 0, 0], [5.0, 0.0, 0.0]),
+        WireAttachment([0, 0, 0], [0.0, 0.0, 5.0]),
     ]
     winch = WinchParams()
     state = SimState(Pose.identity(), Twist([-1.0, 0, 0], [0, 0, 0]), np.zeros(2))
     _, rates = wire_lengths_and_rates(state.pose, state.twist, wires)
-    assert abs(rates[0]) > winch.max_line_speed >= abs(rates[1])  # wire 3 slack, 8 taut
-    for index, wire_id in ((0, 3), (1, 8)):
+    assert abs(rates[0]) > winch.max_line_speed >= abs(rates[1])  # wire 0 slack, 1 taut
+    for index in (0, 1):
         currents = to_currents(np.array([50.0, 50.0]), winch)
         currents[index] = math.nan
-        with pytest.raises(NumericalBlowup, match=f"wire {wire_id}: current is NaN"):
+        with pytest.raises(NumericalBlowup, match=f"wire {index}: current is NaN"):
             step(state, currents, 1e-3, body, wires, winch)
+
+
+def test_step_names_a_faulty_wire_by_its_position_in_the_list():
+    # a list built without ids, as a library user writes one
+    body = BodyModel.solid_cube(5.0, 0.3)
+    winch = WinchParams()
+    state = SimState.at_rest(Pose.identity(), 2)
+    currents = to_currents(np.array([50.0, 50.0]), winch)
+    degenerate = [WireAttachment([0, 0, 0], [5.0, 0.0, 0.0]), WireAttachment([0, 0, 0], [0, 0, 0])]
+    with pytest.raises(DegenerateWire) as info:
+        step(state, currents, 1e-3, body, degenerate, winch)
+    assert info.value.wire_id == 1
+    assert str(info.value).startswith("wire 1:")
+    taut = [WireAttachment([0, 0, 0], [5.0, 0.0, 0.0]), WireAttachment([0, 0, 0], [0.0, 0.0, 5.0])]
+    currents[1] = math.nan
+    with pytest.raises(NumericalBlowup, match="wire 1: current is NaN"):
+        step(state, currents, 1e-3, body, taut, winch)
 
 
 def test_dt_validation():

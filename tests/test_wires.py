@@ -28,7 +28,7 @@ def random_layout(rng, m, body_radius=0.3, span=2.0):
         exit_body = rng.uniform(-body_radius, body_radius, size=3)
         anchor = rng.uniform(-span, span, size=3)
         anchor += np.sign(anchor) * 0.8  # keep anchors well away from the body
-        wires.append(WireAttachment(exit_body, anchor, wire_id=i))
+        wires.append(WireAttachment(exit_body, anchor))
     return wires
 
 
@@ -70,18 +70,18 @@ def test_direction_in_rotated_frame():
 
 def test_degenerate_wire_raises_with_id():
     wires = [
-        WireAttachment([0, 0, 0], [1.0, 0.0, 0.0], wire_id=0),
-        WireAttachment([0.1, 0.0, 0.0], [0.1, 0.0, 0.0], wire_id=7),
+        WireAttachment([0, 0, 0], [1.0, 0.0, 0.0]),
+        WireAttachment([0.1, 0.0, 0.0], [0.1, 0.0, 0.0]),
     ]
     for attachments in (wires, WireSet(wires)):
         with pytest.raises(DegenerateWire) as info:
             wire_jacobian(Pose.identity(), attachments)
-        assert info.value.wire_id == 7
+        assert info.value.wire_id == 1  # its position in the list
 
 
 def test_degeneracy_threshold_is_inclusive():
     # sqrt of the rounded square gives the threshold back exactly
-    at = [WireAttachment([0, 0, 0], [DEGENERACY_THRESHOLD, 0.0, 0.0], wire_id=2)]
+    at = [WireAttachment([0, 0, 0], [DEGENERACY_THRESHOLD, 0.0, 0.0])]
     beyond = [WireAttachment([0, 0, 0], [np.nextafter(DEGENERACY_THRESHOLD, 1.0), 0.0, 0.0])]
     pose = Pose.identity()
     for call in (lambda wires: reference_geometry(pose, wires),
@@ -89,7 +89,7 @@ def test_degeneracy_threshold_is_inclusive():
                  lambda wires: wire_lengths_and_rates(pose, Twist.zero(), wires)):
         with pytest.raises(DegenerateWire) as info:
             call(at)
-        assert (info.value.wire_id, info.value.separation) == (2, DEGENERACY_THRESHOLD)
+        assert (info.value.wire_id, info.value.separation) == (0, DEGENERACY_THRESHOLD)
         call(beyond)
 
 
@@ -212,7 +212,7 @@ def eight_wire_cube_layout(frame_half=0.5, exit_radius=0.15, exit_height=0.1, tw
             anchor = np.array(
                 [anchor_radius * np.cos(theta), anchor_radius * np.sin(theta), z_sign * frame_half]
             )
-            wires.append(WireAttachment(exit_body, anchor, wire_id=i))
+            wires.append(WireAttachment(exit_body, anchor))
             i += 1
     return wires
 
@@ -235,7 +235,7 @@ def body_states(draw, max_wires=8):
     anchors = draw(_vectors((m, 3), 2.0))
     anchors += np.where(anchors < 0, -0.8, 0.8)  # keep anchors well away from the body
     wires = [
-        WireAttachment(exit_body, anchor, wire_id=i)
+        WireAttachment(exit_body, anchor)
         for i, (exit_body, anchor) in enumerate(zip(draw(_vectors((m, 3), 0.3)), anchors))
     ]
     pose = Pose.from_rotvec(draw(_vectors(3, 0.3)), draw(_vectors(3, 1.5)))
@@ -353,7 +353,7 @@ def test_degenerate_scan_names_the_first_wire_at_the_threshold(case, data):
         # an anchor sitting on (or just off) its world exit point
         exit_world = transform_point(pose, wires[i].exit_body)
         offset = data.draw(st.sampled_from([0.0, 0.5 * DEGENERACY_THRESHOLD]))
-        wires[i] = WireAttachment(wires[i].exit_body, exit_world + [offset, 0.0, 0.0], wire_id=i)
+        wires[i] = WireAttachment(wires[i].exit_body, exit_world + [offset, 0.0, 0.0])
     with pytest.raises(DegenerateWire) as expected:
         reference_geometry(pose, wires)
     assert expected.value.wire_id == close[0]
@@ -367,8 +367,8 @@ def test_degenerate_scan_names_the_first_wire_at_the_threshold(case, data):
 
 @st.composite
 def layouts_with_near_degenerate_wires(draw):
-    """Up to 12 wires, their ids in reverse order, with up to two anchors
-    moved onto, or within a few thresholds of, their world exit points."""
+    """Up to 12 wires, with up to two anchors moved onto, or within a few
+    thresholds of, their world exit points."""
     wires, pose, twist = draw(body_states(max_wires=12))
     m = len(wires)
     close = draw(st.sets(st.integers(0, m - 1), max_size=2))
@@ -379,7 +379,7 @@ def layouts_with_near_degenerate_wires(draw):
             exit_world = transform_point(pose, wires[i].exit_body)
             offset = draw(st.sampled_from(offsets)) * DEGENERACY_THRESHOLD
             anchor = exit_world + [offset, 0.0, 0.0]
-        wires[i] = WireAttachment(wires[i].exit_body, anchor, wire_id=m - 1 - i)
+        wires[i] = WireAttachment(wires[i].exit_body, anchor)
     return wires, pose, twist
 
 
