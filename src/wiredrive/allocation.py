@@ -144,13 +144,14 @@ def allocate(
     bounds: TensionBounds,
     weights: AllocationWeights,
     start: np.ndarray | None = None,
-) -> tuple[np.ndarray, Wrench]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Solve the tension-distribution QP for the 6 x m wire matrix.
 
     Returns the optimal tensions and the wrench residual (desired minus
-    achieved).  The residual is nonzero whenever the desired wrench lies
-    outside what the bounded wires can express; callers treat that as the
-    saturation diagnostic, not as an error.
+    achieved) as a 6-array, force then torque.  The residual is nonzero
+    whenever the desired wrench lies outside what the bounded wires can
+    express; callers treat that as the saturation diagnostic, not as an
+    error.
     """
     if not np.all(np.isfinite(matrix)):
         raise ValueError("wire matrix contains non-finite entries")
@@ -159,8 +160,7 @@ def allocate(
     hessian = 2.0 * (np.eye(matrix.shape[1]) + matrix.T @ weighted)
     gradient = -2.0 * (weighted.T @ target)
     tensions, _, _ = solve_box_qp(hessian, gradient, bounds.lower, bounds.upper, start=start)
-    residual = Wrench.from_array(target - matrix @ tensions)
-    return tensions, residual
+    return tensions, target - matrix @ tensions
 
 
 def compensate(
@@ -206,6 +206,19 @@ def tensions_from_currents(currents: np.ndarray, winch: WinchParams) -> np.ndarr
     return np.asarray(currents, dtype=float) / winch.current_per_newton
 
 
+def tension_command(tensions: np.ndarray, final: np.ndarray, residual: np.ndarray,
+                    bounds: TensionBounds, winch: WinchParams) -> TensionCommand:
+    """The command for allocated `tensions` that the winches are to exert
+    as `final`, with the allocation's wrench `residual` (a 6-array)."""
+    return TensionCommand(
+        tensions=tensions,
+        tensions_final=final,
+        currents=to_currents(final, winch),
+        residual_norm=float(np.linalg.norm(residual)),
+        saturated=bounds.saturated(tensions),
+    )
+
+
 def solve_tension_command(
     matrix: np.ndarray,
     wrench: Wrench,
@@ -219,11 +232,4 @@ def solve_tension_command(
     """Allocation, compensation and current conversion in one pass."""
     tensions, residual = allocate(matrix, wrench, bounds, weights, start=start)
     final = compensate(tensions, accel_ref, rates, matrix, winch)
-    currents = to_currents(final, winch)
-    return TensionCommand(
-        tensions=tensions,
-        tensions_final=final,
-        currents=currents,
-        residual_norm=float(np.linalg.norm(residual.as_array())),
-        saturated=bounds.saturated(tensions),
-    )
+    return tension_command(tensions, final, residual, bounds, winch)

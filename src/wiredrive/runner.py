@@ -14,7 +14,8 @@ time and return a `ControlTick` carrying its `TensionCommand`.
 A run is reproducible from (scenario file, seed) alone: every random
 stream is derived from the run seed with fixed offsets, and telemetry is
 written with byte-stable formatting.  On a controller fault inside the
-loop the previous currents are held and the tick is flagged.  Any other
+loop the last tick, its currents included, is held and the row is
+flagged; the row still carries its own run time and measurement.  Any other
 exception (a plant fault, a failed deployment, a controller fault on the
 first tick) ends the run: the telemetry written so far is kept, and
 summary.json records `status` "fault" and its `fault_cause` before the
@@ -30,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .allocation import TensionCommand, allocate, to_currents
+from .allocation import allocate, tension_command
 from .anchors import plan_wrap_path, track_path, winding_number
 from .errors import WireDriveError
 from .scenario import POSE_CONTROL, AnchorTask, Scenario, dump_scenario
@@ -74,10 +75,13 @@ class _ScheduleController:
         self.wires = wires
         self.segments, self.starts = schedule
         self.gravity = gravity_feedforward(scenario.body, scenario.gravity)
+        self.gravity_array = self.gravity.as_array()
+        if scenario.schedule_table is not None:
+            self.times = np.array([row[0] for row in scenario.schedule_table])
 
     def _interp_table(self, t: float) -> np.ndarray:
         table = self.scenario.schedule_table
-        times = [row[0] for row in table]
+        times = self.times
         if t <= times[0]:
             return table[0][1]
         if t >= times[-1]:
@@ -92,34 +96,23 @@ class _ScheduleController:
         pose_ref, twist_ref, accel_ref = sample_schedule(self.segments, self.starts, t)
         if scenario.schedule_table is not None:
             tensions = np.clip(self._interp_table(t), scenario.bounds.lower, scenario.bounds.upper)
-            residual_norm = 0.0
+            residual = np.zeros(6)
             desired = Wrench.zero()
         else:
             jacobian = wire_jacobian(pose_ref, self.wires)
-            need = self.gravity.as_array() + np.concatenate(
+            need = self.gravity_array + np.concatenate(
                 [scenario.body.mass * accel_ref[:3], np.zeros(3)]
             )
             desired = Wrench.from_array(need)
             tensions, residual = allocate(jacobian, desired, scenario.bounds, scenario.weights)
-            residual_norm = float(np.linalg.norm(residual.as_array()))
-        command = TensionCommand(
-            tensions=tensions,
-            tensions_final=tensions,
-            currents=to_currents(tensions, scenario.winch),
-            residual_norm=residual_norm,
-            saturated=scenario.bounds.saturated(tensions),
-        )
         return ControlTick(
-            timestamp=t,
-            pose=pose,
-            twist=twist,
             pose_ref=pose_ref,
             twist_ref=twist_ref,
             accel_ref=accel_ref,
             feedback_wrench=Wrench.zero(),
             gravity_wrench=self.gravity,
             desired_wrench=desired,
-            command=command,
+            command=tension_command(tensions, tensions, residual, scenario.bounds, scenario.winch),
         )
 
 
@@ -233,7 +226,7 @@ def run_scenario(scenario: Scenario, out_dir, seed: int | None = None) -> dict:
             controller = _ScheduleController(scenario, wires, schedule)
         sensor = OdometrySensor(scenario.sensor, seed=scenario.seed + _SENSOR_SEED_OFFSET)
         state = SimState.at_rest(scenario.start_pose, scenario.wire_count)
-        last_tick: ControlTick | None = None
+        tick: ControlTick | None = None
 
         with (out_dir / "telemetry.csv").open("w", newline="") as stream:
             writer = TelemetryWriter(stream, scenario.wire_count)
@@ -245,14 +238,10 @@ def run_scenario(scenario: Scenario, out_dir, seed: int | None = None) -> dict:
                 try:
                     tick = controller.step(meas_pose, meas_twist, t)
                 except WireDriveError:
-                    if last_tick is None:
+                    if tick is None:
                         raise
-                    fault = True
+                    fault = True  # hold the last tick, its command included
                     fault_ticks += 1
-                    tick = dataclasses.replace(  # hold the last command
-                        last_tick, timestamp=t, pose=meas_pose, twist=meas_twist
-                    )
-                last_tick = tick
                 command = tick.command
 
                 for _ in range(scenario.substeps):
@@ -279,7 +268,7 @@ def run_scenario(scenario: Scenario, out_dir, seed: int | None = None) -> dict:
                 if n_sat:
                     saturation_ticks += 1
                 max_simultaneous_sat = max(max_simultaneous_sat, n_sat)
-                writer.write_tick(k, state, tick, fault)
+                writer.write_tick(k, t, state, meas_pose, meas_twist, tick, fault)
                 rows, end_pose = k + 1, state.pose
     except BaseException as exc:
         fault_cause = f"{type(exc).__name__}: {exc}"

@@ -243,13 +243,19 @@ SCHEMA = {
 
 def _convert(spec: Field, value, path: str):
     if spec.kind == STRING:
-        return str(value)
+        if not isinstance(value, str):
+            raise ValidationError(path, f"expected text, got {value!r}")
+        return value
     if spec.kind == INTEGER:
         # not isinstance: YAML's true and false load as bools, which are ints
         if type(value) is int or (isinstance(value, float) and value.is_integer()):
             return int(value)
         raise ValidationError(path, f"expected an integer, got {value!r}")
-    # float() also takes strings: PyYAML reads exponent floats such as 1.0e8 as text
+    # float() also takes strings: PyYAML reads exponent floats such as 1.0e8
+    # as text; it takes YAML's true and false too, which are not numbers
+    items = value if isinstance(value, (list, tuple)) else [value]
+    if any(isinstance(v, bool) for v in items):
+        raise ValidationError(path, f"expected a number, got {value!r}")
     try:
         out = float(value) if spec.shape is None else np.array(value, dtype=float)
     except (TypeError, ValueError) as exc:

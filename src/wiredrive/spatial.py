@@ -161,25 +161,39 @@ def skew(v) -> np.ndarray:
     return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 
-def _ab_coeffs(angle: float) -> tuple[float, float]:
-    # a = (1-cos)/t^2, b = (t-sin)/t^3 with series fallbacks
-    if angle < 1e-4:
-        t2 = angle * angle
-        return 0.5 - t2 / 24.0, 1.0 / 6.0 - t2 / 120.0
-    return (
-        (1.0 - np.cos(angle)) / angle**2,
-        (angle - np.sin(angle)) / angle**3,
-    )
+def so3_left_jacobian_and_dot(rv, rv_rate) -> tuple[np.ndarray, np.ndarray]:
+    """Left Jacobian of SO(3) and its time derivative along rv(t) with rate
+    rv_rate, from one pass over the angle, skew(rv) and its square.
 
-
-def so3_left_jacobian(rv) -> np.ndarray:
-    """Left Jacobian of SO(3): maps rotation-vector rates to world angular
-    velocity for q(t) = exp(rv(t)) * q0."""
+    J_l maps rotation-vector rates to world angular velocity for
+    q(t) = exp(rv(t)) * q0; with J_l_dot it gives the analytic angular
+    acceleration of a spline evaluated in a rotation-vector chart:
+    w_dot = J_l * rv_ddot + J_l_dot * rv_dot.
+    """
     rv = np.asarray(rv, dtype=float)
+    rv_rate = np.asarray(rv_rate, dtype=float)
     angle = float(np.linalg.norm(rv))
     k = skew(rv)
-    a, b = _ab_coeffs(angle)
-    return np.eye(3) + a * k + b * (k @ k)
+    k2 = k @ k
+    kd = skew(rv_rate)
+    # a = (1-cos)/t^2 and b = (t-sin)/t^3; a'(t)/t and b'(t)/t stay finite at
+    # zero and, times (rv . rv_rate), give the chain-rule terms of J_l_dot
+    # without dividing by the angle.  Series fallbacks near zero.
+    if angle < 1e-4:
+        t2 = angle * angle
+        a, b = 0.5 - t2 / 24.0, 1.0 / 6.0 - t2 / 120.0
+        a_prime_over = -1.0 / 12.0 + t2 / 180.0
+        b_prime_over = -1.0 / 60.0 + t2 / 1260.0
+    else:
+        cos, sin = np.cos(angle), np.sin(angle)
+        a = (1.0 - cos) / angle**2
+        b = (angle - sin) / angle**3
+        a_prime_over = (sin / angle**2 - 2.0 * (1.0 - cos) / angle**3) / angle
+        b_prime_over = ((1.0 - cos) / angle**3 - 3.0 * (angle - sin) / angle**4) / angle
+    jac = np.eye(3) + a * k + b * k2
+    dot = float(rv @ rv_rate)
+    jac_dot = dot * (a_prime_over * k + b_prime_over * k2) + a * kd + b * (kd @ k + k @ kd)
+    return jac, jac_dot
 
 
 def so3_left_jacobian_inv(rv) -> np.ndarray:
@@ -191,37 +205,6 @@ def so3_left_jacobian_inv(rv) -> np.ndarray:
     else:
         c = (1.0 - 0.5 * angle * np.sin(angle) / (1.0 - np.cos(angle))) / angle**2
     return np.eye(3) - 0.5 * k + c * (k @ k)
-
-
-def so3_left_jacobian_dot(rv, rv_rate) -> np.ndarray:
-    """Time derivative of the left Jacobian along rv(t) with rate rv_rate.
-
-    Needed for analytic angular acceleration of a spline evaluated in a
-    rotation-vector chart: w_dot = J_l * rv_ddot + J_l_dot * rv_dot.
-    """
-    rv = np.asarray(rv, dtype=float)
-    rv_rate = np.asarray(rv_rate, dtype=float)
-    angle = float(np.linalg.norm(rv))
-    k = skew(rv)
-    kd = skew(rv_rate)
-    a, b = _ab_coeffs(angle)
-    # a'(t)/t and b'(t)/t stay finite at zero; combined with (rv . rv_rate)
-    # they give the chain-rule terms without dividing by the angle.
-    if angle < 1e-4:
-        t2 = angle * angle
-        a_prime_over = -1.0 / 12.0 + t2 / 180.0
-        b_prime_over = -1.0 / 60.0 + t2 / 1260.0
-    else:
-        a_prime = np.sin(angle) / angle**2 - 2.0 * (1.0 - np.cos(angle)) / angle**3
-        b_prime = (1.0 - np.cos(angle)) / angle**3 - 3.0 * (angle - np.sin(angle)) / angle**4
-        a_prime_over = a_prime / angle
-        b_prime_over = b_prime / angle
-    dot = float(rv @ rv_rate)
-    return (
-        dot * (a_prime_over * k + b_prime_over * (k @ k))
-        + a * kd
-        + b * (kd @ k + k @ kd)
-    )
 
 
 @dataclass(frozen=True, eq=False)

@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import IO
 
 from .simulator import SimState
+from .spatial import Pose, Twist
 from .trajectory import ControlTick
 
 FORMAT_VERSION = 1
@@ -44,13 +45,16 @@ class TelemetryWriter:
         self.columns = column_names(wire_count)
         stream.write(",".join(self.columns) + "\n")
 
-    def write_tick(
-        self, tick_index: int, state: SimState, tick: ControlTick, fault: bool
-    ) -> None:
-        floats = [float(tick.timestamp)]
+    def write_tick(self, tick_index: int, t: float, state: SimState, meas_pose: Pose,
+                   meas_twist: Twist, tick: ControlTick, fault: bool) -> None:
+        """One row: run time `t`, the plant `state` after the tick, the
+        measurement the controller acted on and the `tick` it returned.  A
+        tick held after a controller fault comes with its row's own `t`
+        and measurement."""
+        floats = [float(t)]
         for pose, twist in (
             (state.pose, state.twist),
-            (tick.pose, tick.twist),
+            (meas_pose, meas_twist),
             (tick.pose_ref, tick.twist_ref),
         ):
             floats += pose.position.tolist() + pose.orientation.tolist()

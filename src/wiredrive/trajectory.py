@@ -33,8 +33,7 @@ from .spatial import (
     quat_conjugate,
     quat_multiply,
     rotvec_from_quat,
-    so3_left_jacobian,
-    so3_left_jacobian_dot,
+    so3_left_jacobian_and_dot,
     so3_left_jacobian_inv,
     wrench_error_pid,
 )
@@ -124,9 +123,9 @@ def sample(segment: SplineSegment, t: float) -> tuple[Pose, Twist, np.ndarray]:
     orientation = quat_multiply(
         Pose.from_rotvec(np.zeros(3), chart).orientation, segment.start_pose.orientation
     )
-    jac = so3_left_jacobian(chart)
+    jac, jac_dot = so3_left_jacobian_and_dot(chart, chart_rate)
     omega = jac @ chart_rate
-    omega_dot = jac @ chart_acc + so3_left_jacobian_dot(chart, chart_rate) @ chart_rate
+    omega_dot = jac @ chart_acc + jac_dot @ chart_rate
     return (
         Pose(pos, orientation),
         Twist(vel, omega),
@@ -136,11 +135,9 @@ def sample(segment: SplineSegment, t: float) -> tuple[Pose, Twist, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class ControlTick:
-    """Everything one pass of the control loop produced."""
+    """Everything one pass of the control loop produced; the run time and
+    the measurement it acted on stay with the caller."""
 
-    timestamp: float  # run time, s
-    pose: Pose
-    twist: Twist
     pose_ref: Pose
     twist_ref: Twist
     accel_ref: np.ndarray
@@ -213,9 +210,6 @@ class PoseController:
         )
         self._warm_start = command.tensions
         return ControlTick(
-            timestamp=t,
-            pose=pose,
-            twist=twist,
             pose_ref=pose_ref,
             twist_ref=twist_ref,
             accel_ref=accel_ref,

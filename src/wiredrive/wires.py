@@ -22,12 +22,9 @@ arrays do, in the operation order of the array formulation
 (`tests/oracles.py` holds those formulations and the tests hold these
 functions to them bit for bit).  That skips numpy's per-call setup, which
 dominates on a few wires, but costs about 1 us per wire where numpy's
-cost barely grows.  Both functions together, best of 15 timeit repeats
-on a shared 2-vCPU VM, array formulation -> float pass: 2 wires
-47 -> 19 us, 8 wires 48 -> 33 us, 16 wires 48 -> 51 us, 64 wires
-56 -> 158 us.  The float pass is meant for the 2 to 8 wires of the
-bundled scenarios and of the robot the model follows; the two break
-even between 12 and 16 wires.
+cost barely grows.  The float pass is meant for the 2 to 8 wires of the
+bundled scenarios and of the robot the model follows; the array
+formulation breaks even between 12 and 16 wires and wins above.
 """
 
 from __future__ import annotations

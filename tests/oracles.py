@@ -283,16 +283,16 @@ def _telemetry_field(value) -> str:
     return repr(float(value))
 
 
-def telemetry_row(tick_index, state, tick, fault) -> str:
+def telemetry_row(tick_index, t, state, meas_pose, meas_twist, tick, fault) -> str:
     """One format-1 telemetry line, built one value at a time.
 
     Each value is formatted by its type: flags as 1/0, integers with
     `str`, everything else as `repr(float(value))`.
     """
-    values = [1, tick_index, tick.timestamp]
+    values = [1, tick_index, t]
     for pose, twist in (
         (state.pose, state.twist),
-        (tick.pose, tick.twist),
+        (meas_pose, meas_twist),
         (tick.pose_ref, tick.twist_ref),
     ):
         values += list(pose.position) + list(pose.orientation)

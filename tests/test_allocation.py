@@ -37,7 +37,7 @@ def test_zero_wrench_zero_pretension_gives_zero():
     weights = AllocationWeights.diagonal(scale=100.0)
     f, residual = allocate(mat, Wrench.zero(), bounds, weights)
     assert np.allclose(f, np.zeros(4), atol=1e-9)
-    assert np.allclose(residual.as_array(), np.zeros(6), atol=1e-9)
+    assert np.allclose(residual, np.zeros(6), atol=1e-9)
 
 
 def test_two_opposing_collinear_wires():
@@ -52,7 +52,7 @@ def test_two_opposing_collinear_wires():
     f, residual = allocate(mat, wrench, bounds, weights)
     assert f[0] == pytest.approx(10.0, abs=1e-3)
     assert f[1] == pytest.approx(0.0, abs=1e-6)
-    assert np.linalg.norm(residual.as_array()) < 1e-3
+    assert np.linalg.norm(residual) < 1e-3
 
 
 def test_bounds_always_satisfied():
@@ -99,8 +99,9 @@ def test_saturating_instance_reports_residual_and_clamped_wires():
     f, residual = allocate(mat, wrench, bounds, weights)
     assert np.sum(f >= 180.0 - 1e-6) >= 1
     direct = wrench.as_array() - mat @ f
-    assert np.allclose(residual.as_array(), direct, atol=1e-9)
-    assert np.linalg.norm(residual.as_array()) > 1.0
+    assert residual.shape == (6,)
+    assert np.allclose(residual, direct, atol=1e-9)
+    assert np.linalg.norm(residual) > 1.0
 
 
 def test_nan_wrench_raises_instead_of_returning_nan_tensions():

@@ -115,6 +115,11 @@ def test_resolved_dump_reproduces_a_replaced_run(tmp_path):
     assert (tmp_path / "c" / "telemetry.csv").read_bytes() != telemetry
 
 
+def _rows(path):
+    with path.open(newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 @pytest.mark.parametrize("mode", ["pose_control", "quasistatic_schedule"])
 def test_fault_holds_currents_and_flags(mode, small_scenario, tmp_path, monkeypatch):
     if mode == "pose_control":
@@ -122,6 +127,7 @@ def test_fault_holds_currents_and_flags(mode, small_scenario, tmp_path, monkeypa
     else:
         outdoor4 = load_scenario(bundled_scenario_path("outdoor4"))
         scenario = dataclasses.replace(outdoor4, duration=0.4)
+    run_scenario(scenario, tmp_path / "clean")
     # both modes solve one allocation QP per tick
     original = allocation.solve_box_qp
     calls = {"n": 0}
@@ -136,16 +142,26 @@ def test_fault_holds_currents_and_flags(mode, small_scenario, tmp_path, monkeypa
     out = tmp_path / "out"
     summary = run_scenario(scenario, out)
     assert summary["fault_ticks"] == 5
-    lines = (out / "telemetry.csv").read_text().splitlines()
-    cols = lines[0].split(",")
-    fault_idx = cols.index("fault")
-    current_idx = cols.index("current_0")
-    rows = [line.split(",") for line in lines[1:]]
-    faulted = [r for r in rows if r[fault_idx] == "1"]
-    assert len(faulted) == 5
-    # held currents repeat the last good command
+    rows = _rows(out / "telemetry.csv")
+    clean = _rows(tmp_path / "clean" / "telemetry.csv")
+    cols = list(rows[0])
+    faulted = [k for k, row in enumerate(rows) if row["fault"] == "1"]
+    assert faulted == [49, 50, 51, 52, 53]
+    # a held row repeats the last good tick: its reference, wrenches and
+    # command (currents included) ...
+    held = ("ref_", "wfb_", "wg_", "wdes_", "tension_ref_", "tension_cmd_", "current_", "sat_")
+    held_cols = [c for c in cols if c.startswith(held)] + ["residual_norm"]
     last_good = rows[48]
-    assert faulted[0][current_idx] == last_good[current_idx]
+    for k in faulted:
+        assert [rows[k][c] for c in held_cols] == [last_good[c] for c in held_cols]
+    # ... with its own run time and measurement
+    meas_cols = [c for c in cols if c.startswith("meas_")]
+    for k in faulted:
+        assert float(rows[k]["t"]) == k / scenario.control_rate
+        assert [rows[k][c] for c in meas_cols] != [rows[k - 1][c] for c in meas_cols]
+    # the first held tick measured the plant the clean run measured
+    assert [rows[49][c] for c in ["t"] + meas_cols] == [clean[49][c] for c in ["t"] + meas_cols]
+    assert [rows[49][c] for c in held_cols] != [clean[49][c] for c in held_cols]
 
 
 def test_nan_desired_wrench_is_a_held_tick(small_scenario, tmp_path, monkeypatch):

@@ -314,6 +314,51 @@ def test_integer_fields_reject_non_integers(tmp_path, path, value):
     assert info.value.field == path
 
 
+def _set(doc, path, value):
+    *sections, key = path.split(".")
+    for section in sections:
+        doc = doc.setdefault(section, {})
+    doc[key] = value
+
+
+@pytest.mark.parametrize("path, value", [
+    ("body.mass", {"value": True, "unit": "kg"}),
+    ("gravity", {"value": False, "unit": "m/s^2"}),
+    ("allocation_weights.scale", True),
+    ("sim.speed_limit", False),
+    ("control.pid.kp", {"value": [True, 1, 1, 1, 1, 1], "unit": "N/m, N m/rad"}),
+    ("trajectory.start.position", {"value": [0.0, False, 0.0], "unit": "m"}),
+])
+def test_number_fields_reject_booleans(tmp_path, capsys, path, value):
+    path_file = write(tmp_path, edit(MINIMAL, lambda d: _set(d, path, value)))
+    with pytest.raises(ValidationError, match="expected a number") as info:
+        load_scenario(path_file)
+    assert info.value.field == path
+    assert cli.main(["validate", str(path_file)]) == 2
+    assert path in capsys.readouterr().err
+
+
+def test_number_fields_still_read_numeric_text(tmp_path):
+    text = edit(MINIMAL, lambda d: _set(d, "allocation_weights.scale", "1.0e8"))
+    text = edit(text, lambda d: _set(d, "control.pid.kp",
+                                     {"value": ["1.0e2", 1, 1, 1, 1, 1], "unit": "N/m, N m/rad"}))
+    scenario = load_scenario(write(tmp_path, text))
+    assert scenario.weights.matrix[0, 0] == 1e8
+    assert scenario.gains.kp.tolist() == [100.0, 1.0, 1.0, 1.0, 1.0, 1.0]
+
+
+@pytest.mark.parametrize("path, value", [
+    ("name", {"a": [1, 2]}), ("name", 12), ("name", True), ("control.mode", 3.5),
+])
+def test_string_fields_take_only_yaml_strings(tmp_path, capsys, path, value):
+    path_file = write(tmp_path, edit(MINIMAL, lambda d: _set(d, path, value)))
+    with pytest.raises(ValidationError, match="expected text") as info:
+        load_scenario(path_file)
+    assert info.value.field == path
+    assert cli.main(["validate", str(path_file)]) == 2
+    assert path in capsys.readouterr().err
+
+
 # --- property tests over the field table -----------------------------------
 
 # strategies for fields whose valid values the table alone does not pin down

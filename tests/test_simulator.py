@@ -99,7 +99,7 @@ def test_static_equilibrium_holds_position():
         jac, support, TensionBounds.uniform(8),
         AllocationWeights.diagonal(scale=1e8, torque_lever=0.2),
     )
-    assert np.linalg.norm(residual.as_array()) < 1e-6
+    assert np.linalg.norm(residual) < 1e-6
     currents = to_currents(tensions, winch)
     state = SimState.at_rest(pose, 8)
     for _ in range(10_000):

@@ -22,8 +22,7 @@ from wiredrive.spatial import (
     quat_multiply,
     quat_to_matrix,
     rotvec_from_quat,
-    so3_left_jacobian,
-    so3_left_jacobian_dot,
+    so3_left_jacobian_and_dot,
     so3_left_jacobian_inv,
     transform_odometry,
     wrench_error_pid,
@@ -124,11 +123,16 @@ def test_transform_odometry_translation_only():
     assert np.allclose(twist.as_array(), np.zeros(6))
 
 
+def _jac(rv):
+    """The left Jacobian alone: the first of the pair, at any rate."""
+    return so3_left_jacobian_and_dot(rv, np.zeros(3))[0]
+
+
 def test_left_jacobian_inverse_pair():
     rng = np.random.default_rng(9)
     for _ in range(50):
         rv = rng.normal(size=3)
-        prod = so3_left_jacobian(rv) @ so3_left_jacobian_inv(rv)
+        prod = _jac(rv) @ so3_left_jacobian_inv(rv)
         assert np.allclose(prod, np.eye(3), atol=1e-10)
 
 
@@ -144,7 +148,7 @@ def test_left_jacobian_maps_chart_rate_to_angular_velocity():
         omega_fd = rotvec_from_quat(quat_multiply(q_plus, [q_minus[0], *(-q_minus[1:])])) / (
             2 * h
         )
-        omega = so3_left_jacobian(rv) @ rate
+        omega = _jac(rv) @ rate
         assert np.allclose(omega, omega_fd, atol=1e-6)
 
 
@@ -154,8 +158,8 @@ def test_left_jacobian_dot_matches_finite_difference():
     for _ in range(30):
         rv = rng.normal(size=3) * 0.9
         rate = rng.normal(size=3)
-        fd = (so3_left_jacobian(rv + h * rate) - so3_left_jacobian(rv - h * rate)) / (2 * h)
-        assert np.allclose(so3_left_jacobian_dot(rv, rate), fd, atol=1e-6)
+        fd = (_jac(rv + h * rate) - _jac(rv - h * rate)) / (2 * h)
+        assert np.allclose(so3_left_jacobian_and_dot(rv, rate)[1], fd, atol=1e-6)
 
 
 def test_left_jacobian_dot_small_angle_branch():
@@ -163,8 +167,8 @@ def test_left_jacobian_dot_small_angle_branch():
     rate = rng.normal(size=3)
     h = 1e-7
     rv = rng.normal(size=3) * 1e-6
-    fd = (so3_left_jacobian(rv + h * rate) - so3_left_jacobian(rv - h * rate)) / (2 * h)
-    assert np.allclose(so3_left_jacobian_dot(rv, rate), fd, atol=1e-6)
+    fd = (_jac(rv + h * rate) - _jac(rv - h * rate)) / (2 * h)
+    assert np.allclose(so3_left_jacobian_and_dot(rv, rate)[1], fd, atol=1e-6)
 
 
 def test_pid_zero_error_zero_output():

@@ -22,7 +22,8 @@ _VALUES = st.one_of(
 
 @st.composite
 def telemetry_ticks(draw):
-    """A wire count, a simulator state and a control tick with random values."""
+    """A wire count, a run time, a simulator state, a measurement and a
+    control tick with random values."""
     m = draw(st.integers(1, 8))
 
     def vec(n):
@@ -35,10 +36,9 @@ def telemetry_ticks(draw):
     # numpy scalars must come out as plain floats, not as `np.float64(...)`
     scalar = draw(st.sampled_from([float, np.float64]))
     state = SimState(pose(), Twist(vec(3), vec(3)), vec(m), draw(_VALUES))
+    t = scalar(draw(_VALUES))
+    meas_pose, meas_twist = pose(), Twist(vec(3), vec(3))
     tick = ControlTick(
-        timestamp=scalar(draw(_VALUES)),
-        pose=pose(),
-        twist=Twist(vec(3), vec(3)),
         pose_ref=pose(),
         twist_ref=Twist(vec(3), vec(3)),
         accel_ref=vec(6),
@@ -53,16 +53,17 @@ def telemetry_ticks(draw):
             saturated=draw(arrays(bool, m)),
         ),
     )
-    return m, draw(st.integers(0, 10**6)), state, tick, draw(st.booleans())
+    row = (draw(st.integers(0, 10**6)), t, state, meas_pose, meas_twist, tick, draw(st.booleans()))
+    return m, row
 
 
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
 @given(telemetry_ticks())
 def test_write_tick_matches_the_per_value_oracle(case):
-    m, tick_index, state, tick, fault = case
+    m, row = case
     stream = io.StringIO()
     writer = TelemetryWriter(stream, m)
-    writer.write_tick(tick_index, state, tick, fault)
-    header, row = stream.getvalue().splitlines(keepends=True)
+    writer.write_tick(*row)
+    header, line = stream.getvalue().splitlines(keepends=True)
     assert header == ",".join(column_names(m)) + "\n"
-    assert row == telemetry_row(tick_index, state, tick, fault)
+    assert line == telemetry_row(*row)
