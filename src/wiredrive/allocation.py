@@ -201,11 +201,6 @@ def to_currents(tensions: np.ndarray, winch: WinchParams) -> np.ndarray:
     return winch.current_per_newton * tensions
 
 
-def tensions_from_currents(currents: np.ndarray, winch: WinchParams) -> np.ndarray:
-    """Inverse of the current map, used by the plant model."""
-    return np.asarray(currents, dtype=float) / winch.current_per_newton
-
-
 def tension_command(tensions: np.ndarray, final: np.ndarray, residual: np.ndarray,
                     bounds: TensionBounds, winch: WinchParams) -> TensionCommand:
     """The command for allocated `tensions` that the winches are to exert

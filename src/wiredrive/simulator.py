@@ -8,16 +8,19 @@ taut and its tension collapses to zero for that step.  Integration is
 symplectic-Euler in velocity with a trapezoidal position/attitude update,
 which keeps constant-gravity trajectories exact and static equilibria
 drift-free.  Non-finite state is a NumericalBlowup: a step raises it
-for a NaN current on any wire, slack or taut (checked once, on entry,
-and naming the wire), and for a new speed over the speed limit or not
-finite.
+for a NaN current on any wire, slack or taut (naming the wire), and for
+a new speed over the speed limit or not finite.
 
-A step makes two wire-kinematics calls (the rates for the slack rule,
-then the wire matrix for the wrench), each one pass over the wires on
-Python floats after a single numpy product (see `wires`).  Everything
-after the wrench runs on Python floats too, through the float cores in
-`spatial`: one rotation matrix, the inverse inertia that `BodyModel`
-computes once, and one normalization of the new attitude, by `Pose`.
+A step asks for the wire rates (for the slack rule) and then the wire
+matrix (for the wrench) at its pose.  Given a `WireSet`, the second call
+is served from its memo, so a step makes one pass over the wires (see
+`wires`).  The current map is one loop over the wires on Python floats:
+the NaN check, the tension min(max(0, i) / current_per_newton,
+max_tension), and the slack rule; one numpy array then holds the
+tensions.  Everything after the wrench runs on Python floats too,
+through the float cores in `spatial`: one rotation matrix, the inverse
+inertia that `BodyModel` computes once, and one normalization of the
+new attitude, by `Pose`.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .allocation import WinchParams, tensions_from_currents
+from .allocation import WinchParams
 from .errors import NumericalBlowup
 from .spatial import (
     Pose,
@@ -119,19 +122,20 @@ def step(
     """Advance the body one step under commanded winch currents."""
     if not 0.0 < dt <= 0.01:
         raise ValueError("dt must lie in (0, 0.01] seconds")
-    currents = np.asarray(currents, dtype=float)
-    nan = np.isnan(currents)
-    if nan.any():
-        # checked here because the slack rule below would overwrite a NaN
-        # tension on a slack wire with 0
-        raise NumericalBlowup(f"wire {int(nan.argmax())}: current is NaN at t={state.time:.4f} s")
-    tensions = tensions_from_currents(np.maximum(currents, 0.0), winch)
-    tensions = np.minimum(tensions, winch.max_tension)
-
     _, rates = wire_lengths_and_rates(state.pose, state.twist, attachments)
-    # a drum that cannot match the geometric length rate cannot hold the
-    # wire taut; the wire goes slack and exerts nothing this step
-    tensions = np.where(np.abs(rates) > winch.max_line_speed, 0.0, tensions)
+    currents = np.asarray(currents, dtype=float).tolist()
+    per_newton, speed = winch.current_per_newton, winch.max_line_speed
+    cap = float(winch.max_tension)  # min() would pass an int cap through
+    tensions = []
+    for i, (current, rate) in enumerate(zip(currents, rates.tolist(), strict=True)):
+        if current != current:
+            # checked before the slack rule, which would give a slack wire 0
+            raise NumericalBlowup(f"wire {i}: current is NaN at t={state.time:.4f} s")
+        # a drum that cannot match the geometric length rate cannot hold the
+        # wire taut; the wire goes slack and exerts nothing this step.
+        # max(0.0, c) is +0.0 for c = -0.0, as np.maximum(c, 0.0) was
+        tensions.append(0.0 if abs(rate) > speed else min(max(0.0, current) / per_newton, cap))
+    tensions = np.array(tensions)
 
     fx, fy, fz, *torque_world = (wire_jacobian(state.pose, attachments) @ tensions).tolist()
     mass = body.mass

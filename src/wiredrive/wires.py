@@ -9,22 +9,30 @@ wrench = matrix @ tensions.
 
 `wire_jacobian` returns that matrix and `wire_lengths_and_rates` the
 (lengths, rates) pair, as plain float arrays.  Both take any sequence of
-attachments.  A run passes a `WireSet`, whose stacked arrays every
-geometry pass reuses; a plain list is stacked on each call.
+attachments and read one pass over the wires, `_geometry`.  A run passes
+a `WireSet`: it stacks its arrays once and keeps its last pass, keyed by
+the bytes of the pose's position and orientation.  A call at the same
+bytes gets that pass, bit for bit a fresh one (the arrays are read-only);
+any other call replaces it, unless it raises DegenerateWire.  Each read
+and each replacement is one attribute access, so a shared WireSet stays
+consistent under the GIL.  A plain list is stacked and passed over on
+each call.  The plant and the controller each ask for the rates and the
+matrix at one pose: a cube8 tick makes 7 passes for its 13 calls, an
+anchors2 tick 7 for its 12.
 
-Both read one pass over the wires, `_geometry`.  Its one numpy operation
-is the BLAS product that rotates the body exit offsets into the world
-frame: a Python `a*x + b*y + c*z` differs from that product in the last
-bit on most rows, and recorded telemetry would show it.  Everything after
-it (exit points, spans, lengths, directions, the matrix columns and the
-rates) runs wire by wire on Python floats, which round exactly as float64
-arrays do, in the operation order of the array formulation
-(`tests/oracles.py` holds those formulations and the tests hold these
-functions to them bit for bit).  That skips numpy's per-call setup, which
-dominates on a few wires, but costs about 1 us per wire where numpy's
-cost barely grows.  The float pass is meant for the 2 to 8 wires of the
-bundled scenarios and of the robot the model follows; the array
-formulation breaks even between 12 and 16 wires and wins above.
+A pass's one numpy operation is the BLAS product that rotates the body
+exit offsets into the world frame: a Python `a*x + b*y + c*z` differs
+from that product in the last bit on most rows, and recorded telemetry
+would show it.  Everything after it (exit points, spans, lengths,
+directions, the matrix columns and the rates) runs wire by wire on
+Python floats, which round exactly as float64 arrays do, in the
+operation order of the array formulation (`tests/oracles.py` holds those
+formulations and the tests hold these functions to them bit for bit).
+That skips numpy's per-call setup, which dominates on a few wires, but
+costs about 1 us per wire where numpy's cost barely grows.  The float
+pass is meant for the 2 to 8 wires of the bundled scenarios and of the
+robot the model follows; the array formulation breaks even between 12
+and 16 wires and wins above.
 """
 
 from __future__ import annotations
@@ -64,10 +72,11 @@ class WireSet(tuple):
 
     `exits_body` and `anchors` are read-only (m, 3) arrays.  Wrapping a
     WireSet returns it unchanged, so the geometry passes of a run reuse
-    one set; given a plain list, they stack it on each call."""
+    one set, and its memo of the last pass."""
 
     exits_body: np.ndarray
     anchors: np.ndarray
+    _memo: tuple  # (pose bytes, pass), or (None, None) before the first
 
     def __new__(cls, attachments: Sequence[WireAttachment]):
         if isinstance(attachments, WireSet):
@@ -77,6 +86,7 @@ class WireSet(tuple):
         self.anchors = np.array([a.anchor_world for a in self])
         self.exits_body.setflags(write=False)
         self.anchors.setflags(write=False)
+        self._memo = (None, None)
         return self
 
 
@@ -90,6 +100,10 @@ def _geometry(pose: Pose, attachments: Sequence[WireAttachment]):
     the degeneracy threshold of its exit point.
     """
     wires = WireSet(attachments)
+    key = pose.position.tobytes() + pose.orientation.tobytes()
+    last_key, last = wires._memo
+    if key == last_key:
+        return last
     # the BLAS product stays: recorded telemetry holds its bits
     levers = (wires.exits_body @ pose.rotation_matrix().T).tolist()
     px, py, pz = pose.position.tolist()
@@ -106,6 +120,7 @@ def _geometry(pose: Pose, attachments: Sequence[WireAttachment]):
         # the rate lever is recovered from the world exit point; the
         # rotated lever can differ from it in the last bit
         arms.append((ex - px, ey - py, ez - pz))
+    wires._memo = (key, (lengths, columns, arms))
     return lengths, columns, arms
 
 

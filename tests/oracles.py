@@ -25,7 +25,6 @@ from scipy.optimize import linprog
 from scipy.special import ndtri
 from scipy.stats import qmc
 
-from wiredrive.allocation import tensions_from_currents
 from wiredrive.errors import DegenerateWire, NumericalBlowup, SolverFailure
 from wiredrive.simulator import DEFAULT_SPEED_LIMIT, STANDARD_GRAVITY, SimState
 from wiredrive.spatial import Pose, Twist
@@ -358,14 +357,21 @@ def reference_quat_from_rotvec(rv):
     return reference_quat_normalize(q)
 
 
+def tensions_from_currents(currents, winch):
+    """Inverse of the current map, on arrays."""
+    return np.asarray(currents, dtype=float) / winch.current_per_newton
+
+
 def reference_step(state, currents, dt, body, attachments, winch,
                    gravity=STANDARD_GRAVITY, speed_limit=DEFAULT_SPEED_LIMIT):
     """`simulator.step` on numpy arrays, solving with the inertia each call.
 
-    The same tensions, slack rule and wire kinematics calls as the library;
-    after the wrench, numpy 3-vectors, `np.linalg.norm` speed checks, and
-    the new attitude normalized twice (by `reference_quat_from_rotvec`,
-    then by `Pose`).
+    The current map and slack rule run on arrays (`np.maximum`,
+    `np.minimum`, `np.where`), where the library runs one float loop, and
+    must give the same tension bits; the wire kinematics calls are the
+    library's.  After the wrench, numpy 3-vectors, `np.linalg.norm` speed
+    checks, and the new attitude normalized twice (by
+    `reference_quat_from_rotvec`, then by `Pose`).
     """
     if not 0.0 < dt <= 0.01:
         raise ValueError("dt must lie in (0, 0.01] seconds")

@@ -10,6 +10,7 @@ from oracles import (
     compensate_per_wire,
     grid_search_box_qp,
     random_wire_matrix,
+    tensions_from_currents,
 )
 from wiredrive.allocation import (
     AllocationWeights,
@@ -18,7 +19,6 @@ from wiredrive.allocation import (
     allocate,
     compensate,
     solve_tension_command,
-    tensions_from_currents,
     to_currents,
 )
 from wiredrive.errors import SolverFailure

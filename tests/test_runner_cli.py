@@ -1,18 +1,19 @@
 import csv
 import dataclasses
 import json
+import sys
 
 import numpy as np
 import pytest
 import yaml
 
-from wiredrive import allocation, cli, runner, trajectory
+from wiredrive import allocation, cli, runner, trajectory, wires
 from wiredrive.errors import NumericalBlowup, SolverFailure
 from wiredrive.feasibility import controllability
 from wiredrive.runner import run_scenario
 from wiredrive.scenario import build_scenario, bundled_scenario_path, load_scenario
 from wiredrive.simulator import OdometrySensor, SimState
-from wiredrive.spatial import Wrench
+from wiredrive.spatial import Pose, Wrench
 from wiredrive.telemetry import column_names
 from wiredrive.trajectory import PoseController
 from wiredrive.wires import wire_jacobian
@@ -510,3 +511,33 @@ def test_run_scenario_rejects_negative_seed_before_writing(small_scenario, tmp_p
     with pytest.raises(ValueError, match="seed"):
         run_scenario(load_scenario(small_scenario), out, seed=-1)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name, calls_per_tick", [("cube8", 13), ("anchors2", 12)])
+def test_a_tick_makes_at_most_seven_geometry_passes(name, calls_per_tick, tmp_path, monkeypatch):
+    # the substeps and the controller each ask for the wire rates and the
+    # wire matrix at one pose; a WireSet's memo serves the second call, and
+    # each pass rotates the exit points once, by Pose.rotation_matrix
+    calls, passes = [], []
+    rotation_matrix = Pose.rotation_matrix
+
+    def count_pass(pose):
+        passes.append(pose)
+        return rotation_matrix(pose)
+
+    monkeypatch.setattr(Pose, "rotation_matrix", count_pass)
+    for kernel in (wires.wire_jacobian, wires.wire_lengths_and_rates):
+        def count_call(*args, _kernel=kernel):
+            calls.append(_kernel.__name__)
+            return _kernel(*args)
+
+        for module in [m for n, m in sys.modules.items() if n.startswith("wiredrive")]:
+            for attr, value in list(vars(module).items()):
+                if value is kernel:
+                    monkeypatch.setattr(module, attr, count_call)
+    scenario = load_scenario(bundled_scenario_path(name))
+    summary = run_scenario(dataclasses.replace(scenario, duration=0.2), tmp_path)
+    ticks = summary["ticks"]
+    assert ticks == 40
+    assert len(calls) == calls_per_tick * ticks  # the calls perfbench counts
+    assert len(passes) <= 7 * ticks

@@ -24,7 +24,7 @@ from wiredrive.simulator import (
     step,
 )
 from wiredrive.spatial import Pose, Twist, Wrench
-from wiredrive.wires import WireAttachment, wire_jacobian, wire_lengths_and_rates
+from wiredrive.wires import WireAttachment, WireSet, wire_jacobian, wire_lengths_and_rates
 
 from oracles import reference_step
 from test_wires import eight_wire_cube_layout
@@ -316,6 +316,13 @@ def spd_inertias(draw):
     return 0.5 * (inertia + inertia.T)
 
 
+_INERTIA = np.array([[0.3, 0.1, 0.0], [0.1, 0.2, -0.05], [0.0, -0.05, 0.4]])
+_PER_NEWTON = WinchParams().current_per_newton
+# a current whose tension is the default cap, 180 N, to the bit
+_AT_CAP = next(c for c in (180.0 * _PER_NEWTON, *np.nextafter(180.0 * _PER_NEWTON, [0.0, 9.0]))
+               if c / _PER_NEWTON == 180.0)
+
+
 def _close(got, want, rel=1e-12):
     return np.linalg.norm(got - want) <= rel * np.linalg.norm(want)
 
@@ -333,24 +340,39 @@ def _close(got, want, rel=1e-12):
     st.integers(0, 7),
 )
 @example(
-    np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(3), np.full(8, 0.5),
-    np.array([[0.3, 0.1, 0.0], [0.1, 0.2, -0.05], [0.0, -0.05, 0.4]]), 10.0, 1e-3, 0,
+    np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(3), np.full(8, 0.5), _INERTIA, 10.0, 1e-3, 0,
+)
+@example(  # -0.0 currents: np.maximum(-0.0, 0.0) is +0.0
+    np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(3),
+    np.array([-0.0, 0.5, -0.0, 1.0, 0.0, -0.0, 2.0, -0.0]), _INERTIA, 10.0, 1e-3, 1,
+)
+@example(  # currents that map exactly onto the tension cap
+    np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(3), np.full(8, _AT_CAP), _INERTIA, 10.0,
+    1e-3, 2,
+)
+@example(  # a line speed over the limit: slack wires among taut ones
+    np.zeros(3), np.zeros(3), np.array([0.3, 0.1, 0.0]), np.zeros(3), np.full(8, 1.5),
+    _INERTIA, 10.0, 1e-3, 3,
 )
 def test_step_agrees_with_the_numpy_reference(
     position, rotvec, linear, angular, currents, inertia, mass, dt, index
 ):
     body = BodyModel(mass, inertia)
-    wires = eight_wire_cube_layout()
+    layout = eight_wire_cube_layout()
     winch = WinchParams()
     state = SimState(Pose.from_rotvec(position, rotvec), Twist(linear, angular), np.zeros(8))
-    got = step(state, currents, dt, body, wires, winch)
-    want = reference_step(state, currents, dt, body, wires, winch)
-    assert np.array_equal(got.tensions, want.tensions)  # the same tensions and slack rule
-    assert _close(got.pose.position, want.pose.position)
-    assert _close(got.pose.orientation, want.pose.orientation)
-    assert _close(got.twist.linear, want.twist.linear)
-    assert _close(got.twist.angular, want.twist.angular)
-    assert got.time == want.time
+    # the reference takes fresh geometry passes; a WireSet serves the
+    # step's second call at its pose from its memo
+    want = reference_step(state, currents, dt, body, layout, winch)
+    for wires in (layout, WireSet(layout)):
+        got = step(state, currents, dt, body, wires, winch)
+        # the same tensions and slack rule, signed zeros included
+        assert got.tensions.tobytes() == want.tensions.tobytes()
+        assert _close(got.pose.position, want.pose.position)
+        assert _close(got.pose.orientation, want.pose.orientation)
+        assert _close(got.twist.linear, want.twist.linear)
+        assert _close(got.twist.angular, want.twist.angular)
+        assert got.time == want.time
 
     # a NaN current on a taut wire (a slack wire exerts nothing, whatever
     # its command), a NaN angular velocity, and a speed over the limit are

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -409,3 +412,86 @@ def test_kernels_match_the_references_bit_for_bit(case):
             with pytest.raises(DegenerateWire) as got:
                 call()
             assert (got.value.wire_id, got.value.separation) == expected
+
+
+def _outcome(call):
+    """A kernel call's result arrays, layout included, or its DegenerateWire."""
+    try:
+        result = call()
+    except DegenerateWire as exc:
+        return "DegenerateWire", exc.wire_id, exc.separation
+    arrays = result if isinstance(result, tuple) else (result,)
+    return [(a.shape, a.dtype, a.strides, a.tobytes()) for a in arrays]
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(body_states(), body_states(), st.data())
+def test_the_memo_gives_a_fresh_pass_bit_for_bit(first, second, data):
+    # every call on a long-lived WireSet against the same call on a new one
+    (wires, pose, twist), (other_wires, other, _) = first, second
+    moving = Pose(pose.position.copy(), pose.orientation)  # edited in place below
+    poses = [
+        pose,
+        other,
+        Pose(pose.position, other.orientation),  # same position bytes, other orientation
+        Pose([0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]),
+        Pose([-0.0, 0.0, -0.0], [1.0, -0.0, 0.0, -0.0]),  # the same values, other signs
+        moving,
+        # wire 0's world exit point on its anchor
+        Pose(wires[0].anchor_world - pose.rotate(wires[0].exit_body), pose.orientation),
+    ]
+    sets = [WireSet(wires), WireSet(other_wires)]
+    # (set, pose, kernel, edit `moving` first): repeated poses, a changed
+    # orientation, a signed-zero flip, an edit between two calls, a
+    # DegenerateWire between two hits, then the two sets in turn
+    script = [(0, 0, 0, False), (0, 0, 1, False), (0, 2, 1, False), (0, 3, 0, False),
+              (0, 4, 0, False), (0, 5, 1, False), (0, 5, 1, True), (0, 5, 0, False),
+              (0, 0, 0, False), (0, 6, 1, False), (0, 0, 1, False), (1, 0, 0, False),
+              (0, 0, 0, False), (1, 1, 1, False), (0, 1, 1, False), (1, 1, 0, False)]
+    script += data.draw(st.lists(st.tuples(
+        st.integers(0, 1), st.integers(0, len(poses) - 1), st.integers(0, 1), st.booleans(),
+    ), max_size=20))
+    outcomes = []
+    for s, p, kernel, edit in script:
+        if edit:
+            moving.position[data.draw(st.integers(0, 2))] += data.draw(st.sampled_from([1e-3, -0.5]))
+        kernels = [lambda ws: wire_jacobian(poses[p], ws),
+                   lambda ws: wire_lengths_and_rates(poses[p], twist, ws)]
+        got = _outcome(lambda: kernels[kernel](sets[s]))
+        assert got == _outcome(lambda: kernels[kernel](WireSet(list(sets[s]))))
+        outcomes.append(got)
+    assert outcomes[9][0] == "DegenerateWire"
+
+
+def test_a_shared_wire_set_stays_consistent_across_threads():
+    # each read and each replacement of the memo is one attribute access,
+    # so no thread pairs one pose's key with another pose's pass
+    rng = np.random.default_rng(7)
+    wires = random_layout(rng, 6)
+    shared = WireSet(wires)
+    poses = [random_pose(rng) for _ in range(4)]
+    twist = Twist(rng.normal(size=3), rng.normal(size=3))
+    expected = [[a.tobytes() for a in wire_lengths_and_rates(p, twist, wires)] for p in poses]
+    mismatches, finished = [], []
+
+    def worker(k):
+        for n in range(1000):
+            j = (k + n) % len(poses)
+            for _ in range(2):  # a miss, then a hit unless another thread came between
+                got = wire_lengths_and_rates(poses[j], twist, shared)
+                if [a.tobytes() for a in got] != expected[j]:
+                    mismatches.append(j)
+        finished.append(k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(finished) == [0, 1, 2, 3]
+    assert mismatches == []
