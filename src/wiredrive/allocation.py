@@ -13,6 +13,7 @@ The wire matrix W and the wire rates come in as the plain arrays that
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -177,39 +178,45 @@ def compensate(
     column gives exactly that projection).  `rates` are the wires' length
     rates, as `wire_lengths_and_rates` returns them.  Compensation tension
     is (J * alpha + sign(w) * tau_c + b * w) / r per wire, clamped so the
-    final command never asks a wire to push.
+    final command never asks a wire to push.  After `matrix.T @ accel_ref`
+    each wire runs on Python floats in the array formulation's order, so
+    the bits are the same; the clamp keeps NaN and turns -0.0 into 0.0, as
+    `np.maximum` does.
     """
-    tensions = np.asarray(tensions, dtype=float)
     accel_ref = np.asarray(accel_ref, dtype=float).reshape(6)
-    length_accel = -(matrix.T @ accel_ref)  # d^2(length)/dt^2, projected
+    projected = (matrix.T @ accel_ref).tolist()  # -d^2(length)/dt^2 per wire
     r = winch.pulley_radius
-    drum_speed = -rates / r
-    drum_accel = -length_accel / r
-    inertia_torque = winch.rotor_inertia * drum_accel
-    friction_torque = (
-        np.sign(drum_speed) * winch.coulomb_friction
-        + winch.viscous_friction * drum_speed
-    )
-    return np.maximum(tensions + (inertia_torque + friction_torque) / r, 0.0)
+    final = []
+    for tension, accel, rate in zip(np.asarray(tensions, dtype=float).tolist(), projected,
+                                    np.asarray(rates, dtype=float).tolist(), strict=True):
+        drum_speed = -rate / r
+        # np.sign, except that a zero keeps its sign, which the clamp erases
+        sign = 1.0 if drum_speed > 0.0 else -1.0 if drum_speed < 0.0 else drum_speed
+        friction = sign * winch.coulomb_friction + winch.viscous_friction * drum_speed
+        value = tension + (winch.rotor_inertia * (accel / r) + friction) / r
+        final.append(value if value > 0.0 or value != value else 0.0)
+    return np.array(final)
 
 
 def to_currents(tensions: np.ndarray, winch: WinchParams) -> np.ndarray:
     """Exactly linear tension-to-current map, one constant for every wire."""
-    tensions = np.asarray(tensions, dtype=float)
-    if np.any(tensions < 0):
+    tensions = np.asarray(tensions, dtype=float).tolist()
+    if any(t < 0 for t in tensions):
         raise ValueError("tensions must be non-negative")
-    return winch.current_per_newton * tensions
+    scale = winch.current_per_newton
+    return np.array([scale * t for t in tensions])
 
 
 def tension_command(tensions: np.ndarray, final: np.ndarray, residual: np.ndarray,
                     bounds: TensionBounds, winch: WinchParams) -> TensionCommand:
     """The command for allocated `tensions` that the winches are to exert
-    as `final`, with the allocation's wrench `residual` (a 6-array)."""
+    as `final`, with the allocation's wrench `residual` (a 6-array); its
+    norm is `np.linalg.norm`'s formula, the root of one BLAS dot."""
     return TensionCommand(
         tensions=tensions,
         tensions_final=final,
         currents=to_currents(final, winch),
-        residual_norm=float(np.linalg.norm(residual)),
+        residual_norm=math.sqrt(np.dot(residual, residual)),
         saturated=bounds.saturated(tensions),
     )
 

@@ -8,14 +8,20 @@ minimizer or steps to the first blocking bound.  Problems here are tiny
 the whole thing stays deterministic: ties in the ratio test and in the
 multiplier check are broken by lowest index.
 
-At this size numpy's per-call cost outweighs the arithmetic, so the
-ratio test runs over Python floats (`tolist()`), which round exactly as
-numpy's float64 scalars do, and the free block is taken with integer
-index arrays.  Matrix products and solves stay numpy calls: their
-summation order is the BLAS's, and the recorded telemetry depends on it.
+At this size numpy's per-call setup outweighs the arithmetic, so the
+bookkeeping runs on Python floats, which round as float64 arrays do: the
+working set (per variable -1 at its lower bound, +1 at its upper, 0 free),
+the bound check, the step test, the ratio test, x_j + alpha * d_j, the
+multiplier check (first minimum wins, a NaN before it, as `np.argmin`)
+and the KKT residual (any NaN makes a max NaN, as `np.max`).  Products
+with H, every solve and both clips stay numpy: their summation order is
+the BLAS's, which the recorded telemetry depends on.  The first polish
+pass reuses the converged iteration's free block of H and gradient.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -25,16 +31,18 @@ from .errors import SolverFailure
 _RELEASE_TOL = 1e-11
 
 
-def _free_minimizer(hessian, gradient, x, free, fixed):
-    """Minimizer over the free block with the clamped block held fixed.
+def _max(values):
+    """Largest of `values`, or NaN if any is NaN."""
+    total = sum(values)  # NaN if any value is, or from inf - inf
+    return math.nan if total != total and any(v != v for v in values) else max(values)
 
-    `free` and `fixed` are sorted integer index arrays."""
-    rows = free[:, None]
-    rhs = -(gradient[free] + hessian[rows, fixed] @ x[fixed])
-    try:
-        return np.linalg.solve(hessian[rows, free], rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SolverFailure("free-block Hessian is singular") from exc
+
+def _vector(value, n, name):
+    """`value` as a float array of length n; a scalar is repeated."""
+    arr = np.asarray(value, dtype=float)
+    if arr.ndim and arr.shape != (n,):
+        raise ValueError(f"{name} has shape {arr.shape}, expected ({n},)")
+    return arr if arr.ndim else np.full(n, arr)
 
 
 def kkt_residual(hessian, gradient, x, lower, upper, tol=1e-9):
@@ -47,29 +55,38 @@ def kkt_residual(hessian, gradient, x, lower, upper, tol=1e-9):
     weights blow up the raw gradient magnitudes.  The box is violated by
     the distance outside it.  A NaN anywhere makes the residual NaN.
     """
-    grad = hessian @ x + gradient
-    at_lower = x <= lower + tol * np.maximum(1.0, np.abs(lower))
-    at_upper = x >= upper - tol * np.maximum(1.0, np.abs(upper))
-    # free or at both bounds: |g|; at one bound: the part pointing out of it
-    stationarity = np.where(at_lower == at_upper, np.abs(grad), np.where(at_lower, -grad, grad))
-    scale = 1.0 + float(np.max(np.abs(gradient), initial=0.0))
-    terms = np.concatenate([stationarity / scale, lower - x, x - upper])
-    return float(np.max(terms, initial=0.0)) + 0.0  # + 0.0 turns a -0.0 into 0.0
+    x = np.asarray(x, dtype=float)
+    gradient = np.asarray(gradient, dtype=float)
+    scale = 1.0 + _max([0.0] + [abs(g) for g in gradient.tolist()])
+    terms = [0.0]
+    for g, xi, lo, hi in zip((hessian @ x + gradient).tolist(), x.tolist(),
+                             _vector(lower, len(x), "lower").tolist(),
+                             _vector(upper, len(x), "upper").tolist()):
+        # an infinite bound gives inf - inf = NaN here, so it never counts as reached
+        at_lower = xi <= lo + tol * max(1.0, abs(lo))
+        at_upper = xi >= hi - tol * max(1.0, abs(hi))
+        # free or at both bounds: |g|; at one bound: the part pointing out of it
+        stationarity = abs(g) if at_lower == at_upper else -g if at_lower else g
+        terms += (stationarity / scale, lo - xi, xi - hi)
+    return _max(terms)
 
 
 def solve_box_qp(hessian, gradient, lower, upper, start=None, max_iter=None, tol=1e-8):
     """Solve the box QP; returns (x, iterations, relative KKT residual).
 
-    Raises SolverFailure if the working set does not settle within
-    `max_iter` changes (default 10 per variable, floor of 30) or the
-    final point misses the KKT tolerance, a NaN residual included.
+    `lower`, `upper` and `start` are scalars or of the gradient's length
+    n >= 1 (else ValueError).  Raises SolverFailure if the working set does
+    not settle within `max_iter` changes (default 10 per variable, floor of
+    30) or the final point misses the KKT tolerance, a NaN residual included.
     """
     hessian = np.asarray(hessian, dtype=float)
     gradient = np.asarray(gradient, dtype=float)
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
-    n = gradient.shape[0]
-    if np.any(lower > upper):
+    if gradient.ndim != 1 or not gradient.size:
+        raise ValueError(f"gradient has shape {gradient.shape}, expected (n,) with n >= 1")
+    n = gradient.size
+    lower, upper = _vector(lower, n, "lower"), _vector(upper, n, "upper")
+    lo, hi = lower.tolist(), upper.tolist()
+    if any(a > b for a, b in zip(lo, hi)):
         raise ValueError("lower bound exceeds upper bound")
     if max_iter is None:
         max_iter = max(10 * n, 30)
@@ -79,77 +96,71 @@ def solve_box_qp(hessian, gradient, lower, upper, start=None, max_iter=None, tol
             start = np.linalg.solve(hessian, -gradient)
         except np.linalg.LinAlgError as exc:
             raise SolverFailure("Hessian is singular") from exc
-    x = np.clip(np.asarray(start, dtype=float).copy(), lower, upper)
-    at_lower = x <= lower
-    at_upper = (x >= upper) & ~at_lower
-    lower_list = lower.tolist()
-    upper_list = upper.tolist()
-    release_tol = _RELEASE_TOL * (1.0 + np.max(np.abs(gradient)))
+    x = np.clip(_vector(start, n, "start"), lower, upper).tolist()
+    state = [-1 if v <= a else 1 if v >= b else 0 for v, a, b in zip(x, lo, hi)]
+    g_list = gradient.tolist()
+    release_tol = _RELEASE_TOL * (1.0 + _max([abs(g) for g in g_list]))
 
-    converged = False
-    iterations = 0
     for iterations in range(1, max_iter + 1):
-        clamped = at_lower | at_upper
-        free = np.flatnonzero(~clamped)
-        stepped = False
-        if free.size:
-            target = _free_minimizer(hessian, gradient, x, free, np.flatnonzero(clamped))
-            delta = target - x[free]
-            if np.max(np.abs(delta)) > 1e-14:
+        free = [j for j in range(n) if not state[j]]
+        if free:
+            # minimizer over the free block with the clamped block held fixed
+            fixed = [j for j in range(n) if state[j]]
+            rows = np.array(free)[:, None]
+            h_ff = hessian[rows, rows.T]
+            pull = (hessian[rows, fixed] @ np.array([x[j] for j in fixed])).tolist() \
+                if fixed else [0.0] * len(free)
+            try:
+                target = np.linalg.solve(h_ff, [-(g_list[j] + p) for j, p in zip(free, pull)])
+            except np.linalg.LinAlgError as exc:
+                raise SolverFailure("free-block Hessian is singular") from exc
+            delta = [t - x[j] for t, j in zip(target.tolist(), free)]
+            if _max([abs(d) for d in delta]) > 1e-14:
                 # ratio test: largest step inside the box along delta
                 alpha = 1.0
                 blocker = -1
-                blocker_upper = False
-                x_list = x.tolist()
-                for j, d in zip(free.tolist(), delta.tolist()):
-                    if d > 0 and upper_list[j] < np.inf:
-                        a = (upper_list[j] - x_list[j]) / d
+                for j, d in zip(free, delta):
+                    if d > 0 and hi[j] < math.inf:
+                        a = (hi[j] - x[j]) / d
                         if a < alpha - 1e-15:
-                            alpha, blocker, blocker_upper = a, j, True
-                    elif d < 0 and lower_list[j] > -np.inf:
-                        a = (lower_list[j] - x_list[j]) / d
+                            alpha, blocker, side = a, j, 1
+                    elif d < 0 and lo[j] > -math.inf:
+                        a = (lo[j] - x[j]) / d
                         if a < alpha - 1e-15:
-                            alpha, blocker, blocker_upper = a, j, False
+                            alpha, blocker, side = a, j, -1
                 alpha = max(alpha, 0.0)
-                x[free] += alpha * delta
+                for j, d in zip(free, delta):
+                    x[j] += alpha * d
                 if blocker >= 0:
-                    if blocker_upper:
-                        x[blocker] = upper_list[blocker]
-                        at_upper[blocker] = True
-                    else:
-                        x[blocker] = lower_list[blocker]
-                        at_lower[blocker] = True
-                    stepped = True
-        if stepped:
-            continue
-        # free block is optimal; check bound multipliers for release
-        grad = hessian @ x + gradient
-        lam = np.where(at_lower, grad, np.where(at_upper, -grad, np.inf))
-        worst = int(np.argmin(lam))
-        if lam[worst] < -release_tol:
-            at_lower[worst] = False
-            at_upper[worst] = False
-            continue
-        converged = True
-        break
-
-    if not converged:
-        raise SolverFailure(
-            f"active set did not converge in {max_iter} iterations"
-        )
+                    state[blocker] = side
+                    x[blocker] = hi[blocker] if side > 0 else lo[blocker]
+                    continue
+        # free block is optimal; release the bound with the most negative
+        # multiplier, unless a NaN comes first (np.argmin's rule)
+        grad = (hessian @ np.array(x) + gradient).tolist()
+        worst, least = -1, math.inf
+        for j, s in enumerate(state):
+            lam = -s * grad[j] if s else math.inf
+            if not lam >= least:  # smaller, or NaN
+                worst, least = j, lam
+                if lam != lam:
+                    break
+        if not least < -release_tol:
+            break
+        state[worst] = 0
+    else:
+        raise SolverFailure(f"active set did not converge in {max_iter} iterations")
 
     # polish the free block: two refinement passes knock the free gradient
-    # down to rounding level even when the Hessian is badly scaled
-    free = np.flatnonzero(~(at_lower | at_upper))
-    if free.size:
-        h_ff = hessian[free[:, None], free]
-        for _ in range(2):
-            grad = hessian @ x + gradient
-            try:
-                x[free] -= np.linalg.solve(h_ff, grad[free])
-            except np.linalg.LinAlgError:
-                break
-        x = np.clip(x, lower, upper)
+    # down to rounding level even when the Hessian is badly scaled.  The
+    # converged iteration factored the same block, so its solve cannot fail here.
+    for polish in range(2 if free else 0):
+        if polish:
+            grad = (hessian @ np.array(x) + gradient).tolist()
+        correction = np.linalg.solve(h_ff, [grad[j] for j in free]).tolist()
+        for j, c in zip(free, correction):
+            x[j] -= c
+    x = np.clip(x, lower, upper) if free else np.array(x)
 
     residual = kkt_residual(hessian, gradient, x, lower, upper)
     if not residual <= tol:

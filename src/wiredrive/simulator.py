@@ -211,16 +211,13 @@ class OdometrySensor:
         self._buffer.append(state)
         delayed = self._buffer[0]
         m = self.model
-        position = delayed.pose.position + self._draw(m.position_noise)
+        # one draw of 12 a tick (the stream of four draws of 3), whatever the
+        # noise levels, so the settings never shift later draws
+        noise = self._rng.normal(size=12)
+        position = delayed.pose.position + m.position_noise * noise[0:3]
         orientation = quat_multiply(
-            quat_from_rotvec(self._draw(m.rotation_noise)), delayed.pose.orientation
+            quat_from_rotvec(m.rotation_noise * noise[3:6]), delayed.pose.orientation
         )
-        linear = delayed.twist.linear + self._draw(m.velocity_noise)
-        angular = delayed.twist.angular + self._draw(m.angular_velocity_noise)
+        linear = delayed.twist.linear + m.velocity_noise * noise[6:9]
+        angular = delayed.twist.angular + m.angular_velocity_noise * noise[9:12]
         return Pose(position, orientation), Twist(linear, angular)
-
-    def _draw(self, std: float) -> np.ndarray:
-        # always consume the stream so latency/noise settings do not
-        # silently change the sequence of later draws
-        sample = self._rng.normal(size=3)
-        return std * sample

@@ -7,7 +7,9 @@ oracle accumulates per-wire forces one wire at a time.
 The `reference_*` kernels are the plain numpy formulations of the
 library's hot-path kernels.  The library computes the same values with
 less per-call overhead; the tests hold it to these bit for bit, one
-kernel at a time and end to end through a whole run.  Two exceptions
+kernel at a time and end to end through a whole run.
+`ReferenceOdometrySensor` is the sensor with its noise drawn as four
+calls a tick, where the library makes one.  Two exceptions
 agree to rounding only: `reference_facet_normals`, an SVD where the
 library factors by QR (held to 1e-12), and `reference_step`, the plant
 step on numpy arrays with `np.linalg.solve` on the inertia, where the
@@ -25,9 +27,10 @@ from scipy.optimize import linprog
 from scipy.special import ndtri
 from scipy.stats import qmc
 
+from wiredrive.allocation import TensionCommand
 from wiredrive.errors import DegenerateWire, NumericalBlowup, SolverFailure
-from wiredrive.simulator import DEFAULT_SPEED_LIMIT, STANDARD_GRAVITY, SimState
-from wiredrive.spatial import Pose, Twist
+from wiredrive.simulator import DEFAULT_SPEED_LIMIT, STANDARD_GRAVITY, OdometrySensor, SimState
+from wiredrive.spatial import Pose, Twist, quat_from_rotvec, quat_multiply
 from wiredrive.wires import DEGENERACY_THRESHOLD, WireSet, wire_jacobian, wire_lengths_and_rates
 
 
@@ -228,6 +231,61 @@ def compensate_per_wire(tensions, accel_ref, rates, wire_matrix, winch):
         torque = winch.rotor_inertia * drum_accel + friction
         out.append(max(float(tension) + torque / r, 0.0))
     return out
+
+
+def reference_compensate(tensions, accel_ref, rates, matrix, winch):
+    """`allocation.compensate` on numpy arrays: `np.sign` and `np.maximum`."""
+    tensions = np.asarray(tensions, dtype=float)
+    accel_ref = np.asarray(accel_ref, dtype=float).reshape(6)
+    length_accel = -(matrix.T @ accel_ref)
+    r = winch.pulley_radius
+    drum_speed = -rates / r
+    drum_accel = -length_accel / r
+    inertia_torque = winch.rotor_inertia * drum_accel
+    friction_torque = (
+        np.sign(drum_speed) * winch.coulomb_friction
+        + winch.viscous_friction * drum_speed
+    )
+    return np.maximum(tensions + (inertia_torque + friction_torque) / r, 0.0)
+
+
+def reference_to_currents(tensions, winch):
+    """`allocation.to_currents` on numpy arrays."""
+    tensions = np.asarray(tensions, dtype=float)
+    if np.any(tensions < 0):
+        raise ValueError("tensions must be non-negative")
+    return winch.current_per_newton * tensions
+
+
+def reference_tension_command(tensions, final, residual, bounds, winch):
+    """`allocation.tension_command` with the array current map and `np.linalg.norm`."""
+    return TensionCommand(
+        tensions=tensions,
+        tensions_final=final,
+        currents=reference_to_currents(final, winch),
+        residual_norm=float(np.linalg.norm(residual)),
+        saturated=bounds.saturated(tensions),
+    )
+
+
+class ReferenceOdometrySensor(OdometrySensor):
+    """`OdometrySensor` drawing its noise as four `normal(size=3)` calls a
+    tick: position, rotation, velocity, angular velocity."""
+
+    def measure(self, state):
+        self._buffer.append(state)
+        delayed = self._buffer[0]
+        m = self.model
+        position = delayed.pose.position + self._draw(m.position_noise)
+        orientation = quat_multiply(
+            quat_from_rotvec(self._draw(m.rotation_noise)), delayed.pose.orientation
+        )
+        linear = delayed.twist.linear + self._draw(m.velocity_noise)
+        angular = delayed.twist.angular + self._draw(m.angular_velocity_noise)
+        return Pose(position, orientation), Twist(linear, angular)
+
+    def _draw(self, std):
+        return std * self._rng.normal(size=3)
 
 
 def _hamilton(a, b):
@@ -538,4 +596,5 @@ REFERENCE_KERNELS = {
     "wires.wire_jacobian": reference_wire_jacobian,
     "wires.wire_lengths_and_rates": reference_wire_lengths_and_rates,
     "qp.solve_box_qp": reference_solve_box_qp,  # with its own reference_kkt_residual
+    "allocation.tension_command": reference_tension_command,
 }

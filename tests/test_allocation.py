@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,9 @@ from oracles import (
     compensate_per_wire,
     grid_search_box_qp,
     random_wire_matrix,
+    reference_compensate,
+    reference_tension_command,
+    reference_to_currents,
     tensions_from_currents,
 )
 from wiredrive.allocation import (
@@ -19,6 +24,7 @@ from wiredrive.allocation import (
     allocate,
     compensate,
     solve_tension_command,
+    tension_command,
     to_currents,
 )
 from wiredrive.errors import SolverFailure
@@ -266,3 +272,50 @@ def test_current_map_round_trip(case):
     winch, tensions, _, _, _ = case
     back = tensions_from_currents(to_currents(tensions, winch), winch)
     assert np.allclose(back, tensions, rtol=1e-15, atol=0.0)
+
+
+def _with_specials(elements):
+    return st.one_of(elements, st.sampled_from([0.0, -0.0, math.nan]))
+
+
+@st.composite
+def command_tails(draw):
+    """Inputs to the command tail with zeros of either sign and NaNs mixed
+    in, a frictionless and inertia-free winch at times, and compensation
+    large enough to clamp some wires at zero."""
+    m = draw(st.integers(1, 8))
+    winch = draw(st.one_of(winch_params, st.just(WinchParams(
+        rotor_inertia=0.0, coulomb_friction=0.0, viscous_friction=0.0))))
+    tensions = draw(arrays(float, m, elements=_with_specials(_floats(0.0, 200.0))))
+    accel = draw(arrays(float, 6, elements=_with_specials(_floats(-500.0, 500.0))))
+    rates = draw(arrays(float, m, elements=_with_specials(_floats(-1.0, 1.0))))
+    matrix = draw(arrays(float, (6, m), elements=_floats(-2.0, 2.0)))
+    residual = draw(arrays(float, 6, elements=_with_specials(_floats(-1e3, 1e3))))
+    upper = draw(st.sampled_from([80.0, 180.0]))
+    return winch, tensions, accel, rates, matrix, residual, TensionBounds.uniform(m, 0.0, upper)
+
+
+def _bits(value):
+    return np.asarray(value).tobytes()
+
+
+@_PROPERTY
+@given(command_tails())
+def test_the_command_tail_is_bit_identical_to_its_array_formulation(case):
+    winch, tensions, accel, rates, matrix, residual, bounds = case
+    final = compensate(tensions, accel, rates, matrix, winch)
+    assert final.dtype == float and _bits(final) == _bits(
+        reference_compensate(tensions, accel, rates, matrix, winch))
+    # tensions as allocated, clamped into the box, and compensated ones that may be NaN
+    allocated = np.clip(tensions, bounds.lower, bounds.upper)
+    command = tension_command(allocated, final, residual, bounds, winch)
+    expected = reference_tension_command(allocated, final, residual, bounds, winch)
+    for field in ("tensions", "tensions_final", "currents", "saturated"):
+        got, want = getattr(command, field), getattr(expected, field)
+        assert got.dtype == want.dtype and _bits(got) == _bits(want), field
+    assert _bits(command.residual_norm) == _bits(expected.residual_norm)
+    pushing = np.append(final, -0.5)
+    with pytest.raises(ValueError, match="non-negative"):
+        reference_to_currents(pushing, winch)
+    with pytest.raises(ValueError, match="non-negative"):
+        to_currents(pushing, winch)

@@ -227,3 +227,100 @@ def test_solver_is_bit_identical_to_the_reference_formulation(case):
     assert np.array_equal(x.view(np.int64), expected[0].view(np.int64))
     assert iterations == expected[1]
     assert _same_float(residual, expected[2])
+
+
+@st.composite
+def edge_box_qps(draw):
+    """Box QPs on the solver's edges: one variable or up to 8, degenerate
+    boxes, infinite bounds, scalar bounds, a start outside the box, a NaN
+    in the gradient, the Hessian (on or off its diagonal) or the start,
+    and an iteration cap as low as 1.  Returns the arguments for the
+    solver and the same with the bounds as arrays, for the reference."""
+    n = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    hessian = random_spd(rng, n, scale=draw(st.sampled_from([1.0, 1e4])))
+    gradient = rng.normal(scale=draw(st.sampled_from([1.0, 50.0])), size=n)
+    kinds = ["box", "degenerate", "no lower", "no upper", "free"]
+    if draw(st.booleans()):  # one scalar pair for every variable
+        kind = draw(st.sampled_from(kinds))
+        lo, hi = (0.5, 0.5) if kind == "degenerate" else (0.0, 2.0)
+        lower = -math.inf if kind in ("no lower", "free") else lo
+        upper = math.inf if kind in ("no upper", "free") else hi
+        lower_arr, upper_arr = np.full(n, lower), np.full(n, upper)
+    else:
+        lower_arr = rng.uniform(-2.0, 0.0, size=n)
+        upper_arr = lower_arr + rng.uniform(0.5, 3.0, size=n)
+        for i in range(n):
+            kind = draw(st.sampled_from(kinds))
+            if kind == "degenerate":
+                upper_arr[i] = lower_arr[i]
+            if kind in ("no lower", "free"):
+                lower_arr[i] = -math.inf
+            if kind in ("no upper", "free"):
+                upper_arr[i] = math.inf
+        lower, upper = lower_arr, upper_arr
+    start = draw(st.one_of(st.none(), st.just(rng.normal(scale=3.0, size=n))))
+    nan = draw(st.sampled_from(["none"] * 4 + ["gradient", "hessian diagonal", "hessian pair",
+                                              "start"]))
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    if nan == "gradient":
+        gradient[i] = np.nan
+    elif nan == "hessian diagonal":
+        hessian[i, i] = np.nan
+    elif nan == "hessian pair":
+        hessian[i, j] = hessian[j, i] = np.nan
+    elif nan == "start":
+        start = rng.normal(scale=3.0, size=n) if start is None else start
+        start[i] = np.nan
+    max_iter = draw(st.sampled_from([None, None, None, 1, 2, 3]))
+    args = dict(start=start, max_iter=max_iter)
+    return (hessian, gradient, lower, upper, args), (hessian, gradient, lower_arr, upper_arr, args)
+
+
+def _solve_or_message(solve, hessian, gradient, lower, upper, kwargs):
+    try:
+        return solve(hessian, gradient, lower, upper, **kwargs)
+    except SolverFailure as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(edge_box_qps())
+def test_solver_is_bit_identical_to_the_reference_on_the_edges(case):
+    (hessian, gradient, lower, upper, kwargs), reference_args = case
+    expected = _solve_or_message(reference_solve_box_qp, *reference_args)
+    got = _solve_or_message(solve_box_qp, hessian, gradient, lower, upper, kwargs)
+    if isinstance(expected, str):
+        assert got == expected  # the same failure, at the same iteration cap
+        return
+    assert not isinstance(got, str), got
+    assert got[0].tobytes() == expected[0].tobytes()
+    assert got[1] == expected[1]
+    assert _same_float(got[2], expected[2])
+
+
+def test_scalar_bounds_give_the_answer_of_array_bounds():
+    rng = np.random.default_rng(4)
+    hessian, gradient = random_spd(rng, 4), rng.normal(scale=10.0, size=4)
+    x, iterations, residual = solve_box_qp(hessian, gradient, 0.0, 5.0)
+    x_arr, iterations_arr, residual_arr = solve_box_qp(hessian, gradient, np.zeros(4),
+                                                       np.full(4, 5.0))
+    assert x.tobytes() == x_arr.tobytes()
+    assert (iterations, residual) == (iterations_arr, residual_arr)
+
+
+@pytest.mark.parametrize("name, kwargs", [
+    ("start", dict(start=np.array([0.5]))),
+    ("lower", dict(lower=np.zeros(2))),
+    ("upper", dict(upper=np.ones(4))),
+])
+def test_a_vector_of_the_wrong_length_is_named(name, kwargs):
+    args = dict(hessian=np.eye(3), gradient=-np.ones(3), lower=np.zeros(3), upper=np.ones(3))
+    args.update(kwargs)
+    with pytest.raises(ValueError, match=f"^{name} has shape"):
+        solve_box_qp(**args)
+
+
+def test_an_empty_problem_is_a_value_error():
+    with pytest.raises(ValueError, match="^gradient has shape"):
+        solve_box_qp(np.zeros((0, 0)), np.zeros(0), np.zeros(0), np.zeros(0))

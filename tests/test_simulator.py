@@ -26,7 +26,7 @@ from wiredrive.simulator import (
 from wiredrive.spatial import Pose, Twist, Wrench
 from wiredrive.wires import WireAttachment, WireSet, wire_jacobian, wire_lengths_and_rates
 
-from oracles import reference_step
+from oracles import ReferenceOdometrySensor, reference_step
 from test_wires import eight_wire_cube_layout
 
 
@@ -268,6 +268,27 @@ def test_sensor_seeded_noise_reproducible():
     pc = [c.measure(state)[0].position for _ in range(5)]
     assert all(np.array_equal(x, y) for x, y in zip(pa, pb))
     assert not all(np.allclose(x, y) for x, y in zip(pa, pc))
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    noise=st.tuples(*[st.sampled_from([0.0, 1e-3, 0.05, 1.0])] * 4),
+    latency=st.integers(0, 3),
+    ticks=st.integers(1, 8),
+)
+def test_one_draw_of_twelve_gives_the_four_draw_stream(seed, noise, latency, ticks):
+    model = SensorModel(*noise, latency=latency)
+    sensor, reference = OdometrySensor(model, seed), ReferenceOdometrySensor(model, seed)
+    rng = np.random.default_rng(seed)
+    for _ in range(ticks):
+        state = SimState(Pose(rng.normal(size=3), rng.normal(size=4)),
+                         Twist(rng.normal(size=3), rng.normal(size=3)), np.zeros(1))
+        (pose, twist), (pose_ref, twist_ref) = sensor.measure(state), reference.measure(state)
+        for got, want in ((pose.position, pose_ref.position),
+                          (pose.orientation, pose_ref.orientation),
+                          (twist.linear, twist_ref.linear), (twist.angular, twist_ref.angular)):
+            assert got.tobytes() == want.tobytes()
 
 
 def test_body_model_validation():
