@@ -48,12 +48,13 @@ def _vector(value, n, name):
 def kkt_residual(hessian, gradient, x, lower, upper, tol=1e-9):
     """Relative KKT residual of a candidate: its largest per-entry violation, or 0.
 
-    Stationarity is violated by |g_i| on a free entry or one within `tol`
-    of both bounds, by -g_i at the lower bound only and by g_i at the upper
-    bound only; that part is measured against the gradient scale
-    (1 + |g|_inf) so the figure stays meaningful when large residual
-    weights blow up the raw gradient magnitudes.  The box is violated by
-    the distance outside it.  A NaN anywhere makes the residual NaN.
+    Stationarity is violated by |g_i| on a free entry, by -g_i at the lower
+    bound only and by g_i at the upper bound only, and not at all within
+    `tol` of both bounds (a fixed entry's multiplier may take either sign);
+    that part is measured against the gradient scale (1 + |g|_inf) so the
+    figure stays meaningful when large residual weights blow up the raw
+    gradient magnitudes.  The box is violated by the distance outside it.
+    A NaN anywhere makes the residual NaN.
     """
     x = np.asarray(x, dtype=float)
     gradient = np.asarray(gradient, dtype=float)
@@ -65,8 +66,10 @@ def kkt_residual(hessian, gradient, x, lower, upper, tol=1e-9):
         # an infinite bound gives inf - inf = NaN here, so it never counts as reached
         at_lower = xi <= lo + tol * max(1.0, abs(lo))
         at_upper = xi >= hi - tol * max(1.0, abs(hi))
-        # free or at both bounds: |g|; at one bound: the part pointing out of it
-        stationarity = abs(g) if at_lower == at_upper else -g if at_lower else g
+        if at_lower == at_upper:  # fixed: 0 (0 * g keeps a NaN); free: |g|
+            stationarity = 0.0 * g if at_lower else abs(g)
+        else:  # at one bound: the part pointing out of it
+            stationarity = -g if at_lower else g
         terms += (stationarity / scale, lo - xi, xi - hi)
     return _max(terms)
 

@@ -36,7 +36,7 @@ from .anchors import plan_wrap_path, track_path, winding_number
 from .errors import WireDriveError
 from .scenario import POSE_CONTROL, AnchorTask, Scenario, dump_scenario
 from .simulator import OdometrySensor, SimState, step
-from .spatial import Pose, Twist, Wrench, orientation_error
+from .spatial import Pose, Twist, Wrench, attitude_error, norm3
 from .telemetry import TelemetryWriter
 from .trajectory import (
     ControlTick,
@@ -260,8 +260,9 @@ def run_scenario(scenario: Scenario, out_dir, seed: int | None = None) -> dict:
                 if np.any(lengths > scenario.winch.winding_capacity):
                     capacity_violations += 1
 
-                pos_errors[k] = np.linalg.norm(state.pose.position - tick.pose_ref.position)
-                rot_errors[k] = np.linalg.norm(orientation_error(tick.pose_ref, state.pose))
+                pos_errors[k] = norm3((state.pose.position - tick.pose_ref.position).tolist())
+                rot_errors[k] = norm3(attitude_error(tick.pose_ref.orientation.tolist(),
+                                                     state.pose.orientation.tolist()))
                 max_tension = max(max_tension, float(np.max(command.tensions_final, initial=0.0)))
                 max_residual = max(max_residual, command.residual_norm)
                 n_sat = int(np.sum(command.saturated))

@@ -20,7 +20,8 @@ max_tension), and the slack rule; one numpy array then holds the
 tensions.  Everything after the wrench runs on Python floats too,
 through the float cores in `spatial`: one rotation matrix, the inverse
 inertia that `BodyModel` computes once, and one normalization of the
-new attitude, by `Pose`.
+new attitude, by `quat_unit`, as the odometry sensor does for its noisy
+one; both build their records with `Pose._of` and `Twist._of`.
 """
 
 from __future__ import annotations
@@ -42,8 +43,7 @@ from .spatial import (
     mat_t_vec,
     mat_vec,
     norm3,
-    quat_from_rotvec,
-    quat_multiply,
+    quat_unit,
     rotation_rows,
     rotvec_exp,
 )
@@ -166,12 +166,11 @@ def step(
         for p, v0, v1 in zip(state.pose.position.tolist(), linear, velocity_new)
     ]
     rotvec_step = [half * (w0 + w1) for w0, w1 in zip(angular, omega_new)]
-    # Pose normalizes the product once
-    orientation_new = hamilton(rotvec_exp(rotvec_step), orientation)
+    orientation_new = quat_unit(hamilton(rotvec_exp(rotvec_step), orientation))
 
     return SimState(
-        Pose(position_new, orientation_new),
-        Twist(velocity_new, omega_new),
+        Pose._of(position_new, orientation_new),
+        Twist._of(velocity_new, omega_new),
         tensions,
         state.time + dt,
     )
@@ -196,6 +195,10 @@ class SensorModel:
             raise ValueError("latency must be a non-negative integer")
 
 
+def _perturbed(values: np.ndarray, std: float, draws) -> list:
+    return [v + std * n for v, n in zip(values.tolist(), draws)]
+
+
 class OdometrySensor:
     """Stateful sensor: owns the delay line and the seeded noise stream.
 
@@ -213,11 +216,12 @@ class OdometrySensor:
         m = self.model
         # one draw of 12 a tick (the stream of four draws of 3), whatever the
         # noise levels, so the settings never shift later draws
-        noise = self._rng.normal(size=12)
-        position = delayed.pose.position + m.position_noise * noise[0:3]
-        orientation = quat_multiply(
-            quat_from_rotvec(m.rotation_noise * noise[3:6]), delayed.pose.orientation
+        noise = self._rng.normal(size=12).tolist()
+        pose, twist = delayed.pose, delayed.twist
+        rotation = rotvec_exp([m.rotation_noise * n for n in noise[3:6]])
+        return (
+            Pose._of(_perturbed(pose.position, m.position_noise, noise[0:3]),
+                     quat_unit(hamilton(rotation, pose.orientation.tolist()))),
+            Twist._of(_perturbed(twist.linear, m.velocity_noise, noise[6:9]),
+                      _perturbed(twist.angular, m.angular_velocity_noise, noise[9:12])),
         )
-        linear = delayed.twist.linear + m.velocity_noise * noise[6:9]
-        angular = delayed.twist.angular + m.angular_velocity_noise * noise[9:12]
-        return Pose(position, orientation), Twist(linear, angular)

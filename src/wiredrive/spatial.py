@@ -4,9 +4,10 @@ A pose is a world-frame position plus a unit quaternion (world-from-body,
 scalar first, canonicalized to a non-negative scalar part).  Twists and
 wrenches are world-frame 6-vectors split into linear/angular and
 force/torque halves, with torques referenced to the body center.  The
-records are frozen but neither copy nor check their arrays (a pose only
-normalizes its quaternion): values are checked where they enter the
-program, and the simulator catches non-finite state.  The PID integral
+records are frozen and copy their arrays but check nothing else (a pose
+only normalizes its quaternion): values are checked where they enter the
+program, and the simulator catches non-finite state.  The tick normalizes
+each quaternion it produces once, by `quat_unit`.  The PID integral
 accumulator is the one mutable object and is owned by whoever runs the
 control loop.
 """
@@ -19,22 +20,23 @@ from dataclasses import dataclass, field
 import numpy as np
 
 _QUAT_EPS = 1e-12
+# 4 ulps of 1: the float norm of a `quat_unit` result misses 1 by under 3.5
+UNIT_NORM_TOLERANCE = 4 * 2.0**-52
 
 
 def _vec3(v) -> np.ndarray:
-    return np.asarray(v, dtype=float).reshape(3)
+    return np.array(v, dtype=float).reshape(3)
 
 
 def _floats(v) -> list:
     """The elements of a vector as Python floats."""
-    return np.asarray(v, dtype=float).tolist()
+    return np.asarray(v, dtype=float).ravel().tolist()
 
 
 # Float cores: the formulas on Python floats, taking and returning tuples
 # (or any sequence).  Python floats round exactly as float64 arrays do, and
 # on 3- and 4-vectors they skip numpy's per-call setup.  The array-returning
-# functions below are built on them, and `simulator.step` calls them
-# directly.
+# functions below are built on them; the tick path calls them directly.
 
 
 def norm3(v) -> float:
@@ -85,6 +87,65 @@ def rotation_rows(q) -> tuple:
     )
 
 
+def quat_unit(q) -> tuple:
+    """A (w, x, y, z) quaternion over its norm (the root of the sum of
+    squares in order), with w >= 0; ValueError unless 1e-12 <= norm < inf."""
+    w, x, y, z = q
+    norm = math.sqrt(w * w + x * x + y * y + z * z)
+    if not _QUAT_EPS <= norm < math.inf:
+        raise ValueError(f"quaternion norm {norm} is not usable")
+    w, x, y, z = w / norm, x / norm, y / norm, z / norm
+    return (-w, -x, -y, -z) if w < 0.0 else (w, x, y, z)
+
+
+def rotvec_log(q) -> tuple:
+    """Logarithm map of a unit (w, x, y, z) quaternion to a rotation vector
+    (axis * angle), angle in [0, pi]."""
+    w, x, y, z = q
+    sin_half = norm3((x, y, z))
+    if sin_half < 1e-10:
+        return (2.0 * x, 2.0 * y, 2.0 * z)
+    scale = 2.0 * math.atan2(sin_half, min(1.0, w)) / sin_half
+    return (scale * x, scale * y, scale * z)
+
+
+def attitude_error(target, current) -> tuple:
+    """World-frame rotation vector carrying unit quaternion `current` onto
+    `target`: the log of their relative rotation, normalized once."""
+    w, x, y, z = current
+    return rotvec_log(quat_unit(hamilton(target, (w, -x, -y, -z))))
+
+
+def chart_rates(rv, rate, accel) -> tuple[list, list]:
+    """World angular velocity J_l rate and acceleration J_l accel +
+    J_l_dot rate of q(t) = exp(rv(t)) * q0, from the chart's rv and its
+    first two derivatives, with J_l = I + a [rv]x + b [rv]x^2 applied as
+    cross products.  Since rate x rate = 0, J_l_dot rate is
+    (rv . rate)(a'/t rv x rate + b'/t rv x (rv x rate)) + b rate x (rv x rate),
+    t = |rv|; a'(t)/t and b'(t)/t stay finite at zero (series below 1e-4).
+    """
+    angle = norm3(rv)
+    if angle < 1e-4:
+        t2 = angle * angle
+        a, b = 0.5 - t2 / 24.0, 1.0 / 6.0 - t2 / 120.0
+        a_prime_over, b_prime_over = -1.0 / 12.0 + t2 / 180.0, -1.0 / 60.0 + t2 / 1260.0
+    else:
+        cos, sin = math.cos(angle), math.sin(angle)
+        a = (1.0 - cos) / angle**2
+        b = (angle - sin) / angle**3
+        a_prime_over = (sin / angle**2 - 2.0 * (1.0 - cos) / angle**3) / angle
+        b_prime_over = ((1.0 - cos) / angle**3 - 3.0 * (angle - sin) / angle**4) / angle
+    c1 = cross3(rv, rate)
+    c2, d1, e = cross3(rv, c1), cross3(rv, accel), cross3(rate, c1)
+    dot = rv[0] * rate[0] + rv[1] * rate[1] + rv[2] * rate[2]
+    omega = [v + a * p + b * q for v, p, q in zip(rate, c1, c2)]
+    omega_dot = [
+        (v + a * p + b * q) + dot * (a_prime_over * m + b_prime_over * n) + b * r
+        for v, p, q, m, n, r in zip(accel, d1, cross3(rv, d1), c1, c2, e)
+    ]
+    return omega, omega_dot
+
+
 def rotvec_exp(rv) -> tuple:
     """Exponential map of a rotation vector (axis * angle) to a quaternion,
     not normalized: its norm is 1 to rounding."""
@@ -108,15 +169,8 @@ def cross(a, b) -> np.ndarray:
 
 
 def quat_normalize(q) -> np.ndarray:
-    """Unit-normalize a (w, x, y, z) quaternion and force w >= 0."""
-    arr = np.asarray(q, dtype=float).reshape(4)
-    norm = float(np.linalg.norm(arr))
-    if not math.isfinite(norm) or norm < _QUAT_EPS:
-        raise ValueError(f"quaternion norm {norm} is not usable")
-    arr = arr / norm
-    if arr[0] < 0.0:
-        arr = -arr
-    return arr
+    """`quat_unit` of a (w, x, y, z) quaternion, as an array."""
+    return np.array(quat_unit(_floats(q)))
 
 
 def quat_multiply(a, b) -> np.ndarray:
@@ -147,53 +201,12 @@ def quat_from_rotvec(rv) -> np.ndarray:
 
 def rotvec_from_quat(q) -> np.ndarray:
     """Logarithm map: quaternion to rotation vector, angle in [0, pi]."""
-    q = quat_normalize(q)
-    w = min(1.0, q[0])
-    sin_half = float(np.linalg.norm(q[1:]))
-    angle = 2.0 * np.arctan2(sin_half, w)
-    if sin_half < 1e-10:
-        return 2.0 * np.asarray(q[1:], dtype=float)
-    return (angle / sin_half) * np.asarray(q[1:], dtype=float)
+    return np.array(rotvec_log(quat_unit(_floats(q))))
 
 
 def skew(v) -> np.ndarray:
     x, y, z = v
     return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
-
-
-def so3_left_jacobian_and_dot(rv, rv_rate) -> tuple[np.ndarray, np.ndarray]:
-    """Left Jacobian of SO(3) and its time derivative along rv(t) with rate
-    rv_rate, from one pass over the angle, skew(rv) and its square.
-
-    J_l maps rotation-vector rates to world angular velocity for
-    q(t) = exp(rv(t)) * q0; with J_l_dot it gives the analytic angular
-    acceleration of a spline evaluated in a rotation-vector chart:
-    w_dot = J_l * rv_ddot + J_l_dot * rv_dot.
-    """
-    rv = np.asarray(rv, dtype=float)
-    rv_rate = np.asarray(rv_rate, dtype=float)
-    angle = float(np.linalg.norm(rv))
-    k = skew(rv)
-    k2 = k @ k
-    kd = skew(rv_rate)
-    # a = (1-cos)/t^2 and b = (t-sin)/t^3; a'(t)/t and b'(t)/t stay finite at
-    # zero and, times (rv . rv_rate), give the chain-rule terms of J_l_dot
-    # without dividing by the angle.  Series fallbacks near zero.
-    if angle < 1e-4:
-        t2 = angle * angle
-        a, b = 0.5 - t2 / 24.0, 1.0 / 6.0 - t2 / 120.0
-        a_prime_over = -1.0 / 12.0 + t2 / 180.0
-        b_prime_over = -1.0 / 60.0 + t2 / 1260.0
-    else:
-        cos, sin = np.cos(angle), np.sin(angle)
-        a = (1.0 - cos) / angle**2
-        b = (angle - sin) / angle**3
-        a_prime_over = (sin / angle**2 - 2.0 * (1.0 - cos) / angle**3) / angle
-        b_prime_over = ((1.0 - cos) / angle**3 - 3.0 * (angle - sin) / angle**4) / angle
-    jac = np.eye(3) + a * k + b * k2
-    dot = float(rv @ rv_rate)
-    jac_dot = dot * (a_prime_over * k + b_prime_over * k2) + a * kd + b * (kd @ k + k @ kd)
-    return jac, jac_dot
 
 
 def so3_left_jacobian_inv(rv) -> np.ndarray:
@@ -209,14 +222,30 @@ def so3_left_jacobian_inv(rv) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Pose:
-    """World-frame rigid-body pose: position plus world-from-body quaternion."""
+    """World-frame rigid-body pose: position plus world-from-body quaternion.
+
+    The constructor normalizes the quaternion unless its float norm is
+    within `UNIT_NORM_TOLERANCE` (4 ulps) of 1; then it keeps it, up to its
+    sign.  So `Pose(p.position, p.orientation)` equals `p` bit for bit."""
 
     position: np.ndarray
     orientation: np.ndarray
 
     def __post_init__(self):
+        w, x, y, z = q = _floats(self.orientation)
+        if not abs(math.sqrt(w * w + x * x + y * y + z * z) - 1.0) <= UNIT_NORM_TOLERANCE:
+            q = quat_unit(q)  # NaN and inf land here too, and raise
+        elif w < 0.0:
+            q = (-w, -x, -y, -z)
         object.__setattr__(self, "position", _vec3(self.position))
-        object.__setattr__(self, "orientation", quat_normalize(self.orientation))
+        object.__setattr__(self, "orientation", np.array(q))
+
+    @classmethod
+    def _of(cls, position, orientation) -> "Pose":
+        """A pose of a fresh float list and a `quat_unit` result, as they are."""
+        pose = object.__new__(cls)
+        pose.__dict__.update(position=np.array(position), orientation=np.array(orientation))
+        return pose
 
     @classmethod
     def identity(cls) -> "Pose":
@@ -247,8 +276,7 @@ def compose(a: Pose, b: Pose) -> Pose:
 
 def orientation_error(target: Pose, current: Pose) -> np.ndarray:
     """World-frame rotation vector carrying `current` onto `target`."""
-    rel = quat_multiply(target.orientation, quat_conjugate(current.orientation))
-    return rotvec_from_quat(rel)
+    return np.array(attitude_error(target.orientation.tolist(), current.orientation.tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,6 +289,13 @@ class Twist:
     def __post_init__(self):
         object.__setattr__(self, "linear", _vec3(self.linear))
         object.__setattr__(self, "angular", _vec3(self.angular))
+
+    @classmethod
+    def _of(cls, linear, angular) -> "Twist":
+        """A twist of two fresh float lists, as they are."""
+        twist = object.__new__(cls)
+        twist.__dict__.update(linear=np.array(linear), angular=np.array(angular))
+        return twist
 
     @classmethod
     def zero(cls) -> "Twist":
@@ -368,12 +403,14 @@ def wrench_error_pid(
     torque components.  The integral accumulates the pose error and is
     clamped per axis before the gain is applied (anti-windup).
     """
-    err = np.concatenate(
-        [pose_ref.position - pose.position, orientation_error(pose_ref, pose)]
-    )
-    derr = twist_ref.as_array() - twist.as_array()
-    state.integral = np.clip(
-        state.integral + err * dt, -gains.integral_limit, gains.integral_limit
-    )
-    out = gains.kp * err + gains.ki * state.integral + gains.kd * derr
-    return Wrench.from_array(out)
+    err = [r - p for r, p in zip(pose_ref.position.tolist(), pose.position.tolist())]
+    err += attitude_error(pose_ref.orientation.tolist(), pose.orientation.tolist())
+    derr = [r - m for r, m in zip(twist_ref.as_array().tolist(), twist.as_array().tolist())]
+    accumulated = [i + e * dt for i, e in zip(state.integral.tolist(), err)]
+    # np.clip: max with -hi, then min with hi; a NaN passes, a zero limit gives hi
+    integral = [-hi if v <= -hi and hi else hi if v >= hi or v <= -hi else v
+                for v, hi in zip(accumulated, gains.integral_limit.tolist())]
+    state.integral = np.array(integral)
+    out = [p * e + i * s + d * de for p, e, i, s, d, de in zip(
+        gains.kp.tolist(), err, gains.ki.tolist(), integral, gains.kd.tolist(), derr)]
+    return Wrench(out[:3], out[3:])

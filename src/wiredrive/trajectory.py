@@ -30,10 +30,11 @@ from .spatial import (
     Pose,
     Twist,
     Wrench,
-    quat_conjugate,
-    quat_multiply,
-    rotvec_from_quat,
-    so3_left_jacobian_and_dot,
+    chart_rates,
+    hamilton,
+    orientation_error,
+    quat_unit,
+    rotvec_exp,
     so3_left_jacobian_inv,
     wrench_error_pid,
 )
@@ -54,10 +55,12 @@ def _cubic_coeffs(p0, v0, p1, v1, duration):
 
 
 def _cubic_eval(coeffs, t):
-    a, b, c, d = coeffs
-    pos = ((a * t + b) * t + c) * t + d
-    vel = (3.0 * a * t + 2.0 * b) * t + c
-    acc = 6.0 * a * t + 2.0 * b
+    """Value, rate and acceleration lists of the per-axis cubics at t, on floats."""
+    pos, vel, acc = [], [], []
+    for a, b, c, d in zip(*coeffs.tolist()):
+        pos.append(((a * t + b) * t + c) * t + d)
+        vel.append((3.0 * a * t + 2.0 * b) * t + c)
+        acc.append(6.0 * a * t + 2.0 * b)
     return pos, vel, acc
 
 
@@ -86,9 +89,7 @@ def plan_spline(
     """Fit boundary-matching cubics in position and the rotation chart."""
     if duration <= 0:
         raise ValueError("segment duration must be positive")
-    chart_end = rotvec_from_quat(
-        quat_multiply(end_pose.orientation, quat_conjugate(start_pose.orientation))
-    )
+    chart_end = orientation_error(end_pose, start_pose)
     angle = float(np.linalg.norm(chart_end))
     if angle >= ROTATION_CHART_LIMIT:
         raise RotationTooLarge(
@@ -111,8 +112,9 @@ def plan_spline(
 def sample(segment: SplineSegment, t: float) -> tuple[Pose, Twist, np.ndarray]:
     """Reference pose, twist and 6-D acceleration at time t.
 
-    Outside [0, duration] the sample clamps to the nearer endpoint pose
-    with zero velocity and acceleration.
+    On Python floats: the cubics, exp(chart) * start normalized once, and
+    `chart_rates`.  Outside [0, duration] the sample clamps to the nearer
+    endpoint pose with zero velocity and acceleration.
     """
     if t < 0.0:
         return segment.start_pose, Twist.zero(), np.zeros(6)
@@ -120,17 +122,9 @@ def sample(segment: SplineSegment, t: float) -> tuple[Pose, Twist, np.ndarray]:
         return segment.end_pose, Twist.zero(), np.zeros(6)
     pos, vel, acc = _cubic_eval(segment.translation, t)
     chart, chart_rate, chart_acc = _cubic_eval(segment.rotation, t)
-    orientation = quat_multiply(
-        Pose.from_rotvec(np.zeros(3), chart).orientation, segment.start_pose.orientation
-    )
-    jac, jac_dot = so3_left_jacobian_and_dot(chart, chart_rate)
-    omega = jac @ chart_rate
-    omega_dot = jac @ chart_acc + jac_dot @ chart_rate
-    return (
-        Pose(pos, orientation),
-        Twist(vel, omega),
-        np.concatenate([acc, omega_dot]),
-    )
+    orientation = quat_unit(hamilton(rotvec_exp(chart), segment.start_pose.orientation.tolist()))
+    omega, omega_dot = chart_rates(chart, chart_rate, chart_acc)
+    return Pose._of(pos, orientation), Twist._of(vel, omega), np.array(acc + omega_dot)
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,12 +9,16 @@ library's hot-path kernels.  The library computes the same values with
 less per-call overhead; the tests hold it to these bit for bit, one
 kernel at a time and end to end through a whole run.
 `ReferenceOdometrySensor` is the sensor with its noise drawn as four
-calls a tick, where the library makes one.  Two exceptions
+calls a tick, where the library makes one.  Five exceptions
 agree to rounding only: `reference_facet_normals`, an SVD where the
-library factors by QR (held to 1e-12), and `reference_step`, the plant
+library factors by QR (held to 1e-12); `reference_step`, the plant
 step on numpy arrays with `np.linalg.solve` on the inertia, where the
 library runs Python floats and a precomputed inverse (held to 1e-12
-relative).
+relative); `reference_quat_normalize`, the `np.linalg.norm`
+normalization `quat_unit` replaced (2 ulps); `reference_rotvec_log`,
+whose `np.arctan2` can round apart from `math.atan2` (2 ulps); and
+`reference_so3_left_jacobian_and_dot`, the 3 x 3 matrices `chart_rates`
+replaced (32 ulps of the terms' scale).
 """
 
 from __future__ import annotations
@@ -30,7 +34,9 @@ from scipy.stats import qmc
 from wiredrive.allocation import TensionCommand
 from wiredrive.errors import DegenerateWire, NumericalBlowup, SolverFailure
 from wiredrive.simulator import DEFAULT_SPEED_LIMIT, STANDARD_GRAVITY, OdometrySensor, SimState
-from wiredrive.spatial import Pose, Twist, quat_from_rotvec, quat_multiply
+from wiredrive.spatial import (
+    Pose, Twist, Wrench, hamilton, orientation_error, quat_unit, rotvec_exp, skew
+)
 from wiredrive.wires import DEGENERACY_THRESHOLD, WireSet, wire_jacobian, wire_lengths_and_rates
 
 
@@ -270,16 +276,17 @@ def reference_tension_command(tensions, final, residual, bounds, winch):
 
 class ReferenceOdometrySensor(OdometrySensor):
     """`OdometrySensor` drawing its noise as four `normal(size=3)` calls a
-    tick: position, rotation, velocity, angular velocity."""
+    tick: position, rotation, velocity, angular velocity.  The noisy
+    attitude is the library's: normalized once, by `quat_unit`."""
 
     def measure(self, state):
         self._buffer.append(state)
         delayed = self._buffer[0]
         m = self.model
         position = delayed.pose.position + self._draw(m.position_noise)
-        orientation = quat_multiply(
-            quat_from_rotvec(self._draw(m.rotation_noise)), delayed.pose.orientation
-        )
+        orientation = quat_unit(hamilton(
+            rotvec_exp(self._draw(m.rotation_noise).tolist()), delayed.pose.orientation.tolist()
+        ))
         linear = delayed.twist.linear + self._draw(m.velocity_noise)
         angular = delayed.twist.angular + self._draw(m.angular_velocity_noise)
         return Pose(position, orientation), Twist(linear, angular)
@@ -393,7 +400,95 @@ def reference_quat_to_matrix(q):
     )
 
 
+def reference_quat_unit(q):
+    """`quat_unit` on numpy float64 scalars: `np.sqrt` of the in-order sum
+    of squares, one array division, and the sign flip."""
+    w, x, y, z = np.asarray(q, dtype=float).reshape(4)
+    norm = np.sqrt(w * w + x * x + y * y + z * z)
+    if not 1e-12 <= norm < np.inf:
+        raise ValueError(f"quaternion norm {norm} is not usable")
+    q = np.array([w, x, y, z]) / norm
+    return tuple(-q if q[0] < 0.0 else q)
+
+
+def reference_rotvec_log(q):
+    """`rotvec_log` on numpy float64 scalars, with `np.arctan2`.  That may
+    differ from `math.atan2` in the last bit away from the identity."""
+    w, x, y, z = np.asarray(q, dtype=float)
+    v = np.array([x, y, z])
+    sin_half = np.sqrt(x * x + y * y + z * z)
+    if sin_half < 1e-10:
+        return tuple(2.0 * v)
+    return tuple((2.0 * np.arctan2(sin_half, min(1.0, w)) / sin_half) * v)
+
+
+def reference_chart_rates(rv, rate, accel):
+    """`chart_rates` on numpy float64 scalars, `np.cross`, `np.sin` and `np.cos`."""
+    rv, rate, accel = (np.asarray(v, dtype=float) for v in (rv, rate, accel))
+    angle = np.sqrt(rv[0] * rv[0] + rv[1] * rv[1] + rv[2] * rv[2])
+    if angle < 1e-4:
+        t2 = angle * angle
+        a, b = 0.5 - t2 / 24.0, 1.0 / 6.0 - t2 / 120.0
+        a_prime_over, b_prime_over = -1.0 / 12.0 + t2 / 180.0, -1.0 / 60.0 + t2 / 1260.0
+    else:
+        cos, sin = np.cos(angle), np.sin(angle)
+        a = (1.0 - cos) / angle**2
+        b = (angle - sin) / angle**3
+        a_prime_over = (sin / angle**2 - 2.0 * (1.0 - cos) / angle**3) / angle
+        b_prime_over = ((1.0 - cos) / angle**3 - 3.0 * (angle - sin) / angle**4) / angle
+    c1 = np.cross(rv, rate)
+    c2, d1 = np.cross(rv, c1), np.cross(rv, accel)
+    dot = rv[0] * rate[0] + rv[1] * rate[1] + rv[2] * rate[2]
+    omega = rate + a * c1 + b * c2
+    omega_dot = ((accel + a * d1 + b * np.cross(rv, d1))
+                 + dot * (a_prime_over * c1 + b_prime_over * c2) + b * np.cross(rate, c1))
+    return omega.tolist(), omega_dot.tolist()
+
+
+def reference_so3_left_jacobian_and_dot(rv, rv_rate):
+    """The left Jacobian of SO(3) and its time derivative along rv(t) with
+    rate rv_rate, as 3 x 3 matrices from skew(rv) and its square: the
+    numpy formulation `chart_rates` replaced.
+
+    w = J_l rv_rate and w_dot = J_l rv_ddot + J_l_dot rv_rate.
+    """
+    rv = np.asarray(rv, dtype=float)
+    rv_rate = np.asarray(rv_rate, dtype=float)
+    angle = float(np.linalg.norm(rv))
+    k = skew(rv)
+    k2 = k @ k
+    kd = skew(rv_rate)
+    if angle < 1e-4:
+        t2 = angle * angle
+        a, b = 0.5 - t2 / 24.0, 1.0 / 6.0 - t2 / 120.0
+        a_prime_over = -1.0 / 12.0 + t2 / 180.0
+        b_prime_over = -1.0 / 60.0 + t2 / 1260.0
+    else:
+        cos, sin = np.cos(angle), np.sin(angle)
+        a = (1.0 - cos) / angle**2
+        b = (angle - sin) / angle**3
+        a_prime_over = (sin / angle**2 - 2.0 * (1.0 - cos) / angle**3) / angle
+        b_prime_over = ((1.0 - cos) / angle**3 - 3.0 * (angle - sin) / angle**4) / angle
+    jac = np.eye(3) + a * k + b * k2
+    dot = float(rv @ rv_rate)
+    jac_dot = dot * (a_prime_over * k + b_prime_over * k2) + a * kd + b * (kd @ k + k @ kd)
+    return jac, jac_dot
+
+
+def reference_wrench_error_pid(pose, twist, pose_ref, twist_ref, gains, state, dt):
+    """`wrench_error_pid` on arrays, with `np.clip` for the integral clamp."""
+    err = np.concatenate([pose_ref.position - pose.position, orientation_error(pose_ref, pose)])
+    derr = twist_ref.as_array() - twist.as_array()
+    state.integral = np.clip(
+        state.integral + err * dt, -gains.integral_limit, gains.integral_limit
+    )
+    out = gains.kp * err + gains.ki * state.integral + gains.kd * derr
+    return Wrench.from_array(out)
+
+
 def reference_quat_normalize(q):
+    """The array normalization `quat_unit` replaced: `np.linalg.norm`, whose
+    dot product may round differently from the in-order sum of squares."""
     arr = np.asarray(q, dtype=float).reshape(4)
     norm = float(np.linalg.norm(arr))
     if not np.isfinite(norm) or norm < 1e-12:
@@ -405,7 +500,8 @@ def reference_quat_normalize(q):
 
 
 def reference_quat_from_rotvec(rv):
-    """Exponential map on numpy arrays: `np.linalg.norm` angle, numpy sin and cos."""
+    """Exponential map on numpy arrays: `np.linalg.norm` angle, numpy sin and
+    cos, normalized by `reference_quat_normalize`."""
     rv = np.asarray(rv, dtype=float)
     angle = float(np.linalg.norm(rv))
     if angle < 1e-10:
@@ -428,8 +524,9 @@ def reference_step(state, currents, dt, body, attachments, winch,
     `np.minimum`, `np.where`), where the library runs one float loop, and
     must give the same tension bits; the wire kinematics calls are the
     library's.  After the wrench, numpy 3-vectors, `np.linalg.norm` speed
-    checks, and the new attitude normalized twice (by
-    `reference_quat_from_rotvec`, then by `Pose`).
+    checks, and the new attitude normalized by `reference_quat_normalize`
+    twice: the step's rotation in `reference_quat_from_rotvec`, and the
+    product, which `Pose` then keeps as unit.
     """
     if not 0.0 < dt <= 0.01:
         raise ValueError("dt must lie in (0, 0.01] seconds")
@@ -453,8 +550,8 @@ def reference_step(state, currents, dt, body, attachments, winch,
         raise NumericalBlowup(f"body speed exceeded {speed_limit} or is not finite")
     position_new = state.pose.position + 0.5 * dt * (state.twist.linear + velocity_new)
     rotvec_step = 0.5 * dt * (state.twist.angular + omega_new)
-    orientation_new = reference_quat_multiply(
-        reference_quat_from_rotvec(rotvec_step), state.pose.orientation)
+    orientation_new = reference_quat_normalize(reference_quat_multiply(
+        reference_quat_from_rotvec(rotvec_step), state.pose.orientation))
     return SimState(Pose(position_new, orientation_new), Twist(velocity_new, omega_new),
                     tensions, state.time + dt)
 
@@ -499,8 +596,9 @@ def reference_kkt_residual(hessian, gradient, x, lower, upper, tol=1e-9):
     """Relative KKT residual, one entry at a time in Python floats.
 
     Entry i contributes its stationarity violation over 1 + |g|_inf: |g_i|
-    if free or within `tol` of both bounds, -g_i if at the lower bound
-    only, g_i if at the upper bound only; and its distance outside the box.
+    if free, -g_i if at the lower bound only, g_i if at the upper bound
+    only, and 0 * g_i if within `tol` of both (fixed: its multiplier may
+    take either sign); and its distance outside the box.
     The residual is the largest contribution, at least 0, and NaN if any
     contribution is.
     """
@@ -510,7 +608,9 @@ def reference_kkt_residual(hessian, gradient, x, lower, upper, tol=1e-9):
     for g, xi, lo, hi in zip(grad, np.asarray(x).tolist(), lower.tolist(), upper.tolist()):
         at_lower = xi <= lo + tol * max(1.0, abs(lo))
         at_upper = xi >= hi - tol * max(1.0, abs(hi))
-        if at_lower == at_upper:
+        if at_lower and at_upper:
+            stationarity = 0.0 * g
+        elif not (at_lower or at_upper):
             stationarity = abs(g)
         else:
             stationarity = -g if at_lower else g
@@ -590,9 +690,11 @@ def reference_solve_box_qp(hessian, gradient, lower, upper, start=None, max_iter
 
 # library kernel -> its reference formulation, by "module.name"
 REFERENCE_KERNELS = {
-    "spatial.quat_multiply": reference_quat_multiply,
+    "spatial.hamilton": reference_quat_multiply,
     "spatial.quat_to_matrix": reference_quat_to_matrix,
-    "spatial.quat_normalize": reference_quat_normalize,
+    "spatial.quat_unit": reference_quat_unit,
+    "spatial.rotvec_log": reference_rotvec_log,
+    "spatial.chart_rates": reference_chart_rates,
     "wires.wire_jacobian": reference_wire_jacobian,
     "wires.wire_lengths_and_rates": reference_wire_lengths_and_rates,
     "qp.solve_box_qp": reference_solve_box_qp,  # with its own reference_kkt_residual

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -284,8 +284,15 @@ def _solve_or_message(solve, hessian, gradient, lower, upper, kwargs):
         return str(exc)
 
 
+# a fixed variable pushed on by its gradient: its multiplier takes the push
+_FIXED = (np.array([[1.0]]), np.array([-27.96]))
+_FIXED_ARGS = dict(start=None, max_iter=None)
+
+
 @settings(max_examples=400, derandomize=True, database=None, deadline=None)
 @given(edge_box_qps())
+@example(((*_FIXED, -1.072, -1.072, _FIXED_ARGS), (*_FIXED, np.array([-1.072]),
+                                                  np.array([-1.072]), _FIXED_ARGS)))
 def test_solver_is_bit_identical_to_the_reference_on_the_edges(case):
     (hessian, gradient, lower, upper, kwargs), reference_args = case
     expected = _solve_or_message(reference_solve_box_qp, *reference_args)
@@ -324,3 +331,12 @@ def test_a_vector_of_the_wrong_length_is_named(name, kwargs):
 def test_an_empty_problem_is_a_value_error():
     with pytest.raises(ValueError, match="^gradient has shape"):
         solve_box_qp(np.zeros((0, 0)), np.zeros(0), np.zeros(0), np.zeros(0))
+
+
+def test_a_fixed_variable_counts_no_stationarity_violation():
+    x, _, residual = solve_box_qp(*_FIXED, -1.072, -1.072)
+    assert x.tolist() == [-1.072] and residual == 0.0
+    # within tol of both bounds of a narrow box, too; a free entry still counts |g|
+    assert kkt_residual(*_FIXED, [0.5], [0.5], [0.5 + 1e-10]) == 0.0
+    assert kkt_residual(*_FIXED, [0.5], [0.0], [1.0]) == pytest.approx((27.96 - 0.5) / 28.96)
+    assert math.isnan(kkt_residual(np.array([[1.0]]), np.array([math.nan]), [0.5], [0.5], [0.5]))

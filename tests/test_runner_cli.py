@@ -541,3 +541,31 @@ def test_a_tick_makes_at_most_seven_geometry_passes(name, calls_per_tick, tmp_pa
     assert ticks == 40
     assert len(calls) == calls_per_tick * ticks  # the calls perfbench counts
     assert len(passes) <= 7 * ticks
+
+
+def test_a_tick_takes_no_numpy_norm_and_no_public_pose_constructor(tmp_path, monkeypatch):
+    # the tick's quaternions are normalized in floats and its poses built by
+    # Pose._of; runs of 20 and 40 ticks make the same calls, all in setup
+    norms, poses = [], []
+    linalg_norm, post_init = np.linalg.norm, Pose.__post_init__
+
+    def count_norm(*args, **kwargs):
+        norms.append(args)
+        return linalg_norm(*args, **kwargs)
+
+    def count_pose(pose):
+        poses.append(pose)
+        post_init(pose)
+
+    monkeypatch.setattr(np.linalg, "norm", count_norm)
+    monkeypatch.setattr(Pose, "__post_init__", count_pose)
+    scenario = load_scenario(bundled_scenario_path("cube8"))
+    counts = []
+    for ticks in (20, 40):
+        norms.clear()
+        poses.clear()
+        summary = run_scenario(dataclasses.replace(scenario, duration=ticks / 200.0),
+                               tmp_path / str(ticks))
+        assert summary["ticks"] == ticks
+        counts.append((len(norms), len(poses)))
+    assert counts[0] == counts[1]

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,22 +9,33 @@ from hypothesis.extra.numpy import arrays
 from oracles import (
     pose_inverse,
     poses_almost_equal,
+    reference_chart_rates,
     reference_quat_multiply,
+    reference_quat_normalize,
     reference_quat_to_matrix,
+    reference_quat_unit,
+    reference_rotvec_log,
+    reference_so3_left_jacobian_and_dot,
+    reference_wrench_error_pid,
 )
+from wiredrive.simulator import OdometrySensor, SensorModel, SimState
 from wiredrive.spatial import (
+    UNIT_NORM_TOLERANCE,
     PidGains,
     PidState,
     Pose,
     Twist,
+    Wrench,
+    chart_rates,
     compose,
     cross,
     orientation_error,
     quat_from_rotvec,
     quat_multiply,
     quat_to_matrix,
+    quat_unit,
     rotvec_from_quat,
-    so3_left_jacobian_and_dot,
+    rotvec_log,
     so3_left_jacobian_inv,
     transform_odometry,
     wrench_error_pid,
@@ -124,8 +137,17 @@ def test_transform_odometry_translation_only():
 
 
 def _jac(rv):
-    """The left Jacobian alone: the first of the pair, at any rate."""
-    return so3_left_jacobian_and_dot(rv, np.zeros(3))[0]
+    """The left Jacobian, column by column: J_l e_i is `chart_rates`' omega
+    at rate e_i."""
+    return np.array([chart_rates(rv, e, np.zeros(3))[0] for e in np.eye(3)]).T
+
+
+def _omega_dot_fd(rv, rate, accel, h):
+    """Central difference of omega = J_l(rv(t)) rv'(t) along
+    rv(t) = rv + t rate + t^2/2 accel, at t = 0."""
+    omega = [np.array(chart_rates(rv + s * h * rate + 0.5 * h * h * accel, rate + s * h * accel,
+                                  np.zeros(3))[0]) for s in (1.0, -1.0)]
+    return (omega[0] - omega[1]) / (2 * h)
 
 
 def test_left_jacobian_inverse_pair():
@@ -157,18 +179,18 @@ def test_left_jacobian_dot_matches_finite_difference():
     h = 1e-6
     for _ in range(30):
         rv = rng.normal(size=3) * 0.9
-        rate = rng.normal(size=3)
-        fd = (_jac(rv + h * rate) - _jac(rv - h * rate)) / (2 * h)
-        assert np.allclose(so3_left_jacobian_and_dot(rv, rate)[1], fd, atol=1e-6)
+        rate, accel = rng.normal(size=3), rng.normal(size=3)
+        fd = _omega_dot_fd(rv, rate, accel, h)
+        assert np.allclose(chart_rates(rv, rate, accel)[1], fd, atol=1e-6)
 
 
 def test_left_jacobian_dot_small_angle_branch():
     rng = np.random.default_rng(12)
-    rate = rng.normal(size=3)
+    rate, accel = rng.normal(size=3), rng.normal(size=3)
     h = 1e-7
     rv = rng.normal(size=3) * 1e-6
-    fd = (_jac(rv + h * rate) - _jac(rv - h * rate)) / (2 * h)
-    assert np.allclose(so3_left_jacobian_and_dot(rv, rate)[1], fd, atol=1e-6)
+    fd = _omega_dot_fd(rv, rate, accel, h)
+    assert np.allclose(chart_rates(rv, rate, accel)[1], fd, atol=1e-6)
 
 
 def test_pid_zero_error_zero_output():
@@ -285,3 +307,170 @@ def test_quat_multiply_is_bit_identical_to_numpy_scalars(a, b):
 @given(_QUATERNIONS)
 def test_quat_to_matrix_is_bit_identical_to_numpy_scalars(q):
     assert _same_bits(quat_to_matrix(q), reference_quat_to_matrix(q))
+
+
+_EPS = 2.0**-52  # one ulp of 1
+
+
+def _ulps(got, want):
+    """Largest distance between two float sequences, in ulps of `want`."""
+    return max(abs(g - w) / np.spacing(abs(w)) if g != w else 0.0 for g, w in zip(got, want))
+
+
+# quaternions at any scale from 1e-5 to 1e5, or near the identity, as the
+# bundled runs' attitudes are; either sign of w, and exact zeros
+@st.composite
+def raw_quaternions(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        q = rng.normal(size=4) * 10.0 ** rng.uniform(-5, 5)
+    else:
+        q = np.array([draw(st.sampled_from([1.0, -1.0])),
+                      *(rng.normal(size=3) * 10.0 ** rng.uniform(-8, 0))])
+    for i in draw(st.lists(st.integers(1, 3), max_size=2)):
+        q[i] = draw(st.sampled_from([0.0, -0.0]))
+    return q.tolist()
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(raw_quaternions())
+def test_quat_unit_is_bit_identical_to_numpy_scalars(q):
+    assert np.array(quat_unit(q)).tobytes() == np.array(reference_quat_unit(q)).tobytes()
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(raw_quaternions())
+def test_quat_unit_is_within_two_ulps_of_the_linalg_norm_normalization(q):
+    # np.linalg.norm's dot may round the norm one ulp away from the in-order
+    # sum of squares; each quotient then moves by at most 2 ulps
+    unit = quat_unit(q)
+    assert _ulps(unit, reference_quat_normalize(q).tolist()) <= 2.0
+    # and the result measures unit to within the tolerance Pose keeps it by
+    assert abs(math.sqrt(sum(v * v for v in unit)) - 1.0) <= UNIT_NORM_TOLERANCE
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(raw_quaternions())
+def test_rotvec_log_is_within_two_ulps_of_numpy_scalars(q):
+    # bit for bit but for np.arctan2, which can round apart from math.atan2
+    unit = quat_unit(q)
+    got, want = rotvec_log(unit), reference_rotvec_log(unit)
+    assert _ulps(got, want) <= 2.0
+    if unit[0] > 0.999:  # near the identity, as in the bundled runs: bit for bit
+        assert got == tuple(want)
+
+
+@st.composite
+def chart_states(draw):
+    """A chart point inside the chart limit (or within 1e-4 of zero, the
+    series branch), and its rate and acceleration at scales 1e-3 to 10."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    axis = rng.normal(size=3)
+    rv = axis / np.linalg.norm(axis) * draw(st.sampled_from([rng.uniform(0.0, 3.0),
+                                                             rng.uniform(0.0, 1e-4), 0.0]))
+    rate = rng.normal(size=3) * 10.0 ** rng.uniform(-3, 1)
+    accel = rng.normal(size=3) * 10.0 ** rng.uniform(-3, 1)
+    return rv.tolist(), rate.tolist(), accel.tolist()
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(chart_states())
+def test_chart_rates_are_bit_identical_to_numpy_scalars(case):
+    got = chart_rates(*case)
+    want = reference_chart_rates(*case)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(chart_states())
+def test_chart_rates_agree_with_the_left_jacobian_matrices(case):
+    # the cross-product form sums in another order than J_l @ rate and
+    # J_l @ accel + J_l_dot @ rate; the gap stays within 32 ulps of the
+    # terms' scale, |rate| (1 + |rv|)^2 and (|accel| + |rate|^2)(1 + |rv|)^2
+    rv, rate, accel = (np.array(v) for v in case)
+    omega, omega_dot = chart_rates(*case)
+    jac, jac_dot = reference_so3_left_jacobian_and_dot(rv, rate)
+    grow = (1.0 + np.linalg.norm(rv)) ** 2
+    assert np.max(np.abs(omega - jac @ rate)) <= 32 * _EPS * np.linalg.norm(rate) * grow
+    assert np.max(np.abs(omega_dot - (jac @ accel + jac_dot @ rate))) <= (
+        32 * _EPS * (np.linalg.norm(accel) + np.linalg.norm(rate) ** 2) * grow
+    )
+
+
+_PID_ELEMENTS = st.one_of(st.sampled_from([0.0, -0.0, math.nan]), st.floats(-10.0, 10.0))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.integers(0, 2**32 - 1), arrays(float, 6, elements=_PID_ELEMENTS),
+       arrays(float, 6, elements=st.sampled_from([0.0, -0.0, 0.05, 1.0])),
+       st.sampled_from([0.005, 0.01]))
+def test_pid_is_bit_identical_to_its_array_formulation(seed, offsets, limits, dt):
+    # a NaN in the state or the integral, and zero limits, where np.clip
+    # turns either zero into +0
+    rng = np.random.default_rng(seed)
+    gains = PidGains(rng.normal(size=6), rng.normal(size=6), rng.normal(size=6), limits)
+    pose, ref = random_pose(rng), random_pose(rng)
+    pose = Pose(pose.position + offsets[:3], pose.orientation)
+    twist, twist_ref = Twist(offsets[3:], rng.normal(size=3)), Twist.from_array(rng.normal(size=6))
+    state, reference = PidState(offsets[::-1] * 0.01), PidState(offsets[::-1] * 0.01)
+    for _ in range(3):
+        got = wrench_error_pid(pose, twist, ref, twist_ref, gains, state, dt)
+        want = reference_wrench_error_pid(pose, twist, ref, twist_ref, gains, reference, dt)
+        assert got.as_array().tobytes() == want.as_array().tobytes()
+        assert state.integral.tobytes() == reference.integral.tobytes()
+
+
+@st.composite
+def any_pose(draw):
+    """A pose from each constructor, and from the producers that use the
+    private one."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    position = rng.normal(scale=2.0, size=3)
+    kind = draw(st.sampled_from(["raw", "near unit", "rotvec", "translation", "identity",
+                                 "compose", "private", "measure"]))
+    if kind == "raw":
+        return Pose(position, draw(raw_quaternions()))
+    if kind == "near unit":  # a unit quaternion a few ulps off, either sign
+        q = np.array(quat_unit(rng.normal(size=4).tolist()))
+        q *= draw(st.sampled_from([1.0, -1.0])) * (1.0 + draw(st.integers(-8, 8)) * _EPS)
+        return Pose(position, q)
+    if kind == "rotvec":
+        return Pose.from_rotvec(position, rng.normal(size=3) * rng.uniform(0.0, 3.0))
+    if kind == "translation":
+        return Pose.from_translation(position)
+    if kind == "identity":
+        return Pose.identity()
+    if kind == "compose":
+        return compose(random_pose(rng), random_pose(rng))
+    if kind == "private":
+        return Pose._of(position.tolist(), quat_unit(draw(raw_quaternions())))
+    sensor = OdometrySensor(SensorModel(0.01, 0.01, 0.01, 0.01), seed=int(rng.integers(100)))
+    return sensor.measure(SimState(random_pose(rng), Twist.zero(), np.zeros(1)))[0]
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(any_pose())
+def test_a_pose_rebuilt_from_its_fields_is_the_same_pose(pose):
+    again = Pose(pose.position, pose.orientation)
+    assert again.position.tobytes() == pose.position.tobytes()
+    assert again.orientation.tobytes() == pose.orientation.tobytes()
+
+
+def test_a_pose_copies_the_callers_arrays():
+    position, orientation = np.zeros(3), np.array([1.0, 0.0, 0.0, 0.0])
+    pose = Pose(position, orientation)
+    position[0], orientation[1] = 1.0, 0.5
+    assert pose.position.tolist() == [0.0, 0.0, 0.0]
+    assert pose.orientation.tolist() == [1.0, 0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("record", [Twist, Wrench])
+def test_twist_and_wrench_halves_own_their_buffers(record):
+    v = np.zeros(3)
+    built = record(v, v)
+    first, second = (getattr(built, f) for f in record.__dataclass_fields__)
+    assert not np.shares_memory(first, second)
+    assert not np.shares_memory(first, v) and not np.shares_memory(second, v)
+    v[0] = 1.0
+    first[1] = 2.0
+    assert first.tolist() == [0.0, 2.0, 0.0] and second.tolist() == [0.0, 0.0, 0.0]
