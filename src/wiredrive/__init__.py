@@ -53,7 +53,6 @@ from .spatial import (
     Pose,
     Twist,
     Wrench,
-    compose,
     orientation_error,
     transform_odometry,
     wrench_error_pid,
@@ -89,7 +88,7 @@ __all__ = [
     "STANDARD_GRAVITY", "BodyModel", "OdometrySensor", "SensorModel",
     "SimState", "step",
     "PidGains", "PidState", "Pose", "Twist", "Wrench",
-    "compose", "orientation_error", "transform_odometry", "wrench_error_pid",
+    "orientation_error", "transform_odometry", "wrench_error_pid",
     "ControlTick", "PoseController", "SplineSegment", "chain_segments",
     "plan_spline", "sample",
     "WireAttachment", "wire_jacobian", "wire_lengths_and_rates",

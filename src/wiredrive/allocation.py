@@ -40,10 +40,10 @@ class TensionBounds:
         upper = np.atleast_1d(np.asarray(self.upper, dtype=float)).copy()
         if lower.shape != upper.shape:
             raise ValueError("tension bound vectors must have matching shapes")
-        if np.any(lower < 0):
-            raise ValueError("minimum tension must be non-negative")
-        if np.any(lower >= upper):
-            raise ValueError("minimum tension must be strictly below maximum")
+        if not np.all(lower >= 0):
+            raise ValueError("lower (minimum tension) must be non-negative")
+        if not np.all(lower < upper):
+            raise ValueError("lower (minimum tension) must be strictly below upper")
         lower.setflags(write=False)
         upper.setflags(write=False)
         object.__setattr__(self, "lower", lower)
@@ -113,12 +113,12 @@ class WinchParams:
     def __post_init__(self):
         for name in ("pulley_radius", "gear_ratio", "torque_constant", "eff_pulley",
                      "eff_gear", "max_tension", "max_line_speed", "winding_capacity"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be strictly positive")
         if not 0 < self.eff_pulley <= 1 or not 0 < self.eff_gear <= 1:
             raise ValueError("efficiencies must lie in (0, 1]")
         for name in ("rotor_inertia", "coulomb_friction", "viscous_friction"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be non-negative")
 
     @property

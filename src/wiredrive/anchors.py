@@ -39,12 +39,12 @@ class Pillar:
         center.setflags(write=False)
         object.__setattr__(self, "center", center)
         he = np.asarray(self.half_extents, dtype=float).reshape(2).copy()
-        if np.any(he <= 0):
-            raise ValueError("pillar half extents must be positive")
+        if not np.all(he > 0):
+            raise ValueError("half_extents must be positive")
         he.setflags(write=False)
         object.__setattr__(self, "half_extents", he)
-        if self.z_range[1] <= self.z_range[0]:
-            raise ValueError("pillar z range must be increasing")
+        if not self.z_range[1] > self.z_range[0]:
+            raise ValueError("z_range must be increasing")
 
     def contains(self, point_xy, inflation: float = 0.0) -> bool:
         """Strict interior test against the footprint grown by `inflation`."""
@@ -60,7 +60,7 @@ class RelativePoseSensor:
     noise_std: float = 0.0
 
     def __post_init__(self):
-        if self.noise_std < 0:
+        if not self.noise_std >= 0:
             raise ValueError("noise_std must be non-negative")
 
     def measure(self, true_position, rng) -> np.ndarray:
@@ -75,8 +75,9 @@ class TrackerGains:
     speed_cap: float = 0.5  # m/s
 
     def __post_init__(self):
-        if self.kp <= 0 or self.speed_cap <= 0:
-            raise ValueError("tracker gains must be positive")
+        for name in ("kp", "speed_cap"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
 
 
 def _densify(points: np.ndarray, spacing: float) -> np.ndarray:

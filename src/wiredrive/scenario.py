@@ -95,9 +95,9 @@ class Field:
 
     `default` is REQUIRED, the value used when the key is absent, or None
     when the table has none: the field is then optional, or derived from
-    other fields after the table pass.  A quantity must be finite unless
-    its default is infinite.  `shape` is None for a scalar; a None entry
-    in it accepts any length.
+    other fields after the table pass.  A quantity or a number must be
+    finite unless its default is infinite.  `shape` is None for a scalar;
+    a None entry in it accepts any length.
     """
 
     kind: str
@@ -266,7 +266,7 @@ def _convert(spec: Field, value, path: str):
     ):
         raise ValidationError(path, f"expected shape {spec.shape}, got {out.shape}")
     unbounded = isinstance(spec.default, float) and spec.default == np.inf
-    if spec.kind == QUANTITY and not np.all(np.isfinite(out) | (unbounded & (out == np.inf))):
+    if not np.all(np.isfinite(out) | (unbounded & (out == np.inf))):
         raise ValidationError(path, "value must be finite")
     return out
 

@@ -189,9 +189,9 @@ class SensorModel:
     def __post_init__(self):
         for name in ("position_noise", "rotation_noise", "velocity_noise",
                      "angular_velocity_noise"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be non-negative")
-        if self.latency < 0 or int(self.latency) != self.latency:
+        if not self.latency >= 0 or int(self.latency) != self.latency:
             raise ValueError("latency must be a non-negative integer")
 
 

@@ -6,10 +6,14 @@ wrenches are world-frame 6-vectors split into linear/angular and
 force/torque halves, with torques referenced to the body center.  The
 records are frozen and copy their arrays but check nothing else (a pose
 only normalizes its quaternion): values are checked where they enter the
-program, and the simulator catches non-finite state.  The tick normalizes
-each quaternion it produces once, by `quat_unit`.  The PID integral
+program, and the simulator catches non-finite state.  The PID integral
 accumulator is the one mutable object and is owned by whoever runs the
 control loop.
+
+Each rotation fact is written once, as a float core below: the Hamilton
+product, the rotation matrix, `quat_unit`, the exp and log maps, and the
+chart's left Jacobian (`chart_rates`, and its inverse `chart_rate`).  All
+else calls them; the tick normalizes each quaternion it makes once.
 """
 
 from __future__ import annotations
@@ -35,8 +39,8 @@ def _floats(v) -> list:
 
 # Float cores: the formulas on Python floats, taking and returning tuples
 # (or any sequence).  Python floats round exactly as float64 arrays do, and
-# on 3- and 4-vectors they skip numpy's per-call setup.  The array-returning
-# functions below are built on them; the tick path calls them directly.
+# on 3- and 4-vectors they skip numpy's per-call setup.  Each is the one
+# formulation of its fact; callers holding arrays pass `.tolist()`.
 
 
 def norm3(v) -> float:
@@ -146,6 +150,19 @@ def chart_rates(rv, rate, accel) -> tuple[list, list]:
     return omega, omega_dot
 
 
+def chart_rate(rv, omega) -> tuple:
+    """Chart rate J_l^-1 omega that gives world angular velocity omega at
+    chart point rv: omega - rv x omega / 2 + c rv x (rv x omega), with
+    c = (1 - t sin t / (2 (1 - cos t))) / t^2, t = |rv| (series below 1e-4)."""
+    angle = norm3(rv)
+    if angle < 1e-4:
+        c = 1.0 / 12.0 + angle * angle / 720.0
+    else:
+        c = (1.0 - 0.5 * angle * math.sin(angle) / (1.0 - math.cos(angle))) / angle**2
+    c1 = cross3(rv, omega)
+    return tuple(w - 0.5 * p + c * q for w, p, q in zip(omega, c1, cross3(rv, c1)))
+
+
 def rotvec_exp(rv) -> tuple:
     """Exponential map of a rotation vector (axis * angle) to a quaternion,
     not normalized: its norm is 1 to rounding."""
@@ -156,68 +173,6 @@ def rotvec_exp(rv) -> tuple:
         return (1.0 - angle * angle / 8.0, 0.5 * x, 0.5 * y, 0.5 * z)
     s = math.sin(0.5 * angle) / angle
     return (math.cos(0.5 * angle), s * x, s * y, s * z)
-
-
-def cross(a, b) -> np.ndarray:
-    """Cross product of two 3-vectors, as an array.
-
-    Multiplied out in Python floats in the operation order of `np.cross`
-    (`a1*b2 - a2*b1`, each product rounded, then one subtraction), so
-    bit-identical to it, at a fraction of the cost of numpy's per-call
-    setup on 3 elements."""
-    return np.array(cross3(a.tolist(), b.tolist()))
-
-
-def quat_normalize(q) -> np.ndarray:
-    """`quat_unit` of a (w, x, y, z) quaternion, as an array."""
-    return np.array(quat_unit(_floats(q)))
-
-
-def quat_multiply(a, b) -> np.ndarray:
-    return np.array(hamilton(_floats(a), _floats(b)))
-
-
-def quat_conjugate(q) -> np.ndarray:
-    return np.array([q[0], -q[1], -q[2], -q[3]])
-
-
-def quat_rotate(q, v) -> np.ndarray:
-    """Rotate a 3-vector by a unit quaternion (body -> world for a pose)."""
-    w = q[0]
-    u = np.asarray(q[1:], dtype=float)
-    v = np.asarray(v, dtype=float)
-    # Rodrigues form of q v q*
-    return v + 2.0 * cross(u, cross(u, v) + w * v)
-
-
-def quat_to_matrix(q) -> np.ndarray:
-    return np.array(rotation_rows(_floats(q)))
-
-
-def quat_from_rotvec(rv) -> np.ndarray:
-    """Exponential map: rotation vector (axis * angle) to unit quaternion."""
-    return quat_normalize(rotvec_exp(_floats(rv)))
-
-
-def rotvec_from_quat(q) -> np.ndarray:
-    """Logarithm map: quaternion to rotation vector, angle in [0, pi]."""
-    return np.array(rotvec_log(quat_unit(_floats(q))))
-
-
-def skew(v) -> np.ndarray:
-    x, y, z = v
-    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
-
-
-def so3_left_jacobian_inv(rv) -> np.ndarray:
-    rv = np.asarray(rv, dtype=float)
-    angle = float(np.linalg.norm(rv))
-    k = skew(rv)
-    if angle < 1e-4:
-        c = 1.0 / 12.0 + angle * angle / 720.0
-    else:
-        c = (1.0 - 0.5 * angle * np.sin(angle) / (1.0 - np.cos(angle))) / angle**2
-    return np.eye(3) - 0.5 * k + c * (k @ k)
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,21 +212,10 @@ class Pose:
 
     @classmethod
     def from_rotvec(cls, position, rotvec) -> "Pose":
-        return cls(position, quat_from_rotvec(rotvec))
+        return cls(position, quat_unit(rotvec_exp(_floats(rotvec))))
 
     def rotation_matrix(self) -> np.ndarray:
-        return quat_to_matrix(self.orientation)
-
-    def rotate(self, v) -> np.ndarray:
-        return quat_rotate(self.orientation, v)
-
-
-def compose(a: Pose, b: Pose) -> Pose:
-    """Rigid composition: the pose of b's frame expressed through a."""
-    return Pose(
-        a.position + a.rotate(b.position),
-        quat_multiply(a.orientation, b.orientation),
-    )
+        return np.array(rotation_rows(self.orientation.tolist()))
 
 
 def orientation_error(target: Pose, current: Pose) -> np.ndarray:
@@ -349,9 +293,12 @@ def transform_odometry(
     The control loop does not call this: its sensor measures the
     body-center state directly.
     """
-    body_pose = compose(cam_pose, body_in_camera)
-    lever_world = cam_pose.rotate(body_in_camera.position)
-    linear = cam_twist.linear + cross(cam_twist.angular, lever_world)
+    lever = mat_vec(rotation_rows(cam_pose.orientation.tolist()), body_in_camera.position.tolist())
+    body_pose = Pose(
+        cam_pose.position + lever,
+        hamilton(cam_pose.orientation.tolist(), body_in_camera.orientation.tolist()),
+    )
+    linear = cam_twist.linear + cross3(cam_twist.angular.tolist(), lever)
     return body_pose, Twist(linear, cam_twist.angular)
 
 
@@ -405,7 +352,8 @@ def wrench_error_pid(
     """
     err = [r - p for r, p in zip(pose_ref.position.tolist(), pose.position.tolist())]
     err += attitude_error(pose_ref.orientation.tolist(), pose.orientation.tolist())
-    derr = [r - m for r, m in zip(twist_ref.as_array().tolist(), twist.as_array().tolist())]
+    derr = [r - m for r, m in zip(twist_ref.linear.tolist() + twist_ref.angular.tolist(),
+                                  twist.linear.tolist() + twist.angular.tolist())]
     accumulated = [i + e * dt for i, e in zip(state.integral.tolist(), err)]
     # np.clip: max with -hi, then min with hi; a NaN passes, a zero limit gives hi
     integral = [-hi if v <= -hi and hi else hi if v >= hi or v <= -hi else v

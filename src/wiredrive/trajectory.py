@@ -4,8 +4,8 @@ Segments are per-axis cubics: three translation axes plus three axes of a
 rotation-vector chart anchored at the segment's start orientation, so the
 chart singularity sits a full half-turn away from the path.  Boundary
 angular velocities are pulled into the chart through the inverse left
-Jacobian, and sampling pushes chart rates back out analytically, second
-derivatives included.
+Jacobian (`chart_rate`), and sampling pushes chart rates back out
+analytically, second derivatives included (`chart_rates`).
 
 `PoseController` samples its chained schedule at run time and runs the
 classic cascade: sampled reference -> PID feedback wrench + gravity
@@ -30,12 +30,13 @@ from .spatial import (
     Pose,
     Twist,
     Wrench,
+    attitude_error,
+    chart_rate,
     chart_rates,
     hamilton,
-    orientation_error,
+    norm3,
     quat_unit,
     rotvec_exp,
-    so3_left_jacobian_inv,
     wrench_error_pid,
 )
 from .wires import WireSet, wire_jacobian, wire_lengths_and_rates
@@ -43,21 +44,19 @@ from .wires import WireSet, wire_jacobian, wire_lengths_and_rates
 ROTATION_CHART_LIMIT = np.pi - 0.1  # rad; reject segments near the chart edge
 
 
-def _cubic_coeffs(p0, v0, p1, v1, duration):
-    """Coefficient rows [a, b, c, d] of a*t^3 + b*t^2 + c*t + d per axis."""
-    p0, v0, p1, v1 = (np.asarray(x, dtype=float) for x in (p0, v0, p1, v1))
-    t = duration
-    d = p0
-    c = v0
-    a = (v1 * t + v0 * t - 2.0 * (p1 - p0)) / t**3
-    b = (p1 - p0 - v0 * t) / t**2 - a * t
-    return np.stack([a, b, c, d])
+def _cubic_coeffs(p0, v0, p1, v1, t):
+    """Per axis, the coefficients (a, b, c, d) of a*t^3 + b*t^2 + c*t + d, on floats."""
+    coeffs = []
+    for d, c, end, rate_end in zip(p0, v0, p1, v1):
+        a = (rate_end * t + c * t - 2.0 * (end - d)) / t**3
+        coeffs.append((a, (end - d - c * t) / t**2 - a * t, c, d))
+    return tuple(coeffs)
 
 
 def _cubic_eval(coeffs, t):
     """Value, rate and acceleration lists of the per-axis cubics at t, on floats."""
     pos, vel, acc = [], [], []
-    for a, b, c, d in zip(*coeffs.tolist()):
+    for a, b, c, d in coeffs:
         pos.append(((a * t + b) * t + c) * t + d)
         vel.append((3.0 * a * t + 2.0 * b) * t + c)
         acc.append(6.0 * a * t + 2.0 * b)
@@ -71,8 +70,8 @@ class SplineSegment:
     start_pose: Pose
     end_pose: Pose
     duration: float
-    translation: np.ndarray  # (4, 3) cubic coefficients
-    rotation: np.ndarray  # (4, 3) cubic coefficients in the start chart
+    translation: tuple  # per axis, cubic coefficients (a, b, c, d)
+    rotation: tuple  # per axis of the start chart, cubic coefficients (a, b, c, d)
 
     def __post_init__(self):
         if self.duration <= 0:
@@ -89,23 +88,23 @@ def plan_spline(
     """Fit boundary-matching cubics in position and the rotation chart."""
     if duration <= 0:
         raise ValueError("segment duration must be positive")
-    chart_end = orientation_error(end_pose, start_pose)
-    angle = float(np.linalg.norm(chart_end))
+    chart_end = attitude_error(end_pose.orientation.tolist(), start_pose.orientation.tolist())
+    angle = norm3(chart_end)
     if angle >= ROTATION_CHART_LIMIT:
         raise RotationTooLarge(
             f"relative rotation {angle:.3f} rad is too close to the chart "
             f"singularity (limit {ROTATION_CHART_LIMIT:.3f})"
         )
-    chart_rate_start = start_twist.angular  # J_l(0) is the identity
-    chart_rate_end = so3_left_jacobian_inv(chart_end) @ end_twist.angular
+    chart_rate_start = start_twist.angular.tolist()  # J_l(0) is the identity
+    chart_rate_end = chart_rate(chart_end, end_twist.angular.tolist())
     return SplineSegment(
         start_pose=start_pose,
         end_pose=end_pose,
         duration=float(duration),
-        translation=_cubic_coeffs(
-            start_pose.position, start_twist.linear, end_pose.position, end_twist.linear, duration
-        ),
-        rotation=_cubic_coeffs(np.zeros(3), chart_rate_start, chart_end, chart_rate_end, duration),
+        translation=_cubic_coeffs(start_pose.position.tolist(), start_twist.linear.tolist(),
+                                  end_pose.position.tolist(), end_twist.linear.tolist(), duration),
+        rotation=_cubic_coeffs((0.0, 0.0, 0.0), chart_rate_start, chart_end, chart_rate_end,
+                               duration),
     )
 
 

@@ -9,16 +9,17 @@ library's hot-path kernels.  The library computes the same values with
 less per-call overhead; the tests hold it to these bit for bit, one
 kernel at a time and end to end through a whole run.
 `ReferenceOdometrySensor` is the sensor with its noise drawn as four
-calls a tick, where the library makes one.  Five exceptions
+calls a tick, where the library makes one.  Six exceptions
 agree to rounding only: `reference_facet_normals`, an SVD where the
 library factors by QR (held to 1e-12); `reference_step`, the plant
 step on numpy arrays with `np.linalg.solve` on the inertia, where the
 library runs Python floats and a precomputed inverse (held to 1e-12
 relative); `reference_quat_normalize`, the `np.linalg.norm`
 normalization `quat_unit` replaced (2 ulps); `reference_rotvec_log`,
-whose `np.arctan2` can round apart from `math.atan2` (2 ulps); and
+whose `np.arctan2` can round apart from `math.atan2` (2 ulps);
 `reference_so3_left_jacobian_and_dot`, the 3 x 3 matrices `chart_rates`
-replaced (32 ulps of the terms' scale).
+replaced (32 ulps of the terms' scale); and `so3_left_jacobian_inv`, the
+matrix `chart_rate` replaced (1e-14 relative).
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from wiredrive.allocation import TensionCommand
 from wiredrive.errors import DegenerateWire, NumericalBlowup, SolverFailure
 from wiredrive.simulator import DEFAULT_SPEED_LIMIT, STANDARD_GRAVITY, OdometrySensor, SimState
 from wiredrive.spatial import (
-    Pose, Twist, Wrench, hamilton, orientation_error, quat_unit, rotvec_exp, skew
+    Pose, Twist, Wrench, hamilton, orientation_error, quat_unit, rotvec_exp
 )
 from wiredrive.wires import DEGENERACY_THRESHOLD, WireSet, wire_jacobian, wire_lengths_and_rates
 
@@ -311,16 +312,15 @@ def _conjugate(q):
     return (w, -x, -y, -z)
 
 
-def pose_inverse(pose):
-    """(-R'p, q*), rotating p by the quaternion sandwich q* p q."""
-    q_inv = _conjugate(pose.orientation)
-    rotated = _hamilton(_hamilton(q_inv, (0.0, *map(float, pose.position))), _conjugate(q_inv))
-    return Pose([-v for v in rotated[1:]], q_inv)
+def _sandwich(q, v):
+    """A 3-vector rotated by the quaternion sandwich q v q*."""
+    q = tuple(float(c) for c in q)
+    return _hamilton(_hamilton(q, (0.0, *map(float, v))), _conjugate(q))[1:]
 
 
 def transform_point(pose, p_body):
-    """A body-frame point in the world frame: p + R p_body."""
-    return pose.position + pose.rotate(p_body)
+    """A body-frame point in the world frame: p + q p_body q*."""
+    return pose.position + _sandwich(pose.orientation, p_body)
 
 
 def poses_almost_equal(a, b, tol: float = 1e-9) -> bool:
@@ -333,9 +333,8 @@ def poses_almost_equal(a, b, tol: float = 1e-9) -> bool:
 
 def wire_length(anchor, position, orientation, exit_body):
     """norm(anchor - (p + R e)), rotating e by the quaternion sandwich q e q*."""
-    w, x, y, z = (float(v) for v in orientation)
-    rotated = _hamilton(_hamilton((w, x, y, z), (0.0, *map(float, exit_body))), (w, -x, -y, -z))
-    span = [float(anchor[k]) - (float(position[k]) + rotated[k + 1]) for k in range(3)]
+    rotated = _sandwich(orientation, exit_body)
+    span = [float(anchor[k]) - (float(position[k]) + rotated[k]) for k in range(3)]
     return sum(s * s for s in span) ** 0.5
 
 
@@ -398,6 +397,30 @@ def reference_quat_to_matrix(q):
             [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
         ]
     )
+
+
+def reference_rotation_rows(q):
+    """`rotation_rows`: `reference_quat_to_matrix`'s rows as tuples."""
+    return tuple(tuple(row) for row in reference_quat_to_matrix(q).tolist())
+
+
+def skew(v):
+    """The cross-product matrix [v]x, with [v]x u = v x u."""
+    x, y, z = v
+    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+
+
+def so3_left_jacobian_inv(rv):
+    """The inverse left Jacobian of SO(3) as a 3 x 3 matrix,
+    I - [rv]x / 2 + c [rv]x^2: the numpy formulation `chart_rate` replaced."""
+    rv = np.asarray(rv, dtype=float)
+    angle = float(np.linalg.norm(rv))
+    k = skew(rv)
+    if angle < 1e-4:
+        c = 1.0 / 12.0 + angle * angle / 720.0
+    else:
+        c = (1.0 - 0.5 * angle * np.sin(angle) / (1.0 - np.cos(angle))) / angle**2
+    return np.eye(3) - 0.5 * k + c * (k @ k)
 
 
 def reference_quat_unit(q):
@@ -691,7 +714,7 @@ def reference_solve_box_qp(hessian, gradient, lower, upper, start=None, max_iter
 # library kernel -> its reference formulation, by "module.name"
 REFERENCE_KERNELS = {
     "spatial.hamilton": reference_quat_multiply,
-    "spatial.quat_to_matrix": reference_quat_to_matrix,
+    "spatial.rotation_rows": reference_rotation_rows,
     "spatial.quat_unit": reference_quat_unit,
     "spatial.rotvec_log": reference_rotvec_log,
     "spatial.chart_rates": reference_chart_rates,

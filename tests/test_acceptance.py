@@ -38,10 +38,8 @@ from wiredrive.spatial import (
     Pose,
     Twist,
     Wrench,
+    hamilton,
     orientation_error,
-    quat_conjugate,
-    quat_multiply,
-    rotvec_from_quat,
 )
 from wiredrive.trajectory import plan_spline, sample
 from wiredrive.wires import WireAttachment, wire_jacobian, wire_lengths_and_rates
@@ -145,9 +143,7 @@ def test_criterion_3_spline_contract():
                     q_p, qd_p, _ = sample(seg, t + h)
                     _, qd, qdd = sample(seg, t)
                     vel_fd = (q_p.position - q_m.position) / (2 * h)
-                    omega_fd = rotvec_from_quat(
-                        quat_multiply(q_p.orientation, quat_conjugate(q_m.orientation))
-                    ) / (2 * h)
+                    omega_fd = orientation_error(q_p, q_m) / (2 * h)
                     assert np.allclose(qd.linear, vel_fd, atol=1e-6)
                     assert np.allclose(qd.angular, omega_fd, atol=1e-6)
                     acc_fd = (qd_p.as_array() - qd_m.as_array()) / (2 * h)
@@ -186,9 +182,9 @@ def test_criterion_4_jacobian_and_rates():
 
             def lengths_at(offset):
                 pos = pose.position + offset * twist.linear
-                quat = quat_multiply(
-                    Pose.from_rotvec(np.zeros(3), offset * twist.angular).orientation,
-                    pose.orientation,
+                quat = hamilton(
+                    Pose.from_rotvec(np.zeros(3), offset * twist.angular).orientation.tolist(),
+                    pose.orientation.tolist(),
                 )
                 return wire_lengths_and_rates(Pose(pos, quat), Twist.zero(), wires)[0]
 

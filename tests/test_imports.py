@@ -136,6 +136,45 @@ def test_unread_import_is_caught():
     assert imported_but_unread(source) == ["Any", "os"]
 
 
+def unread_functions(sources: dict, exported) -> list[str]:
+    """`module.name` of each module-level function that no module reads
+    (as a name or an attribute) outside its own `def`, unless exported."""
+    defs, reads = [], set()
+    for module, source in sources.items():
+        for statement in ast.parse(source).body:
+            owner = None
+            if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner = statement.name
+                defs.append((module, owner))
+            for node in ast.walk(statement):
+                if isinstance(node, ast.Name):
+                    reads.add((module, owner, node.id))
+                elif isinstance(node, ast.Attribute):
+                    reads.add((module, owner, node.attr))
+    return sorted(
+        f"{module}.{name}" for module, name in defs
+        if name not in exported
+        and not any(n == name and (m, o) != (module, name) for m, o, n in reads)
+    )
+
+
+def test_every_function_has_a_reader():
+    sources = {path.stem: path.read_text() for path in (SRC / "wiredrive").glob("*.py")}
+    assert len(sources) > 10
+    assert unread_functions(sources, set(wiredrive.__all__)) == []
+
+
+def test_unread_function_is_caught():
+    sources = {
+        "a": "def by_name():\n    pass\ndef by_attribute():\n    pass\n"
+             "def recursive(n):\n    return recursive(n - 1)\n"
+             "def exported():\n    pass\ndef imported_only():\n    pass\n",
+        "b": "import a\nfrom a import by_name, imported_only\n"
+             "def caller():\n    return by_name(), a.by_attribute()\n",
+    }
+    assert unread_functions(sources, {"exported", "caller"}) == ["a.imported_only", "a.recursive"]
+
+
 def test_all_lists_exactly_what_the_package_imports():
     exported = wiredrive.__all__
     assert [name for name in exported if not hasattr(wiredrive, name)] == []

@@ -338,6 +338,18 @@ def test_number_fields_reject_booleans(tmp_path, capsys, path, value):
     assert path in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("path", ["allocation_weights.scale", "winch.gear_ratio",
+                                  "sim.speed_limit"])
+@pytest.mark.parametrize("value", [".nan", ".inf", "-.inf"])
+def test_number_fields_must_be_finite(tmp_path, capsys, path, value):
+    path_file = write(tmp_path, edit(MINIMAL, lambda d: _set(d, path, yaml.safe_load(value))))
+    with pytest.raises(ValidationError, match="must be finite") as info:
+        load_scenario(path_file)
+    assert info.value.field == path
+    assert cli.main(["validate", str(path_file)]) == 2
+    assert path in capsys.readouterr().err
+
+
 def test_number_fields_still_read_numeric_text(tmp_path):
     text = edit(MINIMAL, lambda d: _set(d, "allocation_weights.scale", "1.0e8"))
     text = edit(text, lambda d: _set(d, "control.pid.kp",

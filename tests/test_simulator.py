@@ -14,6 +14,7 @@ from wiredrive.allocation import (
     allocate,
     to_currents,
 )
+from wiredrive.anchors import Pillar, RelativePoseSensor, TrackerGains
 from wiredrive.errors import DegenerateWire, NumericalBlowup
 from wiredrive.simulator import (
     STANDARD_GRAVITY,
@@ -317,6 +318,24 @@ def test_body_model_names_the_field_it_rejects(field, value):
     values = {"mass": 2.0, "inertia": np.eye(3), "radius": 0.2, field: value}
     with pytest.raises(ValueError, match=field):
         BodyModel(**values)
+
+
+@pytest.mark.parametrize("record, field", [
+    *((WinchParams, f.name) for f in dataclasses.fields(WinchParams)),
+    (TensionBounds, "lower"), (TensionBounds, "upper"),
+    *((SensorModel, f.name) for f in dataclasses.fields(SensorModel)),
+    (TrackerGains, "kp"), (TrackerGains, "speed_cap"),
+    (RelativePoseSensor, "noise_std"),
+    (Pillar, "half_extents"), (Pillar, "z_range"),
+])
+def test_record_constructors_refuse_nan_naming_the_field(record, field):
+    # each check is written so that NaN fails it: `not x > 0`, not `x <= 0`
+    valid = {TensionBounds: {"lower": [2.0, 2.0], "upper": [180.0, 180.0]},
+             Pillar: {"center": [0.0, 0.0]}}.get(record, {})
+    nan = {"lower": [2.0, math.nan], "upper": [math.nan, 180.0],
+           "half_extents": [0.2, math.nan], "z_range": (0.0, math.nan)}.get(field, math.nan)
+    with pytest.raises(ValueError, match=field):
+        record(**{**valid, field: nan})
 
 
 def test_inverse_inertia_is_read_only_and_follows_replace():

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from oracles import (
-    pose_inverse,
     poses_almost_equal,
     reference_chart_rates,
     reference_quat_multiply,
@@ -17,6 +16,8 @@ from oracles import (
     reference_rotvec_log,
     reference_so3_left_jacobian_and_dot,
     reference_wrench_error_pid,
+    so3_left_jacobian_inv,
+    transform_point,
 )
 from wiredrive.simulator import OdometrySensor, SensorModel, SimState
 from wiredrive.spatial import (
@@ -26,17 +27,15 @@ from wiredrive.spatial import (
     Pose,
     Twist,
     Wrench,
+    chart_rate,
     chart_rates,
-    compose,
-    cross,
+    cross3,
+    hamilton,
     orientation_error,
-    quat_from_rotvec,
-    quat_multiply,
-    quat_to_matrix,
     quat_unit,
-    rotvec_from_quat,
+    rotation_rows,
+    rotvec_exp,
     rotvec_log,
-    so3_left_jacobian_inv,
     transform_odometry,
     wrench_error_pid,
 )
@@ -48,34 +47,11 @@ def random_pose(rng):
     return Pose.from_rotvec(rng.normal(scale=2.0, size=3), rv)
 
 
-def test_compose_identity():
-    rng = np.random.default_rng(1)
-    p = random_pose(rng)
-    assert poses_almost_equal(compose(Pose.identity(), p), p, tol=1e-12)
-    assert poses_almost_equal(compose(p, Pose.identity()), p, tol=1e-12)
-
-
-def test_compose_inverse_is_identity():
-    rng = np.random.default_rng(2)
-    for _ in range(50):
-        p = random_pose(rng)
-        assert poses_almost_equal(compose(p, pose_inverse(p)), Pose.identity(), tol=1e-12)
-        assert poses_almost_equal(compose(pose_inverse(p), p), Pose.identity(), tol=1e-12)
-
-
-def test_compose_pure_translations_add():
-    a = Pose.from_translation([1.0, 0.0, 0.0])
-    b = Pose.from_translation([0.0, 2.0, 0.0])
-    c = compose(a, b)
-    assert np.allclose(c.position, [1.0, 2.0, 0.0])
-    assert np.allclose(c.orientation, [1.0, 0.0, 0.0, 0.0])
-
-
 def test_quaternion_stays_normalized_and_canonical():
     rng = np.random.default_rng(3)
     p = random_pose(rng)
     for _ in range(200):
-        p = compose(p, random_pose(rng))
+        p = Pose(p.position, hamilton(p.orientation.tolist(), random_pose(rng).orientation.tolist()))
         assert abs(np.linalg.norm(p.orientation) - 1.0) < 1e-9
         assert p.orientation[0] >= 0.0
 
@@ -98,7 +74,7 @@ def test_rotvec_quat_round_trip():
     for _ in range(100):
         rv = rng.normal(size=3)
         rv *= rng.uniform(0, 3.1) / np.linalg.norm(rv)
-        back = rotvec_from_quat(quat_from_rotvec(rv))
+        back = rotvec_log(quat_unit(rotvec_exp(rv.tolist())))
         assert np.allclose(back, rv, atol=1e-9)
 
 
@@ -106,7 +82,7 @@ def test_quat_multiply_matches_matrix_product():
     rng = np.random.default_rng(6)
     for _ in range(20):
         a, b = random_pose(rng), random_pose(rng)
-        q = quat_multiply(a.orientation, b.orientation)
+        q = hamilton(a.orientation.tolist(), b.orientation.tolist())
         r = Pose(np.zeros(3), q).rotation_matrix()
         assert np.allclose(r, a.rotation_matrix() @ b.rotation_matrix(), atol=1e-12)
 
@@ -134,6 +110,24 @@ def test_transform_odometry_translation_only():
     pose, twist = transform_odometry(Pose.identity(), Twist.zero(), body_in_camera)
     assert np.allclose(pose.position, [0.0, 0.2, -0.1])
     assert np.allclose(twist.as_array(), np.zeros(6))
+
+
+def test_transform_odometry_matches_the_quaternion_sandwich():
+    # a rotated camera and a rotated, offset body: the lever R_cam p_body,
+    # rotated once, sets both the body position and the w x lever term
+    rng = np.random.default_rng(8)
+    for _ in range(50):
+        cam_pose, body_in_camera = random_pose(rng), random_pose(rng)
+        cam_twist = Twist(rng.normal(size=3), rng.normal(size=3))
+        pose, twist = transform_odometry(cam_pose, cam_twist, body_in_camera)
+        lever = transform_point(cam_pose, body_in_camera.position) - cam_pose.position
+        assert np.allclose(pose.position, cam_pose.position + lever, rtol=0.0, atol=1e-12)
+        assert np.allclose(pose.rotation_matrix(),
+                           cam_pose.rotation_matrix() @ body_in_camera.rotation_matrix(),
+                           rtol=0.0, atol=1e-12)
+        assert np.allclose(twist.linear, cam_twist.linear + np.cross(cam_twist.angular, lever),
+                           rtol=0.0, atol=1e-12)
+        assert twist.angular.tolist() == cam_twist.angular.tolist()
 
 
 def _jac(rv):
@@ -165,11 +159,9 @@ def test_left_jacobian_maps_chart_rate_to_angular_velocity():
     for _ in range(30):
         rv = rng.normal(size=3) * 0.8
         rate = rng.normal(size=3)
-        q_plus = quat_from_rotvec(rv + h * rate)
-        q_minus = quat_from_rotvec(rv - h * rate)
-        omega_fd = rotvec_from_quat(quat_multiply(q_plus, [q_minus[0], *(-q_minus[1:])])) / (
-            2 * h
-        )
+        q_plus = quat_unit(rotvec_exp((rv + h * rate).tolist()))
+        w, x, y, z = quat_unit(rotvec_exp((rv - h * rate).tolist()))
+        omega_fd = np.array(rotvec_log(quat_unit(hamilton(q_plus, (w, -x, -y, -z))))) / (2 * h)
         omega = _jac(rv) @ rate
         assert np.allclose(omega, omega_fd, atol=1e-6)
 
@@ -291,7 +283,7 @@ def _same_bits(got, expected):
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
 @given(_VECTORS, _VECTORS)
 def test_cross_is_bit_identical_to_numpy(a, b):
-    assert _same_bits(cross(a, b), np.cross(a, b))
+    assert _same_bits(np.array(cross3(a.tolist(), b.tolist())), np.cross(a, b))
 
 
 _QUATERNIONS = arrays(float, 4, elements=_CROSS_ELEMENTS)
@@ -300,13 +292,13 @@ _QUATERNIONS = arrays(float, 4, elements=_CROSS_ELEMENTS)
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
 @given(_QUATERNIONS, _QUATERNIONS)
 def test_quat_multiply_is_bit_identical_to_numpy_scalars(a, b):
-    assert _same_bits(quat_multiply(a, b), reference_quat_multiply(a, b))
+    assert _same_bits(np.array(hamilton(a.tolist(), b.tolist())), reference_quat_multiply(a, b))
 
 
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
 @given(_QUATERNIONS)
 def test_quat_to_matrix_is_bit_identical_to_numpy_scalars(q):
-    assert _same_bits(quat_to_matrix(q), reference_quat_to_matrix(q))
+    assert _same_bits(np.array(rotation_rows(q.tolist())), reference_quat_to_matrix(q))
 
 
 _EPS = 2.0**-52  # one ulp of 1
@@ -397,6 +389,36 @@ def test_chart_rates_agree_with_the_left_jacobian_matrices(case):
     )
 
 
+@st.composite
+def chart_rate_cases(draw):
+    """A chart point up to the chart limit, within 1e-4 of zero (the series
+    branch), from 1e-4 to 0.1 (where 1 - cos t cancels most), or zero; and
+    an angular velocity at scales 1e-3 to 10."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    axis = rng.normal(size=3)
+    angle = draw(st.sampled_from([rng.uniform(0.0, np.pi - 0.1), rng.uniform(0.0, 1e-4),
+                                  10.0 ** rng.uniform(-4, -1), 0.0]))
+    omega = rng.normal(size=3) * 10.0 ** rng.uniform(-3, 1)
+    return (axis / np.linalg.norm(axis) * angle).tolist(), omega.tolist()
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(chart_rate_cases())
+def test_chart_rate_is_the_inverse_left_jacobian(case):
+    rv, omega = case
+    got = np.array(chart_rate(rv, omega))
+    # the matrix form sums in another order and takes numpy's sin and cos
+    want = so3_left_jacobian_inv(rv) @ np.array(omega)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    # chart_rates maps it back onto omega, to rounding but for the
+    # cancellation in 1 - cos t, which both forms share: about eps / t^2
+    # relative from t = 1e-4 (4e-10 there) until the series takes over
+    angle = np.linalg.norm(rv)
+    bound = 1e-14 + (_EPS / angle**2 if angle >= 1e-4 else 0.0)
+    back = np.array(chart_rates(rv, got.tolist(), [0.0, 0.0, 0.0])[0])
+    assert np.max(np.abs(back - omega)) <= bound * np.max(np.abs(omega))
+
+
 _PID_ELEMENTS = st.one_of(st.sampled_from([0.0, -0.0, math.nan]), st.floats(-10.0, 10.0))
 
 
@@ -427,7 +449,7 @@ def any_pose(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     position = rng.normal(scale=2.0, size=3)
     kind = draw(st.sampled_from(["raw", "near unit", "rotvec", "translation", "identity",
-                                 "compose", "private", "measure"]))
+                                 "product", "private", "measure"]))
     if kind == "raw":
         return Pose(position, draw(raw_quaternions()))
     if kind == "near unit":  # a unit quaternion a few ulps off, either sign
@@ -440,8 +462,9 @@ def any_pose(draw):
         return Pose.from_translation(position)
     if kind == "identity":
         return Pose.identity()
-    if kind == "compose":
-        return compose(random_pose(rng), random_pose(rng))
+    if kind == "product":
+        a, b = random_pose(rng), random_pose(rng)
+        return Pose(position, hamilton(a.orientation.tolist(), b.orientation.tolist()))
     if kind == "private":
         return Pose._of(position.tolist(), quat_unit(draw(raw_quaternions())))
     sensor = OdometrySensor(SensorModel(0.01, 0.01, 0.01, 0.01), seed=int(rng.integers(100)))

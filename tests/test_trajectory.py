@@ -9,9 +9,6 @@ from wiredrive.spatial import (
     Pose,
     Twist,
     orientation_error,
-    quat_conjugate,
-    quat_multiply,
-    rotvec_from_quat,
 )
 from wiredrive.trajectory import (
     PoseController,
@@ -87,9 +84,7 @@ def test_sampled_derivatives_match_central_differences():
             q_p, qd_p, _ = sample(seg, t + h)
             _, qd, qdd = sample(seg, t)
             vel_fd = (q_p.position - q_m.position) / (2 * h)
-            omega_fd = rotvec_from_quat(
-                quat_multiply(q_p.orientation, quat_conjugate(q_m.orientation))
-            ) / (2 * h)
+            omega_fd = orientation_error(q_p, q_m) / (2 * h)
             assert np.allclose(qd.linear, vel_fd, atol=1e-6)
             assert np.allclose(qd.angular, omega_fd, atol=1e-6)
             acc_fd = (qd_p.as_array() - qd_m.as_array()) / (2 * h)

@@ -15,7 +15,7 @@ from oracles import (
     wire_length,
 )
 from wiredrive.errors import DegenerateWire
-from wiredrive.spatial import Pose, Twist, quat_from_rotvec, quat_multiply
+from wiredrive.spatial import Pose, Twist, hamilton, quat_unit, rotvec_exp
 from wiredrive.wires import (
     DEGENERACY_THRESHOLD,
     WireAttachment,
@@ -180,7 +180,8 @@ def test_rates_match_central_difference():
 
         def lengths_at(offset):
             pos = pose.position + offset * twist.linear
-            quat = quat_multiply(quat_from_rotvec(offset * twist.angular), pose.orientation)
+            step = quat_unit(rotvec_exp((offset * twist.angular).tolist()))
+            quat = hamilton(step, pose.orientation.tolist())
             shifted = Pose(pos, quat)
             return wire_lengths_and_rates(shifted, Twist.zero(), wires)[0]
 
@@ -438,7 +439,8 @@ def test_the_memo_gives_a_fresh_pass_bit_for_bit(first, second, data):
         Pose([-0.0, 0.0, -0.0], [1.0, -0.0, 0.0, -0.0]),  # the same values, other signs
         moving,
         # wire 0's world exit point on its anchor
-        Pose(wires[0].anchor_world - pose.rotate(wires[0].exit_body), pose.orientation),
+        Pose(wires[0].anchor_world - pose.rotation_matrix() @ wires[0].exit_body,
+             pose.orientation),
     ]
     sets = [WireSet(wires), WireSet(other_wires)]
     # (set, pose, kernel, edit `moving` first): repeated poses, a changed
