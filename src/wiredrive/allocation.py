@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qp import solve_box_qp
-from .spatial import Wrench
+from .spatial import Wrench, _set_field
 
 DEFAULT_MAX_TENSION = 180.0  # N, continuous rating of one winch
 DEFAULT_PRETENSION = 2.0  # N, keeps wires taut; they cannot push
@@ -30,24 +30,19 @@ DEFAULT_WINDING_CAPACITY = 5.3  # m
 
 @dataclass(frozen=True, eq=False)
 class TensionBounds:
-    """Per-wire tension box, 0 <= lower < upper componentwise."""
+    """Per-wire tension box, 0 <= lower < upper componentwise; an infinite
+    upper bound leaves a wire uncapped."""
 
     lower: np.ndarray
     upper: np.ndarray
 
     def __post_init__(self):
-        lower = np.atleast_1d(np.asarray(self.lower, dtype=float)).copy()
-        upper = np.atleast_1d(np.asarray(self.upper, dtype=float)).copy()
-        if lower.shape != upper.shape:
+        _set_field(self, "lower", -1, sign="non-negative")
+        _set_field(self, "upper", -1, limitless=True)
+        if self.lower.shape != self.upper.shape:
             raise ValueError("tension bound vectors must have matching shapes")
-        if not np.all(lower >= 0):
-            raise ValueError("lower (minimum tension) must be non-negative")
-        if not np.all(lower < upper):
+        if not np.all(self.lower < self.upper):
             raise ValueError("lower (minimum tension) must be strictly below upper")
-        lower.setflags(write=False)
-        upper.setflags(write=False)
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
 
     @classmethod
     def uniform(
@@ -67,15 +62,7 @@ class AllocationWeights:
     matrix: np.ndarray
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=float).reshape(6, 6).copy()
-        if np.max(np.abs(mat - mat.T)) > 1e-12:
-            raise ValueError("weight matrix must be symmetric")
-        try:
-            np.linalg.cholesky(mat)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError("weight matrix must be positive definite") from exc
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
+        _set_field(self, "matrix", (6, 6), sign="symmetric positive definite")
 
     @classmethod
     def diagonal(
@@ -95,7 +82,8 @@ class WinchParams:
     current map is i = pulley_radius / (eff_pulley * eff_gear *
     gear_ratio * torque_constant) * tension.  Compensation terms use the
     reflected rotor inertia and a Coulomb + viscous shaft friction model;
-    those are placeholders to be overridden per scenario.
+    those are placeholders to be overridden per scenario.  Every field is
+    stored as a finite float; the last three may be infinite (no limit).
     """
 
     pulley_radius: float = 0.008  # m (16 mm diameter drum)
@@ -111,15 +99,15 @@ class WinchParams:
     winding_capacity: float = DEFAULT_WINDING_CAPACITY  # m
 
     def __post_init__(self):
-        for name in ("pulley_radius", "gear_ratio", "torque_constant", "eff_pulley",
-                     "eff_gear", "max_tension", "max_line_speed", "winding_capacity"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be strictly positive")
-        if not 0 < self.eff_pulley <= 1 or not 0 < self.eff_gear <= 1:
-            raise ValueError("efficiencies must lie in (0, 1]")
+        for name in ("pulley_radius", "gear_ratio", "torque_constant", "eff_pulley", "eff_gear"):
+            _set_field(self, name, sign="positive")
+        for name in ("max_tension", "max_line_speed", "winding_capacity"):
+            _set_field(self, name, sign="positive", limitless=True)
         for name in ("rotor_inertia", "coulomb_friction", "viscous_friction"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be non-negative")
+            _set_field(self, name, sign="non-negative")
+        for name in ("eff_pulley", "eff_gear"):
+            if not getattr(self, name) <= 1:
+                raise ValueError(f"{name} must lie in (0, 1]")
 
     @property
     def current_per_newton(self) -> float:

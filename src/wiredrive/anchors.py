@@ -7,9 +7,9 @@ circuit as an (n, 3) waypoint array, and the tracker flies that array.
 The drone is a kinematic velocity integrator steered by a proportional
 law on a noisy relative position estimate.  A wrap succeeds when the
 signed winding number of the flown trajectory about the pillar axis is
-at least one turn.  The anchor it gives its wire (the pillar's center at
-the wrap altitude) depends on the scenario alone, so the scenario loader
-sets it; flying only checks that the wrap holds.
+at least one turn.  The anchor it gives its wire (`wrap_anchor`: the
+pillar's center at the wrap altitude) depends on the scenario alone, so
+the scenario loader sets it; flying only checks that the wrap holds.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AmbiguousWinding, NoClearance, TrackingTimeout
+from .spatial import _set_field
 
 DEFAULT_CAPTURE_RADIUS = 0.05  # m
 DEFAULT_DRONE_DT = 0.02  # s
@@ -32,17 +33,12 @@ class Pillar:
 
     center: np.ndarray  # (2,)
     half_extents: np.ndarray = (0.175, 0.35)  # (2,), a 0.35 x 0.70 m pillar
-    z_range: tuple[float, float] = (0.0, 2.5)
+    z_range: np.ndarray = (0.0, 2.5)  # (2,), bottom and top
 
     def __post_init__(self):
-        center = np.asarray(self.center, dtype=float).reshape(2).copy()
-        center.setflags(write=False)
-        object.__setattr__(self, "center", center)
-        he = np.asarray(self.half_extents, dtype=float).reshape(2).copy()
-        if not np.all(he > 0):
-            raise ValueError("half_extents must be positive")
-        he.setflags(write=False)
-        object.__setattr__(self, "half_extents", he)
+        _set_field(self, "center", 2)
+        _set_field(self, "half_extents", 2, sign="positive")
+        _set_field(self, "z_range", 2)
         if not self.z_range[1] > self.z_range[0]:
             raise ValueError("z_range must be increasing")
 
@@ -50,6 +46,11 @@ class Pillar:
         """Strict interior test against the footprint grown by `inflation`."""
         d = np.abs(np.asarray(point_xy, dtype=float)[:2] - self.center)
         return bool(np.all(d < self.half_extents + inflation - 1e-12))
+
+
+def wrap_anchor(pillar: Pillar, altitude: float) -> np.ndarray:
+    """The anchor a wrap gives its wire: the pillar's center at the wrap altitude."""
+    return np.array([pillar.center[0], pillar.center[1], altitude])
 
 
 @dataclass(frozen=True)
@@ -60,8 +61,7 @@ class RelativePoseSensor:
     noise_std: float = 0.0
 
     def __post_init__(self):
-        if not self.noise_std >= 0:
-            raise ValueError("noise_std must be non-negative")
+        _set_field(self, "noise_std", sign="non-negative")
 
     def measure(self, true_position, rng) -> np.ndarray:
         return np.asarray(true_position, dtype=float) + self.noise_std * rng.normal(size=3)
@@ -69,15 +69,14 @@ class RelativePoseSensor:
 
 @dataclass(frozen=True)
 class TrackerGains:
-    """Proportional velocity law with a speed cap."""
+    """Proportional velocity law with a speed cap; an infinite cap is none."""
 
     kp: float = 1.5  # 1/s
     speed_cap: float = 0.5  # m/s
 
     def __post_init__(self):
-        for name in ("kp", "speed_cap"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+        _set_field(self, "kp", sign="positive")
+        _set_field(self, "speed_cap", sign="positive", limitless=True)
 
 
 def _densify(points: np.ndarray, spacing: float) -> np.ndarray:

@@ -106,12 +106,12 @@ def cmd_plan_anchor(args) -> int:
     results = []
     for k, task in enumerate(scenario.anchors):
         waypoints = plan_anchor(scenario, task)
-        turns = winding_number(waypoints, scenario.pillars[task.pillar_index].center)
+        turns = winding_number(waypoints, scenario.pillars[task.pillar].center)
         results.append(
             {
                 "anchor": k,
                 "wire_id": task.wire_id,
-                "pillar": task.pillar_index,
+                "pillar": task.pillar,
                 "waypoints": int(len(waypoints)),
                 "planned_winding_number": turns,
             }

@@ -74,6 +74,7 @@ class _ScheduleController:
         self.scenario = scenario
         self.wires = wires
         self.segments, self.starts = schedule
+        self.weights = scenario.weights
         self.gravity = gravity_feedforward(scenario.body, scenario.gravity)
         self.gravity_array = self.gravity.as_array()
         if scenario.schedule_table is not None:
@@ -104,7 +105,7 @@ class _ScheduleController:
                 [scenario.body.mass * accel_ref[:3], np.zeros(3)]
             )
             desired = Wrench.from_array(need)
-            tensions, residual = allocate(jacobian, desired, scenario.bounds, scenario.weights)
+            tensions, residual = allocate(jacobian, desired, scenario.bounds, self.weights)
         return ControlTick(
             pose_ref=pose_ref,
             twist_ref=twist_ref,
@@ -127,7 +128,7 @@ def write_points_csv(path: Path, points) -> None:
 def plan_anchor(scenario: Scenario, task: AnchorTask) -> np.ndarray:
     """Wrap path waypoints, (n, 3), for one anchor task."""
     return plan_wrap_path(
-        scenario.pillars[task.pillar_index],
+        scenario.pillars[task.pillar],
         task.approach,
         task.clearance,
         spacing=scenario.deployment.waypoint_spacing,
@@ -143,7 +144,7 @@ def deploy_anchors(scenario: Scenario, seed: int, out_dir: Path | None = None) -
     reports = []
     dep = scenario.deployment
     for k, task in enumerate(scenario.anchors):
-        pillar = scenario.pillars[task.pillar_index]
+        pillar = scenario.pillars[task.pillar]
         trajectory = track_path(
             plan_anchor(scenario, task),
             dep.sensor,
@@ -156,7 +157,7 @@ def deploy_anchors(scenario: Scenario, seed: int, out_dir: Path | None = None) -
         succeeded = abs(turns) >= 1
         if not succeeded:
             raise WireDriveError(
-                f"anchor {k} failed to wrap pillar {task.pillar_index} "
+                f"anchor {k} failed to wrap pillar {task.pillar} "
                 f"(winding number {turns})"
             )
         traj_file = None
@@ -167,7 +168,7 @@ def deploy_anchors(scenario: Scenario, seed: int, out_dir: Path | None = None) -
             {
                 "anchor": k,
                 "wire_id": task.wire_id,
-                "pillar": task.pillar_index,
+                "pillar": task.pillar,
                 "winding_number": turns,
                 "wrap_succeeded": succeeded,
                 "samples": int(len(trajectory)),

@@ -6,15 +6,17 @@ quantity is written as a ``{value, unit}`` pair and the loader refuses a
 file whose units do not match the schema, or that holds a key the schema
 does not name, naming the offending field.  Loading fills in every
 default, and anchors each wire a flying-anchor task claims at the pillar
-its wrap goes round.  The dump is read back from the
-`Scenario` object alone, so it describes the scenario that runs, even
-one changed after loading, and a run can be reproduced from its dump.
+its wrap goes round (`anchors.wrap_anchor`).  The dump is read back from
+the `Scenario` object alone, which holds only what a file can state, so
+it describes the scenario that runs, even one changed after loading, and
+a run can be reproduced from its dump.
 
 `SCHEMA` is the one description of the document: every key with its
 kind, unit, shape and default.  One reader walks it to parse a file and
-one writer walks it to dump a scenario; the checks that tie several
-fields together, and the defaults derived from other fields, follow the
-table pass as explicit code in `build_scenario`.
+one writer walks it to dump a scenario; records named by the keys of a
+section or row are built by keyword and dumped by `_attrs`.  The checks
+that tie several fields together, and the defaults derived from other
+fields, follow the table pass as explicit code in `build_scenario`.
 """
 
 from __future__ import annotations
@@ -43,9 +45,10 @@ from .anchors import (
     Pillar,
     RelativePoseSensor,
     TrackerGains,
+    wrap_anchor,
 )
 from .simulator import DEFAULT_SPEED_LIMIT, STANDARD_GRAVITY, BodyModel, SensorModel
-from .spatial import PidGains, Pose
+from .spatial import PidGains, Pose, _set_field
 from .wires import WireAttachment
 
 FORMAT_VERSION = 1
@@ -96,8 +99,8 @@ class Field:
     `default` is REQUIRED, the value used when the key is absent, or None
     when the table has none: the field is then optional, or derived from
     other fields after the table pass.  A quantity or a number must be
-    finite unless its default is infinite.  `shape` is None for a scalar;
-    a None entry in it accepts any length.
+    finite, so a file cannot ask for no limit.  `shape` is None for a
+    scalar; a None entry in it accepts any length.
     """
 
     kind: str
@@ -265,8 +268,7 @@ def _convert(spec: Field, value, path: str):
         or any(want not in (None, got) for want, got in zip(spec.shape, out.shape))
     ):
         raise ValidationError(path, f"expected shape {spec.shape}, got {out.shape}")
-    unbounded = isinstance(spec.default, float) and spec.default == np.inf
-    if not np.all(np.isfinite(out) | (unbounded & (out == np.inf))):
+    if not np.all(np.isfinite(out)):
         raise ValidationError(path, "value must be finite")
     return out
 
@@ -352,20 +354,25 @@ def _make(path: str, cls, /, *args, **kwargs):
 
 @dataclass(frozen=True, eq=False)
 class SegmentSpec:
+    """One `trajectory.segments` row, its fields named by the row's keys."""
+
     goal_position: np.ndarray  # (3,)
-    goal_rotvec: np.ndarray  # (3,) as written: a quaternion does not give it back bit for bit
+    # (3,) as written: a quaternion does not give it back bit for bit
+    goal_orientation_rotvec: np.ndarray
     goal_velocity: np.ndarray  # (6,)
     duration: float
 
     @property
     def goal_pose(self) -> Pose:
-        return Pose.from_rotvec(self.goal_position, self.goal_rotvec)
+        return Pose.from_rotvec(self.goal_position, self.goal_orientation_rotvec)
 
 
 @dataclass(frozen=True, eq=False)
 class AnchorTask:
+    """One `anchors` row, its fields named by the row's keys."""
+
     wire_id: int
-    pillar_index: int
+    pillar: int  # index into Scenario.pillars
     approach: np.ndarray  # (3,)
     clearance: float
     wrap_altitude: float
@@ -373,19 +380,31 @@ class AnchorTask:
 
 @dataclass(frozen=True, eq=False)
 class DeploymentConfig:
+    """The `deployment` section.  Its lengths and drone step must be
+    positive: at a zero step the tracker's clock never reaches its timeout."""
+
     tracker: TrackerGains
     sensor: RelativePoseSensor
     capture_radius: float
     waypoint_spacing: float
     drone_dt: float
 
+    def __post_init__(self):
+        for name in ("capture_radius", "waypoint_spacing", "drone_dt"):
+            _set_field(self, name, sign="positive")
+
 
 @dataclass(eq=False)
 class Scenario:
     """A fully resolved experiment description; `scenario_document` reads it back.
 
-    A wire an anchor task claims holds the anchor its wrap gives it: the
-    pillar's center at the task's wrap altitude."""
+    It holds only what a file can say.  Construction, and so
+    `dataclasses.replace`, raises a ValueError naming the field for
+    tension bounds that are not one uniform pair per wire, an off-diagonal
+    inertia, a claimed wire not anchored at its `wrap_anchor`, a schedule
+    table outside tension_schedule mode, and anchor tasks without a
+    deployment or the reverse.  `weights` is built from `weight_scale`
+    and `torque_lever` on each read."""
 
     name: str
     seed: int
@@ -393,14 +412,14 @@ class Scenario:
     body: BodyModel
     wires: list[WireAttachment]
     bounds: TensionBounds
-    weights: AllocationWeights
+    weight_scale: float  # of the force rows; torque rows divide it by torque_lever^2
     torque_lever: float  # m; also scales torques in the feasibility analysis
     winch: WinchParams
     gains: PidGains
     mode: str
     schedule_table: list[tuple[float, np.ndarray]] | None
     start_position: np.ndarray  # (3,)
-    start_rotvec: np.ndarray  # (3,) as written, like SegmentSpec.goal_rotvec
+    start_rotvec: np.ndarray  # (3,) as written, like SegmentSpec.goal_orientation_rotvec
     segments: list[SegmentSpec]
     dt: float
     duration: float
@@ -410,6 +429,27 @@ class Scenario:
     pillars: list[Pillar] = field(default_factory=list)
     anchors: list[AnchorTask] = field(default_factory=list)
     deployment: DeploymentConfig | None = None
+
+    def __post_init__(self):
+        m, lower, upper = len(self.wires), self.bounds.lower, self.bounds.upper
+        if lower.shape != (m,) or np.any(lower != lower[:1]) or np.any(upper != upper[:1]):
+            raise ValueError(f"bounds: a scenario holds one uniform pair for its {m} wires")
+        if np.any(self.body.inertia != np.diag(np.diag(self.body.inertia))):
+            raise ValueError("body: a scenario holds a diagonal inertia")
+        for k, task in enumerate(self.anchors):
+            if not (0 <= task.wire_id < m and 0 <= task.pillar < len(self.pillars)):
+                raise ValueError(f"anchors: task {k} names a missing wire or pillar")
+            anchor = wrap_anchor(self.pillars[task.pillar], task.wrap_altitude)
+            if not np.array_equal(self.wires[task.wire_id].anchor_world, anchor):
+                raise ValueError(f"wires: wire {task.wire_id} is not anchored at its wrap {anchor}")
+        if self.schedule_table is not None and self.mode != TENSION_SCHEDULE:
+            raise ValueError(f"schedule_table: {self.mode} mode reads no table")
+        if (self.deployment is None) == bool(self.anchors):
+            raise ValueError("deployment: given exactly when there are anchor tasks")
+
+    @property
+    def weights(self) -> AllocationWeights:
+        return AllocationWeights.diagonal(self.weight_scale, self.torque_lever)
 
     @property
     def start_pose(self) -> Pose:
@@ -471,10 +511,7 @@ def build_scenario(document: dict) -> Scenario:
     body = _make("body", BodyModel, mass, np.diag(body_doc["inertia_diagonal"]), body_doc["radius"])
 
     m = len(doc["wires"])
-    pillars = [
-        _make(f"pillars[{k}]", Pillar, p["center"], p["half_extents"], tuple(p["z_range"].tolist()))
-        for k, p in enumerate(doc["pillars"])
-    ]
+    pillars = [_make(f"pillars[{k}]", Pillar, **p) for k, p in enumerate(doc["pillars"])]
     anchors = []
     claimed_by = {}  # wire id -> index of the anchor task that claims it
     for k, task in enumerate(doc["anchors"]):
@@ -489,9 +526,7 @@ def build_scenario(document: dict) -> Scenario:
             raise ValidationError(f"anchors[{k}].pillar", f"no pillar with index {task['pillar']}")
         z_range = pillars[task["pillar"]].z_range
         task.setdefault("wrap_altitude", 0.5 * (z_range[0] + z_range[1]))
-        anchors.append(AnchorTask(
-            wire_id, task["pillar"], task["approach"], task["clearance"], task["wrap_altitude"],
-        ))
+        anchors.append(AnchorTask(**task))
 
     wires = []
     for i, wire in enumerate(doc["wires"]):
@@ -511,22 +546,17 @@ def build_scenario(document: dict) -> Scenario:
             )
         anchor = wire.get("anchor_world")
         if claimed:
-            # the wrap anchors the wire at the pillar's center, at the wrap altitude
             task = anchors[claimed_by[i]]
-            center = pillars[task.pillar_index].center
-            anchor = np.array([center[0], center[1], task.wrap_altitude])
+            anchor = wrap_anchor(pillars[task.pillar], task.wrap_altitude)
         wires.append(WireAttachment(exit_body, anchor))
 
     tension = doc["tension_bounds"]
-    bounds = _make(
-        "tension_bounds", TensionBounds, np.full(m, tension["lower"]), np.full(m, tension["upper"])
-    )
+    bounds = _make("tension_bounds", TensionBounds.uniform, m, **tension)
 
     weights_doc = doc["allocation_weights"]
     weights_doc.setdefault("torque_lever", body.radius)
     if weights_doc["scale"] <= 0 or weights_doc["torque_lever"] <= 0:
         raise ValidationError("allocation_weights", "scale and torque_lever must be positive")
-    weights = AllocationWeights.diagonal(**weights_doc)
 
     doc["winch"].setdefault("max_tension", tension["upper"])
     winch = _make("winch", WinchParams, **doc["winch"])
@@ -557,8 +587,7 @@ def build_scenario(document: dict) -> Scenario:
     for k, seg in enumerate(doc["trajectory"]["segments"]):
         if seg["duration"] <= 0:
             raise ValidationError(f"trajectory.segments[{k}].duration", "must be positive")
-        segments.append(SegmentSpec(seg["goal_position"], seg["goal_orientation_rotvec"],
-                                    seg["goal_velocity"], seg["duration"]))
+        segments.append(SegmentSpec(**seg))
 
     sim = doc["sim"]
     dt = sim["dt"]
@@ -572,12 +601,12 @@ def build_scenario(document: dict) -> Scenario:
         raise ValidationError(
             "control.rate", f"control period must be a whole multiple of sim.dt (got {substeps})"
         )
-    sensor = _make("sim.sensor", SensorModel, **sim["sensor"])
+    sim["sensor"] = _make("sim.sensor", SensorModel, **sim["sensor"])
 
     deployment = None
     if anchors:
         dep = doc["deployment"]
-        deployment = DeploymentConfig(**{
+        deployment = _make("deployment", DeploymentConfig, **{
             **dep,
             "tracker": _make("deployment.tracker", TrackerGains, **dep["tracker"]),
             "sensor": _make("deployment.sensor", RelativePoseSensor, **dep["sensor"]),
@@ -590,7 +619,7 @@ def build_scenario(document: dict) -> Scenario:
         body=body,
         wires=wires,
         bounds=bounds,
-        weights=weights,
+        weight_scale=weights_doc["scale"],
         torque_lever=weights_doc["torque_lever"],
         winch=winch,
         gains=gains,
@@ -599,11 +628,8 @@ def build_scenario(document: dict) -> Scenario:
         start_position=doc["trajectory"]["start"]["position"],
         start_rotvec=doc["trajectory"]["start"]["orientation_rotvec"],
         segments=segments,
-        dt=dt,
-        duration=sim["duration"],
         control_rate=control["rate"],
-        speed_limit=sim["speed_limit"],
-        sensor=sensor,
+        **sim,  # dt, duration, speed_limit and sensor, by their names
         pillars=pillars,
         anchors=anchors,
         deployment=deployment,
@@ -628,23 +654,18 @@ def scenario_document(scenario: Scenario) -> dict:
                   {"exit_body": w.exit_body, "anchor_world": w.anchor_world}
                   for i, w in enumerate(s.wires)],
         "tension_bounds": {"lower": s.bounds.lower[0], "upper": s.bounds.upper[0]},
-        "allocation_weights": {"scale": float(s.weights.matrix[0, 0]),
-                               "torque_lever": s.torque_lever},
+        "allocation_weights": {"scale": s.weight_scale, "torque_lever": s.torque_lever},
         "winch": _attrs(s.winch, SCHEMA["winch"]),
         "control": {"mode": s.mode, "rate": s.control_rate,
                     "pid": _attrs(s.gains, SCHEMA["control"]["pid"])},
         "trajectory": {
             "start": {"position": s.start_position, "orientation_rotvec": s.start_rotvec},
-            "segments": [{"goal_position": g.goal_position, "goal_velocity": g.goal_velocity,
-                          "goal_orientation_rotvec": g.goal_rotvec, "duration": g.duration}
+            "segments": [_attrs(g, SCHEMA["trajectory"]["segments"].fields)
                          for g in s.segments],
         },
-        "sim": {"dt": s.dt, "duration": s.duration, "speed_limit": s.speed_limit,
-                "sensor": _attrs(s.sensor, SCHEMA["sim"]["sensor"])},
+        "sim": _attrs(s, SCHEMA["sim"]),
         "pillars": [_attrs(p, SCHEMA["pillars"].fields) for p in s.pillars],
-        "anchors": [{"wire_id": a.wire_id, "pillar": a.pillar_index, "approach": a.approach,
-                     "clearance": a.clearance, "wrap_altitude": a.wrap_altitude}
-                    for a in s.anchors],
+        "anchors": [_attrs(a, SCHEMA["anchors"].fields) for a in s.anchors],
     }
     if s.mode == TENSION_SCHEDULE:
         values["control"]["schedule"] = "quasistatic" if s.schedule_table is None else [

@@ -38,6 +38,7 @@ from .errors import NumericalBlowup
 from .spatial import (
     Pose,
     Twist,
+    _set_field,
     cross3,
     hamilton,
     mat_t_vec,
@@ -69,24 +70,11 @@ class BodyModel:
     radius: float = 0.2  # bounding radius; wire exits must stay inside
 
     def __post_init__(self):
-        for name in ("mass", "radius"):
-            value = float(getattr(self, name))
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be finite and strictly positive, got {value}")
-            object.__setattr__(self, name, value)
-        inertia = np.asarray(self.inertia, dtype=float).reshape(3, 3).copy()
-        if not np.all(np.isfinite(inertia)):
-            raise ValueError("inertia must be finite")
-        if np.max(np.abs(inertia - inertia.T)) > 1e-12:
-            raise ValueError("inertia tensor must be symmetric")
-        try:
-            np.linalg.cholesky(inertia)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError("inertia tensor must be positive definite") from exc
-        inverse = np.linalg.inv(inertia)
-        inertia.setflags(write=False)
+        _set_field(self, "mass", sign="positive")
+        _set_field(self, "radius", sign="positive")
+        _set_field(self, "inertia", (3, 3), sign="symmetric positive definite")
+        inverse = np.linalg.inv(self.inertia)
         inverse.setflags(write=False)
-        object.__setattr__(self, "inertia", inertia)
         object.__setattr__(self, "inertia_inverse", inverse)
 
     @classmethod
@@ -125,7 +113,7 @@ def step(
     _, rates = wire_lengths_and_rates(state.pose, state.twist, attachments)
     currents = np.asarray(currents, dtype=float).tolist()
     per_newton, speed = winch.current_per_newton, winch.max_line_speed
-    cap = float(winch.max_tension)  # min() would pass an int cap through
+    cap = winch.max_tension
     tensions = []
     for i, (current, rate) in enumerate(zip(currents, rates.tolist(), strict=True)):
         if current != current:
@@ -189,10 +177,9 @@ class SensorModel:
     def __post_init__(self):
         for name in ("position_noise", "rotation_noise", "velocity_noise",
                      "angular_velocity_noise"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be non-negative")
-        if not self.latency >= 0 or int(self.latency) != self.latency:
-            raise ValueError("latency must be a non-negative integer")
+            _set_field(self, name, sign="non-negative")
+        if not (math.isfinite(self.latency) and int(self.latency) == self.latency >= 0):
+            raise ValueError(f"latency must be a non-negative integer, got {self.latency}")
 
 
 def _perturbed(values: np.ndarray, std: float, draws) -> list:

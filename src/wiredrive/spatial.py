@@ -8,7 +8,9 @@ records are frozen and copy their arrays but check nothing else (a pose
 only normalizes its quaternion): values are checked where they enter the
 program, and the simulator catches non-finite state.  The PID integral
 accumulator is the one mutable object and is owned by whoever runs the
-control loop.
+control loop.  The configuration records (these gains and those of the
+other modules) store each field through `_set_field`, which refuses a
+value that is not finite, or +inf where that is no limit.
 
 Each rotation fact is written once, as a float core below: the Hamilton
 product, the rotation matrix, `quat_unit`, the exp and log maps, and the
@@ -30,6 +32,26 @@ UNIT_NORM_TOLERANCE = 4 * 2.0**-52
 
 def _vec3(v) -> np.ndarray:
     return np.array(v, dtype=float).reshape(3)
+
+
+def _set_field(record, name: str, shape=(), sign=None, limitless: bool = False) -> None:
+    """Store field `name` of the frozen `record` as a float, or for a
+    `shape` other than () as a read-only, C-ordered float copy of that
+    shape.  ValueError naming the field unless every value is finite, or
+    +inf where `limitless` (an infinite bound is no limit), and unless it
+    is as `sign` says: "positive" (> 0), "non-negative" (>= 0), or a
+    "symmetric positive definite" matrix; NaN fails each."""
+    value = np.array(getattr(record, name), dtype=float, order="C").reshape(shape)
+    if not np.all(np.isfinite(value) | (limitless & (value == np.inf))):
+        raise ValueError(f"{name} must be finite{' or +inf' * limitless}, got {value}")
+    if sign == "symmetric positive definite":
+        ok = np.max(np.abs(value - value.T)) <= 1e-12 and np.linalg.eigvalsh(value)[0] > 0.0
+    else:
+        ok = not sign or np.all(value > 0.0 if sign == "positive" else value >= 0.0)
+    if not ok:
+        raise ValueError(f"{name} must be {sign}, got {value}")
+    value.setflags(write=False)
+    object.__setattr__(record, name, float(value) if shape == () else value)
 
 
 def _floats(v) -> list:
@@ -120,25 +142,41 @@ def attitude_error(target, current) -> tuple:
     return rotvec_log(quat_unit(hamilton(target, (w, -x, -y, -z))))
 
 
+# the Taylor series of (a, b, a'/t, b'/t, c) in t^2, six terms each
+_CHART_SERIES = (
+    (1 / 2, -1 / 24, 1 / 720, -1 / 40320, 1 / 3628800, -1 / 479001600),
+    (1 / 6, -1 / 120, 1 / 5040, -1 / 362880, 1 / 39916800, -1 / 6227020800),
+    (-1 / 12, 1 / 180, -1 / 6720, 1 / 453600, -1 / 47900160, 1 / 7264857600),
+    (-1 / 60, 1 / 1260, -1 / 60480, 1 / 4989600, -1 / 622702080, 1 / 108972864000),
+    (1 / 12, 1 / 720, 1 / 30240, 1 / 1209600, 1 / 47900160, 691 / 1307674368000),
+)
+
+
+def _chart_coefficients(t: float) -> list:
+    """[a, b, a'/t, b'/t, c] of the chart's left Jacobian at angle t >= 0,
+    with a = (1 - cos t)/t^2, b = (t - sin t)/t^3, c = (1 - (t/2) cot(t/2))/t^2:
+    the six-term series (Horner in t^2) below t = 0.5, the closed forms with
+    1 - cos t = 2 sin^2(t/2) above; within 1e-12 relative of exact on both."""
+    t2 = t * t
+    if t < 0.5:
+        return [c0 + t2 * (c1 + t2 * (c2 + t2 * (c3 + t2 * (c4 + t2 * c5))))
+                for c0, c1, c2, c3, c4, c5 in _CHART_SERIES]
+    sin, sin_half = math.sin(t), math.sin(0.5 * t)
+    one_minus_cos = 2.0 * sin_half * sin_half
+    a, b = one_minus_cos / t2, (t - sin) / (t2 * t)
+    return [a, b, (sin / t - 2.0 * a) / t2, (a - 3.0 * b) / t2,
+            (1.0 - 0.5 * t * sin / one_minus_cos) / t2]
+
+
 def chart_rates(rv, rate, accel) -> tuple[list, list]:
     """World angular velocity J_l rate and acceleration J_l accel +
     J_l_dot rate of q(t) = exp(rv(t)) * q0, from the chart's rv and its
     first two derivatives, with J_l = I + a [rv]x + b [rv]x^2 applied as
     cross products.  Since rate x rate = 0, J_l_dot rate is
     (rv . rate)(a'/t rv x rate + b'/t rv x (rv x rate)) + b rate x (rv x rate),
-    t = |rv|; a'(t)/t and b'(t)/t stay finite at zero (series below 1e-4).
+    t = |rv| (see `_chart_coefficients`).
     """
-    angle = norm3(rv)
-    if angle < 1e-4:
-        t2 = angle * angle
-        a, b = 0.5 - t2 / 24.0, 1.0 / 6.0 - t2 / 120.0
-        a_prime_over, b_prime_over = -1.0 / 12.0 + t2 / 180.0, -1.0 / 60.0 + t2 / 1260.0
-    else:
-        cos, sin = math.cos(angle), math.sin(angle)
-        a = (1.0 - cos) / angle**2
-        b = (angle - sin) / angle**3
-        a_prime_over = (sin / angle**2 - 2.0 * (1.0 - cos) / angle**3) / angle
-        b_prime_over = ((1.0 - cos) / angle**3 - 3.0 * (angle - sin) / angle**4) / angle
+    a, b, a_prime_over, b_prime_over, _ = _chart_coefficients(norm3(rv))
     c1 = cross3(rv, rate)
     c2, d1, e = cross3(rv, c1), cross3(rv, accel), cross3(rate, c1)
     dot = rv[0] * rate[0] + rv[1] * rate[1] + rv[2] * rate[2]
@@ -152,13 +190,9 @@ def chart_rates(rv, rate, accel) -> tuple[list, list]:
 
 def chart_rate(rv, omega) -> tuple:
     """Chart rate J_l^-1 omega that gives world angular velocity omega at
-    chart point rv: omega - rv x omega / 2 + c rv x (rv x omega), with
-    c = (1 - t sin t / (2 (1 - cos t))) / t^2, t = |rv| (series below 1e-4)."""
-    angle = norm3(rv)
-    if angle < 1e-4:
-        c = 1.0 / 12.0 + angle * angle / 720.0
-    else:
-        c = (1.0 - 0.5 * angle * math.sin(angle) / (1.0 - math.cos(angle))) / angle**2
+    chart point rv: omega - rv x omega / 2 + c rv x (rv x omega), with c
+    from `_chart_coefficients` at t = |rv|."""
+    c = _chart_coefficients(norm3(rv))[4]
     c1 = cross3(rv, omega)
     return tuple(w - 0.5 * p + c * q for w, p, q in zip(omega, c1, cross3(rv, c1)))
 
@@ -312,14 +346,9 @@ class PidGains:
     integral_limit: np.ndarray
 
     def __post_init__(self):
-        for name in ("kp", "ki", "kd", "integral_limit"):
-            arr = np.asarray(getattr(self, name), dtype=float).reshape(6).copy()
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} must be finite")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        if np.any(self.integral_limit < 0):
-            raise ValueError("integral_limit must be non-negative")
+        for name in ("kp", "ki", "kd"):
+            _set_field(self, name, 6)
+        _set_field(self, "integral_limit", 6, sign="non-negative")
 
     @classmethod
     def zero(cls) -> "PidGains":

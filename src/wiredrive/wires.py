@@ -44,7 +44,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateWire
-from .spatial import Pose, Twist
+from .spatial import Pose, Twist, _set_field
 
 DEGENERACY_THRESHOLD = 1e-6  # m; far below any physical scenario scale
 
@@ -59,12 +59,8 @@ class WireAttachment:
     anchor_world: np.ndarray
 
     def __post_init__(self):
-        for name in ("exit_body", "anchor_world"):
-            arr = np.asarray(getattr(self, name), dtype=float).reshape(3).copy()
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} must be finite")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _set_field(self, "exit_body", 3)
+        _set_field(self, "anchor_world", 3)
 
 
 class WireSet(tuple):

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import linprog
@@ -410,16 +411,46 @@ def skew(v):
     return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 
+# Taylor coefficients in t^2 of the chart coefficients (a, b, a'/t, b'/t,
+# c), six each, derived from the series of cos, sin and, for
+# c = (1 - (t/2) cot(t/2)) / t^2 = sum |B_2n| t^(2n-2) / (2n)!, the
+# Bernoulli numbers |B_2| .. |B_12|
+_BERNOULLI = [Fraction(1, 6), Fraction(1, 30), Fraction(1, 42), Fraction(1, 30),
+              Fraction(5, 66), Fraction(691, 2730)]
+_CHART_TAYLOR = [
+    [Fraction((-1) ** k, math.factorial(2 * k + 2)) for k in range(6)],
+    [Fraction((-1) ** k, math.factorial(2 * k + 3)) for k in range(6)],
+    [Fraction((-1) ** k * 2 * k, math.factorial(2 * k + 2)) for k in range(1, 7)],
+    [Fraction((-1) ** k * 2 * k, math.factorial(2 * k + 3)) for k in range(1, 7)],
+    [b / math.factorial(2 * n) for n, b in enumerate(_BERNOULLI, 1)],
+]
+
+
+def reference_chart_coefficients(t):
+    """`spatial._chart_coefficients` on numpy float64 scalars, `np.sin`,
+    and series terms derived above rather than typed out."""
+    t = np.float64(t)
+    if t < 0.5:
+        out = []
+        for series in _CHART_TAYLOR:
+            value = np.float64(0.0)
+            for coefficient in reversed(series):
+                value = value * (t * t) + float(coefficient)
+            out.append(value)
+        return tuple(out)
+    sin, sin_half = np.sin(t), np.sin(0.5 * t)
+    one_minus_cos = 2.0 * sin_half * sin_half
+    a, b = one_minus_cos / (t * t), (t - sin) / (t * t * t)
+    return (a, b, (sin / t - 2.0 * a) / (t * t), (a - 3.0 * b) / (t * t),
+            (1.0 - 0.5 * t * sin / one_minus_cos) / (t * t))
+
+
 def so3_left_jacobian_inv(rv):
     """The inverse left Jacobian of SO(3) as a 3 x 3 matrix,
     I - [rv]x / 2 + c [rv]x^2: the numpy formulation `chart_rate` replaced."""
     rv = np.asarray(rv, dtype=float)
-    angle = float(np.linalg.norm(rv))
     k = skew(rv)
-    if angle < 1e-4:
-        c = 1.0 / 12.0 + angle * angle / 720.0
-    else:
-        c = (1.0 - 0.5 * angle * np.sin(angle) / (1.0 - np.cos(angle))) / angle**2
+    c = reference_chart_coefficients(np.linalg.norm(rv))[4]
     return np.eye(3) - 0.5 * k + c * (k @ k)
 
 
@@ -446,19 +477,11 @@ def reference_rotvec_log(q):
 
 
 def reference_chart_rates(rv, rate, accel):
-    """`chart_rates` on numpy float64 scalars, `np.cross`, `np.sin` and `np.cos`."""
+    """`chart_rates` on numpy float64 scalars, `np.cross` and
+    `reference_chart_coefficients`."""
     rv, rate, accel = (np.asarray(v, dtype=float) for v in (rv, rate, accel))
     angle = np.sqrt(rv[0] * rv[0] + rv[1] * rv[1] + rv[2] * rv[2])
-    if angle < 1e-4:
-        t2 = angle * angle
-        a, b = 0.5 - t2 / 24.0, 1.0 / 6.0 - t2 / 120.0
-        a_prime_over, b_prime_over = -1.0 / 12.0 + t2 / 180.0, -1.0 / 60.0 + t2 / 1260.0
-    else:
-        cos, sin = np.cos(angle), np.sin(angle)
-        a = (1.0 - cos) / angle**2
-        b = (angle - sin) / angle**3
-        a_prime_over = (sin / angle**2 - 2.0 * (1.0 - cos) / angle**3) / angle
-        b_prime_over = ((1.0 - cos) / angle**3 - 3.0 * (angle - sin) / angle**4) / angle
+    a, b, a_prime_over, b_prime_over, _ = reference_chart_coefficients(angle)
     c1 = np.cross(rv, rate)
     c2, d1 = np.cross(rv, c1), np.cross(rv, accel)
     dot = rv[0] * rate[0] + rv[1] * rate[1] + rv[2] * rate[2]
@@ -477,21 +500,10 @@ def reference_so3_left_jacobian_and_dot(rv, rv_rate):
     """
     rv = np.asarray(rv, dtype=float)
     rv_rate = np.asarray(rv_rate, dtype=float)
-    angle = float(np.linalg.norm(rv))
     k = skew(rv)
     k2 = k @ k
     kd = skew(rv_rate)
-    if angle < 1e-4:
-        t2 = angle * angle
-        a, b = 0.5 - t2 / 24.0, 1.0 / 6.0 - t2 / 120.0
-        a_prime_over = -1.0 / 12.0 + t2 / 180.0
-        b_prime_over = -1.0 / 60.0 + t2 / 1260.0
-    else:
-        cos, sin = np.cos(angle), np.sin(angle)
-        a = (1.0 - cos) / angle**2
-        b = (angle - sin) / angle**3
-        a_prime_over = (sin / angle**2 - 2.0 * (1.0 - cos) / angle**3) / angle
-        b_prime_over = ((1.0 - cos) / angle**3 - 3.0 * (angle - sin) / angle**4) / angle
+    a, b, a_prime_over, b_prime_over, _ = reference_chart_coefficients(np.linalg.norm(rv))
     jac = np.eye(3) + a * k + b * k2
     dot = float(rv @ rv_rate)
     jac_dot = dot * (a_prime_over * k + b_prime_over * k2) + a * kd + b * (kd @ k + k @ kd)

@@ -543,6 +543,23 @@ def test_a_tick_makes_at_most_seven_geometry_passes(name, calls_per_tick, tmp_pa
     assert len(passes) <= 7 * ticks
 
 
+@pytest.mark.parametrize("name", ["cube8", "anchors2"])
+def test_a_run_builds_its_allocation_weight_at_most_once(name, tmp_path, monkeypatch):
+    # Scenario.weights builds the matrix on each read: the controller reads it
+    # once, not every tick
+    built = []
+    post_init = allocation.AllocationWeights.__post_init__
+
+    def count(weights):
+        built.append(weights)
+        post_init(weights)
+
+    scenario = dataclasses.replace(load_scenario(bundled_scenario_path(name)), duration=0.2)
+    monkeypatch.setattr(allocation.AllocationWeights, "__post_init__", count)
+    assert run_scenario(scenario, tmp_path)["ticks"] == 40
+    assert len(built) <= 1
+
+
 def test_a_tick_takes_no_numpy_norm_and_no_public_pose_constructor(tmp_path, monkeypatch):
     # the tick's quaternions are normalized in floats and its poses built by
     # Pose._of; runs of 20 and 40 ticks make the same calls, all in setup

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from wiredrive import cli
 from wiredrive import scenario as scenario_module
+from wiredrive.allocation import TensionBounds
 from wiredrive.scenario import (
     _UNIT_ALIASES,
     INTEGER,
@@ -21,6 +22,7 @@ from wiredrive.scenario import (
     TENSION_SCHEDULE,
     ParseError,
     Rows,
+    Scenario,
     ValidationError,
     build_scenario,
     bundled_scenario_path,
@@ -283,6 +285,17 @@ def test_unknown_keys_are_refused_by_path(name, path, value):
     assert info.value.field == path
 
 
+@pytest.mark.parametrize("key", ["capture_radius", "waypoint_spacing", "drone_dt"])
+def test_deployment_lengths_and_step_must_be_positive(key):
+    # at a zero drone step the tracker's clock never reaches its timeout
+    doc = yaml.safe_load(bundled_scenario_path("anchors2").read_text())
+    unit = "s" if key == "drone_dt" else "m"
+    doc.setdefault("deployment", {})[key] = {"value": 0.0, "unit": unit}
+    with pytest.raises(ValidationError, match=f"{key} must be positive") as info:
+        build_scenario(doc)
+    assert info.value.field == "deployment"
+
+
 def test_a_quantity_with_a_third_key_is_refused():
     doc = yaml.safe_load(bundled_scenario_path("cube8").read_text())
     doc["body"]["mass"]["note"] = "with payload"
@@ -416,12 +429,12 @@ def _generic(spec):
 
 
 @st.composite
-def documents(draw):
+def documents(draw, wire_counts=st.integers(2, 4)):
     """A valid scenario document and, per leaf path, (table field, written value).
 
     The value is None where the field was left out.
     """
-    m = draw(st.integers(2, 4))
+    m = draw(wire_counts)
     mode = draw(st.sampled_from([POSE_CONTROL, TENSION_SCHEDULE]))
     n_pillars = draw(st.integers(0, 2))
     claimed = draw(st.sets(st.integers(0, m - 1), max_size=2)) if n_pillars else set()
@@ -568,6 +581,53 @@ def test_wrong_unit_names_the_field(generated, data):
     with pytest.raises(ValidationError) as info:
         _load_text(yaml.safe_dump(doc))
     assert info.value.field == path
+
+
+def _stored(value):
+    """Every value a scenario stores, arrays as (shape, bytes), for exact comparison."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: _stored(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, (list, tuple)):
+        return [_stored(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return value.shape, value.tobytes()
+    return value
+
+
+# each example loads and dumps a scenario once per stored field
+@settings(max_examples=50, derandomize=True, database=None, deadline=None)
+@given(documents(), st.data())
+def test_a_scenario_holds_only_what_its_file_can_say(generated, data):
+    # each stored field replaced by another scenario's value: what the
+    # Scenario accepts and the loader reads back comes back exactly, weight
+    # matrix included (what the loader refuses, it names)
+    scenario = _load_text(yaml.safe_dump(generated[0]))
+    m = scenario.wire_count
+    donor = _load_text(yaml.safe_dump(data.draw(documents(st.just(m)))[0]))
+    for field in dataclasses.fields(Scenario):
+        try:
+            replaced = dataclasses.replace(scenario, **{field.name: getattr(donor, field.name)})
+            reloaded = build_scenario(scenario_document(replaced))
+        except (ValueError, ValidationError):
+            continue
+        assert _stored(reloaded) == _stored(replaced), field.name
+        assert reloaded.weights.matrix.tobytes() == replaced.weights.matrix.tobytes()
+        assert dump_scenario(reloaded) == dump_scenario(replaced)
+    # and what a file cannot say, it refuses, naming the field
+    lower, upper = scenario.bounds.lower, scenario.bounds.upper
+    inertia = scenario.body.inertia.copy()
+    inertia[0, 1] = inertia[1, 0] = 1e-3 * inertia[0, 0]
+    refused = [
+        ("bounds", {"bounds": TensionBounds(lower, np.append(upper[:-1], upper[-1] + 1.0))}),
+        ("bounds", {"wires": scenario.wires[:-1]}),
+        ("body", {"body": dataclasses.replace(scenario.body, inertia=inertia)}),
+    ]
+    if scenario.anchors:
+        moved = [dataclasses.replace(p, center=p.center + 0.5) for p in scenario.pillars]
+        refused.append(("wires", {"pillars": moved}))
+    for name, replacement in refused:
+        with pytest.raises(ValueError, match=f"^{name}: "):
+            dataclasses.replace(scenario, **replacement)
 
 
 @st.composite

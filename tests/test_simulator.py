@@ -24,7 +24,8 @@ from wiredrive.simulator import (
     SimState,
     step,
 )
-from wiredrive.spatial import Pose, Twist, Wrench
+from wiredrive.scenario import DeploymentConfig
+from wiredrive.spatial import PidGains, Pose, Twist, Wrench
 from wiredrive.wires import WireAttachment, WireSet, wire_jacobian, wire_lengths_and_rates
 
 from oracles import ReferenceOdometrySensor, reference_step
@@ -320,22 +321,53 @@ def test_body_model_names_the_field_it_rejects(field, value):
         BodyModel(**values)
 
 
+# valid values of the record fields that have no default
+_REQUIRED_FIELDS = {
+    WireAttachment: {"exit_body": [0.0, 0.0, 0.1], "anchor_world": [1.0, 0.0, 1.0]},
+    PidGains: dict.fromkeys(("kp", "ki", "kd", "integral_limit"), np.ones(6)),
+    BodyModel: {"mass": 2.0, "inertia": np.eye(3)},
+    AllocationWeights: {"matrix": np.eye(6)},
+    TensionBounds: {"lower": [2.0, 2.0], "upper": [180.0, 180.0]},
+    Pillar: {"center": [0.0, 0.0]},
+    DeploymentConfig: {"tracker": TrackerGains(), "sensor": RelativePoseSensor(),
+                       "capture_radius": 0.05, "waypoint_spacing": 0.15, "drone_dt": 0.02},
+}
+# where +inf means "no limit", and is valid
+_NO_LIMIT = {(WinchParams, "max_tension"), (WinchParams, "max_line_speed"),
+             (WinchParams, "winding_capacity"), (TrackerGains, "speed_cap"),
+             (TensionBounds, "upper")}
+
+
 @pytest.mark.parametrize("record, field", [
-    *((WinchParams, f.name) for f in dataclasses.fields(WinchParams)),
-    (TensionBounds, "lower"), (TensionBounds, "upper"),
-    *((SensorModel, f.name) for f in dataclasses.fields(SensorModel)),
-    (TrackerGains, "kp"), (TrackerGains, "speed_cap"),
-    (RelativePoseSensor, "noise_std"),
-    (Pillar, "half_extents"), (Pillar, "z_range"),
-])
+    (record, f.name)
+    for record in (WireAttachment, PidGains, BodyModel, AllocationWeights, TensionBounds,
+                   WinchParams, SensorModel, TrackerGains, RelativePoseSensor, Pillar)
+    for f in dataclasses.fields(record)
+] + [(DeploymentConfig, name) for name in ("capture_radius", "waypoint_spacing", "drone_dt")])
 def test_record_constructors_refuse_nan_naming_the_field(record, field):
-    # each check is written so that NaN fails it: `not x > 0`, not `x <= 0`
-    valid = {TensionBounds: {"lower": [2.0, 2.0], "upper": [180.0, 180.0]},
-             Pillar: {"center": [0.0, 0.0]}}.get(record, {})
-    nan = {"lower": [2.0, math.nan], "upper": [math.nan, 180.0],
-           "half_extents": [0.2, math.nan], "z_range": (0.0, math.nan)}.get(field, math.nan)
-    with pytest.raises(ValueError, match=field):
-        record(**{**valid, field: nan})
+    # NaN and +-inf raise naming the field, but +inf where it means no
+    # limit; an array field is a read-only copy
+    valid = {f.name: f.default for f in dataclasses.fields(record)
+             if f.default is not dataclasses.MISSING}
+    valid.update(_REQUIRED_FIELDS.get(record, {}))
+
+    def with_last(value):
+        arr = np.array(valid[field], dtype=float)
+        if arr.ndim == 0:
+            return value
+        arr.flat[-1] = value
+        return arr
+
+    for value in (math.nan, -math.inf, math.inf):
+        if value == math.inf and (record, field) in _NO_LIMIT:
+            record(**{**valid, field: with_last(value)})
+            continue
+        with pytest.raises(ValueError, match=field):
+            record(**{**valid, field: with_last(value)})
+    stored = getattr(record(**valid), field)
+    if isinstance(stored, np.ndarray):
+        assert stored.dtype == float and stored.flags.c_contiguous
+        assert not stored.flags.writeable
 
 
 def test_inverse_inertia_is_read_only_and_follows_replace():

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,6 +28,7 @@ from wiredrive.spatial import (
     Pose,
     Twist,
     Wrench,
+    _chart_coefficients,
     chart_rate,
     chart_rates,
     cross3,
@@ -407,16 +409,34 @@ def chart_rate_cases(draw):
 def test_chart_rate_is_the_inverse_left_jacobian(case):
     rv, omega = case
     got = np.array(chart_rate(rv, omega))
-    # the matrix form sums in another order and takes numpy's sin and cos
+    # the matrix form sums in another order, on numpy scalars
     want = so3_left_jacobian_inv(rv) @ np.array(omega)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
-    # chart_rates maps it back onto omega, to rounding but for the
-    # cancellation in 1 - cos t, which both forms share: about eps / t^2
-    # relative from t = 1e-4 (4e-10 there) until the series takes over
-    angle = np.linalg.norm(rv)
-    bound = 1e-14 + (_EPS / angle**2 if angle >= 1e-4 else 0.0)
+    # chart_rates maps it back onto omega to rounding, small angles included
     back = np.array(chart_rates(rv, got.tolist(), [0.0, 0.0, 0.0])[0])
-    assert np.max(np.abs(back - omega)) <= bound * np.max(np.abs(omega))
+    assert np.max(np.abs(back - omega)) <= 1e-14 * np.max(np.abs(omega))
+
+
+def _exact_chart_coefficients(t):
+    """(a, b, a'/t, b'/t, c) from their closed forms in 120-digit mpmath;
+    at t >= 1e-12 they cancel at most 50 of those digits."""
+    with mpmath.workdps(120):
+        t = mpmath.mpf(t)
+        cos, sin = mpmath.cos(t), mpmath.sin(t)
+        a, b = (1 - cos) / t**2, (t - sin) / t**3
+        return (a, b, (sin / t**2 - 2 * (1 - cos) / t**3) / t,
+                ((1 - cos) / t**3 - 3 * (t - sin) / t**4) / t,
+                (1 - t * sin / (2 * (1 - cos))) / t**2)
+
+
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+@given(st.one_of(st.floats(-12.0, math.log10(3.0)).map(lambda e: 10.0**e),
+                 st.floats(0.45, 0.6), st.sampled_from([0.5, math.nextafter(0.5, 0.0)])))
+def test_chart_coefficients_are_within_1e_12_of_their_exact_values(t):
+    # both sides of the series switch at 0.5, up to past the chart limit
+    for got, want in zip(_chart_coefficients(t), _exact_chart_coefficients(t)):
+        assert abs(got - want) <= 1e-12 * abs(want)
+    assert _chart_coefficients(0.0) == [1 / 2, 1 / 6, -1 / 12, -1 / 60, 1 / 12]
 
 
 _PID_ELEMENTS = st.one_of(st.sampled_from([0.0, -0.0, math.nan]), st.floats(-10.0, 10.0))
