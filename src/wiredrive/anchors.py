@@ -47,6 +47,11 @@ class Pillar:
         d = np.abs(np.asarray(point_xy, dtype=float)[:2] - self.center)
         return bool(np.all(d < self.half_extents + inflation - 1e-12))
 
+    @property
+    def mid_height(self) -> float:
+        """The middle of `z_range`: where a wrap goes round unless told otherwise."""
+        return 0.5 * (self.z_range[0] + self.z_range[1])
+
 
 def wrap_anchor(pillar: Pillar, altitude: float) -> np.ndarray:
     """The anchor a wrap gives its wire: the pillar's center at the wrap altitude."""
@@ -112,7 +117,7 @@ def plan_wrap_path(
             "approach point lies inside the pillar footprint inflated by the clearance"
         )
     if altitude is None:
-        altitude = 0.5 * (pillar.z_range[0] + pillar.z_range[1])
+        altitude = pillar.mid_height
 
     ex, ey = pillar.half_extents + clearance
     cx, cy = pillar.center

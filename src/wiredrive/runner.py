@@ -184,16 +184,14 @@ def run_scenario(scenario: Scenario, out_dir, seed: int | None = None) -> dict:
     Writes resolved.yaml, telemetry.csv, summary.json and (with anchor
     tasks) one anchor_<k>.csv per deployed wire into `out_dir`.  Returns
     the summary dictionary.  A given `seed` replaces the scenario's, for
-    the random streams, summary.json and resolved.yaml alike; a negative
-    one is a ValueError, raised before anything is written.  An exception
-    out of the deployment or the tick loop (a plant fault, or a controller
-    fault on the first tick) still writes summary.json, with `status`
-    "fault", its `fault_cause` and the statistics of the ticks completed
-    before it, and is then re-raised.
+    the random streams, summary.json and resolved.yaml alike; `Scenario`
+    refuses a negative one (a ValidationError, so a ValueError) before
+    anything is written.  An exception out of the deployment or the tick
+    loop (a plant fault, or a controller fault on the first tick) still
+    writes summary.json, with `status` "fault", its `fault_cause` and the
+    statistics of the ticks completed before it, and is then re-raised.
     """
     scenario = scenario if seed is None else dataclasses.replace(scenario, seed=int(seed))
-    if scenario.seed < 0:
-        raise ValueError(f"seed must be non-negative, got {scenario.seed}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     wall_start = time.perf_counter()

@@ -14,16 +14,17 @@ a run can be reproduced from its dump.
 `SCHEMA` is the one description of the document: every key with its
 kind, unit, shape and default.  One reader walks it to parse a file and
 one writer walks it to dump a scenario; records named by the keys of a
-section or row are built by keyword and dumped by `_attrs`.  The checks
-that tie several fields together, and the defaults derived from other
-fields, follow the table pass as explicit code in `build_scenario`.
+section or row are built by keyword and dumped by `_attrs`.  The loader
+then fills in the defaults derived from other fields and anchors the
+claimed wires; every other rule is `Scenario`'s, stated once for a file
+and for `dataclasses.replace` alike.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import importlib.resources
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
@@ -47,7 +48,7 @@ from .anchors import (
     TrackerGains,
     wrap_anchor,
 )
-from .simulator import DEFAULT_SPEED_LIMIT, STANDARD_GRAVITY, BodyModel, SensorModel
+from .simulator import DEFAULT_SPEED_LIMIT, MAX_DT, STANDARD_GRAVITY, BodyModel, SensorModel
 from .spatial import PidGains, Pose, _set_field
 from .wires import WireAttachment
 
@@ -66,8 +67,8 @@ class ParseError(Exception):
     """The scenario file is not well-formed YAML / not a mapping."""
 
 
-class ValidationError(Exception):
-    """The scenario violates the schema; `field` names the culprit."""
+class ValidationError(ValueError):
+    """The scenario violates the schema; `field` names the culprit by its document path."""
 
     def __init__(self, field_path: str, message: str):
         self.field = field_path
@@ -113,9 +114,9 @@ class Field:
 class Rows:
     """A list of records, each laid out by the section `fields`.
 
-    `default` is REQUIRED (a non-empty list must be given), the empty
-    tuple (an optional list that may be empty), or the one string that may
-    stand in place of a non-empty list.
+    `default` is REQUIRED (the list must be given), the empty tuple (an
+    optional list), or the one string that may stand in place of a list.
+    Which lists must not be empty is `Scenario`'s rule.
     """
 
     fields: dict
@@ -315,11 +316,9 @@ def _read(section: dict, node, path: str) -> dict:
 def _read_rows(spec: Rows, raw, path: str):
     if isinstance(spec.default, str) and raw == spec.default:
         return raw
-    if not isinstance(raw, (list, tuple)) or (not raw and spec.default != ()):
-        expected = "a list" if spec.default == () else "a non-empty list"
-        if isinstance(spec.default, str):
-            expected = f"{spec.default!r} or {expected}"
-        raise ValidationError(path, f"expected {expected}")
+    if not isinstance(raw, (list, tuple)):
+        either = f"{spec.default!r} or " if isinstance(spec.default, str) else ""
+        raise ValidationError(path, f"expected {either}a list")
     return [_read(spec.fields, row, f"{path}[{k}]") for k, row in enumerate(raw)]
 
 
@@ -344,10 +343,10 @@ def _write(section: dict, values: dict) -> dict:
     return doc
 
 
-def _make(path: str, cls, /, *args, **kwargs):
-    """`cls(*args, **kwargs)`, reporting its ValueError as a ValidationError at `path`."""
+def _make(path: str, build, /, *args, **kwargs):
+    """`build(*args, **kwargs)`, reporting its ValueError as a ValidationError at `path`."""
     try:
-        return cls(*args, **kwargs)
+        return build(*args, **kwargs)
     except ValueError as exc:
         raise ValidationError(path, str(exc)) from exc
 
@@ -394,58 +393,129 @@ class DeploymentConfig:
             _set_field(self, name, sign="positive")
 
 
-@dataclass(eq=False)
+def _claims(tasks, wire_count: int, pillar_count: int) -> None:
+    """Refuse (wire_id, pillar) pairs naming a missing wire or pillar, or a wire twice."""
+    claimed_by = {}  # wire id -> the index of the task claiming it
+    for k, (wire_id, pillar) in enumerate(tasks):
+        if not 0 <= wire_id < wire_count:
+            raise ValidationError(f"anchors[{k}].wire_id", f"no wire with id {wire_id}")
+        if wire_id in claimed_by:
+            raise ValidationError(f"anchors[{k}].wire_id",
+                                  f"anchors[{claimed_by[wire_id]}] already claims wire {wire_id}")
+        if not 0 <= pillar < pillar_count:
+            raise ValidationError(f"anchors[{k}].pillar", f"no pillar with index {pillar}")
+        claimed_by[wire_id] = k
+
+
+# Scenario's number fields: document path, and shape and sign for _set_field
+_NUMBERS = {
+    "gravity": ("gravity", (), None),
+    "dt": ("sim.dt", (), None),  # its range is checked last
+    "start_position": ("trajectory.start.position", 3, None),
+    "start_rotvec": ("trajectory.start.orientation_rotvec", 3, None),
+    "weight_scale": ("allocation_weights", (), "positive"),
+    "torque_lever": ("allocation_weights", (), "positive"),
+    "duration": ("sim.duration", (), "positive"),
+    "control_rate": ("control.rate", (), "positive"),
+    "speed_limit": ("sim.speed_limit", (), "positive"),
+}
+
+
+@dataclass(frozen=True, eq=False)
 class Scenario:
     """A fully resolved experiment description; `scenario_document` reads it back.
 
-    It holds only what a file can say.  Construction, and so
-    `dataclasses.replace`, raises a ValueError naming the field for
-    tension bounds that are not one uniform pair per wire, an off-diagonal
-    inertia, a claimed wire not anchored at its `wrap_anchor`, a schedule
-    table outside tension_schedule mode, and anchor tasks without a
-    deployment or the reverse.  `weights` is built from `weight_scale`
-    and `torque_lever` on each read."""
+    It holds only what a file can say, and `__post_init__` is the one
+    statement of what that is: the loader builds a `Scenario` last, so a
+    file and `dataclasses.replace` are refused alike, by a
+    `ValidationError` naming the document path of the value (README,
+    "Scenario files", lists the rules).  It is frozen, and its lists are
+    tuples.  `weights` is built from `weight_scale` and `torque_lever` on
+    each read."""
 
     name: str
     seed: int
     gravity: float
     body: BodyModel
-    wires: list[WireAttachment]
+    wires: tuple[WireAttachment, ...]
     bounds: TensionBounds
     weight_scale: float  # of the force rows; torque rows divide it by torque_lever^2
     torque_lever: float  # m; also scales torques in the feasibility analysis
     winch: WinchParams
     gains: PidGains
     mode: str
-    schedule_table: list[tuple[float, np.ndarray]] | None
+    schedule_table: tuple[tuple[float, np.ndarray], ...] | None
     start_position: np.ndarray  # (3,)
     start_rotvec: np.ndarray  # (3,) as written, like SegmentSpec.goal_orientation_rotvec
-    segments: list[SegmentSpec]
+    segments: tuple[SegmentSpec, ...]
     dt: float
     duration: float
     control_rate: float
     speed_limit: float
     sensor: SensorModel
-    pillars: list[Pillar] = field(default_factory=list)
-    anchors: list[AnchorTask] = field(default_factory=list)
+    pillars: tuple[Pillar, ...] = ()
+    anchors: tuple[AnchorTask, ...] = ()
     deployment: DeploymentConfig | None = None
 
     def __post_init__(self):
+        for name in ("wires", "segments", "pillars", "anchors", "schedule_table"):
+            rows = getattr(self, name)
+            object.__setattr__(self, name, rows if rows is None else tuple(rows))
+        for path, rows in (("wires", self.wires), ("trajectory.segments", self.segments),
+                           ("control.schedule", self.schedule_table)):
+            if rows == ():
+                raise ValidationError(path, "expected a non-empty list")
+        for k, segment in enumerate(self.segments):
+            if not segment.duration > 0:
+                raise ValidationError(f"trajectory.segments[{k}].duration", "must be positive")
+        _convert(SCHEMA["name"], self.name, "name")
+        object.__setattr__(self, "seed", _convert(SCHEMA["seed"], self.seed, "seed"))
+        if not self.seed >= 0:  # the random streams are seeded with offsets added to it
+            raise ValidationError("seed", f"must be non-negative, got {self.seed}")
+        for name, (path, shape, sign) in _NUMBERS.items():
+            _make(path, _set_field, self, name, shape, sign)
         m, lower, upper = len(self.wires), self.bounds.lower, self.bounds.upper
         if lower.shape != (m,) or np.any(lower != lower[:1]) or np.any(upper != upper[:1]):
-            raise ValueError(f"bounds: a scenario holds one uniform pair for its {m} wires")
+            raise ValidationError("tension_bounds",
+                                  f"a scenario holds one uniform pair for its {m} wires")
+        limits = {f"winch.{k}": v for k, v in _attrs(self.winch, SCHEMA["winch"]).items()}
+        limits["tension_bounds.upper"] = upper[0]
+        if self.deployment is not None:
+            limits["deployment.tracker.speed_cap"] = self.deployment.tracker.speed_cap
+        for path, limit in limits.items():
+            if limit == np.inf:  # which a file cannot state
+                raise ValidationError(path, "value must be finite")
         if np.any(self.body.inertia != np.diag(np.diag(self.body.inertia))):
-            raise ValueError("body: a scenario holds a diagonal inertia")
-        for k, task in enumerate(self.anchors):
-            if not (0 <= task.wire_id < m and 0 <= task.pillar < len(self.pillars)):
-                raise ValueError(f"anchors: task {k} names a missing wire or pillar")
+            raise ValidationError("body", "a scenario holds a diagonal inertia")
+        for i, wire in enumerate(self.wires):
+            if (reach := np.linalg.norm(wire.exit_body)) > self.body.radius + 1e-9:
+                raise ValidationError(f"wires[{i}].exit_body", f"exit point magnitude {reach:.3f} m"
+                                      f" exceeds the body radius {self.body.radius:.3f} m")
+        _claims([(task.wire_id, task.pillar) for task in self.anchors], m, len(self.pillars))
+        for task in self.anchors:
             anchor = wrap_anchor(self.pillars[task.pillar], task.wrap_altitude)
             if not np.array_equal(self.wires[task.wire_id].anchor_world, anchor):
-                raise ValueError(f"wires: wire {task.wire_id} is not anchored at its wrap {anchor}")
-        if self.schedule_table is not None and self.mode != TENSION_SCHEDULE:
-            raise ValueError(f"schedule_table: {self.mode} mode reads no table")
+                raise ValidationError(f"wires[{task.wire_id}].anchor_world",
+                                      f"wire {task.wire_id} is not anchored at its wrap {anchor}")
         if (self.deployment is None) == bool(self.anchors):
-            raise ValueError("deployment: given exactly when there are anchor tasks")
+            raise ValidationError("deployment", "given exactly when there are anchor tasks")
+        if self.mode not in (POSE_CONTROL, TENSION_SCHEDULE):
+            raise ValidationError("control.mode", f"unknown mode {self.mode!r}")
+        if self.schedule_table is not None and self.mode != TENSION_SCHEDULE:
+            raise ValidationError("control.schedule", f"{self.mode} mode reads no table")
+        for k, (t, tensions) in enumerate(self.schedule_table or ()):
+            if k and not t > self.schedule_table[k - 1][0]:
+                raise ValidationError(f"control.schedule[{k}].t", "schedule times must increase")
+            if np.shape(tensions) != (m,) or not np.all(np.asarray(tensions) >= 0):
+                raise ValidationError(f"control.schedule[{k}].tensions",
+                                      f"expected {m} non-negative tensions, got {tensions}")
+        if not 0 < self.dt <= MAX_DT:
+            raise ValidationError("sim.dt", f"dt must lie in (0, {MAX_DT}] seconds")
+        substeps = 1.0 / (self.control_rate * self.dt)
+        if abs(substeps - round(substeps)) > 1e-9 or round(substeps) < 1:
+            raise ValidationError(
+                "control.rate", f"control period must be a whole multiple of sim.dt (got {substeps})"
+            )
 
     @property
     def weights(self) -> AllocationWeights:
@@ -489,118 +559,61 @@ def load_scenario(path) -> Scenario:
 
 
 def build_scenario(document: dict) -> Scenario:
-    """Validate and resolve a scenario document (the parsed YAML mapping)."""
+    """Read a scenario document (the parsed YAML mapping) into a `Scenario`."""
     doc = _read(SCHEMA, document, "")
     if doc["format_version"] != FORMAT_VERSION:
         raise ValidationError("format_version", f"unsupported version {doc['format_version']}")
-    if doc["seed"] < 0:
-        # the random streams are seeded with offsets added to it
-        raise ValidationError("seed", f"must be non-negative, got {doc['seed']}")
 
     body_doc = doc["body"]
-    mass = body_doc["mass"]
-    if mass <= 0:
-        raise ValidationError("body.mass", "must be strictly positive")
     side = body_doc.pop("inertia_cube_side", None)
     if "inertia_diagonal" not in body_doc:
         if side is None:
             raise ValidationError(
                 "body.inertia_diagonal", "body needs inertia_diagonal or inertia_cube_side"
             )
-        body_doc["inertia_diagonal"] = np.full(3, mass * side**2 / 6.0)
-    body = _make("body", BodyModel, mass, np.diag(body_doc["inertia_diagonal"]), body_doc["radius"])
+        body_doc["inertia_diagonal"] = np.full(3, body_doc["mass"] * side**2 / 6.0)
+    body = _make("body", BodyModel, body_doc["mass"], np.diag(body_doc["inertia_diagonal"]),
+                 body_doc["radius"])
 
     m = len(doc["wires"])
     pillars = [_make(f"pillars[{k}]", Pillar, **p) for k, p in enumerate(doc["pillars"])]
-    anchors = []
-    claimed_by = {}  # wire id -> index of the anchor task that claims it
-    for k, task in enumerate(doc["anchors"]):
-        wire_id = task["wire_id"]
-        if not 0 <= wire_id < m:
-            raise ValidationError(f"anchors[{k}].wire_id", f"no wire with id {wire_id}")
-        if wire_id in claimed_by:
-            raise ValidationError(f"anchors[{k}].wire_id",
-                                  f"anchors[{claimed_by[wire_id]}] already claims wire {wire_id}")
-        claimed_by[wire_id] = k
-        if not 0 <= task["pillar"] < len(pillars):
-            raise ValidationError(f"anchors[{k}].pillar", f"no pillar with index {task['pillar']}")
-        z_range = pillars[task["pillar"]].z_range
-        task.setdefault("wrap_altitude", 0.5 * (z_range[0] + z_range[1]))
+    # resolving the claimed anchors needs the wires and pillars the tasks name
+    _claims([(t["wire_id"], t["pillar"]) for t in doc["anchors"]], m, len(pillars))
+    anchors, wrapped = [], {}  # wrapped: claimed wire id -> the anchor its wrap gives it
+    for task in doc["anchors"]:
+        pillar = pillars[task["pillar"]]
+        task.setdefault("wrap_altitude", pillar.mid_height)
         anchors.append(AnchorTask(**task))
+        wrapped[task["wire_id"]] = wrap_anchor(pillar, task["wrap_altitude"])
 
     wires = []
     for i, wire in enumerate(doc["wires"]):
-        exit_body = wire["exit_body"]
-        if np.linalg.norm(exit_body) > body.radius + 1e-9:
-            raise ValidationError(
-                f"wires[{i}].exit_body",
-                f"exit point magnitude {np.linalg.norm(exit_body):.3f} m "
-                f"exceeds the body radius {body.radius:.3f} m",
-            )
-        claimed = i in claimed_by
-        if ("anchor_world" in wire) == claimed:
+        if ("anchor_world" in wire) == (i in wrapped):
             raise ValidationError(
                 f"wires[{i}].anchor_world",
                 "an anchor task claims this wire, so its anchor is the pillar it wraps"
-                if claimed else "wire needs an anchor_world or a deployment anchor task",
+                if i in wrapped else "wire needs an anchor_world or a deployment anchor task",
             )
-        anchor = wire.get("anchor_world")
-        if claimed:
-            task = anchors[claimed_by[i]]
-            anchor = wrap_anchor(pillars[task.pillar], task.wrap_altitude)
-        wires.append(WireAttachment(exit_body, anchor))
+        wires.append(WireAttachment(wire["exit_body"], wrapped.get(i, wire.get("anchor_world"))))
 
     tension = doc["tension_bounds"]
     bounds = _make("tension_bounds", TensionBounds.uniform, m, **tension)
 
     weights_doc = doc["allocation_weights"]
     weights_doc.setdefault("torque_lever", body.radius)
-    if weights_doc["scale"] <= 0 or weights_doc["torque_lever"] <= 0:
-        raise ValidationError("allocation_weights", "scale and torque_lever must be positive")
 
     doc["winch"].setdefault("max_tension", tension["upper"])
     winch = _make("winch", WinchParams, **doc["winch"])
 
     control = doc["control"]
-    mode = control["mode"]
-    if mode not in (POSE_CONTROL, TENSION_SCHEDULE):
-        raise ValidationError("control.mode", f"unknown mode {mode!r}")
-    if control["rate"] <= 0:
-        raise ValidationError("control.rate", "must be positive")
     gains = _make("control.pid", PidGains, **control["pid"])
     schedule_table = None
-    if mode == TENSION_SCHEDULE and control["schedule"] != "quasistatic":
-        schedule_table = []
-        for k, row in enumerate(control["schedule"]):
-            rpath = f"control.schedule[{k}]"
-            if row["tensions"].shape != (m,):
-                raise ValidationError(
-                    rpath + ".tensions", f"expected shape {(m,)}, got {row['tensions'].shape}"
-                )
-            if schedule_table and row["t"] <= schedule_table[-1][0]:
-                raise ValidationError(rpath + ".t", "schedule times must increase")
-            if np.any(row["tensions"] < 0):
-                raise ValidationError(rpath + ".tensions", "tensions must be non-negative")
-            schedule_table.append((row["t"], row["tensions"]))
+    if control["mode"] == TENSION_SCHEDULE and control["schedule"] != "quasistatic":
+        schedule_table = [(row["t"], row["tensions"]) for row in control["schedule"]]
 
-    segments = []
-    for k, seg in enumerate(doc["trajectory"]["segments"]):
-        if seg["duration"] <= 0:
-            raise ValidationError(f"trajectory.segments[{k}].duration", "must be positive")
-        segments.append(SegmentSpec(**seg))
-
+    segments = [SegmentSpec(**seg) for seg in doc["trajectory"]["segments"]]
     sim = doc["sim"]
-    dt = sim["dt"]
-    if not 0 < dt <= 0.01:
-        raise ValidationError("sim.dt", "dt must lie in (0, 0.01] seconds")
     sim.setdefault("duration", sum(s.duration for s in segments) + 2.0)
-    if sim["duration"] <= 0:
-        raise ValidationError("sim.duration", "must be positive")
-    substeps = 1.0 / (control["rate"] * dt)
-    if abs(substeps - round(substeps)) > 1e-9 or round(substeps) < 1:
-        raise ValidationError(
-            "control.rate", f"control period must be a whole multiple of sim.dt (got {substeps})"
-        )
     sim["sensor"] = _make("sim.sensor", SensorModel, **sim["sensor"])
 
     deployment = None
@@ -623,7 +636,7 @@ def build_scenario(document: dict) -> Scenario:
         torque_lever=weights_doc["torque_lever"],
         winch=winch,
         gains=gains,
-        mode=mode,
+        mode=control["mode"],
         schedule_table=schedule_table,
         start_position=doc["trajectory"]["start"]["position"],
         start_rotvec=doc["trajectory"]["start"]["orientation_rotvec"],

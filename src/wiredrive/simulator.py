@@ -52,6 +52,7 @@ from .wires import WireAttachment, wire_jacobian, wire_lengths_and_rates
 
 STANDARD_GRAVITY = 9.80665  # m/s^2
 DEFAULT_SPEED_LIMIT = 1e3  # m/s and rad/s; only insane states trip this
+MAX_DT = 0.01  # s, the longest step; a step must be in (0, MAX_DT]
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,8 +109,8 @@ def step(
     speed_limit: float = DEFAULT_SPEED_LIMIT,
 ) -> SimState:
     """Advance the body one step under commanded winch currents."""
-    if not 0.0 < dt <= 0.01:
-        raise ValueError("dt must lie in (0, 0.01] seconds")
+    if not 0.0 < dt <= MAX_DT:
+        raise ValueError(f"dt must lie in (0, {MAX_DT}] seconds")
     _, rates = wire_lengths_and_rates(state.pose, state.twist, attachments)
     currents = np.asarray(currents, dtype=float).tolist()
     per_newton, speed = winch.current_per_newton, winch.max_line_speed

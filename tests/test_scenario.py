@@ -30,6 +30,7 @@ from wiredrive.scenario import (
     load_scenario,
     scenario_document,
 )
+from wiredrive.wires import WireAttachment
 
 MINIMAL = """
 format_version: 1
@@ -599,17 +600,16 @@ def _stored(value):
 @given(documents(), st.data())
 def test_a_scenario_holds_only_what_its_file_can_say(generated, data):
     # each stored field replaced by another scenario's value: what the
-    # Scenario accepts and the loader reads back comes back exactly, weight
-    # matrix included (what the loader refuses, it names)
+    # Scenario accepts, the loader reads back exactly, weight matrix included
     scenario = _load_text(yaml.safe_dump(generated[0]))
     m = scenario.wire_count
     donor = _load_text(yaml.safe_dump(data.draw(documents(st.just(m)))[0]))
     for field in dataclasses.fields(Scenario):
         try:
             replaced = dataclasses.replace(scenario, **{field.name: getattr(donor, field.name)})
-            reloaded = build_scenario(scenario_document(replaced))
-        except (ValueError, ValidationError):
+        except ValidationError:
             continue
+        reloaded = build_scenario(scenario_document(replaced))
         assert _stored(reloaded) == _stored(replaced), field.name
         assert reloaded.weights.matrix.tobytes() == replaced.weights.matrix.tobytes()
         assert dump_scenario(reloaded) == dump_scenario(replaced)
@@ -618,16 +618,144 @@ def test_a_scenario_holds_only_what_its_file_can_say(generated, data):
     inertia = scenario.body.inertia.copy()
     inertia[0, 1] = inertia[1, 0] = 1e-3 * inertia[0, 0]
     refused = [
-        ("bounds", {"bounds": TensionBounds(lower, np.append(upper[:-1], upper[-1] + 1.0))}),
-        ("bounds", {"wires": scenario.wires[:-1]}),
+        ("tension_bounds",
+         {"bounds": TensionBounds(lower, np.append(upper[:-1], upper[-1] + 1.0))}),
+        ("tension_bounds", {"wires": scenario.wires[:-1]}),
         ("body", {"body": dataclasses.replace(scenario.body, inertia=inertia)}),
     ]
     if scenario.anchors:
         moved = [dataclasses.replace(p, center=p.center + 0.5) for p in scenario.pillars]
-        refused.append(("wires", {"pillars": moved}))
+        refused.append((r"wires\[\d+\]\.anchor_world", {"pillars": moved}))
     for name, replacement in refused:
         with pytest.raises(ValueError, match=f"^{name}: "):
             dataclasses.replace(scenario, **replacement)
+
+
+def _quantity(value, unit):
+    return {"value": value, "unit": unit}
+
+
+def _schedule_document():
+    """cube8 in tension_schedule mode, with a two-row table."""
+    doc = yaml.safe_load(bundled_scenario_path("cube8").read_text())
+    doc["control"]["mode"] = TENSION_SCHEDULE
+    doc["control"]["schedule"] = [{"t": _quantity(t, "s"), "tensions": _quantity([5.0] * 8, "N")}
+                                  for t in (0.0, 1.0)]
+    return doc
+
+
+def _edit_wire(scenario, i, exit_body=None, anchor_world=None):
+    wire = scenario.wires[i]
+    changed = WireAttachment(wire.exit_body if exit_body is None else exit_body,
+                             wire.anchor_world if anchor_world is None else anchor_world)
+    return {"wires": scenario.wires[:i] + (changed,) + scenario.wires[i + 1:]}
+
+
+def _edit_row(scenario, section, k, **change):
+    rows = list(getattr(scenario, section))
+    rows[k] = dataclasses.replace(rows[k], **change)
+    return {section: rows}
+
+
+def _unclaim(doc, i):
+    doc["wires"][i]["anchor_world"] = _quantity([0.0, 0.0, 3.0], "m")
+
+
+# (field named, base document, edit of that document, replace of its scenario)
+_REFUSALS = [
+    ("seed", "cube8", lambda d: _set(d, "seed", -1), lambda s: {"seed": -1}),
+    ("seed", "cube8", lambda d: _set(d, "seed", 2.5), lambda s: {"seed": 2.5}),
+    ("name", "cube8", lambda d: _set(d, "name", 12), lambda s: {"name": 12}),
+    ("wires", "cube8", lambda d: _set(d, "wires", []), lambda s: {"wires": ()}),
+    ("trajectory.segments", "cube8", lambda d: _set(d, "trajectory.segments", []),
+     lambda s: {"segments": ()}),
+    ("trajectory.segments[0].duration", "cube8",
+     lambda d: _at(d, "trajectory.segments[0]").update(duration=_quantity(0.0, "s")),
+     lambda s: _edit_row(s, "segments", 0, duration=0.0)),
+    ("wires[0].exit_body", "cube8",
+     lambda d: _at(d, "wires[0]").update(exit_body=_quantity([0.5, 0.0, 0.0], "m")),
+     lambda s: _edit_wire(s, 0, exit_body=[0.5, 0.0, 0.0])),
+    ("anchors[0].wire_id", "anchors2",
+     lambda d: (_unclaim(d, 0), _at(d, "anchors[0]").update(wire_id=9)),
+     lambda s: _edit_row(s, "anchors", 0, wire_id=9)),
+    ("anchors[1].wire_id", "anchors2",
+     lambda d: (_unclaim(d, 1), _at(d, "anchors[1]").update(wire_id=0)),
+     lambda s: _edit_row(s, "anchors", 1, wire_id=0)),
+    ("anchors[0].pillar", "anchors2", lambda d: _at(d, "anchors[0]").update(pillar=5),
+     lambda s: _edit_row(s, "anchors", 0, pillar=5)),
+    ("wires[0].anchor_world", "anchors2",
+     lambda d: _at(d, "wires[0]").update(anchor_world=_quantity([0.0, -1.2, 2.0], "m")),
+     lambda s: _edit_wire(s, 0, anchor_world=[0.0, -1.2, 2.0])),
+    ("allocation_weights", "cube8", lambda d: _set(d, "allocation_weights.scale", -1.0),
+     lambda s: {"weight_scale": -1.0}),
+    ("control.mode", "cube8", lambda d: _set(d, "control.mode", "bogus"),
+     lambda s: {"mode": "bogus"}),
+    ("control.rate", "cube8", lambda d: _set(d, "control.rate", _quantity(0.0, "Hz")),
+     lambda s: {"control_rate": 0.0}),
+    ("control.rate", "cube8", lambda d: _set(d, "control.rate", _quantity(333.0, "Hz")),
+     lambda s: {"control_rate": 333.0}),
+    ("control.rate", "cube8", lambda d: _set(d, "sim.dt", _quantity(0.003, "s")),
+     lambda s: {"dt": 0.003}),
+    ("sim.dt", "cube8", lambda d: _set(d, "sim.dt", _quantity(0.02, "s")),
+     lambda s: {"dt": 0.02}),
+    ("sim.dt", "cube8", lambda d: _set(d, "sim.dt", _quantity(0.0, "s")),
+     lambda s: {"dt": 0.0}),
+    ("sim.dt", "cube8", lambda d: _set(d, "sim.dt", _quantity(float("inf"), "s")),
+     lambda s: {"dt": float("inf")}),
+    ("sim.duration", "cube8", lambda d: _set(d, "sim.duration", _quantity(-1.0, "s")),
+     lambda s: {"duration": -1.0}),
+    ("sim.speed_limit", "cube8", lambda d: _set(d, "sim.speed_limit", -1.0),
+     lambda s: {"speed_limit": -1.0}),
+    ("gravity", "cube8", lambda d: _set(d, "gravity", _quantity(float("nan"), "m/s^2")),
+     lambda s: {"gravity": float("nan")}),
+    ("winch.max_tension", "cube8",
+     lambda d: _set(d, "winch.max_tension", _quantity(float("inf"), "N")),
+     lambda s: {"winch": dataclasses.replace(s.winch, max_tension=float("inf"))}),
+    ("tension_bounds.upper", "cube8",
+     lambda d: _set(d, "tension_bounds.upper", _quantity(float("inf"), "N")),
+     lambda s: {"bounds": TensionBounds(s.bounds.lower, np.full(s.wire_count, np.inf))}),
+    ("control.schedule[0].tensions", "schedule",
+     lambda d: _at(d, "control.schedule[0]").update(tensions=_quantity([5.0] * 7, "N")),
+     lambda s: {"schedule_table": [(0.0, np.full(7, 5.0)), s.schedule_table[1]]}),
+    ("control.schedule[1].t", "schedule",
+     lambda d: _at(d, "control.schedule[1]").update(t=_quantity(0.0, "s")),
+     lambda s: {"schedule_table": [s.schedule_table[0], (0.0, s.schedule_table[1][1])]}),
+    ("control.schedule[0].tensions", "schedule",
+     lambda d: _at(d, "control.schedule[0].tensions").update(value=[-1.0] + [5.0] * 7),
+     lambda s: {"schedule_table": [(0.0, np.array([-1.0] + [5.0] * 7)), s.schedule_table[1]]}),
+]
+
+
+@pytest.mark.parametrize("path, base, edit, change", _REFUSALS,
+                         ids=[f"{path}-{k}" for k, (path, *_) in enumerate(_REFUSALS)])
+def test_a_file_and_a_replace_are_refused_alike(path, base, edit, change):
+    # one rule, stated by Scenario, refuses the bad value by its document path
+    # whether it comes from a file or from dataclasses.replace
+    def document():
+        if base == "schedule":
+            return _schedule_document()
+        return yaml.safe_load(bundled_scenario_path(base).read_text())
+
+    scenario = build_scenario(document())
+    bad = document()
+    edit(bad)
+    with pytest.raises(ValidationError) as from_file:
+        build_scenario(bad)
+    with pytest.raises(ValidationError) as from_replace:
+        dataclasses.replace(scenario, **change(scenario))
+    assert from_file.value.field == from_replace.value.field == path
+    assert isinstance(from_replace.value, ValueError)
+
+
+def test_a_scenario_is_frozen():
+    scenario = load_scenario(bundled_scenario_path("cube8"))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        scenario.dt = 0.003
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        scenario.bounds = TensionBounds(np.zeros(7), np.ones(7))
+    with pytest.raises(AttributeError):
+        scenario.wires.append(scenario.wires[0])
+    assert scenario.dt == 1e-3 and scenario.wire_count == 8
 
 
 @st.composite
