@@ -8,7 +8,8 @@ surface exposed to scenarios.  Winch-side compensation then adds tension
 for reflected rotor inertia and shaft friction, and the current map is a
 single constant.  One drivetrain model (`WinchParams`) serves every wire.
 The wire matrix W and the wire rates come in as the plain arrays that
-`wire_jacobian` and `wire_lengths_and_rates` return.
+`wire_jacobian` and `wire_lengths_and_rates` return; the compensated
+tensions and the currents leave as float tuples.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qp import solve_box_qp
-from .spatial import Wrench, _set_field
+from .spatial import Wrench, _floats, _Record, _set_field
 
 DEFAULT_MAX_TENSION = 180.0  # N, continuous rating of one winch
 DEFAULT_PRETENSION = 2.0  # N, keeps wires taut; they cannot push
@@ -117,14 +118,19 @@ class WinchParams:
 
 
 @dataclass(frozen=True, eq=False)
-class TensionCommand:
+class TensionCommand(_Record):
     """Full output of one allocation pass."""
 
-    tensions: np.ndarray  # QP solution inside the bounds
-    tensions_final: np.ndarray  # after winch compensation, >= 0
-    currents: np.ndarray
+    tensions: tuple  # QP solution inside the bounds
+    tensions_final: tuple  # after winch compensation, >= 0
+    currents: tuple
     residual_norm: float
-    saturated: np.ndarray  # TensionBounds.saturated of the QP tensions
+    saturated: tuple  # of bools: TensionBounds.saturated of the QP tensions
+    _tuples = {"tensions": -1, "tensions_final": -1, "currents": -1}
+
+    def __post_init__(self):
+        super().__post_init__()
+        object.__setattr__(self, "saturated", tuple(bool(s) for s in self.saturated))
 
 
 def allocate(
@@ -132,7 +138,7 @@ def allocate(
     wrench: Wrench,
     bounds: TensionBounds,
     weights: AllocationWeights,
-    start: np.ndarray | None = None,
+    start=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Solve the tension-distribution QP for the 6 x m wire matrix.
 
@@ -154,11 +160,11 @@ def allocate(
 
 def compensate(
     tensions: np.ndarray,
-    accel_ref: np.ndarray,
+    accel_ref,
     rates: np.ndarray,
     matrix: np.ndarray,
     winch: WinchParams,
-) -> np.ndarray:
+) -> tuple:
     """Add winch inertia and friction compensation to commanded tensions.
 
     The drum spins at -rate/r; its angular acceleration is taken from the
@@ -175,27 +181,26 @@ def compensate(
     projected = (matrix.T @ accel_ref).tolist()  # -d^2(length)/dt^2 per wire
     r = winch.pulley_radius
     final = []
-    for tension, accel, rate in zip(np.asarray(tensions, dtype=float).tolist(), projected,
-                                    np.asarray(rates, dtype=float).tolist(), strict=True):
+    for tension, accel, rate in zip(_floats(tensions), projected, _floats(rates), strict=True):
         drum_speed = -rate / r
         # np.sign, except that a zero keeps its sign, which the clamp erases
         sign = 1.0 if drum_speed > 0.0 else -1.0 if drum_speed < 0.0 else drum_speed
         friction = sign * winch.coulomb_friction + winch.viscous_friction * drum_speed
         value = tension + (winch.rotor_inertia * (accel / r) + friction) / r
         final.append(value if value > 0.0 or value != value else 0.0)
-    return np.array(final)
+    return tuple(final)
 
 
-def to_currents(tensions: np.ndarray, winch: WinchParams) -> np.ndarray:
+def to_currents(tensions, winch: WinchParams) -> tuple:
     """Exactly linear tension-to-current map, one constant for every wire."""
-    tensions = np.asarray(tensions, dtype=float).tolist()
+    tensions = _floats(tensions)
     if any(t < 0 for t in tensions):
         raise ValueError("tensions must be non-negative")
     scale = winch.current_per_newton
-    return np.array([scale * t for t in tensions])
+    return tuple(scale * t for t in tensions)
 
 
-def tension_command(tensions: np.ndarray, final: np.ndarray, residual: np.ndarray,
+def tension_command(tensions: np.ndarray, final, residual: np.ndarray,
                     bounds: TensionBounds, winch: WinchParams) -> TensionCommand:
     """The command for allocated `tensions` that the winches are to exert
     as `final`, with the allocation's wrench `residual` (a 6-array); its
@@ -214,10 +219,10 @@ def solve_tension_command(
     wrench: Wrench,
     bounds: TensionBounds,
     weights: AllocationWeights,
-    accel_ref: np.ndarray,
+    accel_ref,
     rates: np.ndarray,
     winch: WinchParams,
-    start: np.ndarray | None = None,
+    start=None,
 ) -> TensionCommand:
     """Allocation, compensation and current conversion in one pass."""
     tensions, residual = allocate(matrix, wrench, bounds, weights, start=start)

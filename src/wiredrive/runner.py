@@ -76,7 +76,6 @@ class _ScheduleController:
         self.segments, self.starts = schedule
         self.weights = scenario.weights
         self.gravity = gravity_feedforward(scenario.body, scenario.gravity)
-        self.gravity_array = self.gravity.as_array()
         if scenario.schedule_table is not None:
             self.times = np.array([row[0] for row in scenario.schedule_table])
 
@@ -101,20 +100,12 @@ class _ScheduleController:
             desired = Wrench.zero()
         else:
             jacobian = wire_jacobian(pose_ref, self.wires)
-            need = self.gravity_array + np.concatenate(
-                [scenario.body.mass * accel_ref[:3], np.zeros(3)]
-            )
-            desired = Wrench.from_array(need)
+            force = tuple(g + scenario.body.mass * a for g, a in zip(self.gravity.force, accel_ref))
+            desired = Wrench._of(force, tuple(g + 0.0 for g in self.gravity.torque))
             tensions, residual = allocate(jacobian, desired, scenario.bounds, self.weights)
-        return ControlTick(
-            pose_ref=pose_ref,
-            twist_ref=twist_ref,
-            accel_ref=accel_ref,
-            feedback_wrench=Wrench.zero(),
-            gravity_wrench=self.gravity,
-            desired_wrench=desired,
-            command=tension_command(tensions, tensions, residual, scenario.bounds, scenario.winch),
-        )
+        command = tension_command(tensions, tensions, residual, scenario.bounds, scenario.winch)
+        return ControlTick._of(pose_ref, twist_ref, accel_ref, Wrench.zero(), self.gravity, desired,
+                               command)
 
 
 def write_points_csv(path: Path, points) -> None:
@@ -259,9 +250,10 @@ def run_scenario(scenario: Scenario, out_dir, seed: int | None = None) -> dict:
                 if np.any(lengths > scenario.winch.winding_capacity):
                     capacity_violations += 1
 
-                pos_errors[k] = norm3((state.pose.position - tick.pose_ref.position).tolist())
-                rot_errors[k] = norm3(attitude_error(tick.pose_ref.orientation.tolist(),
-                                                     state.pose.orientation.tolist()))
+                pos_errors[k] = norm3([p - r for p, r in zip(state.pose.position,
+                                                             tick.pose_ref.position)])
+                rot_errors[k] = norm3(attitude_error(tick.pose_ref.orientation,
+                                                     state.pose.orientation))
                 max_tension = max(max_tension, float(np.max(command.tensions_final, initial=0.0)))
                 max_residual = max(max_residual, command.residual_norm)
                 n_sat = int(np.sum(command.saturated))
@@ -275,8 +267,8 @@ def run_scenario(scenario: Scenario, out_dir, seed: int | None = None) -> dict:
         raise
     finally:
         pos_errors, rot_errors = pos_errors[:rows], rot_errors[:rows]
-        terminal_error = end_pose.position - scenario.segments[-1].goal_pose.position
-        displacement = end_pose.position - scenario.start_pose.position
+        terminal_error = np.subtract(end_pose.position, scenario.segments[-1].goal_pose.position)
+        displacement = np.subtract(end_pose.position, scenario.start_pose.position)
         summary = {
             "scenario": scenario.name,
             "mode": scenario.mode,

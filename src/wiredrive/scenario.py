@@ -49,7 +49,7 @@ from .anchors import (
     wrap_anchor,
 )
 from .simulator import DEFAULT_SPEED_LIMIT, MAX_DT, STANDARD_GRAVITY, BodyModel, SensorModel
-from .spatial import PidGains, Pose, _set_field
+from .spatial import PidGains, Pose, _checked, _set_field
 from .wires import WireAttachment
 
 FORMAT_VERSION = 1
@@ -359,7 +359,12 @@ class SegmentSpec:
     # (3,) as written: a quaternion does not give it back bit for bit
     goal_orientation_rotvec: np.ndarray
     goal_velocity: np.ndarray  # (6,)
-    duration: float
+    duration: float  # Scenario states that it is positive
+
+    def __post_init__(self):
+        for name, shape in (("goal_position", 3), ("goal_orientation_rotvec", 3),
+                            ("goal_velocity", 6), ("duration", ())):
+            _set_field(self, name, shape)  # shape and finiteness; Scenario states the rest
 
     @property
     def goal_pose(self) -> Pose:
@@ -373,8 +378,12 @@ class AnchorTask:
     wire_id: int
     pillar: int  # index into Scenario.pillars
     approach: np.ndarray  # (3,)
-    clearance: float
+    clearance: float  # Scenario states that it is positive
     wrap_altitude: float
+
+    def __post_init__(self):
+        for name, shape in (("approach", 3), ("clearance", ()), ("wrap_altitude", ())):
+            _set_field(self, name, shape)  # shape and finiteness; Scenario states the rest
 
 
 @dataclass(frozen=True, eq=False)
@@ -492,7 +501,9 @@ class Scenario:
                 raise ValidationError(f"wires[{i}].exit_body", f"exit point magnitude {reach:.3f} m"
                                       f" exceeds the body radius {self.body.radius:.3f} m")
         _claims([(task.wire_id, task.pillar) for task in self.anchors], m, len(self.pillars))
-        for task in self.anchors:
+        for k, task in enumerate(self.anchors):
+            if not task.clearance > 0.0:
+                raise ValidationError(f"anchors[{k}].clearance", "must be positive")
             anchor = wrap_anchor(self.pillars[task.pillar], task.wrap_altitude)
             if not np.array_equal(self.wires[task.wire_id].anchor_world, anchor):
                 raise ValidationError(f"wires[{task.wire_id}].anchor_world",
@@ -503,12 +514,18 @@ class Scenario:
             raise ValidationError("control.mode", f"unknown mode {self.mode!r}")
         if self.schedule_table is not None and self.mode != TENSION_SCHEDULE:
             raise ValidationError("control.schedule", f"{self.mode} mode reads no table")
+        table = []  # the rows, stored as `_checked` gives them
         for k, (t, tensions) in enumerate(self.schedule_table or ()):
-            if k and not t > self.schedule_table[k - 1][0]:
-                raise ValidationError(f"control.schedule[{k}].t", "schedule times must increase")
+            path = f"control.schedule[{k}]"
+            if k and not t > table[-1][0]:
+                raise ValidationError(f"{path}.t", "schedule times must increase")
             if np.shape(tensions) != (m,) or not np.all(np.asarray(tensions) >= 0):
-                raise ValidationError(f"control.schedule[{k}].tensions",
+                raise ValidationError(f"{path}.tensions",
                                       f"expected {m} non-negative tensions, got {tensions}")
+            table.append((_make(f"{path}.t", _checked, "t", t),
+                          _make(f"{path}.tensions", _checked, "tensions", tensions, m)))
+        if table:
+            object.__setattr__(self, "schedule_table", tuple(table))
         if not 0 < self.dt <= MAX_DT:
             raise ValidationError("sim.dt", f"dt must lie in (0, {MAX_DT}] seconds")
         substeps = 1.0 / (self.control_rate * self.dt)

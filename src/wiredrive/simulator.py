@@ -16,12 +16,12 @@ matrix (for the wrench) at its pose.  Given a `WireSet`, the second call
 is served from its memo, so a step makes one pass over the wires (see
 `wires`).  The current map is one loop over the wires on Python floats:
 the NaN check, the tension min(max(0, i) / current_per_newton,
-max_tension), and the slack rule; one numpy array then holds the
-tensions.  Everything after the wrench runs on Python floats too,
-through the float cores in `spatial`: one rotation matrix, the inverse
-inertia that `BodyModel` computes once, and one normalization of the
-new attitude, by `quat_unit`, as the odometry sensor does for its noisy
-one; both build their records with `Pose._of` and `Twist._of`.
+max_tension), and the slack rule; the tensions stay a float tuple, which
+the wire matrix multiplies.  Everything after the wrench runs on Python
+floats too, through the float cores in `spatial`: one rotation matrix,
+the inverse inertia that `BodyModel` computes once, and one
+normalization of the new attitude, by `quat_unit`, as the odometry
+sensor does for its noisy one; both build their records with `_of`.
 """
 
 from __future__ import annotations
@@ -38,6 +38,8 @@ from .errors import NumericalBlowup
 from .spatial import (
     Pose,
     Twist,
+    _floats,
+    _Record,
     _set_field,
     cross3,
     hamilton,
@@ -85,22 +87,23 @@ class BodyModel:
 
 
 @dataclass(frozen=True, eq=False)
-class SimState:
+class SimState(_Record):
     """Simulation snapshot: body state plus the tensions actually exerted."""
 
     pose: Pose
     twist: Twist
-    tensions: np.ndarray
+    tensions: tuple
     time: float = 0.0
+    _tuples = {"tensions": -1}
 
     @classmethod
     def at_rest(cls, pose: Pose, wire_count: int) -> "SimState":
-        return cls(pose, Twist.zero(), np.zeros(wire_count), 0.0)
+        return cls(pose, Twist.zero(), (0.0,) * wire_count, 0.0)
 
 
 def step(
     state: SimState,
-    currents: np.ndarray,
+    currents,
     dt: float,
     body: BodyModel,
     attachments: Sequence[WireAttachment],
@@ -108,15 +111,14 @@ def step(
     gravity: float = STANDARD_GRAVITY,
     speed_limit: float = DEFAULT_SPEED_LIMIT,
 ) -> SimState:
-    """Advance the body one step under commanded winch currents."""
+    """Advance the body one step under winch currents, one per wire (any sequence)."""
     if not 0.0 < dt <= MAX_DT:
         raise ValueError(f"dt must lie in (0, {MAX_DT}] seconds")
     _, rates = wire_lengths_and_rates(state.pose, state.twist, attachments)
-    currents = np.asarray(currents, dtype=float).tolist()
     per_newton, speed = winch.current_per_newton, winch.max_line_speed
     cap = winch.max_tension
     tensions = []
-    for i, (current, rate) in enumerate(zip(currents, rates.tolist(), strict=True)):
+    for i, (current, rate) in enumerate(zip(_floats(currents), rates.tolist(), strict=True)):
         if current != current:
             # checked before the slack rule, which would give a slack wire 0
             raise NumericalBlowup(f"wire {i}: current is NaN at t={state.time:.4f} s")
@@ -124,17 +126,15 @@ def step(
         # wire taut; the wire goes slack and exerts nothing this step.
         # max(0.0, c) is +0.0 for c = -0.0, as np.maximum(c, 0.0) was
         tensions.append(0.0 if abs(rate) > speed else min(max(0.0, current) / per_newton, cap))
-    tensions = np.array(tensions)
+    tensions = tuple(tensions)
 
     fx, fy, fz, *torque_world = (wire_jacobian(state.pose, attachments) @ tensions).tolist()
     mass = body.mass
     accel = (fx / mass, fy / mass, (fz - mass * gravity) / mass)
-    linear = state.twist.linear.tolist()
-    velocity_new = [v + dt * a for v, a in zip(linear, accel)]
+    linear, angular, orientation = state.twist.linear, state.twist.angular, state.pose.orientation
+    velocity_new = tuple(v + dt * a for v, a in zip(linear, accel))
 
-    orientation = state.pose.orientation.tolist()
     rot = rotation_rows(orientation)
-    angular = state.twist.angular.tolist()
     omega_body = mat_t_vec(rot, angular)
     torque_body = mat_t_vec(rot, torque_world)
     gyro = cross3(omega_body, mat_vec(body.inertia.tolist(), omega_body))
@@ -150,14 +150,13 @@ def step(
         )
 
     half = 0.5 * dt
-    position_new = [
-        p + half * (v0 + v1)
-        for p, v0, v1 in zip(state.pose.position.tolist(), linear, velocity_new)
-    ]
+    position_new = tuple(
+        p + half * (v0 + v1) for p, v0, v1 in zip(state.pose.position, linear, velocity_new)
+    )
     rotvec_step = [half * (w0 + w1) for w0, w1 in zip(angular, omega_new)]
     orientation_new = quat_unit(hamilton(rotvec_exp(rotvec_step), orientation))
 
-    return SimState(
+    return SimState._of(
         Pose._of(position_new, orientation_new),
         Twist._of(velocity_new, omega_new),
         tensions,
@@ -183,8 +182,8 @@ class SensorModel:
             raise ValueError(f"latency must be a non-negative integer, got {self.latency}")
 
 
-def _perturbed(values: np.ndarray, std: float, draws) -> list:
-    return [v + std * n for v, n in zip(values.tolist(), draws)]
+def _perturbed(values: tuple, std: float, draws) -> tuple:
+    return tuple(v + std * n for v, n in zip(values, draws))
 
 
 class OdometrySensor:
@@ -209,7 +208,7 @@ class OdometrySensor:
         rotation = rotvec_exp([m.rotation_noise * n for n in noise[3:6]])
         return (
             Pose._of(_perturbed(pose.position, m.position_noise, noise[0:3]),
-                     quat_unit(hamilton(rotation, pose.orientation.tolist()))),
+                     quat_unit(hamilton(rotation, pose.orientation))),
             Twist._of(_perturbed(twist.linear, m.velocity_noise, noise[6:9]),
                       _perturbed(twist.angular, m.angular_velocity_noise, noise[9:12])),
         )

@@ -3,14 +3,15 @@
 A pose is a world-frame position plus a unit quaternion (world-from-body,
 scalar first, canonicalized to a non-negative scalar part).  Twists and
 wrenches are world-frame 6-vectors split into linear/angular and
-force/torque halves, with torques referenced to the body center.  The
-records are frozen and copy their arrays but check nothing else (a pose
-only normalizes its quaternion): values are checked where they enter the
-program, and the simulator catches non-finite state.  The PID integral
-accumulator is the one mutable object and is owned by whoever runs the
-control loop.  The configuration records (these gains and those of the
-other modules) store each field through `_set_field`, which refuses a
-value that is not finite, or +inf where that is no limit.
+force/torque halves, with torques referenced to the body center.  Like
+every record a control tick passes on (`_Record`), they are frozen, hold
+float tuples and check nothing else (a pose only normalizes its
+quaternion): values are checked where they enter the program, and the
+simulator catches non-finite state.  The PID integral accumulator is the
+one mutable object, owned by whoever runs the control loop.  Config
+records (these gains and those of the other modules) keep arrays, each
+stored through `_set_field`, which refuses a value that is not finite,
+or +inf where that is no limit.
 
 Each rotation fact is written once, as a float core below: the Hamilton
 product, the rotation matrix, `quat_unit`, the exp and log maps, and the
@@ -21,7 +22,7 @@ else calls them; the tick normalizes each quaternion it makes once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,18 +31,14 @@ _QUAT_EPS = 1e-12
 UNIT_NORM_TOLERANCE = 4 * 2.0**-52
 
 
-def _vec3(v) -> np.ndarray:
-    return np.array(v, dtype=float).reshape(3)
-
-
-def _set_field(record, name: str, shape=(), sign=None, limitless: bool = False) -> None:
-    """Store field `name` of the frozen `record` as a float, or for a
-    `shape` other than () as a read-only, C-ordered float copy of that
-    shape.  ValueError naming the field unless every value is finite, or
-    +inf where `limitless` (an infinite bound is no limit), and unless it
-    is as `sign` says: "positive" (> 0), "non-negative" (>= 0), or a
-    "symmetric positive definite" matrix; NaN fails each."""
-    value = np.array(getattr(record, name), dtype=float, order="C").reshape(shape)
+def _checked(name: str, value, shape=(), sign=None, limitless: bool = False):
+    """`value` as a float, or for a `shape` other than () as a read-only,
+    C-ordered float copy of that shape.  ValueError naming it `name` unless
+    every value is finite, or +inf where `limitless` (an infinite bound is
+    no limit), and unless it is as `sign` says: "positive" (> 0),
+    "non-negative" (>= 0), or a "symmetric positive definite" matrix; NaN
+    fails each."""
+    value = np.array(value, dtype=float, order="C").reshape(shape)
     if not np.all(np.isfinite(value) | (limitless & (value == np.inf))):
         raise ValueError(f"{name} must be finite{' or +inf' * limitless}, got {value}")
     if sign == "symmetric positive definite":
@@ -51,18 +48,44 @@ def _set_field(record, name: str, shape=(), sign=None, limitless: bool = False) 
     if not ok:
         raise ValueError(f"{name} must be {sign}, got {value}")
     value.setflags(write=False)
-    object.__setattr__(record, name, float(value) if shape == () else value)
+    return float(value) if shape == () else value
 
 
-def _floats(v) -> list:
-    """The elements of a vector as Python floats."""
-    return np.asarray(v, dtype=float).ravel().tolist()
+def _set_field(record, name: str, shape=(), sign=None, limitless: bool = False) -> None:
+    """Store field `name` of the frozen `record` as `_checked` gives it."""
+    object.__setattr__(record, name, _checked(name, getattr(record, name), shape, sign, limitless))
+
+
+def _floats(v, n: int = -1) -> tuple:
+    """A vector (of length n, unless -1) as a tuple of Python floats."""
+    return tuple(np.asarray(v, dtype=float).reshape(n).tolist())
+
+
+_ZERO3 = (0.0, 0.0, 0.0)
+
+
+class _Record:
+    """Base of the records a tick passes on.  The constructor stores each
+    field `_tuples` names, with its length (-1: any), as a float tuple;
+    `_of` stores its fields, in order and in that form, as they are."""
+
+    _tuples = {}
+
+    def __post_init__(self):
+        for name, n in self._tuples.items():
+            object.__setattr__(self, name, _floats(getattr(self, name), n))
+
+    @classmethod
+    def _of(cls, *values):
+        record = object.__new__(cls)
+        record.__dict__.update(zip(cls.__dataclass_fields__, values))
+        return record
 
 
 # Float cores: the formulas on Python floats, taking and returning tuples
 # (or any sequence).  Python floats round exactly as float64 arrays do, and
 # on 3- and 4-vectors they skip numpy's per-call setup.  Each is the one
-# formulation of its fact; callers holding arrays pass `.tolist()`.
+# formulation of its fact; the records' fields go in as they are.
 
 
 def norm3(v) -> float:
@@ -168,7 +191,7 @@ def _chart_coefficients(t: float) -> list:
             (1.0 - 0.5 * t * sin / one_minus_cos) / t2]
 
 
-def chart_rates(rv, rate, accel) -> tuple[list, list]:
+def chart_rates(rv, rate, accel) -> tuple[tuple, tuple]:
     """World angular velocity J_l rate and acceleration J_l accel +
     J_l_dot rate of q(t) = exp(rv(t)) * q0, from the chart's rv and its
     first two derivatives, with J_l = I + a [rv]x + b [rv]x^2 applied as
@@ -180,11 +203,11 @@ def chart_rates(rv, rate, accel) -> tuple[list, list]:
     c1 = cross3(rv, rate)
     c2, d1, e = cross3(rv, c1), cross3(rv, accel), cross3(rate, c1)
     dot = rv[0] * rate[0] + rv[1] * rate[1] + rv[2] * rate[2]
-    omega = [v + a * p + b * q for v, p, q in zip(rate, c1, c2)]
-    omega_dot = [
+    omega = tuple(v + a * p + b * q for v, p, q in zip(rate, c1, c2))
+    omega_dot = tuple(
         (v + a * p + b * q) + dot * (a_prime_over * m + b_prime_over * n) + b * r
         for v, p, q, m, n, r in zip(accel, d1, cross3(rv, d1), c1, c2, e)
-    ]
+    )
     return omega, omega_dot
 
 
@@ -210,109 +233,83 @@ def rotvec_exp(rv) -> tuple:
 
 
 @dataclass(frozen=True, eq=False)
-class Pose:
+class Pose(_Record):
     """World-frame rigid-body pose: position plus world-from-body quaternion.
 
     The constructor normalizes the quaternion unless its float norm is
     within `UNIT_NORM_TOLERANCE` (4 ulps) of 1; then it keeps it, up to its
     sign.  So `Pose(p.position, p.orientation)` equals `p` bit for bit."""
 
-    position: np.ndarray
-    orientation: np.ndarray
+    position: tuple
+    orientation: tuple
 
     def __post_init__(self):
-        w, x, y, z = q = _floats(self.orientation)
+        w, x, y, z = q = _floats(self.orientation, 4)
         if not abs(math.sqrt(w * w + x * x + y * y + z * z) - 1.0) <= UNIT_NORM_TOLERANCE:
             q = quat_unit(q)  # NaN and inf land here too, and raise
         elif w < 0.0:
             q = (-w, -x, -y, -z)
-        object.__setattr__(self, "position", _vec3(self.position))
-        object.__setattr__(self, "orientation", np.array(q))
-
-    @classmethod
-    def _of(cls, position, orientation) -> "Pose":
-        """A pose of a fresh float list and a `quat_unit` result, as they are."""
-        pose = object.__new__(cls)
-        pose.__dict__.update(position=np.array(position), orientation=np.array(orientation))
-        return pose
+        object.__setattr__(self, "position", _floats(self.position, 3))
+        object.__setattr__(self, "orientation", q)
 
     @classmethod
     def identity(cls) -> "Pose":
-        return cls(np.zeros(3), np.array([1.0, 0.0, 0.0, 0.0]))
+        return cls(_ZERO3, (1.0, 0.0, 0.0, 0.0))
 
     @classmethod
     def from_translation(cls, position) -> "Pose":
-        return cls(position, np.array([1.0, 0.0, 0.0, 0.0]))
+        return cls(position, (1.0, 0.0, 0.0, 0.0))
 
     @classmethod
     def from_rotvec(cls, position, rotvec) -> "Pose":
-        return cls(position, quat_unit(rotvec_exp(_floats(rotvec))))
+        return cls(position, quat_unit(rotvec_exp(_floats(rotvec, 3))))
 
     def rotation_matrix(self) -> np.ndarray:
-        return np.array(rotation_rows(self.orientation.tolist()))
+        return np.array(rotation_rows(self.orientation))
 
 
 def orientation_error(target: Pose, current: Pose) -> np.ndarray:
     """World-frame rotation vector carrying `current` onto `target`."""
-    return np.array(attitude_error(target.orientation.tolist(), current.orientation.tolist()))
+    return np.array(attitude_error(target.orientation, current.orientation))
+
+
+class _SixVector(_Record):
+    """A 6-vector held as the two 3-tuples `_tuples` names, in order."""
+
+    @classmethod
+    def zero(cls):
+        return cls._of(_ZERO3, _ZERO3)
+
+    @classmethod
+    def from_array(cls, v):
+        v = np.asarray(v, dtype=float).reshape(6)
+        return cls(v[:3], v[3:])
+
+    def as_array(self) -> np.ndarray:
+        first, second = (getattr(self, name) for name in self._tuples)
+        return np.array(first + second)
 
 
 @dataclass(frozen=True, eq=False)
-class Twist:
+class Twist(_SixVector):
     """World-frame velocity 6-vector of the body center."""
 
-    linear: np.ndarray
-    angular: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "linear", _vec3(self.linear))
-        object.__setattr__(self, "angular", _vec3(self.angular))
-
-    @classmethod
-    def _of(cls, linear, angular) -> "Twist":
-        """A twist of two fresh float lists, as they are."""
-        twist = object.__new__(cls)
-        twist.__dict__.update(linear=np.array(linear), angular=np.array(angular))
-        return twist
-
-    @classmethod
-    def zero(cls) -> "Twist":
-        return cls(np.zeros(3), np.zeros(3))
-
-    @classmethod
-    def from_array(cls, v) -> "Twist":
-        v = np.asarray(v, dtype=float).reshape(6)
-        return cls(v[:3], v[3:])
-
-    def as_array(self) -> np.ndarray:
-        return np.concatenate([self.linear, self.angular])
+    linear: tuple
+    angular: tuple
+    _tuples = {"linear": 3, "angular": 3}
 
 
 @dataclass(frozen=True, eq=False)
-class Wrench:
+class Wrench(_SixVector):
     """World-frame force/torque 6-vector referenced to the body center."""
 
-    force: np.ndarray
-    torque: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "force", _vec3(self.force))
-        object.__setattr__(self, "torque", _vec3(self.torque))
-
-    @classmethod
-    def zero(cls) -> "Wrench":
-        return cls(np.zeros(3), np.zeros(3))
-
-    @classmethod
-    def from_array(cls, v) -> "Wrench":
-        v = np.asarray(v, dtype=float).reshape(6)
-        return cls(v[:3], v[3:])
-
-    def as_array(self) -> np.ndarray:
-        return np.concatenate([self.force, self.torque])
+    force: tuple
+    torque: tuple
+    _tuples = {"force": 3, "torque": 3}
 
     def __add__(self, other: "Wrench") -> "Wrench":
-        return Wrench(self.force + other.force, self.torque + other.torque)
+        return Wrench._of(tuple(a + b for a, b in zip(self.force, other.force)),
+                          tuple(a + b for a, b in zip(self.torque, other.torque)))
 
 
 def transform_odometry(
@@ -327,12 +324,12 @@ def transform_odometry(
     The control loop does not call this: its sensor measures the
     body-center state directly.
     """
-    lever = mat_vec(rotation_rows(cam_pose.orientation.tolist()), body_in_camera.position.tolist())
+    lever = mat_vec(rotation_rows(cam_pose.orientation), body_in_camera.position)
     body_pose = Pose(
-        cam_pose.position + lever,
-        hamilton(cam_pose.orientation.tolist(), body_in_camera.orientation.tolist()),
+        [p + r for p, r in zip(cam_pose.position, lever)],
+        hamilton(cam_pose.orientation, body_in_camera.orientation),
     )
-    linear = cam_twist.linear + cross3(cam_twist.angular.tolist(), lever)
+    linear = [v + c for v, c in zip(cam_twist.linear, cross3(cam_twist.angular, lever))]
     return body_pose, Twist(linear, cam_twist.angular)
 
 
@@ -357,10 +354,11 @@ class PidGains:
 
 
 @dataclass
-class PidState:
+class PidState(_Record):
     """Mutable integral accumulator, owned by one control loop."""
 
-    integral: np.ndarray = field(default_factory=lambda: np.zeros(6))
+    integral: tuple = (0.0,) * 6
+    _tuples = {"integral": 6}
 
 
 def wrench_error_pid(
@@ -379,15 +377,14 @@ def wrench_error_pid(
     torque components.  The integral accumulates the pose error and is
     clamped per axis before the gain is applied (anti-windup).
     """
-    err = [r - p for r, p in zip(pose_ref.position.tolist(), pose.position.tolist())]
-    err += attitude_error(pose_ref.orientation.tolist(), pose.orientation.tolist())
-    derr = [r - m for r, m in zip(twist_ref.linear.tolist() + twist_ref.angular.tolist(),
-                                  twist.linear.tolist() + twist.angular.tolist())]
-    accumulated = [i + e * dt for i, e in zip(state.integral.tolist(), err)]
+    err = [r - p for r, p in zip(pose_ref.position, pose.position)]
+    err += attitude_error(pose_ref.orientation, pose.orientation)
+    derr = [r - m for r, m in zip(twist_ref.linear + twist_ref.angular,
+                                  twist.linear + twist.angular)]
+    accumulated = [i + e * dt for i, e in zip(state.integral, err)]
     # np.clip: max with -hi, then min with hi; a NaN passes, a zero limit gives hi
-    integral = [-hi if v <= -hi and hi else hi if v >= hi or v <= -hi else v
-                for v, hi in zip(accumulated, gains.integral_limit.tolist())]
-    state.integral = np.array(integral)
-    out = [p * e + i * s + d * de for p, e, i, s, d, de in zip(
-        gains.kp.tolist(), err, gains.ki.tolist(), integral, gains.kd.tolist(), derr)]
-    return Wrench(out[:3], out[3:])
+    state.integral = integral = tuple(-hi if v <= -hi and hi else hi if v >= hi or v <= -hi else v
+                                      for v, hi in zip(accumulated, gains.integral_limit.tolist()))
+    out = tuple(p * e + i * s + d * de for p, e, i, s, d, de in zip(
+        gains.kp.tolist(), err, gains.ki.tolist(), integral, gains.kd.tolist(), derr))
+    return Wrench._of(out[:3], out[3:])

@@ -2,9 +2,10 @@
 
 The column set is versioned and frozen for a given format version and
 wire count, so downstream plotting can rely on names.  A row is built
-from plain Python floats (`tolist` on the arrays, `float` on the scalars)
-written with `repr`, the shortest text that reads back to the same
-double, which makes reruns byte-identical; flags are written as 1/0.
+from plain Python floats (the records' float tuples as they are, `float`
+on the scalars) written with `repr`, the shortest text that reads back
+to the same double, which makes reruns byte-identical; flags are written
+as 1/0.
 """
 
 from __future__ import annotations
@@ -57,17 +58,15 @@ class TelemetryWriter:
             (meas_pose, meas_twist),
             (tick.pose_ref, tick.twist_ref),
         ):
-            floats += pose.position.tolist() + pose.orientation.tolist()
-            floats += twist.linear.tolist() + twist.angular.tolist()
-        floats += tick.accel_ref.tolist()
+            floats += pose.position + pose.orientation + twist.linear + twist.angular
+        floats += tick.accel_ref
         for wrench in (tick.feedback_wrench, tick.gravity_wrench, tick.desired_wrench):
-            floats += wrench.force.tolist() + wrench.torque.tolist()
+            floats += wrench.force + wrench.torque
         command = tick.command
-        for arr in (command.tensions, command.tensions_final, command.currents, state.tensions):
-            floats += arr.tolist()
+        floats += command.tensions + command.tensions_final + command.currents + state.tensions
         values = [str(FORMAT_VERSION), str(tick_index)]
         values += map(repr, floats)
-        values += ["1" if s else "0" for s in command.saturated.tolist()]
+        values += ["1" if s else "0" for s in command.saturated]
         values += [repr(float(command.residual_norm)), "1" if fault else "0"]
         if len(values) != len(self.columns):
             raise RuntimeError(

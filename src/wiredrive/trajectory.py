@@ -30,6 +30,7 @@ from .spatial import (
     Pose,
     Twist,
     Wrench,
+    _Record,
     attitude_error,
     chart_rate,
     chart_rates,
@@ -54,13 +55,10 @@ def _cubic_coeffs(p0, v0, p1, v1, t):
 
 
 def _cubic_eval(coeffs, t):
-    """Value, rate and acceleration lists of the per-axis cubics at t, on floats."""
-    pos, vel, acc = [], [], []
-    for a, b, c, d in coeffs:
-        pos.append(((a * t + b) * t + c) * t + d)
-        vel.append((3.0 * a * t + 2.0 * b) * t + c)
-        acc.append(6.0 * a * t + 2.0 * b)
-    return pos, vel, acc
+    """Value, rate and acceleration tuples of the per-axis cubics at t, on floats."""
+    return (tuple(((a * t + b) * t + c) * t + d for a, b, c, d in coeffs),
+            tuple((3.0 * a * t + 2.0 * b) * t + c for a, b, c, _ in coeffs),
+            tuple(6.0 * a * t + 2.0 * b for a, b, _, _ in coeffs))
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,10 +71,6 @@ class SplineSegment:
     translation: tuple  # per axis, cubic coefficients (a, b, c, d)
     rotation: tuple  # per axis of the start chart, cubic coefficients (a, b, c, d)
 
-    def __post_init__(self):
-        if self.duration <= 0:
-            raise ValueError("segment duration must be positive")
-
 
 def plan_spline(
     start_pose: Pose,
@@ -88,61 +82,62 @@ def plan_spline(
     """Fit boundary-matching cubics in position and the rotation chart."""
     if duration <= 0:
         raise ValueError("segment duration must be positive")
-    chart_end = attitude_error(end_pose.orientation.tolist(), start_pose.orientation.tolist())
+    chart_end = attitude_error(end_pose.orientation, start_pose.orientation)
     angle = norm3(chart_end)
     if angle >= ROTATION_CHART_LIMIT:
         raise RotationTooLarge(
             f"relative rotation {angle:.3f} rad is too close to the chart "
             f"singularity (limit {ROTATION_CHART_LIMIT:.3f})"
         )
-    chart_rate_start = start_twist.angular.tolist()  # J_l(0) is the identity
-    chart_rate_end = chart_rate(chart_end, end_twist.angular.tolist())
+    chart_rate_start = start_twist.angular  # J_l(0) is the identity
+    chart_rate_end = chart_rate(chart_end, end_twist.angular)
     return SplineSegment(
         start_pose=start_pose,
         end_pose=end_pose,
         duration=float(duration),
-        translation=_cubic_coeffs(start_pose.position.tolist(), start_twist.linear.tolist(),
-                                  end_pose.position.tolist(), end_twist.linear.tolist(), duration),
+        translation=_cubic_coeffs(start_pose.position, start_twist.linear,
+                                  end_pose.position, end_twist.linear, duration),
         rotation=_cubic_coeffs((0.0, 0.0, 0.0), chart_rate_start, chart_end, chart_rate_end,
                                duration),
     )
 
 
-def sample(segment: SplineSegment, t: float) -> tuple[Pose, Twist, np.ndarray]:
-    """Reference pose, twist and 6-D acceleration at time t.
+def sample(segment: SplineSegment, t: float) -> tuple[Pose, Twist, tuple]:
+    """Reference pose, twist and 6-D acceleration (a float tuple) at time t.
 
     On Python floats: the cubics, exp(chart) * start normalized once, and
     `chart_rates`.  Outside [0, duration] the sample clamps to the nearer
     endpoint pose with zero velocity and acceleration.
     """
     if t < 0.0:
-        return segment.start_pose, Twist.zero(), np.zeros(6)
+        return segment.start_pose, Twist.zero(), (0.0,) * 6
     if t > segment.duration:
-        return segment.end_pose, Twist.zero(), np.zeros(6)
+        return segment.end_pose, Twist.zero(), (0.0,) * 6
     pos, vel, acc = _cubic_eval(segment.translation, t)
     chart, chart_rate, chart_acc = _cubic_eval(segment.rotation, t)
-    orientation = quat_unit(hamilton(rotvec_exp(chart), segment.start_pose.orientation.tolist()))
+    orientation = quat_unit(hamilton(rotvec_exp(chart), segment.start_pose.orientation))
     omega, omega_dot = chart_rates(chart, chart_rate, chart_acc)
-    return Pose._of(pos, orientation), Twist._of(vel, omega), np.array(acc + omega_dot)
+    return Pose._of(pos, orientation), Twist._of(vel, omega), acc + omega_dot
 
 
 @dataclass(frozen=True, eq=False)
-class ControlTick:
+class ControlTick(_Record):
     """Everything one pass of the control loop produced; the run time and
     the measurement it acted on stay with the caller."""
 
     pose_ref: Pose
     twist_ref: Twist
-    accel_ref: np.ndarray
+    accel_ref: tuple
     feedback_wrench: Wrench
     gravity_wrench: Wrench
     desired_wrench: Wrench
     command: TensionCommand
+    _tuples = {"accel_ref": 6}
 
 
 def gravity_feedforward(body: BodyModel, gravity: float = STANDARD_GRAVITY) -> Wrench:
     """Wrench the wires must supply to hold the body against gravity."""
-    return Wrench(np.array([0.0, 0.0, body.mass * gravity]), np.zeros(3))
+    return Wrench((0.0, 0.0, body.mass * gravity), (0.0, 0.0, 0.0))
 
 
 class PoseController:
@@ -178,7 +173,7 @@ class PoseController:
         self.dt = dt
         self.gravity_ff = gravity_feedforward(body, gravity)
         self.pid_state = PidState()
-        self._warm_start: np.ndarray | None = None
+        self._warm_start: tuple | None = None
 
     def step(self, pose: Pose, twist: Twist, t: float) -> ControlTick:
         """One control tick at run time t: may raise DegenerateWire or
@@ -202,15 +197,8 @@ class PoseController:
             start=self._warm_start,
         )
         self._warm_start = command.tensions
-        return ControlTick(
-            pose_ref=pose_ref,
-            twist_ref=twist_ref,
-            accel_ref=accel_ref,
-            feedback_wrench=feedback,
-            gravity_wrench=self.gravity_ff,
-            desired_wrench=desired,
-            command=command,
-        )
+        return ControlTick._of(pose_ref, twist_ref, accel_ref, feedback, self.gravity_ff, desired,
+                               command)
 
 
 def chain_segments(poses_twists_durations):

@@ -11,14 +11,14 @@ wrench = matrix @ tensions.
 (lengths, rates) pair, as plain float arrays.  Both take any sequence of
 attachments and read one pass over the wires, `_geometry`.  A run passes
 a `WireSet`: it stacks its arrays once and keeps its last pass, keyed by
-the bytes of the pose's position and orientation.  A call at the same
-bytes gets that pass, bit for bit a fresh one (the arrays are read-only);
-any other call replaces it, unless it raises DegenerateWire.  Each read
-and each replacement is one attribute access, so a shared WireSet stays
-consistent under the GIL.  A plain list is stacked and passed over on
-each call.  The plant and the controller each ask for the rates and the
-matrix at one pose: a cube8 tick makes 7 passes for its 13 calls, an
-anchors2 tick 7 for its 12.
+the pose object, whose float tuples cannot change.  A call with the same
+pose gets that pass, bit for bit a fresh one; any other call, even one
+at equal values (-0.0 equals 0.0), replaces it, unless it raises
+DegenerateWire.  Each read and each replacement is one attribute access,
+so a shared WireSet stays consistent under the GIL.  A plain list is
+stacked and passed over on each call.  The plant and the controller
+each ask for the rates and the matrix at one pose: a cube8 tick makes 7
+passes for its 13 calls, an anchors2 tick 7 for its 12.
 
 A pass's one numpy operation is the BLAS product that rotates the body
 exit offsets into the world frame: a Python `a*x + b*y + c*z` differs
@@ -72,7 +72,7 @@ class WireSet(tuple):
 
     exits_body: np.ndarray
     anchors: np.ndarray
-    _memo: tuple  # (pose bytes, pass), or (None, None) before the first
+    _memo: tuple  # (pose, pass), or (None, None) before the first
 
     def __new__(cls, attachments: Sequence[WireAttachment]):
         if isinstance(attachments, WireSet):
@@ -96,13 +96,12 @@ def _geometry(pose: Pose, attachments: Sequence[WireAttachment]):
     the degeneracy threshold of its exit point.
     """
     wires = WireSet(attachments)
-    key = pose.position.tobytes() + pose.orientation.tobytes()
-    last_key, last = wires._memo
-    if key == last_key:
+    last_pose, last = wires._memo
+    if pose is last_pose:
         return last
     # the BLAS product stays: recorded telemetry holds its bits
     levers = (wires.exits_body @ pose.rotation_matrix().T).tolist()
-    px, py, pz = pose.position.tolist()
+    px, py, pz = pose.position
     lengths, columns, arms = [], [], []
     for i, ((rx, ry, rz), (ax, ay, az)) in enumerate(zip(levers, wires.anchors.tolist())):
         ex, ey, ez = px + rx, py + ry, pz + rz
@@ -116,7 +115,7 @@ def _geometry(pose: Pose, attachments: Sequence[WireAttachment]):
         # the rate lever is recovered from the world exit point; the
         # rotated lever can differ from it in the last bit
         arms.append((ex - px, ey - py, ez - pz))
-    wires._memo = (key, (lengths, columns, arms))
+    wires._memo = (pose, (lengths, columns, arms))
     return lengths, columns, arms
 
 
@@ -138,8 +137,8 @@ def wire_lengths_and_rates(
     when the body closes on the anchor (the winch is taking wire in).
     """
     lengths, columns, arms = _geometry(pose, attachments)
-    vx, vy, vz = twist.linear.tolist()
-    wx, wy, wz = twist.angular.tolist()
+    vx, vy, vz = twist.linear
+    wx, wy, wz = twist.angular
     # -(d . v) with the exit velocity v = linear + angular x arm
     rates = [
         -(dx * (vx + (wy * az - wz * ay)) + dy * (vy + (wz * ax - wx * az))

@@ -285,12 +285,12 @@ class ReferenceOdometrySensor(OdometrySensor):
         self._buffer.append(state)
         delayed = self._buffer[0]
         m = self.model
-        position = delayed.pose.position + self._draw(m.position_noise)
+        position = np.asarray(delayed.pose.position) + self._draw(m.position_noise)
         orientation = quat_unit(hamilton(
-            rotvec_exp(self._draw(m.rotation_noise).tolist()), delayed.pose.orientation.tolist()
+            rotvec_exp(self._draw(m.rotation_noise).tolist()), delayed.pose.orientation
         ))
-        linear = delayed.twist.linear + self._draw(m.velocity_noise)
-        angular = delayed.twist.angular + self._draw(m.angular_velocity_noise)
+        linear = np.asarray(delayed.twist.linear) + self._draw(m.velocity_noise)
+        angular = np.asarray(delayed.twist.angular) + self._draw(m.angular_velocity_noise)
         return Pose(position, orientation), Twist(linear, angular)
 
     def _draw(self, std):
@@ -321,12 +321,12 @@ def _sandwich(q, v):
 
 def transform_point(pose, p_body):
     """A body-frame point in the world frame: p + q p_body q*."""
-    return pose.position + _sandwich(pose.orientation, p_body)
+    return np.asarray(pose.position) + _sandwich(pose.orientation, p_body)
 
 
 def poses_almost_equal(a, b, tol: float = 1e-9) -> bool:
     """Positions within tol of each other, and orientations within tol rad."""
-    if np.linalg.norm(a.position - b.position) > tol:
+    if np.linalg.norm(np.subtract(a.position, b.position)) > tol:
         return False
     w, x, y, z = _hamilton(a.orientation, _conjugate(b.orientation))
     return 2.0 * math.atan2(math.sqrt(x * x + y * y + z * z), abs(w)) <= tol
@@ -462,7 +462,7 @@ def reference_quat_unit(q):
     if not 1e-12 <= norm < np.inf:
         raise ValueError(f"quaternion norm {norm} is not usable")
     q = np.array([w, x, y, z]) / norm
-    return tuple(-q if q[0] < 0.0 else q)
+    return tuple((-q if q[0] < 0.0 else q).tolist())
 
 
 def reference_rotvec_log(q):
@@ -472,8 +472,8 @@ def reference_rotvec_log(q):
     v = np.array([x, y, z])
     sin_half = np.sqrt(x * x + y * y + z * z)
     if sin_half < 1e-10:
-        return tuple(2.0 * v)
-    return tuple((2.0 * np.arctan2(sin_half, min(1.0, w)) / sin_half) * v)
+        return tuple((2.0 * v).tolist())
+    return tuple(((2.0 * np.arctan2(sin_half, min(1.0, w)) / sin_half) * v).tolist())
 
 
 def reference_chart_rates(rv, rate, accel):
@@ -488,7 +488,7 @@ def reference_chart_rates(rv, rate, accel):
     omega = rate + a * c1 + b * c2
     omega_dot = ((accel + a * d1 + b * np.cross(rv, d1))
                  + dot * (a_prime_over * c1 + b_prime_over * c2) + b * np.cross(rate, c1))
-    return omega.tolist(), omega_dot.tolist()
+    return tuple(omega.tolist()), tuple(omega_dot.tolist())
 
 
 def reference_so3_left_jacobian_and_dot(rv, rv_rate):
@@ -512,12 +512,14 @@ def reference_so3_left_jacobian_and_dot(rv, rv_rate):
 
 def reference_wrench_error_pid(pose, twist, pose_ref, twist_ref, gains, state, dt):
     """`wrench_error_pid` on arrays, with `np.clip` for the integral clamp."""
-    err = np.concatenate([pose_ref.position - pose.position, orientation_error(pose_ref, pose)])
+    err = np.concatenate([np.subtract(pose_ref.position, pose.position),
+                          orientation_error(pose_ref, pose)])
     derr = twist_ref.as_array() - twist.as_array()
-    state.integral = np.clip(
-        state.integral + err * dt, -gains.integral_limit, gains.integral_limit
+    integral = np.clip(
+        np.asarray(state.integral) + err * dt, -gains.integral_limit, gains.integral_limit
     )
-    out = gains.kp * err + gains.ki * state.integral + gains.kd * derr
+    state.integral = tuple(integral.tolist())
+    out = gains.kp * err + gains.ki * integral + gains.kd * derr
     return Wrench.from_array(out)
 
 
@@ -573,9 +575,10 @@ def reference_step(state, currents, dt, body, attachments, winch,
 
     wrench = wire_jacobian(state.pose, attachments) @ tensions
     force = wrench[:3] + np.array([0.0, 0.0, -body.mass * gravity])
-    velocity_new = state.twist.linear + dt * (force / body.mass)
+    linear, angular = np.asarray(state.twist.linear), np.asarray(state.twist.angular)
+    velocity_new = linear + dt * (force / body.mass)
     rot = reference_quat_to_matrix(state.pose.orientation)
-    omega_body = rot.T @ state.twist.angular
+    omega_body = rot.T @ angular
     omega_dot = np.linalg.solve(
         body.inertia, rot.T @ wrench[3:] - np.cross(omega_body, body.inertia @ omega_body)
     )
@@ -583,8 +586,8 @@ def reference_step(state, currents, dt, body, attachments, winch,
     if not (np.linalg.norm(velocity_new) <= speed_limit
             and np.linalg.norm(omega_new) <= speed_limit):
         raise NumericalBlowup(f"body speed exceeded {speed_limit} or is not finite")
-    position_new = state.pose.position + 0.5 * dt * (state.twist.linear + velocity_new)
-    rotvec_step = 0.5 * dt * (state.twist.angular + omega_new)
+    position_new = np.asarray(state.pose.position) + 0.5 * dt * (linear + velocity_new)
+    rotvec_step = 0.5 * dt * (angular + omega_new)
     orientation_new = reference_quat_normalize(reference_quat_multiply(
         reference_quat_from_rotvec(rotvec_step), state.pose.orientation))
     return SimState(Pose(position_new, orientation_new), Twist(velocity_new, omega_new),
@@ -596,7 +599,7 @@ def reference_geometry(pose, attachments):
     exits_world), with `np.linalg.norm` lengths and a scan of every wire."""
     wires = WireSet(attachments)
     levers = wires.exits_body @ pose.rotation_matrix().T
-    exits_world = pose.position + levers
+    exits_world = np.asarray(pose.position) + levers
     spans = wires.anchors - exits_world
     lengths = np.linalg.norm(spans, axis=1)
     for i, n in enumerate(lengths):
@@ -617,7 +620,7 @@ def reference_wire_lengths_and_rates(pose, twist, attachments):
     can differ in the last bit), and each rate is summed in a fixed
     order, unlike `np.einsum`, whose order follows the memory layout."""
     directions, lengths, _, exits_world = reference_geometry(pose, attachments)
-    v = twist.linear + np.cross(twist.angular, exits_world - pose.position)
+    v = np.asarray(twist.linear) + np.cross(twist.angular, exits_world - pose.position)
     d = directions
     return lengths, -(d[:, 0] * v[:, 0] + d[:, 1] * v[:, 1] + d[:, 2] * v[:, 2])
 

@@ -113,7 +113,7 @@ def test_criterion_2_current_map_constants():
         assert abs(current - 1.0) <= 1e-3
         rng = np.random.default_rng(0)
         f = rng.uniform(0.0, 180.0, size=8)
-        assert np.array_equal(to_currents(2.0 * f, winch), 2.0 * to_currents(f, winch))
+        assert np.array_equal(to_currents(2.0 * f, winch), 2.0 * np.asarray(to_currents(f, winch)))
         assert np.array_equal(to_currents(f, winch), f * winch.current_per_newton)
         assert np.array_equal(to_currents(np.zeros(8), winch), np.zeros(8))
 
@@ -134,7 +134,7 @@ def test_criterion_3_spline_contract():
                 (0.0, pose_a, twist_a), (duration, pose_b, twist_b),
             ):
                 q, qd, _ = sample(seg, t_b)
-                assert np.linalg.norm(q.position - pose_ref.position) < 1e-9
+                assert np.linalg.norm(np.subtract(q.position, pose_ref.position)) < 1e-9
                 assert np.linalg.norm(orientation_error(q, pose_ref)) < 1e-9
                 assert np.linalg.norm(qd.as_array() - twist_ref.as_array()) < 1e-9
             if i % 10 == 0:
@@ -142,7 +142,7 @@ def test_criterion_3_spline_contract():
                     q_m, qd_m, _ = sample(seg, t - h)
                     q_p, qd_p, _ = sample(seg, t + h)
                     _, qd, qdd = sample(seg, t)
-                    vel_fd = (q_p.position - q_m.position) / (2 * h)
+                    vel_fd = np.subtract(q_p.position, q_m.position) / (2 * h)
                     omega_fd = orientation_error(q_p, q_m) / (2 * h)
                     assert np.allclose(qd.linear, vel_fd, atol=1e-6)
                     assert np.allclose(qd.angular, omega_fd, atol=1e-6)
@@ -170,7 +170,7 @@ def test_criterion_4_jacobian_and_rates():
             rot = pose.rotation_matrix()
             accumulated = np.zeros(6)
             for wire, tension in zip(wires, tensions):
-                exit_world = pose.position + rot @ wire.exit_body
+                exit_world = np.asarray(pose.position) + rot @ wire.exit_body
                 span = wire.anchor_world - exit_world
                 direction = span / np.linalg.norm(span)
                 accumulated[:3] += tension * direction
@@ -181,10 +181,10 @@ def test_criterion_4_jacobian_and_rates():
             _, rates = wire_lengths_and_rates(pose, twist, wires)
 
             def lengths_at(offset):
-                pos = pose.position + offset * twist.linear
+                pos = np.asarray(pose.position) + offset * np.asarray(twist.linear)
                 quat = hamilton(
-                    Pose.from_rotvec(np.zeros(3), offset * twist.angular).orientation.tolist(),
-                    pose.orientation.tolist(),
+                    Pose.from_rotvec(np.zeros(3), offset * np.asarray(twist.angular)).orientation,
+                    pose.orientation,
                 )
                 return wire_lengths_and_rates(Pose(pos, quat), Twist.zero(), wires)[0]
 
@@ -278,13 +278,13 @@ def test_criterion_10_simulator_physics(cube8_run, tmp_path):
         state = SimState(
             Pose.identity(), Twist([0.3, -0.2, 0.1], [0.4, 0.1, -0.2]), np.zeros(1)
         )
-        p0 = body.mass * state.twist.linear
+        p0 = body.mass * np.asarray(state.twist.linear)
         rot = state.pose.rotation_matrix()
         l0 = rot @ (body.inertia @ (rot.T @ state.twist.angular))
         for _ in range(10_000):
             state = step(state, np.zeros(1), 1e-3, body, wires, winch, gravity=0.0)
         rot = state.pose.rotation_matrix()
-        p1 = body.mass * state.twist.linear
+        p1 = body.mass * np.asarray(state.twist.linear)
         l1 = rot @ (body.inertia @ (rot.T @ state.twist.angular))
         assert np.linalg.norm(p1 - p0) / np.linalg.norm(p0) < 1e-9
         assert np.linalg.norm(l1 - l0) / np.linalg.norm(l0) < 1e-9

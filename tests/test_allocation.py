@@ -183,7 +183,7 @@ def test_current_map_zero_and_linearity():
     winch = WinchParams(eff_pulley=0.9, eff_gear=0.85)
     assert to_currents(np.zeros(4), winch)[0] == 0.0
     f = np.array([10.0, 20.0, 45.0, 180.0])
-    assert np.allclose(to_currents(2 * f, winch), 2 * to_currents(f, winch))
+    assert np.allclose(to_currents(2 * f, winch), 2 * np.asarray(to_currents(f, winch)))
     assert np.allclose(tensions_from_currents(to_currents(f, winch), winch), f)
 
 
@@ -201,11 +201,11 @@ def test_solve_tension_command_populates_all_fields():
         mat, Wrench.from_array([0, 0, 50.0, 0, 0, 0]), bounds, weights,
         np.zeros(6), np.zeros(4), WinchParams(),
     )
-    assert np.all(cmd.tensions >= bounds.lower - 1e-10)
-    assert np.all(cmd.tensions_final >= 0.0)
-    assert cmd.currents.shape == (4,)
+    assert np.all(np.asarray(cmd.tensions) >= bounds.lower - 1e-10)
+    assert np.all(np.asarray(cmd.tensions_final) >= 0.0)
+    assert len(cmd.currents) == 4 and all(type(c) is float for c in cmd.currents)
     assert cmd.residual_norm >= 0.0
-    assert cmd.saturated.dtype == bool
+    assert all(type(s) is bool for s in cmd.saturated)
 
 
 def test_bounds_validation():
@@ -304,15 +304,17 @@ def _bits(value):
 def test_the_command_tail_is_bit_identical_to_its_array_formulation(case):
     winch, tensions, accel, rates, matrix, residual, bounds = case
     final = compensate(tensions, accel, rates, matrix, winch)
-    assert final.dtype == float and _bits(final) == _bits(
+    assert all(type(v) is float for v in final) and _bits(final) == _bits(
         reference_compensate(tensions, accel, rates, matrix, winch))
     # tensions as allocated, clamped into the box, and compensated ones that may be NaN
     allocated = np.clip(tensions, bounds.lower, bounds.upper)
     command = tension_command(allocated, final, residual, bounds, winch)
     expected = reference_tension_command(allocated, final, residual, bounds, winch)
-    for field in ("tensions", "tensions_final", "currents", "saturated"):
+    # each field a tuple of Python floats, or of bools for the flags
+    for field, kind in (("tensions", float), ("tensions_final", float), ("currents", float),
+                        ("saturated", bool)):
         got, want = getattr(command, field), getattr(expected, field)
-        assert got.dtype == want.dtype and _bits(got) == _bits(want), field
+        assert all(type(v) is kind for v in got) and _bits(got) == _bits(want), field
     assert _bits(command.residual_norm) == _bits(expected.residual_norm)
     pushing = np.append(final, -0.5)
     with pytest.raises(ValueError, match="non-negative"):

@@ -3,6 +3,8 @@
 import re
 from pathlib import Path
 
+import numpy as np
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -12,6 +14,6 @@ def test_readme_python_example_runs(capsys):
     namespace = {}
     exec(compile(blocks[0], str(README), "exec"), namespace)
     command = namespace["tick"].command
-    assert command.currents.shape == (8,)
+    assert np.array(command.currents).shape == (8,)
     assert 0.0 <= command.residual_norm < 1e-5
     assert capsys.readouterr().out

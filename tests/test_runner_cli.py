@@ -1,6 +1,8 @@
+import cProfile
 import csv
 import dataclasses
 import json
+import pstats
 import sys
 
 import numpy as np
@@ -586,3 +588,25 @@ def test_a_tick_takes_no_numpy_norm_and_no_public_pose_constructor(tmp_path, mon
         assert summary["ticks"] == ticks
         counts.append((len(norms), len(poses)))
     assert counts[0] == counts[1]
+
+
+def test_a_tick_converts_few_arrays_and_keys_no_memo_on_bytes(tmp_path):
+    # the tick records hold float tuples, so a tick converts between
+    # arrays and floats only where a numpy product reads or makes an array;
+    # a profile of a 40-tick run less one of a 20-tick run counts 20 ticks
+    names = {
+        "tolist": "<method 'tolist' of 'numpy.ndarray' objects>",
+        "array": "<built-in method numpy.array>",
+        "tobytes": "<method 'tobytes' of 'numpy.ndarray' objects>",
+    }
+    scenario = load_scenario(bundled_scenario_path("cube8"))
+    counts = []
+    for ticks in (20, 40):
+        profile = cProfile.Profile()
+        profile.runcall(run_scenario, dataclasses.replace(scenario, duration=ticks / 200.0),
+                        tmp_path / str(ticks))
+        calls = {key[2]: value[1] for key, value in pstats.Stats(profile).stats.items()}
+        counts.append({kind: calls.get(name, 0) for kind, name in names.items()})
+    per_tick = {kind: (counts[1][kind] - counts[0][kind]) / 20 for kind in names}
+    assert per_tick["tobytes"] == 0, per_tick
+    assert sum(per_tick.values()) <= 128, per_tick

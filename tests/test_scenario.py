@@ -723,6 +723,9 @@ _REFUSALS = [
     ("control.schedule[0].tensions", "schedule",
      lambda d: _at(d, "control.schedule[0].tensions").update(value=[-1.0] + [5.0] * 7),
      lambda s: {"schedule_table": [(0.0, np.array([-1.0] + [5.0] * 7)), s.schedule_table[1]]}),
+    ("anchors[0].clearance", "anchors2",
+     lambda d: _at(d, "anchors[0]").update(clearance=_quantity(0.0, "m")),
+     lambda s: _edit_row(s, "anchors", 0, clearance=0.0)),
 ]
 
 
@@ -756,6 +759,21 @@ def test_a_scenario_is_frozen():
     with pytest.raises(AttributeError):
         scenario.wires.append(scenario.wires[0])
     assert scenario.dt == 1e-3 and scenario.wire_count == 8
+
+
+def test_the_rows_of_a_scenario_are_read_only():
+    # a frozen Scenario's rows hold no array that can be edited in place
+    anchors2 = load_scenario(bundled_scenario_path("anchors2"))
+    schedule = build_scenario(_schedule_document())
+    replaced = dataclasses.replace(schedule, schedule_table=[(0.0, [1.0] * 8), (1.0, [2.0] * 8)])
+    segment = anchors2.segments[0]
+    arrays = [anchors2.anchors[0].approach, segment.goal_position,
+              segment.goal_orientation_rotvec, segment.goal_velocity]
+    arrays += [tensions for s in (schedule, replaced) for _, tensions in s.schedule_table]
+    for array in arrays:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
 
 
 @st.composite

@@ -42,13 +42,13 @@ def test_free_body_conserves_momentum():
     state = SimState(
         Pose.identity(), Twist([0.3, -0.2, 0.1], [0.4, 0.1, -0.2]), np.zeros(1)
     )
-    p0 = body.mass * state.twist.linear
+    p0 = body.mass * np.asarray(state.twist.linear)
     l0 = state.pose.rotation_matrix() @ (
         body.inertia @ (state.pose.rotation_matrix().T @ state.twist.angular)
     )
     for _ in range(10_000):
         state = step(state, np.zeros(1), 1e-3, body, wires, WinchParams(), gravity=0.0)
-    p1 = body.mass * state.twist.linear
+    p1 = body.mass * np.asarray(state.twist.linear)
     rot = state.pose.rotation_matrix()
     l1 = rot @ (body.inertia @ (rot.T @ state.twist.angular))
     assert np.linalg.norm(p1 - p0) / np.linalg.norm(p0) < 1e-9
@@ -80,7 +80,7 @@ def test_energy_conserved_under_gravity():
     def energy(s):
         rot = s.pose.rotation_matrix()
         omega_b = rot.T @ s.twist.angular
-        kinetic = 0.5 * body.mass * s.twist.linear @ s.twist.linear
+        kinetic = 0.5 * body.mass * np.asarray(s.twist.linear) @ s.twist.linear
         kinetic += 0.5 * omega_b @ body.inertia @ omega_b
         return kinetic + body.mass * STANDARD_GRAVITY * s.pose.position[2]
 
@@ -106,7 +106,7 @@ def test_static_equilibrium_holds_position():
     state = SimState.at_rest(pose, 8)
     for _ in range(10_000):
         state = step(state, currents, 1e-3, body, wires, winch)
-    assert np.linalg.norm(state.pose.position - pose.position) < 1e-3
+    assert np.linalg.norm(np.subtract(state.pose.position, pose.position)) < 1e-3
 
 
 def _vectors(shape, bound):
@@ -130,7 +130,7 @@ def test_tensions_never_negative_and_clamped(position, rotvec, linear, angular, 
     winch = WinchParams()
     state = SimState(Pose.from_rotvec(position, rotvec), Twist(linear, angular), np.zeros(8))
     body = BodyModel.solid_cube(10.0, 0.4)
-    tensions = step(state, currents, 1e-3, body, eight_wire_cube_layout(), winch).tensions
+    tensions = np.asarray(step(state, currents, 1e-3, body, eight_wire_cube_layout(), winch).tensions)
     assert np.all(tensions >= 0.0)
     assert np.all(tensions <= winch.max_tension)
     assert np.all(tensions[currents <= 0.0] == 0.0)
@@ -186,7 +186,7 @@ def test_nan_current_is_a_blowup_naming_the_wire_slack_or_taut():
     _, rates = wire_lengths_and_rates(state.pose, state.twist, wires)
     assert abs(rates[0]) > winch.max_line_speed >= abs(rates[1])  # wire 0 slack, 1 taut
     for index in (0, 1):
-        currents = to_currents(np.array([50.0, 50.0]), winch)
+        currents = list(to_currents(np.array([50.0, 50.0]), winch))
         currents[index] = math.nan
         with pytest.raises(NumericalBlowup, match=f"wire {index}: current is NaN"):
             step(state, currents, 1e-3, body, wires, winch)
@@ -197,7 +197,7 @@ def test_step_names_a_faulty_wire_by_its_position_in_the_list():
     body = BodyModel.solid_cube(5.0, 0.3)
     winch = WinchParams()
     state = SimState.at_rest(Pose.identity(), 2)
-    currents = to_currents(np.array([50.0, 50.0]), winch)
+    currents = list(to_currents(np.array([50.0, 50.0]), winch))
     degenerate = [WireAttachment([0, 0, 0], [5.0, 0.0, 0.0]), WireAttachment([0, 0, 0], [0, 0, 0])]
     with pytest.raises(DegenerateWire) as info:
         step(state, currents, 1e-3, body, degenerate, winch)
@@ -290,7 +290,7 @@ def test_one_draw_of_twelve_gives_the_four_draw_stream(seed, noise, latency, tic
         for got, want in ((pose.position, pose_ref.position),
                           (pose.orientation, pose_ref.orientation),
                           (twist.linear, twist_ref.linear), (twist.angular, twist_ref.angular)):
-            assert got.tobytes() == want.tobytes()
+            assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 def test_body_model_validation():
@@ -396,7 +396,7 @@ _AT_CAP = next(c for c in (180.0 * _PER_NEWTON, *np.nextafter(180.0 * _PER_NEWTO
 
 
 def _close(got, want, rel=1e-12):
-    return np.linalg.norm(got - want) <= rel * np.linalg.norm(want)
+    return np.linalg.norm(np.subtract(got, want)) <= rel * np.linalg.norm(want)
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
@@ -439,7 +439,7 @@ def test_step_agrees_with_the_numpy_reference(
     for wires in (layout, WireSet(layout)):
         got = step(state, currents, dt, body, wires, winch)
         # the same tensions and slack rule, signed zeros included
-        assert got.tensions.tobytes() == want.tensions.tobytes()
+        assert np.array(got.tensions).tobytes() == np.array(want.tensions).tobytes()
         assert _close(got.pose.position, want.pose.position)
         assert _close(got.pose.orientation, want.pose.orientation)
         assert _close(got.twist.linear, want.twist.linear)

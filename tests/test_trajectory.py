@@ -63,10 +63,10 @@ def test_boundary_reproduction_random_segments():
         seg = plan_spline(pose_a, twist_a, pose_b, twist_b, duration)
         q0, qd0, _ = sample(seg, 0.0)
         qT, qdT, _ = sample(seg, duration)
-        assert np.linalg.norm(q0.position - pose_a.position) < 1e-9
+        assert np.linalg.norm(np.subtract(q0.position, pose_a.position)) < 1e-9
         assert np.linalg.norm(orientation_error(q0, pose_a)) < 1e-9
         assert np.linalg.norm(qd0.as_array() - twist_a.as_array()) < 1e-9
-        assert np.linalg.norm(qT.position - pose_b.position) < 1e-9
+        assert np.linalg.norm(np.subtract(qT.position, pose_b.position)) < 1e-9
         assert np.linalg.norm(orientation_error(qT, pose_b)) < 1e-9
         assert np.linalg.norm(qdT.as_array() - twist_b.as_array()) < 1e-9
 
@@ -83,7 +83,7 @@ def test_sampled_derivatives_match_central_differences():
             q_m, qd_m, _ = sample(seg, t - h)
             q_p, qd_p, _ = sample(seg, t + h)
             _, qd, qdd = sample(seg, t)
-            vel_fd = (q_p.position - q_m.position) / (2 * h)
+            vel_fd = np.subtract(q_p.position, q_m.position) / (2 * h)
             omega_fd = orientation_error(q_p, q_m) / (2 * h)
             assert np.allclose(qd.linear, vel_fd, atol=1e-6)
             assert np.allclose(qd.angular, omega_fd, atol=1e-6)
@@ -109,6 +109,15 @@ def test_rotation_too_large_rejected():
     end = Pose.from_rotvec(np.zeros(3), [0.0, 0.0, np.pi - 0.05])
     with pytest.raises(RotationTooLarge):
         plan_spline(start, Twist.zero(), end, Twist.zero(), 1.0)
+
+
+@pytest.mark.parametrize("duration", [0.0, -1.0])
+def test_a_segment_needs_a_positive_duration(duration):
+    # the cubic fit divides by the duration
+    pose = Pose.identity()
+    with pytest.raises(ValueError, match="duration must be positive"):
+        plan_spline(pose, Twist.zero(), Pose.from_translation([0.1, 0.0, 0.0]), Twist.zero(),
+                    duration)
 
 
 def test_chain_segments_and_schedule_sampling():
@@ -158,9 +167,9 @@ def test_hover_gravity_feedforward_statics():
     assert np.allclose(tick.feedback_wrench.as_array(), np.zeros(6), atol=1e-12)
     # allocation realizes the support wrench with tiny residual
     assert tick.command.residual_norm < 1e-6
-    assert not tick.command.saturated.any()
-    assert np.all(tick.command.tensions >= controller.bounds.lower - 1e-10)
-    assert np.all(tick.command.tensions <= controller.bounds.upper + 1e-10)
+    assert not any(tick.command.saturated)
+    assert np.all(np.asarray(tick.command.tensions) >= controller.bounds.lower - 1e-10)
+    assert np.all(np.asarray(tick.command.tensions) <= controller.bounds.upper + 1e-10)
 
 
 def test_control_step_deterministic():

@@ -179,9 +179,9 @@ def test_rates_match_central_difference():
         _, rates = wire_lengths_and_rates(pose, twist, wires)
 
         def lengths_at(offset):
-            pos = pose.position + offset * twist.linear
-            step = quat_unit(rotvec_exp((offset * twist.angular).tolist()))
-            quat = hamilton(step, pose.orientation.tolist())
+            pos = np.asarray(pose.position) + offset * np.asarray(twist.linear)
+            step = quat_unit(rotvec_exp((offset * np.asarray(twist.angular)).tolist()))
+            quat = hamilton(step, pose.orientation)
             shifted = Pose(pos, quat)
             return wire_lengths_and_rates(shifted, Twist.zero(), wires)[0]
 
@@ -430,7 +430,7 @@ def _outcome(call):
 def test_the_memo_gives_a_fresh_pass_bit_for_bit(first, second, data):
     # every call on a long-lived WireSet against the same call on a new one
     (wires, pose, twist), (other_wires, other, _) = first, second
-    moving = Pose(pose.position.copy(), pose.orientation)  # edited in place below
+    moving = Pose(pose.position, pose.orientation)  # an edit of it below must fail
     poses = [
         pose,
         other,
@@ -443,9 +443,9 @@ def test_the_memo_gives_a_fresh_pass_bit_for_bit(first, second, data):
              pose.orientation),
     ]
     sets = [WireSet(wires), WireSet(other_wires)]
-    # (set, pose, kernel, edit `moving` first): repeated poses, a changed
-    # orientation, a signed-zero flip, an edit between two calls, a
-    # DegenerateWire between two hits, then the two sets in turn
+    # (set, pose, kernel, try to edit `moving` first): repeated poses, a
+    # changed orientation, a signed-zero flip, an edit refused between two
+    # calls, a DegenerateWire between two hits, then the two sets in turn
     script = [(0, 0, 0, False), (0, 0, 1, False), (0, 2, 1, False), (0, 3, 0, False),
               (0, 4, 0, False), (0, 5, 1, False), (0, 5, 1, True), (0, 5, 0, False),
               (0, 0, 0, False), (0, 6, 1, False), (0, 0, 1, False), (1, 0, 0, False),
@@ -455,8 +455,10 @@ def test_the_memo_gives_a_fresh_pass_bit_for_bit(first, second, data):
     ), max_size=20))
     outcomes = []
     for s, p, kernel, edit in script:
-        if edit:
-            moving.position[data.draw(st.integers(0, 2))] += data.draw(st.sampled_from([1e-3, -0.5]))
+        if edit:  # a pose's float tuples cannot change, so the memo may key on the pose
+            with pytest.raises(TypeError):
+                moving.position[data.draw(st.integers(0, 2))] += data.draw(
+                    st.sampled_from([1e-3, -0.5]))
         kernels = [lambda ws: wire_jacobian(poses[p], ws),
                    lambda ws: wire_lengths_and_rates(poses[p], twist, ws)]
         got = _outcome(lambda: kernels[kernel](sets[s]))
