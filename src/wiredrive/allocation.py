@@ -7,9 +7,11 @@ tracking is weighted against that regularizer, so its scale is a tuning
 surface exposed to scenarios.  Winch-side compensation then adds tension
 for reflected rotor inertia and shaft friction, and the current map is a
 single constant.  One drivetrain model (`WinchParams`) serves every wire.
-The wire matrix W and the wire rates come in as the plain arrays that
-`wire_jacobian` and `wire_lengths_and_rates` return; the compensated
-tensions and the currents leave as float tuples.
+The wire matrix W comes in as the array `wire_jacobian` returns.  Since
+the API change from arrays, the tensions, converted once from the QP's
+array, and the rates that `wire_lengths_and_rates` returns are float
+tuples, which `compensate`, `to_currents` and `tension_command` read and
+a `TensionCommand` holds as they are.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qp import solve_box_qp
-from .spatial import Wrench, _floats, _Record, _set_field
+from .spatial import Wrench, _Record, _set_field
 
 DEFAULT_MAX_TENSION = 180.0  # N, continuous rating of one winch
 DEFAULT_PRETENSION = 2.0  # N, keeps wires taut; they cannot push
@@ -158,30 +160,23 @@ def allocate(
     return tensions, target - matrix @ tensions
 
 
-def compensate(
-    tensions: np.ndarray,
-    accel_ref,
-    rates: np.ndarray,
-    matrix: np.ndarray,
-    winch: WinchParams,
-) -> tuple:
+def compensate(tensions, accel_ref, rates, matrix: np.ndarray, winch: WinchParams) -> tuple:
     """Add winch inertia and friction compensation to commanded tensions.
 
     The drum spins at -rate/r; its angular acceleration is taken from the
     commanded body acceleration projected along each wire (the wire-matrix
-    column gives exactly that projection).  `rates` are the wires' length
-    rates, as `wire_lengths_and_rates` returns them.  Compensation tension
-    is (J * alpha + sign(w) * tau_c + b * w) / r per wire, clamped so the
+    column gives exactly that projection).  `tensions` and `rates` (the
+    wires' length rates) are float sequences.  Compensation tension is
+    (J * alpha + sign(w) * tau_c + b * w) / r per wire, clamped so the
     final command never asks a wire to push.  After `matrix.T @ accel_ref`
     each wire runs on Python floats in the array formulation's order, so
     the bits are the same; the clamp keeps NaN and turns -0.0 into 0.0, as
     `np.maximum` does.
     """
-    accel_ref = np.asarray(accel_ref, dtype=float).reshape(6)
     projected = (matrix.T @ accel_ref).tolist()  # -d^2(length)/dt^2 per wire
     r = winch.pulley_radius
     final = []
-    for tension, accel, rate in zip(_floats(tensions), projected, _floats(rates), strict=True):
+    for tension, accel, rate in zip(tensions, projected, rates, strict=True):
         drum_speed = -rate / r
         # np.sign, except that a zero keeps its sign, which the clamp erases
         sign = 1.0 if drum_speed > 0.0 else -1.0 if drum_speed < 0.0 else drum_speed
@@ -192,39 +187,28 @@ def compensate(
 
 
 def to_currents(tensions, winch: WinchParams) -> tuple:
-    """Exactly linear tension-to-current map, one constant for every wire."""
-    tensions = _floats(tensions)
+    """Exactly linear map of float tensions to currents, one constant for every wire."""
     if any(t < 0 for t in tensions):
         raise ValueError("tensions must be non-negative")
     scale = winch.current_per_newton
     return tuple(scale * t for t in tensions)
 
 
-def tension_command(tensions: np.ndarray, final, residual: np.ndarray,
+def tension_command(tensions: tuple, final: tuple, residual: np.ndarray,
                     bounds: TensionBounds, winch: WinchParams) -> TensionCommand:
-    """The command for allocated `tensions` that the winches are to exert
-    as `final`, with the allocation's wrench `residual` (a 6-array); its
-    norm is `np.linalg.norm`'s formula, the root of one BLAS dot."""
-    return TensionCommand(
-        tensions=tensions,
-        tensions_final=final,
-        currents=to_currents(final, winch),
-        residual_norm=math.sqrt(np.dot(residual, residual)),
-        saturated=bounds.saturated(tensions),
-    )
+    """The command for allocated `tensions` that the winches are to exert as
+    `final` (float tuples, stored as they are), with the allocation's wrench
+    `residual` (a 6-array); its norm is `np.linalg.norm`'s, the root of one BLAS dot."""
+    return TensionCommand._of(tensions, final, to_currents(final, winch),
+                              math.sqrt(np.dot(residual, residual)),
+                              tuple(bounds.saturated(tensions).tolist()))
 
 
-def solve_tension_command(
-    matrix: np.ndarray,
-    wrench: Wrench,
-    bounds: TensionBounds,
-    weights: AllocationWeights,
-    accel_ref,
-    rates: np.ndarray,
-    winch: WinchParams,
-    start=None,
-) -> TensionCommand:
+def solve_tension_command(matrix: np.ndarray, wrench: Wrench, bounds: TensionBounds,
+                          weights: AllocationWeights, accel_ref, rates, winch: WinchParams,
+                          start=None) -> TensionCommand:
     """Allocation, compensation and current conversion in one pass."""
     tensions, residual = allocate(matrix, wrench, bounds, weights, start=start)
+    tensions = tuple(tensions.tolist())
     final = compensate(tensions, accel_ref, rates, matrix, winch)
     return tension_command(tensions, final, residual, bounds, winch)

@@ -109,8 +109,9 @@ def plan_wrap_path(
     again, so the flown loop winds the pillar exactly once and the wire
     crosses itself on the way out.
     """
-    if clearance <= 0:
-        raise ValueError("clearance must be positive")
+    for name, value in (("clearance", clearance), ("spacing", spacing)):
+        if not value > 0:  # NaN fails too
+            raise ValueError(f"{name} must be positive, got {value}")
     approach = np.asarray(approach, dtype=float).reshape(3)
     if pillar.contains(approach, inflation=clearance):
         raise NoClearance(
@@ -153,9 +154,15 @@ def track_path(
     The drone starts on the first waypoint and integrates a capped
     proportional velocity toward the active one, advancing when its
     (noisy) position estimate comes within the capture radius.  Raises
-    TrackingTimeout if the budget runs out.
+    TrackingTimeout if the budget runs out, and ValueError for a waypoint
+    that is not finite or a step or timeout that is not positive, NaN too.
     """
     waypoints = np.asarray(waypoints, dtype=float).reshape(-1, 3)
+    if not np.all(np.isfinite(waypoints)):
+        raise ValueError("waypoints must be finite")
+    for name, value in (("dt", dt), ("timeout", timeout)):
+        if value is not None and not value > 0:  # NaN fails too
+            raise ValueError(f"{name} must be positive, got {value}")
     if timeout is None:
         legs = np.linalg.norm(np.diff(waypoints, axis=0), axis=1)
         timeout = 5.0 * (float(np.sum(legs)) / gains.speed_cap + 1.0)

@@ -103,6 +103,7 @@ class _ScheduleController:
             force = tuple(g + scenario.body.mass * a for g, a in zip(self.gravity.force, accel_ref))
             desired = Wrench._of(force, tuple(g + 0.0 for g in self.gravity.torque))
             tensions, residual = allocate(jacobian, desired, scenario.bounds, self.weights)
+        tensions = tuple(tensions.tolist())
         command = tension_command(tensions, tensions, residual, scenario.bounds, scenario.winch)
         return ControlTick._of(pose_ref, twist_ref, accel_ref, Wrench.zero(), self.gravity, desired,
                                command)
@@ -247,16 +248,16 @@ def run_scenario(scenario: Scenario, out_dir, seed: int | None = None) -> dict:
                     )
 
                 lengths, _ = wire_lengths_and_rates(state.pose, state.twist, wires)
-                if np.any(lengths > scenario.winch.winding_capacity):
+                if any(length > scenario.winch.winding_capacity for length in lengths):
                     capacity_violations += 1
 
                 pos_errors[k] = norm3([p - r for p, r in zip(state.pose.position,
                                                              tick.pose_ref.position)])
                 rot_errors[k] = norm3(attitude_error(tick.pose_ref.orientation,
                                                      state.pose.orientation))
-                max_tension = max(max_tension, float(np.max(command.tensions_final, initial=0.0)))
+                max_tension = max(max_tension, *command.tensions_final)
                 max_residual = max(max_residual, command.residual_norm)
-                n_sat = int(np.sum(command.saturated))
+                n_sat = sum(command.saturated)
                 if n_sat:
                     saturation_ticks += 1
                 max_simultaneous_sat = max(max_simultaneous_sat, n_sat)

@@ -494,7 +494,8 @@ class Scenario:
         for path, limit in limits.items():
             if limit == np.inf:  # which a file cannot state
                 raise ValidationError(path, "value must be finite")
-        if np.any(self.body.inertia != np.diag(np.diag(self.body.inertia))):
+        inertia = np.array(self.body.inertia)
+        if np.any(inertia != np.diag(np.diag(inertia))):
             raise ValidationError("body", "a scenario holds a diagonal inertia")
         for i, wire in enumerate(self.wires):
             if (reach := np.linalg.norm(wire.exit_body)) > self.body.radius + 1e-9:
@@ -588,7 +589,7 @@ def build_scenario(document: dict) -> Scenario:
             raise ValidationError(
                 "body.inertia_diagonal", "body needs inertia_diagonal or inertia_cube_side"
             )
-        body_doc["inertia_diagonal"] = np.full(3, body_doc["mass"] * side**2 / 6.0)
+        body_doc["inertia_diagonal"] = np.full(3, BodyModel.cube_moment(body_doc["mass"], side))
     body = _make("body", BodyModel, body_doc["mass"], np.diag(body_doc["inertia_diagonal"]),
                  body_doc["radius"])
 

@@ -14,14 +14,15 @@ a new speed over the speed limit or not finite.
 A step asks for the wire rates (for the slack rule) and then the wire
 matrix (for the wrench) at its pose.  Given a `WireSet`, the second call
 is served from its memo, so a step makes one pass over the wires (see
-`wires`).  The current map is one loop over the wires on Python floats:
-the NaN check, the tension min(max(0, i) / current_per_newton,
-max_tension), and the slack rule; the tensions stay a float tuple, which
-the wire matrix multiplies.  Everything after the wrench runs on Python
-floats too, through the float cores in `spatial`: one rotation matrix,
-the inverse inertia that `BodyModel` computes once, and one
-normalization of the new attitude, by `quat_unit`, as the odometry
-sensor does for its noisy one; both build their records with `_of`.
+`wires`), whose rates are a float tuple.  The current map is one loop
+over the wires on Python floats: the NaN check, the tension
+min(max(0, i) / current_per_newton, max_tension), and the slack rule;
+the tensions stay a float tuple, which the wire matrix multiplies.  The
+rest runs on Python floats too, through the float cores in `spatial`:
+one rotation matrix, `BodyModel`'s inertia and inverse inertia (row
+tuples, no longer arrays), and one normalization of the new attitude,
+by `quat_unit`, as the odometry sensor does for its noisy one; both
+build their records with `_of`.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .errors import NumericalBlowup
 from .spatial import (
     Pose,
     Twist,
+    _checked,
     _floats,
     _Record,
     _set_field,
@@ -63,27 +65,31 @@ class BodyModel:
 
     The torque reference point, the wire-matrix origin and the center of
     mass are all the same configurable body center; the inertia tensor is
-    taken about that point in body axes.  `inertia_inverse` is computed
-    once, read-only, from the validated inertia; it is not a field, so
+    taken about that point in body axes.  `inertia` is stored as three row
+    tuples of floats once validated, and `inertia_inverse` as the rows of
+    `np.linalg.inv` of it, computed once; the inverse is not a field, so
     `dataclasses.replace` computes it again.
     """
 
     mass: float
-    inertia: np.ndarray
+    inertia: tuple  # of three rows
     radius: float = 0.2  # bounding radius; wire exits must stay inside
 
     def __post_init__(self):
         _set_field(self, "mass", sign="positive")
         _set_field(self, "radius", sign="positive")
-        _set_field(self, "inertia", (3, 3), sign="symmetric positive definite")
-        inverse = np.linalg.inv(self.inertia)
-        inverse.setflags(write=False)
-        object.__setattr__(self, "inertia_inverse", inverse)
+        inertia = _checked("inertia", self.inertia, (3, 3), sign="symmetric positive definite")
+        object.__setattr__(self, "inertia", tuple(map(tuple, inertia.tolist())))
+        object.__setattr__(self, "inertia_inverse",
+                           tuple(map(tuple, np.linalg.inv(inertia).tolist())))
+
+    @staticmethod
+    def cube_moment(mass: float, side: float) -> float:
+        return mass * side**2 / 6.0  # of a solid cube, about its center
 
     @classmethod
     def solid_cube(cls, mass: float, side: float) -> "BodyModel":
-        moment = mass * side**2 / 6.0
-        return cls(mass, np.eye(3) * moment, radius=side * np.sqrt(3.0) / 2.0)
+        return cls(mass, np.eye(3) * cls.cube_moment(mass, side), radius=side * np.sqrt(3.0) / 2.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,7 +124,7 @@ def step(
     per_newton, speed = winch.current_per_newton, winch.max_line_speed
     cap = winch.max_tension
     tensions = []
-    for i, (current, rate) in enumerate(zip(_floats(currents), rates.tolist(), strict=True)):
+    for i, (current, rate) in enumerate(zip(_floats(currents), rates, strict=True)):
         if current != current:
             # checked before the slack rule, which would give a slack wire 0
             raise NumericalBlowup(f"wire {i}: current is NaN at t={state.time:.4f} s")
@@ -137,10 +143,8 @@ def step(
     rot = rotation_rows(orientation)
     omega_body = mat_t_vec(rot, angular)
     torque_body = mat_t_vec(rot, torque_world)
-    gyro = cross3(omega_body, mat_vec(body.inertia.tolist(), omega_body))
-    omega_dot = mat_vec(
-        body.inertia_inverse.tolist(), [t - g for t, g in zip(torque_body, gyro)]
-    )
+    gyro = cross3(omega_body, mat_vec(body.inertia, omega_body))
+    omega_dot = mat_vec(body.inertia_inverse, [t - g for t, g in zip(torque_body, gyro)])
     omega_new = mat_vec(rot, [w + dt * a for w, a in zip(omega_body, omega_dot)])
     # written so that a NaN speed fails the check too
     if not (norm3(velocity_new) <= speed_limit and norm3(omega_new) <= speed_limit):

@@ -9,9 +9,10 @@ float tuples and check nothing else (a pose only normalizes its
 quaternion): values are checked where they enter the program, and the
 simulator catches non-finite state.  The PID integral accumulator is the
 one mutable object, owned by whoever runs the control loop.  Config
-records (these gains and those of the other modules) keep arrays, each
-stored through `_set_field`, which refuses a value that is not finite,
-or +inf where that is no limit.
+records are checked once, by `_checked`, which refuses a value that is
+not finite, or +inf where that is no limit.  What the tick reads from
+them is stored as float tuples (read-only arrays before): these gains,
+`BodyModel`'s inertia rows and `WireSet`'s anchor rows.
 
 Each rotation fact is written once, as a float core below: the Hamilton
 product, the rotation matrix, `quat_unit`, the exp and log maps, and the
@@ -335,21 +336,22 @@ def transform_odometry(
 
 @dataclass(frozen=True, eq=False)
 class PidGains:
-    """Per-axis PID gains for the 6-D pose loop (x, y, z, rx, ry, rz)."""
+    """Per-axis PID gains for the 6-D pose loop (x, y, z, rx, ry, rz),
+    each stored as a 6-tuple of floats once `_checked` has validated it."""
 
-    kp: np.ndarray
-    ki: np.ndarray
-    kd: np.ndarray
-    integral_limit: np.ndarray
+    kp: tuple
+    ki: tuple
+    kd: tuple
+    integral_limit: tuple
 
     def __post_init__(self):
-        for name in ("kp", "ki", "kd"):
-            _set_field(self, name, 6)
-        _set_field(self, "integral_limit", 6, sign="non-negative")
+        for name in ("kp", "ki", "kd", "integral_limit"):
+            sign = "non-negative" if name == "integral_limit" else None
+            object.__setattr__(self, name, _floats(_checked(name, getattr(self, name), 6, sign)))
 
     @classmethod
     def zero(cls) -> "PidGains":
-        z = np.zeros(6)
+        z = (0.0,) * 6
         return cls(z, z, z, z)
 
 
@@ -384,7 +386,7 @@ def wrench_error_pid(
     accumulated = [i + e * dt for i, e in zip(state.integral, err)]
     # np.clip: max with -hi, then min with hi; a NaN passes, a zero limit gives hi
     state.integral = integral = tuple(-hi if v <= -hi and hi else hi if v >= hi or v <= -hi else v
-                                      for v, hi in zip(accumulated, gains.integral_limit.tolist()))
+                                      for v, hi in zip(accumulated, gains.integral_limit))
     out = tuple(p * e + i * s + d * de for p, e, i, s, d, de in zip(
-        gains.kp.tolist(), err, gains.ki.tolist(), integral, gains.kd.tolist(), derr))
+        gains.kp, err, gains.ki, integral, gains.kd, derr))
     return Wrench._of(out[:3], out[3:])

@@ -162,8 +162,8 @@ class PoseController:
         dt: float,
         gravity: float = STANDARD_GRAVITY,
     ):
-        if dt <= 0:
-            raise ValueError("controller period must be positive")
+        if not 0.0 < dt < np.inf:  # NaN fails too
+            raise ValueError(f"controller period must be finite and positive, got {dt}")
         self.attachments = WireSet(attachments)
         self.bounds = bounds
         self.weights = weights

@@ -7,13 +7,15 @@ the anchor and r_i the body exit offset rotated (not translated) into the
 world frame, so tensions map to a wrench about the body center:
 wrench = matrix @ tensions.
 
-`wire_jacobian` returns that matrix and `wire_lengths_and_rates` the
-(lengths, rates) pair, as plain float arrays.  Both take any sequence of
-attachments and read one pass over the wires, `_geometry`.  A run passes
-a `WireSet`: it stacks its arrays once and keeps its last pass, keyed by
-the pose object, whose float tuples cannot change.  A call with the same
-pose gets that pass, bit for bit a fresh one; any other call, even one
-at equal values (-0.0 equals 0.0), replaces it, unless it raises
+`wire_jacobian` returns that matrix as a float array, which the numpy
+products of its callers read, and `wire_lengths_and_rates` the (lengths,
+rates) pair as two float tuples, which the tick reads wire by wire (they
+were arrays before).  Both take any sequence of attachments and read one
+pass over the wires, `_geometry`.  A run passes a `WireSet`: it stacks
+its exit points and anchors once and keeps its last pass, keyed by the
+pose object, whose float tuples cannot change.  A call with the same pose
+gets that pass, bit for bit a fresh one; any other call, even one at
+equal values (-0.0 equals 0.0), replaces it, unless it raises
 DegenerateWire.  Each read and each replacement is one attribute access,
 so a shared WireSet stays consistent under the GIL.  A plain list is
 stacked and passed over on each call.  The plant and the controller
@@ -66,12 +68,13 @@ class WireAttachment:
 class WireSet(tuple):
     """A run's wire attachments, with exit points and anchors stacked once.
 
-    `exits_body` and `anchors` are read-only (m, 3) arrays.  Wrapping a
-    WireSet returns it unchanged, so the geometry passes of a run reuse
-    one set, and its memo of the last pass."""
+    `exits_body` is a read-only (m, 3) array, which the lever product
+    reads, and `anchors` a tuple of m float 3-tuples.  Wrapping a WireSet
+    returns it unchanged, so the geometry passes of a run reuse one set,
+    and its memo of the last pass."""
 
     exits_body: np.ndarray
-    anchors: np.ndarray
+    anchors: tuple
     _memo: tuple  # (pose, pass), or (None, None) before the first
 
     def __new__(cls, attachments: Sequence[WireAttachment]):
@@ -79,9 +82,8 @@ class WireSet(tuple):
             return attachments
         self = super().__new__(cls, attachments)
         self.exits_body = np.array([a.exit_body for a in self])
-        self.anchors = np.array([a.anchor_world for a in self])
         self.exits_body.setflags(write=False)
-        self.anchors.setflags(write=False)
+        self.anchors = tuple(tuple(a.anchor_world.tolist()) for a in self)
         self._memo = (None, None)
         return self
 
@@ -103,7 +105,7 @@ def _geometry(pose: Pose, attachments: Sequence[WireAttachment]):
     levers = (wires.exits_body @ pose.rotation_matrix().T).tolist()
     px, py, pz = pose.position
     lengths, columns, arms = [], [], []
-    for i, ((rx, ry, rz), (ax, ay, az)) in enumerate(zip(levers, wires.anchors.tolist())):
+    for i, ((rx, ry, rz), (ax, ay, az)) in enumerate(zip(levers, wires.anchors)):
         ex, ey, ez = px + rx, py + ry, pz + rz
         sx, sy, sz = ax - ex, ay - ey, az - ez
         length = math.sqrt(sx * sx + sy * sy + sz * sz)
@@ -130,8 +132,8 @@ def wire_jacobian(pose: Pose, attachments: Sequence[WireAttachment]) -> np.ndarr
 
 def wire_lengths_and_rates(
     pose: Pose, twist: Twist, attachments: Sequence[WireAttachment]
-) -> tuple[np.ndarray, np.ndarray]:
-    """(lengths, rates) of every wire at the given body state.
+) -> tuple[tuple, tuple]:
+    """(lengths, rates) of every wire at the given body state, as float tuples.
 
     The rate is the time derivative of the straight-line length: negative
     when the body closes on the anchor (the winch is taking wire in).
@@ -140,9 +142,8 @@ def wire_lengths_and_rates(
     vx, vy, vz = twist.linear
     wx, wy, wz = twist.angular
     # -(d . v) with the exit velocity v = linear + angular x arm
-    rates = [
+    return tuple(lengths), tuple([
         -(dx * (vx + (wy * az - wz * ay)) + dy * (vy + (wz * ax - wx * az))
           + dz * (vz + (wx * ay - wy * ax)))
         for (dx, dy, dz, _, _, _), (ax, ay, az) in zip(columns, arms)
-    ]
-    return np.array(lengths), np.array(rates)
+    ])

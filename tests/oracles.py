@@ -515,11 +515,10 @@ def reference_wrench_error_pid(pose, twist, pose_ref, twist_ref, gains, state, d
     err = np.concatenate([np.subtract(pose_ref.position, pose.position),
                           orientation_error(pose_ref, pose)])
     derr = twist_ref.as_array() - twist.as_array()
-    integral = np.clip(
-        np.asarray(state.integral) + err * dt, -gains.integral_limit, gains.integral_limit
-    )
+    limit = np.array(gains.integral_limit)
+    integral = np.clip(np.asarray(state.integral) + err * dt, -limit, limit)
     state.integral = tuple(integral.tolist())
-    out = gains.kp * err + gains.ki * integral + gains.kd * derr
+    out = np.array(gains.kp) * err + np.array(gains.ki) * integral + np.array(gains.kd) * derr
     return Wrench.from_array(out)
 
 
@@ -579,8 +578,9 @@ def reference_step(state, currents, dt, body, attachments, winch,
     velocity_new = linear + dt * (force / body.mass)
     rot = reference_quat_to_matrix(state.pose.orientation)
     omega_body = rot.T @ angular
+    inertia = np.array(body.inertia)
     omega_dot = np.linalg.solve(
-        body.inertia, rot.T @ wrench[3:] - np.cross(omega_body, body.inertia @ omega_body)
+        inertia, rot.T @ wrench[3:] - np.cross(omega_body, inertia @ omega_body)
     )
     omega_new = rot @ (omega_body + dt * omega_dot)
     if not (np.linalg.norm(velocity_new) <= speed_limit
@@ -600,7 +600,7 @@ def reference_geometry(pose, attachments):
     wires = WireSet(attachments)
     levers = wires.exits_body @ pose.rotation_matrix().T
     exits_world = np.asarray(pose.position) + levers
-    spans = wires.anchors - exits_world
+    spans = np.array(wires.anchors) - exits_world
     lengths = np.linalg.norm(spans, axis=1)
     for i, n in enumerate(lengths):
         if n <= DEGENERACY_THRESHOLD:
@@ -615,14 +615,16 @@ def reference_wire_jacobian(pose, attachments):
 
 
 def reference_wire_lengths_and_rates(pose, twist, attachments):
-    """`wires.wire_lengths_and_rates` on arrays.  The rate lever is the
-    world exit point minus the body center, not the rotated lever (they
-    can differ in the last bit), and each rate is summed in a fixed
-    order, unlike `np.einsum`, whose order follows the memory layout."""
+    """`wires.wire_lengths_and_rates` on arrays, returned as the library's
+    float tuples.  The rate lever is the world exit point minus the body
+    center, not the rotated lever (they can differ in the last bit), and
+    each rate is summed in a fixed order, unlike `np.einsum`, whose order
+    follows the memory layout."""
     directions, lengths, _, exits_world = reference_geometry(pose, attachments)
     v = np.asarray(twist.linear) + np.cross(twist.angular, exits_world - pose.position)
     d = directions
-    return lengths, -(d[:, 0] * v[:, 0] + d[:, 1] * v[:, 1] + d[:, 2] * v[:, 2])
+    rates = -(d[:, 0] * v[:, 0] + d[:, 1] * v[:, 1] + d[:, 2] * v[:, 2])
+    return tuple(lengths.tolist()), tuple(rates.tolist())
 
 
 def _nan_or_max(values):

@@ -188,7 +188,7 @@ def test_criterion_4_jacobian_and_rates():
                 )
                 return wire_lengths_and_rates(Pose(pos, quat), Twist.zero(), wires)[0]
 
-            fd = (lengths_at(h) - lengths_at(-h)) / (2 * h)
+            fd = (np.array(lengths_at(h)) - lengths_at(-h)) / (2 * h)
             assert np.allclose(rates, fd, atol=1e-6)
 
 

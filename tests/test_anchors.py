@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -151,3 +156,44 @@ def test_tracker_speed_cap_enforced():
                       gains=TrackerGains(kp=50.0, speed_cap=0.5), dt=dt, seed=0)
     speeds = np.linalg.norm(np.diff(traj, axis=0), axis=1) / dt
     assert np.max(speeds) <= 0.5 + 1e-9
+
+
+@pytest.mark.parametrize("clearance, spacing, name", [
+    (float("nan"), 0.15, "clearance"), (0.0, 0.15, "clearance"),
+    (0.3, 0.0, "spacing"), (0.3, float("nan"), "spacing"), (0.3, -0.1, "spacing"),
+])
+def test_plan_wrap_path_refuses_a_length_that_is_not_positive(clearance, spacing, name):
+    with pytest.raises(ValueError, match=f"^{name} must be positive"):
+        plan_wrap_path(Pillar(center=[0.0, 0.0]), [1.5, 0.0, 1.0], clearance, spacing=spacing)
+
+
+# one call of track_path on a 1 m path with the named argument set to the
+# value; it prints the ValueError it raises
+_TRACK_ONE_METRE = """
+import sys
+import numpy as np
+from wiredrive.anchors import RelativePoseSensor, track_path
+name, value = sys.argv[1], float(sys.argv[2])
+waypoints, kwargs = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 1.0]]), {name: value}
+if name == "waypoints":
+    waypoints[1, 0], kwargs = value, {}
+try:
+    track_path(waypoints, RelativePoseSensor(), **kwargs)
+except ValueError as exc:
+    print(exc)
+"""
+
+
+@pytest.mark.parametrize("name, value, message", [
+    ("dt", "0.0", "dt must be positive"), ("dt", "nan", "dt must be positive"),
+    ("dt", "-0.02", "dt must be positive"), ("timeout", "nan", "timeout must be positive"),
+    ("waypoints", "nan", "waypoints must be finite"),
+])
+def test_track_path_refuses_a_value_its_clock_would_never_pass(name, value, message):
+    # with such a value the loop never reaches the timeout and runs for
+    # ever, so the call runs in a process of its own, with a time limit
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", _TRACK_ONE_METRE, name, value],
+                          env=env, capture_output=True, text=True, timeout=10)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith(message), done.stdout

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
-from wiredrive import allocation, cli, runner, trajectory, wires
+from wiredrive import allocation, cli, runner, spatial, trajectory, wires
 from wiredrive.errors import NumericalBlowup, SolverFailure
 from wiredrive.feasibility import controllability
 from wiredrive.runner import run_scenario
@@ -590,23 +590,34 @@ def test_a_tick_takes_no_numpy_norm_and_no_public_pose_constructor(tmp_path, mon
     assert counts[0] == counts[1]
 
 
-def test_a_tick_converts_few_arrays_and_keys_no_memo_on_bytes(tmp_path):
-    # the tick records hold float tuples, so a tick converts between
-    # arrays and floats only where a numpy product reads or makes an array;
-    # a profile of a 40-tick run less one of a 20-tick run counts 20 ticks
+@pytest.mark.parametrize("name, arrays, floats", [("cube8", 56, 6), ("anchors2", 52, 6)],
+                         ids=["cube8", "anchors2"])
+def test_a_tick_converts_few_arrays_and_keys_no_memo_on_bytes(name, arrays, floats, tmp_path):
+    # the tick records, the configuration it reads and the wire lengths and
+    # rates are float tuples, so a tick converts between arrays and floats
+    # only where a numpy product reads or makes an array, and converts a
+    # float tuple again (`spatial._floats`) only for the plant's currents,
+    # once a substep; a profile of a 40-tick run less one of a 20-tick run
+    # counts 20 ticks, of pose control (cube8) and of schedule mode (anchors2)
+    code = spatial._floats.__code__
     names = {
         "tolist": "<method 'tolist' of 'numpy.ndarray' objects>",
         "array": "<built-in method numpy.array>",
         "tobytes": "<method 'tobytes' of 'numpy.ndarray' objects>",
+        "_floats": (code.co_filename, code.co_firstlineno, code.co_name),
     }
-    scenario = load_scenario(bundled_scenario_path("cube8"))
+    scenario = load_scenario(bundled_scenario_path(name))
     counts = []
     for ticks in (20, 40):
         profile = cProfile.Profile()
-        profile.runcall(run_scenario, dataclasses.replace(scenario, duration=ticks / 200.0),
+        profile.runcall(run_scenario,
+                        dataclasses.replace(scenario, duration=ticks / scenario.control_rate),
                         tmp_path / str(ticks))
-        calls = {key[2]: value[1] for key, value in pstats.Stats(profile).stats.items()}
-        counts.append({kind: calls.get(name, 0) for kind, name in names.items()})
+        # a built-in is keyed by its name alone, a Python function by its code
+        calls = {key[2] if key[0] == "~" else key: value[1]
+                 for key, value in pstats.Stats(profile).stats.items()}
+        counts.append({kind: calls.get(key, 0) for kind, key in names.items()})
     per_tick = {kind: (counts[1][kind] - counts[0][kind]) / 20 for kind in names}
     assert per_tick["tobytes"] == 0, per_tick
-    assert sum(per_tick.values()) <= 128, per_tick
+    assert per_tick["tolist"] + per_tick["array"] <= arrays, per_tick
+    assert per_tick["_floats"] <= floats, per_tick

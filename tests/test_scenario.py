@@ -370,7 +370,7 @@ def test_number_fields_still_read_numeric_text(tmp_path):
                                      {"value": ["1.0e2", 1, 1, 1, 1, 1], "unit": "N/m, N m/rad"}))
     scenario = load_scenario(write(tmp_path, text))
     assert scenario.weights.matrix[0, 0] == 1e8
-    assert scenario.gains.kp.tolist() == [100.0, 1.0, 1.0, 1.0, 1.0, 1.0]
+    assert scenario.gains.kp == (100.0, 1.0, 1.0, 1.0, 1.0, 1.0)
 
 
 @pytest.mark.parametrize("path, value", [
@@ -615,7 +615,7 @@ def test_a_scenario_holds_only_what_its_file_can_say(generated, data):
         assert dump_scenario(reloaded) == dump_scenario(replaced)
     # and what a file cannot say, it refuses, naming the field
     lower, upper = scenario.bounds.lower, scenario.bounds.upper
-    inertia = scenario.body.inertia.copy()
+    inertia = np.array(scenario.body.inertia)
     inertia[0, 1] = inertia[1, 0] = 1e-3 * inertia[0, 0]
     refused = [
         ("tension_bounds",

@@ -299,7 +299,7 @@ def test_body_model_validation():
     with pytest.raises(ValueError):
         BodyModel(1.0, -np.eye(3))
     cube = BodyModel.solid_cube(12.0, 0.4)
-    assert cube.inertia[0, 0] == pytest.approx(12.0 * 0.16 / 6.0)
+    assert cube.inertia[0][0] == pytest.approx(12.0 * 0.16 / 6.0)
 
 
 @pytest.mark.parametrize(
@@ -373,10 +373,18 @@ def test_record_constructors_refuse_nan_naming_the_field(record, field):
 def test_inverse_inertia_is_read_only_and_follows_replace():
     inertia = np.array([[0.4, 0.05, -0.02], [0.05, 0.3, 0.01], [-0.02, 0.01, 0.5]])
     body = BodyModel(3.0, inertia)
-    assert np.allclose(body.inertia_inverse @ body.inertia, np.eye(3), rtol=0.0, atol=1e-14)
-    assert not body.inertia_inverse.flags.writeable
+    # row tuples of floats, the inverse holding np.linalg.inv's values
+    for rows in (body.inertia, body.inertia_inverse):
+        assert type(rows) is tuple and all(type(v) is float for row in rows for v in row)
+        with pytest.raises(TypeError):
+            rows[0][0] = 1.0
+    assert np.array(body.inertia).tobytes() == inertia.tobytes()
+    assert np.array(body.inertia_inverse).tobytes() == np.linalg.inv(inertia).tobytes()
+    assert np.allclose(np.array(body.inertia_inverse) @ body.inertia, np.eye(3),
+                       rtol=0.0, atol=1e-14)
     heavier = dataclasses.replace(body, inertia=2.0 * inertia)
-    assert np.allclose(heavier.inertia_inverse, 0.5 * body.inertia_inverse, rtol=1e-14, atol=0.0)
+    assert np.allclose(heavier.inertia_inverse, 0.5 * np.array(body.inertia_inverse),
+                       rtol=1e-14, atol=0.0)
 
 
 @st.composite

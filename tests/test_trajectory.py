@@ -157,6 +157,15 @@ def hover_controller(segment, dt=0.005, gains=None):
     return body, controller
 
 
+@pytest.mark.parametrize("dt", [0.0, -0.005, float("nan"), float("inf")])
+def test_controller_refuses_a_period_that_is_not_finite_and_positive(dt):
+    # a NaN period would first fail the QP's KKT check, which names the QP
+    pose = Pose.identity()
+    seg = plan_spline(pose, Twist.zero(), pose, Twist.zero(), 1.0)
+    with pytest.raises(ValueError, match="^controller period must be finite and positive"):
+        hover_controller(seg, dt=dt)
+
+
 def test_hover_gravity_feedforward_statics():
     pose = Pose.identity()
     seg = plan_spline(pose, Twist.zero(), pose, Twist.zero(), 1.0)

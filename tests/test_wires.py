@@ -1,3 +1,4 @@
+import struct
 import sys
 import threading
 
@@ -47,7 +48,7 @@ def directions_and_exits(pose, wires):
     dirs = wire_jacobian(pose, wires)[:3].T
     lengths, _ = wire_lengths_and_rates(pose, Twist.zero(), wires)
     anchors = np.array([w.anchor_world for w in wires])
-    return dirs, anchors - lengths[:, None] * dirs
+    return dirs, anchors - np.array(lengths)[:, None] * dirs
 
 
 def test_axis_aligned_direction():
@@ -157,7 +158,7 @@ def test_static_body_has_zero_rates():
     wires = random_layout(rng, 6)
     lengths, rates = wire_lengths_and_rates(random_pose(rng), Twist.zero(), wires)
     assert np.allclose(rates, np.zeros(6))
-    assert np.all(lengths > 0)
+    assert min(lengths) > 0
 
 
 def test_collinear_motion_rate():
@@ -185,7 +186,7 @@ def test_rates_match_central_difference():
             shifted = Pose(pos, quat)
             return wire_lengths_and_rates(shifted, Twist.zero(), wires)[0]
 
-        fd = (lengths_at(h) - lengths_at(-h)) / (2 * h)
+        fd = (np.array(lengths_at(h)) - lengths_at(-h)) / (2 * h)
         assert np.allclose(rates, fd, atol=1e-6)
 
 
@@ -255,7 +256,7 @@ def test_geometry_agrees_across_entry_points(case):
     lengths, rates = wire_lengths_and_rates(pose, twist, wires)
     # direction rows times lengths rebuild the spans from world exit to anchor
     spans = [w.anchor_world - transform_point(pose, w.exit_body) for w in wires]
-    assert np.allclose(jac[:3].T * lengths[:, None], spans, rtol=0.0, atol=1e-12)
+    assert np.allclose(jac[:3].T * np.array(lengths)[:, None], spans, rtol=0.0, atol=1e-12)
     expected = [
         wire_length(w.anchor_world, pose.position, pose.orientation, w.exit_body) for w in wires
     ]
@@ -267,6 +268,12 @@ def _same_bits(a, b):
     # the layout counts too: a later einsum or matmul can sum in another order over another one
     return (a.shape == b.shape and a.dtype == b.dtype and a.strides == b.strides
             and a.tobytes() == b.tobytes())
+
+
+def _float_bits(values):
+    """The bytes of a tuple of Python floats; AssertionError for any other value."""
+    assert type(values) is tuple and all(type(v) is float for v in values), values
+    return struct.pack(f"{len(values)}d", *values)
 
 
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
@@ -281,9 +288,9 @@ def test_wire_set_gives_the_plain_list_results_bit_for_bit(case):
     got = wire_lengths_and_rates(pose, twist, wire_set)
     expected = wire_lengths_and_rates(pose, twist, wires)
     reference = reference_wire_lengths_and_rates(pose, twist, wires)
-    for got_array, expected_array, reference_array in zip(got, expected, reference):
-        assert _same_bits(got_array, expected_array)
-        assert _same_bits(expected_array, reference_array)
+    for got_tuple, expected_tuple, reference_tuple in zip(got, expected, reference):
+        assert _float_bits(got_tuple) == _float_bits(expected_tuple)
+        assert _float_bits(expected_tuple) == _float_bits(reference_tuple)
 
 
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
@@ -291,8 +298,9 @@ def test_wire_set_gives_the_plain_list_results_bit_for_bit(case):
 def test_rates_do_not_depend_on_the_operands_memory_layout(case):
     # each rate is summed in a fixed order; an einsum over the same values
     # in Fortran order summed differently and changed the last bits.  Here
-    # the position, the twist and the stacked anchors come as strided and
-    # Fortran-ordered views of the same values.
+    # the position, the twist and the wire points come as strided and
+    # Fortran-ordered views of the same values (a WireSet holds its anchors
+    # as float rows, which have no layout)
     wires, pose, twist = case
 
     def strided(v):
@@ -301,16 +309,15 @@ def test_rates_do_not_depend_on_the_operands_memory_layout(case):
     # both poses normalize the same quaternion again
     expected = reference_wire_lengths_and_rates(
         Pose(pose.position, pose.orientation), twist, wires)
-    wire_set = WireSet(wires)
-    wire_set.anchors = np.asfortranarray(wire_set.anchors)
+    wire_set = WireSet([WireAttachment(strided(w.exit_body), strided(w.anchor_world))
+                        for w in wires])
     got = wire_lengths_and_rates(
         Pose(strided(pose.position), pose.orientation),
         Twist(strided(twist.linear), strided(twist.angular)),
         wire_set,
     )
-    assert got[0].strides == expected[0].strides == got[1].strides == expected[1].strides
-    assert got[0].tobytes() == expected[0].tobytes()
-    assert got[1].tobytes() == expected[1].tobytes()
+    assert _float_bits(got[0]) == _float_bits(expected[0])
+    assert _float_bits(got[1]) == _float_bits(expected[1])
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
@@ -330,11 +337,13 @@ def test_wire_set_stacks_once_and_is_read_only():
     wire_set = WireSet(wires)
     assert WireSet(wire_set) is wire_set
     assert np.array_equal(wire_set.exits_body, [w.exit_body for w in wires])
-    assert np.array_equal(wire_set.anchors, [w.anchor_world for w in wires])
+    assert type(wire_set.anchors) is tuple and len(wire_set.anchors) == 5
+    for row, wire in zip(wire_set.anchors, wires):
+        assert _float_bits(row) == wire.anchor_world.tobytes()
     with pytest.raises(ValueError):
         wire_set.exits_body[0, 0] = 1.0
-    with pytest.raises(ValueError):
-        wire_set.anchors[0, 0] = 1.0
+    with pytest.raises(TypeError):
+        wire_set.anchors[0][0] = 1.0
 
 
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
@@ -343,8 +352,21 @@ def test_geometry_is_bit_identical_to_the_norm_formulation(case):
     wires, pose, twist = case
     assert _same_bits(wire_jacobian(pose, wires), reference_wire_jacobian(pose, wires))
     got = wire_lengths_and_rates(pose, twist, wires)
-    for got_array, expected in zip(got, reference_wire_lengths_and_rates(pose, twist, wires)):
-        assert _same_bits(got_array, expected)
+    for got_tuple, expected in zip(got, reference_wire_lengths_and_rates(pose, twist, wires)):
+        assert _float_bits(got_tuple) == _float_bits(expected)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(body_states(), st.booleans())
+def test_lengths_and_rates_are_float_tuples_bit_for_bit_the_array_reference(case, as_set):
+    # the reference computes on (m, 3) arrays and converts its two results
+    # once; the library returns the same tuples of Python floats, one per wire
+    wires, pose, twist = case
+    lengths, rates = wire_lengths_and_rates(pose, twist, WireSet(wires) if as_set else wires)
+    expected_lengths, expected_rates = reference_wire_lengths_and_rates(pose, twist, wires)
+    assert len(lengths) == len(rates) == len(wires)
+    assert _float_bits(lengths) == _float_bits(expected_lengths)
+    assert _float_bits(rates) == _float_bits(expected_rates)
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
@@ -404,9 +426,9 @@ def test_kernels_match_the_references_bit_for_bit(case):
             assert _same_bits(wire_jacobian(pose, attachments),
                               reference_wire_jacobian(pose, wires))
             got = wire_lengths_and_rates(pose, twist, attachments)
-            for got_array, reference in zip(
+            for got_tuple, reference in zip(
                     got, reference_wire_lengths_and_rates(pose, twist, wires)):
-                assert _same_bits(got_array, reference)
+                assert _float_bits(got_tuple) == _float_bits(reference)
             continue
         for call in (lambda: wire_jacobian(pose, attachments),
                      lambda: wire_lengths_and_rates(pose, twist, attachments)):
@@ -416,13 +438,15 @@ def test_kernels_match_the_references_bit_for_bit(case):
 
 
 def _outcome(call):
-    """A kernel call's result arrays, layout included, or its DegenerateWire."""
+    """A kernel call's result: the matrix, layout included, or the bits of
+    the lengths and rates tuples; or its DegenerateWire."""
     try:
         result = call()
     except DegenerateWire as exc:
         return "DegenerateWire", exc.wire_id, exc.separation
-    arrays = result if isinstance(result, tuple) else (result,)
-    return [(a.shape, a.dtype, a.strides, a.tobytes()) for a in arrays]
+    if isinstance(result, tuple):
+        return [_float_bits(values) for values in result]
+    return [(result.shape, result.dtype, result.strides, result.tobytes())]
 
 
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)
@@ -475,7 +499,7 @@ def test_a_shared_wire_set_stays_consistent_across_threads():
     shared = WireSet(wires)
     poses = [random_pose(rng) for _ in range(4)]
     twist = Twist(rng.normal(size=3), rng.normal(size=3))
-    expected = [[a.tobytes() for a in wire_lengths_and_rates(p, twist, wires)] for p in poses]
+    expected = [[_float_bits(t) for t in wire_lengths_and_rates(p, twist, wires)] for p in poses]
     mismatches, finished = [], []
 
     def worker(k):
@@ -483,7 +507,7 @@ def test_a_shared_wire_set_stays_consistent_across_threads():
             j = (k + n) % len(poses)
             for _ in range(2):  # a miss, then a hit unless another thread came between
                 got = wire_lengths_and_rates(poses[j], twist, shared)
-                if [a.tobytes() for a in got] != expected[j]:
+                if [_float_bits(t) for t in got] != expected[j]:
                     mismatches.append(j)
         finished.append(k)
 
