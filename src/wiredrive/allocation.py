@@ -8,10 +8,10 @@ surface exposed to scenarios.  Winch-side compensation then adds tension
 for reflected rotor inertia and shaft friction, and the current map is a
 single constant.  One drivetrain model (`WinchParams`) serves every wire.
 The wire matrix W comes in as the array `wire_jacobian` returns.  Since
-the API change from arrays, the tensions, converted once from the QP's
-array, and the rates that `wire_lengths_and_rates` returns are float
-tuples, which `compensate`, `to_currents` and `tension_command` read and
-a `TensionCommand` holds as they are.
+the API change from arrays, the tick's tensions, converted once from the
+QP's array, and the rates `wire_lengths_and_rates` returns are float
+tuples, which `compensate`, `to_currents` and `tension_command` read and a
+`TensionCommand` holds as they are; any other sequence is converted once.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qp import solve_box_qp
-from .spatial import Wrench, _Record, _set_field
+from .spatial import Wrench, _floats, _Record, _set_field
 
 DEFAULT_MAX_TENSION = 180.0  # N, continuous rating of one winch
 DEFAULT_PRETENSION = 2.0  # N, keeps wires taut; they cannot push
@@ -165,25 +165,34 @@ def compensate(tensions, accel_ref, rates, matrix: np.ndarray, winch: WinchParam
 
     The drum spins at -rate/r; its angular acceleration is taken from the
     commanded body acceleration projected along each wire (the wire-matrix
-    column gives exactly that projection).  `tensions` and `rates` (the
-    wires' length rates) are float sequences.  Compensation tension is
+    column gives exactly that projection).  Compensation tension is
     (J * alpha + sign(w) * tau_c + b * w) / r per wire, clamped so the
     final command never asks a wire to push.  After `matrix.T @ accel_ref`
-    each wire runs on Python floats in the array formulation's order, so
-    the bits are the same; the clamp keeps NaN and turns -0.0 into 0.0, as
-    `np.maximum` does.
+    each wire runs on Python floats with the array formulation's roundings,
+    so the bits are the same.  Where two NaNs meet, each sum keeps its
+    first, as numpy's add does on up to 8 wires (x86-64); CPython's float
+    `+` keeps either, as the interpreter has specialized it or not.  The
+    clamp keeps NaN and turns -0.0 into 0.0, as `np.maximum` does.
     """
     projected = (matrix.T @ accel_ref).tolist()  # -d^2(length)/dt^2 per wire
     r = winch.pulley_radius
     final = []
-    for tension, accel, rate in zip(tensions, projected, rates, strict=True):
+    for tension, accel, rate in zip(_float_tuple(tensions), projected, _float_tuple(rates),
+                                    strict=True):
         drum_speed = -rate / r
         # np.sign, except that a zero keeps its sign, which the clamp erases
         sign = 1.0 if drum_speed > 0.0 else -1.0 if drum_speed < 0.0 else drum_speed
         friction = sign * winch.coulomb_friction + winch.viscous_friction * drum_speed
-        value = tension + (winch.rotor_inertia * (accel / r) + friction) / r
+        torque = winch.rotor_inertia * (accel / r)
+        torque = torque if torque != torque else torque + friction  # a NaN first wins
+        value = tension if tension != tension else tension + torque / r
         final.append(value if value > 0.0 or value != value else 0.0)
     return tuple(final)
+
+
+def _float_tuple(values) -> tuple:
+    """A tuple as it is (the tick's float tuples), any other sequence as `_floats` gives it."""
+    return values if type(values) is tuple else _floats(values)
 
 
 def to_currents(tensions, winch: WinchParams) -> tuple:
@@ -191,14 +200,15 @@ def to_currents(tensions, winch: WinchParams) -> tuple:
     if any(t < 0 for t in tensions):
         raise ValueError("tensions must be non-negative")
     scale = winch.current_per_newton
-    return tuple(scale * t for t in tensions)
+    return tuple(scale * t for t in _float_tuple(tensions))
 
 
-def tension_command(tensions: tuple, final: tuple, residual: np.ndarray,
+def tension_command(tensions, final, residual: np.ndarray,
                     bounds: TensionBounds, winch: WinchParams) -> TensionCommand:
     """The command for allocated `tensions` that the winches are to exert as
-    `final` (float tuples, stored as they are), with the allocation's wrench
+    `final` (tuples kept, other sequences converted), with the allocation's wrench
     `residual` (a 6-array); its norm is `np.linalg.norm`'s, the root of one BLAS dot."""
+    tensions, final = _float_tuple(tensions), _float_tuple(final)
     return TensionCommand._of(tensions, final, to_currents(final, winch),
                               math.sqrt(np.dot(residual, residual)),
                               tuple(bounds.saturated(tensions).tolist()))

@@ -19,10 +19,9 @@ over the wires on Python floats: the NaN check, the tension
 min(max(0, i) / current_per_newton, max_tension), and the slack rule;
 the tensions stay a float tuple, which the wire matrix multiplies.  The
 rest runs on Python floats too, through the float cores in `spatial`:
-one rotation matrix, `BodyModel`'s inertia and inverse inertia (row
-tuples, no longer arrays), and one normalization of the new attitude,
-by `quat_unit`, as the odometry sensor does for its noisy one; both
-build their records with `_of`.
+one rotation matrix, `BodyModel`'s inertia and inverse as row tuples (an
+API change from arrays), and one normalization of the new attitude, by
+`quat_unit`, as the odometry sensor does; both build records with `_of`.
 """
 
 from __future__ import annotations

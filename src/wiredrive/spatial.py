@@ -347,7 +347,8 @@ class PidGains:
     def __post_init__(self):
         for name in ("kp", "ki", "kd", "integral_limit"):
             sign = "non-negative" if name == "integral_limit" else None
-            object.__setattr__(self, name, _floats(_checked(name, getattr(self, name), 6, sign)))
+            value = _checked(name, getattr(self, name), 6, sign)
+            object.__setattr__(self, name, tuple(value.tolist()))
 
     @classmethod
     def zero(cls) -> "PidGains":

@@ -180,22 +180,13 @@ class PoseController:
         SolverFailure; the loop policy on those is the caller's (hold last
         currents)."""
         pose_ref, twist_ref, accel_ref = sample_schedule(self.segments, self.starts, t)
-        feedback = wrench_error_pid(
-            pose, twist, pose_ref, twist_ref, self.gains, self.pid_state, self.dt
-        )
+        feedback = wrench_error_pid(pose, twist, pose_ref, twist_ref, self.gains, self.pid_state,
+                                    self.dt)
         desired = feedback + self.gravity_ff
         matrix = wire_jacobian(pose, self.attachments)
         _, rates = wire_lengths_and_rates(pose, twist, self.attachments)
-        command = solve_tension_command(
-            matrix,
-            desired,
-            self.bounds,
-            self.weights,
-            accel_ref,
-            rates,
-            self.winch,
-            start=self._warm_start,
-        )
+        command = solve_tension_command(matrix, desired, self.bounds, self.weights, accel_ref,
+                                        rates, self.winch, start=self._warm_start)
         self._warm_start = command.tensions
         return ControlTick._of(pose_ref, twist_ref, accel_ref, feedback, self.gravity_ff, desired,
                                command)

@@ -130,9 +130,8 @@ def wire_jacobian(pose: Pose, attachments: Sequence[WireAttachment]) -> np.ndarr
     return np.array([*zip(*columns)])  # built row by row, so C-ordered
 
 
-def wire_lengths_and_rates(
-    pose: Pose, twist: Twist, attachments: Sequence[WireAttachment]
-) -> tuple[tuple, tuple]:
+def wire_lengths_and_rates(pose: Pose, twist: Twist,
+                           attachments: Sequence[WireAttachment]) -> tuple[tuple, tuple]:
     """(lengths, rates) of every wire at the given body state, as float tuples.
 
     The rate is the time derivative of the straight-line length: negative
