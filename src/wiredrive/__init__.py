@@ -29,7 +29,7 @@ from .errors import (
     WireDriveError,
 )
 from .feasibility import FeasibilityReport, controllability, wrench_achievable
-from .qp import solve_box_qp
+from .qp import kkt_residual, solve_box_qp
 from .runner import deploy_anchors, run_scenario
 from .scenario import (
     ParseError,
@@ -81,7 +81,7 @@ __all__ = [
     "AmbiguousWinding", "DegenerateWire", "NoClearance", "NumericalBlowup",
     "RotationTooLarge", "SolverFailure", "TrackingTimeout", "WireDriveError",
     "FeasibilityReport", "controllability", "wrench_achievable",
-    "solve_box_qp",
+    "kkt_residual", "solve_box_qp",
     "deploy_anchors", "run_scenario",
     "ParseError", "Scenario", "ValidationError",
     "bundled_scenario_path", "dump_scenario", "load_scenario",

@@ -7,11 +7,13 @@ tracking is weighted against that regularizer, so its scale is a tuning
 surface exposed to scenarios.  Winch-side compensation then adds tension
 for reflected rotor inertia and shaft friction, and the current map is a
 single constant.  One drivetrain model (`WinchParams`) serves every wire.
-The wire matrix W comes in as the array `wire_jacobian` returns.  Since
-the API change from arrays, the tick's tensions, converted once from the
-QP's array, and the rates `wire_lengths_and_rates` returns are float
-tuples, which `compensate`, `to_currents` and `tension_command` read and a
-`TensionCommand` holds as they are; any other sequence is converted once.
+The wire matrix W comes in as the array `wire_jacobian` returns.  The QP's
+Hessian and gradient stay numpy products, as one BLAS product beats a float
+loop at 8 wires; the QP then runs on Python floats (see `qp`).  The tick's
+tensions, converted once from the QP's array, and the rates
+`wire_lengths_and_rates` returns are float tuples, which `compensate`,
+`to_currents` and `tension_command` read and a `TensionCommand` holds as
+they are; any other sequence is converted once.
 """
 
 from __future__ import annotations

@@ -1,22 +1,20 @@
 """Dense active-set solver for strictly convex box-constrained QPs.
 
 Solves  min 0.5 * x' H x + g' x  subject to  lower <= x <= upper  with H
-symmetric positive definite.  The working set holds bound constraints;
-each iteration either moves the free block to its equality-constrained
-minimizer or steps to the first blocking bound.  Problems here are tiny
-(one variable per wire), so dense linear solves are the right tool and
-the whole thing stays deterministic: ties in the ratio test and in the
-multiplier check are broken by lowest index.
+symmetric positive definite.  The working set holds bound constraints
+(per variable -1 at its lower bound, +1 at its upper, 0 free); each
+iteration either moves the free block to its equality-constrained
+minimizer or steps to the first blocking bound.  Ties in the ratio test
+and in the multiplier check go to the lowest index, and a NaN multiplier
+wins as in `np.argmin`.
 
-At this size numpy's per-call setup outweighs the arithmetic, so the
-bookkeeping runs on Python floats, which round as float64 arrays do: the
-working set (per variable -1 at its lower bound, +1 at its upper, 0 free),
-the bound check, the step test, the ratio test, x_j + alpha * d_j, the
-multiplier check (first minimum wins, a NaN before it, as `np.argmin`)
-and the KKT residual (any NaN makes a max NaN, as `np.max`).  Products
-with H, every solve and both clips stay numpy: their summation order is
-the BLAS's, which the recorded telemetry depends on.  The first polish
-pass reuses the converged iteration's free block of H and gradient.
+Problems here are tiny (one variable per wire), so the solver runs on
+Python floats, converting H, g, the bounds and the start once.  The free
+block of H gets a Cholesky factor (Golub & Van Loan, Matrix Computations,
+section 4.2), which the cold start, an iteration that keeps the free set
+and both polish passes reuse.  Products with H are sums in index order
+over only the rows read.  CPython neither fuses a multiply-add nor
+reorders a sum, so the result does not depend on the BLAS or the CPU.
 """
 
 from __future__ import annotations
@@ -37,12 +35,71 @@ def _max(values):
     return math.nan if total != total and any(v != v for v in values) else max(values)
 
 
-def _vector(value, n, name):
-    """`value` as a float array of length n; a scalar is repeated."""
+def _lists(value, shape, name):
+    """`value` as (nested) lists of floats of the given shape; a scalar fills it."""
     arr = np.asarray(value, dtype=float)
-    if arr.ndim and arr.shape != (n,):
-        raise ValueError(f"{name} has shape {arr.shape}, expected ({n},)")
-    return arr if arr.ndim else np.full(n, arr)
+    if arr.ndim and arr.shape != shape:
+        raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
+    return arr.tolist() if arr.ndim else np.full(shape, arr).tolist()
+
+
+def _product(row, x):
+    """The sum of row[k] * x[k] in index order, each step rounded."""
+    total = 0.0
+    for h, v in zip(row, x):
+        total += h * v
+    return total
+
+
+def _cholesky(rows, block, name):
+    """Lower Cholesky factor of H's block on `block`, rows ending at the diagonal."""
+    factor = []
+    for i in block:
+        row, own = rows[i], []
+        for j, other in zip(block, factor):
+            entry = row[j]
+            for a, b in zip(own, other):
+                entry -= a * b
+            own.append(entry / other[-1])
+        pivot = row[i]
+        for a in own:
+            pivot -= a * a
+        if not pivot > 0.0:  # NaN included
+            raise SolverFailure(f"{name} is not positive definite")
+        own.append(math.sqrt(pivot))
+        factor.append(own)
+    return factor
+
+
+def _solve(factor, rhs):
+    """The solution y of L L' y = rhs for the Cholesky factor L."""
+    y = []
+    for own, b in zip(factor, rhs):
+        for a, v in zip(own, y):
+            b -= a * v
+        y.append(b / own[-1])
+    for i in reversed(range(len(y))):
+        for k in range(i + 1, len(y)):
+            y[i] -= factor[k][i] * y[k]
+        y[i] /= factor[i][i]
+    return y
+
+
+def _residual(rows, gradient, x, lo, hi, tol):
+    """`kkt_residual` on lists of floats."""
+    scale = 1.0 + _max([0.0] + [abs(g) for g in gradient])
+    terms = [0.0]
+    for row, g, xi, a, b in zip(rows, gradient, x, lo, hi):
+        g = _product(row, x) + g
+        # an infinite bound gives inf - inf = NaN here, so it never counts as reached
+        at_lower = xi <= a + tol * max(1.0, abs(a))
+        at_upper = xi >= b - tol * max(1.0, abs(b))
+        if at_lower == at_upper:  # fixed: 0 (0 * g keeps a NaN); free: |g|
+            stationarity = 0.0 * g if at_lower else abs(g)
+        else:  # at one bound: the part pointing out of it
+            stationarity = -g if at_lower else g
+        terms += (stationarity / scale, a - xi, xi - b)
+    return _max(terms)
 
 
 def kkt_residual(hessian, gradient, x, lower, upper, tol=1e-9):
@@ -53,75 +110,58 @@ def kkt_residual(hessian, gradient, x, lower, upper, tol=1e-9):
     `tol` of both bounds (a fixed entry's multiplier may take either sign);
     that part is measured against the gradient scale (1 + |g|_inf) so the
     figure stays meaningful when large residual weights blow up the raw
-    gradient magnitudes.  The box is violated by the distance outside it.
-    A NaN anywhere makes the residual NaN.
+    gradient magnitudes.  The gradient at x is H x + g, each row summed in
+    index order.  The box is violated by the distance outside it.  A NaN
+    anywhere makes the residual NaN.
     """
-    x = np.asarray(x, dtype=float)
-    gradient = np.asarray(gradient, dtype=float)
-    scale = 1.0 + _max([0.0] + [abs(g) for g in gradient.tolist()])
-    terms = [0.0]
-    for g, xi, lo, hi in zip((hessian @ x + gradient).tolist(), x.tolist(),
-                             _vector(lower, len(x), "lower").tolist(),
-                             _vector(upper, len(x), "upper").tolist()):
-        # an infinite bound gives inf - inf = NaN here, so it never counts as reached
-        at_lower = xi <= lo + tol * max(1.0, abs(lo))
-        at_upper = xi >= hi - tol * max(1.0, abs(hi))
-        if at_lower == at_upper:  # fixed: 0 (0 * g keeps a NaN); free: |g|
-            stationarity = 0.0 * g if at_lower else abs(g)
-        else:  # at one bound: the part pointing out of it
-            stationarity = -g if at_lower else g
-        terms += (stationarity / scale, lo - xi, xi - hi)
-    return _max(terms)
+    x, n = np.asarray(x, dtype=float).tolist(), len(x)
+    return _residual(_lists(hessian, (n, n), "hessian"), _lists(gradient, (n,), "gradient"),
+                     x, _lists(lower, (n,), "lower"), _lists(upper, (n,), "upper"), tol)
 
 
 def solve_box_qp(hessian, gradient, lower, upper, start=None, max_iter=None, tol=1e-8):
     """Solve the box QP; returns (x, iterations, relative KKT residual).
 
-    `lower`, `upper` and `start` are scalars or of the gradient's length
-    n >= 1 (else ValueError).  Raises SolverFailure if the working set does
-    not settle within `max_iter` changes (default 10 per variable, floor of
-    30) or the final point misses the KKT tolerance, a NaN residual included.
+    `hessian` is n x n and `lower`, `upper` and `start` are scalars or of
+    the gradient's length n >= 1 (else ValueError).  Raises SolverFailure on
+    a Cholesky pivot that is not positive, if the working set does not
+    settle within `max_iter` changes (default 10 per variable, floor of 30),
+    or if the final point misses the KKT tolerance, a NaN residual included.
     """
-    hessian = np.asarray(hessian, dtype=float)
     gradient = np.asarray(gradient, dtype=float)
     if gradient.ndim != 1 or not gradient.size:
         raise ValueError(f"gradient has shape {gradient.shape}, expected (n,) with n >= 1")
     n = gradient.size
-    lower, upper = _vector(lower, n, "lower"), _vector(upper, n, "upper")
-    lo, hi = lower.tolist(), upper.tolist()
+    rows, g = _lists(hessian, (n, n), "hessian"), gradient.tolist()
+    lo, hi = _lists(lower, (n,), "lower"), _lists(upper, (n,), "upper")
     if any(a > b for a, b in zip(lo, hi)):
         raise ValueError("lower bound exceeds upper bound")
     if max_iter is None:
         max_iter = max(10 * n, 30)
 
+    factored = None  # the free set that `factor` belongs to
     if start is None:
-        try:
-            start = np.linalg.solve(hessian, -gradient)
-        except np.linalg.LinAlgError as exc:
-            raise SolverFailure("Hessian is singular") from exc
-    x = np.clip(_vector(start, n, "start"), lower, upper).tolist()
+        factored = list(range(n))
+        factor = _cholesky(rows, factored, "Hessian")
+        start = _solve(factor, [-v for v in g])
+    x = _lists(start, (n,), "start")
+    x = [b if v > b else a if v < a else v for v, a, b in zip(x, lo, hi)]
     state = [-1 if v <= a else 1 if v >= b else 0 for v, a, b in zip(x, lo, hi)]
-    g_list = gradient.tolist()
-    release_tol = _RELEASE_TOL * (1.0 + _max([abs(g) for g in g_list]))
+    release_tol = _RELEASE_TOL * (1.0 + _max([abs(v) for v in g]))
 
     for iterations in range(1, max_iter + 1):
         free = [j for j in range(n) if not state[j]]
+        fixed = [j for j in range(n) if state[j]]
         if free:
             # minimizer over the free block with the clamped block held fixed
-            fixed = [j for j in range(n) if state[j]]
-            rows = np.array(free)[:, None]
-            h_ff = hessian[rows, rows.T]
-            pull = (hessian[rows, fixed] @ np.array([x[j] for j in fixed])).tolist() \
-                if fixed else [0.0] * len(free)
-            try:
-                target = np.linalg.solve(h_ff, [-(g_list[j] + p) for j, p in zip(free, pull)])
-            except np.linalg.LinAlgError as exc:
-                raise SolverFailure("free-block Hessian is singular") from exc
-            delta = [t - x[j] for t, j in zip(target.tolist(), free)]
+            if free != factored:
+                factored, factor = free, _cholesky(rows, free, "free-block Hessian")
+            held = [x[j] for j in fixed]
+            rhs = [-(g[i] + _product([rows[i][j] for j in fixed], held)) for i in free]
+            delta = [t - x[j] for t, j in zip(_solve(factor, rhs), free)]
             if _max([abs(d) for d in delta]) > 1e-14:
                 # ratio test: largest step inside the box along delta
-                alpha = 1.0
-                blocker = -1
+                alpha, blocker = 1.0, -1
                 for j, d in zip(free, delta):
                     if d > 0 and hi[j] < math.inf:
                         a = (hi[j] - x[j]) / d
@@ -138,12 +178,10 @@ def solve_box_qp(hessian, gradient, lower, upper, start=None, max_iter=None, tol
                     state[blocker] = side
                     x[blocker] = hi[blocker] if side > 0 else lo[blocker]
                     continue
-        # free block is optimal; release the bound with the most negative
-        # multiplier, unless a NaN comes first (np.argmin's rule)
-        grad = (hessian @ np.array(x) + gradient).tolist()
+        # free block is optimal; release the most negative multiplier (a NaN first)
         worst, least = -1, math.inf
-        for j, s in enumerate(state):
-            lam = -s * grad[j] if s else math.inf
+        for j in fixed:
+            lam = -state[j] * (_product(rows[j], x) + g[j])
             if not lam >= least:  # smaller, or NaN
                 worst, least = j, lam
                 if lam != lam:
@@ -154,18 +192,15 @@ def solve_box_qp(hessian, gradient, lower, upper, start=None, max_iter=None, tol
     else:
         raise SolverFailure(f"active set did not converge in {max_iter} iterations")
 
-    # polish the free block: two refinement passes knock the free gradient
-    # down to rounding level even when the Hessian is badly scaled.  The
-    # converged iteration factored the same block, so its solve cannot fail here.
-    for polish in range(2 if free else 0):
-        if polish:
-            grad = (hessian @ np.array(x) + gradient).tolist()
-        correction = np.linalg.solve(h_ff, [grad[j] for j in free]).tolist()
+    # two refinement passes with the converged factor knock the free gradient
+    # down to rounding level even when the Hessian is badly scaled
+    for _ in range(2 if free else 0):
+        correction = _solve(factor, [_product(rows[j], x) + g[j] for j in free])
         for j, c in zip(free, correction):
             x[j] -= c
-    x = np.clip(x, lower, upper) if free else np.array(x)
+    x = [b if v > b else a if v < a else v for v, a, b in zip(x, lo, hi)]  # a NaN stays
 
-    residual = kkt_residual(hessian, gradient, x, lower, upper)
+    residual = _residual(rows, g, x, lo, hi, 1e-9)
     if not residual <= tol:
         raise SolverFailure(f"KKT residual {residual:.3e} above tolerance {tol:.1e}")
-    return x, iterations, residual
+    return np.array(x), iterations, residual

@@ -584,6 +584,8 @@ def build_scenario(document: dict) -> Scenario:
 
     body_doc = doc["body"]
     side = body_doc.pop("inertia_cube_side", None)
+    if side is not None and not side > 0:
+        raise ValidationError("body.inertia_cube_side", "must be positive")
     if "inertia_diagonal" not in body_doc:
         if side is None:
             raise ValidationError(

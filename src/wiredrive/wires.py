@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -127,7 +128,7 @@ def wire_jacobian(pose: Pose, attachments: Sequence[WireAttachment]) -> np.ndarr
     Later matmul results depend on that layout.
     """
     _, columns, _ = _geometry(pose, attachments)
-    return np.array([*zip(*columns)])  # built row by row, so C-ordered
+    return np.fromiter(chain.from_iterable(zip(*columns)), float, 6 * len(columns)).reshape(6, -1)
 
 
 def wire_lengths_and_rates(pose: Pose, twist: Twist,

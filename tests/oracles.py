@@ -5,9 +5,13 @@ oracles work by exhaustive enumeration / grid search, and the wrench
 oracle accumulates per-wire forces one wire at a time.
 
 The `reference_*` kernels are the plain numpy formulations of the
-library's hot-path kernels.  The library computes the same values with
-less per-call overhead; the tests hold it to these bit for bit, one
-kernel at a time and end to end through a whole run.
+library's hot-path kernels, except `reference_solve_box_qp` and
+`reference_kkt_residual`, plain Python-float formulations that factor
+afresh at every solve and sum every product in index order.  The library
+computes the same values with less per-call overhead; the tests hold it
+to these bit for bit, one kernel at a time and end to end through a
+whole run.  `numpy_solve_box_qp`, the QP as it stood on `np.linalg.solve`,
+is held to the library within a tolerance.
 `ReferenceOdometrySensor` is the sensor with its noise drawn as four
 calls a tick, where the library makes one.  Six exceptions
 agree to rounding only: `reference_facet_normals`, an SVD where the
@@ -632,20 +636,37 @@ def _nan_or_max(values):
     return math.nan if any(math.isnan(v) for v in values) else max(values)
 
 
+def reference_product(hessian, x):
+    """H x as a list, each row summed in index order from 0.0: the fixed
+    order no BLAS keeps, written out one multiply and one add at a time."""
+    hessian, x = np.asarray(hessian, dtype=float).tolist(), np.asarray(x, dtype=float).tolist()
+    out = []
+    for i in range(len(hessian)):
+        total = 0.0
+        for k in range(len(x)):
+            total = total + hessian[i][k] * x[k]
+        out.append(total)
+    return out
+
+
 def reference_kkt_residual(hessian, gradient, x, lower, upper, tol=1e-9):
     """Relative KKT residual, one entry at a time in Python floats.
 
     Entry i contributes its stationarity violation over 1 + |g|_inf: |g_i|
     if free, -g_i if at the lower bound only, g_i if at the upper bound
     only, and 0 * g_i if within `tol` of both (fixed: its multiplier may
-    take either sign); and its distance outside the box.
+    take either sign); and its distance outside the box.  The gradient is
+    `reference_product(H, x) + g`.
     The residual is the largest contribution, at least 0, and NaN if any
     contribution is.
     """
-    grad = (hessian @ x + gradient).tolist()  # the BLAS product the solver uses
-    scale = 1.0 + _nan_or_max([0.0] + [abs(g) for g in np.asarray(gradient).tolist()])
+    gradient = np.asarray(gradient, dtype=float).tolist()
+    grad = [p + g for p, g in zip(reference_product(hessian, x), gradient)]
+    scale = 1.0 + _nan_or_max([0.0] + [abs(g) for g in gradient])
     terms = [0.0]
-    for g, xi, lo, hi in zip(grad, np.asarray(x).tolist(), lower.tolist(), upper.tolist()):
+    for g, xi, lo, hi in zip(grad, np.asarray(x, dtype=float).tolist(),
+                             np.asarray(lower, dtype=float).tolist(),
+                             np.asarray(upper, dtype=float).tolist()):
         at_lower = xi <= lo + tol * max(1.0, abs(lo))
         at_upper = xi >= hi - tol * max(1.0, abs(hi))
         if at_lower and at_upper:
@@ -658,9 +679,127 @@ def reference_kkt_residual(hessian, gradient, x, lower, upper, tol=1e-9):
     return _nan_or_max(terms)
 
 
+def reference_cholesky_solve(a, b, name):
+    """Solve a y = b for a symmetric positive-definite list of lists `a`:
+    factor a = L L' afresh (Cholesky-Banachiewicz, Golub & Van Loan section
+    4.2), then substitute forward and back, every sum in index order.  A
+    pivot that is not positive raises SolverFailure naming `name`."""
+    n = len(b)
+    low = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            s = a[i][j]
+            for k in range(j):
+                s = s - low[i][k] * low[j][k]
+            if j < i:
+                low[i][j] = s / low[j][j]
+            elif s > 0.0:
+                low[i][i] = math.sqrt(s)
+            else:
+                raise SolverFailure(f"{name} is not positive definite")
+    y = [0.0] * n
+    for i in range(n):
+        s = b[i]
+        for k in range(i):
+            s = s - low[i][k] * y[k]
+        y[i] = s / low[i][i]
+    out = [0.0] * n
+    for i in reversed(range(n)):
+        s = y[i]
+        for k in range(i + 1, n):
+            s = s - low[k][i] * out[k]
+        out[i] = s / low[i][i]
+    return out
+
+
+def _reference_clip(v, lo, hi):
+    return hi if v > hi else lo if v < lo else v
+
+
 def reference_solve_box_qp(hessian, gradient, lower, upper, start=None, max_iter=None, tol=1e-8):
-    """`qp.solve_box_qp` with `np.ix_` blocks, a ratio test on numpy
-    scalars and the release tolerance recomputed at every check."""
+    """`qp.solve_box_qp` on Python floats, plainly: each solve factors its
+    block afresh with `reference_cholesky_solve`, and every gradient is the
+    whole `reference_product`.  The library reuses one factor per free set
+    and sums only the rows it reads; the tests hold it to this bit for bit."""
+    n = np.asarray(gradient).shape[0]
+    h = np.asarray(hessian, dtype=float).tolist()
+    g = np.asarray(gradient, dtype=float).tolist()
+    lower = np.broadcast_to(np.asarray(lower, dtype=float), (n,)).tolist()
+    upper = np.broadcast_to(np.asarray(upper, dtype=float), (n,)).tolist()
+    if any(lower[i] > upper[i] for i in range(n)):
+        raise ValueError("lower bound exceeds upper bound")
+    if max_iter is None:
+        max_iter = max(10 * n, 30)
+    if start is None:
+        start = reference_cholesky_solve(h, [-v for v in g], "Hessian")
+    start = np.broadcast_to(np.asarray(start, dtype=float), (n,)).tolist()
+    x = [_reference_clip(start[i], lower[i], upper[i]) for i in range(n)]
+    at = [-1 if x[i] <= lower[i] else 1 if x[i] >= upper[i] else 0 for i in range(n)]
+
+    def gradient_at(x):
+        return [p + gi for p, gi in zip(reference_product(h, x), g)]
+
+    for iterations in range(1, max_iter + 1):
+        free = [i for i in range(n) if at[i] == 0]
+        fixed = [i for i in range(n) if at[i] != 0]
+        if free:
+            rhs = []
+            for i in free:
+                pull = 0.0
+                for j in fixed:
+                    pull = pull + h[i][j] * x[j]
+                rhs.append(-(g[i] + pull))
+            block = [[h[i][j] for j in free] for i in free]
+            target = reference_cholesky_solve(block, rhs, "free-block Hessian")
+            delta = [target[k] - x[i] for k, i in enumerate(free)]
+            if _nan_or_max(abs(d) for d in delta) > 1e-14:
+                alpha, blocker, side = 1.0, -1, 0
+                for k, i in enumerate(free):
+                    if delta[k] > 0 and upper[i] < math.inf:
+                        a = (upper[i] - x[i]) / delta[k]
+                        if a < alpha - 1e-15:
+                            alpha, blocker, side = a, i, 1
+                    elif delta[k] < 0 and lower[i] > -math.inf:
+                        a = (lower[i] - x[i]) / delta[k]
+                        if a < alpha - 1e-15:
+                            alpha, blocker, side = a, i, -1
+                alpha = max(alpha, 0.0)
+                for k, i in enumerate(free):
+                    x[i] = x[i] + alpha * delta[k]
+                if blocker >= 0:
+                    at[blocker] = side
+                    x[blocker] = upper[blocker] if side > 0 else lower[blocker]
+                    continue
+        grad = gradient_at(x)
+        lam = [-at[i] * grad[i] if at[i] else math.inf for i in range(n)]
+        worst = int(np.argmin(lam))
+        if lam[worst] < -1e-11 * (1.0 + _nan_or_max(abs(v) for v in g)):
+            at[worst] = 0
+            continue
+        break
+    else:
+        raise SolverFailure(f"active set did not converge in {max_iter} iterations")
+    free = [i for i in range(n) if at[i] == 0]
+    if free:
+        block = [[h[i][j] for j in free] for i in free]
+        for _ in range(2):
+            grad = gradient_at(x)
+            correction = reference_cholesky_solve(block, [grad[i] for i in free],
+                                                  "free-block Hessian")
+            for k, i in enumerate(free):
+                x[i] = x[i] - correction[k]
+    x = np.array([_reference_clip(x[i], lower[i], upper[i]) for i in range(n)])
+    residual = reference_kkt_residual(hessian, gradient, x, lower, upper)
+    if not residual <= tol:
+        raise SolverFailure(f"KKT residual {residual:.3e} above tolerance {tol:.1e}")
+    return x, iterations, residual
+
+
+def numpy_solve_box_qp(hessian, gradient, lower, upper, start=None, max_iter=None, tol=1e-8):
+    """The solver as it stood on numpy: `np.linalg.solve` on `np.ix_`
+    blocks and BLAS products, whose rounding follows the BLAS kernel, so
+    the tests hold the library to it within a tolerance, not bit for bit.
+    Its final check is `reference_kkt_residual`."""
     hessian = np.asarray(hessian, dtype=float)
     gradient = np.asarray(gradient, dtype=float)
     lower = np.asarray(lower, dtype=float)

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ from oracles import (
     box_qp_objective,
     enumerate_box_qp,
     grid_search_box_qp,
+    numpy_solve_box_qp,
     random_spd,
     random_wire_matrix,
     reference_kkt_residual,
@@ -306,6 +311,46 @@ def test_solver_is_bit_identical_to_the_reference_on_the_edges(case):
     assert _same_float(got[2], expected[2])
 
 
+def _agrees_with_the_numpy_solver(got, expected, hessian, gradient, lower, upper):
+    """The float solver against the numpy one it replaced: the same failures,
+    the same iteration count, the same optimal value within 1e-9 relative,
+    and the same working set on every entry whose multiplier is not a tie.
+    The points themselves can differ by about cond(H) * eps, up to 1e-8
+    relative on the allocation QPs, whose cond(H) reaches 5e8."""
+    if isinstance(expected, str):
+        assert isinstance(got, str), got
+        return
+    assert not isinstance(got, str), got
+    (x, iterations, _), (x_ref, iterations_ref, _) = got, expected
+    assert iterations == iterations_ref
+    value, value_ref = (box_qp_objective(hessian, gradient, v) for v in (x, x_ref))
+    assert abs(value - value_ref) <= 1e-9 * (1.0 + abs(value_ref))
+    grad = hessian @ x_ref + gradient
+    tie = np.abs(grad) <= 1e-6 * (1.0 + np.max(np.abs(gradient)))
+    for side in (lower, upper):
+        assert np.array_equal((x == side)[~tie], (x_ref == side)[~tie])
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(allocation_qps())
+def test_solver_agrees_with_the_numpy_solver(case):
+    hessian, gradient, lower, upper, start = case
+    expected = _solve_or_message(numpy_solve_box_qp, hessian, gradient, lower, upper,
+                                 dict(start=start))
+    got = _solve_or_message(solve_box_qp, hessian, gradient, lower, upper, dict(start=start))
+    _agrees_with_the_numpy_solver(got, expected, hessian, gradient, lower, upper)
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(edge_box_qps())
+def test_solver_agrees_with_the_numpy_solver_on_the_edges(case):
+    (hessian, gradient, lower, upper, kwargs), (_, _, lower_arr, upper_arr, _) = case
+    expected = _solve_or_message(numpy_solve_box_qp, hessian, gradient, lower_arr, upper_arr,
+                                 kwargs)
+    got = _solve_or_message(solve_box_qp, hessian, gradient, lower, upper, kwargs)
+    _agrees_with_the_numpy_solver(got, expected, hessian, gradient, lower_arr, upper_arr)
+
+
 def test_scalar_bounds_give_the_answer_of_array_bounds():
     rng = np.random.default_rng(4)
     hessian, gradient = random_spd(rng, 4), rng.normal(scale=10.0, size=4)
@@ -320,6 +365,7 @@ def test_scalar_bounds_give_the_answer_of_array_bounds():
     ("start", dict(start=np.array([0.5]))),
     ("lower", dict(lower=np.zeros(2))),
     ("upper", dict(upper=np.ones(4))),
+    ("hessian", dict(hessian=np.eye(4))),
 ])
 def test_a_vector_of_the_wrong_length_is_named(name, kwargs):
     args = dict(hessian=np.eye(3), gradient=-np.ones(3), lower=np.zeros(3), upper=np.ones(3))
@@ -340,3 +386,43 @@ def test_a_fixed_variable_counts_no_stationarity_violation():
     assert kkt_residual(*_FIXED, [0.5], [0.5], [0.5 + 1e-10]) == 0.0
     assert kkt_residual(*_FIXED, [0.5], [0.0], [1.0]) == pytest.approx((27.96 - 0.5) / 28.96)
     assert math.isnan(kkt_residual(np.array([[1.0]]), np.array([math.nan]), [0.5], [0.5], [0.5]))
+
+
+# 200 allocation-like QPs whose H and g are built on Python floats (`math.fsum`
+# rounds exactly), so only the solver can make the digest depend on the BLAS
+_PORTABLE_QPS = """
+import hashlib, math, random
+from wiredrive.errors import SolverFailure
+from wiredrive.qp import solve_box_qp
+rng, digest = random.Random(29), hashlib.sha256()
+for _ in range(200):
+    m = rng.randint(2, 8)
+    columns = [[rng.uniform(-1.0, 1.0) for _ in range(6)] for _ in range(m)]
+    weight, wrench = rng.choice([1.0, 1e4, 1e8]), [rng.uniform(-50.0, 50.0) for _ in range(6)]
+    hessian = [[2.0 * ((i == j) + weight * math.fsum(a * b for a, b in zip(ci, cj)))
+                for j, cj in enumerate(columns)] for i, ci in enumerate(columns)]
+    gradient = [-2.0 * weight * math.fsum(a * b for a, b in zip(c, wrench)) for c in columns]
+    lower = rng.choice([0.0, 1.0])
+    upper = lower + rng.choice([2.0, 20.0, 180.0])
+    start = rng.choice([None, [rng.uniform(lower, upper) for _ in range(m)]])
+    try:
+        x, iterations, residual = solve_box_qp(hessian, gradient, lower, upper, start=start)
+        digest.update(x.tobytes() + repr((iterations, residual)).encode())
+    except SolverFailure as exc:
+        digest.update(str(exc).encode())
+print(digest.hexdigest())
+"""
+
+
+def test_the_solver_gives_the_same_bytes_on_every_blas_kernel():
+    # OPENBLAS_CORETYPE picks OpenBLAS's kernels for one process (Prescott has
+    # no FMA); a build that ignores it runs its one kernel three times
+    digests = set()
+    for kernel in ("Haswell", "Sandybridge", "Prescott"):
+        env = dict(os.environ, OPENBLAS_CORETYPE=kernel,
+                   PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        done = subprocess.run([sys.executable, "-c", _PORTABLE_QPS], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        digests.add(done.stdout.strip())
+    assert len(digests) == 1, digests

@@ -592,13 +592,15 @@ def test_a_tick_takes_no_numpy_norm_and_no_public_pose_constructor(tmp_path, mon
 
 @pytest.mark.parametrize("name, arrays, floats", [("cube8", 56, 6), ("anchors2", 52, 6)],
                          ids=["cube8", "anchors2"])
-def test_a_tick_converts_few_arrays_and_keys_no_memo_on_bytes(name, arrays, floats, tmp_path):
+def test_a_tick_converts_few_arrays_and_keys_no_memo_on_bytes(name, arrays, floats, tmp_path,
+                                                             monkeypatch):
     # the tick records, the configuration it reads and the wire lengths and
     # rates are float tuples, so a tick converts between arrays and floats
     # only where a numpy product reads or makes an array, and converts a
     # float tuple again (`spatial._floats`) only for the plant's currents,
     # once a substep; a profile of a 40-tick run less one of a 20-tick run
-    # counts 20 ticks, of pose control (cube8) and of schedule mode (anchors2)
+    # counts 20 ticks, of pose control (cube8) and of schedule mode (anchors2);
+    # the allocation QP factors its own blocks, so no tick calls `np.linalg.solve`
     code = spatial._floats.__code__
     names = {
         "tolist": "<method 'tolist' of 'numpy.ndarray' objects>",
@@ -607,6 +609,9 @@ def test_a_tick_converts_few_arrays_and_keys_no_memo_on_bytes(name, arrays, floa
         "_floats": (code.co_filename, code.co_firstlineno, code.co_name),
     }
     scenario = load_scenario(bundled_scenario_path(name))
+    solves = []
+    monkeypatch.setattr(np.linalg, "solve",
+                        lambda *args, _solve=np.linalg.solve: solves.append(1) or _solve(*args))
     counts = []
     for ticks in (20, 40):
         profile = cProfile.Profile()
@@ -617,7 +622,10 @@ def test_a_tick_converts_few_arrays_and_keys_no_memo_on_bytes(name, arrays, floa
         calls = {key[2] if key[0] == "~" else key: value[1]
                  for key, value in pstats.Stats(profile).stats.items()}
         counts.append({kind: calls.get(key, 0) for kind, key in names.items()})
-    per_tick = {kind: (counts[1][kind] - counts[0][kind]) / 20 for kind in names}
+        counts[-1]["solve"] = len(solves)
+        solves.clear()
+    per_tick = {kind: (counts[1][kind] - counts[0][kind]) / 20 for kind in counts[0]}
+    assert per_tick["solve"] == 0, per_tick
     assert per_tick["tobytes"] == 0, per_tick
     assert per_tick["tolist"] + per_tick["array"] <= arrays, per_tick
     assert per_tick["_floats"] <= floats, per_tick

@@ -297,6 +297,16 @@ def test_deployment_lengths_and_step_must_be_positive(key):
     assert info.value.field == "deployment"
 
 
+@pytest.mark.parametrize("side", [-0.4, 0.0])
+def test_a_cube_side_that_is_not_positive_is_refused_by_name(side):
+    # squared, a negative side would give the inertia of a positive cube
+    doc = yaml.safe_load(bundled_scenario_path("cube8").read_text())
+    doc["body"]["inertia_cube_side"]["value"] = side
+    with pytest.raises(ValidationError, match="must be positive") as info:
+        build_scenario(doc)
+    assert info.value.field == "body.inertia_cube_side"
+
+
 def test_a_quantity_with_a_third_key_is_refused():
     doc = yaml.safe_load(bundled_scenario_path("cube8").read_text())
     doc["body"]["mass"]["note"] = "with payload"
