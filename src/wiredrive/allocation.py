@@ -7,13 +7,14 @@ tracking is weighted against that regularizer, so its scale is a tuning
 surface exposed to scenarios.  Winch-side compensation then adds tension
 for reflected rotor inertia and shaft friction, and the current map is a
 single constant.  One drivetrain model (`WinchParams`) serves every wire.
-The wire matrix W comes in as the array `wire_jacobian` returns.  The QP's
-Hessian and gradient stay numpy products, as one BLAS product beats a float
-loop at 8 wires; the QP then runs on Python floats (see `qp`).  The tick's
-tensions, converted once from the QP's array, and the rates
-`wire_lengths_and_rates` returns are float tuples, which `compensate`,
-`to_currents` and `tension_command` read and a `TensionCommand` holds as
-they are; any other sequence is converted once.
+
+All of it runs on Python floats, each number a sum in a fixed order (see
+`spatial`).  W is the six rows `wire_jacobian` returns and L is diagonal,
+so with V = sqrt(L) W the Hessian is H = 2 (I + V'V), H[i][j] and H[j][i]
+one number, and the gradient -2 V' sqrt(L) w.  The residual w - W f is
+`wire_wrench`'s sum, as the plant's wrench is.  Tensions, residual and
+rates are float tuples, which the functions here read and a
+`TensionCommand` holds as they are; other sequences are converted once.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qp import solve_box_qp
-from .spatial import Wrench, _floats, _Record, _set_field
+from .spatial import Wrench, _float_tuple, _Record, _set_field
+from .wires import wire_wrench
 
 DEFAULT_MAX_TENSION = 180.0  # N, continuous rating of one winch
 DEFAULT_PRETENSION = 2.0  # N, keeps wires taut; they cannot push
@@ -62,12 +64,17 @@ class TensionBounds:
 
 @dataclass(frozen=True, eq=False)
 class AllocationWeights:
-    """Symmetric positive-definite 6x6 wrench-residual weight."""
+    """Diagonal positive-definite 6x6 wrench-residual weight L; `roots`, not
+    a field, holds the square roots of its diagonal as a float 6-tuple."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        _set_field(self, "matrix", (6, 6), sign="symmetric positive definite")
+        _set_field(self, "matrix", (6, 6))
+        diagonal = np.diagonal(self.matrix)
+        if not (np.array_equal(self.matrix, np.diag(diagonal)) and np.all(diagonal > 0.0)):
+            raise ValueError(f"matrix must be diagonal with positive entries, got {self.matrix}")
+        object.__setattr__(self, "roots", tuple(math.sqrt(v) for v in diagonal.tolist()))
 
     @classmethod
     def diagonal(
@@ -137,50 +144,57 @@ class TensionCommand(_Record):
         object.__setattr__(self, "saturated", tuple(bool(s) for s in self.saturated))
 
 
-def allocate(
-    matrix: np.ndarray,
-    wrench: Wrench,
-    bounds: TensionBounds,
-    weights: AllocationWeights,
-    start=None,
-) -> tuple[np.ndarray, np.ndarray]:
+def _rows(matrix) -> tuple:
+    """The wire matrix's rows: a tuple as it is, an array converted once."""
+    return matrix if type(matrix) is tuple else tuple(
+        map(tuple, np.asarray(matrix, dtype=float).tolist()))
+
+
+def allocate(matrix, wrench: Wrench, bounds: TensionBounds, weights: AllocationWeights,
+             start=None) -> tuple[tuple, tuple]:
     """Solve the tension-distribution QP for the 6 x m wire matrix.
 
     Returns the optimal tensions and the wrench residual (desired minus
-    achieved) as a 6-array, force then torque.  The residual is nonzero
+    achieved), force then torque, as float tuples.  The residual is nonzero
     whenever the desired wrench lies outside what the bounded wires can
     express; callers treat that as the saturation diagnostic, not as an
-    error.
+    error.  A non-finite matrix or wrench fails the QP (SolverFailure).
     """
-    if not np.all(np.isfinite(matrix)):
-        raise ValueError("wire matrix contains non-finite entries")
-    target = wrench.as_array()
-    weighted = weights.matrix @ matrix
-    hessian = 2.0 * (np.eye(matrix.shape[1]) + matrix.T @ weighted)
-    gradient = -2.0 * (weighted.T @ target)
-    tensions, _, _ = solve_box_qp(hessian, gradient, bounds.lower, bounds.upper, start=start)
-    return tensions, target - matrix @ tensions
+    rows = _rows(matrix)
+    target = wrench.force + wrench.torque
+    l0, l1, l2, l3, l4, l5 = weights.roots
+    u0, u1, u2, u3, u4, u5 = (r * w for r, w in zip(weights.roots, target))
+    # the columns of V = sqrt(L) W
+    columns = [(l0 * a, l1 * b, l2 * c, l3 * d, l4 * e, l5 * f) for a, b, c, d, e, f in zip(*rows)]
+    hessian = [[0.0] * len(columns) for _ in columns]
+    for i, (a, b, c, d, e, f) in enumerate(columns):
+        for j, (p, q, r, s, t, u) in enumerate(columns[:i]):
+            hessian[i][j] = hessian[j][i] = 2.0 * (a * p + b * q + c * r + d * s + e * t + f * u)
+        hessian[i][i] = 2.0 * (1.0 + (a * a + b * b + c * c + d * d + e * e + f * f))
+    gradient = tuple(-2.0 * (a * u0 + b * u1 + c * u2 + d * u3 + e * u4 + f * u5)
+                     for a, b, c, d, e, f in columns)
+    tensions, _, _ = solve_box_qp(tuple(map(tuple, hessian)), gradient, bounds.lower,
+                                  bounds.upper, start=start)
+    return tensions, tuple(w - a for w, a in zip(target, wire_wrench(rows, tensions)))
 
 
-def compensate(tensions, accel_ref, rates, matrix: np.ndarray, winch: WinchParams) -> tuple:
+def compensate(tensions, accel_ref, rates, matrix, winch: WinchParams) -> tuple:
     """Add winch inertia and friction compensation to commanded tensions.
 
     The drum spins at -rate/r; its angular acceleration is taken from the
-    commanded body acceleration projected along each wire (the wire-matrix
-    column gives exactly that projection).  Compensation tension is
-    (J * alpha + sign(w) * tau_c + b * w) / r per wire, clamped so the
-    final command never asks a wire to push.  After `matrix.T @ accel_ref`
-    each wire runs on Python floats with the array formulation's roundings,
-    so the bits are the same.  Where two NaNs meet, each sum keeps its
-    first, as numpy's add does on up to 8 wires (x86-64); CPython's float
-    `+` keeps either, as the interpreter has specialized it or not.  The
-    clamp keeps NaN and turns -0.0 into 0.0, as `np.maximum` does.
+    commanded body acceleration projected along each wire (its matrix
+    column, a six-row sum).  Compensation tension is (J * alpha + sign(w) *
+    tau_c + b * w) / r per wire, clamped so the final command never asks a
+    wire to push.  Where two NaNs meet, each sum keeps its first, as
+    numpy's add does (x86-64); CPython's float `+` keeps either.  The clamp
+    keeps NaN and turns -0.0 into 0.0, as `np.maximum` does.
     """
-    projected = (matrix.T @ accel_ref).tolist()  # -d^2(length)/dt^2 per wire
+    x0, x1, x2, x3, x4, x5 = _float_tuple(accel_ref)
     r = winch.pulley_radius
     final = []
-    for tension, accel, rate in zip(_float_tuple(tensions), projected, _float_tuple(rates),
-                                    strict=True):
+    for tension, (a, b, c, d, e, f), rate in zip(_float_tuple(tensions), zip(*_rows(matrix)),
+                                                   _float_tuple(rates), strict=True):
+        accel = a * x0 + b * x1 + c * x2 + d * x3 + e * x4 + f * x5  # -d^2(length)/dt^2
         drum_speed = -rate / r
         # np.sign, except that a zero keeps its sign, which the clamp erases
         sign = 1.0 if drum_speed > 0.0 else -1.0 if drum_speed < 0.0 else drum_speed
@@ -192,11 +206,6 @@ def compensate(tensions, accel_ref, rates, matrix: np.ndarray, winch: WinchParam
     return tuple(final)
 
 
-def _float_tuple(values) -> tuple:
-    """A tuple as it is (the tick's float tuples), any other sequence as `_floats` gives it."""
-    return values if type(values) is tuple else _floats(values)
-
-
 def to_currents(tensions, winch: WinchParams) -> tuple:
     """Exactly linear map of float tensions to currents, one constant for every wire."""
     if any(t < 0 for t in tensions):
@@ -205,22 +214,22 @@ def to_currents(tensions, winch: WinchParams) -> tuple:
     return tuple(scale * t for t in _float_tuple(tensions))
 
 
-def tension_command(tensions, final, residual: np.ndarray,
-                    bounds: TensionBounds, winch: WinchParams) -> TensionCommand:
+def tension_command(tensions, final, residual, bounds: TensionBounds,
+                    winch: WinchParams) -> TensionCommand:
     """The command for allocated `tensions` that the winches are to exert as
-    `final` (tuples kept, other sequences converted), with the allocation's wrench
-    `residual` (a 6-array); its norm is `np.linalg.norm`'s, the root of one BLAS dot."""
+    `final` (tuples kept, other sequences converted), with the allocation's
+    wrench `residual`, whose norm is the root of the in-order sum of squares."""
     tensions, final = _float_tuple(tensions), _float_tuple(final)
+    r0, r1, r2, r3, r4, r5 = residual
     return TensionCommand._of(tensions, final, to_currents(final, winch),
-                              math.sqrt(np.dot(residual, residual)),
+                              math.sqrt(r0 * r0 + r1 * r1 + r2 * r2 + r3 * r3 + r4 * r4 + r5 * r5),
                               tuple(bounds.saturated(tensions).tolist()))
 
 
-def solve_tension_command(matrix: np.ndarray, wrench: Wrench, bounds: TensionBounds,
+def solve_tension_command(matrix, wrench: Wrench, bounds: TensionBounds,
                           weights: AllocationWeights, accel_ref, rates, winch: WinchParams,
                           start=None) -> TensionCommand:
     """Allocation, compensation and current conversion in one pass."""
     tensions, residual = allocate(matrix, wrench, bounds, weights, start=start)
-    tensions = tuple(tensions.tolist())
     final = compensate(tensions, accel_ref, rates, matrix, winch)
     return tension_command(tensions, final, residual, bounds, winch)

@@ -137,7 +137,7 @@ def _witness(scaled, normal, projections, binding_wires, margin, bounds):
 
 
 def controllability(
-    matrix: np.ndarray,
+    matrix,
     bounds: TensionBounds,
     torque_scale: float = 1.0,
 ) -> FeasibilityReport:
@@ -211,7 +211,7 @@ def controllability(
 
 
 def wrench_achievable(
-    matrix: np.ndarray,
+    matrix,
     wrench: Wrench,
     bounds: TensionBounds,
     force_tol: float = 1e-4,
@@ -227,13 +227,11 @@ def wrench_achievable(
     the allocation QP with the residual weight pushed to 1e8 supplies the
     best-effort tensions and the residual they leave.
     """
-    target = wrench.as_array()
+    matrix, target = np.asarray(matrix, dtype=float), wrench.as_array()
     box = list(zip(bounds.lower, bounds.upper))
     result = linprog(np.zeros(matrix.shape[1]), A_eq=matrix, b_eq=target, bounds=box, method="highs")
-    if result.success:
-        tensions = result.x
-    else:
-        tensions, _ = allocate(matrix, wrench, bounds, AllocationWeights(np.eye(6) * 1e8))
+    tensions = result.x if result.success else np.array(
+        allocate(matrix, wrench, bounds, AllocationWeights(np.eye(6) * 1e8))[0])
     residual = Wrench.from_array(target - matrix @ tensions)
     achievable = (
         bool(result.success)

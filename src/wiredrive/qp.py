@@ -9,12 +9,13 @@ and in the multiplier check go to the lowest index, and a NaN multiplier
 wins as in `np.argmin`.
 
 Problems here are tiny (one variable per wire), so the solver runs on
-Python floats, converting H, g, the bounds and the start once.  The free
-block of H gets a Cholesky factor (Golub & Van Loan, Matrix Computations,
-section 4.2), which the cold start, an iteration that keeps the free set
-and both polish passes reuse.  Products with H are sums in index order
-over only the rows read.  CPython neither fuses a multiply-add nor
-reorders a sum, so the result does not depend on the BLAS or the CPU.
+Python floats.  It reads a tuple of the right shape as it is (the float
+tuples `allocate` hands it), converts any other H, g, bounds or start
+once, and returns x as a float tuple.  The free block of H gets a
+Cholesky factor (Golub & Van Loan, Matrix Computations, section 4.2),
+which the cold start, an iteration that keeps the free set and both
+polish passes reuse.  Products with H are sums in index order over only
+the rows read.
 """
 
 from __future__ import annotations
@@ -36,7 +37,10 @@ def _max(values):
 
 
 def _lists(value, shape, name):
-    """`value` as (nested) lists of floats of the given shape; a scalar fills it."""
+    """`value` as (nested) sequences of floats of the given shape, a tuple of it as it is."""
+    if type(value) is tuple and len(value) == shape[0] and (
+            len(shape) == 1 or all(type(row) is tuple and len(row) == shape[1] for row in value)):
+        return value
     arr = np.asarray(value, dtype=float)
     if arr.ndim and arr.shape != shape:
         raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
@@ -143,7 +147,7 @@ def solve_box_qp(hessian, gradient, lower, upper, start=None, max_iter=None, tol
     if start is None:
         factored = list(range(n))
         factor = _cholesky(rows, factored, "Hessian")
-        start = _solve(factor, [-v for v in g])
+        start = tuple(_solve(factor, [-v for v in g]))
     x = _lists(start, (n,), "start")
     x = [b if v > b else a if v < a else v for v, a, b in zip(x, lo, hi)]
     state = [-1 if v <= a else 1 if v >= b else 0 for v, a, b in zip(x, lo, hi)]
@@ -203,4 +207,4 @@ def solve_box_qp(hessian, gradient, lower, upper, start=None, max_iter=None, tol
     residual = _residual(rows, g, x, lo, hi, 1e-9)
     if not residual <= tol:
         raise SolverFailure(f"KKT residual {residual:.3e} above tolerance {tol:.1e}")
-    return np.array(x), iterations, residual
+    return tuple(x), iterations, residual

@@ -24,6 +24,7 @@ exception propagates.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import json
 import time
@@ -64,10 +65,10 @@ class _ScheduleController:
 
     Quasistatic mode allocates the gravity-plus-feedforward wrench at the
     reference pose (measurements are never consulted, which is what makes
-    it open loop); table mode interpolates the scheduled tensions and
-    clips them to the tension box, which also holds the QP's solution.
-    No winch compensation follows: the final tensions are the allocated
-    ones.
+    it open loop); table mode interpolates the scheduled tensions (the row
+    by `bisect`) and clips them to the tension box, which also holds the
+    QP's solution, as `np.clip` does.  No winch compensation follows: the
+    final tensions are the allocated ones.
     """
 
     def __init__(self, scenario: Scenario, wires: WireSet, schedule):
@@ -76,34 +77,33 @@ class _ScheduleController:
         self.segments, self.starts = schedule
         self.weights = scenario.weights
         self.gravity = gravity_feedforward(scenario.body, scenario.gravity)
-        if scenario.schedule_table is not None:
-            self.times = np.array([row[0] for row in scenario.schedule_table])
+        self.box = tuple(zip(scenario.bounds.lower.tolist(), scenario.bounds.upper.tolist()))
+        self.times = [t for t, _ in scenario.schedule_table or ()]
+        self.rows = [tuple(row.tolist()) for _, row in scenario.schedule_table or ()]
 
-    def _interp_table(self, t: float) -> np.ndarray:
-        table = self.scenario.schedule_table
-        times = self.times
+    def _interp_table(self, t: float) -> tuple:
+        times, rows = self.times, self.rows
         if t <= times[0]:
-            return table[0][1]
+            return rows[0]
         if t >= times[-1]:
-            return table[-1][1]
-        hi = int(np.searchsorted(times, t))
-        lo = hi - 1
-        w = (t - times[lo]) / (times[hi] - times[lo])
-        return (1.0 - w) * table[lo][1] + w * table[hi][1]
+            return rows[-1]
+        hi = bisect.bisect_left(times, t)
+        w = (t - times[hi - 1]) / (times[hi] - times[hi - 1])
+        return tuple((1.0 - w) * a + w * b for a, b in zip(rows[hi - 1], rows[hi]))
 
     def step(self, pose: Pose, twist: Twist, t: float) -> ControlTick:
         scenario = self.scenario
         pose_ref, twist_ref, accel_ref = sample_schedule(self.segments, self.starts, t)
         if scenario.schedule_table is not None:
-            tensions = np.clip(self._interp_table(t), scenario.bounds.lower, scenario.bounds.upper)
-            residual = np.zeros(6)
+            tensions = tuple(min(hi, max(lo, f)) for f, (lo, hi) in zip(self._interp_table(t),
+                                                                        self.box))
+            residual = (0.0,) * 6
             desired = Wrench.zero()
         else:
             jacobian = wire_jacobian(pose_ref, self.wires)
             force = tuple(g + scenario.body.mass * a for g, a in zip(self.gravity.force, accel_ref))
             desired = Wrench._of(force, tuple(g + 0.0 for g in self.gravity.torque))
             tensions, residual = allocate(jacobian, desired, scenario.bounds, self.weights)
-        tensions = tuple(tensions.tolist())
         command = tension_command(tensions, tensions, residual, scenario.bounds, scenario.winch)
         return ControlTick._of(pose_ref, twist_ref, accel_ref, Wrench.zero(), self.gravity, desired,
                                command)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 import importlib.resources
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -633,7 +634,7 @@ def build_scenario(document: dict) -> Scenario:
 
     segments = [SegmentSpec(**seg) for seg in doc["trajectory"]["segments"]]
     sim = doc["sim"]
-    sim.setdefault("duration", sum(s.duration for s in segments) + 2.0)
+    sim.setdefault("duration", math.fsum(s.duration for s in segments) + 2.0)
     sim["sensor"] = _make("sim.sensor", SensorModel, **sim["sensor"])
 
     deployment = None

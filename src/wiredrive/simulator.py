@@ -12,16 +12,12 @@ for a NaN current on any wire, slack or taut (naming the wire), and for
 a new speed over the speed limit or not finite.
 
 A step asks for the wire rates (for the slack rule) and then the wire
-matrix (for the wrench) at its pose.  Given a `WireSet`, the second call
-is served from its memo, so a step makes one pass over the wires (see
-`wires`), whose rates are a float tuple.  The current map is one loop
-over the wires on Python floats: the NaN check, the tension
-min(max(0, i) / current_per_newton, max_tension), and the slack rule;
-the tensions stay a float tuple, which the wire matrix multiplies.  The
-rest runs on Python floats too, through the float cores in `spatial`:
-one rotation matrix, `BodyModel`'s inertia and inverse as row tuples (an
-API change from arrays), and one normalization of the new attitude, by
-`quat_unit`, as the odometry sensor does; both build records with `_of`.
+matrix (for the wrench) at its pose, one pass over a `WireSet` (see
+`wires`).  One loop over the command's currents, a float tuple, makes the
+NaN check, the tension min(max(0, i) / current_per_newton, max_tension)
+and the slack rule.  The wrench is `wire_wrench`'s sum; the rest runs
+through the float cores in `spatial`, on `BodyModel`'s inertia and inverse
+as row tuples, with one normalization of the new attitude (`quat_unit`).
 """
 
 from __future__ import annotations
@@ -36,22 +32,10 @@ import numpy as np
 from .allocation import WinchParams
 from .errors import NumericalBlowup
 from .spatial import (
-    Pose,
-    Twist,
-    _checked,
-    _floats,
-    _Record,
-    _set_field,
-    cross3,
-    hamilton,
-    mat_t_vec,
-    mat_vec,
-    norm3,
-    quat_unit,
-    rotation_rows,
-    rotvec_exp,
+    Pose, Twist, _checked, _float_tuple, _Record, _set_field, cross3, hamilton, mat_t_vec, mat_vec,
+    norm3, quat_unit, rotation_rows, rotvec_exp,
 )
-from .wires import WireAttachment, wire_jacobian, wire_lengths_and_rates
+from .wires import WireAttachment, wire_jacobian, wire_lengths_and_rates, wire_wrench
 
 STANDARD_GRAVITY = 9.80665  # m/s^2
 DEFAULT_SPEED_LIMIT = 1e3  # m/s and rad/s; only insane states trip this
@@ -123,7 +107,7 @@ def step(
     per_newton, speed = winch.current_per_newton, winch.max_line_speed
     cap = winch.max_tension
     tensions = []
-    for i, (current, rate) in enumerate(zip(_floats(currents), rates, strict=True)):
+    for i, (current, rate) in enumerate(zip(_float_tuple(currents), rates, strict=True)):
         if current != current:
             # checked before the slack rule, which would give a slack wire 0
             raise NumericalBlowup(f"wire {i}: current is NaN at t={state.time:.4f} s")
@@ -133,7 +117,7 @@ def step(
         tensions.append(0.0 if abs(rate) > speed else min(max(0.0, current) / per_newton, cap))
     tensions = tuple(tensions)
 
-    fx, fy, fz, *torque_world = (wire_jacobian(state.pose, attachments) @ tensions).tolist()
+    fx, fy, fz, *torque_world = wire_wrench(wire_jacobian(state.pose, attachments), tensions)
     mass = body.mass
     accel = (fx / mass, fy / mass, (fz - mass * gravity) / mass)
     linear, angular, orientation = state.twist.linear, state.twist.angular, state.pose.orientation

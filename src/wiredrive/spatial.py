@@ -17,7 +17,11 @@ them is stored as float tuples (read-only arrays before): these gains,
 Each rotation fact is written once, as a float core below: the Hamilton
 product, the rotation matrix, `quat_unit`, the exp and log maps, and the
 chart's left Jacobian (`chart_rates`, and its inverse `chart_rate`).  All
-else calls them; the tick normalizes each quaternion it makes once.
+else calls them; the tick normalizes each quaternion it makes once.  The
+tick's sums are written out in a fixed order, as `mat_vec`'s are; CPython
+neither fuses a multiply-add nor reorders a sum, so they do not depend on
+the BLAS or the CPU (`math.sin`, `math.cos` and `math.atan2` come from
+the platform's libm).
 """
 
 from __future__ import annotations
@@ -60,6 +64,11 @@ def _set_field(record, name: str, shape=(), sign=None, limitless: bool = False) 
 def _floats(v, n: int = -1) -> tuple:
     """A vector (of length n, unless -1) as a tuple of Python floats."""
     return tuple(np.asarray(v, dtype=float).reshape(n).tolist())
+
+
+def _float_tuple(values) -> tuple:
+    """A tuple as it is (the tick's float tuples), any other sequence as `_floats` gives it."""
+    return values if type(values) is tuple else _floats(values)
 
 
 _ZERO3 = (0.0, 0.0, 0.0)

@@ -5,49 +5,37 @@ exit point to a fixed world anchor.  Column i of the wire matrix is
 [s_i; r_i x s_i] with s_i the unit vector from the world exit point toward
 the anchor and r_i the body exit offset rotated (not translated) into the
 world frame, so tensions map to a wrench about the body center:
-wrench = matrix @ tensions.
+wrench = matrix @ tensions, which `wire_wrench` sums wire by wire.
 
-`wire_jacobian` returns that matrix as a float array, which the numpy
-products of its callers read, and `wire_lengths_and_rates` the (lengths,
-rates) pair as two float tuples, which the tick reads wire by wire (they
-were arrays before).  Both take any sequence of attachments and read one
-pass over the wires, `_geometry`.  A run passes a `WireSet`: it stacks
-its exit points and anchors once and keeps its last pass, keyed by the
-pose object, whose float tuples cannot change.  A call with the same pose
-gets that pass, bit for bit a fresh one; any other call, even one at
-equal values (-0.0 equals 0.0), replaces it, unless it raises
-DegenerateWire.  Each read and each replacement is one attribute access,
-so a shared WireSet stays consistent under the GIL.  A plain list is
-stacked and passed over on each call.  The plant and the controller
-each ask for the rates and the matrix at one pose: a cube8 tick makes 7
-passes for its 13 calls, an anchors2 tick 7 for its 12.
-
-A pass's one numpy operation is the BLAS product that rotates the body
-exit offsets into the world frame: a Python `a*x + b*y + c*z` differs
-from that product in the last bit on most rows, and recorded telemetry
-would show it.  Everything after it (exit points, spans, lengths,
-directions, the matrix columns and the rates) runs wire by wire on
-Python floats, which round exactly as float64 arrays do, in the
-operation order of the array formulation (`tests/oracles.py` holds those
-formulations and the tests hold these functions to them bit for bit).
-That skips numpy's per-call setup, which dominates on a few wires, but
-costs about 1 us per wire where numpy's cost barely grows.  The float
-pass is meant for the 2 to 8 wires of the bundled scenarios and of the
-robot the model follows; the array formulation breaks even between 12
-and 16 wires and wins above.
+`wire_jacobian` returns the matrix as its six rows, float m-tuples
+(`np.asarray` of it is the array), and `wire_lengths_and_rates` the
+(lengths, rates) pair as two float tuples.  Both read one pass over the
+wires, `_geometry`, on Python floats in a fixed order (see `spatial`):
+the exit offsets rotated by `mat_vec` on `rotation_rows`, then exit
+points, spans, lengths, directions, columns and rates.  A run passes a
+`WireSet`: it holds its exit points and anchors as float tuples and keeps
+its last pass, keyed by the pose object, whose float tuples cannot
+change.  A call with the same pose gets that pass, bit for bit a fresh
+one; any other call, even one at equal values (-0.0 equals 0.0),
+replaces it, unless it raises DegenerateWire.  Each read and each
+replacement is one attribute access, so a shared WireSet stays
+consistent under the GIL.  A plain list is stacked and passed over on
+each call.  The plant and the controller each ask for the rates and the
+matrix at one pose: a cube8 tick makes 7 passes for its 13 calls, an
+anchors2 tick 7 for its 12.  The float pass is meant for 2 to 8 wires;
+an array formulation breaks even between 12 and 16 wires and wins above.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DegenerateWire
-from .spatial import Pose, Twist, _set_field
+from .spatial import Pose, Twist, _set_field, mat_vec, rotation_rows
 
 DEGENERACY_THRESHOLD = 1e-6  # m; far below any physical scenario scale
 
@@ -69,12 +57,11 @@ class WireAttachment:
 class WireSet(tuple):
     """A run's wire attachments, with exit points and anchors stacked once.
 
-    `exits_body` is a read-only (m, 3) array, which the lever product
-    reads, and `anchors` a tuple of m float 3-tuples.  Wrapping a WireSet
-    returns it unchanged, so the geometry passes of a run reuse one set,
-    and its memo of the last pass."""
+    `exits_body` and `anchors` are tuples of m float 3-tuples.  Wrapping a
+    WireSet returns it unchanged, so the geometry passes of a run reuse one
+    set, and its memo of the last pass."""
 
-    exits_body: np.ndarray
+    exits_body: tuple
     anchors: tuple
     _memo: tuple  # (pose, pass), or (None, None) before the first
 
@@ -82,8 +69,7 @@ class WireSet(tuple):
         if isinstance(attachments, WireSet):
             return attachments
         self = super().__new__(cls, attachments)
-        self.exits_body = np.array([a.exit_body for a in self])
-        self.exits_body.setflags(write=False)
+        self.exits_body = tuple(tuple(a.exit_body.tolist()) for a in self)
         self.anchors = tuple(tuple(a.anchor_world.tolist()) for a in self)
         self._memo = (None, None)
         return self
@@ -102,11 +88,11 @@ def _geometry(pose: Pose, attachments: Sequence[WireAttachment]):
     last_pose, last = wires._memo
     if pose is last_pose:
         return last
-    # the BLAS product stays: recorded telemetry holds its bits
-    levers = (wires.exits_body @ pose.rotation_matrix().T).tolist()
+    rotation = rotation_rows(pose.orientation)
     px, py, pz = pose.position
     lengths, columns, arms = [], [], []
-    for i, ((rx, ry, rz), (ax, ay, az)) in enumerate(zip(levers, wires.anchors)):
+    for i, (exit_body, (ax, ay, az)) in enumerate(zip(wires.exits_body, wires.anchors)):
+        rx, ry, rz = mat_vec(rotation, exit_body)
         ex, ey, ez = px + rx, py + ry, pz + rz
         sx, sy, sz = ax - ex, ay - ey, az - ez
         length = math.sqrt(sx * sx + sy * sy + sz * sz)
@@ -122,13 +108,20 @@ def _geometry(pose: Pose, attachments: Sequence[WireAttachment]):
     return lengths, columns, arms
 
 
-def wire_jacobian(pose: Pose, attachments: Sequence[WireAttachment]) -> np.ndarray:
-    """The 6 x m wire matrix at the given pose, as a C-ordered array.
-
-    Later matmul results depend on that layout.
-    """
+def wire_jacobian(pose: Pose, attachments: Sequence[WireAttachment]) -> tuple:
+    """The 6 x m wire matrix at the given pose, as its six rows of m floats."""
     _, columns, _ = _geometry(pose, attachments)
-    return np.fromiter(chain.from_iterable(zip(*columns)), float, 6 * len(columns)).reshape(6, -1)
+    return tuple(zip(*columns))
+
+
+def wire_wrench(matrix, tensions) -> tuple:
+    """The wrench matrix @ tensions of six rows of m floats and m tensions,
+    as a float 6-tuple: six sums from 0.0, adding wire by wire."""
+    fx = fy = fz = tx = ty = tz = 0.0
+    for a, b, c, d, e, f, t in zip(*matrix, tensions, strict=True):
+        fx, fy, fz = fx + a * t, fy + b * t, fz + c * t
+        tx, ty, tz = tx + d * t, ty + e * t, tz + f * t
+    return (fx, fy, fz, tx, ty, tz)
 
 
 def wire_lengths_and_rates(pose: Pose, twist: Twist,

@@ -4,14 +4,23 @@ Nothing in here may call into the solver code it is checking: the QP
 oracles work by exhaustive enumeration / grid search, and the wrench
 oracle accumulates per-wire forces one wire at a time.
 
-The `reference_*` kernels are the plain numpy formulations of the
-library's hot-path kernels, except `reference_solve_box_qp` and
-`reference_kkt_residual`, plain Python-float formulations that factor
-afresh at every solve and sum every product in index order.  The library
-computes the same values with less per-call overhead; the tests hold it
-to these bit for bit, one kernel at a time and end to end through a
-whole run.  `numpy_solve_box_qp`, the QP as it stood on `np.linalg.solve`,
-is held to the library within a tolerance.
+The `reference_*` kernels are the plain formulations of the library's
+hot-path kernels: elementwise numpy for the rotation cores and the
+command tail, and Python floats for every sum the tick writes, each
+summed in the same fixed order as the library (`ordered_sum` from the
+first term, `reference_product` from 0.0): the lever rotation in
+`reference_levers`, the wire matrix, `reference_wire_wrench`, the
+allocation's H and g (`reference_allocation_terms`), the compensation
+projection, the residual norm, and `reference_solve_box_qp` with
+`reference_kkt_residual`, which factor afresh at every solve.  The
+library computes the same values with less per-call overhead; the tests
+hold it to these bit for bit, one kernel at a time and end to end
+through a whole run.  The BLAS formulations the library replaced
+(`numpy_levers` and `numpy_wire_jacobian`, `allocation_qp_terms`,
+`numpy_projection`, `numpy_solve_box_qp`, and `np.linalg.norm` for the
+residual norm) round as the BLAS kernel does, so the tests hold the
+library to them within a tolerance.  `numpy_table_tensions` is schedule
+mode's table on arrays, held bit for bit.
 `ReferenceOdometrySensor` is the sensor with its noise drawn as four
 calls a tick, where the library makes one.  Six exceptions
 agree to rounding only: `reference_facet_normals`, an SVD where the
@@ -43,7 +52,7 @@ from wiredrive.simulator import DEFAULT_SPEED_LIMIT, STANDARD_GRAVITY, OdometryS
 from wiredrive.spatial import (
     Pose, Twist, Wrench, hamilton, orientation_error, quat_unit, rotvec_exp
 )
-from wiredrive.wires import DEGENERACY_THRESHOLD, WireSet, wire_jacobian, wire_lengths_and_rates
+from wiredrive.wires import DEGENERACY_THRESHOLD, wire_jacobian, wire_lengths_and_rates
 
 
 def box_qp_objective(hessian, gradient, x):
@@ -213,13 +222,75 @@ def random_wire_matrix(rng, m, lever=0.3):
     return np.vstack([dirs, torque])
 
 
+def ordered_sum(terms):
+    """The sum of `terms` from the first, each addition rounded in order."""
+    terms = iter(terms)
+    total = next(terms)
+    for term in terms:
+        total = total + term
+    return total
+
+
 def allocation_qp_terms(wire_matrix, wrench, weights):
-    """Hessian/gradient of |f|^2 + (w - Wf)' L (w - Wf) in standard form."""
+    """Hessian/gradient of |f|^2 + (w - Wf)' L (w - Wf) in standard form,
+    as BLAS products, whose rounding follows the kernel."""
     w = np.asarray(wire_matrix, dtype=float)
     lam = np.asarray(weights, dtype=float)
     hessian = 2.0 * (np.eye(w.shape[1]) + w.T @ lam @ w)
     gradient = -2.0 * (w.T @ lam @ np.asarray(wrench, dtype=float))
     return hessian, gradient
+
+
+def reference_allocation_terms(wire_matrix, wrench, weights):
+    """(H, g) of the same QP as lists of Python floats, with V = sqrt(L) W for
+    a diagonal L: H = 2 (I + V'V) and g = -2 V' sqrt(L) w, each entry a sum
+    over the six rows in order from the first product."""
+    w = np.asarray(wire_matrix, dtype=float).tolist()
+    roots = [math.sqrt(v) for v in np.diagonal(np.asarray(weights, dtype=float)).tolist()]
+    v = [[roots[k] * entry for entry in w[k]] for k in range(6)]
+    scaled = [roots[k] * float(wrench[k]) for k in range(6)]
+    m = len(w[0])
+    hessian = []
+    for i in range(m):
+        row = []
+        for j in range(m):
+            s = ordered_sum(v[k][i] * v[k][j] for k in range(6))
+            row.append(2.0 * (1.0 + s) if i == j else 2.0 * s)
+        hessian.append(row)
+    gradient = [-2.0 * ordered_sum(v[k][i] * scaled[k] for k in range(6)) for i in range(m)]
+    return hessian, gradient
+
+
+def reference_wire_wrench(matrix, tensions):
+    """`wires.wire_wrench`: `reference_product` of the matrix rows and the
+    tensions, each row summed from 0.0 wire by wire, as a tuple."""
+    return tuple(reference_product(matrix, tensions))
+
+
+def reference_allocate(matrix, wrench, bounds, weights, start=None):
+    """`allocation.allocate` plainly: `reference_allocation_terms`,
+    `reference_solve_box_qp`, and the residual w - `reference_wire_wrench`."""
+    hessian, gradient = reference_allocation_terms(matrix, wrench.as_array(), weights.matrix)
+    tensions, _, _ = reference_solve_box_qp(hessian, gradient, bounds.lower, bounds.upper,
+                                            start=start)
+    achieved = reference_wire_wrench(matrix, tensions)
+    return tensions, tuple(w - a for w, a in zip(wrench.as_array().tolist(), achieved))
+
+
+def numpy_table_tensions(table, t, lower, upper):
+    """Schedule mode's table tensions at run time t as they were computed on
+    arrays: `np.searchsorted` finds the row, the two rows are interpolated
+    as arrays, and `np.clip` clips the result to the box."""
+    times = np.array([row[0] for row in table])
+    if t <= times[0]:
+        values = table[0][1]
+    elif t >= times[-1]:
+        values = table[-1][1]
+    else:
+        hi = int(np.searchsorted(times, t))
+        w = (t - times[hi - 1]) / (times[hi] - times[hi - 1])
+        values = (1.0 - w) * table[hi - 1][1] + w * table[hi][1]
+    return np.clip(values, lower, upper)
 
 
 def _sign(x: float) -> float:
@@ -245,20 +316,33 @@ def compensate_per_wire(tensions, accel_ref, rates, wire_matrix, winch):
     return out
 
 
-def reference_compensate(tensions, accel_ref, rates, matrix, winch):
-    """`allocation.compensate` on numpy arrays: `np.sign` and `np.maximum`."""
+def reference_projection(matrix, accel):
+    """matrix' accel as an array: per wire, its column times the acceleration
+    summed over the six rows in order from the first product."""
+    rows, accel = np.asarray(matrix, dtype=float).tolist(), np.asarray(accel, dtype=float).tolist()
+    return np.array([ordered_sum(rows[k][i] * accel[k] for k in range(6))
+                     for i in range(len(rows[0]))])
+
+
+def numpy_projection(matrix, accel):
+    """matrix' accel as the BLAS product `compensate` used to take."""
+    return np.asarray(matrix, dtype=float).T @ np.asarray(accel, dtype=float).reshape(6)
+
+
+def reference_compensate(tensions, accel_ref, rates, matrix, winch, project=reference_projection):
+    """`allocation.compensate` on numpy arrays after `project`: `np.sign` and
+    `np.maximum`, as a tuple of floats."""
     tensions = np.asarray(tensions, dtype=float)
-    accel_ref = np.asarray(accel_ref, dtype=float).reshape(6)
-    length_accel = -(matrix.T @ accel_ref)
+    length_accel = -project(matrix, accel_ref)
     r = winch.pulley_radius
-    drum_speed = -rates / r
+    drum_speed = -np.asarray(rates, dtype=float) / r
     drum_accel = -length_accel / r
     inertia_torque = winch.rotor_inertia * drum_accel
     friction_torque = (
         np.sign(drum_speed) * winch.coulomb_friction
         + winch.viscous_friction * drum_speed
     )
-    return np.maximum(tensions + (inertia_torque + friction_torque) / r, 0.0)
+    return tuple(np.maximum(tensions + (inertia_torque + friction_torque) / r, 0.0).tolist())
 
 
 def reference_to_currents(tensions, winch):
@@ -270,12 +354,13 @@ def reference_to_currents(tensions, winch):
 
 
 def reference_tension_command(tensions, final, residual, bounds, winch):
-    """`allocation.tension_command` with the array current map and `np.linalg.norm`."""
+    """`allocation.tension_command` with the array current map, and the
+    residual norm the root of the sum of squares in order from the first."""
     return TensionCommand(
         tensions=tensions,
         tensions_final=final,
         currents=reference_to_currents(final, winch),
-        residual_norm=float(np.linalg.norm(residual)),
+        residual_norm=math.sqrt(ordered_sum(float(r) * float(r) for r in residual)),
         saturated=bounds.saturated(tensions),
     )
 
@@ -563,10 +648,13 @@ def reference_step(state, currents, dt, body, attachments, winch,
     The current map and slack rule run on arrays (`np.maximum`,
     `np.minimum`, `np.where`), where the library runs one float loop, and
     must give the same tension bits; the wire kinematics calls are the
-    library's.  After the wrench, numpy 3-vectors, `np.linalg.norm` speed
-    checks, and the new attitude normalized by `reference_quat_normalize`
-    twice: the step's rotation in `reference_quat_from_rotvec`, and the
-    product, which `Pose` then keeps as unit.
+    library's, and the wrench is `reference_wire_wrench` (a BLAS product
+    rounds apart from it, and where the torques cancel, the rotation rates
+    that follow differ by more than 1e-12 relative).  After the wrench,
+    numpy 3-vectors, `np.linalg.norm` speed checks, and the new attitude
+    normalized by `reference_quat_normalize` twice: the step's rotation in
+    `reference_quat_from_rotvec`, and the product, which `Pose` then keeps
+    as unit.
     """
     if not 0.0 < dt <= 0.01:
         raise ValueError("dt must lie in (0, 0.01] seconds")
@@ -576,7 +664,7 @@ def reference_step(state, currents, dt, body, attachments, winch,
     _, rates = wire_lengths_and_rates(state.pose, state.twist, attachments)
     tensions = np.where(np.abs(rates) > winch.max_line_speed, 0.0, tensions)
 
-    wrench = wire_jacobian(state.pose, attachments) @ tensions
+    wrench = np.array(reference_wire_wrench(wire_jacobian(state.pose, attachments), tensions))
     force = wrench[:3] + np.array([0.0, 0.0, -body.mass * gravity])
     linear, angular = np.asarray(state.twist.linear), np.asarray(state.twist.angular)
     velocity_new = linear + dt * (force / body.mass)
@@ -598,13 +686,30 @@ def reference_step(state, currents, dt, body, attachments, winch,
                     tensions, state.time + dt)
 
 
-def reference_geometry(pose, attachments):
+def reference_levers(pose, attachments):
+    """The body exit offsets rotated into the world frame, (m, 3): each entry a
+    row of `reference_quat_to_matrix` times the offset, summed in order from
+    the first product."""
+    rot = reference_quat_to_matrix(pose.orientation).tolist()
+    offsets = [np.asarray(w.exit_body, dtype=float).tolist() for w in attachments]
+    return np.array([[ordered_sum(r * e for r, e in zip(row, offset)) for row in rot]
+                     for offset in offsets]).reshape(-1, 3)
+
+
+def numpy_levers(pose, attachments):
+    """The levers as the BLAS product `exits @ R'` they once were; its rounding
+    follows the kernel."""
+    exits = np.array([w.exit_body for w in attachments], dtype=float).reshape(-1, 3)
+    return exits @ reference_quat_to_matrix(pose.orientation).T
+
+
+def reference_geometry(pose, attachments, rotate=reference_levers):
     """The wire geometry on (m, 3) arrays: (directions, lengths, levers,
-    exits_world), with `np.linalg.norm` lengths and a scan of every wire."""
-    wires = WireSet(attachments)
-    levers = wires.exits_body @ pose.rotation_matrix().T
+    exits_world), with `rotate`'s levers, `np.linalg.norm` lengths and a
+    scan of every wire."""
+    levers = rotate(pose, attachments)
     exits_world = np.asarray(pose.position) + levers
-    spans = np.array(wires.anchors) - exits_world
+    spans = np.array([w.anchor_world for w in attachments]).reshape(-1, 3) - exits_world
     lengths = np.linalg.norm(spans, axis=1)
     for i, n in enumerate(lengths):
         if n <= DEGENERACY_THRESHOLD:
@@ -612,10 +717,17 @@ def reference_geometry(pose, attachments):
     return spans / lengths[:, None], lengths, levers, exits_world
 
 
-def reference_wire_jacobian(pose, attachments):
-    """`wires.wire_jacobian` as a stack of arrays, copied into C order."""
-    directions, _, levers, _ = reference_geometry(pose, attachments)
+def numpy_wire_jacobian(pose, attachments, rotate=numpy_levers):
+    """The 6 x m wire matrix as an array stacked from `reference_geometry`."""
+    directions, _, levers, _ = reference_geometry(pose, attachments, rotate)
     return np.hstack([directions, np.cross(levers, directions)]).T.copy()
+
+
+def reference_wire_jacobian(pose, attachments):
+    """`wires.wire_jacobian`: `numpy_wire_jacobian` on the fixed-order levers,
+    as six row tuples of floats."""
+    matrix = numpy_wire_jacobian(pose, attachments, rotate=reference_levers)
+    return tuple(map(tuple, matrix.tolist()))
 
 
 def reference_wire_lengths_and_rates(pose, twist, attachments):
@@ -788,7 +900,7 @@ def reference_solve_box_qp(hessian, gradient, lower, upper, start=None, max_iter
                                                   "free-block Hessian")
             for k, i in enumerate(free):
                 x[i] = x[i] - correction[k]
-    x = np.array([_reference_clip(x[i], lower[i], upper[i]) for i in range(n)])
+    x = tuple(_reference_clip(x[i], lower[i], upper[i]) for i in range(n))
     residual = reference_kkt_residual(hessian, gradient, x, lower, upper)
     if not residual <= tol:
         raise SolverFailure(f"KKT residual {residual:.3e} above tolerance {tol:.1e}")
@@ -876,6 +988,8 @@ REFERENCE_KERNELS = {
     "spatial.chart_rates": reference_chart_rates,
     "wires.wire_jacobian": reference_wire_jacobian,
     "wires.wire_lengths_and_rates": reference_wire_lengths_and_rates,
-    "qp.solve_box_qp": reference_solve_box_qp,  # with its own reference_kkt_residual
+    "wires.wire_wrench": reference_wire_wrench,
+    # with reference_solve_box_qp and its own reference_kkt_residual
+    "allocation.allocate": reference_allocate,
     "allocation.tension_command": reference_tension_command,
 }

@@ -12,6 +12,9 @@ from oracles import (
     compensate_per_wire,
     grid_search_box_qp,
     random_wire_matrix,
+    numpy_projection,
+    numpy_solve_box_qp,
+    reference_allocate,
     reference_compensate,
     reference_tension_command,
     reference_to_currents,
@@ -27,11 +30,16 @@ from wiredrive.allocation import (
     tension_command,
     to_currents,
 )
+from wiredrive import allocation
 from wiredrive.errors import SolverFailure
-from wiredrive.spatial import Wrench
+from wiredrive.qp import solve_box_qp
+from wiredrive.scenario import bundled_scenario_path, load_scenario
+from wiredrive.spatial import Pose, Wrench
+from wiredrive.wires import wire_jacobian
 
 
 def tension_objective(matrix, wrench, weights, f):
+    f = np.asarray(f)
     res = wrench - matrix @ f
     return float(f @ f) + float(res @ weights @ res)
 
@@ -103,9 +111,9 @@ def test_saturating_instance_reports_residual_and_clamped_wires():
     weights = AllocationWeights(np.diag([1e6] * 6))
     wrench = Wrench.from_array([500.0, 0.0, 0.0, 0.0, 0.0, 0.0])
     f, residual = allocate(mat, wrench, bounds, weights)
-    assert np.sum(f >= 180.0 - 1e-6) >= 1
+    assert np.sum(np.asarray(f) >= 180.0 - 1e-6) >= 1
     direct = wrench.as_array() - mat @ f
-    assert residual.shape == (6,)
+    assert type(residual) is tuple and len(residual) == 6
     assert np.allclose(residual, direct, atol=1e-9)
     assert np.linalg.norm(residual) > 1.0
 
@@ -281,6 +289,19 @@ def test_compensate_matches_per_wire_oracle(case):
 
 
 @_PROPERTY
+@given(st.integers(1, 8), st.integers(0, 2**32 - 1))
+def test_the_compensation_projection_is_summed_in_a_fixed_order(m, seed):
+    # each wire's column times the acceleration, six rows from the first product
+    rng = np.random.default_rng(seed)
+    winch = WinchParams(rotor_inertia=1e-4)
+    tensions, rates = rng.uniform(0.0, 180.0, size=m), rng.uniform(-0.2, 0.2, size=m)
+    matrix, accel = random_wire_matrix(rng, m), rng.normal(scale=20.0, size=6)
+    final = compensate(tuple(tensions.tolist()), tuple(accel.tolist()), tuple(rates.tolist()),
+                       tuple(map(tuple, matrix.tolist())), winch)
+    assert _bits(final) == _bits(reference_compensate(tensions, accel, rates, matrix, winch))
+
+
+@_PROPERTY
 @given(drivetrain_cases())
 def test_current_map_round_trip(case):
     winch, tensions, _, _, _ = case
@@ -323,10 +344,16 @@ def _bits(value):
 ))
 def test_the_command_tail_is_bit_identical_to_its_array_formulation(case):
     # the library reads the float tuples the tick passes, the reference arrays
+    # after a projection summed in a fixed order; the BLAS projection agrees
+    # to rounding, which the inertia term scales by J / r^2
     winch, tensions, accel, rates, matrix, residual, bounds = case
-    final = compensate(tuple(tensions.tolist()), accel, tuple(rates.tolist()), matrix, winch)
+    final = compensate(tuple(tensions.tolist()), accel, tuple(rates.tolist()),
+                       tuple(map(tuple, matrix.tolist())), winch)
     assert all(type(v) is float for v in final) and _bits(final) == _bits(
         reference_compensate(tensions, accel, rates, matrix, winch))
+    assert np.allclose(final, reference_compensate(tensions, accel, rates, matrix, winch,
+                                                   project=numpy_projection),
+                       rtol=1e-12, atol=1e-9, equal_nan=True)
     # tensions as allocated, clamped into the box, and compensated ones that may be NaN
     allocated = np.clip(tensions, bounds.lower, bounds.upper)
     command = tension_command(tuple(allocated.tolist()), final, residual, bounds, winch)
@@ -337,8 +364,83 @@ def test_the_command_tail_is_bit_identical_to_its_array_formulation(case):
         got, want = getattr(command, field), getattr(expected, field)
         assert all(type(v) is kind for v in got) and _bits(got) == _bits(want), field
     assert _bits(command.residual_norm) == _bits(expected.residual_norm)
+    assert np.allclose(command.residual_norm, np.linalg.norm(residual), rtol=1e-15, atol=0.0,
+                       equal_nan=True)
     pushing = np.append(final, -0.5)
     with pytest.raises(ValueError, match="non-negative"):
         reference_to_currents(pushing, winch)
     with pytest.raises(ValueError, match="non-negative"):
         to_currents(pushing, winch)
+
+
+@st.composite
+def allocation_cases(draw):
+    """Allocation problems like the control loop's: m wires, a diagonal
+    weight of scale 1 to 1e8 with its torque rows scaled, a wrench, a box
+    tight enough that some wires sit at a bound, and a warm start or none."""
+    m = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    matrix = tuple(map(tuple, random_wire_matrix(rng, m).tolist()))
+    weights = AllocationWeights.diagonal(draw(st.sampled_from([1.0, 1e4, 1e8])),
+                                         draw(st.sampled_from([0.1, 0.2, 0.35])))
+    wrench = Wrench.from_array(rng.normal(scale=draw(st.sampled_from([1.0, 50.0])), size=6))
+    lower = draw(st.sampled_from([0.0, 2.0]))
+    bounds = TensionBounds.uniform(m, lower, lower + draw(st.sampled_from([20.0, 80.0, 180.0])))
+    start = draw(st.one_of(st.none(), st.just(tuple(rng.uniform(lower, lower + 20.0, m).tolist()))))
+    return matrix, wrench, bounds, weights, start
+
+
+@_PROPERTY
+@given(allocation_cases())
+def test_allocate_is_bit_identical_to_its_float_formulation(case):
+    # the fixed-order H, g and residual of `reference_allocate`, bit for bit;
+    # the BLAS formulation on the numpy solver agrees on the optimum to 1e-9
+    matrix, wrench, bounds, weights, start = case
+    try:
+        expected = reference_allocate(matrix, wrench, bounds, weights, start=start)
+    except SolverFailure:
+        with pytest.raises(SolverFailure):
+            allocate(matrix, wrench, bounds, weights, start=start)
+        return
+    tensions, residual = allocate(matrix, wrench, bounds, weights, start=start)
+    for got, want in zip((tensions, residual), expected):
+        assert type(got) is tuple and all(type(v) is float for v in got)
+        assert _bits(got) == _bits(want)
+    hessian, gradient = allocation_qp_terms(matrix, wrench.as_array(), weights.matrix)
+    numpy_tensions, _, _ = numpy_solve_box_qp(hessian, gradient, bounds.lower, bounds.upper,
+                                              start=start)
+    value, value_ref = (box_qp_objective(hessian, gradient, f) for f in (tensions, numpy_tensions))
+    assert abs(value - value_ref) <= 1e-9 * (1.0 + abs(value_ref))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.floats(-0.1, 0.1), min_size=3, max_size=3),
+       st.lists(st.floats(-0.4, 0.4), min_size=3, max_size=3),
+       st.lists(st.floats(-20.0, 20.0), min_size=6, max_size=6))
+def test_the_hessian_allocate_hands_the_qp_is_exactly_symmetric(offset, rotvec, wrench):
+    # entry (i, j) and entry (j, i) are one number, at any cube8 pose
+    scenario = load_scenario(bundled_scenario_path("cube8"))
+    position = np.add(scenario.start_pose.position, offset)
+    matrix = wire_jacobian(Pose.from_rotvec(position, rotvec), scenario.wires)
+    support = Wrench.from_array(np.add(wrench, [0.0, 0.0, 9.80665 * scenario.body.mass, 0, 0, 0]))
+    hessians = []
+
+    def spy(hessian, *args, **kwargs):
+        hessians.append(hessian)
+        return solve_box_qp(hessian, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(allocation, "solve_box_qp", spy)
+        allocate(matrix, support, scenario.bounds, scenario.weights)
+    (hessian,) = hessians
+    m = scenario.wire_count
+    assert [[_bits(float(hessian[i][j])) for j in range(m)] for i in range(m)] == [
+        [_bits(float(hessian[j][i])) for j in range(m)] for i in range(m)]
+
+
+def test_weights_are_diagonal_and_keep_the_roots_of_their_diagonal():
+    weights = AllocationWeights.diagonal(scale=1e4, torque_lever=0.2)
+    assert weights.roots == tuple(math.sqrt(v) for v in np.diagonal(weights.matrix).tolist())
+    assert weights.matrix[0, 0] == 1e4
+    with pytest.raises(ValueError, match="diagonal"):
+        AllocationWeights(np.eye(6) + np.eye(6, k=1))

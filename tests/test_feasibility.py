@@ -19,7 +19,7 @@ from test_wires import eight_wire_cube_layout
 
 
 def jac_for(wires, pose=None):
-    return wire_jacobian(pose or Pose.identity(), wires)
+    return np.asarray(wire_jacobian(pose or Pose.identity(), wires))
 
 
 def spread_wires(m, radius=2.0):

@@ -127,6 +127,19 @@ def test_every_import_is_read():
     assert {path: names for path, names in unread.items() if names} == {}
 
 
+def test_the_tick_modules_take_no_blas_product():
+    # the wire kinematics, the plant and the allocation sum in a fixed order
+    # on floats; a matmul or a dot there would sum in the BLAS kernel's order
+    for name in ("wires", "simulator", "allocation"):
+        tree = ast.parse((SRC / "wiredrive" / f"{name}.py").read_text())
+        products = [node.lineno for node in ast.walk(tree)
+                    if isinstance(node, (ast.BinOp, ast.AugAssign))
+                    and isinstance(node.op, ast.MatMult)]
+        products += [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                     and node.attr in ("dot", "matmul", "einsum", "fromiter", "inner")]
+        assert products == [], name
+
+
 def test_unread_import_is_caught():
     source = (
         "from __future__ import annotations\n"

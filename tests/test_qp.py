@@ -1,5 +1,6 @@
 import math
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -107,7 +108,7 @@ def test_badly_scaled_hessian_still_converges():
         gradient = -2.0 * (1e8 * w.T @ rng.normal(size=6))
         x, _, res = solve_box_qp(hessian, gradient, np.zeros(4), np.full(4, 180.0))
         assert res < 1e-8
-        assert np.all(x >= 0) and np.all(x <= 180.0)
+        assert np.all(np.asarray(x) >= 0) and np.all(np.asarray(x) <= 180.0)
 
 
 def test_iteration_cap_raises_solver_failure():
@@ -137,7 +138,7 @@ def test_warm_start_returns_same_solution():
     gradient = rng.normal(size=5)
     lower, upper = np.zeros(5), np.full(5, 1.0)
     cold, _, _ = solve_box_qp(hessian, gradient, lower, upper)
-    warm, _, _ = solve_box_qp(hessian, gradient, lower, upper, start=cold + 0.01)
+    warm, _, _ = solve_box_qp(hessian, gradient, lower, upper, start=np.add(cold, 0.01))
     assert np.allclose(cold, warm, atol=1e-9)
 
 
@@ -150,6 +151,12 @@ def test_nan_warm_start_raises():
     with pytest.raises(SolverFailure, match="nan"):
         solve_box_qp(np.diag([2.0, 2.0]), np.array([-1.0, -1.0]), np.zeros(2), np.ones(2),
                      start=np.array([np.nan, 0.5]))
+
+
+def _tuple_bits(values):
+    """The bytes of a tuple of Python floats; AssertionError for any other value."""
+    assert type(values) is tuple and all(type(v) is float for v in values), values
+    return struct.pack(f"{len(values)}d", *values)
 
 
 def _same_float(a, b):
@@ -229,9 +236,13 @@ def test_solver_is_bit_identical_to_the_reference_formulation(case):
             solve_box_qp(hessian, gradient, lower, upper, start=start)
         return
     x, iterations, residual = solve_box_qp(hessian, gradient, lower, upper, start=start)
-    assert np.array_equal(x.view(np.int64), expected[0].view(np.int64))
+    assert _tuple_bits(x) == _tuple_bits(expected[0])
     assert iterations == expected[1]
     assert _same_float(residual, expected[2])
+    # the float tuples `allocate` hands over, read as they are, give the same bits
+    as_tuples = solve_box_qp(tuple(map(tuple, hessian.tolist())), gradient, lower, upper,
+                             start=None if start is None else tuple(start.tolist()))
+    assert (_tuple_bits(as_tuples[0]), as_tuples[1]) == (_tuple_bits(x), iterations)
 
 
 @st.composite
@@ -306,7 +317,7 @@ def test_solver_is_bit_identical_to_the_reference_on_the_edges(case):
         assert got == expected  # the same failure, at the same iteration cap
         return
     assert not isinstance(got, str), got
-    assert got[0].tobytes() == expected[0].tobytes()
+    assert _tuple_bits(got[0]) == _tuple_bits(expected[0])
     assert got[1] == expected[1]
     assert _same_float(got[2], expected[2])
 
@@ -357,7 +368,7 @@ def test_scalar_bounds_give_the_answer_of_array_bounds():
     x, iterations, residual = solve_box_qp(hessian, gradient, 0.0, 5.0)
     x_arr, iterations_arr, residual_arr = solve_box_qp(hessian, gradient, np.zeros(4),
                                                        np.full(4, 5.0))
-    assert x.tobytes() == x_arr.tobytes()
+    assert _tuple_bits(x) == _tuple_bits(x_arr)
     assert (iterations, residual) == (iterations_arr, residual_arr)
 
 
@@ -381,7 +392,7 @@ def test_an_empty_problem_is_a_value_error():
 
 def test_a_fixed_variable_counts_no_stationarity_violation():
     x, _, residual = solve_box_qp(*_FIXED, -1.072, -1.072)
-    assert x.tolist() == [-1.072] and residual == 0.0
+    assert x == (-1.072,) and residual == 0.0
     # within tol of both bounds of a narrow box, too; a free entry still counts |g|
     assert kkt_residual(*_FIXED, [0.5], [0.5], [0.5 + 1e-10]) == 0.0
     assert kkt_residual(*_FIXED, [0.5], [0.0], [1.0]) == pytest.approx((27.96 - 0.5) / 28.96)
@@ -407,7 +418,7 @@ for _ in range(200):
     start = rng.choice([None, [rng.uniform(lower, upper) for _ in range(m)]])
     try:
         x, iterations, residual = solve_box_qp(hessian, gradient, lower, upper, start=start)
-        digest.update(x.tobytes() + repr((iterations, residual)).encode())
+        digest.update(repr((x, iterations, residual)).encode())
     except SolverFailure as exc:
         digest.update(str(exc).encode())
 print(digest.hexdigest())

@@ -84,6 +84,18 @@ def test_minimal_scenario_defaults(tmp_path):
     assert s.duration == 4.0  # segment time + 2 s settle
 
 
+def test_default_duration_sums_the_segments_correctly_rounded(tmp_path):
+    # a left-to-right float sum of these gives 6.390000000000001 on some Pythons
+    def three_segments(doc):
+        goal = doc["trajectory"]["segments"][0]["goal_position"]
+        doc["trajectory"]["segments"] = [
+            {"goal_position": goal, "duration": {"value": t, "unit": "s"}}
+            for t in (1.73, 2.42, 0.24)]
+
+    s = load_scenario(write(tmp_path, edit(MINIMAL, three_segments)))
+    assert s.duration == 6.39
+
+
 def test_bundled_scenarios_load():
     for name in ("cube8", "cube8_saturated", "outdoor4", "anchors2"):
         s = load_scenario(bundled_scenario_path(name))

@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from oracles import (
+    numpy_wire_jacobian,
     reference_geometry,
     reference_wire_jacobian,
     reference_wire_lengths_and_rates,
+    reference_wire_wrench,
     transform_point,
     wire_length,
 )
@@ -23,6 +25,7 @@ from wiredrive.wires import (
     WireSet,
     wire_jacobian,
     wire_lengths_and_rates,
+    wire_wrench,
 )
 
 
@@ -45,7 +48,7 @@ def random_pose(rng, scale=0.3):
 def directions_and_exits(pose, wires):
     """Direction rows of the wire matrix, and the world exit points they imply:
     each anchor minus its wire's length along its direction."""
-    dirs = wire_jacobian(pose, wires)[:3].T
+    dirs = np.asarray(wire_jacobian(pose, wires))[:3].T
     lengths, _ = wire_lengths_and_rates(pose, Twist.zero(), wires)
     anchors = np.array([w.anchor_world for w in wires])
     return dirs, anchors - np.array(lengths)[:, None] * dirs
@@ -99,22 +102,22 @@ def test_degeneracy_threshold_is_inclusive():
 
 def test_jacobian_zero_lever_column():
     wires = [WireAttachment([0, 0, 0], [3.0, 0.0, 0.0])]
-    jac = wire_jacobian(Pose.identity(), wires)
+    jac = np.asarray(wire_jacobian(Pose.identity(), wires))
     assert np.allclose(jac[:, 0], [1, 0, 0, 0, 0, 0])
 
 
 def test_jacobian_hand_cross_product():
     # lever (0, 0.1, 0) with direction +x gives torque (0, 0, -0.1)
     wires = [WireAttachment([0.0, 0.1, 0.0], [5.0, 0.1, 0.0])]
-    jac = wire_jacobian(Pose.identity(), wires)
+    jac = np.asarray(wire_jacobian(Pose.identity(), wires))
     assert np.allclose(jac[:, 0], [1, 0, 0, 0, 0, -0.1], atol=1e-12)
 
 
 def test_jacobian_lever_uses_rotation_not_translation():
     # translating the body must not change the lever arm term
     wires = [WireAttachment([0.0, 0.1, 0.0], [5.0, 0.1, 0.0])]
-    near = wire_jacobian(Pose.identity(), wires)
-    far = wire_jacobian(Pose.from_translation([1.0, 0.0, 0.0]), wires)
+    near = np.asarray(wire_jacobian(Pose.identity(), wires))
+    far = np.asarray(wire_jacobian(Pose.from_translation([1.0, 0.0, 0.0]), wires))
     assert np.allclose(near[3:, 0], far[3:, 0], atol=1e-12)
 
 
@@ -126,7 +129,7 @@ def test_wrench_matches_per_wire_accumulation():
         wires = random_layout(rng, m)
         pose = random_pose(rng)
         tensions = rng.uniform(0.0, 150.0, size=m)
-        total = wire_jacobian(pose, wires) @ tensions
+        total = wire_wrench(wire_jacobian(pose, wires), tuple(tensions.tolist()))
         rot = pose.rotation_matrix()
         expected = np.zeros(6)
         for wire, tension in zip(wires, tensions):
@@ -252,7 +255,7 @@ def body_states(draw, max_wires=8):
 @given(body_states())
 def test_geometry_agrees_across_entry_points(case):
     wires, pose, twist = case
-    jac = wire_jacobian(pose, wires)
+    jac = np.asarray(wire_jacobian(pose, wires))
     lengths, rates = wire_lengths_and_rates(pose, twist, wires)
     # direction rows times lengths rebuild the spans from world exit to anchor
     spans = [w.anchor_world - transform_point(pose, w.exit_body) for w in wires]
@@ -264,16 +267,16 @@ def test_geometry_agrees_across_entry_points(case):
     assert np.allclose(rates, -(jac.T @ twist.as_array()), rtol=0.0, atol=1e-12)
 
 
-def _same_bits(a, b):
-    # the layout counts too: a later einsum or matmul can sum in another order over another one
-    return (a.shape == b.shape and a.dtype == b.dtype and a.strides == b.strides
-            and a.tobytes() == b.tobytes())
-
-
 def _float_bits(values):
     """The bytes of a tuple of Python floats; AssertionError for any other value."""
     assert type(values) is tuple and all(type(v) is float for v in values), values
     return struct.pack(f"{len(values)}d", *values)
+
+
+def _matrix_bits(rows):
+    """The bytes of six rows of Python floats, each a tuple; AssertionError otherwise."""
+    assert type(rows) is tuple and len(rows) == 6, rows
+    return [_float_bits(row) for row in rows]
 
 
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
@@ -282,9 +285,9 @@ def test_wire_set_gives_the_plain_list_results_bit_for_bit(case):
     wires, pose, twist = case
     wire_set = WireSet(wires)
     assert list(wire_set) == wires
-    jac = wire_jacobian(pose, wires)
-    assert _same_bits(wire_jacobian(pose, wire_set), jac)
-    assert _same_bits(jac, reference_wire_jacobian(pose, wires))
+    jac = _matrix_bits(wire_jacobian(pose, wires))
+    assert _matrix_bits(wire_jacobian(pose, wire_set)) == jac
+    assert jac == _matrix_bits(reference_wire_jacobian(pose, wires))
     got = wire_lengths_and_rates(pose, twist, wire_set)
     expected = wire_lengths_and_rates(pose, twist, wires)
     reference = reference_wire_lengths_and_rates(pose, twist, wires)
@@ -299,8 +302,8 @@ def test_rates_do_not_depend_on_the_operands_memory_layout(case):
     # each rate is summed in a fixed order; an einsum over the same values
     # in Fortran order summed differently and changed the last bits.  Here
     # the position, the twist and the wire points come as strided and
-    # Fortran-ordered views of the same values (a WireSet holds its anchors
-    # as float rows, which have no layout)
+    # Fortran-ordered views of the same values (a WireSet holds its exit
+    # points and anchors as float rows, which have no layout)
     wires, pose, twist = case
 
     def strided(v):
@@ -322,26 +325,26 @@ def test_rates_do_not_depend_on_the_operands_memory_layout(case):
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
 @given(body_states())
-def test_wire_jacobian_is_a_c_ordered_6_by_m_array(case):
-    # C order fixes the summation order of the matmuls that consume it
+def test_wire_jacobian_is_six_rows_of_floats(case):
+    # its consumers sum its rows in a fixed order; np.asarray gives the 6 x m array
     wires, pose, _ = case
     jac = wire_jacobian(pose, wires)
-    assert type(jac) is np.ndarray and jac.dtype == np.float64
-    assert jac.shape == (6, len(wires))
-    assert jac.flags.c_contiguous
-    assert _same_bits(jac, reference_wire_jacobian(pose, wires))
+    assert all(len(row) == len(wires) for row in jac)
+    assert _matrix_bits(jac) == _matrix_bits(reference_wire_jacobian(pose, wires))
+    assert np.asarray(jac).shape == (6, len(wires))
 
 
 def test_wire_set_stacks_once_and_is_read_only():
     wires = random_layout(np.random.default_rng(4), 5)
     wire_set = WireSet(wires)
     assert WireSet(wire_set) is wire_set
-    assert np.array_equal(wire_set.exits_body, [w.exit_body for w in wires])
-    assert type(wire_set.anchors) is tuple and len(wire_set.anchors) == 5
-    for row, wire in zip(wire_set.anchors, wires):
-        assert _float_bits(row) == wire.anchor_world.tobytes()
-    with pytest.raises(ValueError):
-        wire_set.exits_body[0, 0] = 1.0
+    for rows in (wire_set.exits_body, wire_set.anchors):
+        assert type(rows) is tuple and len(rows) == 5
+    for exit_body, anchor, wire in zip(wire_set.exits_body, wire_set.anchors, wires):
+        assert _float_bits(exit_body) == wire.exit_body.tobytes()
+        assert _float_bits(anchor) == wire.anchor_world.tobytes()
+    with pytest.raises(TypeError):
+        wire_set.exits_body[0][0] = 1.0
     with pytest.raises(TypeError):
         wire_set.anchors[0][0] = 1.0
 
@@ -350,10 +353,34 @@ def test_wire_set_stacks_once_and_is_read_only():
 @given(body_states())
 def test_geometry_is_bit_identical_to_the_norm_formulation(case):
     wires, pose, twist = case
-    assert _same_bits(wire_jacobian(pose, wires), reference_wire_jacobian(pose, wires))
+    assert _matrix_bits(wire_jacobian(pose, wires)) == _matrix_bits(
+        reference_wire_jacobian(pose, wires))
     got = wire_lengths_and_rates(pose, twist, wires)
     for got_tuple, expected in zip(got, reference_wire_lengths_and_rates(pose, twist, wires)):
         assert _float_bits(got_tuple) == _float_bits(expected)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(body_states())
+def test_the_matrix_agrees_with_the_blas_lever_product(case):
+    # the levers were the BLAS product exits @ R', whose rounding follows the
+    # kernel; the fixed-order rotation moves the matrix by an ulp or so
+    wires, pose, _ = case
+    jac = np.asarray(wire_jacobian(pose, wires))
+    assert np.allclose(jac, numpy_wire_jacobian(pose, wires), rtol=0.0, atol=1e-15)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 2**32 - 1))
+def test_wire_wrench_is_bit_identical_to_the_row_sums(m, seed):
+    # each row summed from 0.0 wire by wire; a BLAS product agrees to rounding
+    rng = np.random.default_rng(seed)
+    wires, pose = random_layout(rng, m), random_pose(rng)
+    tensions = tuple(rng.uniform(0.0, 200.0, size=m).tolist())
+    jac = wire_jacobian(pose, wires)
+    wrench = wire_wrench(jac, tensions)
+    assert _float_bits(wrench) == _float_bits(reference_wire_wrench(jac, tensions))
+    assert np.allclose(wrench, np.asarray(jac) @ tensions, rtol=0.0, atol=1e-12)
 
 
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
@@ -423,8 +450,8 @@ def test_kernels_match_the_references_bit_for_bit(case):
         expected = None
     for attachments in (wires, WireSet(wires)):
         if expected is None:
-            assert _same_bits(wire_jacobian(pose, attachments),
-                              reference_wire_jacobian(pose, wires))
+            assert _matrix_bits(wire_jacobian(pose, attachments)) == _matrix_bits(
+                reference_wire_jacobian(pose, wires))
             got = wire_lengths_and_rates(pose, twist, attachments)
             for got_tuple, reference in zip(
                     got, reference_wire_lengths_and_rates(pose, twist, wires)):
@@ -438,15 +465,13 @@ def test_kernels_match_the_references_bit_for_bit(case):
 
 
 def _outcome(call):
-    """A kernel call's result: the matrix, layout included, or the bits of
-    the lengths and rates tuples; or its DegenerateWire."""
+    """A kernel call's result: the bits of the matrix rows, or of the lengths
+    and rates tuples; or its DegenerateWire."""
     try:
         result = call()
     except DegenerateWire as exc:
         return "DegenerateWire", exc.wire_id, exc.separation
-    if isinstance(result, tuple):
-        return [_float_bits(values) for values in result]
-    return [(result.shape, result.dtype, result.strides, result.tobytes())]
+    return [_float_bits(values) for values in result]
 
 
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)
