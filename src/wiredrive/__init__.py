@@ -53,7 +53,6 @@ from .spatial import (
     Pose,
     Twist,
     Wrench,
-    orientation_error,
     transform_odometry,
     wrench_error_pid,
 )
@@ -88,7 +87,7 @@ __all__ = [
     "STANDARD_GRAVITY", "BodyModel", "OdometrySensor", "SensorModel",
     "SimState", "step",
     "PidGains", "PidState", "Pose", "Twist", "Wrench",
-    "orientation_error", "transform_odometry", "wrench_error_pid",
+    "transform_odometry", "wrench_error_pid",
     "ControlTick", "PoseController", "SplineSegment", "chain_segments",
     "plan_spline", "sample",
     "WireAttachment", "wire_jacobian", "wire_lengths_and_rates",

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qp import solve_box_qp
-from .spatial import Wrench, _float_tuple, _Record, _set_field
+from .spatial import Wrench, _checked, _float_tuple, _Record, _set_field
 from .wires import wire_wrench
 
 DEFAULT_MAX_TENSION = 180.0  # N, continuous rating of one winch
@@ -40,40 +40,43 @@ class TensionBounds:
     """Per-wire tension box, 0 <= lower < upper componentwise; an infinite
     upper bound leaves a wire uncapped."""
 
-    lower: np.ndarray
-    upper: np.ndarray
+    lower: tuple
+    upper: tuple
 
     def __post_init__(self):
         _set_field(self, "lower", -1, sign="non-negative")
         _set_field(self, "upper", -1, limitless=True)
-        if self.lower.shape != self.upper.shape:
+        if len(self.lower) != len(self.upper):
             raise ValueError("tension bound vectors must have matching shapes")
-        if not np.all(self.lower < self.upper):
+        if not all(a < b for a, b in zip(self.lower, self.upper)):
             raise ValueError("lower (minimum tension) must be strictly below upper")
 
     @classmethod
     def uniform(
         cls, wire_count: int, lower: float = DEFAULT_PRETENSION, upper: float = DEFAULT_MAX_TENSION
     ) -> "TensionBounds":
-        return cls(np.full(wire_count, lower), np.full(wire_count, upper))
+        return cls((lower,) * wire_count, (upper,) * wire_count)
 
-    def saturated(self, tensions: np.ndarray) -> np.ndarray:
-        """Per wire: tension within 1e-6 of its upper bound."""
-        return np.asarray(tensions) >= self.upper - 1e-6
+    def saturated(self, tensions) -> tuple:
+        """Per wire, as a tuple: tension within 1e-6 of its upper bound."""
+        return tuple(t >= u - 1e-6 for t, u in zip(tensions, self.upper, strict=True))
 
 
 @dataclass(frozen=True, eq=False)
 class AllocationWeights:
-    """Diagonal positive-definite 6x6 wrench-residual weight L; `roots`, not
-    a field, holds the square roots of its diagonal as a float 6-tuple."""
+    """Diagonal positive-definite 6x6 wrench-residual weight L, the one
+    record field held as a (read-only) array; `roots`, not a field, holds
+    the square roots of its diagonal as a float 6-tuple."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        _set_field(self, "matrix", (6, 6))
-        diagonal = np.diagonal(self.matrix)
-        if not (np.array_equal(self.matrix, np.diag(diagonal)) and np.all(diagonal > 0.0)):
-            raise ValueError(f"matrix must be diagonal with positive entries, got {self.matrix}")
+        matrix = np.array(_checked("matrix", self.matrix, (6, 6)))
+        matrix.setflags(write=False)
+        diagonal = np.diagonal(matrix)
+        if not (np.array_equal(matrix, np.diag(diagonal)) and np.all(diagonal > 0.0)):
+            raise ValueError(f"matrix must be diagonal with positive entries, got {matrix}")
+        object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "roots", tuple(math.sqrt(v) for v in diagonal.tolist()))
 
     @classmethod
@@ -223,7 +226,7 @@ def tension_command(tensions, final, residual, bounds: TensionBounds,
     r0, r1, r2, r3, r4, r5 = residual
     return TensionCommand._of(tensions, final, to_currents(final, winch),
                               math.sqrt(r0 * r0 + r1 * r1 + r2 * r2 + r3 * r3 + r4 * r4 + r5 * r5),
-                              tuple(bounds.saturated(tensions).tolist()))
+                              bounds.saturated(tensions))
 
 
 def solve_tension_command(matrix, wrench: Wrench, bounds: TensionBounds,

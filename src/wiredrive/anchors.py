@@ -31,9 +31,9 @@ WINDING_TOLERANCE = 0.1  # fraction of a full turn
 class Pillar:
     """Axis-aligned rectangular pillar footprint in the horizontal plane."""
 
-    center: np.ndarray  # (2,)
-    half_extents: np.ndarray = (0.175, 0.35)  # (2,), a 0.35 x 0.70 m pillar
-    z_range: np.ndarray = (0.0, 2.5)  # (2,), bottom and top
+    center: tuple  # (2,)
+    half_extents: tuple = (0.175, 0.35)  # (2,), a 0.35 x 0.70 m pillar
+    z_range: tuple = (0.0, 2.5)  # (2,), bottom and top
 
     def __post_init__(self):
         _set_field(self, "center", 2)
@@ -44,8 +44,8 @@ class Pillar:
 
     def contains(self, point_xy, inflation: float = 0.0) -> bool:
         """Strict interior test against the footprint grown by `inflation`."""
-        d = np.abs(np.asarray(point_xy, dtype=float)[:2] - self.center)
-        return bool(np.all(d < self.half_extents + inflation - 1e-12))
+        return all(abs(p - c) < h + inflation - 1e-12
+                   for p, c, h in zip(point_xy, self.center, self.half_extents))
 
     @property
     def mid_height(self) -> float:
@@ -53,9 +53,9 @@ class Pillar:
         return 0.5 * (self.z_range[0] + self.z_range[1])
 
 
-def wrap_anchor(pillar: Pillar, altitude: float) -> np.ndarray:
+def wrap_anchor(pillar: Pillar, altitude: float) -> tuple:
     """The anchor a wrap gives its wire: the pillar's center at the wrap altitude."""
-    return np.array([pillar.center[0], pillar.center[1], altitude])
+    return (*pillar.center, altitude)
 
 
 @dataclass(frozen=True)
@@ -120,7 +120,7 @@ def plan_wrap_path(
     if altitude is None:
         altitude = pillar.mid_height
 
-    ex, ey = pillar.half_extents + clearance
+    ex, ey = (h + clearance for h in pillar.half_extents)
     cx, cy = pillar.center
     corners = np.array(
         [

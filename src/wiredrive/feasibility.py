@@ -105,7 +105,7 @@ def _facet_normals(scaled: np.ndarray):
     return subsets[spanning], q[spanning, :, 5]
 
 
-def _witness(scaled, normal, projections, binding_wires, margin, bounds):
+def _witness(scaled, normal, projections, binding_wires, margin, lower, upper):
     """Tensions in the box with `scaled @ f = margin * normal`, verified.
 
     Wires whose column leaves the binding plane sit at the bound the sign
@@ -118,18 +118,18 @@ def _witness(scaled, normal, projections, binding_wires, margin, bounds):
     """
     in_plane = np.abs(projections) <= PLANE_TOLERANCE * np.linalg.norm(scaled, axis=0)
     in_plane[list(binding_wires)] = True
-    tensions = np.where(projections > 0, bounds.upper, bounds.lower)
+    tensions = np.where(projections > 0, upper, lower)
     target = margin * normal
     columns = scaled[:, in_plane]
     rest = target - scaled[:, ~in_plane] @ tensions[~in_plane]
     split = np.linalg.lstsq(columns, rest, rcond=None)[0]
-    lower, upper = bounds.lower[in_plane], bounds.upper[in_plane]
-    if len(split) > 5 and not np.all((lower <= split) & (split <= upper)):
+    low, high = lower[in_plane], upper[in_plane]
+    if len(split) > 5 and not np.all((low <= split) & (split <= high)):
         gram = columns.T @ columns
         tikhonov = 1e-14 * np.trace(gram) * np.eye(len(split))
-        split, _, _ = solve_box_qp(gram + tikhonov, -columns.T @ rest, lower, upper)
+        split, _, _ = solve_box_qp(gram + tikhonov, -columns.T @ rest, low, high)
     tensions[in_plane] = split
-    tensions = np.clip(tensions, bounds.lower, bounds.upper)
+    tensions = np.clip(tensions, lower, upper)
     residual = float(np.linalg.norm(scaled @ tensions - target))
     if not residual <= WITNESS_TOLERANCE * (1.0 + margin):
         raise SolverFailure(f"witness tensions miss the margin wrench by {residual:.3e}")
@@ -167,6 +167,7 @@ def controllability(
                          f"got {len(bounds.lower)}")
     if not (math.isfinite(torque_scale) and torque_scale > 0):
         raise ValueError(f"torque_scale must be finite and positive, got {torque_scale}")
+    lower, upper = np.array(bounds.lower), np.array(bounds.upper)
     svals = np.linalg.svd(matrix, compute_uv=False)
     rank = int(np.sum(svals > RANK_TOLERANCE * svals[0])) if svals.size else 0
     weighting = np.array([1.0, 1.0, 1.0, torque_scale, torque_scale, torque_scale])
@@ -188,7 +189,7 @@ def controllability(
     subsets, normals = _facet_normals(scaled)
     normals = np.concatenate([normals, -normals])
     projections = normals @ scaled
-    support = np.maximum(bounds.lower * projections, bounds.upper * projections).sum(axis=1)
+    support = np.maximum(lower * projections, upper * projections).sum(axis=1)
     least = float(support.min())
     margin = max(0.0, least)
     # a mirror-symmetric pose ties several facets up to rounding; the last
@@ -197,7 +198,7 @@ def controllability(
     binding = int(tied[np.argmax(tied % len(subsets))])
     binding_wires = tuple(int(i) for i in subsets[binding % len(subsets)])
     tensions = None if margin == 0.0 else _witness(
-        scaled, normals[binding], projections[binding], binding_wires, margin, bounds)
+        scaled, normals[binding], projections[binding], binding_wires, margin, lower, upper)
     return FeasibilityReport(
         rank=rank,
         fully_constrained=margin > ACHIEVABLE_SCALE,
@@ -241,6 +242,6 @@ def wrench_achievable(
     return achievable, tensions, residual
 
 
-def saturated_wires(tensions: np.ndarray, bounds: TensionBounds) -> tuple[int, ...]:
+def saturated_wires(tensions, bounds: TensionBounds) -> tuple[int, ...]:
     """Indices of the wires that `bounds.saturated` flags."""
-    return tuple(int(i) for i in np.flatnonzero(bounds.saturated(tensions)))
+    return tuple(i for i, flag in enumerate(bounds.saturated(tensions)) if flag)

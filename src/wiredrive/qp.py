@@ -10,12 +10,12 @@ wins as in `np.argmin`.
 
 Problems here are tiny (one variable per wire), so the solver runs on
 Python floats.  It reads a tuple of the right shape as it is (the float
-tuples `allocate` hands it), converts any other H, g, bounds or start
-once, and returns x as a float tuple.  The free block of H gets a
-Cholesky factor (Golub & Van Loan, Matrix Computations, section 4.2),
-which the cold start, an iteration that keeps the free set and both
-polish passes reuse.  Products with H are sums in index order over only
-the rows read.
+tuples `allocate` and `TensionBounds` hand it; any non-empty tuple for
+g), converts any other H, g, bounds or start once, and returns x as a
+float tuple.  The free block of H gets a Cholesky factor (Golub & Van
+Loan, Matrix Computations, section 4.2), which the cold start, an
+iteration that keeps the free set and both polish passes reuse.
+Products with H are sums in index order over only the rows read.
 """
 
 from __future__ import annotations
@@ -132,11 +132,14 @@ def solve_box_qp(hessian, gradient, lower, upper, start=None, max_iter=None, tol
     settle within `max_iter` changes (default 10 per variable, floor of 30),
     or if the final point misses the KKT tolerance, a NaN residual included.
     """
-    gradient = np.asarray(gradient, dtype=float)
-    if gradient.ndim != 1 or not gradient.size:
-        raise ValueError(f"gradient has shape {gradient.shape}, expected (n,) with n >= 1")
-    n = gradient.size
-    rows, g = _lists(hessian, (n, n), "hessian"), gradient.tolist()
+    g = gradient
+    if type(g) is not tuple or not g:
+        g = np.asarray(gradient, dtype=float)
+        if g.ndim != 1 or not g.size:
+            raise ValueError(f"gradient has shape {g.shape}, expected (n,) with n >= 1")
+        g = g.tolist()
+    n = len(g)
+    rows = _lists(hessian, (n, n), "hessian")
     lo, hi = _lists(lower, (n,), "lower"), _lists(upper, (n,), "upper")
     if any(a > b for a, b in zip(lo, hi)):
         raise ValueError("lower bound exceeds upper bound")

@@ -77,9 +77,9 @@ class _ScheduleController:
         self.segments, self.starts = schedule
         self.weights = scenario.weights
         self.gravity = gravity_feedforward(scenario.body, scenario.gravity)
-        self.box = tuple(zip(scenario.bounds.lower.tolist(), scenario.bounds.upper.tolist()))
+        self.box = tuple(zip(scenario.bounds.lower, scenario.bounds.upper))
         self.times = [t for t, _ in scenario.schedule_table or ()]
-        self.rows = [tuple(row.tolist()) for _, row in scenario.schedule_table or ()]
+        self.rows = [row for _, row in scenario.schedule_table or ()]
 
     def _interp_table(self, t: float) -> tuple:
         times, rows = self.times, self.rows

@@ -50,7 +50,7 @@ from .anchors import (
     wrap_anchor,
 )
 from .simulator import DEFAULT_SPEED_LIMIT, MAX_DT, STANDARD_GRAVITY, BodyModel, SensorModel
-from .spatial import PidGains, Pose, _checked, _set_field
+from .spatial import PidGains, Pose, _checked, _set_field, norm3
 from .wires import WireAttachment
 
 FORMAT_VERSION = 1
@@ -356,10 +356,10 @@ def _make(path: str, build, /, *args, **kwargs):
 class SegmentSpec:
     """One `trajectory.segments` row, its fields named by the row's keys."""
 
-    goal_position: np.ndarray  # (3,)
+    goal_position: tuple  # (3,)
     # (3,) as written: a quaternion does not give it back bit for bit
-    goal_orientation_rotvec: np.ndarray
-    goal_velocity: np.ndarray  # (6,)
+    goal_orientation_rotvec: tuple
+    goal_velocity: tuple  # (6,)
     duration: float  # Scenario states that it is positive
 
     def __post_init__(self):
@@ -378,7 +378,7 @@ class AnchorTask:
 
     wire_id: int
     pillar: int  # index into Scenario.pillars
-    approach: np.ndarray  # (3,)
+    approach: tuple  # (3,)
     clearance: float  # Scenario states that it is positive
     wrap_altitude: float
 
@@ -454,9 +454,9 @@ class Scenario:
     winch: WinchParams
     gains: PidGains
     mode: str
-    schedule_table: tuple[tuple[float, np.ndarray], ...] | None
-    start_position: np.ndarray  # (3,)
-    start_rotvec: np.ndarray  # (3,) as written, like SegmentSpec.goal_orientation_rotvec
+    schedule_table: tuple[tuple[float, tuple], ...] | None
+    start_position: tuple  # (3,)
+    start_rotvec: tuple  # (3,) as written, like SegmentSpec.goal_orientation_rotvec
     segments: tuple[SegmentSpec, ...]
     dt: float
     duration: float
@@ -485,7 +485,7 @@ class Scenario:
         for name, (path, shape, sign) in _NUMBERS.items():
             _make(path, _set_field, self, name, shape, sign)
         m, lower, upper = len(self.wires), self.bounds.lower, self.bounds.upper
-        if lower.shape != (m,) or np.any(lower != lower[:1]) or np.any(upper != upper[:1]):
+        if len(lower) != m or len(set(lower)) > 1 or len(set(upper)) > 1:
             raise ValidationError("tension_bounds",
                                   f"a scenario holds one uniform pair for its {m} wires")
         limits = {f"winch.{k}": v for k, v in _attrs(self.winch, SCHEMA["winch"]).items()}
@@ -493,13 +493,13 @@ class Scenario:
         if self.deployment is not None:
             limits["deployment.tracker.speed_cap"] = self.deployment.tracker.speed_cap
         for path, limit in limits.items():
-            if limit == np.inf:  # which a file cannot state
+            if limit == math.inf:  # which a file cannot state
                 raise ValidationError(path, "value must be finite")
-        inertia = np.array(self.body.inertia)
-        if np.any(inertia != np.diag(np.diag(inertia))):
+        if any(v != 0.0 for i, row in enumerate(self.body.inertia)
+               for j, v in enumerate(row) if i != j):
             raise ValidationError("body", "a scenario holds a diagonal inertia")
         for i, wire in enumerate(self.wires):
-            if (reach := np.linalg.norm(wire.exit_body)) > self.body.radius + 1e-9:
+            if (reach := norm3(wire.exit_body)) > self.body.radius + 1e-9:
                 raise ValidationError(f"wires[{i}].exit_body", f"exit point magnitude {reach:.3f} m"
                                       f" exceeds the body radius {self.body.radius:.3f} m")
         _claims([(task.wire_id, task.pillar) for task in self.anchors], m, len(self.pillars))
@@ -507,7 +507,7 @@ class Scenario:
             if not task.clearance > 0.0:
                 raise ValidationError(f"anchors[{k}].clearance", "must be positive")
             anchor = wrap_anchor(self.pillars[task.pillar], task.wrap_altitude)
-            if not np.array_equal(self.wires[task.wire_id].anchor_world, anchor):
+            if self.wires[task.wire_id].anchor_world != anchor:
                 raise ValidationError(f"wires[{task.wire_id}].anchor_world",
                                       f"wire {task.wire_id} is not anchored at its wrap {anchor}")
         if (self.deployment is None) == bool(self.anchors):

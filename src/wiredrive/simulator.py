@@ -32,7 +32,7 @@ import numpy as np
 from .allocation import WinchParams
 from .errors import NumericalBlowup
 from .spatial import (
-    Pose, Twist, _checked, _float_tuple, _Record, _set_field, cross3, hamilton, mat_t_vec, mat_vec,
+    Pose, Twist, _float_tuple, _Record, _set_field, cross3, hamilton, mat_t_vec, mat_vec,
     norm3, quat_unit, rotation_rows, rotvec_exp,
 )
 from .wires import WireAttachment, wire_jacobian, wire_lengths_and_rates, wire_wrench
@@ -61,10 +61,9 @@ class BodyModel:
     def __post_init__(self):
         _set_field(self, "mass", sign="positive")
         _set_field(self, "radius", sign="positive")
-        inertia = _checked("inertia", self.inertia, (3, 3), sign="symmetric positive definite")
-        object.__setattr__(self, "inertia", tuple(map(tuple, inertia.tolist())))
+        _set_field(self, "inertia", (3, 3), sign="symmetric positive definite")
         object.__setattr__(self, "inertia_inverse",
-                           tuple(map(tuple, np.linalg.inv(inertia).tolist())))
+                           tuple(map(tuple, np.linalg.inv(self.inertia).tolist())))
 
     @staticmethod
     def cube_moment(mass: float, side: float) -> float:

@@ -10,9 +10,8 @@ quaternion): values are checked where they enter the program, and the
 simulator catches non-finite state.  The PID integral accumulator is the
 one mutable object, owned by whoever runs the control loop.  Config
 records are checked once, by `_checked`, which refuses a value that is
-not finite, or +inf where that is no limit.  What the tick reads from
-them is stored as float tuples (read-only arrays before): these gains,
-`BodyModel`'s inertia rows and `WireSet`'s anchor rows.
+not finite, or +inf where that is no limit, and stores a float or a
+float tuple (row tuples for a matrix), so nothing converts them later.
 
 Each rotation fact is written once, as a float core below: the Hamilton
 product, the rotation matrix, `quat_unit`, the exp and log maps, and the
@@ -37,13 +36,13 @@ UNIT_NORM_TOLERANCE = 4 * 2.0**-52
 
 
 def _checked(name: str, value, shape=(), sign=None, limitless: bool = False):
-    """`value` as a float, or for a `shape` other than () as a read-only,
-    C-ordered float copy of that shape.  ValueError naming it `name` unless
+    """`value` as a float, or for a `shape` other than () as a float tuple
+    of that shape, a matrix as row tuples.  ValueError naming it `name` unless
     every value is finite, or +inf where `limitless` (an infinite bound is
     no limit), and unless it is as `sign` says: "positive" (> 0),
     "non-negative" (>= 0), or a "symmetric positive definite" matrix; NaN
     fails each."""
-    value = np.array(value, dtype=float, order="C").reshape(shape)
+    value = np.array(value, dtype=float).reshape(shape)
     if not np.all(np.isfinite(value) | (limitless & (value == np.inf))):
         raise ValueError(f"{name} must be finite{' or +inf' * limitless}, got {value}")
     if sign == "symmetric positive definite":
@@ -52,8 +51,9 @@ def _checked(name: str, value, shape=(), sign=None, limitless: bool = False):
         ok = not sign or np.all(value > 0.0 if sign == "positive" else value >= 0.0)
     if not ok:
         raise ValueError(f"{name} must be {sign}, got {value}")
-    value.setflags(write=False)
-    return float(value) if shape == () else value
+    if value.ndim == 2:
+        return tuple(map(tuple, value.tolist()))
+    return tuple(value.tolist()) if value.ndim else float(value)
 
 
 def _set_field(record, name: str, shape=(), sign=None, limitless: bool = False) -> None:
@@ -274,14 +274,6 @@ class Pose(_Record):
     def from_rotvec(cls, position, rotvec) -> "Pose":
         return cls(position, quat_unit(rotvec_exp(_floats(rotvec, 3))))
 
-    def rotation_matrix(self) -> np.ndarray:
-        return np.array(rotation_rows(self.orientation))
-
-
-def orientation_error(target: Pose, current: Pose) -> np.ndarray:
-    """World-frame rotation vector carrying `current` onto `target`."""
-    return np.array(attitude_error(target.orientation, current.orientation))
-
 
 class _SixVector(_Record):
     """A 6-vector held as the two 3-tuples `_tuples` names, in order."""
@@ -355,9 +347,7 @@ class PidGains:
 
     def __post_init__(self):
         for name in ("kp", "ki", "kd", "integral_limit"):
-            sign = "non-negative" if name == "integral_limit" else None
-            value = _checked(name, getattr(self, name), 6, sign)
-            object.__setattr__(self, name, tuple(value.tolist()))
+            _set_field(self, name, 6, "non-negative" if name == "integral_limit" else None)
 
     @classmethod
     def zero(cls) -> "PidGains":

@@ -32,8 +32,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .errors import DegenerateWire
 from .spatial import Pose, Twist, _set_field, mat_vec, rotation_rows
 
@@ -46,8 +44,8 @@ class WireAttachment:
 
     A wire carries no id: errors name it by its position in the list."""
 
-    exit_body: np.ndarray
-    anchor_world: np.ndarray
+    exit_body: tuple
+    anchor_world: tuple
 
     def __post_init__(self):
         _set_field(self, "exit_body", 3)
@@ -69,8 +67,8 @@ class WireSet(tuple):
         if isinstance(attachments, WireSet):
             return attachments
         self = super().__new__(cls, attachments)
-        self.exits_body = tuple(tuple(a.exit_body.tolist()) for a in self)
-        self.anchors = tuple(tuple(a.anchor_world.tolist()) for a in self)
+        self.exits_body = tuple(a.exit_body for a in self)
+        self.anchors = tuple(a.anchor_world for a in self)
         self._memo = (None, None)
         return self
 

@@ -50,7 +50,7 @@ from wiredrive.allocation import TensionCommand
 from wiredrive.errors import DegenerateWire, NumericalBlowup, SolverFailure
 from wiredrive.simulator import DEFAULT_SPEED_LIMIT, STANDARD_GRAVITY, OdometrySensor, SimState
 from wiredrive.spatial import (
-    Pose, Twist, Wrench, hamilton, orientation_error, quat_unit, rotvec_exp
+    Pose, Twist, Wrench, attitude_error, hamilton, quat_unit, rotvec_exp
 )
 from wiredrive.wires import DEGENERACY_THRESHOLD, wire_jacobian, wire_lengths_and_rates
 
@@ -282,14 +282,15 @@ def numpy_table_tensions(table, t, lower, upper):
     arrays: `np.searchsorted` finds the row, the two rows are interpolated
     as arrays, and `np.clip` clips the result to the box."""
     times = np.array([row[0] for row in table])
+    rows = [np.asarray(row[1]) for row in table]
     if t <= times[0]:
-        values = table[0][1]
+        values = rows[0]
     elif t >= times[-1]:
-        values = table[-1][1]
+        values = rows[-1]
     else:
         hi = int(np.searchsorted(times, t))
         w = (t - times[hi - 1]) / (times[hi] - times[hi - 1])
-        values = (1.0 - w) * table[hi - 1][1] + w * table[hi][1]
+        values = (1.0 - w) * rows[hi - 1] + w * rows[hi]
     return np.clip(values, lower, upper)
 
 
@@ -602,7 +603,7 @@ def reference_so3_left_jacobian_and_dot(rv, rv_rate):
 def reference_wrench_error_pid(pose, twist, pose_ref, twist_ref, gains, state, dt):
     """`wrench_error_pid` on arrays, with `np.clip` for the integral clamp."""
     err = np.concatenate([np.subtract(pose_ref.position, pose.position),
-                          orientation_error(pose_ref, pose)])
+                          attitude_error(pose_ref.orientation, pose.orientation)])
     derr = twist_ref.as_array() - twist.as_array()
     limit = np.array(gains.integral_limit)
     integral = np.clip(np.asarray(state.integral) + err * dt, -limit, limit)

@@ -38,8 +38,9 @@ from wiredrive.spatial import (
     Pose,
     Twist,
     Wrench,
+    attitude_error,
     hamilton,
-    orientation_error,
+    rotation_rows,
 )
 from wiredrive.trajectory import plan_spline, sample
 from wiredrive.wires import WireAttachment, wire_jacobian, wire_lengths_and_rates
@@ -135,7 +136,7 @@ def test_criterion_3_spline_contract():
             ):
                 q, qd, _ = sample(seg, t_b)
                 assert np.linalg.norm(np.subtract(q.position, pose_ref.position)) < 1e-9
-                assert np.linalg.norm(orientation_error(q, pose_ref)) < 1e-9
+                assert np.linalg.norm(attitude_error(q.orientation, pose_ref.orientation)) < 1e-9
                 assert np.linalg.norm(qd.as_array() - twist_ref.as_array()) < 1e-9
             if i % 10 == 0:
                 for t in rng.uniform(2 * h, duration - 2 * h, size=2):
@@ -143,7 +144,7 @@ def test_criterion_3_spline_contract():
                     q_p, qd_p, _ = sample(seg, t + h)
                     _, qd, qdd = sample(seg, t)
                     vel_fd = np.subtract(q_p.position, q_m.position) / (2 * h)
-                    omega_fd = orientation_error(q_p, q_m) / (2 * h)
+                    omega_fd = np.array(attitude_error(q_p.orientation, q_m.orientation)) / (2 * h)
                     assert np.allclose(qd.linear, vel_fd, atol=1e-6)
                     assert np.allclose(qd.angular, omega_fd, atol=1e-6)
                     acc_fd = (qd_p.as_array() - qd_m.as_array()) / (2 * h)
@@ -167,7 +168,7 @@ def test_criterion_4_jacobian_and_rates():
             tensions = rng.uniform(0.0, 180.0, size=m)
             matrix = wire_jacobian(pose, wires)
             combined = matrix @ tensions
-            rot = pose.rotation_matrix()
+            rot = np.array(rotation_rows(pose.orientation))
             accumulated = np.zeros(6)
             for wire, tension in zip(wires, tensions):
                 exit_world = np.asarray(pose.position) + rot @ wire.exit_body
@@ -279,11 +280,11 @@ def test_criterion_10_simulator_physics(cube8_run, tmp_path):
             Pose.identity(), Twist([0.3, -0.2, 0.1], [0.4, 0.1, -0.2]), np.zeros(1)
         )
         p0 = body.mass * np.asarray(state.twist.linear)
-        rot = state.pose.rotation_matrix()
+        rot = np.array(rotation_rows(state.pose.orientation))
         l0 = rot @ (body.inertia @ (rot.T @ state.twist.angular))
         for _ in range(10_000):
             state = step(state, np.zeros(1), 1e-3, body, wires, winch, gravity=0.0)
-        rot = state.pose.rotation_matrix()
+        rot = np.array(rotation_rows(state.pose.orientation))
         p1 = body.mass * np.asarray(state.twist.linear)
         l1 = rot @ (body.inertia @ (rot.T @ state.twist.angular))
         assert np.linalg.norm(p1 - p0) / np.linalg.norm(p0) < 1e-9

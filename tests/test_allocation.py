@@ -79,8 +79,8 @@ def test_bounds_always_satisfied():
         weights = AllocationWeights.diagonal(scale=rng.uniform(1.0, 1e5))
         wrench = Wrench.from_array(rng.normal(scale=80.0, size=6))
         f, _ = allocate(mat, wrench, bounds, weights)
-        assert np.all(f >= bounds.lower - 1e-10)
-        assert np.all(f <= bounds.upper + 1e-10)
+        assert np.all(np.asarray(f) >= np.asarray(bounds.lower) - 1e-10)
+        assert np.all(np.asarray(f) <= np.asarray(bounds.upper) + 1e-10)
 
 
 def test_matches_grid_oracle_small_instances():
@@ -211,7 +211,7 @@ def test_solve_tension_command_populates_all_fields():
     )
     for values in (cmd.tensions, cmd.tensions_final):  # Python floats from array rates too
         assert type(values) is tuple and all(type(v) is float for v in values)
-    assert np.all(np.asarray(cmd.tensions) >= bounds.lower - 1e-10)
+    assert np.all(np.asarray(cmd.tensions) >= np.asarray(bounds.lower) - 1e-10)
     assert np.all(np.asarray(cmd.tensions_final) >= 0.0)
     assert len(cmd.currents) == 4 and all(type(c) is float for c in cmd.currents)
     assert cmd.residual_norm >= 0.0

@@ -140,6 +140,17 @@ def test_the_tick_modules_take_no_blas_product():
         assert products == [], name
 
 
+def test_the_wire_kinematics_import_no_numpy():
+    # `wires` reads the float tuples the records hold; an array there would
+    # bring back a second representation and its conversions
+    tree = ast.parse((SRC / "wiredrive" / "wires.py").read_text())
+    modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names]
+    modules += [node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module]
+    assert modules and not [name for name in modules if name.split(".")[0] == "numpy"]
+
+
 def test_unread_import_is_caught():
     source = (
         "from __future__ import annotations\n"

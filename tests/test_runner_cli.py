@@ -271,7 +271,7 @@ def test_tension_table_interpolates_and_clamps_to_the_cap(tmp_path):
     doc["sim"]["duration"] = {"value": 0.5, "unit": "s"}
     scenario = build_scenario(doc)
     upper = scenario.bounds.upper
-    assert table.max() > upper.max()
+    assert table.max() > max(upper)
     summary = run_scenario(scenario, tmp_path / "out")
     assert summary["max_residual_norm"] == 0.0
     with (tmp_path / "out" / "telemetry.csv").open() as stream:
@@ -626,22 +626,23 @@ def test_a_tick_takes_no_numpy_norm_and_no_public_pose_constructor(tmp_path, mon
     assert counts[0] == counts[1]
 
 
-@pytest.mark.parametrize("name, arrays", [("cube8", 5), ("anchors2", 5)],
+@pytest.mark.parametrize("name, arrays", [("cube8", 1), ("anchors2", 1)],
                          ids=["cube8", "anchors2"])
 def test_a_tick_converts_few_arrays_and_keys_no_memo_on_bytes(name, arrays, tmp_path,
                                                              monkeypatch):
     # the tick records, the configuration it reads, the wire kinematics and
-    # the allocation are float tuples, so a tick converts arrays to floats
-    # only for the QP's gradient and bounds, the saturation flags and the
-    # sensor's noise draw, and never converts a float tuple again
-    # (`spatial._floats`); a profile of a 40-tick run less one of a 20-tick
-    # run counts 20 ticks, of pose control (cube8) and of schedule mode
-    # (anchors2); the allocation QP factors its own blocks, so no tick calls
-    # `np.linalg.solve`, and the wire matrix is no array (`np.fromiter`)
+    # the allocation are float tuples, so a tick converts an array to floats
+    # only for the sensor's noise draw, takes `np.asarray` of nothing, and
+    # never converts a float tuple again (`spatial._floats`); a profile of a
+    # 40-tick run less one of a 20-tick run counts 20 ticks, of pose control
+    # (cube8) and of schedule mode (anchors2); the allocation QP factors its
+    # own blocks, so no tick calls `np.linalg.solve`, and the wire matrix is
+    # no array (`np.fromiter`)
     code = spatial._floats.__code__
     names = {
         "tolist": "<method 'tolist' of 'numpy.ndarray' objects>",
         "array": "<built-in method numpy.array>",
+        "asarray": "<built-in method numpy.asarray>",
         "tobytes": "<method 'tobytes' of 'numpy.ndarray' objects>",
         "fromiter": "<built-in method numpy.fromiter>",
         "_floats": (code.co_filename, code.co_firstlineno, code.co_name),
@@ -666,5 +667,6 @@ def test_a_tick_converts_few_arrays_and_keys_no_memo_on_bytes(name, arrays, tmp_
     assert per_tick["solve"] == 0, per_tick
     assert per_tick["tobytes"] == 0, per_tick
     assert per_tick["fromiter"] == 0, per_tick
+    assert per_tick["asarray"] == 0, per_tick
     assert per_tick["tolist"] + per_tick["array"] <= arrays, per_tick
     assert per_tick["_floats"] == 0, per_tick

@@ -607,13 +607,13 @@ def test_wrong_unit_names_the_field(generated, data):
 
 
 def _stored(value):
-    """Every value a scenario stores, arrays as (shape, bytes), for exact comparison."""
+    """Every value a scenario stores, floats as their bits, for exact comparison."""
     if dataclasses.is_dataclass(value):
         return {f.name: _stored(getattr(value, f.name)) for f in dataclasses.fields(value)}
     if isinstance(value, (list, tuple)):
         return [_stored(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return value.shape, value.tobytes()
+    if isinstance(value, float):
+        return value.hex()  # -0.0 is not 0.0
     return value
 
 
@@ -646,7 +646,8 @@ def test_a_scenario_holds_only_what_its_file_can_say(generated, data):
         ("body", {"body": dataclasses.replace(scenario.body, inertia=inertia)}),
     ]
     if scenario.anchors:
-        moved = [dataclasses.replace(p, center=p.center + 0.5) for p in scenario.pillars]
+        moved = [dataclasses.replace(p, center=[c + 0.5 for c in p.center])
+                 for p in scenario.pillars]
         refused.append((r"wires\[\d+\]\.anchor_world", {"pillars": moved}))
     for name, replacement in refused:
         with pytest.raises(ValueError, match=f"^{name}: "):
@@ -784,18 +785,51 @@ def test_a_scenario_is_frozen():
 
 
 def test_the_rows_of_a_scenario_are_read_only():
-    # a frozen Scenario's rows hold no array that can be edited in place
+    # a frozen Scenario's rows hold float tuples, which cannot be edited in place
     anchors2 = load_scenario(bundled_scenario_path("anchors2"))
     schedule = build_scenario(_schedule_document())
     replaced = dataclasses.replace(schedule, schedule_table=[(0.0, [1.0] * 8), (1.0, [2.0] * 8)])
     segment = anchors2.segments[0]
-    arrays = [anchors2.anchors[0].approach, segment.goal_position,
-              segment.goal_orientation_rotvec, segment.goal_velocity]
-    arrays += [tensions for s in (schedule, replaced) for _, tensions in s.schedule_table]
-    for array in arrays:
-        assert not array.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            array[0] = 1.0
+    rows = [anchors2.anchors[0].approach, segment.goal_position,
+            segment.goal_orientation_rotvec, segment.goal_velocity]
+    rows += [tensions for s in (schedule, replaced) for _, tensions in s.schedule_table]
+    for row in rows:
+        assert type(row) is tuple and {type(v) for v in row} == {float}
+        with pytest.raises(TypeError):
+            row[0] = 1.0
+
+
+def _leaves(value, path):
+    """(path, value) of each leaf under `value`, walking every attribute a
+    record stores (fields and the values it derives) and every tuple item."""
+    if dataclasses.is_dataclass(value):
+        for name, item in vars(value).items():
+            yield from _leaves(item, f"{path}.{name}")
+    elif type(value) is tuple:
+        for k, item in enumerate(value):
+            yield from _leaves(item, f"{path}[{k}]")
+    else:
+        yield path, value
+
+
+def _check_one_representation(scenario):
+    leaves = dict(_leaves(scenario, "scenario"))
+    odd = {path: type(leaf).__name__ for path, leaf in leaves.items()
+           if type(leaf) not in (float, int, str, bool, type(None))}
+    assert odd == {}
+    assert "scenario.wires[0].exit_body[0]" in leaves  # the walk reaches the leaves
+
+
+@pytest.mark.parametrize("name", ["cube8", "cube8_saturated", "anchors2", "outdoor4"])
+def test_a_loaded_scenario_holds_only_floats_and_float_tuples(name):
+    # one representation after load: nothing downstream converts an array back
+    _check_one_representation(load_scenario(bundled_scenario_path(name)))
+
+
+@_PROPERTY
+@given(documents())
+def test_a_generated_scenario_holds_only_floats_and_float_tuples(generated):
+    _check_one_representation(_load_text(yaml.safe_dump(generated[0])))
 
 
 @st.composite
@@ -844,11 +878,11 @@ def test_claimed_wires_are_anchored_at_load_where_their_wraps_put_them(generated
     text = yaml.safe_dump(doc)
     scenario = _load_text(text)
     for wire_id, anchor in expected.items():
-        assert scenario.wires[wire_id].anchor_world.tobytes() == anchor.tobytes()
+        assert np.array(scenario.wires[wire_id].anchor_world).tobytes() == anchor.tobytes()
     old_placeholder = np.full(3, 1e6)
     assert not any(np.array_equal(w.anchor_world, old_placeholder) for w in scenario.wires)
     dumped = dump_scenario(scenario)
     reloaded = _load_text(dumped)
     assert dump_scenario(reloaded) == dumped
     for first, second in zip(scenario.wires, reloaded.wires):
-        assert first.anchor_world.tobytes() == second.anchor_world.tobytes()
+        assert _stored(first.anchor_world) == _stored(second.anchor_world)

@@ -25,7 +25,7 @@ from wiredrive.simulator import (
     step,
 )
 from wiredrive.scenario import DeploymentConfig
-from wiredrive.spatial import PidGains, Pose, Twist, Wrench
+from wiredrive.spatial import PidGains, Pose, Twist, Wrench, rotation_rows
 from wiredrive.wires import WireAttachment, WireSet, wire_jacobian, wire_lengths_and_rates
 
 from oracles import ReferenceOdometrySensor, reference_step
@@ -43,13 +43,12 @@ def test_free_body_conserves_momentum():
         Pose.identity(), Twist([0.3, -0.2, 0.1], [0.4, 0.1, -0.2]), np.zeros(1)
     )
     p0 = body.mass * np.asarray(state.twist.linear)
-    l0 = state.pose.rotation_matrix() @ (
-        body.inertia @ (state.pose.rotation_matrix().T @ state.twist.angular)
-    )
+    rot = np.array(rotation_rows(state.pose.orientation))
+    l0 = rot @ (body.inertia @ (rot.T @ state.twist.angular))
     for _ in range(10_000):
         state = step(state, np.zeros(1), 1e-3, body, wires, WinchParams(), gravity=0.0)
     p1 = body.mass * np.asarray(state.twist.linear)
-    rot = state.pose.rotation_matrix()
+    rot = np.array(rotation_rows(state.pose.orientation))
     l1 = rot @ (body.inertia @ (rot.T @ state.twist.angular))
     assert np.linalg.norm(p1 - p0) / np.linalg.norm(p0) < 1e-9
     assert np.linalg.norm(l1 - l0) / np.linalg.norm(l0) < 1e-9
@@ -78,7 +77,7 @@ def test_energy_conserved_under_gravity():
     )
 
     def energy(s):
-        rot = s.pose.rotation_matrix()
+        rot = np.array(rotation_rows(s.pose.orientation))
         omega_b = rot.T @ s.twist.angular
         kinetic = 0.5 * body.mass * np.asarray(s.twist.linear) @ s.twist.linear
         kinetic += 0.5 * omega_b @ body.inertia @ omega_b
@@ -346,7 +345,8 @@ _NO_LIMIT = {(WinchParams, "max_tension"), (WinchParams, "max_line_speed"),
 ] + [(DeploymentConfig, name) for name in ("capture_radius", "waypoint_spacing", "drone_dt")])
 def test_record_constructors_refuse_nan_naming_the_field(record, field):
     # NaN and +-inf raise naming the field, but +inf where it means no
-    # limit; an array field is a read-only copy
+    # limit; a vector field is stored as a float tuple, a matrix as rows of
+    # them, but for the weight matrix, a read-only array
     valid = {f.name: f.default for f in dataclasses.fields(record)
              if f.default is not dataclasses.MISSING}
     valid.update(_REQUIRED_FIELDS.get(record, {}))
@@ -365,9 +365,14 @@ def test_record_constructors_refuse_nan_naming_the_field(record, field):
         with pytest.raises(ValueError, match=field):
             record(**{**valid, field: with_last(value)})
     stored = getattr(record(**valid), field)
-    if isinstance(stored, np.ndarray):
-        assert stored.dtype == float and stored.flags.c_contiguous
-        assert not stored.flags.writeable
+    if record is AllocationWeights:
+        assert stored.dtype == float and not stored.flags.writeable
+    elif np.ndim(valid[field]):
+        rows = stored if np.ndim(valid[field]) == 2 else (stored,)
+        assert type(stored) is tuple and all(type(row) is tuple for row in rows)
+        assert {type(v) for row in rows for v in row} == {float}
+        with pytest.raises(TypeError):
+            stored[0] = 1.0
 
 
 def test_inverse_inertia_is_read_only_and_follows_replace():

@@ -8,7 +8,7 @@ from wiredrive.spatial import (
     PidGains,
     Pose,
     Twist,
-    orientation_error,
+    attitude_error,
 )
 from wiredrive.trajectory import (
     PoseController,
@@ -64,10 +64,10 @@ def test_boundary_reproduction_random_segments():
         q0, qd0, _ = sample(seg, 0.0)
         qT, qdT, _ = sample(seg, duration)
         assert np.linalg.norm(np.subtract(q0.position, pose_a.position)) < 1e-9
-        assert np.linalg.norm(orientation_error(q0, pose_a)) < 1e-9
+        assert np.linalg.norm(attitude_error(q0.orientation, pose_a.orientation)) < 1e-9
         assert np.linalg.norm(qd0.as_array() - twist_a.as_array()) < 1e-9
         assert np.linalg.norm(np.subtract(qT.position, pose_b.position)) < 1e-9
-        assert np.linalg.norm(orientation_error(qT, pose_b)) < 1e-9
+        assert np.linalg.norm(attitude_error(qT.orientation, pose_b.orientation)) < 1e-9
         assert np.linalg.norm(qdT.as_array() - twist_b.as_array()) < 1e-9
 
 
@@ -84,7 +84,7 @@ def test_sampled_derivatives_match_central_differences():
             q_p, qd_p, _ = sample(seg, t + h)
             _, qd, qdd = sample(seg, t)
             vel_fd = np.subtract(q_p.position, q_m.position) / (2 * h)
-            omega_fd = orientation_error(q_p, q_m) / (2 * h)
+            omega_fd = np.array(attitude_error(q_p.orientation, q_m.orientation)) / (2 * h)
             assert np.allclose(qd.linear, vel_fd, atol=1e-6)
             assert np.allclose(qd.angular, omega_fd, atol=1e-6)
             acc_fd = (qd_p.as_array() - qd_m.as_array()) / (2 * h)
@@ -177,8 +177,9 @@ def test_hover_gravity_feedforward_statics():
     # allocation realizes the support wrench with tiny residual
     assert tick.command.residual_norm < 1e-6
     assert not any(tick.command.saturated)
-    assert np.all(np.asarray(tick.command.tensions) >= controller.bounds.lower - 1e-10)
-    assert np.all(np.asarray(tick.command.tensions) <= controller.bounds.upper + 1e-10)
+    tensions = np.asarray(tick.command.tensions)
+    assert np.all(tensions >= np.asarray(controller.bounds.lower) - 1e-10)
+    assert np.all(tensions <= np.asarray(controller.bounds.upper) + 1e-10)
 
 
 def test_control_step_deterministic():

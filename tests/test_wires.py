@@ -18,7 +18,7 @@ from oracles import (
     wire_length,
 )
 from wiredrive.errors import DegenerateWire
-from wiredrive.spatial import Pose, Twist, hamilton, quat_unit, rotvec_exp
+from wiredrive.spatial import Pose, Twist, hamilton, quat_unit, rotation_rows, rotvec_exp
 from wiredrive.wires import (
     DEGENERACY_THRESHOLD,
     WireAttachment,
@@ -130,7 +130,7 @@ def test_wrench_matches_per_wire_accumulation():
         pose = random_pose(rng)
         tensions = rng.uniform(0.0, 150.0, size=m)
         total = wire_wrench(wire_jacobian(pose, wires), tuple(tensions.tolist()))
-        rot = pose.rotation_matrix()
+        rot = np.array(rotation_rows(pose.orientation))
         expected = np.zeros(6)
         for wire, tension in zip(wires, tensions):
             exit_world = pose.position + rot @ wire.exit_body
@@ -341,8 +341,9 @@ def test_wire_set_stacks_once_and_is_read_only():
     for rows in (wire_set.exits_body, wire_set.anchors):
         assert type(rows) is tuple and len(rows) == 5
     for exit_body, anchor, wire in zip(wire_set.exits_body, wire_set.anchors, wires):
-        assert _float_bits(exit_body) == wire.exit_body.tobytes()
-        assert _float_bits(anchor) == wire.anchor_world.tobytes()
+        # the attachments' own float tuples, not copies
+        assert exit_body is wire.exit_body and anchor is wire.anchor_world
+        assert {type(v) for v in exit_body + anchor} == {float}
     with pytest.raises(TypeError):
         wire_set.exits_body[0][0] = 1.0
     with pytest.raises(TypeError):
@@ -480,6 +481,7 @@ def test_the_memo_gives_a_fresh_pass_bit_for_bit(first, second, data):
     # every call on a long-lived WireSet against the same call on a new one
     (wires, pose, twist), (other_wires, other, _) = first, second
     moving = Pose(pose.position, pose.orientation)  # an edit of it below must fail
+    rotation = np.array(rotation_rows(pose.orientation))
     poses = [
         pose,
         other,
@@ -488,8 +490,7 @@ def test_the_memo_gives_a_fresh_pass_bit_for_bit(first, second, data):
         Pose([-0.0, 0.0, -0.0], [1.0, -0.0, 0.0, -0.0]),  # the same values, other signs
         moving,
         # wire 0's world exit point on its anchor
-        Pose(wires[0].anchor_world - pose.rotation_matrix() @ wires[0].exit_body,
-             pose.orientation),
+        Pose(wires[0].anchor_world - rotation @ wires[0].exit_body, pose.orientation),
     ]
     sets = [WireSet(wires), WireSet(other_wires)]
     # (set, pose, kernel, try to edit `moving` first): repeated poses, a
