@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AmbiguousWinding, NoClearance, TrackingTimeout
-from .spatial import _set_field
+from .spatial import _checked, _set_field
 
 DEFAULT_CAPTURE_RADIUS = 0.05  # m
 DEFAULT_DRONE_DT = 0.02  # s
@@ -109,10 +109,9 @@ def plan_wrap_path(
     again, so the flown loop winds the pillar exactly once and the wire
     crosses itself on the way out.
     """
-    for name, value in (("clearance", clearance), ("spacing", spacing)):
-        if not value > 0:  # NaN fails too
-            raise ValueError(f"{name} must be positive, got {value}")
-    approach = np.asarray(approach, dtype=float).reshape(3)
+    clearance = _checked("clearance", clearance, sign="positive")
+    spacing = _checked("spacing", spacing, sign="positive")
+    approach = np.array(_checked("approach", approach, 3))
     if pillar.contains(approach, inflation=clearance):
         raise NoClearance(
             "approach point lies inside the pillar footprint inflated by the clearance"
@@ -157,15 +156,13 @@ def track_path(
     TrackingTimeout if the budget runs out, and ValueError for a waypoint
     that is not finite or a step or timeout that is not positive, NaN too.
     """
-    waypoints = np.asarray(waypoints, dtype=float).reshape(-1, 3)
-    if not np.all(np.isfinite(waypoints)):
-        raise ValueError("waypoints must be finite")
-    for name, value in (("dt", dt), ("timeout", timeout)):
-        if value is not None and not value > 0:  # NaN fails too
-            raise ValueError(f"{name} must be positive, got {value}")
+    waypoints = np.array(_checked("waypoints", waypoints, (-1, 3)))
+    dt = _checked("dt", dt, sign="positive")
     if timeout is None:
         legs = np.linalg.norm(np.diff(waypoints, axis=0), axis=1)
         timeout = 5.0 * (float(np.sum(legs)) / gains.speed_cap + 1.0)
+    else:
+        timeout = _checked("timeout", timeout, sign="positive")
     rng = np.random.default_rng(seed)
     position = waypoints[0].copy()
     trajectory = [position.copy()]

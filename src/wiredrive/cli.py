@@ -12,8 +12,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .anchors import winding_number
 from .errors import WireDriveError
 from .feasibility import controllability
@@ -22,10 +20,11 @@ from .scenario import (
     ParseError,
     Scenario,
     ValidationError,
+    _make,
     dump_scenario,
     load_scenario,
 )
-from .spatial import Pose
+from .spatial import Pose, _checked
 from .wires import wire_jacobian
 
 EXIT_OK = 0
@@ -50,12 +49,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    if args.pose is not None and not np.all(np.isfinite(args.pose)):
-        raise ValidationError("--pose", f"coordinates must be finite, got {args.pose}")
+    position = args.pose and _make("--pose", _checked, "coordinates", args.pose, 3)
     scenario = _apply_overrides(load_scenario(args.scenario), args)
-    pose = scenario.start_pose
-    if args.pose is not None:
-        pose = Pose.from_translation(np.asarray(args.pose, dtype=float))
+    pose = scenario.start_pose if position is None else Pose.from_translation(position)
     matrix = wire_jacobian(pose, scenario.wires)
     report = controllability(matrix, scenario.bounds, torque_scale=scenario.torque_lever)
     witness = report.witness_tensions

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +35,7 @@ import numpy as np
 from .allocation import AllocationWeights, TensionBounds, allocate
 from .errors import SolverFailure
 from .qp import solve_box_qp
-from .spatial import Wrench
+from .spatial import Wrench, _checked
 
 # relative to the largest singular value, and for a 6 x 5 block to R's
 # largest diagonal entry: sigma_5 <= min|r_ii| and max|r_ii| <= sigma_1, so
@@ -165,8 +164,7 @@ def controllability(
     if len(bounds.lower) != matrix.shape[1]:
         raise ValueError(f"bounds must hold {matrix.shape[1]} wires, one per matrix column, "
                          f"got {len(bounds.lower)}")
-    if not (math.isfinite(torque_scale) and torque_scale > 0):
-        raise ValueError(f"torque_scale must be finite and positive, got {torque_scale}")
+    torque_scale = _checked("torque_scale", torque_scale, sign="positive")
     lower, upper = np.array(bounds.lower), np.array(bounds.upper)
     svals = np.linalg.svd(matrix, compute_uv=False)
     rank = int(np.sum(svals > RANK_TOLERANCE * svals[0])) if svals.size else 0

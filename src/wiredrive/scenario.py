@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-import numpy as np
 import yaml
 
 from .allocation import (
@@ -256,23 +255,8 @@ def _convert(spec: Field, value, path: str):
         if type(value) is int or (isinstance(value, float) and value.is_integer()):
             return int(value)
         raise ValidationError(path, f"expected an integer, got {value!r}")
-    # float() also takes strings: PyYAML reads exponent floats such as 1.0e8
-    # as text; it takes YAML's true and false too, which are not numbers
-    items = value if isinstance(value, (list, tuple)) else [value]
-    if any(isinstance(v, bool) for v in items):
-        raise ValidationError(path, f"expected a number, got {value!r}")
-    try:
-        out = float(value) if spec.shape is None else np.array(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(path, f"expected a number, got {value!r}") from exc
-    if spec.shape is not None and (
-        out.ndim != len(spec.shape)
-        or any(want not in (None, got) for want, got in zip(spec.shape, out.shape))
-    ):
-        raise ValidationError(path, f"expected shape {spec.shape}, got {out.shape}")
-    if not np.all(np.isfinite(out)):
-        raise ValidationError(path, "value must be finite")
-    return out
+    # numeric text is a number: PyYAML reads exponent floats such as 1.0e8 as text
+    return _number(path, value, spec.shape or ())
 
 
 def _required(spec) -> bool:
@@ -338,7 +322,7 @@ def _write(section: dict, values: dict) -> dict:
             elif value:
                 doc[key] = [_write(spec.fields, row) for row in value]
         elif spec.kind == QUANTITY:
-            doc[key] = {"value": np.asarray(value, dtype=float).tolist(), "unit": spec.unit}
+            doc[key] = {"value": list(value) if type(value) is tuple else value, "unit": spec.unit}
         else:
             doc[key] = value
     return doc
@@ -350,6 +334,11 @@ def _make(path: str, build, /, *args, **kwargs):
         return build(*args, **kwargs)
     except ValueError as exc:
         raise ValidationError(path, str(exc)) from exc
+
+
+def _number(path: str, value, shape=(), sign=None):
+    """`_checked` of `value`, named by the last key of `path`, under `_make`."""
+    return _make(path, _checked, path.rsplit(".", 1)[-1], value, shape, sign)
 
 
 @dataclass(frozen=True, eq=False)
@@ -476,8 +465,7 @@ class Scenario:
             if rows == ():
                 raise ValidationError(path, "expected a non-empty list")
         for k, segment in enumerate(self.segments):
-            if not segment.duration > 0:
-                raise ValidationError(f"trajectory.segments[{k}].duration", "must be positive")
+            _number(f"trajectory.segments[{k}].duration", segment.duration, sign="positive")
         _convert(SCHEMA["name"], self.name, "name")
         object.__setattr__(self, "seed", _convert(SCHEMA["seed"], self.seed, "seed"))
         if not self.seed >= 0:  # the random streams are seeded with offsets added to it
@@ -493,8 +481,7 @@ class Scenario:
         if self.deployment is not None:
             limits["deployment.tracker.speed_cap"] = self.deployment.tracker.speed_cap
         for path, limit in limits.items():
-            if limit == math.inf:  # which a file cannot state
-                raise ValidationError(path, "value must be finite")
+            _number(path, limit)  # a file cannot state +inf
         if any(v != 0.0 for i, row in enumerate(self.body.inertia)
                for j, v in enumerate(row) if i != j):
             raise ValidationError("body", "a scenario holds a diagonal inertia")
@@ -504,8 +491,7 @@ class Scenario:
                                       f" exceeds the body radius {self.body.radius:.3f} m")
         _claims([(task.wire_id, task.pillar) for task in self.anchors], m, len(self.pillars))
         for k, task in enumerate(self.anchors):
-            if not task.clearance > 0.0:
-                raise ValidationError(f"anchors[{k}].clearance", "must be positive")
+            _number(f"anchors[{k}].clearance", task.clearance, sign="positive")
             anchor = wrap_anchor(self.pillars[task.pillar], task.wrap_altitude)
             if self.wires[task.wire_id].anchor_world != anchor:
                 raise ValidationError(f"wires[{task.wire_id}].anchor_world",
@@ -519,13 +505,10 @@ class Scenario:
         table = []  # the rows, stored as `_checked` gives them
         for k, (t, tensions) in enumerate(self.schedule_table or ()):
             path = f"control.schedule[{k}]"
+            t = _number(f"{path}.t", t)
             if k and not t > table[-1][0]:
                 raise ValidationError(f"{path}.t", "schedule times must increase")
-            if np.shape(tensions) != (m,) or not np.all(np.asarray(tensions) >= 0):
-                raise ValidationError(f"{path}.tensions",
-                                      f"expected {m} non-negative tensions, got {tensions}")
-            table.append((_make(f"{path}.t", _checked, "t", t),
-                          _make(f"{path}.tensions", _checked, "tensions", tensions, m)))
+            table.append((t, _number(f"{path}.tensions", tensions, m, "non-negative")))
         if table:
             object.__setattr__(self, "schedule_table", tuple(table))
         if not 0 < self.dt <= MAX_DT:
@@ -585,16 +568,17 @@ def build_scenario(document: dict) -> Scenario:
 
     body_doc = doc["body"]
     side = body_doc.pop("inertia_cube_side", None)
-    if side is not None and not side > 0:
-        raise ValidationError("body.inertia_cube_side", "must be positive")
+    if side is not None:
+        _number("body.inertia_cube_side", side, sign="positive")
     if "inertia_diagonal" not in body_doc:
         if side is None:
             raise ValidationError(
                 "body.inertia_diagonal", "body needs inertia_diagonal or inertia_cube_side"
             )
-        body_doc["inertia_diagonal"] = np.full(3, BodyModel.cube_moment(body_doc["mass"], side))
-    body = _make("body", BodyModel, body_doc["mass"], np.diag(body_doc["inertia_diagonal"]),
-                 body_doc["radius"])
+        body_doc["inertia_diagonal"] = (BodyModel.cube_moment(body_doc["mass"], side),) * 3
+    inertia = [[v if i == j else 0.0 for j in range(3)]
+               for i, v in enumerate(body_doc["inertia_diagonal"])]
+    body = _make("body", BodyModel, body_doc["mass"], inertia, body_doc["radius"])
 
     m = len(doc["wires"])
     pillars = [_make(f"pillars[{k}]", Pillar, **p) for k, p in enumerate(doc["pillars"])]
@@ -683,7 +667,7 @@ def scenario_document(scenario: Scenario) -> dict:
     values = {
         "format_version": FORMAT_VERSION, "name": s.name, "seed": s.seed, "gravity": s.gravity,
         "body": {"mass": s.body.mass, "radius": s.body.radius,
-                 "inertia_diagonal": np.diag(s.body.inertia)},
+                 "inertia_diagonal": tuple(row[i] for i, row in enumerate(s.body.inertia))},
         "wires": [{"exit_body": w.exit_body} if i in claimed else
                   {"exit_body": w.exit_body, "anchor_world": w.anchor_world}
                   for i, w in enumerate(s.wires)],

@@ -8,10 +8,10 @@ every record a control tick passes on (`_Record`), they are frozen, hold
 float tuples and check nothing else (a pose only normalizes its
 quaternion): values are checked where they enter the program, and the
 simulator catches non-finite state.  The PID integral accumulator is the
-one mutable object, owned by whoever runs the control loop.  Config
-records are checked once, by `_checked`, which refuses a value that is
-not finite, or +inf where that is no limit, and stores a float or a
-float tuple (row tuples for a matrix), so nothing converts them later.
+one mutable object, owned by whoever runs the control loop.  Every
+number is read by one rule, `_numbers`; the file reader and the config
+records check it once, by `_checked`, and store what it gives, so
+nothing converts them later.
 
 Each rotation fact is written once, as a float core below: the Hamilton
 product, the rotation matrix, `quat_unit`, the exp and log maps, and the
@@ -35,25 +35,54 @@ _QUAT_EPS = 1e-12
 UNIT_NORM_TOLERANCE = 4 * 2.0**-52
 
 
+def _numbers(name: str, value, shape=()):
+    """The one rule for what a number is, for a file and a record alike: a
+    float (numeric text is read, a bool refused), or for a `shape` other
+    than () nested float tuples of exactly that shape, an int n meaning
+    (n,) and a -1 or None entry any length.  ValueError naming it `name`
+    otherwise: nothing is flattened or nested to fit."""
+    shape = (shape,) if isinstance(shape, int) else tuple(shape)
+    try:
+        return _shaped(value.tolist() if isinstance(value, (np.ndarray, np.generic)) else value,
+                       shape, shape)
+    except ValueError as expected:
+        raise ValueError(f"expected {expected} for {name}, got {value!r}") from None
+
+
+def _shaped(v, dims, shape):
+    """`v` as `_numbers` gives it for the last `dims` of `shape`, or ValueError("<expected>")."""
+    if dims:
+        if not isinstance(v, (list, tuple)) or dims[0] not in (-1, None, len(v)):
+            raise ValueError(f"shape {shape}")
+        return tuple([_shaped(item, dims[1:], shape) for item in v])
+    if not isinstance(v, (bool, np.bool_, list, tuple)):
+        try:
+            return float(v)
+        except (TypeError, ValueError):
+            pass
+    raise ValueError("a number")
+
+
 def _checked(name: str, value, shape=(), sign=None, limitless: bool = False):
-    """`value` as a float, or for a `shape` other than () as a float tuple
-    of that shape, a matrix as row tuples.  ValueError naming it `name` unless
-    every value is finite, or +inf where `limitless` (an infinite bound is
-    no limit), and unless it is as `sign` says: "positive" (> 0),
-    "non-negative" (>= 0), or a "symmetric positive definite" matrix; NaN
-    fails each."""
-    value = np.array(value, dtype=float).reshape(shape)
-    if not np.all(np.isfinite(value) | (limitless & (value == np.inf))):
-        raise ValueError(f"{name} must be finite{' or +inf' * limitless}, got {value}")
-    if sign == "symmetric positive definite":
-        ok = np.max(np.abs(value - value.T)) <= 1e-12 and np.linalg.eigvalsh(value)[0] > 0.0
-    else:
-        ok = not sign or np.all(value > 0.0 if sign == "positive" else value >= 0.0)
-    if not ok:
+    """`_numbers(name, value, shape)`, a matrix as row tuples.  ValueError
+    naming it `name` unless it is as `sign` says: "positive" (> 0),
+    "non-negative" (>= 0), or a "symmetric positive definite" matrix, NaN
+    failing each; and unless every value is finite, or +inf where
+    `limitless` (an infinite bound is no limit)."""
+    value = _numbers(name, value, shape)
+    flat = [value]
+    while flat and type(flat[0]) is tuple:
+        flat = [v for row in flat for v in row]
+    if sign in ("positive", "non-negative") and not all(
+            v > 0.0 if sign == "positive" else v >= 0.0 for v in flat):
         raise ValueError(f"{name} must be {sign}, got {value}")
-    if value.ndim == 2:
-        return tuple(map(tuple, value.tolist()))
-    return tuple(value.tolist()) if value.ndim else float(value)
+    if not all(math.isfinite(v) or (limitless and v == math.inf) for v in flat):
+        raise ValueError(f"{name} must be finite{' or +inf' * limitless}, got {value}")
+    if sign == "symmetric positive definite" and not (
+            all(abs(a - b) <= 1e-12 for row, column in zip(value, zip(*value))
+                for a, b in zip(row, column)) and np.linalg.eigvalsh(value)[0] > 0.0):
+        raise ValueError(f"{name} must be {sign}, got {value}")
+    return value
 
 
 def _set_field(record, name: str, shape=(), sign=None, limitless: bool = False) -> None:
@@ -61,14 +90,9 @@ def _set_field(record, name: str, shape=(), sign=None, limitless: bool = False) 
     object.__setattr__(record, name, _checked(name, getattr(record, name), shape, sign, limitless))
 
 
-def _floats(v, n: int = -1) -> tuple:
-    """A vector (of length n, unless -1) as a tuple of Python floats."""
-    return tuple(np.asarray(v, dtype=float).reshape(n).tolist())
-
-
 def _float_tuple(values) -> tuple:
-    """A tuple as it is (the tick's float tuples), any other sequence as `_floats` gives it."""
-    return values if type(values) is tuple else _floats(values)
+    """A tuple as it is (the tick's float tuples), any other sequence as `_numbers` gives it."""
+    return values if type(values) is tuple else _numbers("values", values, -1)
 
 
 _ZERO3 = (0.0, 0.0, 0.0)
@@ -83,7 +107,7 @@ class _Record:
 
     def __post_init__(self):
         for name, n in self._tuples.items():
-            object.__setattr__(self, name, _floats(getattr(self, name), n))
+            object.__setattr__(self, name, _numbers(name, getattr(self, name), n))
 
     @classmethod
     def _of(cls, *values):
@@ -254,12 +278,12 @@ class Pose(_Record):
     orientation: tuple
 
     def __post_init__(self):
-        w, x, y, z = q = _floats(self.orientation, 4)
+        w, x, y, z = q = _numbers("orientation", self.orientation, 4)
         if not abs(math.sqrt(w * w + x * x + y * y + z * z) - 1.0) <= UNIT_NORM_TOLERANCE:
             q = quat_unit(q)  # NaN and inf land here too, and raise
         elif w < 0.0:
             q = (-w, -x, -y, -z)
-        object.__setattr__(self, "position", _floats(self.position, 3))
+        object.__setattr__(self, "position", _numbers("position", self.position, 3))
         object.__setattr__(self, "orientation", q)
 
     @classmethod
@@ -272,7 +296,7 @@ class Pose(_Record):
 
     @classmethod
     def from_rotvec(cls, position, rotvec) -> "Pose":
-        return cls(position, quat_unit(rotvec_exp(_floats(rotvec, 3))))
+        return cls(position, quat_unit(rotvec_exp(_numbers("rotvec", rotvec, 3))))
 
 
 class _SixVector(_Record):
@@ -284,8 +308,8 @@ class _SixVector(_Record):
 
     @classmethod
     def from_array(cls, v):
-        v = np.asarray(v, dtype=float).reshape(6)
-        return cls(v[:3], v[3:])
+        v = _numbers("v", v, 6)
+        return cls._of(v[:3], v[3:])
 
     def as_array(self) -> np.ndarray:
         first, second = (getattr(self, name) for name in self._tuples)

@@ -15,9 +15,8 @@ currents.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .allocation import (
     AllocationWeights, TensionBounds, TensionCommand, WinchParams, solve_tension_command
@@ -30,6 +29,7 @@ from .spatial import (
     Pose,
     Twist,
     Wrench,
+    _checked,
     _Record,
     attitude_error,
     chart_rate,
@@ -42,7 +42,7 @@ from .spatial import (
 )
 from .wires import WireSet, wire_jacobian, wire_lengths_and_rates
 
-ROTATION_CHART_LIMIT = np.pi - 0.1  # rad; reject segments near the chart edge
+ROTATION_CHART_LIMIT = math.pi - 0.1  # rad; reject segments near the chart edge
 
 
 def _cubic_coeffs(p0, v0, p1, v1, t):
@@ -80,8 +80,7 @@ def plan_spline(
     duration: float,
 ) -> SplineSegment:
     """Fit boundary-matching cubics in position and the rotation chart."""
-    if duration <= 0:
-        raise ValueError("segment duration must be positive")
+    duration = _checked("segment duration", duration, sign="positive")
     chart_end = attitude_error(end_pose.orientation, start_pose.orientation)
     angle = norm3(chart_end)
     if angle >= ROTATION_CHART_LIMIT:
@@ -94,7 +93,7 @@ def plan_spline(
     return SplineSegment(
         start_pose=start_pose,
         end_pose=end_pose,
-        duration=float(duration),
+        duration=duration,
         translation=_cubic_coeffs(start_pose.position, start_twist.linear,
                                   end_pose.position, end_twist.linear, duration),
         rotation=_cubic_coeffs((0.0, 0.0, 0.0), chart_rate_start, chart_end, chart_rate_end,
@@ -162,7 +161,7 @@ class PoseController:
         dt: float,
         gravity: float = STANDARD_GRAVITY,
     ):
-        if not 0.0 < dt < np.inf:  # NaN fails too
+        if not 0.0 < dt < math.inf:  # NaN fails too
             raise ValueError(f"controller period must be finite and positive, got {dt}")
         self.attachments = WireSet(attachments)
         self.bounds = bounds

@@ -272,10 +272,11 @@ def drivetrain_cases(draw):
     return (
         draw(winch_params),
         # tensions below a micronewton would push currents into subnormals
-        draw(arrays(float, m, elements=st.one_of(st.just(0.0), _floats(1e-6, 200.0)))),
-        draw(arrays(float, 6, elements=_floats(-20.0, 20.0))),
-        draw(arrays(float, m, elements=_floats(-1.0, 1.0))),
-        draw(arrays(float, (6, m), elements=_floats(-2.0, 2.0))),
+        draw(arrays(float, m, elements=st.one_of(st.just(0.0), _floats(1e-6, 200.0)),
+                    fill=st.nothing())),
+        draw(arrays(float, 6, elements=_floats(-20.0, 20.0), fill=st.nothing())),
+        draw(arrays(float, m, elements=_floats(-1.0, 1.0), fill=st.nothing())),
+        draw(arrays(float, (6, m), elements=_floats(-2.0, 2.0), fill=st.nothing())),
     )
 
 
@@ -321,11 +322,15 @@ def command_tails(draw):
     m = draw(st.integers(1, 8))
     winch = draw(st.one_of(winch_params, st.just(WinchParams(
         rotor_inertia=0.0, coulomb_friction=0.0, viscous_friction=0.0))))
-    tensions = draw(arrays(float, m, elements=_with_specials(_floats(0.0, 200.0))))
-    accel = draw(arrays(float, 6, elements=_with_specials(_floats(-500.0, 500.0))))
-    rates = draw(arrays(float, m, elements=_with_specials(_floats(-1.0, 1.0))))
-    matrix = draw(arrays(float, (6, m), elements=_floats(-2.0, 2.0)))
-    residual = draw(arrays(float, 6, elements=_with_specials(_floats(-1e3, 1e3))))
+    tensions = draw(arrays(float, m, elements=_with_specials(_floats(0.0, 200.0)),
+                           fill=st.nothing()))
+    accel = draw(arrays(float, 6, elements=_with_specials(_floats(-500.0, 500.0)),
+                        fill=st.nothing()))
+    rates = draw(arrays(float, m, elements=_with_specials(_floats(-1.0, 1.0)),
+                        fill=st.nothing()))
+    matrix = draw(arrays(float, (6, m), elements=_floats(-2.0, 2.0), fill=st.nothing()))
+    residual = draw(arrays(float, 6, elements=_with_specials(_floats(-1e3, 1e3)),
+                           fill=st.nothing()))
     upper = draw(st.sampled_from([80.0, 180.0]))
     return winch, tensions, accel, rates, matrix, residual, TensionBounds.uniform(m, 0.0, upper)
 

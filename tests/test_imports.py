@@ -140,15 +140,21 @@ def test_the_tick_modules_take_no_blas_product():
         assert products == [], name
 
 
-def test_the_wire_kinematics_import_no_numpy():
-    # `wires` reads the float tuples the records hold; an array there would
-    # bring back a second representation and its conversions
-    tree = ast.parse((SRC / "wiredrive" / "wires.py").read_text())
-    modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
-               for alias in node.names]
-    modules += [node.module for node in ast.walk(tree)
-                if isinstance(node, ast.ImportFrom) and node.module]
-    assert modules and not [name for name in modules if name.split(".")[0] == "numpy"]
+def test_the_float_modules_import_no_numpy():
+    # the wire kinematics, the telemetry writer, the scenario reader, the
+    # trajectory and the CLI read the floats and float tuples the records
+    # hold; an array there would bring back a second representation and
+    # its conversions
+    importers = []
+    for module in ("wires", "telemetry", "scenario", "trajectory", "cli"):
+        tree = ast.parse((SRC / "wiredrive" / f"{module}.py").read_text())
+        names = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                 for alias in node.names]
+        names += [node.module for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and node.module]
+        assert names, module
+        importers += [module for name in names if name.split(".")[0] == "numpy"]
+    assert importers == []
 
 
 def test_unread_import_is_caught():

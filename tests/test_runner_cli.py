@@ -633,19 +633,19 @@ def test_a_tick_converts_few_arrays_and_keys_no_memo_on_bytes(name, arrays, tmp_
     # the tick records, the configuration it reads, the wire kinematics and
     # the allocation are float tuples, so a tick converts an array to floats
     # only for the sensor's noise draw, takes `np.asarray` of nothing, and
-    # never converts a float tuple again (`spatial._floats`); a profile of a
+    # never converts or checks a number again (`spatial._numbers`); a profile of a
     # 40-tick run less one of a 20-tick run counts 20 ticks, of pose control
     # (cube8) and of schedule mode (anchors2); the allocation QP factors its
     # own blocks, so no tick calls `np.linalg.solve`, and the wire matrix is
     # no array (`np.fromiter`)
-    code = spatial._floats.__code__
+    code = spatial._numbers.__code__
     names = {
         "tolist": "<method 'tolist' of 'numpy.ndarray' objects>",
         "array": "<built-in method numpy.array>",
         "asarray": "<built-in method numpy.asarray>",
         "tobytes": "<method 'tobytes' of 'numpy.ndarray' objects>",
         "fromiter": "<built-in method numpy.fromiter>",
-        "_floats": (code.co_filename, code.co_firstlineno, code.co_name),
+        "_numbers": (code.co_filename, code.co_firstlineno, code.co_name),
     }
     scenario = load_scenario(bundled_scenario_path(name))
     solves = []
@@ -669,4 +669,4 @@ def test_a_tick_converts_few_arrays_and_keys_no_memo_on_bytes(name, arrays, tmp_
     assert per_tick["fromiter"] == 0, per_tick
     assert per_tick["asarray"] == 0, per_tick
     assert per_tick["tolist"] + per_tick["array"] <= arrays, per_tick
-    assert per_tick["_floats"] == 0, per_tick
+    assert per_tick["_numbers"] == 0, per_tick

@@ -109,7 +109,8 @@ def test_static_equilibrium_holds_position():
 
 
 def _vectors(shape, bound):
-    return arrays(float, shape, elements=st.floats(-bound, bound, allow_nan=False))
+    return arrays(float, shape, elements=st.floats(-bound, bound, allow_nan=False),
+                  fill=st.nothing())
 
 
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
@@ -396,7 +397,7 @@ def test_inverse_inertia_is_read_only_and_follows_replace():
 def spd_inertias(draw):
     # A A' + 0.05 I over a dense A: the off-diagonal terms of the inverse
     # are exercised, which no bundled (diagonal) body does
-    a = draw(arrays(float, (3, 3), elements=st.floats(-1.0, 1.0)))
+    a = draw(arrays(float, (3, 3), elements=st.floats(-1.0, 1.0), fill=st.nothing()))
     inertia = a @ a.T + 0.05 * np.eye(3)
     return 0.5 * (inertia + inertia.T)
 
@@ -418,7 +419,7 @@ def _close(got, want, rel=1e-12):
     _vectors(3, 1.0),
     _vectors(3, 2.0),
     _vectors(3, 3.0),
-    arrays(float, 8, elements=st.floats(-1.0, 3.0)),
+    arrays(float, 8, elements=st.floats(-1.0, 3.0), fill=st.nothing()),
     spd_inertias(),
     st.floats(1.0, 20.0),
     st.floats(1e-4, 1e-2),

@@ -275,7 +275,7 @@ _CROSS_ELEMENTS = st.one_of(
 )
 
 
-_VECTORS = arrays(float, 3, elements=_CROSS_ELEMENTS)
+_VECTORS = arrays(float, 3, elements=_CROSS_ELEMENTS, fill=st.nothing())
 
 
 def _same_bits(got, expected):
@@ -292,7 +292,7 @@ def test_cross_is_bit_identical_to_numpy(a, b):
     assert _same_bits(np.array(cross3(a.tolist(), b.tolist())), np.cross(a, b))
 
 
-_QUATERNIONS = arrays(float, 4, elements=_CROSS_ELEMENTS)
+_QUATERNIONS = arrays(float, 4, elements=_CROSS_ELEMENTS, fill=st.nothing())
 
 
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
@@ -447,8 +447,9 @@ _PID_ELEMENTS = st.one_of(st.sampled_from([0.0, -0.0, math.nan]), st.floats(-10.
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
-@given(st.integers(0, 2**32 - 1), arrays(float, 6, elements=_PID_ELEMENTS),
-       arrays(float, 6, elements=st.sampled_from([0.0, -0.0, 0.05, 1.0])),
+@given(st.integers(0, 2**32 - 1),
+       arrays(float, 6, elements=_PID_ELEMENTS, fill=st.nothing()),
+       arrays(float, 6, elements=st.sampled_from([0.0, -0.0, 0.05, 1.0]), fill=st.nothing()),
        st.sampled_from([0.005, 0.01]))
 def test_pid_is_bit_identical_to_its_array_formulation(seed, offsets, limits, dt):
     # a NaN in the state or the integral, and zero limits, where np.clip

@@ -27,11 +27,12 @@ def telemetry_ticks(draw):
     m = draw(st.integers(1, 8))
 
     def vec(n):
-        return draw(arrays(float, n, elements=_VALUES))
+        return draw(arrays(float, n, elements=_VALUES, fill=st.nothing()))
 
     def pose():
-        orientation = draw(arrays(float, 4, elements=st.floats(0.1, 1.0)))
-        return Pose(vec(3), orientation * draw(arrays(float, 4, elements=st.sampled_from([1.0, -1.0]))))
+        orientation = draw(arrays(float, 4, elements=st.floats(0.1, 1.0), fill=st.nothing()))
+        signs = draw(arrays(float, 4, elements=st.sampled_from([1.0, -1.0]), fill=st.nothing()))
+        return Pose(vec(3), orientation * signs)
 
     # numpy scalars must come out as plain floats, not as `np.float64(...)`
     scalar = draw(st.sampled_from([float, np.float64]))
@@ -50,7 +51,7 @@ def telemetry_ticks(draw):
             tensions_final=vec(m),
             currents=vec(m),
             residual_norm=scalar(draw(_VALUES)),
-            saturated=draw(arrays(bool, m)),
+            saturated=draw(arrays(bool, m, fill=st.nothing())),
         ),
     )
     row = (draw(st.integers(0, 10**6)), t, state, meas_pose, meas_twist, tick, draw(st.booleans()))

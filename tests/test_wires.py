@@ -233,7 +233,7 @@ def test_rank_of_eight_wire_cube_layout():
 
 def _vectors(shape, bound):
     elements = st.floats(-bound, bound, allow_nan=False, allow_subnormal=False)
-    return arrays(float, shape, elements=elements)
+    return arrays(float, shape, elements=elements, fill=st.nothing())
 
 
 @st.composite
