@@ -12,9 +12,9 @@ All of it runs on Python floats, each number a sum in a fixed order (see
 `spatial`).  W is the six rows `wire_jacobian` returns and L is diagonal,
 so with V = sqrt(L) W the Hessian is H = 2 (I + V'V), H[i][j] and H[j][i]
 one number, and the gradient -2 V' sqrt(L) w.  The residual w - W f is
-`wire_wrench`'s sum, as the plant's wrench is.  Tensions, residual and
-rates are float tuples, which the functions here read and a
-`TensionCommand` holds as they are; other sequences are converted once.
+`wire_wrench`'s sum, as the plant's wrench is.  Tensions, residual and rates are
+float tuples, which the functions here read and a `TensionCommand` holds as they
+are; any other is read as a file is (`spatial._as_floats`): no bool, exact shape.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qp import solve_box_qp
-from .spatial import Wrench, _checked, _float_tuple, _Record, _set_field
+from .spatial import Wrench, _as_floats, _checked, _Record, _set_field
 from .wires import wire_wrench
 
 DEFAULT_MAX_TENSION = 180.0  # N, continuous rating of one winch
@@ -45,9 +45,7 @@ class TensionBounds:
 
     def __post_init__(self):
         _set_field(self, "lower", -1, sign="non-negative")
-        _set_field(self, "upper", -1, limitless=True)
-        if len(self.lower) != len(self.upper):
-            raise ValueError("tension bound vectors must have matching shapes")
+        _set_field(self, "upper", len(self.lower), limitless=True)
         if not all(a < b for a, b in zip(self.lower, self.upper)):
             raise ValueError("lower (minimum tension) must be strictly below upper")
 
@@ -147,12 +145,6 @@ class TensionCommand(_Record):
         object.__setattr__(self, "saturated", tuple(bool(s) for s in self.saturated))
 
 
-def _rows(matrix) -> tuple:
-    """The wire matrix's rows: a tuple as it is, an array converted once."""
-    return matrix if type(matrix) is tuple else tuple(
-        map(tuple, np.asarray(matrix, dtype=float).tolist()))
-
-
 def allocate(matrix, wrench: Wrench, bounds: TensionBounds, weights: AllocationWeights,
              start=None) -> tuple[tuple, tuple]:
     """Solve the tension-distribution QP for the 6 x m wire matrix.
@@ -163,7 +155,7 @@ def allocate(matrix, wrench: Wrench, bounds: TensionBounds, weights: AllocationW
     express; callers treat that as the saturation diagnostic, not as an
     error.  A non-finite matrix or wrench fails the QP (SolverFailure).
     """
-    rows = _rows(matrix)
+    rows = _as_floats("matrix", matrix, (6, len(bounds.lower)))
     target = wrench.force + wrench.torque
     l0, l1, l2, l3, l4, l5 = weights.roots
     u0, u1, u2, u3, u4, u5 = (r * w for r, w in zip(weights.roots, target))
@@ -192,11 +184,13 @@ def compensate(tensions, accel_ref, rates, matrix, winch: WinchParams) -> tuple:
     numpy's add does (x86-64); CPython's float `+` keeps either.  The clamp
     keeps NaN and turns -0.0 into 0.0, as `np.maximum` does.
     """
-    x0, x1, x2, x3, x4, x5 = _float_tuple(accel_ref)
+    tensions = _as_floats("tensions", tensions, (-1,))
+    x0, x1, x2, x3, x4, x5 = _as_floats("accel_ref", accel_ref, (6,))
+    columns = zip(*_as_floats("matrix", matrix, (6, len(tensions))))
+    rates = _as_floats("rates", rates, (len(tensions),))
     r = winch.pulley_radius
     final = []
-    for tension, (a, b, c, d, e, f), rate in zip(_float_tuple(tensions), zip(*_rows(matrix)),
-                                                   _float_tuple(rates), strict=True):
+    for tension, (a, b, c, d, e, f), rate in zip(tensions, columns, rates, strict=True):
         accel = a * x0 + b * x1 + c * x2 + d * x3 + e * x4 + f * x5  # -d^2(length)/dt^2
         drum_speed = -rate / r
         # np.sign, except that a zero keeps its sign, which the clamp erases
@@ -211,19 +205,20 @@ def compensate(tensions, accel_ref, rates, matrix, winch: WinchParams) -> tuple:
 
 def to_currents(tensions, winch: WinchParams) -> tuple:
     """Exactly linear map of float tensions to currents, one constant for every wire."""
+    tensions = _as_floats("tensions", tensions, (-1,))
     if any(t < 0 for t in tensions):
         raise ValueError("tensions must be non-negative")
     scale = winch.current_per_newton
-    return tuple(scale * t for t in _float_tuple(tensions))
+    return tuple(scale * t for t in tensions)
 
 
 def tension_command(tensions, final, residual, bounds: TensionBounds,
                     winch: WinchParams) -> TensionCommand:
-    """The command for allocated `tensions` that the winches are to exert as
-    `final` (tuples kept, other sequences converted), with the allocation's
-    wrench `residual`, whose norm is the root of the in-order sum of squares."""
-    tensions, final = _float_tuple(tensions), _float_tuple(final)
-    r0, r1, r2, r3, r4, r5 = residual
+    """The command for allocated `tensions` that the winches are to exert as `final`, with
+    the allocation's wrench `residual`, whose norm is the root of the in-order sum of squares."""
+    tensions = _as_floats("tensions", tensions, (-1,))
+    final = _as_floats("final", final, (len(tensions),))
+    r0, r1, r2, r3, r4, r5 = _as_floats("residual", residual, (6,))
     return TensionCommand._of(tensions, final, to_currents(final, winch),
                               math.sqrt(r0 * r0 + r1 * r1 + r2 * r2 + r3 * r3 + r4 * r4 + r5 * r5),
                               bounds.saturated(tensions))

@@ -35,7 +35,7 @@ import numpy as np
 from .allocation import AllocationWeights, TensionBounds, allocate
 from .errors import SolverFailure
 from .qp import solve_box_qp
-from .spatial import Wrench, _checked
+from .spatial import Wrench, _as_floats, _checked
 
 # relative to the largest singular value, and for a 6 x 5 block to R's
 # largest diagonal entry: sigma_5 <= min|r_ii| and max|r_ii| <= sigma_1, so
@@ -154,13 +154,12 @@ def controllability(
     At margin 0 there is neither.  `fully_constrained` is true when the
     margin exceeds `ACHIEVABLE_SCALE`.  Below rank 6 the margin is 0 and
     `worst_direction` is a wrench direction the wires cannot produce.
-    A ValueError names the argument when `matrix` is not a finite 6 x m
-    array, `bounds` does not hold m wires or `torque_scale` is not finite
-    and positive.
+    A ValueError names `matrix` unless it is 6 rows of m finite numbers (`_as_floats`),
+    `bounds` unless it holds m wires, and `torque_scale` unless finite and positive.
     """
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim != 2 or matrix.shape[0] != 6 or not np.all(np.isfinite(matrix)):
-        raise ValueError(f"matrix must be a finite 6 x m array, got shape {matrix.shape}")
+    matrix = np.array(_as_floats("matrix", matrix, (6, -1)))
+    if not np.all(np.isfinite(matrix)):
+        raise ValueError(f"matrix must be finite, got {matrix}")
     if len(bounds.lower) != matrix.shape[1]:
         raise ValueError(f"bounds must hold {matrix.shape[1]} wires, one per matrix column, "
                          f"got {len(bounds.lower)}")

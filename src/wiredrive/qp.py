@@ -9,22 +9,21 @@ and in the multiplier check go to the lowest index, and a NaN multiplier
 wins as in `np.argmin`.
 
 Problems here are tiny (one variable per wire), so the solver runs on
-Python floats.  It reads a tuple of the right shape as it is (the float
-tuples `allocate` and `TensionBounds` hand it; any non-empty tuple for
-g), converts any other H, g, bounds or start once, and returns x as a
-float tuple.  The free block of H gets a Cholesky factor (Golub & Van
-Loan, Matrix Computations, section 4.2), which the cold start, an
-iteration that keeps the free set and both polish passes reuse.
-Products with H are sums in index order over only the rows read.
+Python floats.  It reads H, g, bounds and start by `spatial._as_floats` (the
+tuples `allocate` and `TensionBounds` hand it as they are; anything else as a
+file is read, so a bool or a wrong shape is a ValueError naming it) and returns
+x as a float tuple.  The free block of H gets a Cholesky factor (Golub & Van
+Loan, Matrix Computations, section 4.2), which the cold start, an iteration
+that keeps the free set and both polish passes reuse.  Products with H are sums
+in index order over only the rows read.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .errors import SolverFailure
+from .spatial import _as_floats, _numbers
 
 # bound multipliers may come out slightly negative from rounding
 _RELEASE_TOL = 1e-11
@@ -36,15 +35,10 @@ def _max(values):
     return math.nan if total != total and any(v != v for v in values) else max(values)
 
 
-def _lists(value, shape, name):
-    """`value` as (nested) sequences of floats of the given shape, a tuple of it as it is."""
-    if type(value) is tuple and len(value) == shape[0] and (
-            len(shape) == 1 or all(type(row) is tuple and len(row) == shape[1] for row in value)):
-        return value
-    arr = np.asarray(value, dtype=float)
-    if arr.ndim and arr.shape != shape:
-        raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
-    return arr.tolist() if arr.ndim else np.full(shape, arr).tolist()
+def _vector(name, value, n):
+    """`value` as n floats: one number for every entry, or n as `_as_floats` reads them."""
+    listed = isinstance(value, (list, tuple)) or getattr(value, "ndim", 0)
+    return _as_floats(name, value, (n,)) if listed else (_numbers(name, value),) * n
 
 
 def _product(row, x):
@@ -118,9 +112,10 @@ def kkt_residual(hessian, gradient, x, lower, upper, tol=1e-9):
     index order.  The box is violated by the distance outside it.  A NaN
     anywhere makes the residual NaN.
     """
-    x, n = np.asarray(x, dtype=float).tolist(), len(x)
-    return _residual(_lists(hessian, (n, n), "hessian"), _lists(gradient, (n,), "gradient"),
-                     x, _lists(lower, (n,), "lower"), _lists(upper, (n,), "upper"), tol)
+    x = _as_floats("x", x, (-1,))
+    n = len(x)
+    return _residual(_as_floats("hessian", hessian, (n, n)), _as_floats("gradient", gradient, (n,)),
+                     x, _vector("lower", lower, n), _vector("upper", upper, n), tol)
 
 
 def solve_box_qp(hessian, gradient, lower, upper, start=None, max_iter=None, tol=1e-8):
@@ -132,15 +127,12 @@ def solve_box_qp(hessian, gradient, lower, upper, start=None, max_iter=None, tol
     settle within `max_iter` changes (default 10 per variable, floor of 30),
     or if the final point misses the KKT tolerance, a NaN residual included.
     """
-    g = gradient
-    if type(g) is not tuple or not g:
-        g = np.asarray(gradient, dtype=float)
-        if g.ndim != 1 or not g.size:
-            raise ValueError(f"gradient has shape {g.shape}, expected (n,) with n >= 1")
-        g = g.tolist()
+    g = _as_floats("gradient", gradient, (-1,))
     n = len(g)
-    rows = _lists(hessian, (n, n), "hessian")
-    lo, hi = _lists(lower, (n,), "lower"), _lists(upper, (n,), "upper")
+    if not n:
+        raise ValueError(f"expected at least one number for gradient, got {gradient!r}")
+    rows = _as_floats("hessian", hessian, (n, n))
+    lo, hi = _vector("lower", lower, n), _vector("upper", upper, n)
     if any(a > b for a, b in zip(lo, hi)):
         raise ValueError("lower bound exceeds upper bound")
     if max_iter is None:
@@ -151,7 +143,7 @@ def solve_box_qp(hessian, gradient, lower, upper, start=None, max_iter=None, tol
         factored = list(range(n))
         factor = _cholesky(rows, factored, "Hessian")
         start = tuple(_solve(factor, [-v for v in g]))
-    x = _lists(start, (n,), "start")
+    x = _vector("start", start, n)
     x = [b if v > b else a if v < a else v for v, a, b in zip(x, lo, hi)]
     state = [-1 if v <= a else 1 if v >= b else 0 for v, a, b in zip(x, lo, hi)]
     release_tol = _RELEASE_TOL * (1.0 + _max([abs(v) for v in g]))

@@ -49,7 +49,7 @@ from .anchors import (
     wrap_anchor,
 )
 from .simulator import DEFAULT_SPEED_LIMIT, MAX_DT, STANDARD_GRAVITY, BodyModel, SensorModel
-from .spatial import PidGains, Pose, _checked, _set_field, norm3
+from .spatial import PidGains, Pose, _checked, _integer, _set_field, norm3
 from .wires import WireAttachment
 
 FORMAT_VERSION = 1
@@ -251,10 +251,7 @@ def _convert(spec: Field, value, path: str):
             raise ValidationError(path, f"expected text, got {value!r}")
         return value
     if spec.kind == INTEGER:
-        # not isinstance: YAML's true and false load as bools, which are ints
-        if type(value) is int or (isinstance(value, float) and value.is_integer()):
-            return int(value)
-        raise ValidationError(path, f"expected an integer, got {value!r}")
+        return _make(path, _integer, path.rsplit(".", 1)[-1], value)
     # numeric text is a number: PyYAML reads exponent floats such as 1.0e8 as text
     return _number(path, value, spec.shape or ())
 
@@ -372,6 +369,8 @@ class AnchorTask:
     wrap_altitude: float
 
     def __post_init__(self):
+        for name in ("wire_id", "pillar"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         for name, shape in (("approach", 3), ("clearance", ()), ("wrap_altitude", ())):
             _set_field(self, name, shape)  # shape and finiteness; Scenario states the rest
 

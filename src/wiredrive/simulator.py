@@ -22,7 +22,6 @@ as row tuples, with one normalization of the new attitude (`quat_unit`).
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
@@ -32,8 +31,8 @@ import numpy as np
 from .allocation import WinchParams
 from .errors import NumericalBlowup
 from .spatial import (
-    Pose, Twist, _float_tuple, _Record, _set_field, cross3, hamilton, mat_t_vec, mat_vec,
-    norm3, quat_unit, rotation_rows, rotvec_exp,
+    Pose, Twist, _as_floats, _integer, _Record, _set_field, cross3, hamilton, mat_t_vec,
+    mat_vec, norm3, quat_unit, rotation_rows, rotvec_exp,
 )
 from .wires import WireAttachment, wire_jacobian, wire_lengths_and_rates, wire_wrench
 
@@ -99,14 +98,15 @@ def step(
     gravity: float = STANDARD_GRAVITY,
     speed_limit: float = DEFAULT_SPEED_LIMIT,
 ) -> SimState:
-    """Advance the body one step under winch currents, one per wire (any sequence)."""
+    """Advance the body one step under winch currents, one per wire (`_as_floats`)."""
     if not 0.0 < dt <= MAX_DT:
         raise ValueError(f"dt must lie in (0, {MAX_DT}] seconds")
     _, rates = wire_lengths_and_rates(state.pose, state.twist, attachments)
     per_newton, speed = winch.current_per_newton, winch.max_line_speed
     cap = winch.max_tension
     tensions = []
-    for i, (current, rate) in enumerate(zip(_float_tuple(currents), rates, strict=True)):
+    currents = _as_floats("currents", currents, (len(rates),))
+    for i, (current, rate) in enumerate(zip(currents, rates)):
         if current != current:
             # checked before the slack rule, which would give a slack wire 0
             raise NumericalBlowup(f"wire {i}: current is NaN at t={state.time:.4f} s")
@@ -164,8 +164,9 @@ class SensorModel:
         for name in ("position_noise", "rotation_noise", "velocity_noise",
                      "angular_velocity_noise"):
             _set_field(self, name, sign="non-negative")
-        if not (math.isfinite(self.latency) and int(self.latency) == self.latency >= 0):
-            raise ValueError(f"latency must be a non-negative integer, got {self.latency}")
+        object.__setattr__(self, "latency", _integer("latency", self.latency))
+        if self.latency < 0:
+            raise ValueError(f"latency must be non-negative, got {self.latency}")
 
 
 def _perturbed(values: tuple, std: float, draws) -> tuple:

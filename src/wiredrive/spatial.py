@@ -11,7 +11,8 @@ simulator catches non-finite state.  The PID integral accumulator is the
 one mutable object, owned by whoever runs the control loop.  Every
 number is read by one rule, `_numbers`; the file reader and the config
 records check it once, by `_checked`, and store what it gives, so
-nothing converts them later.
+nothing converts them later; a kernel reads its arguments by
+`_as_floats`, and a whole number is read by `_integer`.
 
 Each rotation fact is written once, as a float core below: the Hamilton
 product, the rotation matrix, `quat_unit`, the exp and log maps, and the
@@ -90,9 +91,21 @@ def _set_field(record, name: str, shape=(), sign=None, limitless: bool = False) 
     object.__setattr__(record, name, _checked(name, getattr(record, name), shape, sign, limitless))
 
 
-def _float_tuple(values) -> tuple:
-    """A tuple as it is (the tick's float tuples), any other sequence as `_numbers` gives it."""
-    return values if type(values) is tuple else _numbers("values", values, -1)
+def _as_floats(name: str, value, shape):
+    """The kernels' entry rule: a tuple whose length fits the first entry of the tuple
+    `shape` (-1: any) as it is (the tick's own, trusted), else as `_numbers` gives it."""
+    if type(value) is tuple and (shape[0] == len(value) or shape[0] == -1):
+        return value
+    return _numbers(name, value, shape)
+
+
+def _integer(name: str, value) -> int:
+    """The one rule for a whole number, for a file and a record alike: an int, or a
+    float of integer value, as an int; ValueError naming it `name` otherwise (a bool)."""
+    v = value.tolist() if isinstance(value, np.generic) else value
+    if type(v) is int or (isinstance(v, float) and v.is_integer()):
+        return int(v)
+    raise ValueError(f"expected an integer for {name}, got {value!r}")
 
 
 _ZERO3 = (0.0, 0.0, 0.0)

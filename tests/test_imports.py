@@ -141,12 +141,12 @@ def test_the_tick_modules_take_no_blas_product():
 
 
 def test_the_float_modules_import_no_numpy():
-    # the wire kinematics, the telemetry writer, the scenario reader, the
-    # trajectory and the CLI read the floats and float tuples the records
-    # hold; an array there would bring back a second representation and
-    # its conversions
+    # the wire kinematics, the QP, the telemetry writer, the scenario
+    # reader, the trajectory and the CLI read the floats and float tuples
+    # the records hold; an array there would bring back a second
+    # representation and its conversions
     importers = []
-    for module in ("wires", "telemetry", "scenario", "trajectory", "cli"):
+    for module in ("wires", "qp", "telemetry", "scenario", "trajectory", "cli"):
         tree = ast.parse((SRC / "wiredrive" / f"{module}.py").read_text())
         names = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
                  for alias in node.names]

@@ -1,12 +1,16 @@
-"""One rule for what a number is, for a scenario file and a record alike.
+"""One rule for what a number is, for a scenario file, a record and a kernel alike.
 
 A number is a finite float: numeric text is read, a bool is refused, and
 a vector or matrix has exactly its shape, neither flattened nor nested to
 fit.  The loader and the record constructors convert through the same
-function (`spatial._numbers`), so they refuse, or accept, the same values.
+function (`spatial._numbers`), so they refuse, or accept, the same values;
+the kernels take anything but the tick's own tuples through it too.  A
+whole number is an int, or a float of integer value, and never a bool
+(`spatial._integer`).
 """
 
 import cProfile
+import dataclasses
 import gc
 import pstats
 
@@ -14,12 +18,18 @@ import numpy as np
 import pytest
 import yaml
 
-from wiredrive.allocation import TensionBounds
+from wiredrive.allocation import (
+    TensionBounds, allocate, compensate, tension_command, to_currents,
+)
 from wiredrive.anchors import Pillar
-from wiredrive.scenario import build_scenario, bundled_scenario_path, load_scenario
-from wiredrive.simulator import BodyModel, SimState
-from wiredrive.spatial import PidGains, Pose, Twist
-from wiredrive.wires import WireAttachment
+from wiredrive.feasibility import controllability
+from wiredrive.qp import kkt_residual, solve_box_qp
+from wiredrive.scenario import (
+    AnchorTask, build_scenario, bundled_scenario_path, dump_scenario, load_scenario,
+)
+from wiredrive.simulator import BodyModel, OdometrySensor, SensorModel, SimState, step
+from wiredrive.spatial import PidGains, Pose, Twist, Wrench, _numbers
+from wiredrive.wires import WireAttachment, wire_jacobian
 
 NAN = float("nan")
 ZEROS6 = (0.0,) * 6
@@ -149,3 +159,145 @@ def test_loading_a_scenario_leaves_no_reference_cycles(name):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# document path: bundled scenario, and the record built with a value for
+# the field the path names
+_INTEGER_FIELDS = {
+    "sim.sensor.latency": ("cube8", lambda v: SensorModel(latency=v)),
+    "anchors[0].wire_id": ("anchors2", lambda v: AnchorTask(v, 0, (0.0, -0.4, 2.2), 0.3, 1.9)),
+    "anchors[0].pillar": ("anchors2", lambda v: AnchorTask(0, v, (0.0, -0.4, 2.2), 0.3, 1.9)),
+}
+
+# document path, the value in the file and for the record, accepted
+_INTEGER_CASES = [
+    ("sim.sensor.latency", True, False),
+    ("sim.sensor.latency", 2.0, True),
+    ("sim.sensor.latency", 1.5, False),
+    ("sim.sensor.latency", "2", False),
+    ("anchors[0].wire_id", True, False),
+    ("anchors[0].wire_id", 0.0, True),
+    ("anchors[0].pillar", False, False),
+    ("anchors[0].pillar", 0.0, True),
+]
+
+
+@pytest.mark.parametrize("path, value, accepted", _INTEGER_CASES,
+                         ids=[f"{path}-{k}" for k, (path, *_) in enumerate(_INTEGER_CASES)])
+def test_a_file_and_a_record_refuse_an_integer_alike(path, value, accepted):
+    scenario, build = _INTEGER_FIELDS[path]
+    doc = yaml.safe_load(bundled_scenario_path(scenario).read_text())
+    parent, key = path.rsplit(".", 1)
+    node = doc
+    for part in parent.split("."):
+        name, _, index = part.rstrip("]").partition("[")
+        node = node.setdefault(name, {}) if not index else node[name][int(index)]
+    node[key] = value
+    assert _accepts(lambda: build_scenario(doc)) is accepted
+    assert _accepts(lambda: build(value)) is accepted
+    if accepted:  # stored as the int it is
+        assert type(getattr(build(value), key)) is int
+
+
+def test_a_scenario_given_whole_floats_holds_ints_and_reloads_from_its_dump():
+    scenario = load_scenario(bundled_scenario_path("anchors2"))
+    changed = dataclasses.replace(
+        scenario, sensor=SensorModel(latency=2.0),
+        anchors=tuple(dataclasses.replace(task, wire_id=float(task.wire_id),
+                                          pillar=float(task.pillar))
+                      for task in scenario.anchors))
+    assert changed.sensor.latency == 2 and OdometrySensor(changed.sensor, seed=0)
+    assert all(type(task.wire_id) is int and type(task.pillar) is int
+               for task in changed.anchors)
+    text = dump_scenario(changed)
+    assert dump_scenario(build_scenario(yaml.safe_load(text))) == text
+
+
+# the kernels at cube8's start pose, each with its arguments: the value the
+# tick would pass and the shape `_numbers` holds it to
+_CUBE8 = load_scenario(bundled_scenario_path("cube8"))
+_MATRIX = wire_jacobian(_CUBE8.start_pose, _CUBE8.wires)
+_TENSIONS = tuple(10.0 + 2.5 * k for k in range(8))
+_SIX = (0.5, -1.0, 9.0, 0.1, -0.2, 0.05)
+_HESSIAN = tuple(tuple(2.0 + 8.0 * (i == j) for j in range(8)) for i in range(8))
+_GRADIENT = tuple(-10.0 * (k + 1) for k in range(8))
+_KERNELS = {
+    "allocate": (
+        lambda matrix, start: allocate(matrix, Wrench.from_array(_SIX), _CUBE8.bounds,
+                                       _CUBE8.weights, start=start),
+        {"matrix": (_MATRIX, (6, 8)), "start": (_TENSIONS, (8,))}),
+    "compensate": (
+        lambda tensions, accel_ref, rates, matrix: compensate(tensions, accel_ref, rates, matrix,
+                                                              _CUBE8.winch),
+        {"tensions": (_TENSIONS, (-1,)), "accel_ref": (_SIX, (6,)),
+         "rates": (tuple(0.01 * k for k in range(8)), (8,)), "matrix": (_MATRIX, (6, 8))}),
+    "to_currents": (lambda tensions: to_currents(tensions, _CUBE8.winch),
+                    {"tensions": (_TENSIONS, (-1,))}),
+    "tension_command": (
+        lambda tensions, final, residual: tension_command(tensions, final, residual,
+                                                          _CUBE8.bounds, _CUBE8.winch),
+        {"tensions": (_TENSIONS, (-1,)), "final": (_TENSIONS[::-1], (8,)),
+         "residual": (_SIX, (6,))}),
+    "step": (
+        lambda currents: step(SimState.at_rest(_CUBE8.start_pose, 8), currents, _CUBE8.dt,
+                              _CUBE8.body, _CUBE8.wires, _CUBE8.winch),
+        {"currents": (to_currents(_TENSIONS, _CUBE8.winch), (8,))}),
+    "solve_box_qp": (
+        lambda hessian, gradient, lower, upper, start: solve_box_qp(hessian, gradient, lower,
+                                                                    upper, start=start),
+        {"hessian": (_HESSIAN, (8, 8)), "gradient": (_GRADIENT, (-1,)),
+         "lower": ((0.0,) * 8, (8,)), "upper": ((5.0,) * 8, (8,)), "start": ((1.0,) * 8, (8,))}),
+    "kkt_residual": (
+        kkt_residual,
+        {"hessian": (_HESSIAN, (8, 8)), "gradient": (_GRADIENT, (8,)), "x": ((1.0,) * 8, (-1,)),
+         "lower": ((0.0,) * 8, (8,)), "upper": ((5.0,) * 8, (8,))}),
+    "controllability": (
+        lambda matrix: controllability(matrix, _CUBE8.bounds, torque_scale=_CUBE8.torque_lever),
+        {"matrix": (_MATRIX, (6, -1))}),
+}
+
+
+def _misshapen(value, shape):
+    """`value` one entry short along its last fixed axis, or nested one deeper."""
+    if len(shape) == 2:
+        return [list(row) for row in value[:-1]] if shape[1] == -1 else [
+            list(row[:-1]) for row in value]
+    return [[v] for v in value] if shape[0] == -1 else list(value[:-1])
+
+
+def _text(value):
+    return [_text(v) for v in value] if isinstance(value, tuple) else repr(value)
+
+
+# what stands in for an argument, and whether it is read (else refused)
+_STAND_INS = {
+    "bool-array": (lambda value, shape: np.ones(np.shape(value), dtype=bool), False),
+    "numpy-bools": (lambda value, shape: list(np.ones(np.shape(value), dtype=bool)), False),
+    "text": (lambda value, shape: _text(value), True),
+    "misshapen": (_misshapen, False),
+    "short-tuple": (lambda value, shape: value[:-1], False),
+}
+_ENTRY_CASES = [(kernel, argument, kind) for kernel, (_, arguments) in _KERNELS.items()
+                for argument, (_, shape) in arguments.items() for kind in _STAND_INS
+                if kind != "short-tuple" or shape[0] != -1]
+
+
+@pytest.mark.parametrize("kernel, argument, kind", _ENTRY_CASES,
+                         ids=["-".join(case) for case in _ENTRY_CASES])
+def test_a_kernel_refuses_what_a_record_refuses(kernel, argument, kind):
+    # an argument that is not the tick's own float tuple meets `_numbers`:
+    # a kernel reads what a record reads and refuses, naming the argument,
+    # what a record refuses
+    call, arguments = _KERNELS[kernel]
+    given = {name: value for name, (value, _) in arguments.items()}
+    value, shape = arguments[argument]
+    make, read = _STAND_INS[kind]
+    stand_in = make(value, shape)
+    if read:
+        assert _numbers(argument, stand_in, shape) == value
+        assert repr(call(**dict(given, **{argument: stand_in}))) == repr(call(**given))
+    else:
+        with pytest.raises(ValueError, match=f"for {argument}, got"):
+            _numbers(argument, stand_in, shape)
+        with pytest.raises(ValueError, match=f"for {argument}, got"):
+            call(**dict(given, **{argument: stand_in}))

@@ -517,6 +517,17 @@ def test_the_memo_gives_a_fresh_pass_bit_for_bit(first, second, data):
     assert outcomes[9][0] == "DegenerateWire"
 
 
+def test_a_signed_zero_flip_gets_a_fresh_pass():
+    # poses equal in value whose passes differ in the sign of a zero: the
+    # memo must not take one for the other
+    wires = WireSet([WireAttachment((-0.0, -0.0, -0.0), (-0.0, 1.0, 2.0))])
+    poses = [Pose((0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0)),
+             Pose((-0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0))]
+    fresh = [_outcome(lambda: wire_jacobian(pose, list(wires))) for pose in poses]
+    assert fresh[0] != fresh[1]
+    assert [_outcome(lambda: wire_jacobian(pose, wires)) for pose in poses] == fresh
+
+
 def test_a_shared_wire_set_stays_consistent_across_threads():
     # each read and each replacement of the memo is one attribute access,
     # so no thread pairs one pose's key with another pose's pass
